@@ -3,7 +3,7 @@
 //! Every trial at sample size `s` under a fixed resampling strategy uses
 //! the *same* derived data: the prefix sample, its train/validation
 //! folds, and — for binned learners — the per-fold sorted-unique feature
-//! values and pre-binned `u32` matrices. The seed controller re-derived
+//! values and pre-binned two-byte matrices. The seed controller re-derived
 //! all of it per trial by materializing `O(rows × features)` copies; the
 //! [`DataPlane`] derives each artifact once as `Arc`-backed
 //! [`DatasetView`]s / [`PreparedBins`] and hands trials cheap clones.

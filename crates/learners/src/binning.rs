@@ -9,6 +9,15 @@
 use flaml_data::DatasetView;
 use std::sync::Arc;
 
+/// The stored bin index type. Two bytes per cell instead of four halves
+/// the binned matrix (the largest per-view artifact the data plane
+/// caches) and the cache lines a histogram pass touches.
+pub(crate) type Bin = u16;
+
+/// The largest `max_bin` whose bin indices (`0..=max_bin`, bin 0 being
+/// the missing-value bin) all fit [`Bin`].
+pub(crate) const MAX_BIN: usize = Bin::MAX as usize;
+
 /// The per-feature sorted-unique non-NaN values of one data view: the
 /// expensive part of quantile binning, computed once and shared.
 ///
@@ -49,9 +58,45 @@ impl PreparedSort {
 
 fn sorted_uniques(values: impl Iterator<Item = f64>) -> Vec<f64> {
     let mut values: Vec<f64> = values.filter(|v| !v.is_nan()).collect();
+    // Stable on purpose: `-0.0 == 0.0`, so `dedup` keeps whichever zero
+    // came first in the input, and only a stable sort preserves that
+    // order. `sort_unstable_by` would make the survivor's sign depend
+    // on the sort's internals (input `[0.0, -0.0]` is a counter-example
+    // to "provably the same"), so it is not used.
     values.sort_by(|a, b| a.partial_cmp(b).expect("no NaN after filter"));
     values.dedup();
     values
+}
+
+/// Values binned together by [`bin_lanes`] during a column transform.
+const LANES: usize = 8;
+
+/// The bins of `N` values under one feature's `cuts`: 0 for `NaN`,
+/// otherwise `1 + #cuts below v` — the same answer as
+/// `1 + cuts.partition_point(|&c| c < v)`. The lower bound takes a
+/// fixed number of steps per cut list and a conditional move per step,
+/// and the `N` searches share those steps, so their dependent loads
+/// overlap instead of queueing behind one another.
+///
+/// Every constructor of [`BinMapper`] keeps `cuts.len() < MAX_BIN`, so
+/// the index fits [`Bin`] and the cast cannot wrap.
+fn bin_lanes<const N: usize>(cuts: &[f64], values: [f64; N]) -> [Bin; N] {
+    let mut base = [0usize; N];
+    let mut size = cuts.len();
+    while size > 1 {
+        let half = size / 2;
+        for (b, &v) in base.iter_mut().zip(&values) {
+            let mid = *b + half;
+            *b = std::hint::select_unpredictable(cuts[mid] < v, mid, *b);
+        }
+        size -= half;
+    }
+    std::array::from_fn(|k| {
+        let v = values[k];
+        // `NaN` compares false with every cut, so `below` is 0 for it.
+        let below = base[k] + usize::from(size == 1 && cuts[base[k]] < v);
+        (usize::from(!v.is_nan()) + below) as Bin
+    })
 }
 
 /// Per-feature quantile cut points mapping raw values to bin indices.
@@ -66,10 +111,13 @@ impl BinMapper {
     /// (missing-value bin excluded). Accepts anything convertible into a
     /// [`DatasetView`] (`&Dataset`, `&DatasetView`, ...).
     ///
-    /// `max_bin` is clamped to at least 2.
+    /// `max_bin` is clamped to `2..=65535`: fewer than two value bins
+    /// cannot express a split, and bin indices are stored in two bytes.
+    /// ([`crate::Gbdt::fit`] rejects a `max_bin` above that range as a
+    /// typed error before it gets here.)
     pub fn fit(data: impl Into<DatasetView>, max_bin: usize) -> BinMapper {
         let data: DatasetView = data.into();
-        let max_bin = max_bin.max(2);
+        let max_bin = max_bin.clamp(2, MAX_BIN);
         let cuts = (0..data.n_features())
             .map(|j| Self::cuts_from_sorted(&sorted_uniques(data.column_values(j)), max_bin))
             .collect();
@@ -80,9 +128,9 @@ impl BinMapper {
     /// per-trial sort. Produces exactly the cuts [`BinMapper::fit`] would
     /// for the same view and `max_bin`.
     ///
-    /// `max_bin` is clamped to at least 2.
+    /// `max_bin` is clamped to `2..=65535`, as in [`BinMapper::fit`].
     pub fn from_sorted(sort: &PreparedSort, max_bin: usize) -> BinMapper {
-        let max_bin = max_bin.max(2);
+        let max_bin = max_bin.clamp(2, MAX_BIN);
         let cuts = sort
             .columns
             .iter()
@@ -116,7 +164,18 @@ impl BinMapper {
     /// Rebuilds a mapper from stored cut points — e.g. the cuts embedded
     /// in a compiled serving artifact. A mapper built from the cuts of an
     /// existing mapper bins every value identically to the original.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a feature has more than 65534 cuts: its bin indices
+    /// would not fit the two-byte bin type, and no mapper this crate
+    /// fits has that many.
     pub fn from_cuts(cuts: Vec<Vec<f64>>) -> BinMapper {
+        assert!(
+            cuts.iter().all(|c| c.len() < MAX_BIN),
+            "a feature with more than {} cuts cannot be binned",
+            MAX_BIN - 1
+        );
         BinMapper { cuts }
     }
 
@@ -128,6 +187,14 @@ impl BinMapper {
     /// Number of features the mapper was fit on.
     pub fn n_features(&self) -> usize {
         self.cuts.len()
+    }
+
+    /// Approximate heap footprint of the cut points in bytes.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.cuts
+            .iter()
+            .map(|c| std::mem::size_of_val(c.as_slice()))
+            .sum()
     }
 
     /// Number of bins of feature `j`, including the missing-value bin 0.
@@ -146,10 +213,7 @@ impl BinMapper {
     ///
     /// Panics if `j` is out of range.
     pub fn bin(&self, j: usize, v: f64) -> u32 {
-        if v.is_nan() {
-            return 0;
-        }
-        1 + self.cuts[j].partition_point(|&c| c < v) as u32
+        u32::from(bin_lanes(&self.cuts[j], [v])[0])
     }
 
     /// Bins an entire dataset or view (must have the same number of
@@ -165,11 +229,20 @@ impl BinMapper {
             self.n_features(),
             "binning a dataset with a different feature count"
         );
-        let bins = (0..data.n_features())
-            .map(|j| data.column_values(j).map(|v| self.bin(j, v)).collect())
-            .collect();
+        let n_rows = data.n_rows();
+        let mut bins: Vec<Bin> = Vec::with_capacity(n_rows * self.n_features());
+        for (j, cuts) in self.cuts.iter().enumerate() {
+            let mut values = data.column_values(j);
+            for _ in 0..n_rows / LANES {
+                let lanes: [f64; LANES] =
+                    std::array::from_fn(|_| values.next().expect("n_rows values per column"));
+                bins.extend(bin_lanes(cuts, lanes));
+            }
+            bins.extend(values.map(|v| bin_lanes(cuts, [v])[0]));
+        }
         BinnedDataset {
             bins,
+            n_rows,
             n_bins: (0..self.n_features()).map(|j| self.n_bins(j)).collect(),
         }
     }
@@ -177,7 +250,7 @@ impl BinMapper {
 
 /// The build-once, reuse-everywhere binning artifact of one training
 /// view at one `max_bin`: the fitted [`BinMapper`] plus the pre-binned
-/// `u32` feature matrix. Sharing it across trials removes the per-trial
+/// two-byte feature matrix. Sharing it across trials removes the per-trial
 /// sort + quantize + transform from `Gbdt::fit`'s critical path.
 #[derive(Debug, Clone)]
 pub struct PreparedBins {
@@ -252,38 +325,29 @@ impl PreparedBins {
 
     /// Approximate heap footprint in bytes (for cache budgeting).
     pub fn heap_bytes(&self) -> usize {
-        let cuts: usize = self
-            .mapper
-            .cuts
-            .iter()
-            .map(|c| c.len() * std::mem::size_of::<f64>())
-            .sum();
-        let bins: usize = self
-            .binned
-            .bins
-            .iter()
-            .map(|c| c.len() * std::mem::size_of::<u32>())
-            .sum();
-        cuts + bins
+        self.mapper.heap_bytes() + self.binned.heap_bytes()
     }
 }
 
-/// A dataset discretized by a [`BinMapper`]: column-major bin indices.
+/// A dataset discretized by a [`BinMapper`]: one flat column-major
+/// matrix of two-byte bin indices (feature `j` owns cells
+/// `j * n_rows..(j + 1) * n_rows`).
 #[derive(Debug, Clone)]
 pub struct BinnedDataset {
-    bins: Vec<Vec<u32>>,
+    bins: Vec<Bin>,
+    n_rows: usize,
     n_bins: Vec<usize>,
 }
 
 impl BinnedDataset {
     /// Number of rows.
     pub fn n_rows(&self) -> usize {
-        self.bins.first().map_or(0, Vec::len)
+        self.n_rows
     }
 
     /// Number of features.
     pub fn n_features(&self) -> usize {
-        self.bins.len()
+        self.n_bins.len()
     }
 
     /// The bin indices of feature `j`.
@@ -291,8 +355,23 @@ impl BinnedDataset {
     /// # Panics
     ///
     /// Panics if `j` is out of range.
-    pub fn column(&self, j: usize) -> &[u32] {
-        &self.bins[j]
+    pub fn column(&self, j: usize) -> &[u16] {
+        &self.bins[j * self.n_rows..(j + 1) * self.n_rows]
+    }
+
+    /// Builds a matrix straight from bin columns (engine tests).
+    #[cfg(test)]
+    pub(crate) fn from_columns(columns: Vec<Vec<Bin>>, n_bins: Vec<usize>) -> BinnedDataset {
+        BinnedDataset {
+            n_rows: columns.first().map_or(0, Vec::len),
+            bins: columns.concat(),
+            n_bins,
+        }
+    }
+
+    /// Approximate heap footprint in bytes (for cache budgeting).
+    pub fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(self.bins.as_slice()) + std::mem::size_of_val(self.n_bins.as_slice())
     }
 
     /// The number of bins of feature `j` (missing-value bin included).
@@ -390,7 +469,7 @@ mod tests {
         let m = BinMapper::fit(&d, 8);
         let binned = m.transform(&d);
         for (i, &v) in col.iter().enumerate() {
-            assert_eq!(binned.column(0)[i], m.bin(0, v));
+            assert_eq!(u32::from(binned.column(0)[i]), m.bin(0, v));
         }
         assert_eq!(binned.n_rows(), 5);
         assert_eq!(binned.n_features(), 1);
@@ -406,7 +485,7 @@ mod tests {
 
     #[test]
     fn from_sorted_matches_direct_fit_for_every_max_bin() {
-        let col: Vec<f64> = (0..500)
+        let mut col: Vec<f64> = (0..500)
             .map(|i| {
                 if i % 7 == 0 {
                     f64::NAN
@@ -415,9 +494,15 @@ mod tests {
                 }
             })
             .collect();
-        let d = data(vec![col]);
+        // Both zeros, in both orders, among duplicates.
+        col.extend([0.0, -0.0, 5.0, 5.0, -0.0, 0.0, f64::NAN, 5.0]);
+        let d = data(vec![col.clone()]);
         let sort = PreparedSort::compute(&d);
-        for max_bin in [2usize, 3, 8, 16, 64, 255, 1024] {
+        let distinct = sort.columns[0].len();
+        let mut max_bins = vec![0usize, 1, 2, 3, 8, 16, 64, 255, 1024, 70_000];
+        // One bin per distinct value starts exactly at `distinct`.
+        max_bins.extend([distinct - 1, distinct, distinct + 1]);
+        for max_bin in max_bins {
             let direct = BinMapper::fit(&d, max_bin);
             let shared = BinMapper::from_sorted(&sort, max_bin);
             assert_eq!(direct.cuts.len(), shared.cuts.len());
@@ -426,7 +511,54 @@ mod tests {
                 let b_bits: Vec<u64> = b.iter().map(|v| v.to_bits()).collect();
                 assert_eq!(a_bits, b_bits, "max_bin={max_bin}");
             }
+            // The lane-parallel column transform, the single-value
+            // `bin` and the plain definition agree on every value,
+            // cuts themselves and the signed zeros included.
+            let cuts = &shared.cuts[0];
+            let mut probes = col.clone();
+            probes.extend(cuts.iter().copied());
+            probes.extend([f64::NEG_INFINITY, f64::INFINITY, -1e-320, 1e-320]);
+            let probe_data = data(vec![probes.clone()]);
+            let binned = shared.transform(&probe_data);
+            for (&v, &got) in probes.iter().zip(binned.column(0)) {
+                let want = if v.is_nan() {
+                    0
+                } else {
+                    1 + cuts.partition_point(|&c| c < v) as u32
+                };
+                assert_eq!(u32::from(got), want, "max_bin={max_bin} v={v}");
+                assert_eq!(shared.bin(0, v), want, "max_bin={max_bin} v={v}");
+            }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot be binned")]
+    fn more_cuts_than_two_bytes_index_are_refused() {
+        BinMapper::from_cuts(vec![(0..65_535).map(f64::from).collect()]);
+    }
+
+    #[test]
+    fn the_widest_mapper_still_fits_the_bin_type() {
+        // 70 000 distinct values at the largest max_bin: 65 534 cuts, top
+        // bin 65 535.
+        let d = data(vec![(0..70_000).map(f64::from).collect()]);
+        let m = BinMapper::fit(&d, usize::MAX);
+        assert_eq!(m.n_bins(0), 65_536);
+        assert_eq!(m.bin(0, 1e9), 65_535);
+        assert_eq!(m.transform(&d).column(0)[69_999], 65_535);
+    }
+
+    #[test]
+    fn binned_bytes_are_two_per_cell() {
+        let d = data(vec![vec![1.0, 2.0, 3.0, 4.0], vec![4.0, 3.0, 2.0, 1.0]]);
+        let sort = PreparedSort::compute(&d);
+        let prepared = PreparedBins::prepare(&sort, &d, 8);
+        let cells = 2 * 4 * std::mem::size_of::<Bin>();
+        let n_bins = 2 * std::mem::size_of::<usize>();
+        let cuts = 2 * 3 * std::mem::size_of::<f64>();
+        assert_eq!(prepared.binned().heap_bytes(), cells + n_bins);
+        assert_eq!(prepared.heap_bytes(), cells + n_bins + cuts);
     }
 
     #[test]

@@ -16,13 +16,15 @@
 //! rows and columns can be subsampled (`subsample`, `colsample_bytree`,
 //! `colsample_bylevel`). All of these are searched by FLAML (Table 5).
 
-use crate::binning::{BinMapper, BinnedDataset, PreparedBins};
+use crate::binning::{BinMapper, BinnedDataset, PreparedBins, MAX_BIN};
+use crate::hist::{leaf_value, split_gain, GradPair, HistBuilder, NodeTask, Split};
 use crate::link::{sigmoid, softmax_in_place};
 use crate::FitError;
 use flaml_data::{DatasetView, Task};
 use flaml_metrics::Pred;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -59,7 +61,9 @@ pub struct GbdtParams {
     pub colsample_bytree: f64,
     /// Column subsample fraction per level, in `(0, 1]`.
     pub colsample_bylevel: f64,
-    /// Maximum histogram bins per feature.
+    /// Maximum histogram bins per feature. Values below 2 are clamped
+    /// to 2 (fewer value bins cannot express a split); values above
+    /// 65535 are rejected, because bin indices are stored in two bytes.
     pub max_bin: usize,
     /// Tree growth policy.
     pub growth: Growth,
@@ -130,6 +134,13 @@ impl GbdtParams {
                 "must be >= 0",
             ));
         }
+        if self.max_bin > MAX_BIN {
+            return Err(FitError::bad_param(
+                "max_bin",
+                self.max_bin as f64,
+                "must be <= 65535",
+            ));
+        }
         if self.reg_alpha < 0.0 || self.reg_lambda < 0.0 {
             return Err(FitError::bad_param(
                 "reg_alpha/reg_lambda",
@@ -163,18 +174,24 @@ struct Tree {
     nodes: Vec<Node>,
 }
 
+impl Node {
+    fn leaf(value: f64) -> Node {
+        Node {
+            feature: 0,
+            threshold: 0,
+            left: 0,
+            right: 0,
+            leaf_value: value,
+            is_leaf: true,
+            split_gain: 0.0,
+        }
+    }
+}
+
 impl Tree {
     fn leaf(value: f64) -> Tree {
         Tree {
-            nodes: vec![Node {
-                feature: 0,
-                threshold: 0,
-                left: 0,
-                right: 0,
-                leaf_value: value,
-                is_leaf: true,
-                split_gain: 0.0,
-            }],
+            nodes: vec![Node::leaf(value)],
         }
     }
 
@@ -191,7 +208,7 @@ impl Tree {
                 return node.leaf_value;
             }
             let bin = binned.column(node.feature as usize)[row];
-            at = if bin <= node.threshold {
+            at = if u32::from(bin) <= node.threshold {
                 node.left as usize
             } else {
                 node.right as usize
@@ -496,8 +513,10 @@ impl Gbdt {
             valid_rows,
             init_scores,
             scores,
-            grad: vec![0.0; n],
-            hess: vec![0.0; n],
+            gh: vec![[0.0; 2]; n],
+            all_features: (0..data.n_features() as u32).collect(),
+            sampled_rows: Vec::new(),
+            hist: HistBuilder::default(),
             rng: StdRng::seed_from_u64(seed),
             trees: Vec::new(),
             rounds_done: 0,
@@ -535,10 +554,10 @@ impl Gbdt {
 
 /// A paused, resumable boosting run: everything `Gbdt::fit` keeps on its
 /// stack between rounds, lifted into a value. The state owns the trees
-/// grown so far, the per-row raw scores, the gradient/hessian scratch,
-/// the RNG mid-stream, and the binning identity (mapper + `Arc`-shared
-/// binned matrix), so continuing it is bit-identical to never having
-/// paused.
+/// grown so far, the per-row raw scores, the gradient/hessian and
+/// histogram scratch, the RNG mid-stream, and the binning identity
+/// (mapper + `Arc`-shared binned matrix), so continuing it is
+/// bit-identical to never having paused.
 ///
 /// Because no boosting round reads `params.n_trees`, the tree sequence
 /// is *prefix-stable*: the first `r` rounds of any run equal the `r`
@@ -557,8 +576,13 @@ pub struct GbdtFitState {
     valid_rows: Vec<u32>,
     init_scores: Vec<f64>,
     scores: Vec<f64>,
-    grad: Vec<f64>,
-    hess: Vec<f64>,
+    /// Per-row `[gradient, hessian]` of the group being fitted.
+    gh: Vec<GradPair>,
+    /// `0..n_features`, built once: what column sampling draws from.
+    all_features: Vec<u32>,
+    /// This round's row subsample (unused when `subsample == 1`).
+    sampled_rows: Vec<u32>,
+    hist: HistBuilder,
     rng: StdRng,
     trees: Vec<Tree>,
     rounds_done: usize,
@@ -600,22 +624,23 @@ impl GbdtFitState {
     /// The `Arc`-shared binned matrix is *excluded*: it is owned (and
     /// budgeted) by the data plane's `PreparedBins` cache entry.
     pub fn heap_bytes(&self) -> usize {
-        let f8 = std::mem::size_of::<f64>();
+        use std::mem::size_of_val;
         let tree_bytes: usize = self
             .trees
             .iter()
-            .map(|t| t.nodes.len() * std::mem::size_of::<Node>())
+            .map(|t| size_of_val(t.nodes.as_slice()))
             .sum();
-        let cut_bytes: usize = self.mapper.cuts().iter().map(|c| c.len() * f8).sum();
         tree_bytes
-            + cut_bytes
-            + (self.scores.len()
-                + self.grad.len()
-                + self.hess.len()
-                + self.init_scores.len()
-                + self.y.len())
-                * f8
-            + (self.train_rows.len() + self.valid_rows.len()) * std::mem::size_of::<u32>()
+            + self.mapper.heap_bytes()
+            + size_of_val(self.scores.as_slice())
+            + size_of_val(self.gh.as_slice())
+            + size_of_val(self.init_scores.as_slice())
+            + size_of_val(&*self.y)
+            + size_of_val(self.train_rows.as_slice())
+            + size_of_val(self.valid_rows.as_slice())
+            + size_of_val(self.all_features.as_slice())
+            + self.sampled_rows.capacity() * std::mem::size_of::<u32>()
+            + self.hist.heap_bytes()
     }
 
     /// Runs boosting rounds until `target` rounds are done, the budget
@@ -639,24 +664,24 @@ impl GbdtFitState {
                 }
             }
             let round = self.rounds_done;
-            // Row subsample for this round (shared across groups).
-            let rows: Vec<u32> = if self.params.subsample < 1.0 {
-                let sampled: Vec<u32> = self
-                    .train_rows
-                    .iter()
-                    .copied()
-                    .filter(|_| self.rng.gen::<f64>() < self.params.subsample)
-                    .collect();
-                if sampled.is_empty() {
-                    self.train_rows.clone()
-                } else {
-                    sampled
-                }
+            // Row subsample for this round (shared across groups): one
+            // draw per training row, into a buffer the state keeps.
+            self.sampled_rows.clear();
+            if self.params.subsample < 1.0 {
+                let (rng, subsample) = (&mut self.rng, self.params.subsample);
+                self.sampled_rows.extend(
+                    self.train_rows
+                        .iter()
+                        .filter(|_| rng.gen::<f64>() < subsample),
+                );
+            }
+            let rows: &[u32] = if self.sampled_rows.is_empty() {
+                &self.train_rows
             } else {
-                self.train_rows.clone()
+                &self.sampled_rows
             };
 
-            let n = self.grad.len();
+            let n = self.gh.len();
             for c in 0..self.n_groups {
                 compute_gradients(
                     self.task,
@@ -664,17 +689,16 @@ impl GbdtFitState {
                     &self.scores,
                     self.n_groups,
                     c,
-                    &mut self.grad,
-                    &mut self.hess,
+                    &mut self.gh,
                 );
-                let tree = build_tree(
-                    &self.binned,
-                    &rows,
-                    &self.grad,
-                    &self.hess,
-                    &self.params,
-                    &mut self.rng,
-                );
+                let tree = TreeGrower {
+                    binned: &self.binned,
+                    gh: &self.gh,
+                    params: &self.params,
+                    rng: &mut self.rng,
+                    hist: &mut self.hist,
+                }
+                .grow(rows, &self.all_features);
                 // Update scores on all rows (train + valid) for the group.
                 for i in 0..n {
                     let v = tree.eval_binned(&self.binned, i);
@@ -797,21 +821,18 @@ fn compute_gradients(
     scores: &[f64],
     n_groups: usize,
     class: usize,
-    grad: &mut [f64],
-    hess: &mut [f64],
+    gh: &mut [GradPair],
 ) {
     match task {
         Task::Regression => {
             for i in 0..y.len() {
-                grad[i] = scores[i] - y[i];
-                hess[i] = 1.0;
+                gh[i] = [scores[i] - y[i], 1.0];
             }
         }
         Task::Binary => {
             for i in 0..y.len() {
                 let p = sigmoid(scores[i]);
-                grad[i] = p - y[i];
-                hess[i] = (p * (1.0 - p)).max(1e-16);
+                gh[i] = [p - y[i], (p * (1.0 - p)).max(1e-16)];
             }
         }
         Task::MultiClass(k) => {
@@ -821,8 +842,7 @@ fn compute_gradients(
                 let denom: f64 = row.iter().map(|&v| (v - max).exp()).sum();
                 let p = (row[class] - max).exp() / denom;
                 let target = f64::from(y[i] as usize == class);
-                grad[i] = p - target;
-                hess[i] = (2.0 * p * (1.0 - p)).max(1e-16);
+                gh[i] = [p - target, (2.0 * p * (1.0 - p)).max(1e-16)];
             }
         }
     }
@@ -861,463 +881,188 @@ fn holdout_loss(task: Task, y: &[f64], scores: &[f64], n_groups: usize, rows: &[
     total / rows.len() as f64
 }
 
-/// Soft-thresholded gradient sum for L1 regularization.
-fn thresholded(g: f64, alpha: f64) -> f64 {
-    if g > alpha {
-        g - alpha
-    } else if g < -alpha {
-        g + alpha
-    } else {
-        0.0
-    }
-}
-
-fn leaf_objective(g: f64, h: f64, alpha: f64, lambda: f64) -> f64 {
-    let t = thresholded(g, alpha);
-    t * t / (h + lambda)
-}
-
-fn leaf_weight(g: f64, h: f64, alpha: f64, lambda: f64) -> f64 {
-    -thresholded(g, alpha) / (h + lambda)
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct BinStats {
-    g: f64,
-    h: f64,
-    n: u32,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Split {
-    feature: u32,
-    threshold: u32,
-    gain: f64,
-    left_g: f64,
-    left_h: f64,
-    right_g: f64,
-    right_h: f64,
-}
-
-struct NodeTask {
-    node: usize,
-    rows: Vec<u32>,
-    g_sum: f64,
-    h_sum: f64,
-    depth: usize,
-}
-
-/// Finds the best split for a node over the given features.
-#[allow(clippy::too_many_arguments)]
-fn best_split(
-    binned: &BinnedDataset,
-    rows: &[u32],
-    grad: &[f64],
-    hess: &[f64],
-    features: &[u32],
-    g_sum: f64,
-    h_sum: f64,
-    params: &GbdtParams,
-) -> Option<Split> {
-    let parent_obj = leaf_objective(g_sum, h_sum, params.reg_alpha, params.reg_lambda);
-    let mut best: Option<Split> = None;
-    let mut hist: Vec<BinStats> = Vec::new();
-    for &j in features {
-        let n_bins = binned.n_bins(j as usize);
-        hist.clear();
-        hist.resize(n_bins, BinStats::default());
-        let col = binned.column(j as usize);
-        for &r in rows {
-            let b = col[r as usize] as usize;
-            let s = &mut hist[b];
-            s.g += grad[r as usize];
-            s.h += hess[r as usize];
-            s.n += 1;
-        }
-        let total_n = rows.len() as u32;
-        let mut lg = 0.0;
-        let mut lh = 0.0;
-        let mut ln = 0u32;
-        for (t, h) in hist.iter().enumerate().take(n_bins - 1) {
-            lg += h.g;
-            lh += h.h;
-            ln += h.n;
-            if ln == 0 {
-                continue;
-            }
-            if ln == total_n {
-                break;
-            }
-            let rg = g_sum - lg;
-            let rh = h_sum - lh;
-            if lh < params.min_child_weight || rh < params.min_child_weight {
-                continue;
-            }
-            let gain = leaf_objective(lg, lh, params.reg_alpha, params.reg_lambda)
-                + leaf_objective(rg, rh, params.reg_alpha, params.reg_lambda)
-                - parent_obj;
-            if gain > 1e-12 && best.is_none_or(|b| gain > b.gain) {
-                best = Some(Split {
-                    feature: j,
-                    threshold: t as u32,
-                    gain,
-                    left_g: lg,
-                    left_h: lh,
-                    right_g: rg,
-                    right_h: rh,
-                });
-            }
-        }
-    }
-    best
-}
-
-fn sample_features(all: &[u32], fraction: f64, rng: &mut StdRng) -> Vec<u32> {
+/// Draws `ceil(fraction * len)` of `all` without replacement (a partial
+/// Fisher-Yates); at `fraction >= 1` borrows `all` and draws nothing.
+fn sample_features<'a>(all: &'a [u32], fraction: f64, rng: &mut StdRng) -> Cow<'a, [u32]> {
     if fraction >= 1.0 {
-        return all.to_vec();
+        return Cow::Borrowed(all);
     }
     let want = ((all.len() as f64 * fraction).ceil() as usize).clamp(1, all.len());
-    // Partial Fisher-Yates over a copy.
     let mut pool = all.to_vec();
     for i in 0..want {
         let j = rng.gen_range(i..pool.len());
         pool.swap(i, j);
     }
     pool.truncate(want);
-    pool
+    Cow::Owned(pool)
 }
 
-fn build_tree(
-    binned: &BinnedDataset,
-    rows: &[u32],
-    grad: &[f64],
-    hess: &[f64],
-    params: &GbdtParams,
-    rng: &mut StdRng,
-) -> Tree {
-    let all_features: Vec<u32> = (0..binned.n_features() as u32).collect();
-    let tree_features = sample_features(&all_features, params.colsample_bytree, rng);
+/// Everything one tree's growth reads: the binned matrix, this group's
+/// gradients, the parameters, the fit's RNG and its histogram engine.
+struct TreeGrower<'a> {
+    binned: &'a BinnedDataset,
+    gh: &'a [GradPair],
+    params: &'a GbdtParams,
+    rng: &'a mut StdRng,
+    hist: &'a mut HistBuilder,
+}
 
-    let g_sum: f64 = rows.iter().map(|&r| grad[r as usize]).sum();
-    let h_sum: f64 = rows.iter().map(|&r| hess[r as usize]).sum();
-    let root_value =
-        params.learning_rate * leaf_weight(g_sum, h_sum, params.reg_alpha, params.reg_lambda);
-    let mut tree = Tree::leaf(root_value);
-    let root_task = NodeTask {
-        node: 0,
-        rows: rows.to_vec(),
-        g_sum,
-        h_sum,
-        depth: 0,
-    };
-
-    match params.growth {
-        Growth::LeafWise => grow_leaf_wise(
-            binned,
-            grad,
-            hess,
-            params,
-            rng,
-            &tree_features,
-            &mut tree,
-            root_task,
-        ),
-        Growth::DepthWise => grow_depth_wise(
-            binned,
-            grad,
-            hess,
-            params,
-            rng,
-            &tree_features,
-            &mut tree,
-            root_task,
-        ),
-        Growth::Oblivious => grow_oblivious(
-            binned,
-            grad,
-            hess,
-            params,
-            rng,
-            &tree_features,
-            &mut tree,
-            root_task,
-        ),
+impl TreeGrower<'_> {
+    /// Grows one tree over `rows` under the configured growth policy.
+    fn grow(mut self, rows: &[u32], all_features: &[u32]) -> Tree {
+        let tree_features = sample_features(all_features, self.params.colsample_bytree, self.rng);
+        let g_sum: f64 = rows.iter().map(|&r| self.gh[r as usize][0]).sum();
+        let h_sum: f64 = rows.iter().map(|&r| self.gh[r as usize][1]).sum();
+        let mut tree = Tree::leaf(leaf_value(g_sum, h_sum, self.params));
+        let root = NodeTask {
+            node: 0,
+            rows: self.hist.start_tree(self.binned, rows),
+            g_sum,
+            h_sum,
+        };
+        match self.params.growth {
+            Growth::LeafWise => self.grow_leaf_wise(&tree_features, &mut tree, root),
+            Growth::DepthWise => self.grow_depth_wise(&tree_features, &mut tree, root),
+            Growth::Oblivious => self.grow_oblivious(&tree_features, &mut tree, root),
+        }
+        tree
     }
-    tree
-}
 
-/// Applies `split` to `task`'s node, pushing two children onto the tree.
-/// Returns the two child tasks.
-fn apply_split(
-    tree: &mut Tree,
-    binned: &BinnedDataset,
-    task: NodeTask,
-    split: Split,
-    lr: f64,
-    alpha: f64,
-    lambda: f64,
-) -> (NodeTask, NodeTask) {
-    let col = binned.column(split.feature as usize);
-    let (left_rows, right_rows): (Vec<u32>, Vec<u32>) = task
-        .rows
-        .iter()
-        .partition(|&&r| col[r as usize] <= split.threshold);
-    let left_id = tree.nodes.len() as u32;
-    let right_id = left_id + 1;
-    tree.nodes.push(Node {
-        feature: 0,
-        threshold: 0,
-        left: 0,
-        right: 0,
-        leaf_value: lr * leaf_weight(split.left_g, split.left_h, alpha, lambda),
-        is_leaf: true,
-        split_gain: 0.0,
-    });
-    tree.nodes.push(Node {
-        feature: 0,
-        threshold: 0,
-        left: 0,
-        right: 0,
-        leaf_value: lr * leaf_weight(split.right_g, split.right_h, alpha, lambda),
-        is_leaf: true,
-        split_gain: 0.0,
-    });
-    let parent = &mut tree.nodes[task.node];
-    parent.is_leaf = false;
-    parent.feature = split.feature;
-    parent.split_gain = split.gain;
-    parent.threshold = split.threshold;
-    parent.left = left_id;
-    parent.right = right_id;
-    (
-        NodeTask {
-            node: left_id as usize,
-            rows: left_rows,
-            g_sum: split.left_g,
-            h_sum: split.left_h,
-            depth: task.depth + 1,
-        },
-        NodeTask {
-            node: right_id as usize,
-            rows: right_rows,
-            g_sum: split.right_g,
-            h_sum: split.right_h,
-            depth: task.depth + 1,
-        },
-    )
-}
+    fn best_split(&mut self, features: &[u32], task: &NodeTask) -> Option<Split> {
+        self.hist
+            .best_split(self.binned, self.gh, features, task, self.params)
+    }
 
-#[allow(clippy::too_many_arguments)]
-fn grow_leaf_wise(
-    binned: &BinnedDataset,
-    grad: &[f64],
-    hess: &[f64],
-    params: &GbdtParams,
-    rng: &mut StdRng,
-    tree_features: &[u32],
-    tree: &mut Tree,
-    root: NodeTask,
-) {
-    // Candidate leaves with their best splits; pick the max gain greedily.
-    let mut candidates: Vec<(NodeTask, Split)> = Vec::new();
-    let feats = sample_features(tree_features, params.colsample_bylevel, rng);
-    if let Some(s) = best_split(
-        binned, &root.rows, grad, hess, &feats, root.g_sum, root.h_sum, params,
+    /// Applies `split` to `task`'s node: partitions its rows, pushes two
+    /// child leaves onto the tree and returns their tasks.
+    fn apply_split(&mut self, tree: &mut Tree, task: NodeTask, split: Split) -> [NodeTask; 2] {
+        let mid = self
+            .hist
+            .partition(self.binned, &task.rows, split.feature, split.threshold);
+        let left_id = tree.nodes.len();
+        let children = [
+            (task.rows.start..mid, split.left_g, split.left_h),
+            (mid..task.rows.end, split.right_g, split.right_h),
+        ];
+        let parent = &mut tree.nodes[task.node];
+        parent.is_leaf = false;
+        parent.feature = split.feature;
+        parent.split_gain = split.gain;
+        parent.threshold = split.threshold;
+        parent.left = left_id as u32;
+        parent.right = left_id as u32 + 1;
+        let params = self.params;
+        children.map(|(rows, g_sum, h_sum)| {
+            let node = tree.nodes.len();
+            tree.nodes
+                .push(Node::leaf(leaf_value(g_sum, h_sum, params)));
+            NodeTask {
+                node,
+                rows,
+                g_sum,
+                h_sum,
+            }
+        })
+    }
+
+    /// Samples `task`'s level features and queues it if it has a split.
+    fn push_candidate(
+        &mut self,
+        tree_features: &[u32],
+        task: NodeTask,
+        candidates: &mut Vec<(NodeTask, Split)>,
     ) {
-        candidates.push((root, s));
+        let feats = sample_features(tree_features, self.params.colsample_bylevel, self.rng);
+        if let Some(s) = self.best_split(&feats, &task) {
+            candidates.push((task, s));
+        }
     }
-    let mut n_leaves = 1usize;
-    while n_leaves < params.max_leaves && !candidates.is_empty() {
-        let best_idx = candidates
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1 .1.gain.partial_cmp(&b.1 .1.gain).unwrap())
-            .map(|(i, _)| i)
-            .expect("non-empty candidates");
-        let (task, split) = candidates.swap_remove(best_idx);
-        let (left, right) = apply_split(
-            tree,
-            binned,
-            task,
-            split,
-            params.learning_rate,
-            params.reg_alpha,
-            params.reg_lambda,
-        );
-        n_leaves += 1;
-        for child in [left, right] {
-            if child.rows.len() >= 2 {
-                let feats = sample_features(tree_features, params.colsample_bylevel, rng);
-                if let Some(s) = best_split(
-                    binned,
-                    &child.rows,
-                    grad,
-                    hess,
-                    &feats,
-                    child.g_sum,
-                    child.h_sum,
-                    params,
-                ) {
-                    candidates.push((child, s));
+
+    fn grow_leaf_wise(&mut self, tree_features: &[u32], tree: &mut Tree, root: NodeTask) {
+        // Candidate leaves with their best splits; pick the max gain greedily.
+        let mut candidates: Vec<(NodeTask, Split)> = Vec::new();
+        self.push_candidate(tree_features, root, &mut candidates);
+        let mut n_leaves = 1usize;
+        while n_leaves < self.params.max_leaves && !candidates.is_empty() {
+            let best_idx = candidates
+                .iter()
+                .enumerate()
+                .max_by(|a, b| a.1 .1.gain.partial_cmp(&b.1 .1.gain).unwrap())
+                .map(|(i, _)| i)
+                .expect("non-empty candidates");
+            let (task, split) = candidates.swap_remove(best_idx);
+            n_leaves += 1;
+            for child in self.apply_split(tree, task, split) {
+                if child.rows.len() >= 2 {
+                    self.push_candidate(tree_features, child, &mut candidates);
                 }
             }
         }
     }
-}
 
-#[allow(clippy::too_many_arguments)]
-fn grow_depth_wise(
-    binned: &BinnedDataset,
-    grad: &[f64],
-    hess: &[f64],
-    params: &GbdtParams,
-    rng: &mut StdRng,
-    tree_features: &[u32],
-    tree: &mut Tree,
-    root: NodeTask,
-) {
-    let mut level = vec![root];
-    let mut n_leaves = 1usize;
-    while !level.is_empty() && n_leaves < params.max_leaves {
-        let feats = sample_features(tree_features, params.colsample_bylevel, rng);
-        let mut next = Vec::new();
-        for task in level {
-            if n_leaves >= params.max_leaves || task.rows.len() < 2 {
-                continue;
-            }
-            if let Some(split) = best_split(
-                binned, &task.rows, grad, hess, &feats, task.g_sum, task.h_sum, params,
-            ) {
-                let (l, r) = apply_split(
-                    tree,
-                    binned,
-                    task,
-                    split,
-                    params.learning_rate,
-                    params.reg_alpha,
-                    params.reg_lambda,
-                );
-                n_leaves += 1;
-                next.push(l);
-                next.push(r);
-            }
-        }
-        level = next;
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn grow_oblivious(
-    binned: &BinnedDataset,
-    grad: &[f64],
-    hess: &[f64],
-    params: &GbdtParams,
-    rng: &mut StdRng,
-    tree_features: &[u32],
-    tree: &mut Tree,
-    root: NodeTask,
-) {
-    let depth_cap = (params.max_leaves as f64).log2().ceil().max(1.0) as usize;
-    let mut level = vec![root];
-    for _ in 0..depth_cap {
-        let feats = sample_features(tree_features, params.colsample_bylevel, rng);
-        // Choose the single (feature, threshold) with the best *total* gain
-        // across all leaves of the level, using per-leaf histograms so the
-        // cost is O(leaves x (rows + bins)) per feature.
-        let mut best_total: Option<(u32, u32, f64)> = None;
-        let mut hist: Vec<BinStats> = Vec::new();
-        for &j in &feats {
-            let n_bins = binned.n_bins(j as usize);
-            let col = binned.column(j as usize);
-            // gains[t] accumulates the level's total gain at threshold t;
-            // a NaN marks thresholds invalidated by min_child_weight.
-            let mut gains = vec![0.0f64; n_bins.saturating_sub(1)];
-            let mut any_valid = vec![false; n_bins.saturating_sub(1)];
-            for task in &level {
-                hist.clear();
-                hist.resize(n_bins, BinStats::default());
-                for &r in &task.rows {
-                    let b = col[r as usize] as usize;
-                    let s = &mut hist[b];
-                    s.g += grad[r as usize];
-                    s.h += hess[r as usize];
-                    s.n += 1;
+    fn grow_depth_wise(&mut self, tree_features: &[u32], tree: &mut Tree, root: NodeTask) {
+        let mut level = vec![root];
+        let mut n_leaves = 1usize;
+        while !level.is_empty() && n_leaves < self.params.max_leaves {
+            let feats = sample_features(tree_features, self.params.colsample_bylevel, self.rng);
+            let mut next = Vec::new();
+            for task in level {
+                if n_leaves >= self.params.max_leaves || task.rows.len() < 2 {
+                    continue;
                 }
-                let parent_obj =
-                    leaf_objective(task.g_sum, task.h_sum, params.reg_alpha, params.reg_lambda);
-                let total_n = task.rows.len() as u32;
+                if let Some(split) = self.best_split(&feats, &task) {
+                    next.extend(self.apply_split(tree, task, split));
+                    n_leaves += 1;
+                }
+            }
+            level = next;
+        }
+    }
+
+    fn grow_oblivious(&mut self, tree_features: &[u32], tree: &mut Tree, root: NodeTask) {
+        let depth_cap = (self.params.max_leaves as f64).log2().ceil().max(1.0) as usize;
+        let mut level = vec![root];
+        for _ in 0..depth_cap {
+            let feats = sample_features(tree_features, self.params.colsample_bylevel, self.rng);
+            // The single (feature, threshold) with the best *total* gain
+            // across all leaves of the level.
+            let Some((feature, threshold)) =
+                self.hist
+                    .best_level_split(self.binned, self.gh, &feats, &level, self.params)
+            else {
+                break;
+            };
+            let col = self.binned.column(feature as usize);
+            let mut next = Vec::with_capacity(2 * level.len());
+            for task in level {
+                // Recompute the per-leaf stats for the shared condition,
+                // in row order: this sum, not the histogram prefix, is
+                // what the children's leaf values are made of.
                 let mut lg = 0.0;
                 let mut lh = 0.0;
-                let mut ln = 0u32;
-                for t in 0..n_bins.saturating_sub(1) {
-                    lg += hist[t].g;
-                    lh += hist[t].h;
-                    ln += hist[t].n;
-                    if ln == 0 || ln == total_n {
-                        continue;
+                for &r in self.hist.rows(&task.rows) {
+                    if u32::from(col[r as usize]) <= threshold {
+                        lg += self.gh[r as usize][0];
+                        lh += self.gh[r as usize][1];
                     }
-                    let rg = task.g_sum - lg;
-                    let rh = task.h_sum - lh;
-                    if lh < params.min_child_weight || rh < params.min_child_weight {
-                        continue;
-                    }
-                    let gain = leaf_objective(lg, lh, params.reg_alpha, params.reg_lambda)
-                        + leaf_objective(rg, rh, params.reg_alpha, params.reg_lambda)
-                        - parent_obj;
-                    gains[t] += gain;
-                    any_valid[t] = true;
                 }
+                // This leaf's share of the level's total gain (can be
+                // negative for leaves the shared condition fits poorly).
+                let (rg, rh) = (task.g_sum - lg, task.h_sum - lh);
+                let parent_obj = task.objective(self.params);
+                let split = Split {
+                    feature,
+                    threshold,
+                    gain: split_gain([lg, lh], [rg, rh], parent_obj, self.params),
+                    left_g: lg,
+                    left_h: lh,
+                    right_g: rg,
+                    right_h: rh,
+                };
+                next.extend(self.apply_split(tree, task, split));
             }
-            for (t, (&g, &valid)) in gains.iter().zip(&any_valid).enumerate() {
-                if valid && g > 1e-12 && best_total.is_none_or(|(_, _, b)| g > b) {
-                    best_total = Some((j, t as u32, g));
-                }
-            }
+            level = next;
         }
-        let Some((feature, threshold, _)) = best_total else {
-            break;
-        };
-        let mut next = Vec::new();
-        for task in level {
-            // Recompute the per-leaf stats for the shared condition.
-            let col = binned.column(feature as usize);
-            let mut lg = 0.0;
-            let mut lh = 0.0;
-            for &r in &task.rows {
-                if col[r as usize] <= threshold {
-                    lg += grad[r as usize];
-                    lh += hess[r as usize];
-                }
-            }
-            let rg = task.g_sum - lg;
-            let rh = task.h_sum - lh;
-            // This leaf's share of the level's total gain (can be
-            // negative for leaves the shared condition fits poorly).
-            let gain = leaf_objective(lg, lh, params.reg_alpha, params.reg_lambda)
-                + leaf_objective(rg, rh, params.reg_alpha, params.reg_lambda)
-                - leaf_objective(task.g_sum, task.h_sum, params.reg_alpha, params.reg_lambda);
-            let split = Split {
-                feature,
-                threshold,
-                gain,
-                left_g: lg,
-                left_h: lh,
-                right_g: rg,
-                right_h: rh,
-            };
-            let (l, r) = apply_split(
-                tree,
-                binned,
-                task,
-                split,
-                params.learning_rate,
-                params.reg_alpha,
-                params.reg_lambda,
-            );
-            next.push(l);
-            next.push(r);
-        }
-        level = next;
     }
 }
 
@@ -1571,6 +1316,54 @@ mod tests {
         ] {
             assert!(Gbdt::fit(&d, &bad, 0).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn max_bin_is_clamped_below_and_rejected_above() {
+        let d = xor_data(200, 4);
+        let with = |max_bin: usize| GbdtParams {
+            max_bin,
+            n_trees: 3,
+            ..GbdtParams::default()
+        };
+        // Below two value bins: clamped to 2, the same model.
+        let two = Gbdt::fit(&d, &with(2), 0).unwrap().raw_scores(&d);
+        for low in [0, 1] {
+            assert_eq!(Gbdt::fit(&d, &with(low), 0).unwrap().raw_scores(&d), two);
+        }
+        // The last max_bin whose bin indices fit two bytes, and the
+        // first that would wrap them.
+        assert!(Gbdt::fit(&d, &with(65_535), 0).is_ok());
+        assert_eq!(
+            Gbdt::fit(&d, &with(65_536), 0).err(),
+            Some(FitError::BadParam {
+                name: "max_bin",
+                value: 65_536.0,
+                constraint: "must be <= 65535",
+            })
+        );
+    }
+
+    #[test]
+    fn state_bytes_follow_the_element_types_and_count_the_scratch() {
+        let d = xor_data(300, 9);
+        let params = GbdtParams::default();
+        let mut state = Gbdt::fit_start(&d, &params, 0, None).unwrap();
+        let fresh = state.heap_bytes();
+        // scores + [g, h] + y per row, the train-row list, one id per
+        // feature; cuts and init scores on top.
+        let per_row = 4 * std::mem::size_of::<f64>() + std::mem::size_of::<u32>();
+        assert!(fresh >= 300 * per_row + 2 * std::mem::size_of::<u32>());
+        assert!(
+            fresh < 300 * per_row + 16 * 1024,
+            "no scratch before a round"
+        );
+        Gbdt::fit_continue(&mut state, 1);
+        let tree = std::mem::size_of_val(state.trees[0].nodes.as_slice());
+        let scratch = state.hist.heap_bytes();
+        // Arena + spill + node-ordered [g, h] per row, at the least.
+        assert!(scratch >= 300 * (2 * std::mem::size_of::<u32>() + 16));
+        assert_eq!(state.heap_bytes(), fresh + tree + scratch);
     }
 
     #[test]

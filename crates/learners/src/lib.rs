@@ -46,6 +46,7 @@ mod dtree;
 mod error;
 mod forest;
 mod gbdt;
+mod hist;
 mod linear;
 pub mod link;
 mod stacking;

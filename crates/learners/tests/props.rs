@@ -2,7 +2,9 @@
 //! normalization, and prediction-bound guarantees under arbitrary data.
 
 use flaml_data::{Dataset, Task};
-use flaml_learners::{BinMapper, Forest, ForestParams, Gbdt, GbdtParams, Linear, LinearParams};
+use flaml_learners::{
+    BinMapper, Forest, ForestParams, Gbdt, GbdtParams, Growth, Linear, LinearParams,
+};
 use proptest::prelude::*;
 
 fn arb_binary_dataset() -> impl Strategy<Value = Dataset> {
@@ -202,5 +204,41 @@ proptest! {
                 .collect();
             prop_assert_eq!(short_bits, snap_bits, "backward snapshot at k = {}", k);
         }
+    }
+
+    #[test]
+    fn gbdt_trees_ignore_appended_unsplittable_columns(
+        data in arb_messy_dataset(),
+        extra in 1usize..10,
+        growth in prop_oneof![
+            Just(Growth::LeafWise),
+            Just(Growth::DepthWise),
+            Just(Growth::Oblivious),
+        ],
+    ) {
+        // The histogram engine accumulates features in groups; columns
+        // that cannot split (constant, or missing everywhere) appended
+        // after the real ones move every group boundary and remainder
+        // (2 features become 3..=11) but may not move one bit of a tree.
+        // (The bit-for-bit comparison of single splits with the loop the
+        // engine replaced lives beside its `#[cfg(test)]` oracle in
+        // `src/hist.rs`, which an integration test cannot reach.)
+        let n = data.n_rows();
+        let mut cols = data.columns().to_vec();
+        for k in 0..extra {
+            cols.push(vec![if k % 2 == 0 { 7.0 } else { f64::NAN }; n]);
+        }
+        let wide = Dataset::new("wide", data.task(), cols, data.target().to_vec()).unwrap();
+        let params = GbdtParams { n_trees: 4, max_leaves: 8, growth, ..GbdtParams::default() };
+        let bits = |d: &Dataset| -> Vec<(u32, u32, u32, u32, u64, bool)> {
+            Gbdt::fit(d, &params, 3)
+                .unwrap()
+                .export_trees()
+                .iter()
+                .flatten()
+                .map(|n| (n.feature, n.threshold, n.left, n.right, n.leaf_value.to_bits(), n.is_leaf))
+                .collect()
+        };
+        prop_assert_eq!(bits(&data), bits(&wide));
     }
 }

@@ -179,7 +179,7 @@ impl GbdtView<'_> {
                 return self.leaf_value[at];
             }
             let bin = binned.column(self.feature[at] as usize)[row];
-            at = if bin <= self.threshold[at] {
+            at = if u32::from(bin) <= self.threshold[at] {
                 self.left[at] as usize
             } else {
                 self.right[at] as usize
@@ -309,7 +309,9 @@ impl<'m> ModelView<'m> {
     /// # Panics
     ///
     /// Panics if `data` has a different feature count than the model
-    /// was trained on.
+    /// was trained on, or if a boosted model carries a feature with
+    /// more than 65534 cuts (no fit produces one: `max_bin` above
+    /// 65535 is a typed fit error).
     pub fn bind(self, data: &DatasetView) -> Bound<'m> {
         let n_rows = data.n_rows();
         let inner = match self {
