@@ -311,19 +311,7 @@ fn main() {
         rows,
     };
 
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create results dir");
-        }
-    }
-    let json = serde_json::to_string_pretty(&report).expect("serialize report");
-    let storage = flaml_core::disk();
-    flaml_core::atomic_write_file(
-        storage.as_ref(),
-        std::path::Path::new(&out_path),
-        json.as_bytes(),
-    )
-    .expect("write results json");
+    flaml_bench::report::write_json(&out_path, &report).expect("write results json");
 
     println!(
         "data plane: {total_trials} trials replayed per arm, {:.2} trials/sec without cache, \

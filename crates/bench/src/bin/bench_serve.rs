@@ -39,9 +39,7 @@
 use flaml_bench::grid::default_groups;
 use flaml_bench::roster::{fastest, fit_roster, pred_bits, tile_dataset};
 use flaml_bench::Args;
-use flaml_core::{
-    event_channel, ArtifactFormat, BatchEngine, BlobOptions, CompiledModel, ExecPool, ModelRegistry,
-};
+use flaml_core::{event_channel, BatchEngine, CompiledModel, ExecPool, ModelRegistry};
 use flaml_data::Dataset;
 use flaml_learners::{FittedModel, Linear, LinearParams};
 use serde::Serialize;
@@ -199,12 +197,11 @@ fn main() {
                 let _ = std::fs::remove_file(&path);
                 if !exported {
                     if let Some(out) = &exec.artifact {
-                        let saved = match exec.artifact_format {
-                            ArtifactFormat::Json => compiled.save(out),
-                            ArtifactFormat::Blob => {
-                                flaml_core::save_blob(&compiled, out, BlobOptions::tuned())
-                            }
-                        };
+                        let saved = exec.artifact_format.save_with(
+                            &flaml_core::DiskStorage,
+                            out,
+                            &compiled,
+                        );
                         match saved {
                             Ok(fp) => {
                                 eprintln!(
@@ -308,19 +305,7 @@ fn main() {
         slots,
     };
 
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create results dir");
-        }
-    }
-    let json = serde_json::to_string_pretty(&report).expect("serialize report");
-    let storage = flaml_core::disk();
-    flaml_core::atomic_write_file(
-        storage.as_ref(),
-        std::path::Path::new(&out_path),
-        json.as_bytes(),
-    )
-    .expect("write results json");
+    flaml_bench::report::write_json(&out_path, &report).expect("write results json");
 
     println!(
         "serve: {} model/dataset cells, {} rows served over the pool ({} workers, batch {}), \

@@ -180,19 +180,7 @@ fn await_terminal(
 }
 
 fn write_report<T: Serialize>(out_path: &str, report: &T) {
-    if let Some(dir) = std::path::Path::new(out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create results dir");
-        }
-    }
-    let json = serde_json::to_string_pretty(report).expect("serialize report");
-    let storage = flaml_core::disk();
-    flaml_core::atomic_write_file(
-        storage.as_ref(),
-        std::path::Path::new(out_path),
-        json.as_bytes(),
-    )
-    .expect("write results json");
+    flaml_bench::report::write_json(out_path, report).expect("write results json");
     eprintln!("[server] wrote {out_path}");
 }
 

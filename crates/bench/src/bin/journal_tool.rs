@@ -150,33 +150,19 @@ fn inspect(journal: &Journal, path: &str) {
 /// Prints one line per completion-artifact sibling of the journal
 /// (`<stem>.artifact.blob` / `<stem>.artifact.json` — the files the
 /// server writes next to `<stem>.jsonl` when a search finishes), with
-/// format, size and fingerprint. Unreadable artifacts are reported,
-/// never fatal.
+/// format, size and whether it verifies (magic, version, fingerprint).
+/// Unreadable artifacts are reported, never fatal.
 fn describe_artifacts(journal_path: &str) {
-    use flaml_core::{ArtifactFormat, BlobModel, CompiledModel};
+    use flaml_core::ArtifactFormat;
     let stem = std::path::Path::new(journal_path).with_extension("");
     for format in ArtifactFormat::ALL {
         let sibling = std::path::PathBuf::from(format!("{}{}", stem.display(), format.suffix()));
         let Ok(meta) = std::fs::metadata(&sibling) else {
             continue;
         };
-        let described = match format {
-            ArtifactFormat::Blob => BlobModel::open(&sibling).map(|b| {
-                format!(
-                    "fingerprint {:#018x}, {} node order, {} thresholds",
-                    b.fingerprint(),
-                    if b.hot_first() { "hot-first" } else { "export" },
-                    if b.quantized() { "f32-exact" } else { "f64" },
-                )
-            }),
-            ArtifactFormat::Json => CompiledModel::load(&sibling).map(|m| {
-                let payload = serde_json::to_string(&m).expect("serialize artifact");
-                format!("fingerprint {:#018x}", flaml_serve::fingerprint(&payload))
-            }),
-        };
-        match described {
-            Ok(detail) => println!(
-                "artifact: {} ({format}, {} bytes, {detail})",
+        match format.load_with(&flaml_core::DiskStorage, &sibling) {
+            Ok(_) => println!(
+                "artifact: {} ({format}, {} bytes, verified)",
                 sibling.display(),
                 meta.len()
             ),

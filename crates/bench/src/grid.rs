@@ -279,27 +279,13 @@ pub fn run_grid(groups: &[(&str, Vec<Dataset>)], spec: &GridSpec) -> Vec<GridRes
 }
 
 /// Serializes grid results to a JSON file (pretty-printed, stable
-/// order). The file is published atomically, so a crashed run never
-/// leaves a torn results file for a later `--results` load to choke on.
+/// order) through [`crate::report::write_json`].
 ///
 /// # Errors
 ///
 /// Returns any I/O or serialization error.
 pub fn save_results(path: &str, results: &[GridResult]) -> std::io::Result<()> {
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
-    let json = serde_json::to_string_pretty(results)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-    let storage = flaml_store::disk();
-    flaml_store::atomic_write_file(
-        storage.as_ref(),
-        std::path::Path::new(path),
-        json.as_bytes(),
-    )
-    .map_err(std::io::Error::from)
+    crate::report::write_json(path, results)
 }
 
 /// Loads grid results saved by [`save_results`]; `None` if the file does

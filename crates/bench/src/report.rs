@@ -6,6 +6,7 @@
 
 use flaml_core::{event_channel, EventSink, Telemetry, TrialEvent};
 use serde::{Deserialize, Serialize};
+use std::path::Path;
 use std::sync::mpsc::Receiver;
 
 /// Subscribes the reporting layer to one run's trial-event channel.
@@ -44,6 +45,25 @@ impl Default for TelemetryCollector {
     fn default() -> Self {
         TelemetryCollector::new()
     }
+}
+
+/// Publishes `value` as pretty-printed JSON at `path`, creating parent
+/// directories as needed. The write is atomic, so a crashed run never
+/// leaves a torn results file for a later load to choke on.
+///
+/// # Errors
+///
+/// Returns any serialization or I/O error.
+pub fn write_json<T: Serialize + ?Sized>(path: &str, value: &T) -> std::io::Result<()> {
+    let json = serde_json::to_string_pretty(value)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+    let (storage, path) = (flaml_store::disk(), Path::new(path));
+    flaml_store::create_parent_dir(storage.as_ref(), path)?;
+    Ok(flaml_store::atomic_write_file(
+        storage.as_ref(),
+        path,
+        json.as_bytes(),
+    )?)
 }
 
 /// Renders an aligned plain-text table with a header row.

@@ -36,7 +36,7 @@
 //! offset arithmetic.
 
 use flaml_serve::{ArtifactError, CompiledLinear, CompiledModel};
-use flaml_store::{atomic_write_file, Storage};
+use flaml_store::{atomic_write_file, create_parent_dir, Fnv1a, Storage};
 use std::path::Path;
 
 /// Magic bytes opening every blob file.
@@ -145,20 +145,6 @@ pub(crate) fn section_tag(model: u32, kind: u32) -> u32 {
     (model << 8) | kind
 }
 
-/// FNV-1a over raw bytes — the binary twin of
-/// [`flaml_serve::fingerprint`], which hashes JSON payload text.
-pub fn fingerprint_bytes(bytes: &[u8]) -> u64 {
-    fnv_update(0xcbf2_9ce4_8422_2325, bytes)
-}
-
-fn fnv_update(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
-}
-
 /// The integrity fingerprint of a whole blob file: FNV-1a over every
 /// byte with the 8-byte fingerprint field itself read as zero. Covering
 /// the *entire* file — header fields and alignment padding included —
@@ -166,9 +152,11 @@ fn fnv_update(mut h: u64, bytes: &[u8]) -> u64 {
 /// probes don't catch is caught here; there is no unauthenticated byte.
 pub fn blob_fingerprint(bytes: &[u8]) -> u64 {
     debug_assert!(bytes.len() >= HEADER_LEN);
-    let mut h = fnv_update(0xcbf2_9ce4_8422_2325, &bytes[..40]);
-    h = fnv_update(h, &[0u8; 8]);
-    fnv_update(h, &bytes[48..])
+    Fnv1a::new()
+        .update(&bytes[..40])
+        .update(&[0u8; 8])
+        .update(&bytes[48..])
+        .finish()
 }
 
 /// Layout choices for [`encode_blob`]. Both default to off; both are
@@ -620,7 +608,7 @@ pub fn encode_blob(model: &CompiledModel, opts: BlobOptions) -> Vec<u8> {
     // The fingerprint field is still zero here, so hashing the buffer
     // as-is gives exactly the zeroed-field fingerprint the reader
     // recomputes.
-    let fp = fingerprint_bytes(&out);
+    let fp = Fnv1a::new().update(&out).finish();
     out[40..48].copy_from_slice(&fp.to_le_bytes());
     out
 }
@@ -653,11 +641,7 @@ pub fn save_blob_with(
     model: &CompiledModel,
     opts: BlobOptions,
 ) -> Result<u64, ArtifactError> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            storage.create_dir_all(parent)?;
-        }
-    }
+    create_parent_dir(storage, path)?;
     let bytes = encode_blob(model, opts);
     let fp = blob_fingerprint(&bytes);
     atomic_write_file(storage, path, &bytes)?;

@@ -37,8 +37,8 @@ mod mapping;
 mod model;
 
 pub use format::{
-    blob_fingerprint, encode_blob, fingerprint_bytes, save_blob, save_blob_with, BlobOptions,
-    BLOB_ALIGN, BLOB_MAGIC, BLOB_VERSION, ENDIAN_MARK, FLAG_HOT_FIRST, FLAG_QUANTIZED,
+    blob_fingerprint, encode_blob, save_blob, save_blob_with, BlobOptions, BLOB_ALIGN, BLOB_MAGIC,
+    BLOB_VERSION, ENDIAN_MARK, FLAG_HOT_FIRST, FLAG_QUANTIZED,
 };
 pub use model::BlobModel;
 
@@ -46,7 +46,9 @@ pub use model::BlobModel;
 // `flaml-serve` directly is optional.
 pub use flaml_serve::{ArtifactError, CompiledModel};
 
+use flaml_store::Storage;
 use std::fmt;
+use std::path::Path;
 use std::str::FromStr;
 
 /// Which on-disk artifact representation to write.
@@ -69,6 +71,43 @@ impl ArtifactFormat {
         match self {
             ArtifactFormat::Json => ".artifact.json",
             ArtifactFormat::Blob => ".artifact.blob",
+        }
+    }
+
+    /// Publishes `model` at `path` in this format (atomically, through
+    /// `storage`), returning the artifact fingerprint: the payload
+    /// fingerprint of a JSON document, the whole-file fingerprint of a
+    /// blob. Blobs use the tuned layout (hot-first node order plus
+    /// exact-only quantization); neither changes a predicted bit.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArtifactError::Storage`] on persistence failures.
+    pub fn save_with(
+        self,
+        storage: &dyn Storage,
+        path: &Path,
+        model: &CompiledModel,
+    ) -> Result<u64, ArtifactError> {
+        match self {
+            ArtifactFormat::Json => model.save_with(storage, path),
+            ArtifactFormat::Blob => save_blob_with(storage, path, model, BlobOptions::tuned()),
+        }
+    }
+
+    /// Reads and verifies the artifact of this format at `path`.
+    ///
+    /// # Errors
+    ///
+    /// As [`CompiledModel::load_with`] / [`BlobModel::open_with`].
+    pub fn load_with(
+        self,
+        storage: &dyn Storage,
+        path: &Path,
+    ) -> Result<CompiledModel, ArtifactError> {
+        match self {
+            ArtifactFormat::Json => CompiledModel::load_with(storage, path),
+            ArtifactFormat::Blob => BlobModel::open_with(storage, path).map(|b| b.to_compiled()),
         }
     }
 

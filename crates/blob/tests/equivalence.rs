@@ -3,7 +3,7 @@
 //! learner kind, every task, every layout-option combination, and both
 //! byte backings (aligned heap copy and the real file mapping).
 
-use flaml_blob::{encode_blob, save_blob, BlobModel, BlobOptions};
+use flaml_blob::{encode_blob, save_blob, ArtifactFormat, BlobModel, BlobOptions};
 use flaml_data::{Dataset, Task};
 use flaml_learners::{
     fit_meta, meta_features, FittedModel, Forest, ForestParams, Gbdt, GbdtParams, Linear,
@@ -11,6 +11,7 @@ use flaml_learners::{
 };
 use flaml_metrics::Pred;
 use flaml_serve::CompiledModel;
+use flaml_store::DiskStorage;
 
 fn pred_bits(p: &Pred) -> Vec<u64> {
     match p {
@@ -164,6 +165,32 @@ fn blob_predictions_are_bit_identical_across_every_learner_and_layout() {
                         "{ctx}: unpermuted slabs round-trip exactly"
                     );
                 }
+            }
+
+            // The format dispatch every caller goes through writes the
+            // same files as the per-format entry points above.
+            let expected = [
+                (
+                    ArtifactFormat::Json,
+                    compiled.to_artifact_string().into_bytes(),
+                ),
+                (
+                    ArtifactFormat::Blob,
+                    encode_blob(&compiled, BlobOptions::tuned()),
+                ),
+            ];
+            for (format, bytes) in expected {
+                let ctx = format!("{learner}/{}/{format}", data.name());
+                let stem = format!("{}_{learner}_dispatch", data.name());
+                let path = dir.join(format!("{stem}{}", format.suffix()));
+                format
+                    .save_with(&DiskStorage, &path, &compiled)
+                    .unwrap_or_else(|e| panic!("{ctx}: save: {e}"));
+                assert_eq!(std::fs::read(&path).unwrap(), bytes, "{ctx}: bytes");
+                let loaded = format
+                    .load_with(&DiskStorage, &path)
+                    .unwrap_or_else(|e| panic!("{ctx}: load: {e}"));
+                assert_eq!(reference, pred_bits(&loaded.predict(&data)), "{ctx}: load");
             }
         }
     }

@@ -315,30 +315,7 @@ struct ResultSummary {
     trials: Vec<TrialRecord>,
 }
 
-/// Serializable best-configuration record.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct BestConfigSummary {
-    learner: String,
-    config: String,
-    values: Vec<f64>,
-    error: f64,
-}
-
 impl AutoMlResult {
-    /// The best configuration as a compact JSON object:
-    /// `{"learner", "config", "values", "error"}`, where `values` are the
-    /// lossless natural-unit parameter values (in parameter order) and
-    /// `config` is the human-readable rendering.
-    pub fn best_config_json(&self) -> String {
-        serde_json::to_string(&BestConfigSummary {
-            learner: self.best_learner.clone(),
-            config: self.best_config_rendered.clone(),
-            values: self.best_config.values().to_vec(),
-            error: self.best_error,
-        })
-        .expect("summary serialization is infallible")
-    }
-
     /// The whole result (minus the trained model) as a JSON object:
     /// best learner/config/error, metric, resampling strategy, failure
     /// counters, and the full trial trace.

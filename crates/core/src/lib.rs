@@ -67,7 +67,7 @@ pub use learner::{config_cost_factor, fit_learner, fit_learner_prepared};
 pub use resample::{
     run_trial, run_trial_prepared, ResampleRule, ResampleStrategy, TrialOutcome, TrialStatus,
 };
-pub use serving::{export_artifact_from_log, export_artifact_from_log_as};
+pub use serving::export_artifact_from_log;
 pub use spaces::LearnerKind;
 pub use treecache::{TreeCache, TreeCacheStats, TreeKey, TrialBoost};
 
@@ -87,8 +87,8 @@ pub use flaml_journal::{
 // Re-export the storage layer so fault-injection tests and durability
 // tooling (chaos plans, atomic publish) need only this crate.
 pub use flaml_store::{
-    atomic_write_file, disk, is_stale_tmp, ChaosStorage, DiskStorage, IoFault, IoFaultPlan,
-    Storage, StorageError, StorageFile,
+    atomic_write_file, disk, ChaosStorage, DiskStorage, IoFault, IoFaultPlan, Storage,
+    StorageError, StorageFile,
 };
 
 // Re-export the serving stack so "fit, then serve" needs only this crate:

@@ -4,26 +4,12 @@
 
 use std::path::Path;
 
-use flaml_blob::{save_blob, ArtifactFormat, BlobOptions};
+use flaml_blob::ArtifactFormat;
 use flaml_data::Dataset;
 use flaml_serve::CompiledModel;
+use flaml_store::disk;
 
 use crate::automl::{retrain_from_log, AutoMlError, AutoMlResult, Retrained};
-
-/// Writes `model` to `path` in the requested format, returning the
-/// artifact fingerprint. Blob exports use the tuned layout (hot-first
-/// node order plus exact-only quantization) — both are guaranteed not
-/// to change predicted bits.
-fn export_compiled(
-    model: &CompiledModel,
-    path: &Path,
-    format: ArtifactFormat,
-) -> Result<u64, AutoMlError> {
-    Ok(match format {
-        ArtifactFormat::Json => model.save(path)?,
-        ArtifactFormat::Blob => save_blob(model, path, BlobOptions::tuned())?,
-    })
-}
 
 impl AutoMlResult {
     /// Compiles the run's final refit model into a serving artifact.
@@ -37,30 +23,20 @@ impl AutoMlResult {
     }
 
     /// Compiles the final model and writes it to `path` as a versioned,
-    /// fingerprinted artifact. Returns the payload fingerprint.
+    /// fingerprinted artifact in `format`: the portable JSON document,
+    /// or the mmap-able binary blob whose predictions are bit-identical.
+    /// Returns the artifact fingerprint.
     ///
     /// # Errors
     ///
     /// Returns [`AutoMlError::Artifact`] if compilation or the write
     /// fails.
-    pub fn export_artifact(&self, path: impl AsRef<Path>) -> Result<u64, AutoMlError> {
-        self.export_artifact_as(path, ArtifactFormat::Json)
-    }
-
-    /// [`AutoMlResult::export_artifact`] in an explicit format: the
-    /// portable JSON document, or the mmap-able binary blob
-    /// (`ArtifactFormat::Blob`) whose predictions are bit-identical.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AutoMlError::Artifact`] if compilation or the write
-    /// fails.
-    pub fn export_artifact_as(
+    pub fn export_artifact(
         &self,
         path: impl AsRef<Path>,
         format: ArtifactFormat,
     ) -> Result<u64, AutoMlError> {
-        export_compiled(&self.compile()?, path.as_ref(), format)
+        Ok(format.save_with(disk().as_ref(), path.as_ref(), &self.compile()?)?)
     }
 }
 
@@ -75,37 +51,28 @@ impl Retrained {
         Ok(CompiledModel::compile(&self.model)?)
     }
 
-    /// Compiles the retrained model and writes it to `path`. Returns
-    /// the payload fingerprint.
+    /// Compiles the retrained model and writes it to `path` in `format`
+    /// (see [`AutoMlResult::export_artifact`]). Returns the artifact
+    /// fingerprint.
     ///
     /// # Errors
     ///
     /// Returns [`AutoMlError::Artifact`] if compilation or the write
     /// fails.
-    pub fn export_artifact(&self, path: impl AsRef<Path>) -> Result<u64, AutoMlError> {
-        self.export_artifact_as(path, ArtifactFormat::Json)
-    }
-
-    /// [`Retrained::export_artifact`] in an explicit format (see
-    /// [`AutoMlResult::export_artifact_as`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AutoMlError::Artifact`] if compilation or the write
-    /// fails.
-    pub fn export_artifact_as(
+    pub fn export_artifact(
         &self,
         path: impl AsRef<Path>,
         format: ArtifactFormat,
     ) -> Result<u64, AutoMlError> {
-        export_compiled(&self.compile()?, path.as_ref(), format)
+        Ok(format.save_with(disk().as_ref(), path.as_ref(), &self.compile()?)?)
     }
 }
 
 /// Rebuilds the journaled best model ([`retrain_from_log`]) and writes
-/// it straight to `out` as a serving artifact — the journal-to-service
-/// deployment path in one call. Returns the retrained model alongside
-/// so callers can inspect the learner, configuration and loss.
+/// it straight to `out` as a serving artifact in `format` — the
+/// journal-to-service deployment path in one call. Returns the
+/// retrained model alongside so callers can inspect the learner,
+/// configuration and loss.
 ///
 /// # Errors
 ///
@@ -115,23 +82,10 @@ pub fn export_artifact_from_log(
     journal: impl AsRef<Path>,
     data: &Dataset,
     out: impl AsRef<Path>,
-) -> Result<Retrained, AutoMlError> {
-    export_artifact_from_log_as(journal, data, out, ArtifactFormat::Json)
-}
-
-/// [`export_artifact_from_log`] in an explicit artifact format.
-///
-/// # Errors
-///
-/// Same as [`export_artifact_from_log`].
-pub fn export_artifact_from_log_as(
-    journal: impl AsRef<Path>,
-    data: &Dataset,
-    out: impl AsRef<Path>,
     format: ArtifactFormat,
 ) -> Result<Retrained, AutoMlError> {
     let retrained = retrain_from_log(journal, data)?;
-    retrained.export_artifact_as(out, format)?;
+    retrained.export_artifact(out, format)?;
     Ok(retrained)
 }
 
@@ -171,7 +125,7 @@ mod tests {
         );
 
         let path = std::env::temp_dir().join("flaml-core-serving-test/automl.artifact.json");
-        let fp = result.export_artifact(&path).unwrap();
+        let fp = result.export_artifact(&path, ArtifactFormat::Json).unwrap();
         let loaded = CompiledModel::load(&path).unwrap();
         assert_eq!(loaded, compiled);
         assert_eq!(
@@ -189,9 +143,7 @@ mod tests {
             .fit(&data)
             .unwrap();
         let path = std::env::temp_dir().join("flaml-core-serving-test/automl.artifact.blob");
-        let fp = result
-            .export_artifact_as(&path, flaml_blob::ArtifactFormat::Blob)
-            .unwrap();
+        let fp = result.export_artifact(&path, ArtifactFormat::Blob).unwrap();
         let blob = flaml_blob::BlobModel::open(&path).unwrap();
         assert_eq!(blob.fingerprint(), fp);
         assert_eq!(
@@ -215,7 +167,7 @@ mod tests {
             .unwrap();
 
         let out = dir.join("from-log.artifact.json");
-        let retrained = export_artifact_from_log(&log, &data, &out).unwrap();
+        let retrained = export_artifact_from_log(&log, &data, &out, ArtifactFormat::Json).unwrap();
         assert_eq!(retrained.learner, result.best_learner);
         let loaded = CompiledModel::load(&out).unwrap();
         assert_eq!(

@@ -1,5 +1,6 @@
 use crate::view::DatasetView;
 use crate::DataError;
+use flaml_store::Fnv1a;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -47,7 +48,47 @@ impl Task {
     pub fn is_classification(&self) -> bool {
         !matches!(self, Task::Regression)
     }
+
+    /// The task's name on the wire and in durable state (HTTP dataset
+    /// payloads, stream headers, chunk files): `"binary"`,
+    /// `"regression"` or `"multiclass:<k>"`.
+    pub fn wire_name(self) -> String {
+        match self {
+            Task::Binary => "binary".to_string(),
+            Task::Regression => "regression".to_string(),
+            Task::MultiClass(k) => format!("multiclass:{k}"),
+        }
+    }
+
+    /// Parses a name as printed by [`Task::wire_name`]. The name comes
+    /// from outside the process, so the class count is bounded here:
+    /// below 2 is not a classification problem, and nothing downstream
+    /// may size a buffer by a count above 65 535.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the offending string and the accepted forms.
+    pub fn parse_wire(name: &str) -> Result<Task, String> {
+        match name {
+            "binary" => Ok(Task::Binary),
+            "regression" => Ok(Task::Regression),
+            other => other
+                .strip_prefix("multiclass:")
+                .and_then(|k| k.parse().ok())
+                .filter(|k| (2..=MAX_WIRE_CLASSES).contains(k))
+                .map(Task::MultiClass)
+                .ok_or_else(|| {
+                    format!(
+                        "unknown task {other:?}; expected binary, regression, or \
+                         multiclass:<k> with k in 2..={MAX_WIRE_CLASSES}"
+                    )
+                }),
+        }
+    }
 }
+
+/// Largest class count [`Task::parse_wire`] accepts.
+const MAX_WIRE_CLASSES: usize = 65_535;
 
 /// The shared, immutable storage behind a [`Dataset`] and every
 /// [`DatasetView`] derived from it. Never exposed mutably once wrapped in
@@ -387,50 +428,40 @@ impl Dataset {
     /// check a trial journal uses to refuse resuming against different
     /// data. The name is deliberately excluded (renames are harmless).
     pub fn fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        fn eat(mut h: u64, bytes: &[u8]) -> u64 {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-            h
-        }
-        let mut h = FNV_OFFSET;
-        let task_tag: u64 = match self.core.task {
+        let mut h = Fnv1a::new();
+        let mut eat = |word: u64| h = h.update(&word.to_le_bytes());
+        eat(match self.core.task {
             Task::Binary => 1,
             Task::MultiClass(k) => 2 | ((k as u64) << 8),
             Task::Regression => 3,
-        };
-        h = eat(h, &task_tag.to_le_bytes());
-        h = eat(h, &(self.n_rows() as u64).to_le_bytes());
-        h = eat(h, &(self.n_features() as u64).to_le_bytes());
+        });
+        eat(self.n_rows() as u64);
+        eat(self.n_features() as u64);
         for (col, kind) in self.core.columns.iter().zip(&self.core.kinds) {
-            let kind_tag: u64 = match kind {
+            eat(match kind {
                 FeatureKind::Numeric => 0,
                 FeatureKind::Categorical { cardinality } => 1 | ((*cardinality as u64) << 8),
-            };
-            h = eat(h, &kind_tag.to_le_bytes());
+            });
             for &v in col {
-                h = eat(h, &v.to_bits().to_le_bytes());
+                eat(v.to_bits());
             }
         }
         for &y in &self.core.target {
-            h = eat(h, &y.to_bits().to_le_bytes());
+            eat(y.to_bits());
         }
-        h
+        h.finish()
     }
 
     /// Number of distinct label values present (for classification; the
     /// count of classes that actually occur, which can be smaller than
-    /// the task's nominal class count). `None` for regression.
+    /// the task's nominal class count). `None` for regression. Memory
+    /// is O(rows) whatever the nominal class count.
     pub fn distinct_labels(&self) -> Option<usize> {
-        let k = self.core.task.n_classes()?;
-        let mut seen = vec![false; k];
-        for &y in &self.core.target {
-            seen[y as usize] = true;
-        }
-        Some(seen.into_iter().filter(|&s| s).count())
+        self.core.task.n_classes()?;
+        let mut labels: Vec<u64> = self.core.target.iter().map(|&y| y as u64).collect();
+        labels.sort_unstable();
+        labels.dedup();
+        Some(labels.len())
     }
 
     /// Indices of feature columns that carry no signal: columns whose
@@ -667,6 +698,70 @@ mod tests {
         assert_eq!(d.distinct_labels(), Some(1));
         assert_eq!(toy(10, Task::Binary).distinct_labels(), Some(2));
         assert_eq!(toy(10, Task::Regression).distinct_labels(), None);
+        // A nominal class count far beyond memory costs nothing: the
+        // count is over the labels present, not over `0..k`.
+        let huge = Dataset::new(
+            "huge-k",
+            Task::MultiClass(1 << 44),
+            vec![vec![1.0, 2.0, 3.0]],
+            vec![0.0, 7.0, 7.0],
+        )
+        .unwrap();
+        assert_eq!(huge.distinct_labels(), Some(2));
+    }
+
+    /// Journals, chunk files and stream events record this value, so it
+    /// is on-disk format. Expected values captured at 647bf4f (before
+    /// the hash moved to `flaml_store::Fnv1a`) by printing
+    /// `fingerprint()` of exactly these datasets.
+    #[test]
+    fn fingerprint_values_are_unchanged() {
+        for (task, golden) in [
+            (Task::MultiClass(3), 0x7c54_5658_351a_801e_u64),
+            (Task::Binary, 0x2a90_fd1e_329c_2530),
+            (Task::Regression, 0x9d52_0782_7fb9_934a),
+        ] {
+            let d = Dataset::with_kinds(
+                "golden",
+                task,
+                vec![vec![0.5, -0.0, f64::NAN], vec![0.0, 1.0, 2.0]],
+                vec![
+                    FeatureKind::Numeric,
+                    FeatureKind::Categorical { cardinality: 3 },
+                ],
+                vec![0.0, 1.0, 1.0],
+            )
+            .unwrap();
+            assert_eq!(d.fingerprint(), golden, "{task:?}");
+        }
+    }
+
+    #[test]
+    fn wire_names_round_trip_and_bound_the_class_count() {
+        for t in [
+            Task::Binary,
+            Task::Regression,
+            Task::MultiClass(2),
+            Task::MultiClass(65_535),
+        ] {
+            assert_eq!(Task::parse_wire(&t.wire_name()), Ok(t));
+        }
+        for bad in [
+            "nope",
+            "multiclass",
+            "multiclass:",
+            "multiclass:0",
+            "multiclass:1",
+            "multiclass:65536",
+            "multiclass:17592186044416",
+            "multiclass:99999999999999999999999",
+            "multiclass:-3",
+            "multiclass:3 ",
+            "Binary",
+        ] {
+            let err = Task::parse_wire(bad).expect_err(bad);
+            assert!(err.contains("2..=65535"), "{bad}: {err}");
+        }
     }
 
     #[test]

@@ -116,7 +116,7 @@ impl DatasetView {
     }
 
     /// The full root storage column `j` (all root rows, not just the
-    /// view's selection). Combine with [`DatasetView::root_rows`] for
+    /// view's selection). Combine with [`DatasetView::root_row`] for
     /// gather-free column access in hot loops.
     ///
     /// # Panics
@@ -129,15 +129,6 @@ impl DatasetView {
     /// The full root target vector (all root rows).
     pub fn root_target(&self) -> &[f64] {
         &self.core.target
-    }
-
-    /// The view's root-row indices in view order. O(n) for a prefix view
-    /// (the identity mapping is materialized), O(n) copy otherwise.
-    pub fn root_rows(&self) -> Vec<usize> {
-        match &self.rows {
-            RowSel::Prefix(s) => (0..*s).collect(),
-            RowSel::Indices(ix) => ix.iter().map(|&i| i as usize).collect(),
-        }
     }
 
     /// When the view is a contiguous prefix of root storage, its length;

@@ -2,6 +2,7 @@
 //! queries resume and warm-start need.
 
 use crate::record::{JournalHeader, TrialLine, SCHEMA_VERSION};
+use flaml_store::{read_log, LogReadError, Storage};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
@@ -65,13 +66,12 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// Reads a journal, tolerating a torn tail.
-    ///
-    /// A trial record counts as committed only if its line is
-    /// newline-terminated **and** parses as a [`TrialLine`]. At the first
-    /// line failing either test the reader stops and returns the maximal
-    /// committed prefix — a crash mid-write therefore loses at most the
-    /// record that was being written, never the journal.
+    /// Reads a journal, tolerating a torn tail: the typed face of
+    /// [`flaml_store::read_log`], which owns the committed-prefix rule
+    /// (a record counts only if its line is newline-terminated **and**
+    /// parses; the first line failing either ends the prefix). A crash
+    /// mid-write therefore loses at most the record that was being
+    /// written, never the journal.
     ///
     /// # Errors
     ///
@@ -88,47 +88,27 @@ impl Journal {
     ///
     /// As [`Journal::read`]; storage failures surface as
     /// [`JournalError::Io`].
-    pub fn read_with(
-        storage: &dyn flaml_store::Storage,
-        path: &Path,
-    ) -> Result<Journal, JournalError> {
-        let bytes = storage.read(path).map_err(io::Error::from)?;
-        // Lossy decoding: a torn multi-byte UTF-8 sequence in the tail
-        // must truncate the tail, not fail the read. The replacement
-        // character breaks JSON parsing for the affected line only.
-        let text = String::from_utf8_lossy(&bytes);
-        let mut lines = CommittedLines::new(&text);
-
-        let header_line = lines
-            .next()
-            .ok_or_else(|| JournalError::BadHeader("empty or truncated first line".into()))?;
-        let header: JournalHeader = serde_json::from_str(header_line)
-            .map_err(|e| JournalError::BadHeader(e.to_string()))?;
-        if header.schema_version != SCHEMA_VERSION {
+    pub fn read_with(storage: &dyn Storage, path: &Path) -> Result<Journal, JournalError> {
+        let log = read_log(
+            storage,
+            path,
+            |line| serde_json::from_str::<JournalHeader>(line).map_err(|e| e.to_string()),
+            |line| serde_json::from_str::<TrialLine>(line).ok(),
+        )
+        .map_err(|e| match e {
+            LogReadError::Storage(e) => JournalError::Io(e.into()),
+            unusable => JournalError::BadHeader(unusable.to_string()),
+        })?;
+        if log.header.schema_version != SCHEMA_VERSION {
             return Err(JournalError::SchemaVersion {
-                found: header.schema_version,
+                found: log.header.schema_version,
                 supported: SCHEMA_VERSION,
             });
         }
-        // Committed lines precede any damage, so they are valid UTF-8
-        // and their lossy-decoded lengths equal their on-disk lengths.
-        let mut committed_bytes = header_line.len() as u64 + 1;
-
-        let mut trials = Vec::new();
-        for line in lines {
-            match serde_json::from_str::<TrialLine>(line) {
-                Ok(t) => {
-                    trials.push(t);
-                    committed_bytes += line.len() as u64 + 1;
-                }
-                // First corrupt record: everything after it is suspect.
-                Err(_) => break,
-            }
-        }
         Ok(Journal {
-            header,
-            trials,
-            committed_bytes,
+            header: log.header,
+            trials: log.records,
+            committed_bytes: log.committed_bytes,
         })
     }
 
@@ -206,29 +186,6 @@ impl Journal {
             .iter()
             .flat_map(|t| t.attempt_costs.iter())
             .sum()
-    }
-}
-
-/// Iterator over the newline-terminated lines of a journal. A final line
-/// without a trailing `\n` is a torn write and is never yielded.
-struct CommittedLines<'a> {
-    rest: &'a str,
-}
-
-impl<'a> CommittedLines<'a> {
-    fn new(text: &'a str) -> CommittedLines<'a> {
-        CommittedLines { rest: text }
-    }
-}
-
-impl<'a> Iterator for CommittedLines<'a> {
-    type Item = &'a str;
-
-    fn next(&mut self) -> Option<&'a str> {
-        let nl = self.rest.find('\n')?;
-        let line = &self.rest[..nl];
-        self.rest = &self.rest[nl + 1..];
-        Some(line)
     }
 }
 
@@ -328,12 +285,15 @@ mod tests {
             .open(&path)
             .and_then(|mut f| {
                 use std::io::Write;
-                f.write_all(b"{\"iter\": garbage\n")
+                f.write_all(b"{\"iter\": garbage\n")?;
+                f.write_all(
+                    serde_json::to_string(&line(3, "rf", 0.3))
+                        .unwrap()
+                        .as_bytes(),
+                )?;
+                f.write_all(b"\n")
             })
             .unwrap();
-        let mut w = JournalWriter::append_to(&path).unwrap();
-        w.append(&line(3, "rf", 0.3));
-        drop(w);
         let j = Journal::read(&path).unwrap();
         assert_eq!(j.trials.len(), 1, "records after corruption are suspect");
     }

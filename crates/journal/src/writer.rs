@@ -2,32 +2,39 @@
 
 use crate::record::{JournalHeader, TrialLine};
 use flaml_exec::{EventSink, TrialEvent};
-use flaml_store::{disk, Storage, StorageError, StorageFile};
+use flaml_store::{disk, LineLog, Storage, StorageError};
+use serde::Serialize;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-/// Appends journal records with fsync-on-commit.
+/// Appends journal records with fsync-on-commit: the typed face of
+/// [`flaml_store::LineLog`], which owns the commit protocol (write,
+/// sync, truncate back to the committed prefix on failure, best-effort
+/// sync on drop).
 ///
-/// Every [`JournalWriter::append`] writes one JSONL line and then syncs
-/// the file before returning, so a record the caller has seen committed
-/// survives a process kill or power loss. I/O errors after creation are
-/// reported once via [`JournalWriter::take_error`] and otherwise
-/// swallowed: persistence must never crash a search mid-run. A failed
-/// append additionally truncates the file back to its committed prefix,
-/// so torn bytes from the failure can never glue onto a later record.
+/// I/O errors after creation are reported once via
+/// [`JournalWriter::take_error`] and otherwise swallowed: persistence
+/// must never crash a search mid-run.
 ///
 /// All I/O goes through a [`Storage`] handle — [`flaml_store::DiskStorage`]
 /// by default, or a chaos wrapper in fault-injection tests (the `_with`
 /// constructors).
 #[derive(Debug)]
 pub struct JournalWriter {
-    file: Box<dyn StorageFile>,
+    log: LineLog,
     path: PathBuf,
-    /// Bytes known durably committed (header + fsynced records).
-    committed_len: u64,
     /// First storage error encountered while appending, if any.
     error: Option<StorageError>,
+}
+
+/// One JSONL line for `record`.
+fn to_line<T: Serialize>(
+    record: &T,
+    op: &'static str,
+    path: &Path,
+) -> Result<String, StorageError> {
+    serde_json::to_string(record).map_err(|e| StorageError::unwritable(op, path, e))
 }
 
 impl JournalWriter {
@@ -51,53 +58,10 @@ impl JournalWriter {
         path: &Path,
         header: &JournalHeader,
     ) -> Result<JournalWriter, StorageError> {
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                storage.create_dir_all(dir)?;
-            }
-        }
-        let file = storage.create(path)?;
-        let mut writer = JournalWriter {
-            file,
-            path: path.to_path_buf(),
-            committed_len: 0,
-            error: None,
-        };
-        let json = serde_json::to_string(header).map_err(|e| StorageError::Io {
-            op: "serialize-header",
-            path: path.to_path_buf(),
-            source: io::Error::new(io::ErrorKind::InvalidData, e.to_string()),
-        })?;
-        writer.write_line(&json)?;
-        Ok(writer)
-    }
-
-    /// Opens an existing journal at `path` for appending (the resume
-    /// path: replayed trials are already on disk, continued trials are
-    /// appended after them). The header is not rewritten.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from opening the file.
-    pub fn append_to(path: impl AsRef<Path>) -> io::Result<JournalWriter> {
-        JournalWriter::append_to_with(disk().as_ref(), path.as_ref()).map_err(io::Error::from)
-    }
-
-    /// [`JournalWriter::append_to`] against an explicit [`Storage`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the typed storage failure from opening or sizing the file.
-    pub fn append_to_with(
-        storage: &dyn Storage,
-        path: &Path,
-    ) -> Result<JournalWriter, StorageError> {
-        let committed_len = storage.file_len(path)?;
-        let file = storage.append(path)?;
+        let header = to_line(header, "serialize-header", path)?;
         Ok(JournalWriter {
-            file,
+            log: LineLog::create(storage, path, &header)?,
             path: path.to_path_buf(),
-            committed_len,
             error: None,
         })
     }
@@ -126,34 +90,11 @@ impl JournalWriter {
         path: &Path,
         committed_bytes: u64,
     ) -> Result<JournalWriter, StorageError> {
-        storage.truncate_file(path, committed_bytes)?;
-        JournalWriter::append_to_with(storage, path)
-    }
-
-    fn write_line(&mut self, json: &str) -> Result<(), StorageError> {
-        let mut buf = Vec::with_capacity(json.len() + 1);
-        buf.extend_from_slice(json.as_bytes());
-        buf.push(b'\n');
-        let commit = (|| {
-            self.file.write_all(&buf)?;
-            // fsync-on-commit: the record is durable before the search
-            // proceeds past the trial it describes.
-            self.file.sync_data()
-        })();
-        match commit {
-            Ok(()) => {
-                self.committed_len += buf.len() as u64;
-                Ok(())
-            }
-            Err(e) => {
-                // Drop any torn bytes of the failed record so the file
-                // stays exactly its committed prefix; if even that
-                // fails, the reader's torn-tail tolerance still covers
-                // recovery.
-                let _ = self.file.truncate(self.committed_len);
-                Err(e)
-            }
-        }
+        Ok(JournalWriter {
+            log: LineLog::resume(storage, path, committed_bytes)?,
+            path: path.to_path_buf(),
+            error: None,
+        })
     }
 
     /// Appends one committed trial record durably. A failed append is
@@ -162,20 +103,9 @@ impl JournalWriter {
         if self.error.is_some() {
             return;
         }
-        let json = match serde_json::to_string(line) {
-            Ok(j) => j,
-            Err(e) => {
-                self.error = Some(StorageError::Io {
-                    op: "serialize-record",
-                    path: self.path.clone(),
-                    source: io::Error::new(io::ErrorKind::InvalidData, e.to_string()),
-                });
-                return;
-            }
-        };
-        if let Err(e) = self.write_line(&json) {
-            self.error = Some(e);
-        }
+        let committed =
+            to_line(line, "serialize-record", &self.path).and_then(|json| self.log.append(&json));
+        self.error = committed.err();
     }
 
     /// Consumes one trial event, appending a record if it is a committed
@@ -194,14 +124,7 @@ impl JournalWriter {
 
     /// Bytes known durably committed so far.
     pub fn committed_len(&self) -> u64 {
-        self.committed_len
-    }
-
-    /// Fsyncs any buffered bytes now, without appending a record.
-    /// Dropping the writer does the same, so a server shutting down
-    /// mid-search never loses the last committed record.
-    pub fn sync(&mut self) -> Result<(), StorageError> {
-        self.file.sync_data()
+        self.log.committed_len()
     }
 
     /// Wraps the writer in a synchronous [`EventSink`]: every committed
@@ -221,14 +144,6 @@ impl JournalWriter {
     /// [`take_error`]: SharedJournalWriter::take_error
     pub fn into_shared(self) -> SharedJournalWriter {
         SharedJournalWriter(Arc::new(Mutex::new(self)))
-    }
-}
-
-impl Drop for JournalWriter {
-    fn drop(&mut self) {
-        // Best-effort durability on shutdown: errors are unreportable
-        // here and every committed append already fsynced itself.
-        let _ = self.sync();
     }
 }
 
@@ -332,7 +247,8 @@ mod tests {
         assert!(w.take_error().is_none());
         drop(w);
 
-        let mut w = JournalWriter::append_to(&path).unwrap();
+        let committed = Journal::read(&path).unwrap().committed_bytes;
+        let mut w = JournalWriter::resume(&path, committed).unwrap();
         w.append(&line(3));
         drop(w);
 
@@ -404,7 +320,7 @@ mod tests {
         let committed = Journal::read(&path).unwrap().committed_bytes;
 
         let chaotic = ChaosStorage::new(flaml_store::disk(), IoFaultPlan::new(3).short_writes(1.0));
-        let mut w = JournalWriter::append_to_with(&chaotic, &path).unwrap();
+        let mut w = JournalWriter::resume_with(&chaotic, &path, committed).unwrap();
         w.append(&line(2));
         let err = w.take_error().expect("the torn append is reported");
         assert!(matches!(err, StorageError::TornWrite { .. }), "{err}");
@@ -432,16 +348,50 @@ mod tests {
         drop(w);
 
         let chaotic = ChaosStorage::new(flaml_store::disk(), IoFaultPlan::new(1).enospc(1.0));
-        let shared =
-            JournalWriter::append_to_with(&chaotic, &path).expect_err("open hits injected ENOSPC");
+        let committed = Journal::read(&path).unwrap().committed_bytes;
+        let shared = JournalWriter::resume_with(&chaotic, &path, committed)
+            .expect_err("open hits injected ENOSPC");
         assert!(shared.is_no_space());
 
         // With faults off the shared handle reports no error.
-        let shared = JournalWriter::append_to(&path).unwrap().into_shared();
+        let shared = JournalWriter::resume(&path, committed)
+            .unwrap()
+            .into_shared();
         let sink = shared.sink();
         drop(sink);
         assert!(shared.take_error().is_none());
         assert!(shared.committed_len() > 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The file a fixed header and three records produce, byte for
+    /// byte. The expected text was captured at 647bf4f (the commit
+    /// before the writer moved onto `flaml_store::LineLog`) by running
+    /// exactly this sequence and printing the file; the determinism
+    /// suites compare run against run inside one build and would not
+    /// see the format drift.
+    #[test]
+    fn golden_file_bytes_are_unchanged() {
+        const GOLDEN: &str = concat!(
+            r#"{"schema_version":1,"seed":7,"time_budget":1,"max_trials":10,"sample_size_init":100,"sampling":true,"learner_selection":"eci","resample":"auto","metric":"","estimators":["lightgbm","lr"],"time_source":"virtual","dataset":{"name":"t","task":"binary","rows":100,"features":2,"fingerprint":65261}}"#,
+            "\n",
+            r#"{"iter":1,"learner":"lightgbm","config":"x=1","config_values":[1],"sample_size":100,"loss":0.5,"status":"ok","mode":"search","attempts":0,"attempt_costs":[0.1],"cost":0.1,"total_time":0.1,"wall_secs":0,"prepared_hits":0,"prepared_misses":0,"prepared_evictions":0,"bytes_copied_saved":0,"tree_cache_hits":0,"tree_cache_misses":0,"trees_saved":0,"seed":7,"improved":true,"best_loss":0.5}"#,
+            "\n",
+            r#"{"iter":2,"learner":"lightgbm","config":"x=1","config_values":[1],"sample_size":100,"loss":0.25,"status":"ok","mode":"search","attempts":0,"attempt_costs":[0.1],"cost":0.1,"total_time":0.2,"wall_secs":0,"prepared_hits":0,"prepared_misses":0,"prepared_evictions":0,"bytes_copied_saved":0,"tree_cache_hits":0,"tree_cache_misses":0,"trees_saved":0,"seed":7,"improved":true,"best_loss":0.25}"#,
+            "\n",
+            r#"{"iter":3,"learner":"lightgbm","config":"x=1","config_values":[1],"sample_size":100,"loss":0.16666666666666666,"status":"ok","mode":"search","attempts":0,"attempt_costs":[0.1],"cost":0.1,"total_time":0.30000000000000004,"wall_secs":0,"prepared_hits":0,"prepared_misses":0,"prepared_evictions":0,"bytes_copied_saved":0,"tree_cache_hits":0,"tree_cache_misses":0,"trees_saved":0,"seed":7,"improved":true,"best_loss":0.16666666666666666}"#,
+            "\n",
+        );
+        let dir = std::env::temp_dir().join("flaml-journal-golden");
+        std::fs::remove_dir_all(&dir).ok();
+        let path = dir.join("run.jsonl");
+        let mut w = JournalWriter::create(&path, &header()).unwrap();
+        for i in 1..=3 {
+            w.append(&line(i));
+        }
+        assert_eq!(w.committed_len(), GOLDEN.len() as u64);
+        drop(w);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), GOLDEN);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

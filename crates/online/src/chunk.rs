@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 pub struct ChunkPayload {
     /// Dataset name (informational; excluded from fingerprints).
     pub name: String,
-    /// Task name as printed by [`task_name`].
+    /// Task name as printed by [`Task::wire_name`].
     pub task: String,
     /// Column-major feature matrix.
     pub columns: Vec<Vec<f64>>,
@@ -31,7 +31,7 @@ impl ChunkPayload {
     pub fn from_dataset(data: &Dataset) -> ChunkPayload {
         ChunkPayload {
             name: data.name().to_string(),
-            task: task_name(data.task()),
+            task: data.task().wire_name(),
             columns: data.columns().to_vec(),
             cardinalities: data
                 .feature_kinds()
@@ -48,8 +48,7 @@ impl ChunkPayload {
     /// Rebuilds the dataset. The round trip is bit-exact: the rebuilt
     /// dataset's [`Dataset::fingerprint`] equals the original's.
     pub fn into_dataset(self) -> Result<Dataset, OnlineError> {
-        let task = parse_task(&self.task)
-            .ok_or_else(|| OnlineError::Corrupt(format!("unknown task {:?}", self.task)))?;
+        let task = Task::parse_wire(&self.task).map_err(OnlineError::Corrupt)?;
         let kinds = self
             .cardinalities
             .iter()
@@ -63,28 +62,6 @@ impl ChunkPayload {
             .collect();
         Dataset::with_kinds(&self.name, task, self.columns, kinds, self.target)
             .map_err(|e| OnlineError::Corrupt(format!("chunk payload invalid: {e}")))
-    }
-}
-
-/// Stable task name ("binary" | "regression" | "multiclass:<k>"),
-/// matching the server's dataset wire format.
-pub fn task_name(task: Task) -> String {
-    match task {
-        Task::Binary => "binary".to_string(),
-        Task::Regression => "regression".to_string(),
-        Task::MultiClass(k) => format!("multiclass:{k}"),
-    }
-}
-
-/// Parses a name as printed by [`task_name`].
-pub fn parse_task(s: &str) -> Option<Task> {
-    match s {
-        "binary" => Some(Task::Binary),
-        "regression" => Some(Task::Regression),
-        _ => {
-            let k: usize = s.strip_prefix("multiclass:")?.parse().ok()?;
-            (k >= 2).then_some(Task::MultiClass(k))
-        }
     }
 }
 
@@ -110,12 +87,12 @@ pub fn concat_chunks(name: &str, chunks: &[&Dataset]) -> Result<Dataset, OnlineE
             return Err(OnlineError::SchemaMismatch {
                 expected: format!(
                     "{} x{} features",
-                    task_name(first.task()),
+                    first.task().wire_name(),
                     first.n_features()
                 ),
                 got: format!(
                     "{} x{} features",
-                    task_name(chunk.task()),
+                    chunk.task().wire_name(),
                     chunk.n_features()
                 ),
             });
@@ -157,15 +134,6 @@ mod tests {
         let rebuilt = back.into_dataset().unwrap();
         assert_eq!(rebuilt.fingerprint(), d.fingerprint());
         assert_eq!(rebuilt.name(), "c0");
-    }
-
-    #[test]
-    fn task_names_round_trip() {
-        for t in [Task::Binary, Task::Regression, Task::MultiClass(5)] {
-            assert_eq!(parse_task(&task_name(t)), Some(t));
-        }
-        assert_eq!(parse_task("multiclass:1"), None);
-        assert_eq!(parse_task("nope"), None);
     }
 
     #[test]

@@ -11,15 +11,14 @@
 //! configuration — the property the determinism suite asserts across
 //! worker counts and kill-and-resume runs.
 //!
-//! Writing mirrors [`flaml_journal`]'s fsync-on-commit contract: every
-//! append syncs before returning and a failed append truncates back to
-//! the committed prefix. Reading tolerates a torn tail by returning the
-//! maximal committed prefix, exactly like [`flaml_journal::Journal`].
+//! The file is a [`flaml_store::LineLog`]: how a line commits, how a
+//! failed append is undone and what a reader may trust after a crash
+//! are that type's contract (DESIGN.md §15). This module only says what
+//! a line holds — [`to_line`] out, [`read_log`] back in.
 
-use flaml_core::{Storage, StorageError, StorageFile};
+use flaml_store::{CommittedLog, LogReadError, Storage, StorageError};
 use serde::{Deserialize, Serialize};
-use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Stream-journal schema version.
 pub const ONLINE_SCHEMA_VERSION: u32 = 1;
@@ -34,7 +33,7 @@ pub struct OnlineHeader {
     pub schema_version: u32,
     /// Master seed for challenger searches.
     pub seed: u64,
-    /// Task name as printed by [`crate::task_name`].
+    /// Task name as printed by [`flaml_data::Task::wire_name`].
     pub task: String,
     /// Features per chunk row.
     pub features: usize,
@@ -172,182 +171,54 @@ impl std::fmt::Display for LogError {
 
 impl std::error::Error for LogError {}
 
-/// A stream journal read back: header, committed events, and the byte
-/// length of the committed prefix.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LogContents {
-    /// The configuration header.
-    pub header: OnlineHeader,
-    /// Committed events in commit order.
-    pub events: Vec<OnlineEvent>,
-    /// Bytes of committed prefix (for truncate-then-append resume).
-    pub committed_bytes: u64,
+/// One journal line for a header or an event.
+pub(crate) fn to_line<T: Serialize>(
+    record: &T,
+    op: &'static str,
+    path: &Path,
+) -> Result<String, StorageError> {
+    serde_json::to_string(record).map_err(|e| StorageError::unwritable(op, path, e))
 }
 
-/// Reads a stream journal, tolerating a torn tail (see [`LogError`]).
+/// Reads a stream journal's committed prefix (see [`LogError`]).
 ///
 /// # Errors
 ///
 /// [`LogError::Missing`] when no committed header exists,
 /// [`LogError::Corrupt`] for header damage, [`LogError::Storage`] for
 /// read failures.
-pub fn read_log(storage: &dyn Storage, path: &Path) -> Result<LogContents, LogError> {
+pub(crate) fn read_log(
+    storage: &dyn Storage,
+    path: &Path,
+) -> Result<CommittedLog<OnlineHeader, OnlineEvent>, LogError> {
     if !storage.exists(path) {
         return Err(LogError::Missing);
     }
-    let bytes = storage.read(path).map_err(LogError::Storage)?;
-    let text = String::from_utf8_lossy(&bytes);
-    let mut offset = 0u64;
-    let mut lines = text.split_inclusive('\n');
-    let header_line = match lines.next() {
-        Some(l) if l.ends_with('\n') => l,
-        // Empty file or torn header: nothing was ever durably committed.
-        _ => return Err(LogError::Missing),
-    };
-    let header: OnlineHeader = serde_json::from_str(header_line.trim_end_matches('\n'))
-        .map_err(|e| LogError::Corrupt(format!("bad header: {e}")))?;
-    if header.schema_version != ONLINE_SCHEMA_VERSION {
+    let log = flaml_store::read_log(
+        storage,
+        path,
+        |line| serde_json::from_str::<OnlineHeader>(line).map_err(|e| format!("bad header: {e}")),
+        |line| serde_json::from_str::<OnlineEvent>(line).ok(),
+    )
+    .map_err(|e| match e {
+        LogReadError::Storage(e) => LogError::Storage(e),
+        // Nothing was ever durably committed.
+        LogReadError::NoHeader => LogError::Missing,
+        LogReadError::BadHeader(msg) => LogError::Corrupt(msg),
+    })?;
+    if log.header.schema_version != ONLINE_SCHEMA_VERSION {
         return Err(LogError::Corrupt(format!(
             "schema version {} unsupported (reader speaks {ONLINE_SCHEMA_VERSION})",
-            header.schema_version
+            log.header.schema_version
         )));
     }
-    offset += header_line.len() as u64;
-    let mut events = Vec::new();
-    for line in lines {
-        if !line.ends_with('\n') {
-            break;
-        }
-        match serde_json::from_str::<OnlineEvent>(line.trim_end_matches('\n')) {
-            Ok(ev) => {
-                events.push(ev);
-                offset += line.len() as u64;
-            }
-            // First damaged record: everything after it is suspect.
-            Err(_) => break,
-        }
-    }
-    Ok(LogContents {
-        header,
-        events,
-        committed_bytes: offset,
-    })
-}
-
-/// The append side of the stream journal: fsync-on-commit, truncate on
-/// failed append — the same contract as [`flaml_journal::JournalWriter`].
-#[derive(Debug)]
-pub struct EventLog {
-    file: Box<dyn StorageFile>,
-    path: PathBuf,
-    committed_len: u64,
-}
-
-impl EventLog {
-    /// Creates (truncating) a stream journal and durably writes its
-    /// header.
-    ///
-    /// # Errors
-    ///
-    /// Any storage failure creating, writing, or syncing.
-    pub fn create(
-        storage: &dyn Storage,
-        path: &Path,
-        header: &OnlineHeader,
-    ) -> Result<EventLog, StorageError> {
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                storage.create_dir_all(dir)?;
-            }
-        }
-        let file = storage.create(path)?;
-        let mut log = EventLog {
-            file,
-            path: path.to_path_buf(),
-            committed_len: 0,
-        };
-        let json = serde_json::to_string(header).map_err(|e| StorageError::Io {
-            op: "serialize-header",
-            path: path.to_path_buf(),
-            source: io::Error::new(io::ErrorKind::InvalidData, e.to_string()),
-        })?;
-        log.write_line(&json)?;
-        Ok(log)
-    }
-
-    /// Reopens an existing journal for appending after truncating it to
-    /// `committed_bytes` (as reported by [`read_log`]), discarding any
-    /// torn tail.
-    ///
-    /// # Errors
-    ///
-    /// Any storage failure truncating or opening.
-    pub fn resume(
-        storage: &dyn Storage,
-        path: &Path,
-        committed_bytes: u64,
-    ) -> Result<EventLog, StorageError> {
-        storage.truncate_file(path, committed_bytes)?;
-        let file = storage.append(path)?;
-        Ok(EventLog {
-            file,
-            path: path.to_path_buf(),
-            committed_len: committed_bytes,
-        })
-    }
-
-    /// Appends one event durably (fsync before returning).
-    ///
-    /// # Errors
-    ///
-    /// The storage failure; the file is first truncated back to its
-    /// committed prefix so torn bytes never survive.
-    pub fn append(&mut self, event: &OnlineEvent) -> Result<(), StorageError> {
-        let json = serde_json::to_string(event).map_err(|e| StorageError::Io {
-            op: "serialize-event",
-            path: self.path.clone(),
-            source: io::Error::new(io::ErrorKind::InvalidData, e.to_string()),
-        })?;
-        self.write_line(&json)
-    }
-
-    fn write_line(&mut self, json: &str) -> Result<(), StorageError> {
-        let mut buf = Vec::with_capacity(json.len() + 1);
-        buf.extend_from_slice(json.as_bytes());
-        buf.push(b'\n');
-        let commit = (|| {
-            self.file.write_all(&buf)?;
-            self.file.sync_data()
-        })();
-        match commit {
-            Ok(()) => {
-                self.committed_len += buf.len() as u64;
-                Ok(())
-            }
-            Err(e) => {
-                let _ = self.file.truncate(self.committed_len);
-                Err(e)
-            }
-        }
-    }
-
-    /// Bytes known durably committed so far.
-    pub fn committed_len(&self) -> u64 {
-        self.committed_len
-    }
-}
-
-impl Drop for EventLog {
-    fn drop(&mut self) {
-        // Best-effort final sync; every committed append already synced.
-        let _ = self.file.sync_data();
-    }
+    Ok(log)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flaml_core::disk;
+    use flaml_store::{disk, LineLog};
 
     fn header() -> OnlineHeader {
         OnlineHeader {
@@ -370,26 +241,36 @@ mod tests {
         }
     }
 
+    fn create(storage: &dyn Storage, path: &Path) -> LineLog {
+        let header = to_line(&header(), "serialize-header", path).unwrap();
+        LineLog::create(storage, path, &header).unwrap()
+    }
+
+    fn append(log: &mut LineLog, path: &Path, ev: &OnlineEvent) {
+        log.append(&to_line(ev, "serialize-event", path).unwrap())
+            .unwrap();
+    }
+
     #[test]
     fn round_trip_and_torn_tail() {
         let dir = std::env::temp_dir().join("flaml-online-journal-test");
         std::fs::remove_dir_all(&dir).ok();
         let path = dir.join("online.jsonl");
         let storage = disk();
-        let mut log = EventLog::create(storage.as_ref(), &path, &header()).unwrap();
+        let mut log = create(storage.as_ref(), &path);
         let mut ev = OnlineEvent::new(kind::CHUNK, 0);
         ev.fingerprint = 0xfeed;
         ev.rows = 128;
-        log.append(&ev).unwrap();
+        append(&mut log, &path, &ev);
         let mut eval = OnlineEvent::new(kind::EVAL, 0);
         eval.era = 1;
         eval.loss = 0.25;
-        log.append(&eval).unwrap();
+        append(&mut log, &path, &eval);
         drop(log);
 
         let contents = read_log(storage.as_ref(), &path).unwrap();
         assert_eq!(contents.header, header());
-        assert_eq!(contents.events, vec![ev.clone(), eval.clone()]);
+        assert_eq!(contents.records, vec![ev.clone(), eval.clone()]);
 
         // Torn tail: append garbage without a newline — reader returns
         // the committed prefix; resume truncates it away.
@@ -402,9 +283,9 @@ mod tests {
         f.write_all(b"{\"kind\":\"ev").unwrap();
         drop(f);
         let contents = read_log(storage.as_ref(), &path).unwrap();
-        assert_eq!(contents.events.len(), 2);
+        assert_eq!(contents.records.len(), 2);
         assert_eq!(contents.committed_bytes, committed);
-        let log = EventLog::resume(storage.as_ref(), &path, committed).unwrap();
+        let log = LineLog::resume(storage.as_ref(), &path, committed).unwrap();
         drop(log);
         assert_eq!(storage.file_len(&path).unwrap(), committed);
         std::fs::remove_dir_all(&dir).ok();
@@ -433,6 +314,14 @@ mod tests {
             read_log(storage.as_ref(), &path),
             Err(LogError::Corrupt(_))
         ));
+        // So is a header from another schema version.
+        let mut alien = header();
+        alien.schema_version = 999;
+        std::fs::write(&path, to_line(&alien, "test", &path).unwrap() + "\n").unwrap();
+        assert!(matches!(
+            read_log(storage.as_ref(), &path),
+            Err(LogError::Corrupt(msg)) if msg.contains("999")
+        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -442,14 +331,59 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let path = dir.join("online.jsonl");
         let storage = disk();
-        let mut log = EventLog::create(storage.as_ref(), &path, &header()).unwrap();
+        let mut log = create(storage.as_ref(), &path);
         let mut ev = OnlineEvent::new(kind::REJECT, 4);
         ev.loss = 0.5;
         ev.baseline = f64::INFINITY;
-        log.append(&ev).unwrap();
+        append(&mut log, &path, &ev);
         drop(log);
         let contents = read_log(storage.as_ref(), &path).unwrap();
-        assert_eq!(contents.events[0].baseline, f64::INFINITY);
+        assert_eq!(contents.records[0].baseline, f64::INFINITY);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The file a fixed header and three events produce, byte for byte.
+    /// The expected text was captured at 647bf4f (when this crate still
+    /// had its own `EventLog` writer) by running exactly this sequence
+    /// through `EventLog::create` / `append` and printing the file; the
+    /// determinism suites compare run against run inside one build and
+    /// would not see the format drift.
+    #[test]
+    fn golden_file_bytes_are_unchanged() {
+        const GOLDEN: &str = concat!(
+            r#"{"schema_version":1,"seed":7,"task":"binary","features":4,"metric":"log_loss","estimators":["lr"],"window_chunks":6,"holdout_chunks":1,"warmup_chunks":3,"drift_window":3,"drift_threshold":0.08,"promote_margin":0.01,"probation_chunks":2,"refresh_every":0,"round_budget":4,"round_trials":6}"#,
+            "\n",
+            r#"{"kind":"chunk","chunk":0,"fingerprint":65261,"rows":128,"era":0,"round":0,"loss":0,"baseline":0,"recent":0,"reason":"","version":0,"previous":0,"model_fp":0}"#,
+            "\n",
+            r#"{"kind":"eval","chunk":0,"fingerprint":0,"rows":0,"era":1,"round":0,"loss":0.25,"baseline":0,"recent":0,"reason":"","version":0,"previous":0,"model_fp":0}"#,
+            "\n",
+            r#"{"kind":"reject","chunk":4,"fingerprint":0,"rows":0,"era":0,"round":2,"loss":0.5,"baseline":Infinity,"recent":0,"reason":"drift","version":0,"previous":0,"model_fp":0}"#,
+            "\n",
+        );
+        let dir = std::env::temp_dir().join("flaml-online-journal-golden");
+        std::fs::remove_dir_all(&dir).ok();
+        let path = dir.join("online.jsonl");
+        let storage = disk();
+        let mut log = create(storage.as_ref(), &path);
+        let mut chunk = OnlineEvent::new(kind::CHUNK, 0);
+        chunk.fingerprint = 0xfeed;
+        chunk.rows = 128;
+        let mut eval = OnlineEvent::new(kind::EVAL, 0);
+        eval.era = 1;
+        eval.loss = 0.25;
+        let mut reject = OnlineEvent::new(kind::REJECT, 4);
+        reject.round = 2;
+        reject.loss = 0.5;
+        reject.baseline = f64::INFINITY;
+        reject.reason = "drift".into();
+        for ev in [&chunk, &eval, &reject] {
+            append(&mut log, &path, ev);
+        }
+        drop(log);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), GOLDEN);
+        let contents = read_log(storage.as_ref(), &path).unwrap();
+        assert_eq!(contents.records, vec![chunk, eval, reject]);
+        assert_eq!(contents.committed_bytes, GOLDEN.len() as u64);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -16,8 +16,8 @@
 //!
 //! Everything the loop decides — chunk fingerprints, per-chunk evals,
 //! drift events, round starts, promotions, rejections, rollbacks — is
-//! journaled through the fsync-on-commit [`EventLog`] before taking
-//! effect, so a `kill -9` at any point resumes to a **byte-identical
+//! journaled through an fsync-on-commit [`flaml_store::LineLog`] before
+//! taking effect, so a `kill -9` at any point resumes to a **byte-identical
 //! promotion trace**: the recovered session replays the committed
 //! prefix, finishes the interrupted step, and continues exactly as an
 //! uninterrupted run would have.
@@ -47,12 +47,9 @@ mod journal;
 mod promote;
 mod session;
 
-pub use chunk::{concat_chunks, parse_task, task_name, ChunkPayload};
+pub use chunk::{concat_chunks, ChunkPayload};
 pub use drift::{DriftDetector, DriftSignal};
-pub use journal::{
-    kind, read_log, EventLog, LogContents, LogError, OnlineEvent, OnlineHeader,
-    ONLINE_SCHEMA_VERSION,
-};
+pub use journal::{kind, LogError, OnlineEvent, OnlineHeader, ONLINE_SCHEMA_VERSION};
 pub use promote::PromotionPolicy;
 pub use session::{
     ChunkOutcome, OnlineConfig, OnlineRuntime, OnlineSession, RoundOutcome, StreamStatus,

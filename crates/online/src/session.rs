@@ -32,19 +32,20 @@
 //! skipped if committed, recomputed identically if not. The resulting
 //! journal is byte-identical to an uninterrupted run's.
 
-use crate::chunk::{concat_chunks, parse_task, task_name, ChunkPayload};
+use crate::chunk::{concat_chunks, ChunkPayload};
 use crate::drift::{DriftDetector, DriftSignal};
 use crate::journal::{
-    kind, read_log, EventLog, LogError, OnlineEvent, OnlineHeader, ONLINE_SCHEMA_VERSION,
+    kind, read_log, to_line, LogError, OnlineEvent, OnlineHeader, ONLINE_SCHEMA_VERSION,
 };
 use crate::promote::PromotionPolicy;
 use crate::OnlineError;
 use flaml_core::{
-    default_virtual_cost, disk, is_stale_tmp, AutoMl, AutoMlError, CompiledModel, Journal,
-    LearnerKind, ModelRegistry, PromoteReason, SearchHandle, Storage, TimeSource,
+    default_virtual_cost, disk, AutoMl, AutoMlError, CompiledModel, Journal, LearnerKind,
+    ModelRegistry, PromoteReason, SearchHandle, Storage, TimeSource,
 };
 use flaml_data::{Dataset, Task};
 use flaml_metrics::Metric;
+use flaml_store::{sweep_stale_tmps, LineLog};
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -161,7 +162,7 @@ impl OnlineConfig {
         OnlineHeader {
             schema_version: ONLINE_SCHEMA_VERSION,
             seed: self.seed,
-            task: task_name(self.task),
+            task: self.task.wire_name(),
             features: self.features,
             metric: self.resolved_metric().name().to_string(),
             estimators: self
@@ -183,8 +184,7 @@ impl OnlineConfig {
     }
 
     fn from_header(h: &OnlineHeader) -> Result<OnlineConfig, OnlineError> {
-        let task = parse_task(&h.task)
-            .ok_or_else(|| OnlineError::Corrupt(format!("unknown task {:?}", h.task)))?;
+        let task = Task::parse_wire(&h.task).map_err(OnlineError::Corrupt)?;
         let metric = Metric::parse(&h.metric)
             .ok_or_else(|| OnlineError::Corrupt(format!("unknown metric {:?}", h.metric)))?;
         let estimators = h
@@ -371,7 +371,7 @@ pub struct OnlineSession {
     cfg: OnlineConfig,
     rt: OnlineRuntime,
     dir: PathBuf,
-    log: EventLog,
+    log: LineLog,
     metric: Metric,
     policy: PromotionPolicy,
     detector: DriftDetector,
@@ -427,7 +427,8 @@ impl OnlineSession {
             Err(LogError::Storage(e)) => return Err(OnlineError::Durability(e)),
         }
         rt.storage.create_dir_all(&dir)?;
-        let log = EventLog::create(rt.storage.as_ref(), &journal, &cfg.to_header())?;
+        let header = to_line(&cfg.to_header(), "serialize-header", &journal)?;
+        let log = LineLog::create(rt.storage.as_ref(), &journal, &header)?;
         Ok(OnlineSession::blank(dir, cfg, rt, log))
     }
 
@@ -448,11 +449,13 @@ impl OnlineSession {
         let contents = read_log(rt.storage.as_ref(), &journal).map_err(OnlineError::Journal)?;
         let cfg = OnlineConfig::from_header(&contents.header)?;
         cfg.validate()?;
-        let log = EventLog::resume(rt.storage.as_ref(), &journal, contents.committed_bytes)?;
+        let log = LineLog::resume(rt.storage.as_ref(), &journal, contents.committed_bytes)?;
         let mut s = OnlineSession::blank(dir, cfg, rt, log);
-        s.sweep_stale_tmps()?;
+        for sub in ["", "chunks", "rounds", "champions"] {
+            sweep_stale_tmps(s.rt.storage.as_ref(), &s.dir.join(sub))?;
+        }
 
-        let fold = s.fold(&contents.events)?;
+        let fold = s.fold(&contents.records)?;
         s.next_chunk = fold.next_chunk;
         s.last_fp = fold.last_fp;
         s.chunks_since_round = fold.chunks_since_round;
@@ -468,7 +471,7 @@ impl OnlineSession {
         s.n_reject = fold.n_reject;
         s.n_rollback = fold.n_rollback;
         s.last_loss = fold.last_loss;
-        s.events = contents.events;
+        s.events = contents.records;
 
         s.champion = s.load_champion(fold.champ_era)?;
         s.prev = s.load_champion(fold.prev_era)?;
@@ -490,32 +493,7 @@ impl OnlineSession {
         Ok(s)
     }
 
-    /// Opens the stream at `dir` if one exists, otherwise creates it
-    /// with `cfg`. When opening, `cfg` must equal the stored config.
-    pub fn open_or_create(
-        dir: impl Into<PathBuf>,
-        cfg: OnlineConfig,
-        rt: OnlineRuntime,
-    ) -> Result<OnlineSession, OnlineError> {
-        let dir = dir.into();
-        if rt.storage.exists(&dir.join("online.jsonl")) {
-            let s = OnlineSession::open(dir, rt)?;
-            let mut stored = s.cfg.clone();
-            stored.metric = Some(stored.resolved_metric());
-            let mut wanted = cfg;
-            wanted.metric = Some(wanted.resolved_metric());
-            if stored != wanted {
-                return Err(OnlineError::Corrupt(
-                    "stream exists with a different config".to_string(),
-                ));
-            }
-            Ok(s)
-        } else {
-            OnlineSession::create(dir, cfg, rt)
-        }
-    }
-
-    fn blank(dir: PathBuf, cfg: OnlineConfig, rt: OnlineRuntime, log: EventLog) -> OnlineSession {
+    fn blank(dir: PathBuf, cfg: OnlineConfig, rt: OnlineRuntime, log: LineLog) -> OnlineSession {
         let metric = cfg.resolved_metric();
         let policy = PromotionPolicy::new(cfg.promote_margin);
         let detector = DriftDetector::new(cfg.drift_window, cfg.drift_threshold);
@@ -568,10 +546,14 @@ impl OnlineSession {
             return Err(OnlineError::SchemaMismatch {
                 expected: format!(
                     "{} x{} features",
-                    task_name(self.cfg.task),
+                    self.cfg.task.wire_name(),
                     self.cfg.features
                 ),
-                got: format!("{} x{} features", task_name(data.task()), data.n_features()),
+                got: format!(
+                    "{} x{} features",
+                    data.task().wire_name(),
+                    data.n_features()
+                ),
             });
         }
         if data.n_rows() == 0 {
@@ -960,7 +942,9 @@ impl OnlineSession {
     }
 
     fn commit(&mut self, ev: OnlineEvent) -> Result<(), OnlineError> {
-        self.log.append(&ev)?;
+        let journal = self.dir.join("online.jsonl");
+        self.log
+            .append(&to_line(&ev, "serialize-event", &journal)?)?;
         self.events.push(ev);
         Ok(())
     }
@@ -1191,26 +1175,6 @@ impl OnlineSession {
                 .map_err(|e| OnlineError::Corrupt(format!("pending chunk invalid: {e}")))?;
             let data = payload.into_dataset()?;
             self.run_chunk(self.next_chunk, data, Progress::default())?;
-        }
-        Ok(())
-    }
-
-    /// Removes stale atomic-write temp files a crash left behind.
-    fn sweep_stale_tmps(&self) -> Result<(), OnlineError> {
-        for sub in ["", "chunks", "rounds", "champions"] {
-            let dir = if sub.is_empty() {
-                self.dir.clone()
-            } else {
-                self.dir.join(sub)
-            };
-            if !self.rt.storage.is_dir(&dir) {
-                continue;
-            }
-            for path in self.rt.storage.scan(&dir)? {
-                if is_stale_tmp(&path) {
-                    self.rt.storage.remove(&path)?;
-                }
-            }
         }
         Ok(())
     }

@@ -107,11 +107,6 @@ impl Hyperband {
         self.s_max
     }
 
-    /// The bracket currently running.
-    pub fn current_bracket(&self) -> usize {
-        self.current_s
-    }
-
     fn bracket_width(&self, s: usize) -> usize {
         // n = ceil((s_max + 1) / (s + 1)) * eta^s
         let base = (self.s_max + 1).div_ceil(s + 1);

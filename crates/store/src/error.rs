@@ -2,7 +2,7 @@
 
 use std::fmt;
 use std::io;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Why a storage operation failed.
 ///
@@ -64,6 +64,17 @@ pub enum StorageError {
 }
 
 impl StorageError {
+    /// A value that could not be rendered into the bytes to write
+    /// (`op` names the step, e.g. `"serialize-record"`): nothing reached
+    /// the device.
+    pub fn unwritable(op: &'static str, path: &Path, detail: impl fmt::Display) -> StorageError {
+        StorageError::Io {
+            op,
+            path: path.to_path_buf(),
+            source: io::Error::new(io::ErrorKind::InvalidData, detail.to_string()),
+        }
+    }
+
     /// Whether this failure means the device is out of space.
     pub fn is_no_space(&self) -> bool {
         matches!(self, StorageError::NoSpace { .. })

@@ -22,6 +22,11 @@
 //!    layer's `FaultPlan` — so crashpoint sweeps can enumerate every
 //!    injected I/O op of a run and replay a crash at each one.
 //!
+//! Two more decisions live here because every durable format needs
+//! them: the fsync-on-commit line log ([`LineLog`] / [`read_log`], the
+//! protocol under the trial journal and the stream journal) and the
+//! FNV-1a content hash ([`Fnv1a`]) behind every fingerprint.
+//!
 //! The crate is std-only and dependency-free by design: it sits below
 //! every other crate in the workspace.
 
@@ -30,10 +35,14 @@
 mod chaos;
 mod disk;
 mod error;
+mod fnv;
+mod log;
 
 pub use chaos::{ChaosStorage, IoFault, IoFaultPlan};
 pub use disk::DiskStorage;
 pub use error::{is_enospc, StorageError};
+pub use fnv::Fnv1a;
+pub use log::{read_log, CommittedLog, LineLog, LogReadError};
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -123,6 +132,38 @@ pub fn is_stale_tmp(path: &Path) -> bool {
     match path.file_name().and_then(|n| n.to_str()) {
         Some(name) => name.starts_with('.') && name.ends_with(".tmp"),
         None => false,
+    }
+}
+
+/// Deletes every stale temp ([`is_stale_tmp`]) directly under `dir` —
+/// the recovery sweep. Temps are never referenced by any protocol
+/// state, so removal is always safe; a missing `dir` holds none. Every
+/// removal is attempted even if an earlier one fails.
+///
+/// # Errors
+///
+/// The scan failure, or the first failed removal.
+pub fn sweep_stale_tmps(storage: &dyn Storage, dir: &Path) -> Result<(), StorageError> {
+    let mut first_failure = Ok(());
+    for entry in storage.scan(dir)? {
+        if is_stale_tmp(&entry) {
+            let removed = storage.remove(&entry);
+            first_failure = first_failure.and(removed);
+        }
+    }
+    first_failure
+}
+
+/// Creates the directory `path` will live in (and its parents), if
+/// `path` names one.
+///
+/// # Errors
+///
+/// The storage failure from creating it.
+pub fn create_parent_dir(storage: &dyn Storage, path: &Path) -> Result<(), StorageError> {
+    match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => storage.create_dir_all(dir),
+        _ => Ok(()),
     }
 }
 
