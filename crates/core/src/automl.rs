@@ -29,7 +29,7 @@
 //! ```
 
 use crate::clock::TimeSource;
-use crate::controller;
+use crate::controller::{sanitize, Search};
 use crate::custom::{CustomLearner, Estimator};
 use crate::resample::{ResampleRule, ResampleStrategy, TrialStatus};
 use crate::spaces::LearnerKind;
@@ -374,17 +374,9 @@ pub fn retrain_from_log(
     let kind = LearnerKind::parse(&best.learner)
         .ok_or_else(|| AutoMlError::UnknownLearner(best.learner.clone()))?;
 
-    // Repeat the controller's data preparation bit-for-bit.
-    let dropped = data.degenerate_columns();
-    let cleaned: Dataset;
-    let data: &Dataset = if dropped.is_empty() {
-        data
-    } else {
-        cleaned = data
-            .drop_columns(&dropped)
-            .map_err(|_| AutoMlError::NoUsableFeatures)?;
-        &cleaned
-    };
+    // The controller's own data preparation, so the refit sees the
+    // original run's rows and columns bit-for-bit.
+    let (data, _) = sanitize(data)?;
     let fingerprint = data.fingerprint();
     if fingerprint != journal.header.dataset.fingerprint {
         return Err(AutoMlError::ResumeMismatch {
@@ -434,12 +426,6 @@ pub struct AutoMl {
     pub(crate) fault_plan: Option<FaultPlan>,
     pub(crate) journal_path: Option<PathBuf>,
     pub(crate) resume: bool,
-    /// Overrides the `max_trials` value recorded in a freshly created
-    /// journal header. [`crate::SearchHandle`] runs a search as a series
-    /// of slices, each a `fit` with a small trial cap; recording the
-    /// *target* cap instead keeps a sliced run's journal byte-identical
-    /// to a single-shot run's (resume deliberately ignores the field).
-    pub(crate) header_max_trials: Option<Option<usize>>,
     pub(crate) starting_points: Vec<(String, Vec<f64>, f64)>,
     pub(crate) prepared_cache: bool,
     pub(crate) prepared_cache_bytes: usize,
@@ -479,7 +465,6 @@ impl Default for AutoMl {
             fault_plan: None,
             journal_path: None,
             resume: false,
-            header_max_trials: None,
             starting_points: Vec::new(),
             prepared_cache: true,
             prepared_cache_bytes: 256 * 1024 * 1024,
@@ -753,6 +738,8 @@ impl AutoMl {
     /// constant/all-NaN columns), no trial succeeded, or the final refit
     /// failed.
     pub fn fit(&self, data: &Dataset) -> Result<AutoMlResult, AutoMlError> {
-        controller::run(data, self)
+        let mut search = Search::open(self.clone(), data, None)?;
+        search.step(usize::MAX)?;
+        search.finish()
     }
 }

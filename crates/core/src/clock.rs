@@ -66,9 +66,9 @@ pub struct BudgetClock {
     source: TimeSource,
     start: Instant,
     virtual_now: f64,
-    /// Budget charged by [`BudgetClock::advance`] on a wall clock —
-    /// time a resumed run's replayed trials already spent in an earlier
-    /// process, which `start.elapsed()` cannot see.
+    /// Wall-clock budget `start.elapsed()` cannot see: what
+    /// [`BudgetClock::advance`] charged for trials replayed from an
+    /// earlier process, and what [`BudgetClock::park`] folded in.
     wall_offset: f64,
 }
 
@@ -108,6 +108,20 @@ impl BudgetClock {
             TimeSource::Wall => self.wall_offset += secs,
             TimeSource::Virtual(_) => self.virtual_now += secs,
         }
+    }
+
+    /// Stops a wall clock while its search waits its turn: the time
+    /// run so far is folded into the offset, so nothing between here
+    /// and [`BudgetClock::unpark`] is billed. Virtual time only moves
+    /// when charged, so a virtual clock reads the same throughout.
+    pub(crate) fn park(&mut self) {
+        self.wall_offset += self.start.elapsed().as_secs_f64();
+        self.unpark();
+    }
+
+    /// Restarts a [`BudgetClock::park`]ed wall clock.
+    pub(crate) fn unpark(&mut self) {
+        self.start = Instant::now();
     }
 
     /// Charges one trial: returns the cost in this clock's seconds and
@@ -165,6 +179,34 @@ mod tests {
         let mut clock = BudgetClock::new(TimeSource::Wall);
         clock.advance(10.0);
         assert!(clock.elapsed() >= 10.0);
+    }
+
+    #[test]
+    fn a_parked_wall_clock_is_not_billed() {
+        let mut clock = BudgetClock::new(TimeSource::Wall);
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        clock.park();
+        let at_park = clock.elapsed();
+        assert!(at_park >= 0.02, "time before the park counts");
+        std::thread::sleep(std::time::Duration::from_millis(150));
+        clock.unpark();
+        let resumed = clock.elapsed();
+        assert!(resumed >= 0.02, "parking keeps the budget already spent");
+        assert!(
+            resumed < at_park + 0.1,
+            "150 ms in the queue must not be billed, got {resumed} after {at_park}"
+        );
+    }
+
+    #[test]
+    fn parking_leaves_a_virtual_clock_untouched() {
+        let mut clock = BudgetClock::new(TimeSource::Virtual(default_virtual_cost));
+        clock.charge(&info(1000), 0.0);
+        let before = clock.elapsed().to_bits();
+        clock.park();
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        clock.unpark();
+        assert_eq!(clock.elapsed().to_bits(), before);
     }
 
     #[test]

@@ -7,20 +7,30 @@
 //! tenant's slice — proportional time-sharing without threads being
 //! preempted mid-trial.
 //!
-//! The mechanism is the journal itself. Each slice is a full
-//! [`AutoMl::fit`] with `max_trials` capped a few trials past what the
-//! journal already holds; the first slice creates the journal, every
-//! later slice resumes from it (replaying the committed prefix through
-//! the controller, which restores FLOW² incumbents, ECI state and spent
-//! budget exactly). Under a virtual clock the concatenated journal's
-//! canonical bytes ([`Journal::canonical_bytes`]) are **identical** to
-//! a single uninterrupted run's — the header even records the run's
-//! *target* trial cap rather than any slice's cap (see
-//! `AutoMl::header_max_trials`) — which is what lets a crashed server
-//! [`SearchHandle::attach`] to a tenant's journal and verify the
-//! resumed trace against a reference run.
+//! Pausing is simply not stepping. The handle owns the same search
+//! state machine [`AutoMl::fit`] drives — opened on the first slice,
+//! stepped a few trials per slice, finished (refit included) once — so
+//! a sliced run does exactly the work of a one-shot run, and under a
+//! virtual clock its journal's canonical bytes
+//! ([`Journal::canonical_bytes`]) are **identical** to one's.
+//!
+//! A parked search keeps its proposer, ECI and quarantine state, its
+//! budget clock (stopped, so time in the queue is not billed), RNG,
+//! trial records, the incumbent's trial model and its open journal
+//! writer. It does *not* keep the prepared-data and tree caches: those
+//! are rebuilt cold inside each slice, so the cache bytes a service
+//! holds are bounded by the slices actually running, not by the
+//! searches in flight.
+//!
+//! The journal is for crashes. Every committed trial is durable before
+//! the search proceeds, so a new process can [`SearchHandle::attach`]
+//! to a dead one's journal: the first slice then replays the committed
+//! prefix through the state machine once (restoring FLOW² incumbents,
+//! ECI state and spent budget exactly) and continues to the bytes an
+//! uninterrupted run would have written.
 
 use crate::automl::{AutoMl, AutoMlError, AutoMlResult};
+use crate::controller::{Search, Stop};
 use flaml_data::Dataset;
 use flaml_journal::Journal;
 use std::path::PathBuf;
@@ -33,7 +43,7 @@ pub enum SliceOutcome {
     Paused {
         /// Committed trials on disk so far.
         committed: usize,
-        /// Budget seconds spent so far (per the journal).
+        /// Budget seconds spent so far.
         spent: f64,
     },
     /// The search ran to completion (target trial cap or budget
@@ -41,16 +51,25 @@ pub enum SliceOutcome {
     Finished(Box<AutoMlResult>),
 }
 
+enum State {
+    /// Not opened in this process yet. [`SearchHandle::attach`] leaves
+    /// the journal it parsed here for the search to replay.
+    Pending(Box<(AutoMl, Option<Journal>)>),
+    /// Open, and parked between slices.
+    Parked(Box<Search>),
+    /// Finished or failed: the search is gone, its last counts remain.
+    Closed {
+        committed: usize,
+        spent: f64,
+        finished: bool,
+    },
+}
+
 /// A journal-backed search that runs in cooperative slices (see the
 /// module docs).
-#[derive(Debug, Clone)]
 pub struct SearchHandle {
-    settings: AutoMl,
     journal: PathBuf,
-    started: bool,
-    finished: bool,
-    committed: usize,
-    spent: f64,
+    state: State,
 }
 
 impl SearchHandle {
@@ -60,13 +79,10 @@ impl SearchHandle {
     /// search works toward; any `journal`/`resume_from` already set on
     /// it is overridden.
     pub fn new(settings: AutoMl, journal: impl Into<PathBuf>) -> SearchHandle {
+        let journal = journal.into();
         SearchHandle {
-            settings,
-            journal: journal.into(),
-            started: false,
-            finished: false,
-            committed: 0,
-            spent: 0.0,
+            state: State::Pending(Box::new((settings.journal(&journal), None))),
+            journal,
         }
     }
 
@@ -86,28 +102,33 @@ impl SearchHandle {
         let journal = journal.into();
         let on_disk = Journal::read(&journal)?;
         Ok(SearchHandle {
-            settings,
+            state: State::Pending(Box::new((settings.resume_from(&journal), Some(on_disk)))),
             journal,
-            started: true,
-            finished: false,
-            committed: on_disk.trials.len(),
-            spent: on_disk.spent_budget(),
         })
     }
 
-    /// Committed trials on disk after the last slice.
+    /// Committed trials on disk: read from the live search, so it is
+    /// current even after a slice that failed.
     pub fn committed(&self) -> usize {
-        self.committed
+        match &self.state {
+            State::Pending(pending) => pending.1.as_ref().map_or(0, |j| j.trials.len()),
+            State::Parked(search) => search.committed(),
+            State::Closed { committed, .. } => *committed,
+        }
     }
 
-    /// Budget seconds spent after the last slice.
+    /// Budget seconds spent so far (current even after a failed slice).
     pub fn spent(&self) -> f64 {
-        self.spent
+        match &self.state {
+            State::Pending(pending) => pending.1.as_ref().map_or(0.0, Journal::spent_budget),
+            State::Parked(search) => search.spent(),
+            State::Closed { spent, .. } => *spent,
+        }
     }
 
     /// Whether a slice already returned [`SliceOutcome::Finished`].
     pub fn is_finished(&self) -> bool {
-        self.finished
+        matches!(self.state, State::Closed { finished: true, .. })
     }
 
     /// The journal path this handle drives.
@@ -121,75 +142,64 @@ impl SearchHandle {
     /// target trial cap or exhausted its time budget within the slice —
     /// the journal then holds the complete run and the final model has
     /// been refit. Otherwise returns [`SliceOutcome::Paused`]; the
-    /// journal holds every committed trial, so the handle (or a new
-    /// [`SearchHandle::attach`]ed one in a different process) can
-    /// continue.
+    /// journal holds every committed trial, so should this process die
+    /// a [`SearchHandle::attach`]ed handle in another can continue.
+    ///
+    /// `data` must be the dataset of every other slice: the same
+    /// storage, or failing that the same content.
     ///
     /// # Errors
     ///
-    /// Any [`AutoMlError`] from the underlying fit. `NoViableModel` is
-    /// special-cased: on a non-final slice it only means *no finite
-    /// loss yet*, so the slice reports `Paused` instead of failing.
+    /// [`AutoMlError::ResumeMismatch`] when `data` is some other
+    /// dataset; the search stays parked. Any other [`AutoMlError`]
+    /// comes from the search itself — a journal append that failed
+    /// surfaces as [`AutoMlError::Durability`] from the slice that saw
+    /// it — and closes the handle: the journal on disk is then the only
+    /// state left, and a new [`SearchHandle::attach`] resumes from it.
+    /// No finite loss yet is not an error until the search ends.
+    ///
+    /// # Panics
+    ///
+    /// If the handle is closed: a slice already returned `Finished` or
+    /// a search error.
     pub fn run_slice(
         &mut self,
         data: &Dataset,
         slice_trials: usize,
     ) -> Result<SliceOutcome, AutoMlError> {
-        let target = self.settings.max_trials;
-        let mut cap = self.committed + slice_trials.max(1);
-        if let Some(t) = target {
-            cap = cap.min(t);
-        }
-
-        let mut slice = self.settings.clone();
-        slice.max_trials = Some(cap);
-        slice.header_max_trials = Some(target);
-        slice.journal_path = Some(self.journal.clone());
-        slice.resume = self.started;
-        self.started = true;
-
-        match slice.fit(data) {
-            Ok(result) => {
-                let n = result.trials.len();
-                self.committed = n;
-                self.spent = result.trials.last().map_or(0.0, |t| t.total_time);
-                // Fewer trials than the cap allows means the budget ran
-                // out mid-slice; exactly the target cap means the run is
-                // done. Only a slice cut short by its own cap pauses.
-                let finished =
-                    n < cap || target == Some(n) || self.spent >= self.settings.time_budget;
-                if finished {
-                    self.finished = true;
-                    Ok(SliceOutcome::Finished(Box::new(result)))
-                } else {
-                    Ok(SliceOutcome::Paused {
-                        committed: self.committed,
-                        spent: self.spent,
-                    })
+        let closed = State::Closed {
+            committed: self.committed(),
+            spent: self.spent(),
+            finished: false,
+        };
+        let mut search = match std::mem::replace(&mut self.state, closed) {
+            State::Pending(pending) => Box::new(Search::open(pending.0, data, pending.1)?),
+            State::Parked(mut search) => {
+                if let Err(mismatch) = search.verify_data(data) {
+                    self.state = State::Parked(search);
+                    return Err(mismatch);
                 }
+                search.clock.unpark();
+                search
             }
-            Err(AutoMlError::NoViableModel) => {
-                // No finite loss in the journal yet. If this slice was
-                // cut short by its own cap the search is merely unlucky
-                // so far — pause and let a later slice keep looking.
-                let on_disk = Journal::read(&self.journal)?;
-                self.committed = on_disk.trials.len();
-                self.spent = on_disk.spent_budget();
-                let out_of_road = target == Some(self.committed)
-                    || self.spent >= self.settings.time_budget
-                    || self.committed < cap;
-                if out_of_road {
-                    self.finished = true;
-                    Err(AutoMlError::NoViableModel)
-                } else {
-                    Ok(SliceOutcome::Paused {
-                        committed: self.committed,
-                        spent: self.spent,
-                    })
-                }
-            }
-            Err(e) => Err(e),
+            State::Closed { .. } => panic!("run_slice on a closed SearchHandle"),
+        };
+        let stop = search.step(search.committed() + slice_trials.max(1));
+        let (committed, spent) = (search.committed(), search.spent());
+        let closed = |finished| State::Closed {
+            committed,
+            spent,
+            finished,
+        };
+        self.state = closed(false);
+        if let Stop::Slice = stop? {
+            search.clock.park();
+            self.state = State::Parked(search);
+            return Ok(SliceOutcome::Paused { committed, spent });
         }
+        let result = search.finish()?;
+        self.state = closed(true);
+        Ok(SliceOutcome::Finished(Box::new(result)))
     }
 
     /// Runs slices of `slice_trials` back to back until the search
@@ -198,7 +208,7 @@ impl SearchHandle {
     ///
     /// # Errors
     ///
-    /// Any [`AutoMlError`] from the underlying fit.
+    /// Any [`AutoMlError`] from the underlying search.
     pub fn run_to_end(
         &mut self,
         data: &Dataset,
