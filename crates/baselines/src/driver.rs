@@ -58,8 +58,6 @@ pub struct BaselineSettings {
     /// Minimum sample size for fidelity-based baselines (BOHB,
     /// Hyperband); `r_min = sample_size_min / n`.
     pub sample_size_min: usize,
-    /// Resampling rule (same thresholds as FLAML).
-    pub resample_rule: ResampleRule,
     /// Trial cap for deterministic tests.
     pub max_trials: Option<usize>,
     /// Wall or virtual budget accounting.
@@ -77,7 +75,6 @@ impl Default for BaselineSettings {
             estimators: LearnerKind::ALL.to_vec(),
             seed: 0,
             sample_size_min: 500,
-            resample_rule: ResampleRule::default(),
             max_trials: None,
             time_source: TimeSource::Wall,
             workers: 1,
@@ -120,7 +117,8 @@ pub fn run_baseline(
     let shuffled = data.shuffled(settings.seed);
     let n = shuffled.n_rows();
     let d = shuffled.n_features();
-    let strategy = settings.resample_rule.choose(n, d, settings.time_budget);
+    // The same rule and thresholds as FLAML.
+    let strategy = ResampleRule::default().choose(n, d, settings.time_budget);
     let joint = JointSpace::new(&settings.estimators, n);
     let r_min = (settings.sample_size_min.min(n) as f64 / n as f64).clamp(1e-6, 1.0);
 

@@ -42,13 +42,13 @@
 //! ```
 
 use flaml_bench::grid::default_groups;
-use flaml_bench::{Args, TelemetryCollector};
+use flaml_bench::Args;
 use flaml_core::{
     default_virtual_cost, run_trial_prepared, AutoMl, AutoMlResult, DataPlane, Estimator, ExecPool,
     LearnerKind, ResampleChoice, ResampleStrategy, TimeSource,
 };
 use flaml_data::Dataset;
-use flaml_exec::Telemetry;
+use flaml_exec::{event_channel, Telemetry};
 use flaml_metrics::Metric;
 use flaml_search::Config;
 use serde::Serialize;
@@ -116,7 +116,7 @@ struct RosterTrial {
 }
 
 fn search_once(data: &Dataset, spec: &BenchSpec, cache: bool) -> Option<(AutoMlResult, Telemetry)> {
-    let collector = TelemetryCollector::new();
+    let (sink, events) = event_channel();
     let automl = AutoMl::new()
         .time_budget(spec.budget)
         .time_source(TimeSource::Virtual(default_virtual_cost))
@@ -125,10 +125,10 @@ fn search_once(data: &Dataset, spec: &BenchSpec, cache: bool) -> Option<(AutoMlR
         .seed(spec.seed)
         .estimators(spec.estimators.clone())
         .sampling(spec.sampling)
-        .event_sink(collector.sink())
+        .event_sink(sink)
         .prepared_cache(cache);
     match automl.fit(data) {
-        Ok(r) => Some((r, collector.finish())),
+        Ok(r) => Some((r, Telemetry::new().drain(&events))),
         Err(e) => {
             eprintln!("[dataplane] {}: search failed: {e}", data.name());
             None

@@ -68,7 +68,7 @@ struct ServeRow {
     speedup: f64,
 }
 
-/// Per-slot serving latency summary, from [`flaml_core::ServeTelemetry`].
+/// Per-slot serving latency summary, from [`flaml_core::Telemetry::by_slot`].
 #[derive(Debug, Clone, Serialize)]
 struct SlotLatency {
     slot: String,
@@ -269,9 +269,9 @@ fn main() {
     .expect("hot-swap dataset");
     let hot_swap_consistent = hot_swap_check(&hot_swap_data, 12);
 
-    let telemetry = flaml_core::ServeTelemetry::new().drain(&rx);
+    let telemetry = flaml_core::Telemetry::new().drain(&rx);
     let slots: Vec<SlotLatency> = telemetry
-        .slots
+        .by_slot
         .iter()
         .map(|(slot, s)| SlotLatency {
             slot: slot.clone(),
@@ -296,7 +296,7 @@ fn main() {
     let report = ServeReport {
         workers: exec.concurrency,
         batch_rows: exec.batch,
-        total_rows_served: telemetry.total_rows(),
+        total_rows_served: telemetry.serve_rows,
         hot_swap_consistent,
         speedup: geomean,
         min_speedup,

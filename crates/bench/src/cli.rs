@@ -272,9 +272,9 @@ impl ExecArgs {
             .map(|d| d.join(format!("{stem}.jsonl")))
     }
 
-    /// A [`RunConfig`] carrying these shared knobs. The journal path is
-    /// per-run, so callers set `journal` themselves (usually via
-    /// [`ExecArgs::journal_file`] + [`journal_stem`]).
+    /// A [`crate::run::RunConfig`] carrying these shared knobs. The
+    /// journal path is per-run, so callers set `journal` themselves
+    /// (usually via [`ExecArgs::journal_file`] + [`journal_stem`]).
     pub fn run_config(&self, budget_secs: f64, sample_init: usize) -> crate::run::RunConfig {
         crate::run::RunConfig {
             budget_secs,

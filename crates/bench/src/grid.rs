@@ -8,12 +8,11 @@
 //! back in submission order, so the results vector is identical at any
 //! job count (stderr progress lines may interleave).
 
-use crate::report::TelemetryCollector;
 use crate::run::{evaluate_scaled, holdout_split, Method, RunConfig};
 use flaml_baselines::calibration_anchors;
 use flaml_core::{ExecPool, TimeSource};
 use flaml_data::Dataset;
-use flaml_exec::Job;
+use flaml_exec::{event_channel, Job, Telemetry};
 use flaml_metrics::{Metric, ScaleAnchors};
 use serde::{Deserialize, Serialize};
 
@@ -192,7 +191,7 @@ pub fn run_grid(groups: &[(&str, Vec<Dataset>)], spec: &GridSpec) -> Vec<GridRes
                 let prep = prepared_ref[i]
                     .as_ref()
                     .expect("only prepared cells queued");
-                let collector = TelemetryCollector::new();
+                let (sink, events) = event_channel();
                 let journal = spec.journal_dir.as_ref().map(|dir| {
                     dir.join(format!(
                         "{}.jsonl",
@@ -208,7 +207,7 @@ pub fn run_grid(groups: &[(&str, Vec<Dataset>)], spec: &GridSpec) -> Vec<GridRes
                         time_source: spec.time_source,
                         max_trials: spec.max_trials,
                         workers: 1,
-                        event_sink: Some(collector.sink()),
+                        event_sink: Some(sink),
                         fault_plan: spec.chaos,
                         journal,
                         resume: spec.resume,
@@ -222,7 +221,7 @@ pub fn run_grid(groups: &[(&str, Vec<Dataset>)], spec: &GridSpec) -> Vec<GridRes
                         return None;
                     }
                 };
-                let telemetry = collector.finish();
+                let telemetry = Telemetry::new().drain(&events);
                 let (raw, scaled) = match evaluate_scaled(
                     &result,
                     &prep.train,

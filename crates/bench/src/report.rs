@@ -1,51 +1,8 @@
 //! Plain-text report formatting: aligned tables, box-plot summaries and
-//! the win-percentage computation of the paper's Table 9 — plus the
-//! reporting layer's subscription to the `flaml-exec` trial-event
-//! channel, which turns a run's event stream into timeout/panic counts
-//! for the emitted results JSON.
+//! the win-percentage computation of the paper's Table 9.
 
-use flaml_core::{event_channel, EventSink, Telemetry, TrialEvent};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
-use std::sync::mpsc::Receiver;
-
-/// Subscribes the reporting layer to one run's trial-event channel.
-///
-/// Hand [`TelemetryCollector::sink`] to the run (e.g. via
-/// [`crate::RunConfig::event_sink`]); after the run returns, call
-/// [`TelemetryCollector::finish`] to fold every buffered event into a
-/// [`Telemetry`] aggregate.
-#[derive(Debug)]
-pub struct TelemetryCollector {
-    sink: EventSink,
-    rx: Receiver<TrialEvent>,
-}
-
-impl TelemetryCollector {
-    /// Opens a fresh trial-event channel.
-    pub fn new() -> TelemetryCollector {
-        let (sink, rx) = event_channel();
-        TelemetryCollector { sink, rx }
-    }
-
-    /// A clone of the sending end, to be handed to the run.
-    pub fn sink(&self) -> EventSink {
-        self.sink.clone()
-    }
-
-    /// Drains all buffered events into an aggregate. The run must have
-    /// returned already: events still in flight after this call are lost.
-    pub fn finish(self) -> Telemetry {
-        drop(self.sink);
-        Telemetry::new().drain(&self.rx)
-    }
-}
-
-impl Default for TelemetryCollector {
-    fn default() -> Self {
-        TelemetryCollector::new()
-    }
-}
 
 /// Publishes `value` as pretty-printed JSON at `path`, creating parent
 /// directories as needed. The write is atomic, so a crashed run never
@@ -238,23 +195,25 @@ mod tests {
 
     #[test]
     fn telemetry_collector_counts_a_flaml_run() {
-        use flaml_core::{default_virtual_cost, AutoMl, LearnerKind, TimeSource};
+        use flaml_core::{
+            default_virtual_cost, event_channel, AutoMl, LearnerKind, Telemetry, TimeSource,
+        };
         use flaml_data::{Dataset, Task};
 
         let x: Vec<f64> = (0..300).map(|i| (i % 91) as f64 / 91.0).collect();
         let y: Vec<f64> = x.iter().map(|v| f64::from(*v > 0.5)).collect();
         let data = Dataset::new("t", Task::Binary, vec![x], y).unwrap();
-        let collector = TelemetryCollector::new();
+        let (sink, events) = event_channel();
         let result = AutoMl::new()
             .time_budget(0.5)
             .estimators([LearnerKind::LightGbm, LearnerKind::Lr])
             .time_source(TimeSource::Virtual(default_virtual_cost))
             .max_trials(6)
             .sample_size_init(100)
-            .event_sink(collector.sink())
+            .event_sink(sink)
             .fit(&data)
             .unwrap();
-        let telemetry = collector.finish();
+        let telemetry = Telemetry::new().drain(&events);
         assert_eq!(telemetry.started, result.trials.len());
         assert_eq!(telemetry.total_terminal(), result.trials.len());
         assert!(telemetry.by_learner.values().all(|c| c.panicked == 0));

@@ -31,7 +31,7 @@
 use crate::clock::TimeSource;
 use crate::controller::{sanitize, Search};
 use crate::custom::{CustomLearner, Estimator};
-use crate::resample::{ResampleRule, ResampleStrategy, TrialStatus};
+use crate::resample::{ResampleStrategy, TrialStatus};
 use crate::spaces::LearnerKind;
 use flaml_data::Dataset;
 use flaml_exec::FaultPlan;
@@ -412,7 +412,6 @@ pub struct AutoMl {
     pub(crate) sampling: bool,
     pub(crate) learner_selection: LearnerSelection,
     pub(crate) resample_choice: ResampleChoice,
-    pub(crate) resample_rule: ResampleRule,
     pub(crate) max_trials: Option<usize>,
     pub(crate) time_source: TimeSource,
     pub(crate) sample_growth: f64,
@@ -451,7 +450,6 @@ impl Default for AutoMl {
             sampling: true,
             learner_selection: LearnerSelection::Eci,
             resample_choice: ResampleChoice::Auto,
-            resample_rule: ResampleRule::default(),
             max_trials: None,
             time_source: TimeSource::Wall,
             sample_growth: 2.0,
@@ -528,12 +526,6 @@ impl AutoMl {
     /// Overrides the resampling-strategy choice.
     pub fn resample(mut self, choice: ResampleChoice) -> AutoMl {
         self.resample_choice = choice;
-        self
-    }
-
-    /// Overrides the thresholds of the automatic resampling rule.
-    pub fn resample_rule(mut self, rule: ResampleRule) -> AutoMl {
-        self.resample_rule = rule;
         self
     }
 

@@ -46,15 +46,16 @@ use crate::custom::Estimator;
 use crate::dataplane::{DataPlane, PrepStats, TrialData};
 use crate::eci::{sample_by_inverse_eci, EciState};
 use crate::ensemble::{build_stacked, MemberSpec};
-use crate::resample::{run_trial_prepared, ResampleStrategy, TrialOutcome, TrialStatus};
+use crate::resample::{
+    run_trial_prepared, ResampleRule, ResampleStrategy, TrialOutcome, TrialStatus,
+};
 use crate::treecache::{TreeCache, TreeCacheStats, TreeKey, TrialBoost};
 use flaml_data::{Dataset, DatasetView, Task};
 use flaml_exec::{
     EventSink, ExecPool, Job, JobResult, JobStatus, TrialEvent, TrialEventKind, TrialMeta,
 };
 use flaml_journal::{
-    DatasetInfo, Journal, JournalHeader, JournalWriter, SharedJournalWriter, TrialLine,
-    SCHEMA_VERSION,
+    DatasetInfo, Journal, JournalHeader, JournalWriter, TrialLine, SCHEMA_VERSION,
 };
 use flaml_learners::FittedModel;
 use flaml_metrics::Metric;
@@ -288,12 +289,10 @@ pub(crate) struct Search {
     metric: Metric,
     /// Parked by the owner while the search waits between steps.
     pub(crate) clock: BudgetClock,
-    /// The user's sink fanned together with the journal writer's.
-    sink: Option<EventSink>,
-    /// Kept beside its sink so a persistence failure (ENOSPC, failed
-    /// fsync) surfaces as a typed error from the commit that hit it
-    /// instead of being silently swallowed by the sink.
-    journal: Option<SharedJournalWriter>,
+    /// Written by [`Search::commit`] itself, never through the event
+    /// sink: a persistence failure (ENOSPC, failed fsync) must fail the
+    /// commit that hit it, and telemetry cannot fail anything.
+    journal: Option<JournalWriter>,
     /// Journaled trials not yet replayed.
     replay: VecDeque<TrialLine>,
     states: Vec<LearnerState>,
@@ -344,17 +343,14 @@ impl Search {
         let dataset = dataset_info(&clean);
         let n = dataset.rows;
 
+        let rule = ResampleRule::default();
         let strategy = match settings.resample_choice {
-            ResampleChoice::Auto => {
-                settings
-                    .resample_rule
-                    .choose(n, dataset.features, settings.time_budget)
-            }
+            ResampleChoice::Auto => rule.choose(n, dataset.features, settings.time_budget),
             ResampleChoice::AlwaysCv => ResampleStrategy::Cv {
-                folds: settings.resample_rule.cv_folds,
+                folds: rule.cv_folds,
             },
             ResampleChoice::AlwaysHoldout => ResampleStrategy::Holdout {
-                ratio: settings.resample_rule.holdout_ratio,
+                ratio: rule.holdout_ratio,
             },
         };
         let init_s = if settings.sampling {
@@ -367,10 +363,8 @@ impl Search {
         // its header; on resume, read the old log back (verifying its
         // header against this run), queue its committed trials for replay,
         // and reopen it for appending (truncating any torn tail first).
-        // The writer becomes an extra event sink fanned together with the
-        // user's.
         let mut replay: VecDeque<TrialLine> = VecDeque::new();
-        let mut journal: Option<SharedJournalWriter> = None;
+        let mut journal: Option<JournalWriter> = None;
         if let Some(path) = &settings.journal_path {
             let storage = settings.storage.clone().unwrap_or_else(flaml_store::disk);
             let header = JournalHeader {
@@ -398,12 +392,8 @@ impl Search {
             } else {
                 JournalWriter::create_with(storage.as_ref(), path, &header)
             };
-            journal = Some(writer.map_err(AutoMlError::Durability)?.into_shared());
+            journal = Some(writer.map_err(AutoMlError::Durability)?);
         }
-        let sink = match (settings.event_sink.clone(), &journal) {
-            (Some(user), Some(journal)) => Some(EventSink::fanout(vec![user, journal.sink()])),
-            (user, journal) => user.or(journal.as_ref().map(|j| j.sink())),
-        };
 
         let mut states: Vec<LearnerState> = roster
             .into_iter()
@@ -464,7 +454,6 @@ impl Search {
             strategy,
             metric,
             clock,
-            sink,
             journal,
             states,
             fastest,
@@ -531,17 +520,20 @@ impl Search {
         let seed = p
             .seed
             .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(attempt as u64));
+        // The job borrows what it reads, not the whole search: the journal
+        // writer is the controller thread's alone.
+        let (strategy, metric, fold_pool) = (self.strategy, self.metric, &self.fold_pool);
         let job = Job::new(move |_ctx| {
             run_trial_prepared(
                 td,
                 &st.kind,
                 &p.config,
                 &st.space,
-                self.strategy,
-                self.metric,
+                strategy,
+                metric,
                 seed,
                 deadline,
-                &self.fold_pool,
+                fold_pool,
                 p.boost.as_ref(),
             )
         })
@@ -792,8 +784,9 @@ impl Search {
             // Step 3: run the batch and observe errors and costs.
             let results: Vec<Option<JobResult<TrialOutcome>>> = if live {
                 let deadline = self.deadline();
+                let sink = self.settings.event_sink.as_ref();
                 for p in &proposals {
-                    emit(self.sink.as_ref(), TrialEventKind::Started, p, |_| ());
+                    emit(sink, TrialEventKind::Started, p, |_| ());
                 }
                 let jobs = proposals
                     .iter()
@@ -820,7 +813,8 @@ impl Search {
                 if !discarding {
                     self.commit(p, result, &mut tree_cache)?;
                 } else if let Some(result) = result {
-                    emit(self.sink.as_ref(), TrialEventKind::Finished, p, |ev| {
+                    let sink = self.settings.event_sink.as_ref();
+                    emit(sink, TrialEventKind::Finished, p, |ev| {
                         ev.wall_secs = Some(result.wall_secs);
                         ev.message =
                             Some("speculative trial discarded: budget exhausted".to_string());
@@ -833,9 +827,11 @@ impl Search {
         }
     }
 
-    /// Commits one trial: settles its attempts (live) or takes the
-    /// journaled record (replay, `result` is `None`), feeds the proposers,
-    /// and records the trial — durably, when journaling.
+    /// Commits one trial. Its journal line is obtained exactly once —
+    /// built from the settled attempts (live) or popped from the replay
+    /// queue (`result` is `None`) — and everything after reads that line:
+    /// the proposers' feedback, the append (live only), the events that
+    /// describe the commit, and the trial record, in that order.
     fn commit(
         &mut self,
         p: &Proposal,
@@ -844,15 +840,17 @@ impl Search {
     ) -> Result<(), AutoMlError> {
         let n = self.dataset.rows;
         // No events during replay: the journaled records already describe
-        // these trials, and the journal sink must not write them a second
-        // time.
-        let sink = self.sink.clone().filter(|_| result.is_some());
+        // these trials.
+        let sink = self
+            .settings
+            .event_sink
+            .clone()
+            .filter(|_| result.is_some());
         let sink = sink.as_ref();
 
-        let mut attempt_costs: Vec<f64> = Vec::new();
-        let (mut outcome, cost, measured, attempts) = if let Some(result) = result {
+        let (line, mut ran) = if let Some(result) = result {
             let (mut outcome, mut cost, mut measured) = self.settle(result, p, 0);
-            attempt_costs.push(cost);
+            let mut attempt_costs = vec![cost];
             // Transient failures (panics, non-finite losses) get retried
             // on the trial's own budget: every attempt is charged like a
             // fresh evaluation, the fault plan re-rolls per attempt, and
@@ -881,13 +879,43 @@ impl Search {
                 measured += m;
                 outcome = o;
             }
-            (outcome, cost, measured, attempt as usize)
+            let improved = outcome.error.is_finite() && outcome.error < self.global_best();
+            let line = TrialLine {
+                iter: p.trial_no,
+                learner: p.learner.clone(),
+                config: p.rendered.clone(),
+                config_values: p.config.values().to_vec(),
+                sample_size: p.trial_s,
+                loss: outcome.error,
+                status: outcome.status.to_string(),
+                mode: p.mode.name().to_string(),
+                attempts: attempt as usize,
+                attempt_costs,
+                cost,
+                total_time: self.clock.elapsed(),
+                wall_secs: measured,
+                prepared_hits: p.prep.prepared_hits,
+                prepared_misses: p.prep.prepared_misses,
+                prepared_evictions: p.prep.prepared_evictions,
+                bytes_copied_saved: p.prep.bytes_copied_saved,
+                tree_cache_hits: p.tree_prep.tree_cache_hits,
+                tree_cache_misses: p.tree_prep.tree_cache_misses,
+                trees_saved: p.tree_prep.trees_saved,
+                seed: p.seed,
+                improved,
+                best_loss: if improved {
+                    outcome.error
+                } else {
+                    self.global_best()
+                },
+            };
+            (line, Some(outcome))
         } else {
-            // Replay: the journaled record substitutes for execution.
-            // The budget clock re-applies the recorded per-attempt
-            // charges in order (reproducing the live run's float
-            // accumulation bit-for-bit), and the recorded loss feeds
-            // the proposers exactly as the live outcome did.
+            // Replay: the journaled line substitutes for execution. The
+            // budget clock re-applies the recorded per-attempt charges in
+            // order (reproducing the live run's float accumulation
+            // bit-for-bit), and the recorded loss feeds the proposers
+            // exactly as the live outcome did.
             let line = self
                 .replay
                 .pop_front()
@@ -896,26 +924,17 @@ impl Search {
             for &c in &line.attempt_costs {
                 self.clock.advance(c);
             }
-            let outcome = TrialOutcome {
-                error: line.loss,
-                model: None,
-                n_fits: self.strategy.fits_per_trial(),
-                cost_factor: p.cost_factor,
-                status: TrialStatus::parse(&line.status).unwrap_or(TrialStatus::Ok),
-                message: None,
-                fold_states: Vec::new(),
-            };
-            attempt_costs = line.attempt_costs;
-            (outcome, line.cost, line.wall_secs, line.attempts)
+            (line, None)
         };
-        self.n_retries += attempts;
+        let status = TrialStatus::parse(&line.status).unwrap_or(TrialStatus::Ok);
+        self.n_retries += line.attempts;
 
         // Tree-cache store-back, in submission (= commit) order: each
         // fold's grown prefix replaces a shorter cached one. A
         // deadline-truncated continuation still lands here — its
         // completed prefix is valid and worth keeping. Replayed and
-        // ineligible trials carry no states and store nothing.
-        if let Some(tb) = &p.boost {
+        // ineligible trials carry no plan and store nothing.
+        if let (Some(tb), Some(outcome)) = (&p.boost, &ran) {
             for (key, state) in tb.keys.iter().zip(&outcome.fold_states) {
                 if let Some(state) = state {
                     tree_cache.store(key.clone(), state.clone());
@@ -928,20 +947,20 @@ impl Search {
         let st = &mut self.states[p.li];
         match p.mode {
             TrialMode::Search => {
-                st.flow2.tell(outcome.error);
-                st.eci.on_trial(cost, outcome.error);
+                st.flow2.tell(line.loss);
+                st.eci.on_trial(line.cost, line.loss);
             }
             TrialMode::SampleUp => {
                 st.sample_size = p.trial_s;
-                st.flow2.set_best_err(outcome.error);
-                let improved = st.eci.on_trial(cost, outcome.error);
-                if !improved && outcome.error.is_finite() {
+                st.flow2.set_best_err(line.loss);
+                let improved = st.eci.on_trial(line.cost, line.loss);
+                if !improved && line.loss.is_finite() {
                     // Errors are only comparable at the same sample
                     // size: rebase the learner's incumbent error. A
                     // failed (infinite) trial must not poison it, or
                     // the learner would never be selected again
                     // (Property 3, FairChance).
-                    st.eci.rebase_err(outcome.error);
+                    st.eci.rebase_err(line.loss);
                 }
                 if st.sample_size >= n {
                     st.flow2.set_adaptation(true);
@@ -961,18 +980,18 @@ impl Search {
         if p.trial_no == 1 {
             for (i, st) in self.states.iter_mut().enumerate() {
                 if i != p.li {
-                    st.eci.set_untried_estimate(cost * st.kind.cost_constant());
+                    st.eci
+                        .set_untried_estimate(line.cost * st.kind.cost_constant());
                 }
             }
         }
 
-        let improved_global = outcome.error.is_finite() && outcome.error < self.global_best();
-        if improved_global {
+        if line.improved {
             self.best = Some(Best {
                 li: p.li,
                 config: p.config.clone(),
-                error: outcome.error,
-                model: outcome.model.take(),
+                error: line.loss,
+                model: ran.as_mut().and_then(|outcome| outcome.model.take()),
             });
         }
 
@@ -980,18 +999,19 @@ impl Search {
         // quarantine a learner (the ECI proposer skips it until its
         // next probe); any usable value lifts the quarantine. The
         // bookkeeping runs in every mode so traces stay deterministic,
-        // but only ECI selection consults it.
+        // but only ECI selection consults it. The event waits for the
+        // append, like every event about this commit.
         let st = &mut self.states[p.li];
         let next_probe = p.trial_no + self.settings.quarantine_probe_every;
-        if outcome.error.is_finite() {
+        let mut quarantine_event = None;
+        if line.loss.is_finite() {
             st.consecutive_failures = 0;
             if st.quarantined {
                 st.quarantined = false;
-                emit(sink, TrialEventKind::Unquarantined, p, |ev| {
-                    // Quarantine events are about the learner, not a config.
-                    ev.config.clear();
-                    ev.message = Some("probe trial succeeded; quarantine lifted".to_string());
-                });
+                quarantine_event = Some((
+                    TrialEventKind::Unquarantined,
+                    "probe trial succeeded; quarantine lifted".to_string(),
+                ));
             }
         } else {
             st.consecutive_failures += 1;
@@ -1004,66 +1024,77 @@ impl Search {
                 st.quarantined = true;
                 st.probe_at = next_probe;
                 self.n_quarantined += 1;
-                emit(sink, TrialEventKind::Quarantined, p, |ev| {
-                    ev.config.clear();
-                    ev.message = Some(format!(
+                quarantine_event = Some((
+                    TrialEventKind::Quarantined,
+                    format!(
                         "quarantined after {} consecutive failures; probe at trial {}",
                         st.consecutive_failures, st.probe_at
-                    ));
-                });
+                    ),
+                ));
             }
         }
 
-        let best_error = self.global_best();
-        let total_time = self.clock.elapsed();
+        // A persistence failure invalidates the run even though the
+        // search itself is healthy: the caller believes every committed
+        // trial is on disk, and here that stopped being true. The writer
+        // already truncated the journal back to its last committed
+        // record, which is exactly what `trials` still holds and what
+        // the sink has been told.
+        if let (Some(journal), true) = (&mut self.journal, ran.is_some()) {
+            journal.append(&line);
+            if let Some(e) = journal.take_error() {
+                return Err(AutoMlError::Durability(e));
+            }
+        }
+
+        if let Some((kind, message)) = quarantine_event {
+            emit(sink, kind, p, |ev| {
+                // Quarantine events are about the learner, not a config.
+                ev.config.clear();
+                ev.message = Some(message);
+            });
+        }
         emit(
             sink,
-            match outcome.status {
+            match status {
                 TrialStatus::Panicked => TrialEventKind::Panicked,
                 TrialStatus::TimedOut => TrialEventKind::TimedOut,
                 _ => TrialEventKind::Finished,
             },
             p,
             |ev| {
-                ev.error = Some(outcome.error);
-                ev.cost = Some(cost);
-                ev.wall_secs = Some(measured);
-                ev.message = outcome.message.clone();
-                ev.prepared_hits = p.prep.prepared_hits;
-                ev.prepared_misses = p.prep.prepared_misses;
-                ev.prepared_evictions = p.prep.prepared_evictions;
-                ev.bytes_copied_saved = p.prep.bytes_copied_saved;
-                ev.tree_cache_hits = p.tree_prep.tree_cache_hits;
-                ev.tree_cache_misses = p.tree_prep.tree_cache_misses;
-                ev.trees_saved = p.tree_prep.trees_saved;
+                ev.error = Some(line.loss);
+                ev.cost = Some(line.cost);
+                ev.wall_secs = Some(line.wall_secs);
+                ev.message = ran.and_then(|outcome| outcome.message);
+                ev.prepared_hits = line.prepared_hits;
+                ev.prepared_misses = line.prepared_misses;
+                ev.prepared_evictions = line.prepared_evictions;
+                ev.bytes_copied_saved = line.bytes_copied_saved;
+                ev.tree_cache_hits = line.tree_cache_hits;
+                ev.tree_cache_misses = line.tree_cache_misses;
+                ev.trees_saved = line.trees_saved;
                 ev.meta = Some(TrialMeta {
-                    mode: p.mode.name().to_string(),
-                    status: outcome.status.to_string(),
-                    attempts,
-                    attempt_costs,
-                    total_time,
-                    seed: p.seed,
-                    config_values: p.config.values().to_vec(),
-                    improved: improved_global,
-                    best_error,
+                    mode: line.mode.clone(),
+                    status: line.status.clone(),
+                    attempts: line.attempts,
+                    attempt_costs: line.attempt_costs.clone(),
+                    total_time: line.total_time,
+                    seed: line.seed,
+                    config_values: line.config_values.clone(),
+                    improved: line.improved,
+                    best_error: line.best_loss,
                 });
             },
         );
-        // A persistence failure invalidates the run even though the
-        // search itself is healthy: the caller believes every committed
-        // trial is on disk, and here that stopped being true. The writer
-        // already truncated the journal back to its last committed
-        // record, which is exactly what `trials` still holds.
-        if let Some(e) = self.journal.as_ref().and_then(|j| j.take_error()) {
-            return Err(AutoMlError::Durability(e));
-        }
+
         let eci_snapshot = if self.settings.learner_selection == LearnerSelection::Eci {
             self.states
                 .iter()
                 .map(|s| {
                     (
                         s.kind.name(),
-                        s.eci.eci(best_error, self.settings.sample_growth),
+                        s.eci.eci(line.best_loss, self.settings.sample_growth),
                     )
                 })
                 .collect()
@@ -1071,22 +1102,22 @@ impl Search {
             Vec::new()
         };
         self.trials.push(TrialRecord {
-            iter: p.trial_no,
-            learner: p.learner.clone(),
-            config: p.rendered.clone(),
-            config_values: p.config.values().to_vec(),
-            sample_size: p.trial_s,
-            error: outcome.error,
-            cost,
-            total_time,
+            iter: line.iter,
+            learner: line.learner,
+            config: line.config,
+            config_values: line.config_values,
+            sample_size: line.sample_size,
+            error: line.loss,
+            cost: line.cost,
+            total_time: line.total_time,
             mode: p.mode,
-            improved_global,
-            best_error_so_far: best_error,
+            improved_global: line.improved,
+            best_error_so_far: line.best_loss,
             eci_snapshot,
-            timed_out: outcome.timed_out(),
-            panicked: outcome.panicked(),
-            status: outcome.status,
-            n_retries: attempts,
+            timed_out: status == TrialStatus::TimedOut,
+            panicked: status == TrialStatus::Panicked,
+            status,
+            n_retries: line.attempts,
         });
         Ok(())
     }

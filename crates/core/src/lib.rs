@@ -74,8 +74,8 @@ pub use treecache::{TreeCache, TreeCacheStats, TreeKey, TrialBoost};
 // Re-export the execution runtime so downstream crates can size pools and
 // subscribe to trial telemetry without depending on flaml-exec directly.
 pub use flaml_exec::{
-    event_channel, EventSink, ExecPool, FaultPlan, InjectedFault, Telemetry, TenantUsage,
-    TrialEvent, TrialEventKind,
+    event_channel, EventSink, ExecPool, FaultPlan, InjectedFault, SlotStats, Telemetry,
+    TenantUsage, TrialEvent, TrialEventKind,
 };
 
 // Re-export the journal so resume/warm-start workflows (read a log, seed
@@ -95,7 +95,7 @@ pub use flaml_store::{
 // compile the winner, publish it to a registry, batch-predict on the pool.
 pub use flaml_serve::{
     ArtifactError, BatchEngine, CompiledModel, ModelRegistry, PromoteReason, Published,
-    ServeTelemetry, SlotStats, VersionedModel,
+    VersionedModel,
 };
 
 // Re-export the binary artifact layer alongside: same "fit, then

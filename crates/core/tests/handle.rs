@@ -208,12 +208,22 @@ fn a_failed_journal_append_fails_the_slice_that_saw_it() {
     assert!(handle.spent() > spent_4);
     assert!(!handle.is_finished());
     assert_eq!(Journal::read(&path).unwrap().trials.len(), 5);
-    // And the search stopped at the trial it could not persist.
-    let started = events
-        .try_iter()
-        .filter(|ev| ev.kind == TrialEventKind::Started)
-        .count();
-    assert_eq!(started, 6);
+    // And the search stopped at the trial it could not persist: it was
+    // started, but no event claims the commit that did not happen.
+    let events: Vec<_> = events.try_iter().collect();
+    let kinds_of = |trial| -> Vec<TrialEventKind> {
+        let about = events.iter().filter(|ev| ev.job_id == trial);
+        about.map(|ev| ev.kind).collect()
+    };
+    for trial in 1..=5 {
+        assert_eq!(
+            kinds_of(trial),
+            [TrialEventKind::Started, TrialEventKind::Finished]
+        );
+    }
+    assert_eq!(kinds_of(6), [TrialEventKind::Started]);
+    let committed = events.iter().filter(|ev| ev.meta.is_some()).count();
+    assert_eq!(committed, handle.committed());
     let _ = std::fs::remove_file(&path);
 }
 

@@ -2,20 +2,21 @@
 //! and an aggregator that turns an event stream into counts.
 //!
 //! Events flow into an [`EventSink`], which is cheap to clone and safe to
-//! share across pool workers. A sink is one of three shapes:
+//! share across pool workers. A sink is one of two shapes:
 //!
 //! - a **channel** sink ([`event_channel`]) buffering events on a standard
 //!   mpsc channel for later draining (sends to a dropped receiver are
-//!   silently discarded so telemetry can never fail a run);
+//!   silently discarded);
 //! - a **callback** sink ([`EventSink::callback`]) invoking a closure
-//!   synchronously on the emitting thread — the shape durable consumers
-//!   like a journal writer need, because the callback runs *before* the
-//!   run proceeds past the commit point;
-//! - a **fan-out** sink ([`EventSink::fanout`]) broadcasting every event
-//!   to a list of downstream sinks, so one run can feed live telemetry
-//!   and a durable journal at once.
+//!   synchronously on the emitting thread — what a live aggregate (a
+//!   server's [`Telemetry`] behind a mutex) wants.
+//!
+//! Sinks are telemetry and nothing else: emitting cannot fail, so nothing
+//! that must be able to fail a run — the trial journal above all — is
+//! ever a sink. A committed trial is appended to its journal by the
+//! controller itself, *before* the events that describe the commit.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::mpsc;
 use std::sync::Arc;
 
@@ -100,10 +101,9 @@ impl TrialEventKind {
 
 /// Extended per-trial metadata attached to *committed* terminal events.
 ///
-/// Live displays only need the event's headline fields; durable consumers
-/// (the `flaml-journal` writer) need everything required to later replay
-/// the trial through the controller bit-for-bit. The emitting controller
-/// fills this on the one terminal event per committed trial.
+/// Live displays only need the event's headline fields; this is the rest
+/// of the trial's journal line. The emitting controller fills it on the
+/// one terminal event per committed trial, after the line is durable.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TrialMeta {
     /// Trial mode: `"search"` or `"sample-up"`.
@@ -209,7 +209,6 @@ impl TrialEvent {
 enum SinkInner {
     Channel(mpsc::Sender<TrialEvent>),
     Callback(Arc<dyn Fn(&TrialEvent) + Send + Sync>),
-    Fanout(Arc<[EventSink]>),
 }
 
 impl Clone for SinkInner {
@@ -217,13 +216,12 @@ impl Clone for SinkInner {
         match self {
             SinkInner::Channel(tx) => SinkInner::Channel(tx.clone()),
             SinkInner::Callback(f) => SinkInner::Callback(f.clone()),
-            SinkInner::Fanout(sinks) => SinkInner::Fanout(sinks.clone()),
         }
     }
 }
 
 /// The consuming end a run emits trial events into (see the module docs
-/// for the three sink shapes).
+/// for the two sink shapes).
 #[derive(Clone)]
 pub struct EventSink {
     inner: SinkInner,
@@ -234,25 +232,17 @@ impl std::fmt::Debug for EventSink {
         match &self.inner {
             SinkInner::Channel(_) => f.write_str("EventSink::Channel"),
             SinkInner::Callback(_) => f.write_str("EventSink::Callback"),
-            SinkInner::Fanout(sinks) => write!(f, "EventSink::Fanout({})", sinks.len()),
         }
     }
 }
 
 impl EventSink {
     /// A sink that invokes `f` synchronously on the emitting thread for
-    /// every event. The callback must not panic; it runs inside the run's
-    /// commit path.
+    /// every event. The callback must not panic; it runs on the run's
+    /// own threads.
     pub fn callback(f: impl Fn(&TrialEvent) + Send + Sync + 'static) -> EventSink {
         EventSink {
             inner: SinkInner::Callback(Arc::new(f)),
-        }
-    }
-
-    /// A sink that broadcasts every event to all of `sinks`, in order.
-    pub fn fanout(sinks: impl Into<Vec<EventSink>>) -> EventSink {
-        EventSink {
-            inner: SinkInner::Fanout(sinks.into().into()),
         }
     }
 
@@ -265,15 +255,6 @@ impl EventSink {
                 let _ = tx.send(event);
             }
             SinkInner::Callback(f) => f(&event),
-            SinkInner::Fanout(sinks) => match sinks.split_last() {
-                None => {}
-                Some((last, rest)) => {
-                    for sink in rest {
-                        sink.emit(event.clone());
-                    }
-                    last.emit(event);
-                }
-            },
         }
     }
 }
@@ -323,7 +304,89 @@ pub struct TenantUsage {
     pub rejected: usize,
 }
 
-/// Aggregated counts over a trial-event stream.
+/// Batch latencies a [`SlotStats`] keeps for its percentiles: the most
+/// recent ones, so a long-lived server's memory per slot is bounded.
+const LATENCY_WINDOW: usize = 4096;
+
+/// Serving statistics of one registry slot, folded from its
+/// `ServeBatch` events.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SlotStats {
+    /// Completed batches (chunks).
+    pub batches: usize,
+    /// Rows served.
+    pub rows: usize,
+    /// Total batch wall seconds (sum over batches).
+    pub total_secs: f64,
+    occupancy_sum: f64,
+    /// The last [`LATENCY_WINDOW`] batch latencies, oldest first.
+    latencies: VecDeque<f64>,
+}
+
+impl SlotStats {
+    fn record(&mut self, event: &TrialEvent) {
+        self.batches += 1;
+        self.rows += event.sample_size;
+        let wall = event.wall_secs.unwrap_or(0.0);
+        self.total_secs += wall;
+        self.occupancy_sum += event.cost.unwrap_or(0.0);
+        if self.latencies.len() == LATENCY_WINDOW {
+            self.latencies.pop_front();
+        }
+        self.latencies.push_back(wall);
+    }
+
+    /// The `q`-th latency percentile in seconds: nearest-rank over the
+    /// most recent batch latencies (0 with no batches).
+    fn latency_percentile(&self, q: f64) -> f64 {
+        let mut window: Vec<f64> = self.latencies.iter().copied().collect();
+        let n = window.len();
+        if n == 0 {
+            return 0.0;
+        }
+        let rank = ((q / 100.0) * n as f64).ceil() as usize;
+        *window
+            .select_nth_unstable_by(rank.clamp(1, n) - 1, f64::total_cmp)
+            .1
+    }
+
+    /// Median batch latency in seconds.
+    pub fn p50(&self) -> f64 {
+        self.latency_percentile(50.0)
+    }
+
+    /// 95th-percentile batch latency in seconds.
+    pub fn p95(&self) -> f64 {
+        self.latency_percentile(95.0)
+    }
+
+    /// 99th-percentile batch latency in seconds.
+    pub fn p99(&self) -> f64 {
+        self.latency_percentile(99.0)
+    }
+
+    /// Rows per second over every batch recorded (0 with no wall time).
+    pub fn throughput(&self) -> f64 {
+        if self.total_secs > 0.0 {
+            self.rows as f64 / self.total_secs
+        } else {
+            0.0
+        }
+    }
+
+    /// Mean batch occupancy: rows per batch over the configured batch
+    /// capacity, averaged across batches (1.0 = every batch full).
+    pub fn mean_occupancy(&self) -> f64 {
+        if self.batches > 0 {
+            self.occupancy_sum / self.batches as f64
+        } else {
+            0.0
+        }
+    }
+}
+
+/// The one fold of a trial-event stream: search, serving, tenancy and
+/// storage counts, as the server's `/stats` and the benches read them.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Telemetry {
     /// `Started` events seen.
@@ -348,6 +411,10 @@ pub struct Telemetry {
     pub serve_rows: usize,
     /// `ServePromoted` events seen (registry slot promotions).
     pub serve_promoted: usize,
+    /// Promotions by reason (`"drift"` / `"scheduled"` / `"manual"`, as
+    /// the registry puts it in the event's message; an event without one
+    /// counts under `"manual"`).
+    pub promoted_reasons: BTreeMap<String, usize>,
     /// `ServeRolledBack` events seen (registry slot rollbacks).
     pub serve_rolled_back: usize,
     /// `ServeRejected` events seen (admission-control rejections).
@@ -389,6 +456,9 @@ pub struct Telemetry {
     /// Per-tenant accounting keyed by tenant name (events with an empty
     /// `tenant` are not attributed).
     pub by_tenant: BTreeMap<String, TenantUsage>,
+    /// Per-slot serving statistics keyed by the `ServeBatch` events'
+    /// `label`.
+    pub by_slot: BTreeMap<String, SlotStats>,
 }
 
 impl Telemetry {
@@ -406,46 +476,55 @@ impl Telemetry {
         self.tree_cache_hits += event.tree_cache_hits;
         self.tree_cache_misses += event.tree_cache_misses;
         self.trees_saved += event.trees_saved;
-        if !event.tenant.is_empty() {
-            let usage = self.by_tenant.entry(event.tenant.clone()).or_default();
-            match event.kind {
-                TrialEventKind::TenantSlice => {
-                    usage.fit_slices += 1;
-                    usage.fit_trials += event.sample_size;
-                    usage.fit_cost_secs += event.cost.unwrap_or(0.0);
-                }
-                TrialEventKind::ServeBatch => {
-                    usage.serve_batches += 1;
-                    usage.serve_rows += event.sample_size;
-                }
-                TrialEventKind::ServeRejected => {
-                    usage.rejected += 1;
-                }
-                _ => {}
-            }
-        }
+        let mut tenant = (!event.tenant.is_empty())
+            .then(|| self.by_tenant.entry(event.tenant.clone()).or_default());
         match event.kind {
-            TrialEventKind::Started => {
-                self.started += 1;
+            TrialEventKind::Started => self.started += 1,
+            TrialEventKind::Finished => {
+                self.finished += 1;
+                self.learner(event).finished += 1;
             }
-            TrialEventKind::Unquarantined => {
-                self.unquarantined += 1;
+            TrialEventKind::TimedOut => {
+                self.timed_out += 1;
+                self.learner(event).timed_out += 1;
             }
-            TrialEventKind::Sanitized => {
-                self.sanitized += 1;
+            TrialEventKind::Panicked => {
+                self.panicked += 1;
+                self.learner(event).panicked += 1;
             }
+            TrialEventKind::Retried => {
+                self.retried += 1;
+                self.learner(event).retried += 1;
+            }
+            TrialEventKind::Quarantined => {
+                self.quarantined += 1;
+                self.learner(event).quarantined += 1;
+            }
+            TrialEventKind::Unquarantined => self.unquarantined += 1,
+            TrialEventKind::Sanitized => self.sanitized += 1,
             TrialEventKind::ServeBatch => {
                 self.serve_batches += 1;
                 self.serve_rows += event.sample_size;
+                self.by_slot
+                    .entry(event.label.clone())
+                    .or_default()
+                    .record(event);
+                if let Some(usage) = &mut tenant {
+                    usage.serve_batches += 1;
+                    usage.serve_rows += event.sample_size;
+                }
             }
             TrialEventKind::ServePromoted => {
                 self.serve_promoted += 1;
+                let reason = event.message.as_deref().unwrap_or("manual");
+                *self.promoted_reasons.entry(reason.to_string()).or_insert(0) += 1;
             }
-            TrialEventKind::ServeRolledBack => {
-                self.serve_rolled_back += 1;
-            }
+            TrialEventKind::ServeRolledBack => self.serve_rolled_back += 1,
             TrialEventKind::ServeRejected => {
                 self.serve_rejected += 1;
+                if let Some(usage) = &mut tenant {
+                    usage.rejected += 1;
+                }
             }
             TrialEventKind::ServeQueueDepth => {
                 self.serve_queue_depth = event.sample_size;
@@ -453,54 +532,22 @@ impl Telemetry {
             }
             TrialEventKind::TenantSlice => {
                 self.tenant_slices += 1;
-            }
-            TrialEventKind::StorageQuarantined => {
-                self.storage_quarantined += 1;
-            }
-            TrialEventKind::StorageFault => {
-                self.storage_faults += 1;
-            }
-            TrialEventKind::ServeTimedOut => {
-                self.serve_timed_out += 1;
-            }
-            _ => {
-                let slot = self.by_learner.entry(event.learner.clone()).or_default();
-                match event.kind {
-                    TrialEventKind::Finished => {
-                        self.finished += 1;
-                        slot.finished += 1;
-                    }
-                    TrialEventKind::TimedOut => {
-                        self.timed_out += 1;
-                        slot.timed_out += 1;
-                    }
-                    TrialEventKind::Panicked => {
-                        self.panicked += 1;
-                        slot.panicked += 1;
-                    }
-                    TrialEventKind::Retried => {
-                        self.retried += 1;
-                        slot.retried += 1;
-                    }
-                    TrialEventKind::Quarantined => {
-                        self.quarantined += 1;
-                        slot.quarantined += 1;
-                    }
-                    TrialEventKind::Started
-                    | TrialEventKind::Unquarantined
-                    | TrialEventKind::Sanitized
-                    | TrialEventKind::ServeBatch
-                    | TrialEventKind::ServePromoted
-                    | TrialEventKind::ServeRolledBack
-                    | TrialEventKind::ServeRejected
-                    | TrialEventKind::ServeQueueDepth
-                    | TrialEventKind::TenantSlice
-                    | TrialEventKind::StorageQuarantined
-                    | TrialEventKind::StorageFault
-                    | TrialEventKind::ServeTimedOut => unreachable!("handled above"),
+                if let Some(usage) = &mut tenant {
+                    usage.fit_slices += 1;
+                    usage.fit_trials += event.sample_size;
+                    usage.fit_cost_secs += event.cost.unwrap_or(0.0);
                 }
             }
+            TrialEventKind::StorageQuarantined => self.storage_quarantined += 1,
+            TrialEventKind::StorageFault => self.storage_faults += 1,
+            TrialEventKind::ServeTimedOut => self.serve_timed_out += 1,
         }
+    }
+
+    /// The counts of the learner `event` is about (unnamed trials group
+    /// under the empty string).
+    fn learner(&mut self, event: &TrialEvent) -> &mut LearnerCounts {
+        self.by_learner.entry(event.learner.clone()).or_default()
     }
 
     /// Drains every event currently buffered in `rx` (non-blocking) and
@@ -544,31 +591,6 @@ mod tests {
             1,
             "callback ran before emit returned"
         );
-    }
-
-    #[test]
-    fn fanout_broadcasts_to_every_sink_in_order() {
-        use std::sync::Mutex;
-        let order: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
-        let (o1, o2) = (order.clone(), order.clone());
-        let (chan, rx) = event_channel();
-        let sink = EventSink::fanout(vec![
-            EventSink::callback(move |_| o1.lock().unwrap().push("a")),
-            chan,
-            EventSink::callback(move |_| o2.lock().unwrap().push("b")),
-        ]);
-        let mut ev = TrialEvent::new(TrialEventKind::Started);
-        ev.learner = "gbm".into();
-        sink.emit(ev);
-        assert_eq!(*order.lock().unwrap(), vec!["a", "b"]);
-        let forwarded = rx.try_recv().expect("channel leg received the event");
-        assert_eq!(forwarded.learner, "gbm");
-    }
-
-    #[test]
-    fn empty_fanout_is_a_null_sink() {
-        let sink = EventSink::fanout(Vec::new());
-        sink.emit(TrialEvent::new(TrialEventKind::Started));
     }
 
     #[test]
@@ -706,5 +728,96 @@ mod tests {
         assert_eq!(t.total_terminal(), 0, "robustness events are not terminal");
         assert_eq!(t.by_learner["gbm"].retried, 2);
         assert_eq!(t.by_learner["gbm"].quarantined, 1);
+    }
+
+    fn batch(slot: &str, rows: usize, wall: f64, occupancy: f64) -> TrialEvent {
+        let mut ev = TrialEvent::new(TrialEventKind::ServeBatch);
+        ev.label = slot.to_string();
+        ev.sample_size = rows;
+        ev.wall_secs = Some(wall);
+        ev.cost = Some(occupancy);
+        ev
+    }
+
+    #[test]
+    fn aggregates_per_slot() {
+        let mut t = Telemetry::new();
+        t.record(&batch("a", 32, 0.010, 1.0));
+        t.record(&batch("a", 16, 0.030, 0.5));
+        t.record(&batch("b", 8, 0.002, 0.25));
+        t.record(&TrialEvent::new(TrialEventKind::ServePromoted));
+        let mut drifted = TrialEvent::new(TrialEventKind::ServePromoted);
+        drifted.message = Some("drift".to_string());
+        t.record(&drifted);
+        t.record(&TrialEvent::new(TrialEventKind::ServeRolledBack));
+        t.record(&TrialEvent::new(TrialEventKind::Finished));
+        t.record(&TrialEvent::new(TrialEventKind::ServeRejected));
+        let mut depth = TrialEvent::new(TrialEventKind::ServeQueueDepth);
+        depth.sample_size = 5;
+        t.record(&depth);
+        depth.sample_size = 2;
+        t.record(&depth);
+        assert_eq!(t.serve_rows, 56);
+        assert_eq!(t.serve_batches, 3);
+        assert_eq!(t.serve_promoted, 2);
+        assert_eq!(
+            t.promoted_reasons["manual"], 1,
+            "no reason counts as manual"
+        );
+        assert_eq!(t.promoted_reasons["drift"], 1);
+        assert_eq!(t.serve_rolled_back, 1);
+        assert_eq!(t.serve_rejected, 1);
+        assert_eq!(t.serve_queue_depth, 2, "gauge keeps the last sample");
+        assert_eq!(t.serve_queue_depth_max, 5);
+        let a = &t.by_slot["a"];
+        assert_eq!(a.batches, 2);
+        assert_eq!(a.rows, 48);
+        assert!((a.total_secs - 0.040).abs() < 1e-12);
+        assert!((a.throughput() - 48.0 / 0.040).abs() < 1e-6);
+        assert!((a.mean_occupancy() - 0.75).abs() < 1e-12);
+    }
+
+    #[test]
+    fn percentiles_are_nearest_rank() {
+        let mut t = Telemetry::new();
+        for i in 1..=100 {
+            t.record(&batch("s", 1, i as f64, 1.0));
+        }
+        let s = &t.by_slot["s"];
+        assert_eq!(s.p50(), 50.0);
+        assert_eq!(s.p95(), 95.0);
+        assert_eq!(s.p99(), 99.0);
+        assert_eq!(s.latency_percentile(100.0), 100.0);
+        assert_eq!(s.latency_percentile(0.0), 1.0);
+    }
+
+    #[test]
+    fn empty_slot_stats_are_zero() {
+        let s = SlotStats::default();
+        assert_eq!(s.p50(), 0.0);
+        assert_eq!(s.throughput(), 0.0);
+        assert_eq!(s.mean_occupancy(), 0.0);
+    }
+
+    #[test]
+    fn slot_latency_memory_is_bounded_to_the_recent_window() {
+        const N: usize = 100_000;
+        let mut t = Telemetry::new();
+        // Latencies in a scrambled order, so the window is not sorted.
+        let wall = |i: usize| ((i * 7919) % 10_007) as f64;
+        for i in 0..N {
+            t.record(&batch("s", 2, wall(i), 0.5));
+        }
+        let s = &t.by_slot["s"];
+        assert_eq!(s.latencies.len(), LATENCY_WINDOW);
+        assert_eq!((s.batches, s.rows, t.serve_rows), (N, 2 * N, 2 * N));
+        assert_eq!(s.total_secs, (0..N).map(wall).sum::<f64>());
+        assert_eq!(s.mean_occupancy(), 0.5);
+        let mut recent: Vec<f64> = (N - LATENCY_WINDOW..N).map(wall).collect();
+        recent.sort_by(f64::total_cmp);
+        let nearest_rank = |q: f64| recent[(q / 100.0 * recent.len() as f64).ceil() as usize - 1];
+        assert_eq!(s.p50(), nearest_rank(50.0));
+        assert_eq!(s.p95(), nearest_rank(95.0));
+        assert_eq!(s.p99(), nearest_rank(99.0));
     }
 }

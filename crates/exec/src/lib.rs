@@ -15,8 +15,8 @@
 //!   sample size, error, cost) plus a [`Telemetry`] aggregator;
 //! - **deterministic results** — results always return in submission
 //!   order, and a single-worker pool executes inline on the caller's
-//!   thread, so `workers = 1` reproduces a sequential loop exactly. The
-//!   dispatch policy is an injectable [`JobQueue`] (FIFO by default);
+//!   thread, so `workers = 1` reproduces a sequential loop exactly.
+//!   Dispatch is first-in first-out;
 //! - **deterministic fault injection** — a seeded [`FaultPlan`] wraps
 //!   any job with panics, slowdowns past the deadline, or poisoned
 //!   (NaN/Inf) losses at configured per-trial probabilities, purely as a
@@ -50,13 +50,11 @@ mod event;
 mod fault;
 mod job;
 mod pool;
-mod queue;
 
 pub use event::{
-    event_channel, EventSink, LearnerCounts, Telemetry, TenantUsage, TrialEvent, TrialEventKind,
-    TrialMeta,
+    event_channel, EventSink, LearnerCounts, SlotStats, Telemetry, TenantUsage, TrialEvent,
+    TrialEventKind, TrialMeta,
 };
 pub use fault::{FaultPlan, InjectedFault};
 pub use job::{Job, JobCtx, JobMeta, JobResult, JobStatus};
 pub use pool::ExecPool;
-pub use queue::{FifoQueue, JobQueue, LifoQueue};

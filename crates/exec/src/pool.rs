@@ -1,24 +1,26 @@
-//! The worker pool: scoped threads draining an injectable ticket queue.
+//! The worker pool: scoped threads taking jobs in submission order.
 //!
 //! Design points:
 //!
 //! - **Scoped threads.** Workers are spawned with [`std::thread::scope`]
 //!   per batch, so jobs may borrow the caller's data (datasets, spaces)
 //!   without `'static` bounds or reference counting.
-//! - **Deterministic results.** Whatever the dispatch order, results are
-//!   returned in *submission* order. A pool with one worker (or one job)
-//!   executes inline on the caller's thread in submission order, which is
-//!   the determinism contract the AutoML controller builds on.
+//! - **Deterministic results.** Jobs start in submission order (each
+//!   worker takes the next ticket from an atomic counter) and, whichever
+//!   finishes first, results are returned in *submission* order. A pool
+//!   with one worker (or one job) executes inline on the caller's thread
+//!   in submission order, which is the determinism contract the AutoML
+//!   controller builds on.
 //! - **Panic isolation.** A panicking job is caught on its worker and
-//!   reported as [`JobStatus::Panicked`]; the worker keeps draining the
-//!   queue and the process survives.
+//!   reported as [`JobStatus::Panicked`]; the worker keeps taking
+//!   tickets and the process survives.
 //! - **Cooperative deadlines.** Jobs observe their deadline through
 //!   [`crate::JobCtx`]; the pool never kills a thread. Jobs returning
 //!   past their deadline are classified [`JobStatus::TimedOut`].
 
 use crate::event::{EventSink, TrialEvent, TrialEventKind};
 use crate::job::{execute, Job, JobMeta, JobResult, JobStatus};
-use crate::queue::{FifoQueue, JobQueue};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// A fixed-width worker pool. Creating one is free — threads are spawned
@@ -52,24 +54,14 @@ impl ExecPool {
         self.workers == 1
     }
 
-    /// Runs a batch under FIFO dispatch. See [`ExecPool::run_batch_with`].
+    /// Runs every job to completion and returns their results in
+    /// submission order. When a sink is given, the pool emits a
+    /// `Started` event as each job begins and a terminal event
+    /// (`Finished` / `TimedOut` / `Panicked`) as it ends; terminal
+    /// events carry wall time and the panic message but no error/cost,
+    /// which only the caller knows.
     pub fn run_batch<T: Send>(
         &self,
-        jobs: Vec<Job<'_, T>>,
-        events: Option<&EventSink>,
-    ) -> Vec<JobResult<T>> {
-        self.run_batch_with(FifoQueue::new(), jobs, events)
-    }
-
-    /// Runs every job to completion and returns their results in
-    /// submission order. `queue` decides dispatch order only. When a
-    /// sink is given, the pool emits a `Started` event as each job
-    /// begins and a terminal event (`Finished` / `TimedOut` /
-    /// `Panicked`) as it ends; terminal events carry wall time and the
-    /// panic message but no error/cost, which only the caller knows.
-    pub fn run_batch_with<Q: JobQueue, T: Send>(
-        &self,
-        mut queue: Q,
         jobs: Vec<Job<'_, T>>,
         events: Option<&EventSink>,
     ) -> Vec<JobResult<T>> {
@@ -79,7 +71,7 @@ impl ExecPool {
         if self.workers == 1 || jobs.len() == 1 {
             // Inline fast path: submission order, caller's thread. This
             // is byte-identical to a plain sequential loop (plus panic
-            // isolation), independent of the injected queue.
+            // isolation).
             return jobs
                 .into_iter()
                 .enumerate()
@@ -94,16 +86,17 @@ impl ExecPool {
             .map(|(i, job)| Mutex::new(Some(stamp(job, i))))
             .collect();
         let results: Vec<Mutex<Option<JobResult<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        for ticket in 0..n {
-            queue.push(ticket);
-        }
-        let queue = Mutex::new(queue);
+        // The counter publishes no data (a job is handed over through its
+        // slot's mutex), so `Relaxed` suffices.
+        let next_ticket = AtomicUsize::new(0);
         let workers = self.workers.min(n);
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| loop {
-                    let ticket = queue.lock().expect("queue lock").pop();
-                    let Some(i) = ticket else { break };
+                    let i = next_ticket.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
                     let job = slots[i]
                         .lock()
                         .expect("slot lock")

@@ -1,8 +1,7 @@
 //! Behavioural tests of the execution runtime: ordering, panic
-//! isolation, cooperative deadlines, queue injection, and telemetry.
+//! isolation, cooperative deadlines, and telemetry.
 
-use flaml_exec::{event_channel, ExecPool, Job, JobStatus, LifoQueue, Telemetry, TrialEventKind};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use flaml_exec::{event_channel, ExecPool, Job, JobStatus, Telemetry, TrialEventKind};
 use std::time::Duration;
 
 #[test]
@@ -130,28 +129,6 @@ fn remaining_counts_down_from_deadline() {
         .unwrap();
     assert!(after < before);
     assert!(before <= Duration::from_secs(10));
-}
-
-#[test]
-fn injected_lifo_queue_changes_dispatch_not_results() {
-    let pool = ExecPool::new(2);
-    let started = AtomicUsize::new(0);
-    let jobs: Vec<Job<'_, usize>> = (0..16)
-        .map(|i| {
-            let started = &started;
-            Job::new(move |_| {
-                started.fetch_add(1, Ordering::SeqCst);
-                i
-            })
-        })
-        .collect();
-    let results = pool.run_batch_with(LifoQueue::new(), jobs, None);
-    assert_eq!(started.load(Ordering::SeqCst), 16);
-    let values: Vec<usize> = results
-        .into_iter()
-        .filter_map(|r| r.status.into_value())
-        .collect();
-    assert_eq!(values, (0..16).collect::<Vec<usize>>());
 }
 
 #[test]

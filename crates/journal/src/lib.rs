@@ -20,13 +20,14 @@
 //! maximal committed prefix, never an error. A journal interrupted at any
 //! byte therefore loses at most the one trial whose write was torn.
 //!
-//! # Consuming trial events
+//! # Who writes
 //!
-//! The writer subscribes to a run as a [`flaml_exec::EventSink`]
-//! consumer: [`JournalWriter::into_sink`] wraps it in a synchronous
-//! callback sink that appends one record per committed terminal event
-//! (the events carrying [`flaml_exec::TrialMeta`]). Fan the sink together
-//! with any live telemetry sink via [`flaml_exec::EventSink::fanout`].
+//! The search controller owns its [`JournalWriter`] and calls
+//! [`JournalWriter::append`] itself when it commits a trial, then checks
+//! [`JournalWriter::take_error`]: a failed append fails that commit with
+//! a typed error, before any telemetry event describes the trial. The
+//! journal is not a telemetry consumer and this crate does not know the
+//! event types.
 
 #![warn(missing_docs)]
 
@@ -38,4 +39,4 @@ mod writer;
 pub use discover::{discover, discover_with, DiscoveredJournal};
 pub use reader::{Journal, JournalError};
 pub use record::{DatasetInfo, JournalHeader, TrialLine, SCHEMA_VERSION};
-pub use writer::{JournalWriter, SharedJournalWriter};
+pub use writer::JournalWriter;

@@ -15,7 +15,6 @@
 //! an unknown version is the safe behaviour. Purely additive optional
 //! fields (serde defaults) do not bump the version.
 
-use flaml_exec::TrialEvent;
 use serde::{Deserialize, Serialize};
 
 /// Journal schema version written into every header.
@@ -136,42 +135,6 @@ pub struct TrialLine {
     pub best_loss: f64,
 }
 
-impl TrialLine {
-    /// Builds a journal line from a committed terminal [`TrialEvent`] —
-    /// one that carries both an observed error and full
-    /// [`flaml_exec::TrialMeta`]. Returns `None` for any other event
-    /// (started, retried, quarantine traffic, discarded speculation).
-    pub fn from_event(event: &TrialEvent) -> Option<TrialLine> {
-        let error = event.error?;
-        let meta = event.meta.as_ref()?;
-        Some(TrialLine {
-            iter: event.job_id as usize,
-            learner: event.learner.clone(),
-            config: event.config.clone(),
-            config_values: meta.config_values.clone(),
-            sample_size: event.sample_size,
-            loss: error,
-            status: meta.status.clone(),
-            mode: meta.mode.clone(),
-            attempts: meta.attempts,
-            attempt_costs: meta.attempt_costs.clone(),
-            cost: event.cost.unwrap_or(0.0),
-            total_time: meta.total_time,
-            wall_secs: event.wall_secs.unwrap_or(0.0),
-            prepared_hits: event.prepared_hits,
-            prepared_misses: event.prepared_misses,
-            prepared_evictions: event.prepared_evictions,
-            bytes_copied_saved: event.bytes_copied_saved,
-            tree_cache_hits: event.tree_cache_hits,
-            tree_cache_misses: event.tree_cache_misses,
-            trees_saved: event.trees_saved,
-            seed: meta.seed,
-            improved: meta.improved,
-            best_loss: meta.best_error,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,48 +186,5 @@ mod tests {
         let back: TrialLine = serde_json::from_str(&json).unwrap();
         assert!(back.loss.is_infinite() && back.loss > 0.0);
         assert_eq!(l, back);
-    }
-
-    #[test]
-    fn from_event_requires_error_and_meta() {
-        use flaml_exec::{TrialEventKind, TrialMeta};
-        let mut ev = TrialEvent::new(TrialEventKind::Finished);
-        assert!(TrialLine::from_event(&ev).is_none(), "no error, no meta");
-        ev.error = Some(0.5);
-        assert!(TrialLine::from_event(&ev).is_none(), "no meta");
-        ev.job_id = 9;
-        ev.learner = "rf".into();
-        ev.cost = Some(0.25);
-        ev.prepared_hits = 3;
-        ev.prepared_misses = 1;
-        ev.prepared_evictions = 2;
-        ev.bytes_copied_saved = 2048;
-        ev.tree_cache_hits = 4;
-        ev.tree_cache_misses = 1;
-        ev.trees_saved = 96;
-        ev.meta = Some(TrialMeta {
-            mode: "search".into(),
-            status: "ok".into(),
-            attempts: 1,
-            attempt_costs: vec![0.1, 0.15],
-            total_time: 1.5,
-            seed: 42,
-            config_values: vec![1.0],
-            improved: false,
-            best_error: 0.4,
-        });
-        let l = TrialLine::from_event(&ev).expect("committed terminal event");
-        assert_eq!(l.iter, 9);
-        assert_eq!(l.learner, "rf");
-        assert_eq!(l.attempts, 1);
-        assert_eq!(l.attempt_costs, vec![0.1, 0.15]);
-        assert_eq!(l.best_loss, 0.4);
-        assert_eq!(l.prepared_hits, 3);
-        assert_eq!(l.prepared_misses, 1);
-        assert_eq!(l.prepared_evictions, 2);
-        assert_eq!(l.bytes_copied_saved, 2048);
-        assert_eq!(l.tree_cache_hits, 4);
-        assert_eq!(l.tree_cache_misses, 1);
-        assert_eq!(l.trees_saved, 96);
     }
 }

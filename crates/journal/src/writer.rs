@@ -1,21 +1,20 @@
 //! The append side of the journal: fsync-on-commit JSONL writing.
 
 use crate::record::{JournalHeader, TrialLine};
-use flaml_exec::{EventSink, TrialEvent};
 use flaml_store::{disk, LineLog, Storage, StorageError};
 use serde::Serialize;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
 
 /// Appends journal records with fsync-on-commit: the typed face of
 /// [`flaml_store::LineLog`], which owns the commit protocol (write,
 /// sync, truncate back to the committed prefix on failure, best-effort
 /// sync on drop).
 ///
-/// I/O errors after creation are reported once via
-/// [`JournalWriter::take_error`] and otherwise swallowed: persistence
-/// must never crash a search mid-run.
+/// A failed [`JournalWriter::append`] does not panic or return: the
+/// error is latched for [`JournalWriter::take_error`], which the owner
+/// checks right after the append (the search controller fails the
+/// commit with it).
 ///
 /// All I/O goes through a [`Storage`] handle — [`flaml_store::DiskStorage`]
 /// by default, or a chaos wrapper in fault-injection tests (the `_with`
@@ -108,14 +107,6 @@ impl JournalWriter {
         self.error = committed.err();
     }
 
-    /// Consumes one trial event, appending a record if it is a committed
-    /// terminal event (carries an error and full trial metadata).
-    pub fn on_event(&mut self, event: &TrialEvent) {
-        if let Some(line) = TrialLine::from_event(event) {
-            self.append(&line);
-        }
-    }
-
     /// The first append error encountered, if any (taking it resets the
     /// writer's error state).
     pub fn take_error(&mut self) -> Option<StorageError> {
@@ -125,58 +116,6 @@ impl JournalWriter {
     /// Bytes known durably committed so far.
     pub fn committed_len(&self) -> u64 {
         self.log.committed_len()
-    }
-
-    /// Wraps the writer in a synchronous [`EventSink`]: every committed
-    /// terminal event emitted into the sink is appended (and fsynced)
-    /// before the emitting thread proceeds. Fan this together with live
-    /// telemetry sinks via [`EventSink::fanout`]. Use
-    /// [`JournalWriter::into_shared`] instead when the caller needs to
-    /// observe append errors after the run.
-    pub fn into_sink(self) -> EventSink {
-        self.into_shared().sink()
-    }
-
-    /// Wraps the writer in a [`SharedJournalWriter`], which hands out
-    /// sinks *and* keeps a handle for checking [`take_error`] once the
-    /// run is over.
-    ///
-    /// [`take_error`]: SharedJournalWriter::take_error
-    pub fn into_shared(self) -> SharedJournalWriter {
-        SharedJournalWriter(Arc::new(Mutex::new(self)))
-    }
-}
-
-/// A clonable handle to a [`JournalWriter`] that separates *writing*
-/// (the [`EventSink`] from [`SharedJournalWriter::sink`], handed to the
-/// search) from *error observation* ([`SharedJournalWriter::take_error`],
-/// checked by the owner after the run). This is how a search turns a
-/// mid-run `ENOSPC` into a typed terminal failure instead of silently
-/// dropping records.
-#[derive(Debug, Clone)]
-pub struct SharedJournalWriter(Arc<Mutex<JournalWriter>>);
-
-impl SharedJournalWriter {
-    /// A synchronous sink appending committed terminal events to the
-    /// shared writer.
-    pub fn sink(&self) -> EventSink {
-        let writer = Arc::clone(&self.0);
-        EventSink::callback(move |event| {
-            if let Ok(mut w) = writer.lock() {
-                w.on_event(event);
-            }
-        })
-    }
-
-    /// The first append error encountered, if any (taking it resets the
-    /// writer's error state).
-    pub fn take_error(&self) -> Option<StorageError> {
-        self.0.lock().ok().and_then(|mut w| w.take_error())
-    }
-
-    /// Bytes known durably committed so far.
-    pub fn committed_len(&self) -> u64 {
-        self.0.lock().map(|w| w.committed_len()).unwrap_or(0)
     }
 }
 
@@ -260,42 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn event_sink_appends_committed_terminals_only() {
-        use flaml_exec::{TrialEvent, TrialEventKind, TrialMeta};
-        let dir = std::env::temp_dir().join("flaml-journal-sink-test");
-        let path = dir.join("run.jsonl");
-        let sink = JournalWriter::create(&path, &header()).unwrap().into_sink();
-
-        sink.emit(TrialEvent::new(TrialEventKind::Started));
-        let mut ev = TrialEvent::new(TrialEventKind::Finished);
-        ev.job_id = 1;
-        ev.learner = "lr".into();
-        ev.error = Some(0.25);
-        ev.cost = Some(0.1);
-        ev.meta = Some(TrialMeta {
-            mode: "search".into(),
-            status: "ok".into(),
-            attempt_costs: vec![0.1],
-            best_error: 0.25,
-            improved: true,
-            config_values: vec![0.5],
-            ..TrialMeta::default()
-        });
-        sink.emit(ev.clone());
-        // A discarded speculative trial: terminal kind but no error/meta.
-        let mut discarded = TrialEvent::new(TrialEventKind::Finished);
-        discarded.message = Some("speculative trial discarded".into());
-        sink.emit(discarded);
-        drop(sink);
-
-        let j = Journal::read(&path).unwrap();
-        assert_eq!(j.trials.len(), 1);
-        assert_eq!(j.trials[0].learner, "lr");
-        assert_eq!(j.trials[0].loss, 0.25);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn failed_append_truncates_to_committed_prefix_and_latches() {
         use flaml_store::{ChaosStorage, DiskStorage, IoFaultPlan};
         let dir = std::env::temp_dir().join("flaml-journal-chaos-append");
@@ -333,34 +236,11 @@ mod tests {
         let j = Journal::read(&path).unwrap();
         assert_eq!(j.trials.len(), 1);
         assert_eq!(j.committed_bytes, committed);
-        std::fs::remove_dir_all(&dir).ok();
-    }
 
-    #[test]
-    fn shared_writer_reports_errors_after_the_run() {
-        use flaml_store::{ChaosStorage, IoFaultPlan};
-        let dir = std::env::temp_dir().join("flaml-journal-shared-err");
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("run.jsonl");
-        let mut w = JournalWriter::create(&path, &header()).unwrap();
-        w.append(&line(1));
-        drop(w);
-
-        let chaotic = ChaosStorage::new(flaml_store::disk(), IoFaultPlan::new(1).enospc(1.0));
-        let committed = Journal::read(&path).unwrap().committed_bytes;
-        let shared = JournalWriter::resume_with(&chaotic, &path, committed)
-            .expect_err("open hits injected ENOSPC");
-        assert!(shared.is_no_space());
-
-        // With faults off the shared handle reports no error.
-        let shared = JournalWriter::resume(&path, committed)
-            .unwrap()
-            .into_shared();
-        let sink = shared.sink();
-        drop(sink);
-        assert!(shared.take_error().is_none());
-        assert!(shared.committed_len() > 0);
+        // A failure while reopening is returned, typed, not latched.
+        let full = ChaosStorage::new(flaml_store::disk(), IoFaultPlan::new(1).enospc(1.0));
+        let err = JournalWriter::resume_with(&full, &path, committed).unwrap_err();
+        assert!(err.is_no_space(), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

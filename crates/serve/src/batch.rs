@@ -11,8 +11,9 @@
 //! Every completed chunk emits a [`TrialEventKind::ServeBatch`] event:
 //! `label` carries the slot name, `sample_size` the chunk's row count,
 //! `wall_secs` the chunk latency and `cost` the batch occupancy (rows
-//! over configured batch capacity). [`crate::ServeTelemetry`] folds
-//! these into per-slot latency percentiles and throughput.
+//! over configured batch capacity). [`flaml_exec::Telemetry`] folds
+//! these into per-slot latency percentiles and throughput
+//! ([`flaml_exec::Telemetry::by_slot`]).
 
 use crate::artifact::CompiledModel;
 use flaml_data::DatasetView;

@@ -17,9 +17,13 @@
 //! * [`ModelRegistry`] — named, versioned serving slots with atomic
 //!   `Arc`-swap hot-reload and rollback; a reader never observes a torn
 //!   model.
-//! * [`ServeTelemetry`] — per-slot latency percentiles, throughput and
-//!   batch occupancy, fed by the same [`flaml_exec::TrialEvent`] stream
-//!   the training stack uses.
+//!
+//! Serving telemetry is not a type of this crate: the engine and the
+//! registry emit into the same [`flaml_exec::TrialEvent`] stream the
+//! training stack uses, and [`flaml_exec::Telemetry`] folds it — per-slot
+//! throughput, batch occupancy and latency percentiles over each slot's
+//! most recent 4 096 batches in [`flaml_exec::Telemetry::by_slot`],
+//! promotions by reason in [`flaml_exec::Telemetry::promoted_reasons`].
 //!
 //! # Example
 //!
@@ -56,7 +60,6 @@ mod artifact;
 mod batch;
 mod error;
 mod registry;
-mod telemetry;
 mod view;
 
 pub use artifact::{
@@ -66,5 +69,4 @@ pub use artifact::{
 pub use batch::BatchEngine;
 pub use error::ArtifactError;
 pub use registry::{ModelRegistry, PromoteReason, Published, VersionedModel};
-pub use telemetry::{ServeTelemetry, SlotStats};
 pub use view::{Bound, CutsRef, FloatSlab, ForestView, GbdtView, LeafFlags, ModelView};

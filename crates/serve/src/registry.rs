@@ -38,8 +38,8 @@ struct Slot {
 }
 
 /// Why a model version was promoted into its slot. Surfaced in the
-/// promotion event's message and counted per reason by
-/// [`crate::ServeTelemetry`].
+/// promotion event's message and counted per reason in
+/// [`flaml_exec::Telemetry::promoted_reasons`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PromoteReason {
     /// An online challenger beat the champion after a detected drift.
@@ -114,8 +114,8 @@ impl ModelRegistry {
     }
 
     /// [`ModelRegistry::publish`] with an explicit promotion reason
-    /// (carried on the emitted event and tallied per reason by
-    /// [`crate::ServeTelemetry`]).
+    /// (carried on the emitted event and tallied per reason in
+    /// [`flaml_exec::Telemetry::promoted_reasons`]).
     pub fn publish_with(
         &self,
         name: &str,

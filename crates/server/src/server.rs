@@ -34,7 +34,7 @@ use crate::http::{read_request, write_response, Request};
 use crate::scheduler::{journal_progress, Scheduler, SearchJob};
 use flaml_core::{
     discover, ArtifactFormat, BatchEngine, BlobModel, CompiledModel, EventSink, ExecPool,
-    ModelRegistry, SearchHandle, ServeTelemetry, Telemetry, TrialEvent, TrialEventKind,
+    ModelRegistry, SearchHandle, Telemetry, TrialEvent, TrialEventKind,
 };
 use flaml_data::{Dataset, Task};
 use flaml_online::{ChunkOutcome, OnlineError, OnlineRuntime, OnlineSession};
@@ -100,7 +100,7 @@ struct Inner {
     registry: Arc<ModelRegistry>,
     pool: ExecPool,
     scheduler: Arc<Scheduler>,
-    telemetry: Arc<Mutex<(Telemetry, ServeTelemetry)>>,
+    telemetry: Arc<Mutex<Telemetry>>,
     sink: EventSink,
     next_ids: Mutex<BTreeMap<String, u64>>,
     /// Open streaming sessions keyed `tenant/slot`. Each session is its
@@ -127,13 +127,9 @@ impl Server {
     /// scanned.
     pub fn new(cfg: ServerConfig) -> std::io::Result<Server> {
         std::fs::create_dir_all(&cfg.root)?;
-        let telemetry = Arc::new(Mutex::new((Telemetry::new(), ServeTelemetry::new())));
+        let telemetry = Arc::new(Mutex::new(Telemetry::new()));
         let fold = Arc::clone(&telemetry);
-        let sink = EventSink::callback(move |ev| {
-            let mut t = fold.lock().expect("telemetry lock");
-            t.0.record(ev);
-            t.1.record(ev);
-        });
+        let sink = EventSink::callback(move |ev| fold.lock().expect("telemetry lock").record(ev));
         let registry = Arc::new(ModelRegistry::with_sink(sink.clone()));
         let scheduler = Arc::new(Scheduler::new(
             cfg.root.clone(),
@@ -995,10 +991,12 @@ impl Server {
     }
 
     fn stats_json(&self) -> String {
-        let (telemetry, serve) = {
-            let t = self.inner.telemetry.lock().expect("telemetry lock");
-            (t.0.clone(), t.1.clone())
-        };
+        // The scheduler's locks are never taken under the telemetry
+        // lock, which every event emission needs; the body is built under
+        // it and serialized after.
+        let searches = self.inner.scheduler.state_counts();
+        let inflight = self.inner.scheduler.inflight();
+        let telemetry = self.inner.telemetry.lock().expect("telemetry lock");
         let by_tenant = telemetry
             .by_tenant
             .iter()
@@ -1016,8 +1014,8 @@ impl Server {
                 )
             })
             .collect();
-        let slots = serve
-            .slots
+        let slots = telemetry
+            .by_slot
             .iter()
             .map(|(name, s)| {
                 (
@@ -1033,8 +1031,8 @@ impl Server {
             })
             .collect();
         let body = StatsBody {
-            searches: self.inner.scheduler.state_counts(),
-            inflight: self.inner.scheduler.inflight(),
+            searches,
+            inflight,
             max_inflight: self.inner.cfg.max_inflight,
             trials_started: telemetry.started,
             trials_finished: telemetry.finished,
@@ -1045,11 +1043,12 @@ impl Server {
             storage_quarantined: telemetry.storage_quarantined,
             storage_faults: telemetry.storage_faults,
             serve_timed_out: telemetry.serve_timed_out,
-            promoted: serve.promoted,
-            rolled_back: serve.rolled_back,
+            promoted: telemetry.serve_promoted,
+            rolled_back: telemetry.serve_rolled_back,
             by_tenant,
             slots,
         };
+        drop(telemetry);
         serde_json::to_string(&body).expect("stats serialization")
     }
 

@@ -24,6 +24,29 @@ fn start(root: std::path::PathBuf, max_inflight: usize) -> (Server, std::net::So
         .expect("bind")
 }
 
+/// The keys of the JSON object that opens at the start of `text`, in
+/// order (the vendored serde_json has no dynamic value to ask, and the
+/// stats body has no string that needs unescaping).
+fn object_keys(text: &str) -> Vec<&str> {
+    let (mut keys, mut depth, mut string_start) = (Vec::new(), 0, None);
+    for (i, c) in text.char_indices() {
+        match (string_start, c) {
+            (Some(start), '"') => {
+                if depth == 1 && text[i + 1..].starts_with(':') {
+                    keys.push(&text[start..i]);
+                }
+                string_start = None;
+            }
+            (None, '"') => string_start = Some(i + 1),
+            (None, '{') => depth += 1,
+            (None, '}') if depth == 1 => break,
+            (None, '}') => depth -= 1,
+            _ => {}
+        }
+    }
+    keys
+}
+
 #[test]
 fn fit_predict_lifecycle() {
     let (server, addr) = start(scratch_root("lifecycle"), 4);
@@ -70,8 +93,51 @@ fn fit_predict_lifecycle() {
     // Stats reflect the work and attribute it to the tenant.
     let (status, stats) = http(addr, "GET", "/stats", "");
     assert_eq!(status, 200);
-    assert!(stats.contains("\"acme\""), "no tenant usage in {stats}");
-    assert!(stats.contains("\"acme/churn\""), "no slot stats in {stats}");
+    // The body's keys are the operator surface (`flaml-perf` and the
+    // durability suite read them by name): exactly these, no more.
+    let entry = |key: &str| {
+        let quoted = format!("\"{key}\":");
+        let at = stats
+            .find(&quoted)
+            .unwrap_or_else(|| panic!("no {key} in {stats}"));
+        object_keys(&stats[at + quoted.len()..])
+    };
+    assert_eq!(
+        object_keys(&stats),
+        [
+            "searches",
+            "inflight",
+            "max_inflight",
+            "trials_started",
+            "trials_finished",
+            "tenant_slices",
+            "serve_rejected",
+            "serve_queue_depth",
+            "serve_queue_depth_max",
+            "storage_quarantined",
+            "storage_faults",
+            "serve_timed_out",
+            "promoted",
+            "rolled_back",
+            "by_tenant",
+            "slots",
+        ]
+    );
+    assert_eq!(
+        entry("acme"),
+        [
+            "fit_slices",
+            "fit_trials",
+            "fit_cost_secs",
+            "serve_batches",
+            "serve_rows",
+            "rejected",
+        ]
+    );
+    assert_eq!(
+        entry("acme/churn"),
+        ["batches", "rows", "p50_secs", "p99_secs", "rows_per_sec"]
+    );
 
     server.stop();
 }
