@@ -285,3 +285,98 @@ fn speculative_holdout_also_matches() {
     let par = run(4);
     assert_eq!(trace(&seq.trials), trace(&par.trials));
 }
+
+/// 500 x 5 rows with a `NaN`-holding and a coarse integer column, so the
+/// forests' missing-value and tie handling is on the search path.
+fn pinned_dataset(task: Task) -> Dataset {
+    let n = 500;
+    let mut rng = StdRng::seed_from_u64(0x9e_17);
+    let mut cols: Vec<Vec<f64>> = (0..5)
+        .map(|j| {
+            (0..n)
+                .map(|_| match j {
+                    2 => f64::from(rng.gen_range(0u32..5)),
+                    _ => rng.gen::<f64>() * 2.0 - 1.0,
+                })
+                .collect()
+        })
+        .collect();
+    let signal: Vec<f64> = (0..n)
+        .map(|i| cols[0][i] * cols[1][i] + 0.3 * cols[2][i] + 0.2 * rng.gen::<f64>())
+        .collect();
+    for v in cols[3].iter_mut() {
+        if rng.gen::<f64>() < 0.1 {
+            *v = f64::NAN;
+        }
+    }
+    let y = signal
+        .iter()
+        .map(|&s| match task {
+            Task::Regression => s,
+            Task::Binary => f64::from(s > 0.6),
+            Task::MultiClass(k) => ((s * 2.0).floor().max(0.0) as usize).min(k - 1) as f64,
+        })
+        .collect();
+    Dataset::new("pinned", task, cols, y).unwrap()
+}
+
+#[test]
+fn all_learner_journals_match_the_pinned_bytes() {
+    // Model-level goldens (`flaml-learners`' `tests/golden.rs`) pin each
+    // forest's bits for one seed; what they cannot see is a learner
+    // drawing from its RNG in a different order *across nodes* and still
+    // landing on valid trees. The journal can: every loss of every trial
+    // of every learner is in it. FNV-1a 64 of `canonical_bytes` for a
+    // 20-trial search over the whole roster, values produced at commit
+    // d50508e (print the table below with an empty `PINNED` to
+    // regenerate, and say why).
+    const PINNED: [(&str, u64); 6] = [
+        ("binary/w1", 0xada955d43b845457),
+        ("binary/w2", 0xada955d43b845457),
+        ("3class/w1", 0x90d25992f33322c2),
+        ("3class/w2", 0x90d25992f33322c2),
+        ("regression/w1", 0xe9a769d65c88cec9),
+        ("regression/w2", 0xe9a769d65c88cec9),
+    ];
+    let tasks = [
+        ("binary", Task::Binary),
+        ("3class", Task::MultiClass(3)),
+        ("regression", Task::Regression),
+    ];
+    let mut got = Vec::new();
+    for (name, task) in tasks {
+        let data = pinned_dataset(task);
+        for workers in [1usize, 2] {
+            let path = journal_path(&format!("pinned_{name}"), workers, 0);
+            AutoMl::new()
+                .time_source(TimeSource::Virtual(default_virtual_cost))
+                .sample_size_init(200)
+                .time_budget(60.0)
+                .max_trials(20)
+                .seed(11)
+                .workers(workers)
+                .journal(&path)
+                .fit(&data)
+                .unwrap();
+            let journal = flaml_core::Journal::read(&path).unwrap();
+            let _ = std::fs::remove_file(&path);
+            assert_eq!(journal.trials.len(), 20, "{name} workers={workers}");
+            let hash = journal
+                .canonical_bytes()
+                .bytes()
+                .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+                });
+            got.push((format!("{name}/w{workers}"), hash));
+        }
+    }
+    let table: String = got
+        .iter()
+        .map(|(name, h)| format!("        (\"{name}\", 0x{h:016x}),\n"))
+        .collect();
+    assert_eq!(got.len(), PINNED.len(), "computed table:\n{table}");
+    for ((name, h), (want_name, want)) in got.iter().zip(PINNED) {
+        assert_eq!(name, want_name);
+        assert_eq!(*h, want, "{name} moved; computed table:\n{table}");
+    }
+}

@@ -1,4 +1,4 @@
-//! Model-level golden fingerprints of the boosting learner.
+//! Model-level golden fingerprints of the boosting and forest learners.
 //!
 //! The histogram engine's contract is exactness: a refactor of how
 //! histograms are accumulated may not move one bit of any tree. Each
@@ -18,7 +18,9 @@
 //! so.
 
 use flaml_data::{Dataset, Task};
-use flaml_learners::{Gbdt, GbdtModel, GbdtParams, Growth};
+use flaml_learners::{
+    Forest, ForestModel, ForestParams, Gbdt, GbdtModel, GbdtParams, Growth, SplitCriterion,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -163,6 +165,176 @@ fn trees_match_the_reference_bits() {
         .collect();
     assert_eq!(got.len(), GOLDEN.len(), "computed table:\n{table}");
     for ((name, fp), (want_name, want_fp)) in got.iter().zip(GOLDEN) {
+        assert_eq!(name, want_name);
+        assert_eq!(*fp, want_fp, "{name} moved; computed table:\n{table}");
+    }
+}
+
+// ---- Forests ----------------------------------------------------------
+//
+// The forest grower's contract is the same exactness: how a node's
+// candidates are scored may change, which `(feature, threshold)` wins —
+// and every draw of the shared RNG — may not. Each fingerprint is FNV-1a
+// 64 over every node of every tree, in tree then node order: `feature`,
+// `left`, `right` as little-endian `u32`, `threshold.to_bits()` as
+// little-endian `u64`, `is_leaf` as one byte, then the bits of every
+// entry of `value`. The table was produced at commit d50508e (the last
+// commit with the per-candidate row scans in `dtree.rs`) the same way as
+// the GBDT table above.
+
+/// 240 x 6 three-class rows built to hit the grower's edge cases: a
+/// column with `NaN`s, one holding both `0.0` and `-0.0`, a two-valued
+/// categorical column, a constant column, a column of heavy ties and an
+/// ordinary continuous one. `rf`'s bootstrap adds the duplicated rows.
+fn edge_corpus() -> Dataset {
+    let n = 240;
+    let mut rng = StdRng::seed_from_u64(0xed_9e);
+    let with_nan: Vec<f64> = (0..n)
+        .map(|_| {
+            if rng.gen::<f64>() < 0.2 {
+                f64::NAN
+            } else {
+                rng.gen::<f64>() * 4.0 - 2.0
+            }
+        })
+        .collect();
+    let zeros: Vec<f64> = (0..n)
+        .map(|_| match rng.gen_range(0u32..4) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => -1.5,
+            _ => 2.5,
+        })
+        .collect();
+    let categorical: Vec<f64> = (0..n).map(|_| f64::from(rng.gen_range(0u32..2))).collect();
+    let constant = vec![3.25; n];
+    let ties: Vec<f64> = (0..n)
+        .map(|_| {
+            if rng.gen::<f64>() < 0.85 {
+                1.0
+            } else {
+                f64::from(rng.gen_range(0u32..40)) / 8.0
+            }
+        })
+        .collect();
+    let smooth: Vec<f64> = (0..n).map(|_| rng.gen::<f64>()).collect();
+    let y = (0..n)
+        .map(|i| {
+            let a = if with_nan[i].is_nan() {
+                0.3
+            } else {
+                with_nan[i]
+            };
+            let s = a + zeros[i] * 0.5 + categorical[i] + ties[i] * 0.2 + smooth[i];
+            (s.floor().max(0.0) as usize).min(2) as f64
+        })
+        .collect();
+    let cols = vec![with_nan, zeros, categorical, constant, ties, smooth];
+    Dataset::new("edge", Task::MultiClass(3), cols, y).unwrap()
+}
+
+fn forest_fingerprint(model: &ForestModel) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for tree in model.trees() {
+        for n in tree.export_nodes().iter() {
+            for word in [n.feature, n.left, n.right] {
+                fnv1a(&mut h, &word.to_le_bytes());
+            }
+            fnv1a(&mut h, &n.threshold.to_bits().to_le_bytes());
+            fnv1a(&mut h, &[u8::from(n.is_leaf)]);
+            for v in &n.value {
+                fnv1a(&mut h, &v.to_bits().to_le_bytes());
+            }
+        }
+    }
+    h
+}
+
+/// {rf, extra_tree} x {gini, entropy} on the binary, 3-class and edge
+/// corpora (grown to purity and depth-capped), and variance on the
+/// regression corpus.
+fn forest_cells() -> Vec<(String, u64)> {
+    let corpora = [
+        ("binary", corpus(Task::Binary)),
+        ("3class", corpus(Task::MultiClass(3))),
+        ("edge", edge_corpus()),
+        ("regression", corpus(Task::Regression)),
+    ];
+    let mut out = Vec::new();
+    for (corpus_name, data) in &corpora {
+        let criteria: &[SplitCriterion] = if data.task() == Task::Regression {
+            &[SplitCriterion::Variance]
+        } else {
+            &[SplitCriterion::Gini, SplitCriterion::Entropy]
+        };
+        for extra in [false, true] {
+            for &criterion in criteria {
+                for max_depth in [None, Some(4)] {
+                    let params = ForestParams {
+                        n_trees: 5,
+                        max_features: if max_depth.is_some() { 1.0 } else { 0.6 },
+                        criterion,
+                        extra,
+                        max_depth,
+                    };
+                    let model = Forest::fit(data, &params, 23).unwrap();
+                    let name = format!(
+                        "{}/{corpus_name}/{criterion:?}/{}",
+                        if extra { "extra_tree" } else { "rf" },
+                        if max_depth.is_some() {
+                            "depth4"
+                        } else {
+                            "pure"
+                        },
+                    );
+                    out.push((name, forest_fingerprint(&model)));
+                }
+            }
+        }
+    }
+    out
+}
+
+const FOREST_GOLDEN: [(&str, u64); 28] = [
+    ("rf/binary/Gini/pure", 0x238a15622fd8b829),
+    ("rf/binary/Gini/depth4", 0x45c4ba9b18191295),
+    ("rf/binary/Entropy/pure", 0xd1aa0ae7334eca93),
+    ("rf/binary/Entropy/depth4", 0xc681f9b4a21c1d7c),
+    ("extra_tree/binary/Gini/pure", 0x99dd6edeb471c3d2),
+    ("extra_tree/binary/Gini/depth4", 0xb054a50ef58a374f),
+    ("extra_tree/binary/Entropy/pure", 0x2263fda32db9b655),
+    ("extra_tree/binary/Entropy/depth4", 0xbf7eeb5d26638db6),
+    ("rf/3class/Gini/pure", 0x199c9f8f94a762e4),
+    ("rf/3class/Gini/depth4", 0xe04453717a500ee6),
+    ("rf/3class/Entropy/pure", 0x833f4b71d1f5743f),
+    ("rf/3class/Entropy/depth4", 0xdc305714043c1d91),
+    ("extra_tree/3class/Gini/pure", 0xd10f94a47b4cb80d),
+    ("extra_tree/3class/Gini/depth4", 0x855536b746a3b714),
+    ("extra_tree/3class/Entropy/pure", 0xa576df6c1d1db762),
+    ("extra_tree/3class/Entropy/depth4", 0x6a72b0a6330439a5),
+    ("rf/edge/Gini/pure", 0x2d20ad063bc281c9),
+    ("rf/edge/Gini/depth4", 0x1d7b5b4b3a26939d),
+    ("rf/edge/Entropy/pure", 0x72ec71909289ea9e),
+    ("rf/edge/Entropy/depth4", 0x432712806d758432),
+    ("extra_tree/edge/Gini/pure", 0x34e1130a1af646fe),
+    ("extra_tree/edge/Gini/depth4", 0x2c1c0f15fd175f00),
+    ("extra_tree/edge/Entropy/pure", 0xa38f57daa59fe3be),
+    ("extra_tree/edge/Entropy/depth4", 0x136c40aa7acaf0e3),
+    ("rf/regression/Variance/pure", 0x0e8e434d883df523),
+    ("rf/regression/Variance/depth4", 0x456a55547a8038ac),
+    ("extra_tree/regression/Variance/pure", 0xc77d25843d854736),
+    ("extra_tree/regression/Variance/depth4", 0x02c1c8f9bb39f0ed),
+];
+
+#[test]
+fn forests_match_the_reference_bits() {
+    let got = forest_cells();
+    let table: String = got
+        .iter()
+        .map(|(name, fp)| format!("    (\"{name}\", 0x{fp:016x}),\n"))
+        .collect();
+    assert_eq!(got.len(), FOREST_GOLDEN.len(), "computed table:\n{table}");
+    for ((name, fp), (want_name, want_fp)) in got.iter().zip(FOREST_GOLDEN) {
         assert_eq!(name, want_name);
         assert_eq!(*fp, want_fp, "{name} moved; computed table:\n{table}");
     }
