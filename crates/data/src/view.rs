@@ -105,39 +105,13 @@ impl DatasetView {
     /// # Panics
     ///
     /// Panics if `i >= self.n_rows()`.
-    pub fn root_row(&self, i: usize) -> usize {
+    fn root_row(&self, i: usize) -> usize {
         match &self.rows {
             RowSel::Prefix(s) => {
                 assert!(i < *s, "row {i} out of bounds for a {s}-row view");
                 i
             }
             RowSel::Indices(ix) => ix[i] as usize,
-        }
-    }
-
-    /// The full root storage column `j` (all root rows, not just the
-    /// view's selection). Combine with [`DatasetView::root_row`] for
-    /// gather-free column access in hot loops.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j >= self.n_features()`.
-    pub fn root_column(&self, j: usize) -> &[f64] {
-        &self.core.columns[j]
-    }
-
-    /// The full root target vector (all root rows).
-    pub fn root_target(&self) -> &[f64] {
-        &self.core.target
-    }
-
-    /// When the view is a contiguous prefix of root storage, its length;
-    /// `None` for index views. A `Some(s)` answer licenses borrowing
-    /// `&view.root_column(j)[..s]` directly.
-    pub fn as_prefix(&self) -> Option<usize> {
-        match &self.rows {
-            RowSel::Prefix(s) => Some(*s),
-            RowSel::Indices(_) => None,
         }
     }
 
@@ -272,7 +246,6 @@ mod tests {
         let v = d.view();
         assert_eq!(v.n_rows(), 10);
         assert_eq!(v.n_features(), 2);
-        assert_eq!(v.as_prefix(), Some(10));
         for i in 0..10 {
             assert_eq!(v.value(i, 0), d.value(i, 0));
             assert_eq!(v.target_at(i), d.target()[i]);
@@ -283,10 +256,7 @@ mod tests {
     fn view_shares_storage_with_dataset() {
         let d = toy(10);
         let v = d.view();
-        assert!(std::ptr::eq(
-            v.root_column(0).as_ptr(),
-            d.column(0).as_ptr()
-        ));
+        assert!(v.same_root(&d.view()));
         assert_eq!(v.selection_bytes(), 0);
     }
 

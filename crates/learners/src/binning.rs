@@ -56,7 +56,7 @@ impl PreparedSort {
     }
 }
 
-fn sorted_uniques(values: impl Iterator<Item = f64>) -> Vec<f64> {
+pub(crate) fn sorted_uniques(values: impl Iterator<Item = f64>) -> Vec<f64> {
     let mut values: Vec<f64> = values.filter(|v| !v.is_nan()).collect();
     // Stable on purpose: `-0.0 == 0.0`, so `dedup` keeps whichever zero
     // came first in the input, and only a stable sort preserves that

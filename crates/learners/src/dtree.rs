@@ -7,6 +7,7 @@
 //! paper's `extra trees` learner does. Missing values travel to the left
 //! child.
 
+use crate::binning::sorted_uniques;
 use flaml_data::DatasetView;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -50,27 +51,16 @@ impl Default for TreeParams {
     }
 }
 
-#[derive(Debug, Clone)]
-struct DNode {
-    feature: u32,
-    threshold: f64,
-    left: u32,
-    right: u32,
-    is_leaf: bool,
-    /// Class distribution (classification) or `[mean]` (regression).
-    value: Vec<f64>,
-}
-
 /// A fitted decision tree.
 #[derive(Debug, Clone)]
 pub struct DecisionTree {
-    nodes: Vec<DNode>,
+    nodes: Vec<DTreeNode>,
     n_classes: usize,
 }
 
-/// One flattened decision-tree node, as exported to the serving layer.
-/// Thresholds are raw feature values; a row goes left when
-/// [`goes_left`] holds; child indices are local to the exporting tree.
+/// One flattened decision-tree node, as stored by the tree and read by
+/// the serving layer. Thresholds are raw feature values; a row goes left
+/// when [`goes_left`] holds; child indices are local to the tree.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DTreeNode {
     /// Feature column the node splits on (0 for leaves).
@@ -109,149 +99,13 @@ impl DecisionTree {
         params: &TreeParams,
         rng: &mut StdRng,
     ) -> Self {
-        let data: DatasetView = data.into();
-        assert!(!rows.is_empty(), "cannot fit a tree on zero rows");
-        let n_classes = data.task().n_classes().unwrap_or(0);
-        // Map the view-local rows to root-storage coordinates once; tree
-        // growth then indexes the shared column storage directly, with no
-        // per-node indirection through the view. Row order is preserved,
-        // so every accumulation below visits values in the same order the
-        // copy-based path did.
-        let rows: Vec<usize> = rows.iter().map(|&r| data.root_row(r)).collect();
-        let mut tree = DecisionTree {
-            nodes: Vec::new(),
-            n_classes,
-        };
-        tree.nodes.push(DNode {
-            feature: 0,
-            threshold: 0.0,
-            left: 0,
-            right: 0,
-            is_leaf: true,
-            value: leaf_value(&data, &rows, n_classes),
-        });
-        tree.grow(&data, 0, rows, 0, params, rng);
-        tree
-    }
-
-    fn grow(
-        &mut self,
-        data: &DatasetView,
-        node: usize,
-        rows: Vec<usize>,
-        depth: usize,
-        params: &TreeParams,
-        rng: &mut StdRng,
-    ) {
-        if rows.len() < 2 * params.min_samples_leaf.max(1) {
-            return;
-        }
-        if let Some(cap) = params.max_depth {
-            if depth >= cap {
-                return;
-            }
-        }
-        if is_pure(data, &rows) {
-            return;
-        }
-        let Some((feature, threshold)) = self.find_split(data, &rows, params, rng) else {
-            return;
-        };
-        let col = data.root_column(feature as usize);
-        let (left_rows, right_rows): (Vec<usize>, Vec<usize>) = rows
-            .into_iter()
-            .partition(|&r| goes_left(col[r], threshold));
-        if left_rows.len() < params.min_samples_leaf || right_rows.len() < params.min_samples_leaf {
-            return;
-        }
-        let left_id = self.nodes.len() as u32;
-        let right_id = left_id + 1;
-        self.nodes.push(DNode {
-            feature: 0,
-            threshold: 0.0,
-            left: 0,
-            right: 0,
-            is_leaf: true,
-            value: leaf_value(data, &left_rows, self.n_classes),
-        });
-        self.nodes.push(DNode {
-            feature: 0,
-            threshold: 0.0,
-            left: 0,
-            right: 0,
-            is_leaf: true,
-            value: leaf_value(data, &right_rows, self.n_classes),
-        });
-        {
-            let parent = &mut self.nodes[node];
-            parent.is_leaf = false;
-            parent.feature = feature;
-            parent.threshold = threshold;
-            parent.left = left_id;
-            parent.right = right_id;
-        }
-        self.grow(data, left_id as usize, left_rows, depth + 1, params, rng);
-        self.grow(data, right_id as usize, right_rows, depth + 1, params, rng);
-    }
-
-    fn find_split(
-        &self,
-        data: &DatasetView,
-        rows: &[usize],
-        params: &TreeParams,
-        rng: &mut StdRng,
-    ) -> Option<(u32, f64)> {
-        let d = data.n_features();
-        let want = ((d as f64 * params.max_features).ceil() as usize).clamp(1, d);
-        let mut features: Vec<u32> = (0..d as u32).collect();
-        for i in 0..want {
-            let j = rng.gen_range(i..features.len());
-            features.swap(i, j);
-        }
-        features.truncate(want);
-
-        let parent_impurity = impurity(data, rows, params.criterion, self.n_classes);
-        let mut best: Option<(u32, f64, f64)> = None; // (feature, threshold, score)
-        for &j in &features {
-            let col = data.root_column(j as usize);
-            let candidates = if params.random_threshold {
-                random_threshold(col, rows, rng).into_iter().collect()
-            } else {
-                candidate_thresholds(col, rows)
-            };
-            for t in candidates {
-                let (li, ln, ri, rn) =
-                    split_impurities(data, rows, j as usize, t, params.criterion, self.n_classes);
-                if ln < params.min_samples_leaf || rn < params.min_samples_leaf {
-                    continue;
-                }
-                let total = (ln + rn) as f64;
-                let weighted = (ln as f64 * li + rn as f64 * ri) / total;
-                let gain = parent_impurity - weighted;
-                if gain > 1e-12 && best.is_none_or(|(_, _, g)| gain > g) {
-                    best = Some((j, t, gain));
-                }
-            }
-        }
-        best.map(|(f, t, _)| (f, t))
+        Grower::new(&data.into(), params).grow(rows, rng)
     }
 
     /// The leaf value vector for view row `row` of `data`: class
     /// distribution for classification, `[mean]` for regression.
     pub fn eval(&self, data: &DatasetView, row: usize) -> &[f64] {
-        let mut at = 0usize;
-        loop {
-            let node = &self.nodes[at];
-            if node.is_leaf {
-                return &node.value;
-            }
-            let v = data.value(row, node.feature as usize);
-            at = if goes_left(v, node.threshold) {
-                node.left as usize
-            } else {
-                node.right as usize
-            };
-        }
+        self.descend(|feature| data.value(row, feature))
     }
 
     /// Like [`DecisionTree::eval`], but over pre-gathered feature columns
@@ -260,19 +114,16 @@ impl DecisionTree {
     /// slices replaces a per-value row-selection dispatch through the view;
     /// the values are identical, so the leaf reached is identical.
     pub fn eval_cols(&self, cols: &[Vec<f64>], row: usize) -> &[f64] {
-        let mut at = 0usize;
-        loop {
-            let node = &self.nodes[at];
-            if node.is_leaf {
-                return &node.value;
-            }
-            let v = cols[node.feature as usize][row];
-            at = if goes_left(v, node.threshold) {
-                node.left as usize
-            } else {
-                node.right as usize
-            };
+        self.descend(|feature| cols[feature][row])
+    }
+
+    fn descend(&self, value_of: impl Fn(usize) -> f64) -> &[f64] {
+        let mut node = &self.nodes[0];
+        while !node.is_leaf {
+            let left = goes_left(value_of(node.feature as usize), node.threshold);
+            node = &self.nodes[if left { node.left } else { node.right } as usize];
         }
+        &node.value
     }
 
     /// Number of classes the tree predicts (0 for regression).
@@ -281,18 +132,8 @@ impl DecisionTree {
     }
 
     /// Flattened node list for compilation into a serving artifact.
-    pub fn export_nodes(&self) -> Vec<DTreeNode> {
-        self.nodes
-            .iter()
-            .map(|n| DTreeNode {
-                feature: n.feature,
-                threshold: n.threshold,
-                left: n.left,
-                right: n.right,
-                is_leaf: n.is_leaf,
-                value: n.value.clone(),
-            })
-            .collect()
+    pub fn export_nodes(&self) -> &[DTreeNode] {
+        &self.nodes
     }
 
     /// Number of leaves.
@@ -315,7 +156,7 @@ impl DecisionTree {
 
     /// Maximum depth of the tree.
     pub fn depth(&self) -> usize {
-        fn rec(nodes: &[DNode], at: usize) -> usize {
+        fn rec(nodes: &[DTreeNode], at: usize) -> usize {
             let n = &nodes[at];
             if n.is_leaf {
                 0
@@ -327,56 +168,327 @@ impl DecisionTree {
     }
 }
 
-/// All helpers below receive *root-coordinate* rows and index the shared
-/// storage directly.
-fn leaf_value(data: &DatasetView, rows: &[usize], n_classes: usize) -> Vec<f64> {
-    let y = data.root_target();
-    if n_classes == 0 {
-        let mean = rows.iter().map(|&r| y[r]).sum::<f64>() / rows.len() as f64;
-        vec![mean]
-    } else {
-        let mut dist = vec![0.0; n_classes];
-        for &r in rows {
-            dist[y[r] as usize] += 1.0;
-        }
-        let total = rows.len() as f64;
-        for v in &mut dist {
-            *v /= total;
-        }
-        dist
-    }
-}
+/// Most thresholds the exhaustive search scores per (node, feature).
+const MAX_CANDIDATES: usize = 15;
 
-fn is_pure(data: &DatasetView, rows: &[usize]) -> bool {
-    let y = data.root_target();
-    let first = y[rows[0]];
-    rows.iter().all(|&r| y[r] == first)
-}
+/// The rank of a missing value; never a candidate.
+const NAN_RANK: u32 = u32::MAX;
 
-fn impurity(
-    data: &DatasetView,
-    rows: &[usize],
-    criterion: SplitCriterion,
+/// Grows the trees of one forest over one view. Built once per fit, it
+/// gathers the view's columns and target (every row index below is
+/// view-local), ranks the columns when thresholds are searched
+/// exhaustively, and owns every buffer growth needs, so a node
+/// allocates nothing but its children's leaf values.
+///
+/// The random stream is part of the model: per node that passes the
+/// size, depth and purity checks, `gen_range(i..d)` feature draws over
+/// an identity-reset buffer, then per sampled feature one
+/// [`random_threshold`] draw (extra-trees, and only where the node's
+/// values differ); the left subtree wholly before the right; trees in
+/// order. Any other order changes every later draw.
+///
+/// - `ranks[j]`, in exhaustive mode only: feature `j`'s sorted distinct
+///   values and each row's index into them.
+/// - `rows`: the tree's rows; a node owns a contiguous range of them,
+///   in sample order.
+/// - `counts`: the class counts of the nodes on the path being grown,
+///   `n_classes` apiece. The root's are counted once; a child's are its
+///   parent's winning candidate's, so purity, impurity and the leaf
+///   distribution are read off them without touching a row.
+/// - `buckets[b * n_classes + c]`: the node's class-`c` rows in bucket
+///   `b` (see [`bucket`]) of the feature being scored.
+/// - `lc`, `rc`: left and right class counts of the candidate being
+///   scored; `best_lc`: the left counts of the best candidate so far.
+/// - `spill`: the right-going rows of the partition in progress.
+pub(crate) struct Grower<'a> {
+    params: &'a TreeParams,
     n_classes: usize,
-) -> f64 {
-    let y = data.root_target();
-    match criterion {
-        SplitCriterion::Variance => {
-            let n = rows.len() as f64;
-            let mean = rows.iter().map(|&r| y[r]).sum::<f64>() / n;
-            rows.iter()
-                .map(|&r| (y[r] - mean) * (y[r] - mean))
-                .sum::<f64>()
-                / n
-        }
-        SplitCriterion::Gini | SplitCriterion::Entropy => {
-            let mut counts = vec![0usize; n_classes];
-            for &r in rows {
-                counts[y[r] as usize] += 1;
-            }
-            class_impurity(&counts, rows.len(), criterion)
+    cols: Vec<Vec<f64>>,
+    target: Vec<f64>,
+    ranks: Vec<(Vec<f64>, Vec<u32>)>,
+    nodes: Vec<DTreeNode>,
+    rows: Vec<usize>,
+    counts: Vec<usize>,
+    features: Vec<u32>,
+    node_ranks: Vec<u32>,
+    cuts: Vec<f64>,
+    buckets: Vec<usize>,
+    lc: Vec<usize>,
+    rc: Vec<usize>,
+    best_lc: Vec<usize>,
+    spill: Vec<usize>,
+}
+
+impl<'a> Grower<'a> {
+    pub(crate) fn new(data: &DatasetView, params: &'a TreeParams) -> Self {
+        let n_classes = data.task().n_classes().unwrap_or(0);
+        let cols: Vec<Vec<f64>> = (0..data.n_features())
+            .map(|j| data.column_values(j).collect())
+            .collect();
+        let ranked = |col: &Vec<f64>| {
+            let uniques = sorted_uniques(col.iter().copied());
+            let rank = |v: &f64| {
+                if v.is_nan() {
+                    NAN_RANK
+                } else {
+                    uniques.partition_point(|u| u < v) as u32
+                }
+            };
+            let ranks = col.iter().map(rank).collect();
+            (uniques, ranks)
+        };
+        Grower {
+            params,
+            n_classes,
+            ranks: if params.random_threshold {
+                Vec::new()
+            } else {
+                cols.iter().map(ranked).collect()
+            },
+            features: vec![0; cols.len()],
+            cols,
+            target: data.gather_target(),
+            nodes: Vec::new(),
+            rows: Vec::new(),
+            counts: Vec::new(),
+            node_ranks: Vec::new(),
+            cuts: Vec::with_capacity(MAX_CANDIDATES),
+            buckets: vec![0; (MAX_CANDIDATES + 1) * n_classes],
+            lc: vec![0; n_classes],
+            rc: vec![0; n_classes],
+            best_lc: vec![0; n_classes],
+            spill: Vec::new(),
         }
     }
+
+    /// Grows one tree on `rows` (duplicates allowed).
+    pub(crate) fn grow(&mut self, rows: &[usize], rng: &mut StdRng) -> DecisionTree {
+        assert!(!rows.is_empty(), "cannot fit a tree on zero rows");
+        self.rows.clear();
+        self.rows.extend_from_slice(rows);
+        self.counts.clear();
+        self.counts.resize(self.n_classes, 0);
+        if self.n_classes > 0 {
+            for &r in rows {
+                self.counts[self.target[r] as usize] += 1;
+            }
+        }
+        let root = self.leaf(0, rows.len(), 0);
+        self.nodes.push(root);
+        self.split(0, 0, rows.len(), 0, 0, rng);
+        DecisionTree {
+            nodes: std::mem::take(&mut self.nodes),
+            n_classes: self.n_classes,
+        }
+    }
+
+    /// A leaf over `rows[lo..hi]` whose class counts start at `counts[at]`.
+    fn leaf(&self, lo: usize, hi: usize, at: usize) -> DTreeNode {
+        let n = (hi - lo) as f64;
+        let value = if self.n_classes == 0 {
+            let sum: f64 = self.rows[lo..hi].iter().map(|&r| self.target[r]).sum();
+            vec![sum / n]
+        } else {
+            let counts = &self.counts[at..at + self.n_classes];
+            counts.iter().map(|&c| c as f64 / n).collect()
+        };
+        DTreeNode {
+            feature: 0,
+            threshold: 0.0,
+            left: 0,
+            right: 0,
+            is_leaf: true,
+            value,
+        }
+    }
+
+    fn is_pure(&self, lo: usize, hi: usize, at: usize) -> bool {
+        if self.n_classes > 0 {
+            return self.counts[at..at + self.n_classes].contains(&(hi - lo));
+        }
+        let first = self.target[self.rows[lo]];
+        self.rows[lo..hi].iter().all(|&r| self.target[r] == first)
+    }
+
+    fn split(
+        &mut self,
+        node: usize,
+        lo: usize,
+        hi: usize,
+        depth: usize,
+        at: usize,
+        rng: &mut StdRng,
+    ) {
+        if hi - lo < 2 * self.params.min_samples_leaf.max(1)
+            || self.params.max_depth.is_some_and(|cap| depth >= cap)
+            || self.is_pure(lo, hi, at)
+        {
+            return;
+        }
+        let Some((feature, threshold)) = self.find_split(lo, hi, at, rng) else {
+            return;
+        };
+        // Stable, so both children keep sample order (regression sums
+        // over it): left rows close up in place, right rows pass through
+        // `spill`.
+        let col = &self.cols[feature as usize];
+        let mut mid = lo;
+        self.spill.clear();
+        for i in lo..hi {
+            let r = self.rows[i];
+            if goes_left(col[r], threshold) {
+                self.rows[mid] = r;
+                mid += 1;
+            } else {
+                self.spill.push(r);
+            }
+        }
+        self.rows[mid..hi].copy_from_slice(&self.spill);
+        let k = self.n_classes;
+        let below = self.counts.len();
+        self.counts.extend_from_slice(&self.best_lc);
+        for c in 0..k {
+            self.counts.push(self.counts[at + c] - self.best_lc[c]);
+        }
+        let left = self.nodes.len();
+        self.nodes.push(self.leaf(lo, mid, below));
+        self.nodes.push(self.leaf(mid, hi, below + k));
+        let parent = &mut self.nodes[node];
+        parent.is_leaf = false;
+        parent.feature = feature;
+        parent.threshold = threshold;
+        parent.left = left as u32;
+        parent.right = left as u32 + 1;
+        self.split(left, lo, mid, depth + 1, below, rng);
+        self.split(left + 1, mid, hi, depth + 1, below + k, rng);
+        self.counts.truncate(below);
+    }
+
+    /// The best `(feature, threshold)` for `rows[lo..hi]`, leaving the
+    /// winner's left class counts in `best_lc`.
+    fn find_split(
+        &mut self,
+        lo: usize,
+        hi: usize,
+        at: usize,
+        rng: &mut StdRng,
+    ) -> Option<(u32, f64)> {
+        let (criterion, min_samples_leaf) = (self.params.criterion, self.params.min_samples_leaf);
+        let (d, k, n) = (self.cols.len(), self.n_classes, hi - lo);
+        let want = ((d as f64 * self.params.max_features).ceil() as usize).clamp(1, d);
+        (self.features.iter_mut().zip(0..)).for_each(|(f, i)| *f = i);
+        for i in 0..want {
+            let j = rng.gen_range(i..d);
+            self.features.swap(i, j);
+        }
+        let rows = &self.rows[lo..hi];
+        let node_counts = &self.counts[at..at + k];
+        let parent_impurity = match k {
+            0 => variance(&self.target, rows),
+            _ => class_impurity(node_counts, n, criterion),
+        };
+        let side_impurity = |counts: &[usize], n: usize| match n {
+            0 => 0.0,
+            _ => class_impurity(counts, n, criterion),
+        };
+        let (lc, rc, best_lc) = (&mut self.lc, &mut self.rc, &mut self.best_lc);
+        let mut best: Option<(u32, f64, f64)> = None; // (feature, threshold, gain)
+        for &j in &self.features[..want] {
+            let col = &self.cols[j as usize];
+            self.cuts.clear();
+            if self.params.random_threshold {
+                self.cuts.extend(random_threshold(col, rows, rng));
+            } else {
+                let (uniques, rank) = &self.ranks[j as usize];
+                self.node_ranks.clear();
+                let present = rows.iter().map(|&r| rank[r]).filter(|&q| q != NAN_RANK);
+                self.node_ranks.extend(present);
+                rank_cuts(uniques, &mut self.node_ranks, &mut self.cuts);
+            }
+            if k > 0 && !self.cuts.is_empty() {
+                self.buckets[..(self.cuts.len() + 1) * k].fill(0);
+                for &r in rows {
+                    let b = bucket(col[r], &self.cuts);
+                    self.buckets[b * k + self.target[r] as usize] += 1;
+                }
+                lc.fill(0);
+            }
+            let mut ln = 0;
+            for (b, &t) in self.cuts.iter().enumerate() {
+                let (li, ri);
+                if k == 0 {
+                    (li, ln, ri) = split_variances(col, &self.target, rows, t);
+                } else {
+                    // Every row of buckets `0..=b` goes left at cut `b`.
+                    for (l, &c) in lc.iter_mut().zip(&self.buckets[b * k..]) {
+                        *l += c;
+                        ln += c;
+                    }
+                    for c in 0..k {
+                        rc[c] = node_counts[c] - lc[c];
+                    }
+                    (li, ri) = (side_impurity(lc, ln), side_impurity(rc, n - ln));
+                }
+                if ln < min_samples_leaf || n - ln < min_samples_leaf {
+                    continue;
+                }
+                let weighted = (ln as f64 * li + (n - ln) as f64 * ri) / n as f64;
+                let gain = parent_impurity - weighted;
+                if gain > 1e-12 && best.is_none_or(|(_, _, g)| gain > g) {
+                    best = Some((j, t, gain));
+                    best_lc.copy_from_slice(lc);
+                }
+            }
+        }
+        best.map(|(f, t, _)| (f, t))
+    }
+}
+
+/// The bucket of value `v` among a feature's `cuts`: how many of them
+/// send it right. Cuts ascend (or there is one), so the rows that go
+/// left at cut `b` are exactly those of buckets `0..=b`. Counted through
+/// [`goes_left`] itself, so a `NaN` value, and a `NaN` or infinite cut,
+/// land where the partition that follows puts them.
+fn bucket(v: f64, cuts: &[f64]) -> usize {
+    cuts.iter().filter(|&&t| !goes_left(v, t)).count()
+}
+
+/// Up to [`MAX_CANDIDATES`] quantile thresholds of a node's non-missing
+/// values (midpoints between consecutive distinct values when few),
+/// appended to `cuts`. `node_ranks` holds the indices of the node's
+/// non-missing rows into `uniques`, the feature's sorted distinct values: sorting and
+/// deduplicating small integers finds the same distinct values as
+/// sorting the floats, since equal values share a rank, and which of
+/// `0.0` / `-0.0` stands for a rank cannot move a midpoint.
+fn rank_cuts(uniques: &[f64], node_ranks: &mut Vec<u32>, cuts: &mut Vec<f64>) {
+    node_ranks.sort_unstable();
+    node_ranks.dedup();
+    let m = node_ranks.len();
+    if m < 2 {
+        return;
+    }
+    let mid = |pos: usize| {
+        (uniques[node_ranks[pos - 1] as usize] + uniques[node_ranks[pos] as usize]) / 2.0
+    };
+    if m <= MAX_CANDIDATES + 1 {
+        return cuts.extend((1..m).map(mid));
+    }
+    for q in 1..=MAX_CANDIDATES {
+        let cut = mid((q * m / (MAX_CANDIDATES + 1)).clamp(1, m - 1));
+        if cuts.last().is_none_or(|&last| cut > last) {
+            cuts.push(cut);
+        }
+    }
+}
+
+/// Population variance of the targets of `rows`, two passes in row order.
+fn variance(y: &[f64], rows: &[usize]) -> f64 {
+    let n = rows.len() as f64;
+    let mean = rows.iter().map(|&r| y[r]).sum::<f64>() / n;
+    rows.iter()
+        .map(|&r| (y[r] - mean) * (y[r] - mean))
+        .sum::<f64>()
+        / n
 }
 
 fn class_impurity(counts: &[usize], total: usize, criterion: SplitCriterion) -> f64 {
@@ -403,98 +515,32 @@ fn class_impurity(counts: &[usize], total: usize, criterion: SplitCriterion) -> 
     }
 }
 
-/// Impurities and sizes of the two sides of a split.
-fn split_impurities(
-    data: &DatasetView,
-    rows: &[usize],
-    feature: usize,
-    threshold: f64,
-    criterion: SplitCriterion,
-    n_classes: usize,
-) -> (f64, usize, f64, usize) {
-    let col = data.root_column(feature);
-    let y = data.root_target();
-    if criterion == SplitCriterion::Variance {
-        // Single pass Welford-free: accumulate sums and squared sums.
-        let (mut ls, mut lss, mut ln) = (0.0, 0.0, 0usize);
-        let (mut rs, mut rss, mut rn) = (0.0, 0.0, 0usize);
-        for &r in rows {
-            let t = y[r];
-            if goes_left(col[r], threshold) {
-                ls += t;
-                lss += t * t;
-                ln += 1;
-            } else {
-                rs += t;
-                rss += t * t;
-                rn += 1;
-            }
+/// Left target variance, left size and right target variance of a
+/// split, from sums and squared sums accumulated in row order.
+fn split_variances(col: &[f64], y: &[f64], rows: &[usize], threshold: f64) -> (f64, usize, f64) {
+    let (mut ls, mut lss, mut ln) = (0.0, 0.0, 0usize);
+    let (mut rs, mut rss, mut rn) = (0.0, 0.0, 0usize);
+    for &r in rows {
+        let t = y[r];
+        if goes_left(col[r], threshold) {
+            ls += t;
+            lss += t * t;
+            ln += 1;
+        } else {
+            rs += t;
+            rss += t * t;
+            rn += 1;
         }
-        let var = |s: f64, ss: f64, n: usize| {
-            if n == 0 {
-                0.0
-            } else {
-                let nf = n as f64;
-                (ss / nf - (s / nf) * (s / nf)).max(0.0)
-            }
-        };
-        (var(ls, lss, ln), ln, var(rs, rss, rn), rn)
-    } else {
-        let mut lc = vec![0usize; n_classes];
-        let mut rc = vec![0usize; n_classes];
-        let (mut ln, mut rn) = (0usize, 0usize);
-        for &r in rows {
-            if goes_left(col[r], threshold) {
-                lc[y[r] as usize] += 1;
-                ln += 1;
-            } else {
-                rc[y[r] as usize] += 1;
-                rn += 1;
-            }
-        }
-        let li = if ln == 0 {
+    }
+    let var = |s: f64, ss: f64, n: usize| {
+        if n == 0 {
             0.0
         } else {
-            class_impurity(&lc, ln, criterion)
-        };
-        let ri = if rn == 0 {
-            0.0
-        } else {
-            class_impurity(&rc, rn, criterion)
-        };
-        (li, ln, ri, rn)
-    }
-}
-
-/// Up to 15 quantile thresholds of the node's non-missing values
-/// (midpoints between consecutive distinct values when few).
-fn candidate_thresholds(col: &[f64], rows: &[usize]) -> Vec<f64> {
-    let mut values: Vec<f64> = rows
-        .iter()
-        .map(|&r| col[r])
-        .filter(|v| !v.is_nan())
-        .collect();
-    if values.len() < 2 {
-        return Vec::new();
-    }
-    values.sort_by(|a, b| a.partial_cmp(b).expect("no NaN after filter"));
-    values.dedup();
-    if values.len() < 2 {
-        return Vec::new();
-    }
-    const MAX_CANDIDATES: usize = 15;
-    if values.len() <= MAX_CANDIDATES + 1 {
-        return values.windows(2).map(|w| (w[0] + w[1]) / 2.0).collect();
-    }
-    let mut out = Vec::with_capacity(MAX_CANDIDATES);
-    for q in 1..=MAX_CANDIDATES {
-        let pos = (q * values.len() / (MAX_CANDIDATES + 1)).clamp(1, values.len() - 1);
-        let cut = (values[pos - 1] + values[pos]) / 2.0;
-        if out.last().is_none_or(|&last| cut > last) {
-            out.push(cut);
+            let nf = n as f64;
+            (ss / nf - (s / nf) * (s / nf)).max(0.0)
         }
-    }
-    out
+    };
+    (var(ls, lss, ln), ln, var(rs, rss, rn))
 }
 
 /// One uniformly random threshold strictly inside the node's value range
@@ -514,8 +560,7 @@ fn random_threshold(col: &[f64], rows: &[usize], rng: &mut StdRng) -> Option<f64
     }
     // Uniform in (lo, hi): values equal to hi go right, so the split is
     // never trivial on the value range.
-    let t = rng.gen_range(lo..hi);
-    Some(t)
+    Some(rng.gen_range(lo..hi))
 }
 
 #[cfg(test)]

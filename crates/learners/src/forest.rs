@@ -5,7 +5,7 @@
 //! the two differ in bootstrap (RF resamples rows, ET uses all rows) and
 //! threshold selection (ET draws one random threshold per feature).
 
-use crate::dtree::{DecisionTree, SplitCriterion, TreeParams};
+use crate::dtree::{DecisionTree, Grower, SplitCriterion, TreeParams};
 use crate::FitError;
 use flaml_data::{DatasetView, Task};
 use flaml_metrics::Pred;
@@ -58,7 +58,8 @@ impl Forest {
     ///
     /// # Errors
     ///
-    /// Returns [`FitError`] for out-of-range hyperparameters.
+    /// Returns [`FitError`] for out-of-range hyperparameters or a view
+    /// without rows.
     pub fn fit(
         data: impl Into<DatasetView>,
         params: &ForestParams,
@@ -72,7 +73,8 @@ impl Forest {
     ///
     /// # Errors
     ///
-    /// Returns [`FitError`] for out-of-range hyperparameters.
+    /// Returns [`FitError`] for out-of-range hyperparameters or a view
+    /// without rows.
     pub fn fit_bounded(
         data: impl Into<DatasetView>,
         params: &ForestParams,
@@ -92,6 +94,9 @@ impl Forest {
         }
         let start = Instant::now();
         let n = data.n_rows();
+        if n == 0 {
+            return Err(FitError::BadData("no rows to fit on".into()));
+        }
         let criterion = if data.task() == Task::Regression {
             SplitCriterion::Variance
         } else {
@@ -104,6 +109,7 @@ impl Forest {
             min_samples_leaf: 1,
             max_depth: params.max_depth,
         };
+        let mut grower = Grower::new(&data, &tree_params);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut trees = Vec::with_capacity(params.n_trees);
         for t in 0..params.n_trees {
@@ -119,7 +125,7 @@ impl Forest {
             } else {
                 (0..n).map(|_| rng.gen_range(0..n)).collect()
             };
-            trees.push(DecisionTree::fit(&data, &rows, &tree_params, &mut rng));
+            trees.push(grower.grow(&rows, &mut rng));
         }
         Ok(ForestModel {
             trees,
@@ -360,6 +366,37 @@ mod tests {
             0
         )
         .is_err());
+    }
+
+    #[test]
+    fn a_view_without_rows_is_a_typed_error() {
+        // `Dataset::new` rejects an empty target and views clamp to one
+        // row, but deserialization validates nothing: a stored dataset
+        // can arrive with no rows, and the trial path must see a typed
+        // failure rather than the tree's zero-rows assertion.
+        use serde::{Deserialize, Serialize, Value};
+        let Value::Obj(mut fields) = blobs(4, 0).to_value() else {
+            panic!("a dataset serializes as an object");
+        };
+        for (name, value) in &mut fields {
+            match name.as_str() {
+                "columns" => *value = Value::Arr(vec![Value::Arr(Vec::new()); 2]),
+                "target" => *value = Value::Arr(Vec::new()),
+                _ => {}
+            }
+        }
+        let empty = Dataset::from_value(&Value::Obj(fields)).unwrap();
+        assert_eq!(empty.n_rows(), 0);
+        for extra in [false, true] {
+            let params = ForestParams {
+                extra,
+                ..ForestParams::default()
+            };
+            let err = Forest::fit(&empty, &params, 0).unwrap_err();
+            assert!(matches!(err, FitError::BadData(_)), "{err}");
+            let bounded = Forest::fit_bounded(&empty, &params, 0, Some(Duration::from_secs(1)));
+            assert!(matches!(bounded, Err(FitError::BadData(_))));
+        }
     }
 
     #[test]
