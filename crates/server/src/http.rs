@@ -5,14 +5,14 @@
 //! no pipelining beyond the sequential keep-alive loop. Requests are
 //! size-capped so a misbehaving client cannot balloon server memory.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::io::{self, BufRead, Read, Write};
 
 /// Largest accepted request body (64 MiB — fit requests carry inline
 /// datasets).
 pub const MAX_BODY_BYTES: usize = 64 * 1024 * 1024;
 
-/// Largest accepted header block.
+/// Largest accepted head (request line + headers + blank line). No
+/// separate cap on the header count: 64 KiB already bounds it.
 const MAX_HEAD_BYTES: usize = 64 * 1024;
 
 /// One parsed HTTP request.
@@ -37,15 +37,19 @@ impl Request {
 }
 
 /// Reads one request off `reader`. Returns `Ok(None)` on a clean EOF
-/// (client closed between requests).
+/// (client closed between requests). The head cap holds *while*
+/// reading — a peer that never sends `\n` costs at most
+/// `MAX_HEAD_BYTES + 1` bytes — and the body is allocated only after
+/// its declared length passed the [`MAX_BODY_BYTES`] check.
 ///
 /// # Errors
 ///
 /// Returns an I/O error on malformed request lines, oversized heads or
 /// bodies, or a socket failure.
-pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Request>> {
+pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<Request>> {
+    let mut budget = MAX_HEAD_BYTES;
     let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+    if read_head_line(reader, &mut budget, &mut line)? == 0 {
         return Ok(None);
     }
     let mut parts = line.split_whitespace();
@@ -60,15 +64,10 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Requ
     let mut content_length = 0usize;
     // HTTP/1.1 defaults to keep-alive; `Connection: close` opts out.
     let mut keep_alive = !version.ends_with("1.0");
-    let mut head_bytes = line.len();
+    let mut header = String::new();
     loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
+        if read_head_line(reader, &mut budget, &mut header)? == 0 {
             return Err(bad("connection closed mid-headers"));
-        }
-        head_bytes += header.len();
-        if head_bytes > MAX_HEAD_BYTES {
-            return Err(bad("header block too large"));
         }
         let header = header.trim_end();
         if header.is_empty() {
@@ -101,13 +100,29 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Requ
     }))
 }
 
+/// Reads one head line into `line` (cleared first) through a `take` of
+/// what is left of the head budget plus one byte, so an over-long line
+/// is refused after that one byte instead of after its `\n`.
+fn read_head_line<R: BufRead>(
+    reader: &mut R,
+    budget: &mut usize,
+    line: &mut String,
+) -> io::Result<usize> {
+    line.clear();
+    let n = reader.take(*budget as u64 + 1).read_line(line)?;
+    *budget = budget
+        .checked_sub(n)
+        .ok_or_else(|| bad("header block too large"))?;
+    Ok(n)
+}
+
 /// Writes one `application/json` response.
 ///
 /// # Errors
 ///
 /// Returns any socket write error.
 pub fn write_response(
-    stream: &mut TcpStream,
+    mut stream: impl Write,
     status: u16,
     body: &str,
     keep_alive: bool,
@@ -122,6 +137,7 @@ pub fn write_response(
         409 => "Conflict",
         429 => "Too Many Requests",
         500 => "Internal Server Error",
+        503 => "Service Unavailable",
         507 => "Insufficient Storage",
         _ => "",
     };

@@ -7,7 +7,14 @@
 //!
 //! * **Admission control** — at most `max_inflight` searches queued or
 //!   running; excess `/fit` requests get a typed `429` with the current
-//!   counts, and every rejection is counted per tenant in telemetry.
+//!   counts — decided before the body is parsed — and every rejection
+//!   is counted per tenant in telemetry.
+//! * **Bounded connections** — the accept loop blocks in `accept` and
+//!   gives each connection a thread, at most 256 at once; the next
+//!   connection gets a typed `503` from the accept thread itself,
+//!   counted with the `429`s in `/stats.serve_rejected`, and
+//!   [`Server::stop`] wakes the blocked `accept` with one loopback
+//!   connect (see [`server`]).
 //! * **Fair budget sharing** — searches run in small slices under a
 //!   deficit scheduler: the runnable search of the least-charged tenant
 //!   goes next, so pool time divides per tenant, not per search (see
@@ -20,9 +27,10 @@
 //!   [`server`]).
 //!
 //! The HTTP layer is a dependency-free `std::net` HTTP/1.1 subset
-//! ([`http`]); wire types live in [`api`] and are shared with the
-//! `bench_server` load generator so a verifier can re-run any search
-//! from its sidecar and byte-compare journals.
+//! ([`http`]) whose head cap holds while a request is read; wire types
+//! live in [`api`] and are shared with the `bench_server` load generator
+//! so a verifier can re-run any search from its sidecar and byte-compare
+//! journals.
 //!
 //! # Routes
 //!

@@ -207,8 +207,13 @@ impl Scheduler {
                     self.emit_depth(depth);
                     self.work.notify_one();
                 }
+                // A search leaves the admission bound *before* its
+                // terminal status shows: a client that reads "finished"
+                // and submits its next search at once must find room.
                 Ok(Ok(SliceOutcome::Finished(result))) => {
-                    match self.publish(&job, &result) {
+                    let published = self.publish(&job, &result);
+                    self.finish_one();
+                    match published {
                         Ok(version) => self.set_status_full(
                             &job,
                             "finished",
@@ -220,7 +225,6 @@ impl Scheduler {
                             self.mark_failed(&job, &msg);
                         }
                     }
-                    self.finish_one();
                 }
                 Ok(Err(e)) => {
                     // A durability failure (ENOSPC, failed fsync) is a
@@ -229,13 +233,13 @@ impl Scheduler {
                     if matches!(e, AutoMlError::Durability(_)) {
                         self.emit_storage_fault(&job.tenant, &e.to_string());
                     }
-                    self.mark_failed(&job, &e.to_string());
                     self.finish_one();
+                    self.mark_failed(&job, &e.to_string());
                 }
                 Err(panic) => {
                     let msg = panic_message(&panic);
-                    self.mark_failed(&job, &format!("slice panicked: {msg}"));
                     self.finish_one();
+                    self.mark_failed(&job, &format!("slice panicked: {msg}"));
                 }
             }
         }
@@ -348,7 +352,7 @@ impl Scheduler {
         self.set_status_full(job, "failed", None, None, Some(msg.to_string()));
     }
 
-    fn emit_storage_fault(&self, tenant: &str, detail: &str) {
+    pub(crate) fn emit_storage_fault(&self, tenant: &str, detail: &str) {
         let mut ev = TrialEvent::new(TrialEventKind::StorageFault);
         ev.tenant = tenant.to_string();
         ev.message = Some(detail.to_string());

@@ -30,7 +30,7 @@ use crate::api::{
     valid_name, ErrorBody, FitAccepted, FitRequest, PredictRequest, PredictResponse, Rejected,
     StreamChunkRequest, StreamPushResponse, StreamRoundBody, StreamStatusBody,
 };
-use crate::http::{read_request, write_response, Request};
+use crate::http::{is_timeout, read_request, write_response, Request};
 use crate::scheduler::{journal_progress, Scheduler, SearchJob};
 use flaml_core::{
     discover, ArtifactFormat, BatchEngine, BlobModel, CompiledModel, EventSink, ExecPool,
@@ -41,11 +41,12 @@ use flaml_online::{ChunkOutcome, OnlineError, OnlineRuntime, OnlineSession};
 use flaml_store::{atomic_write_file, sweep_stale_tmps, Storage};
 use serde::Serialize;
 use std::collections::BTreeMap;
-use std::io::BufReader;
-use std::net::{TcpListener, TcpStream};
+use std::fmt::Display;
+use std::io::{BufReader, ErrorKind};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -95,6 +96,13 @@ impl Default for ServerConfig {
     }
 }
 
+/// Most connections served at once — a thread and a descriptor each.
+/// The next one is answered `503` by the accept thread itself, so a
+/// connection flood is a counted refusal, not thread or descriptor
+/// exhaustion. A constant like the body cap: 256 fits a 1 024-descriptor
+/// soft limit with room for the state root's files.
+const MAX_CONNECTIONS: usize = 256;
+
 struct Inner {
     cfg: ServerConfig,
     registry: Arc<ModelRegistry>,
@@ -108,6 +116,21 @@ struct Inner {
     /// map (chunks for other streams keep flowing).
     streams: Mutex<BTreeMap<String, Arc<Mutex<OnlineSession>>>>,
     shutdown: AtomicBool,
+    /// Connections being served, at most [`MAX_CONNECTIONS`].
+    connections: AtomicUsize,
+    /// Where [`Server::serve`] blocks in `accept`, for [`Server::stop`]
+    /// to wake it.
+    listening: Mutex<Option<SocketAddr>>,
+}
+
+/// A connection thread's place under [`MAX_CONNECTIONS`]; the drop — on
+/// return or while a panic unwinds — gives it back.
+struct ConnectionSlot(Server);
+
+impl Drop for ConnectionSlot {
+    fn drop(&mut self) {
+        self.0.inner.connections.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 /// The multi-tenant AutoML service.
@@ -149,6 +172,8 @@ impl Server {
                 next_ids: Mutex::new(BTreeMap::new()),
                 streams: Mutex::new(BTreeMap::new()),
                 shutdown: AtomicBool::new(false),
+                connections: AtomicUsize::new(0),
+                listening: Mutex::new(None),
                 cfg,
             }),
         };
@@ -399,26 +424,77 @@ impl Server {
         id
     }
 
-    /// Serves connections on `listener` until [`Server::stop`]. Each
-    /// connection gets a thread; requests are handled keep-alive.
+    /// Serves connections on `listener` until [`Server::stop`]: blocks
+    /// in `accept` and gives each connection a thread of its own (a
+    /// kept-alive connection would pin a pooled worker for up to
+    /// `socket_timeout`), at most `MAX_CONNECTIONS` (256) at once. Requests
+    /// are handled keep-alive. Returns — releasing the port — after
+    /// `stop`, or after an `accept` error it cannot retry, which is
+    /// reported as a `ServeRejected` event first.
     pub fn serve(&self, listener: TcpListener) {
-        listener
-            .set_nonblocking(true)
-            .expect("listener nonblocking");
+        if let Ok(mut addr) = listener.local_addr() {
+            // `stop` connects here; a wildcard bind listens on loopback.
+            if addr.ip().is_unspecified() {
+                addr.set_ip(match addr.ip() {
+                    IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            *self.inner.listening.lock().expect("listening lock") = Some(addr);
+        }
         while !self.inner.shutdown.load(Ordering::SeqCst) {
             match listener.accept() {
-                Ok((stream, _)) => {
-                    let server = self.clone();
-                    std::thread::spawn(move || server.handle_connection(stream));
+                // Re-read the flag: `stop`'s wake-up connection (and any
+                // that raced it) is dropped, never served.
+                Ok(_) if self.inner.shutdown.load(Ordering::SeqCst) => break,
+                Ok((stream, _)) => self.admit(stream),
+                // A signal, or a peer that reset while still queued.
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        ErrorKind::Interrupted | ErrorKind::ConnectionAborted
+                    ) => {}
+                Err(e) => {
+                    self.emit_rejected("", format!("accept failed, no longer serving: {e}"));
+                    break;
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    // Short poll: with connection-per-request clients this
-                    // sleep is on the latency path of every request.
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Err(_) => break,
             }
         }
+    }
+
+    /// Hands `stream` to a connection thread, or — over the bound, or
+    /// when the thread cannot be spawned — answers `503` right here on
+    /// the accept thread: typed, `connection: close`, counted in
+    /// `/stats` as a rejection. The reply fits the send buffer of a
+    /// fresh socket, so the write cannot block the acceptor.
+    fn admit(&self, stream: TcpStream) {
+        let stream = Arc::new(stream);
+        let claimed = self
+            .inner
+            .connections
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+                (n < MAX_CONNECTIONS).then_some(n + 1)
+            })
+            .is_ok();
+        let served = claimed && {
+            let (slot, stream) = (ConnectionSlot(self.clone()), Arc::clone(&stream));
+            // A failed spawn drops the closure, and with it the slot.
+            std::thread::Builder::new()
+                .spawn(move || slot.0.handle_connection(&stream))
+                .is_ok()
+        };
+        if !served {
+            let why = "too many connections";
+            self.emit_rejected("", why.to_string());
+            let _ = write_response(&*stream, 503, &ErrorBody::json(why), false);
+        }
+    }
+
+    fn emit_rejected(&self, tenant: &str, why: String) {
+        let mut ev = TrialEvent::new(TrialEventKind::ServeRejected);
+        ev.tenant = tenant.to_string();
+        ev.message = Some(why);
+        self.inner.sink.emit(ev);
     }
 
     /// Binds `addr` (use port 0 for an ephemeral port), spawns the
@@ -438,62 +514,64 @@ impl Server {
 
     /// Stops the accept loop and the fit workers. Queued searches stay
     /// journaled and resume on the next start — stopping is equivalent
-    /// to a crash, by design.
+    /// to a crash, by design. The flag is set first and the acceptor
+    /// then woken out of its blocking `accept` by one loopback connect;
+    /// with no `serve` running, or on a second call, there is nobody to
+    /// wake.
     pub fn stop(&self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
         self.inner.scheduler.stop();
+        let listening = self.inner.listening.lock().expect("listening lock").take();
+        if let Some(addr) = listening {
+            // Refused or timed out means `accept` is not waiting.
+            let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
+        }
     }
 
-    fn handle_connection(&self, stream: TcpStream) {
+    fn handle_connection(&self, stream: &TcpStream) {
         // Small JSON responses + Nagle + delayed ACK = ~20ms floors;
         // a latency-gated service always wants immediate writes.
         let _ = stream.set_nodelay(true);
         // Socket timeouts bound how long a stalled client can pin this
-        // thread; they are set on the fd, so the clone shares them.
+        // thread.
         let _ = stream.set_read_timeout(self.inner.cfg.socket_timeout);
         let _ = stream.set_write_timeout(self.inner.cfg.socket_timeout);
-        let mut reader = match stream.try_clone() {
-            Ok(s) => BufReader::new(s),
-            Err(_) => return,
-        };
-        let mut stream = stream;
+        // `Read` and `Write` are implemented for `&TcpStream`: both
+        // directions share the connection's one descriptor.
+        let mut reader = BufReader::new(stream);
         loop {
             let request = match read_request(&mut reader) {
                 Ok(Some(r)) => r,
                 Ok(None) => return,
-                Err(e) if crate::http::is_timeout(&e) => {
-                    self.inner
-                        .sink
-                        .emit(TrialEvent::new(TrialEventKind::ServeTimedOut));
-                    let _ = write_response(
-                        &mut stream,
-                        408,
-                        &ErrorBody::json("request timed out"),
-                        false,
-                    );
-                    return;
-                }
                 Err(e) => {
-                    let _ =
-                        write_response(&mut stream, 400, &ErrorBody::json(e.to_string()), false);
+                    let (status, msg) = if is_timeout(&e) {
+                        self.inner
+                            .sink
+                            .emit(TrialEvent::new(TrialEventKind::ServeTimedOut));
+                        (408, "request timed out".to_string())
+                    } else {
+                        (400, e.to_string())
+                    };
+                    let _ = write_response(stream, status, &ErrorBody::json(msg), false);
                     return;
                 }
             };
             let keep_alive = request.keep_alive;
             let (status, body) = catch_unwind(AssertUnwindSafe(|| self.route(&request)))
                 .unwrap_or_else(|_| (500, ErrorBody::json("request handler panicked")));
-            if write_response(&mut stream, status, &body, keep_alive).is_err() || !keep_alive {
+            if write_response(stream, status, &body, keep_alive).is_err() || !keep_alive {
                 return;
             }
         }
     }
 
-    /// Dispatches one request to `(status, json_body)`.
-    fn route(&self, req: &Request) -> (u16, String) {
+    /// Dispatches one request to its reply; a handler's refusal (the
+    /// `Err` it left through `?`) is sent like any other.
+    fn route(&self, req: &Request) -> Reply {
         let segments = req.segments();
-        match (req.method.as_str(), segments.as_slice()) {
-            ("GET", ["healthz"]) => (200, "{\"ok\":true}".to_string()),
-            ("GET", ["stats"]) => (200, self.stats_json()),
+        let handled = match (req.method.as_str(), segments.as_slice()) {
+            ("GET", ["healthz"]) => Ok((200, "{\"ok\":true}".to_string())),
+            ("GET", ["stats"]) => Ok(self.stats()),
             ("POST", ["tenants", tenant, "fit"]) => self.handle_fit(tenant, &req.body),
             ("GET", ["tenants", tenant, "searches", id]) => self.handle_status(tenant, id),
             ("POST", ["tenants", tenant, "predict"]) => self.handle_predict(tenant, &req.body),
@@ -509,46 +587,36 @@ impl Server {
             ("GET", ["tenants", tenant, "stream", slot, "status"]) => {
                 self.handle_stream_status(tenant, slot)
             }
-            _ => (404, ErrorBody::json("no such route")),
-        }
+            _ => Err((404, ErrorBody::json("no such route"))),
+        };
+        handled.unwrap_or_else(|refusal| refusal)
     }
 
-    fn check_tenant(&self, tenant: &str) -> Option<(u16, String)> {
+    fn check_tenant(&self, tenant: &str) -> Result<(), Reply> {
         if !valid_name(tenant) {
-            return Some((400, ErrorBody::json("invalid tenant name")));
+            return Err(bad_request("invalid tenant name"));
         }
-        if let Some(allowed) = &self.inner.cfg.tenants {
-            if !allowed.iter().any(|t| t == tenant) {
-                return Some((403, ErrorBody::json(format!("unknown tenant {tenant:?}"))));
+        match &self.inner.cfg.tenants {
+            Some(allowed) if !allowed.iter().any(|t| t == tenant) => {
+                Err((403, ErrorBody::json(format!("unknown tenant {tenant:?}"))))
             }
+            _ => Ok(()),
         }
-        None
     }
 
-    fn handle_fit(&self, tenant: &str, body: &[u8]) -> (u16, String) {
-        if let Some(err) = self.check_tenant(tenant) {
-            return err;
-        }
-        let request: FitRequest = match parse_json(body) {
-            Ok(r) => r,
-            Err(msg) => return (400, ErrorBody::json(msg)),
-        };
-        if !valid_name(&request.slot) {
-            return (400, ErrorBody::json("invalid slot name"));
-        }
-        let (automl, data) = match request
-            .to_automl()
-            .and_then(|a| Ok((a, request.to_dataset()?)))
-        {
-            Ok(pair) => pair,
-            Err(msg) => return (400, ErrorBody::json(msg)),
-        };
-        // Admission check before any durable write; a rejected request
-        // leaves no trace except the telemetry counter.
+    fn handle_fit(&self, tenant: &str, body: &[u8]) -> Handled {
+        self.check_tenant(tenant)?;
+        // Admission before the parse (up to 64 MiB) and the `Dataset`
+        // build: a rejected request costs neither and leaves no trace
+        // except the telemetry counter. `submit` re-checks for the race.
         let inflight = self.inner.scheduler.inflight();
         if inflight >= self.inner.cfg.max_inflight {
-            return self.reject_fit(tenant, inflight);
+            return Err(self.reject_fit(tenant, inflight));
         }
+        let request: FitRequest = parse_json(body)?;
+        check_slot(&request.slot)?;
+        let automl = request.to_automl().map_err(bad_request)?;
+        let data = request.to_dataset().map_err(bad_request)?;
         let id = self.assign_id(tenant);
         let tenant_dir = self.inner.cfg.root.join(tenant);
         let journal = tenant_dir.join(format!("{id}.jsonl"));
@@ -557,7 +625,7 @@ impl Server {
         // Atomic publish, so a crash mid-write cannot leave a torn
         // sidecar that recovery would quarantine.
         let storage = Arc::clone(&self.inner.cfg.storage);
-        let persisted = storage
+        storage
             .create_dir_all(&tenant_dir)
             .and_then(|()| {
                 atomic_write_file(
@@ -568,19 +636,9 @@ impl Server {
                         .as_bytes(),
                 )
             })
-            .inspect_err(|e| {
-                let mut ev = TrialEvent::new(TrialEventKind::StorageFault);
-                ev.tenant = tenant.to_string();
-                ev.message = Some(e.to_string());
-                self.inner.sink.emit(ev);
-            });
-        if let Err(e) = persisted {
-            let status = if e.is_no_space() { 507 } else { 500 };
-            return (
-                status,
-                ErrorBody::json(format!("persisting request failed: {e}")),
-            );
-        }
+            .map_err(|e| {
+                self.storage_fault(tenant, "persisting request failed", &e, e.is_no_space())
+            })?;
         let job = SearchJob {
             tenant: tenant.to_string(),
             id: id.clone(),
@@ -596,93 +654,72 @@ impl Server {
                     tenant: tenant.to_string(),
                     status_path: format!("/tenants/{tenant}/searches/{id}"),
                 };
-                (
-                    202,
-                    serde_json::to_string(&accepted).expect("response serialization"),
-                )
+                Ok(reply(202, &accepted))
             }
             Err((inflight, _)) => {
                 // Lost the admission race; drop the sidecar again.
                 let _ = storage.remove(&tenant_dir.join(format!("{id}.request.json")));
-                self.reject_fit(tenant, inflight)
+                Err(self.reject_fit(tenant, inflight))
             }
         }
     }
 
-    fn reject_fit(&self, tenant: &str, inflight: usize) -> (u16, String) {
-        let mut ev = TrialEvent::new(TrialEventKind::ServeRejected);
-        ev.tenant = tenant.to_string();
-        self.inner.sink.emit(ev);
+    /// A failed durable write: counted as a `StorageFault` event and
+    /// answered `507` when the disk is full, `500` otherwise.
+    fn storage_fault(&self, tenant: &str, what: &str, e: &dyn Display, no_space: bool) -> Reply {
+        let detail = e.to_string();
+        self.inner.scheduler.emit_storage_fault(tenant, &detail);
+        let status = if no_space { 507 } else { 500 };
+        (status, ErrorBody::json(format!("{what}: {detail}")))
+    }
+
+    fn reject_fit(&self, tenant: &str, inflight: usize) -> Reply {
         let body = Rejected {
             error: "too many searches in flight".to_string(),
             inflight,
             max_inflight: self.inner.cfg.max_inflight,
         };
-        (
-            429,
-            serde_json::to_string(&body).expect("response serialization"),
-        )
+        self.emit_rejected(tenant, body.error.clone());
+        reply(429, &body)
     }
 
-    fn handle_status(&self, tenant: &str, id: &str) -> (u16, String) {
-        if let Some(err) = self.check_tenant(tenant) {
-            return err;
-        }
+    fn handle_status(&self, tenant: &str, id: &str) -> Handled {
+        self.check_tenant(tenant)?;
         match self.inner.scheduler.status(tenant, id) {
-            Some(status) => (
-                200,
-                serde_json::to_string(&status).expect("response serialization"),
-            ),
-            None => (404, ErrorBody::json(format!("no search {id:?}"))),
+            Some(status) => Ok(reply(200, &status)),
+            None => Err((404, ErrorBody::json(format!("no search {id:?}")))),
         }
     }
 
-    fn handle_predict(&self, tenant: &str, body: &[u8]) -> (u16, String) {
-        if let Some(err) = self.check_tenant(tenant) {
-            return err;
-        }
-        let request: PredictRequest = match parse_json(body) {
-            Ok(r) => r,
-            Err(msg) => return (400, ErrorBody::json(msg)),
-        };
-        if !valid_name(&request.slot) {
-            return (400, ErrorBody::json("invalid slot name"));
-        }
+    fn handle_predict(&self, tenant: &str, body: &[u8]) -> Handled {
+        self.check_tenant(tenant)?;
+        let request: PredictRequest = parse_json(body)?;
+        check_slot(&request.slot)?;
         let key = format!("{tenant}/{}", request.slot);
         let Some(served) = self.inner.registry.get(&key) else {
-            return (
-                404,
-                ErrorBody::json(format!("no model in slot {:?}", request.slot)),
-            );
+            let msg = format!("no model in slot {:?}", request.slot);
+            return Err((404, ErrorBody::json(msg)));
         };
         let expected = served.model.n_features();
         if request.columns.len() != expected {
-            return (
-                400,
-                ErrorBody::json(format!(
-                    "model expects {expected} feature column(s), request has {}",
-                    request.columns.len()
-                )),
-            );
+            return Err(bad_request(format!(
+                "model expects {expected} feature column(s), request has {}",
+                request.columns.len()
+            )));
         }
         let rows = request.columns.first().map_or(0, Vec::len);
         if rows == 0 || request.columns.iter().any(|c| c.len() != rows) {
-            return (
-                400,
-                ErrorBody::json("columns must be non-empty and equal-length"),
-            );
+            return Err(bad_request("columns must be non-empty and equal-length"));
         }
         // Prediction input needs no labels; a zero regression target
         // satisfies the Dataset invariants without affecting inference.
-        let data = match Dataset::new(
+        let data = Dataset::new(
             key.clone(),
             Task::Regression,
             request.columns,
             vec![0.0; rows],
-        ) {
-            Ok(d) => d,
-            Err(e) => return (400, ErrorBody::json(format!("invalid matrix: {e:?}"))),
-        };
+        )
+        .map_err(|e| bad_request(format!("invalid matrix: {e:?}")))?;
         let tenant_name = tenant.to_string();
         let inner_sink = self.inner.sink.clone();
         let engine = BatchEngine::new(&self.inner.pool, self.inner.cfg.batch_rows).with_sink(
@@ -693,12 +730,10 @@ impl Server {
             }),
         );
         // Serve under the registry key so slot stats are per-tenant.
-        let pred = match catch_unwind(AssertUnwindSafe(|| {
+        let pred = catch_unwind(AssertUnwindSafe(|| {
             engine.predict(&key, &served.model, &data)
-        })) {
-            Ok(p) => p,
-            Err(_) => return (500, ErrorBody::json("prediction panicked")),
-        };
+        }))
+        .map_err(|_| (500, ErrorBody::json("prediction panicked")))?;
         let (n_classes, values) = match pred {
             flaml_metrics::Pred::Values(v) => (1, v),
             flaml_metrics::Pred::Probs { n_classes, p } => (n_classes, p),
@@ -710,74 +745,51 @@ impl Server {
             version: served.version,
             fingerprint: served.fingerprint,
         };
-        (
-            200,
-            serde_json::to_string(&response).expect("response serialization"),
-        )
+        Ok(reply(200, &response))
     }
 
-    fn handle_publish(&self, tenant: &str, slot: &str, body: &[u8]) -> (u16, String) {
-        if let Some(err) = self.check_tenant(tenant) {
-            return err;
-        }
-        if !valid_name(slot) {
-            return (400, ErrorBody::json("invalid slot name"));
-        }
+    fn handle_publish(&self, tenant: &str, slot: &str, body: &[u8]) -> Handled {
+        self.check_tenant(tenant)?;
+        check_slot(slot)?;
         // Sniff the format from the payload itself: a binary blob
         // leads with its magic, everything else must be the UTF-8 JSON
         // document. Either way the model re-persists in the server's
         // configured format — the wire format and the disk format are
         // independent choices.
         let model = if body.starts_with(&flaml_core::BLOB_MAGIC) {
-            match BlobModel::from_bytes(body) {
-                Ok(b) => b.to_compiled(),
-                Err(e) => return (400, ErrorBody::json(format!("bad blob artifact: {e}"))),
-            }
+            BlobModel::from_bytes(body)
+                .map_err(|e| bad_request(format!("bad blob artifact: {e}")))?
+                .to_compiled()
         } else {
-            let text = match std::str::from_utf8(body) {
-                Ok(t) => t,
-                Err(_) => return (400, ErrorBody::json("artifact body is not UTF-8")),
-            };
-            match CompiledModel::from_artifact_str(text) {
-                Ok(m) => m,
-                Err(e) => return (400, ErrorBody::json(format!("bad artifact: {e}"))),
-            }
+            let text =
+                std::str::from_utf8(body).map_err(|_| bad_request("artifact body is not UTF-8"))?;
+            CompiledModel::from_artifact_str(text)
+                .map_err(|e| bad_request(format!("bad artifact: {e}")))?
         };
         // Durable slot registry first, then the live swap.
         let slots_dir = self.inner.cfg.root.join(tenant).join("slots");
-        if let Err(e) = self
-            .inner
+        self.inner
             .scheduler
             .write_artifact(&model, &slots_dir, slot)
-        {
-            let mut ev = TrialEvent::new(TrialEventKind::StorageFault);
-            ev.tenant = tenant.to_string();
-            ev.message = Some(e.to_string());
-            self.inner.sink.emit(ev);
-            let status = if e.is_no_space() { 507 } else { 500 };
-            return (
-                status,
-                ErrorBody::json(format!("persisting slot failed: {e}")),
-            );
-        }
+            .map_err(|e| {
+                self.storage_fault(tenant, "persisting slot failed", &e, e.is_no_space())
+            })?;
         let version = self
             .inner
             .registry
             .publish(&format!("{tenant}/{slot}"), model)
             .version;
-        (200, format!("{{\"version\":{version}}}"))
+        Ok((200, format!("{{\"version\":{version}}}")))
     }
 
-    fn handle_rollback(&self, tenant: &str, slot: &str) -> (u16, String) {
-        if let Some(err) = self.check_tenant(tenant) {
-            return err;
-        }
+    fn handle_rollback(&self, tenant: &str, slot: &str) -> Handled {
+        self.check_tenant(tenant)?;
         match self.inner.registry.rollback(&format!("{tenant}/{slot}")) {
-            Some(version) => (200, format!("{{\"version\":{version}}}")),
-            None => (
+            Some(version) => Ok((200, format!("{{\"version\":{version}}}"))),
+            None => Err((
                 409,
                 ErrorBody::json("slot unknown or already at its oldest version"),
-            ),
+            )),
         }
     }
 
@@ -829,23 +841,13 @@ impl Server {
         }
     }
 
-    fn handle_stream_push(&self, tenant: &str, slot: &str, body: &[u8]) -> (u16, String) {
-        if let Some(err) = self.check_tenant(tenant) {
-            return err;
-        }
-        if !valid_name(slot) {
-            return (400, ErrorBody::json("invalid slot name"));
-        }
-        let request: StreamChunkRequest = match parse_json(body) {
-            Ok(r) => r,
-            Err(msg) => return (400, ErrorBody::json(msg)),
-        };
-        let chunk = match request.dataset.to_dataset() {
-            Ok(d) => d,
-            Err(msg) => return (400, ErrorBody::json(msg)),
-        };
+    fn handle_stream_push(&self, tenant: &str, slot: &str, body: &[u8]) -> Handled {
+        self.check_tenant(tenant)?;
+        check_slot(slot)?;
+        let request: StreamChunkRequest = parse_json(body)?;
+        let chunk = request.dataset.to_dataset().map_err(bad_request)?;
         if chunk.n_rows() == 0 {
-            return (400, ErrorBody::json("chunk must have at least one row"));
+            return Err(bad_request("chunk must have at least one row"));
         }
         let key = format!("{tenant}/{slot}");
         let cell = {
@@ -863,21 +865,17 @@ impl Server {
                     let opened = match OnlineSession::open(&dir, rt.clone()) {
                         Err(OnlineError::Journal(flaml_online::LogError::Missing)) => {
                             let options = request.options.clone().unwrap_or_default();
-                            match options.to_config(chunk.task(), chunk.n_features()) {
-                                Ok(cfg) => OnlineSession::create(&dir, cfg, rt),
-                                Err(msg) => return (400, ErrorBody::json(msg)),
-                            }
+                            let cfg = options
+                                .to_config(chunk.task(), chunk.n_features())
+                                .map_err(bad_request)?;
+                            OnlineSession::create(&dir, cfg, rt)
                         }
                         other => other,
                     };
-                    match opened {
-                        Ok(session) => {
-                            let cell = Arc::new(Mutex::new(session));
-                            streams.insert(key.clone(), Arc::clone(&cell));
-                            cell
-                        }
-                        Err(e) => return self.stream_error(tenant, &e),
-                    }
+                    let session = opened.map_err(|e| self.stream_error(tenant, &e))?;
+                    let cell = Arc::new(Mutex::new(session));
+                    streams.insert(key.clone(), Arc::clone(&cell));
+                    cell
                 }
             }
         };
@@ -919,10 +917,7 @@ impl Server {
                         era,
                     },
                 };
-                (
-                    200,
-                    serde_json::to_string(&response).expect("response serialization"),
-                )
+                Ok(reply(200, &response))
             }
             Err(e) => {
                 // A mid-chunk failure wedges the session. Recover in
@@ -938,7 +933,7 @@ impl Server {
                         *session = reopened;
                     }
                 }
-                self.stream_error(tenant, &e)
+                Err(self.stream_error(tenant, &e))
             }
         }
     }
@@ -946,33 +941,21 @@ impl Server {
     /// Maps an [`OnlineError`] to an HTTP response: schema and config
     /// problems are the client's (400), state conflicts are 409, and
     /// storage failures surface as 507/500 with a telemetry event.
-    fn stream_error(&self, tenant: &str, e: &OnlineError) -> (u16, String) {
+    fn stream_error(&self, tenant: &str, e: &OnlineError) -> Reply {
         let status = match e {
             OnlineError::SchemaMismatch { .. } | OnlineError::Config(_) => 400,
             OnlineError::Wedged | OnlineError::Corrupt(_) => 409,
             OnlineError::Durability(s) => {
-                let mut ev = TrialEvent::new(TrialEventKind::StorageFault);
-                ev.tenant = tenant.to_string();
-                ev.message = Some(s.to_string());
-                self.inner.sink.emit(ev);
-                if s.is_no_space() {
-                    507
-                } else {
-                    500
-                }
+                return self.storage_fault(tenant, "storage failure", s, s.is_no_space())
             }
             _ => 500,
         };
         (status, ErrorBody::json(e.to_string()))
     }
 
-    fn handle_stream_status(&self, tenant: &str, slot: &str) -> (u16, String) {
-        if let Some(err) = self.check_tenant(tenant) {
-            return err;
-        }
-        if !valid_name(slot) {
-            return (400, ErrorBody::json("invalid slot name"));
-        }
+    fn handle_stream_status(&self, tenant: &str, slot: &str) -> Handled {
+        self.check_tenant(tenant)?;
+        check_slot(slot)?;
         let cell = {
             let streams = self.inner.streams.lock().expect("streams lock");
             streams.get(&format!("{tenant}/{slot}")).cloned()
@@ -980,17 +963,16 @@ impl Server {
         match cell {
             Some(cell) => {
                 let session = cell.lock().expect("stream session lock");
-                let body = StreamStatusBody::from_status(slot, &session.status());
-                (
+                Ok(reply(
                     200,
-                    serde_json::to_string(&body).expect("response serialization"),
-                )
+                    &StreamStatusBody::from_status(slot, &session.status()),
+                ))
             }
-            None => (404, ErrorBody::json(format!("no stream {slot:?}"))),
+            None => Err((404, ErrorBody::json(format!("no stream {slot:?}")))),
         }
     }
 
-    fn stats_json(&self) -> String {
+    fn stats(&self) -> Reply {
         // The scheduler's locks are never taken under the telemetry
         // lock, which every event emission needs; the body is built under
         // it and serialized after.
@@ -1049,7 +1031,7 @@ impl Server {
             slots,
         };
         drop(telemetry);
-        serde_json::to_string(&body).expect("stats serialization")
+        reply(200, &body)
     }
 
     /// Journals discovered under the state root (diagnostics).
@@ -1098,7 +1080,32 @@ struct SlotStatsBody {
     rows_per_sec: f64,
 }
 
-fn parse_json<T: for<'de> serde::Deserialize<'de>>(body: &[u8]) -> Result<T, String> {
-    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
-    serde_json::from_str(text).map_err(|e| format!("bad JSON body: {e}"))
+/// A rendered reply: `(status, json_body)`.
+type Reply = (u16, String);
+
+/// What a handler returns: its answer, or the refusal that left it
+/// through `?`. Both are sent the same way.
+type Handled = Result<Reply, Reply>;
+
+/// Renders a reply; the wire types always serialize.
+fn reply(status: u16, body: &impl Serialize) -> Reply {
+    let body = serde_json::to_string(body).expect("response serialization");
+    (status, body)
+}
+
+fn bad_request(msg: impl Into<String>) -> Reply {
+    (400, ErrorBody::json(msg))
+}
+
+fn check_slot(slot: &str) -> Result<(), Reply> {
+    if valid_name(slot) {
+        Ok(())
+    } else {
+        Err(bad_request("invalid slot name"))
+    }
+}
+
+fn parse_json<T: for<'de> serde::Deserialize<'de>>(body: &[u8]) -> Result<T, Reply> {
+    let text = std::str::from_utf8(body).map_err(|_| bad_request("body is not UTF-8"))?;
+    serde_json::from_str(text).map_err(|e| bad_request(format!("bad JSON body: {e}")))
 }

@@ -21,25 +21,33 @@ pub fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, Str
     );
     stream.write_all(head.as_bytes()).expect("write head");
     stream.write_all(body.as_bytes()).expect("write body");
-    let mut reader = BufReader::new(stream);
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line).expect("status line");
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .expect("status code");
+    read_response(&mut BufReader::new(stream)).expect("response")
+}
+
+/// Reads one response — status line, headers, `content-length` body —
+/// off a connection that may stay open afterwards.
+pub fn read_response(reader: &mut BufReader<TcpStream>) -> std::io::Result<(u16, String)> {
+    let bad = |what: &str| std::io::Error::other(what.to_string());
     let mut line = String::new();
+    reader.read_line(&mut line)?;
+    let status = line.split_whitespace().nth(1).and_then(|s| s.parse().ok());
+    let status = status.ok_or_else(|| bad("no status code"))?;
+    let mut length = 0;
     loop {
         line.clear();
-        reader.read_line(&mut line).expect("header");
+        reader.read_line(&mut line)?;
+        if let Some(value) = line.strip_prefix("content-length:") {
+            length = value.trim().parse().map_err(|_| bad("content-length"))?;
+        }
         if line.trim_end().is_empty() {
             break;
         }
     }
-    let mut body = String::new();
-    reader.read_to_string(&mut body).expect("body");
-    (status, body)
+    let mut body = vec![0; length];
+    reader.read_exact(&mut body)?;
+    String::from_utf8(body)
+        .map(|body| (status, body))
+        .map_err(|_| bad("body is not UTF-8"))
 }
 
 /// Deterministic binary-classification payload.

@@ -1,13 +1,18 @@
 //! End-to-end service tests over a real socket: the fit → status →
-//! predict lifecycle, admission control, input validation, and the
-//! direct publish/rollback slot routes.
+//! predict lifecycle, admission control, input validation, the direct
+//! publish/rollback slot routes, and the connection lifecycle (the
+//! connection bound's typed `503`, `stop` waking a blocked `accept`,
+//! peers that vanish mid-request).
 
 mod common;
 
-use common::{await_terminal, fit_request, http, scratch_root};
+use common::{await_terminal, fit_request, http, read_response, scratch_root};
 use flaml_server::{
-    FitAccepted, PredictResponse, Rejected, Server, ServerConfig, StreamChunkRequest,
+    ErrorBody, FitAccepted, PredictResponse, Rejected, Server, ServerConfig, StreamChunkRequest,
 };
+use std::io::{BufReader, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::time::Duration;
 
 fn start(root: std::path::PathBuf, max_inflight: usize) -> (Server, std::net::SocketAddr) {
     let cfg = ServerConfig {
@@ -168,6 +173,23 @@ fn admission_control_rejects_excess_fits_with_429() {
         "rejection not counted in {stats}"
     );
 
+    // Admission comes before the parse: a full server answers 429 to a
+    // body it would otherwise have to call 400 — it never read it.
+    let (status, body) = http(addr, "POST", "/tenants/t1/fit", &request);
+    assert_eq!(status, 202, "refill rejected: {body}");
+    let refill: FitAccepted = serde_json::from_str(&body).unwrap();
+    let (status, body) = http(addr, "POST", "/tenants/t2/fit", "not json");
+    assert_eq!(
+        status, 429,
+        "expected 429 before any parse, got {status}: {body}"
+    );
+    let rejected: Rejected = serde_json::from_str(&body).unwrap();
+    assert_eq!(rejected.max_inflight, 1);
+    let done = await_terminal(addr, "t1", &refill.id);
+    assert_eq!(done.state, "finished", "search failed: {:?}", done.error);
+    let (status, _) = http(addr, "POST", "/tenants/t2/fit", "not json");
+    assert_eq!(status, 400, "with room again the body is parsed");
+
     server.stop();
 }
 
@@ -278,5 +300,144 @@ fn hostile_class_counts_are_typed_400s_and_the_server_survives() {
     let response: PredictResponse = serde_json::from_str(&body).unwrap();
     assert_eq!(response.rows, 1);
 
+    server.stop();
+}
+
+/// `server.rs`'s `MAX_CONNECTIONS`, which is private to the crate.
+const MAX_CONNECTIONS: usize = 256;
+
+/// One kept-alive `GET` on an open connection.
+fn get(reader: &mut BufReader<TcpStream>, path: &str) -> std::io::Result<(u16, String)> {
+    let request = format!("GET {path} HTTP/1.1\r\nhost: test\r\n\r\n");
+    reader.get_mut().write_all(request.as_bytes())?;
+    read_response(reader)
+}
+
+fn connect(addr: SocketAddr) -> BufReader<TcpStream> {
+    BufReader::new(TcpStream::connect(addr).expect("connect"))
+}
+
+/// `/stats.serve_rejected`, asked for on a connection already held.
+fn rejected_count(held: &mut BufReader<TcpStream>) -> usize {
+    let (status, stats) = get(held, "/stats").expect("stats");
+    assert_eq!(status, 200, "{stats}");
+    let key = "\"serve_rejected\":";
+    let at = stats.find(key).expect("serve_rejected") + key.len();
+    let digits: String = stats[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits.parse().expect("serve_rejected count")
+}
+
+#[test]
+fn connection_flood_gets_a_typed_503_and_the_server_recovers() {
+    let (server, addr) = start(scratch_root("flood"), 4);
+
+    // Fill the bound with idle connections. Each has answered one
+    // request, so each is past `accept` and holding a thread.
+    let mut held: Vec<_> = (0..MAX_CONNECTIONS).map(|_| connect(addr)).collect();
+    for conn in &mut held {
+        assert_eq!(get(conn, "/healthz").expect("held connection").0, 200);
+    }
+    let before = rejected_count(&mut held[0]);
+
+    // The next connection is answered by the accept thread before it
+    // has sent a byte: typed body, counted, closed.
+    let mut refused = connect(addr);
+    let (status, body) = read_response(&mut refused).expect("refusal");
+    assert_eq!(status, 503, "{body}");
+    let error: ErrorBody = serde_json::from_str(&body).expect("typed 503 body");
+    assert!(error.error.contains("too many connections"), "{body}");
+    let mut rest = Vec::new();
+    assert_eq!(refused.read_to_end(&mut rest).expect("closed"), 0);
+    assert_eq!(rejected_count(&mut held[0]), before + 1);
+
+    // The held connections are still served, and once they close their
+    // places come back — each thread gives its own up as it sees the
+    // EOF, so the first tries may still be refused (or reset, when the
+    // request crosses the refusal on the wire).
+    let last = &mut held[MAX_CONNECTIONS - 1];
+    assert_eq!(get(last, "/healthz").expect("held connection").0, 200);
+    drop(held);
+    let recovered = (0..500).any(|_| {
+        matches!(get(&mut connect(addr), "/healthz"), Ok((200, _))) || {
+            std::thread::sleep(Duration::from_millis(10));
+            false
+        }
+    });
+    assert!(recovered, "no place came back after the flood closed");
+
+    server.stop();
+}
+
+#[test]
+fn stop_wakes_a_blocked_accept_and_releases_the_port() {
+    let server = Server::new(ServerConfig {
+        root: scratch_root("stop-rebind"),
+        ..ServerConfig::default()
+    })
+    .expect("server init");
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr");
+    let (returned, serve_returned) = std::sync::mpsc::channel();
+    let serving = server.clone();
+    let thread = std::thread::spawn(move || {
+        serving.serve(listener);
+        returned.send(()).expect("test still waiting");
+    });
+    assert_eq!(http(addr, "GET", "/healthz", "").0, 200);
+
+    // `serve` is blocked in `accept` with nothing to accept: only the
+    // wake-up connection of `stop` can bring it back.
+    server.stop();
+    serve_returned
+        .recv_timeout(Duration::from_secs(2))
+        .expect("serve returns within 2 s of stop()");
+    thread.join().expect("serve thread");
+    let rebound = TcpListener::bind(addr).expect("the port is free again");
+
+    // Nobody is listening for the wake-up of a second stop — not even
+    // the new owner of the port, which sees no connection from it.
+    rebound.set_nonblocking(true).expect("nonblocking");
+    server.stop();
+    assert!(rebound.accept().is_err(), "a second stop() connected");
+}
+
+#[test]
+fn stop_without_serve_and_stop_twice_are_harmless() {
+    let idle = Server::new(ServerConfig {
+        root: scratch_root("stop-idle"),
+        ..ServerConfig::default()
+    })
+    .expect("server init");
+    idle.stop();
+    idle.stop();
+
+    let (server, addr) = start(scratch_root("stop-twice"), 4);
+    assert_eq!(http(addr, "GET", "/healthz", "").0, 200);
+    server.stop();
+    server.stop();
+}
+
+/// Peers that vanish at every point of a request — right after the
+/// handshake, mid request line, mid body, and with the response unread
+/// (the close then answers the server's bytes with a reset; std cannot
+/// set `SO_LINGER` 0 to reset any earlier) — cost their own connection
+/// and nothing else.
+#[test]
+fn vanishing_peers_do_not_end_the_accept_loop() {
+    let (server, addr) = start(scratch_root("vanish"), 4);
+    let full = "GET /stats HTTP/1.1\r\nhost: test\r\n\r\n";
+    let mid_body = "POST /tenants/t/fit HTTP/1.1\r\ncontent-length: 64\r\n\r\n{\"slot\":";
+    for round in 0..16 {
+        for prefix in ["", "GET /hea", mid_body, full] {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            stream.write_all(prefix.as_bytes()).expect("write");
+            drop(stream);
+        }
+        let (status, body) = http(addr, "GET", "/healthz", "");
+        assert_eq!(status, 200, "round {round}: {body}");
+    }
     server.stop();
 }
