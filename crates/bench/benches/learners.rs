@@ -3,11 +3,12 @@
 //! model and the per-learner cost constants of the appendix.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
-use flaml_core::{fit_learner, LearnerKind};
+use flaml_core::{fit_learner, CompiledModel, LearnerKind, ModelRegistry};
 use flaml_data::{Dataset, Task};
 use flaml_learners::{
     BinMapper, Forest, ForestParams, Gbdt, GbdtParams, Growth, Linear, LinearParams,
 };
+use flaml_serve::Servable;
 use flaml_synth::{hyperplane, ClassSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -138,5 +139,72 @@ fn bench_cheapest_configs(c: &mut Criterion) {
     }
 }
 
+/// Fastest of 7 batches of `iters` calls, in ns per call.
+fn ns_per_call(iters: usize, mut f: impl FnMut()) -> f64 {
+    (0..7)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..iters {
+                f();
+            }
+            start.elapsed().as_secs_f64() * 1e9 / iters as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// The serving kernel: ns per tree-row of 1-, 8- and 96-row requests on
+/// `mixed_tenants`' 100-tree GBDT (4 000 x 20 hyperplane rows, default
+/// params) and on a 100-tree forest, served by a registry version whose
+/// evaluator tables are built on its first predict and kept, next to a
+/// one-shot `CompiledModel::predict`, which builds the tables for the
+/// call — its 1-row figure is mostly that build.
+fn bench_serving(c: &mut Criterion) {
+    let spec = ClassSpec {
+        n: 4_096,
+        noise_features: 10,
+        seed: 3,
+        ..ClassSpec::default()
+    };
+    let corpus = hyperplane(10, 0.3, spec);
+    let train = corpus.prefix(4_000);
+    let gbdt = Gbdt::fit(&train, &GbdtParams::default(), 0).unwrap();
+    let forest = Forest::fit(train.prefix(1_000), &ForestParams::default(), 0).unwrap();
+    let registry = ModelRegistry::new();
+    for (name, model) in [("gbdt100", gbdt.into()), ("rf100", forest.into())] {
+        let compiled = CompiledModel::compile(&model).unwrap();
+        let trees = match &compiled {
+            CompiledModel::Gbdt(m) => m.tree_roots.len(),
+            CompiledModel::Forest(m) => m.tree_roots.len(),
+            _ => unreachable!("tree models"),
+        };
+        registry.publish(name, compiled.clone());
+        let served = registry.get(name).unwrap();
+        for rows in [1, 8, 96] {
+            let request = corpus
+                .view()
+                .select(&(4_000..4_000 + rows).collect::<Vec<_>>());
+            let iters = 20_000 / rows;
+            let per_tree_row = (trees * rows) as f64;
+            let ns = ns_per_call(iters, || {
+                black_box(served.serve(&request));
+            });
+            let one_shot = ns_per_call(iters / 20 + 1, || {
+                black_box(compiled.predict(&request));
+            });
+            eprintln!(
+                "serving {name} {rows:>2} rows: served {:.2} ns/tree-row ({:.1} us/request), \
+                 one-shot {:.1} us/request",
+                ns / per_tree_row,
+                ns / 1e3,
+                one_shot / 1e3
+            );
+            c.bench_function(&format!("serve_{name}_{rows}rows"), |b| {
+                b.iter(|| black_box(served.serve(&request)))
+            });
+        }
+    }
+}
+
 criterion_group!(benches, bench_learners, bench_cheapest_configs);
-criterion_main!(benches);
+criterion_group!(serving, bench_serving);
+criterion_main!(benches, serving);

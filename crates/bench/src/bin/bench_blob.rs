@@ -6,10 +6,10 @@
 //! stacked) is fitted once and each model is exported both ways — the
 //! portable JSON document and the mmap-able binary blob. Three checks:
 //!
-//! 1. **Bit-exactness across every layout** — for all four
-//!    [`BlobOptions`] combinations (hot-first node order x quantized
-//!    thresholds, each on/off) the opened blob's predictions must equal
-//!    the JSON-loaded [`CompiledModel`]'s bit-for-bit.
+//! 1. **Bit-exactness across every layout** — plain and quantized
+//!    thresholds (the two [`BlobOptions`]) — the opened blob's
+//!    predictions must equal the JSON-loaded [`CompiledModel`]'s
+//!    bit-for-bit.
 //! 2. **Open-to-first-predict latency** — the time from cold handle to
 //!    the first prediction on a small probe request, JSON
 //!    (`load` + predict) vs blob (`open` + predict). The gate is the
@@ -48,11 +48,9 @@ struct BlobRow {
     learner: String,
     json_bytes: usize,
     blob_bytes: usize,
-    /// Every [`BlobOptions`] combination predicted bit-identically to
-    /// the JSON-loaded model.
+    /// Every [`BlobOptions`] layout predicted bit-identically to the
+    /// JSON-loaded model.
     bits_identical: bool,
-    /// The tuned blob actually got the hot-first node order.
-    hot_first: bool,
     /// The tuned blob actually got the quantized-threshold section.
     quantized: bool,
     /// Fastest JSON load + first-predict cycle.
@@ -225,22 +223,9 @@ fn page_share_probe(blob_path: &Path) -> PageShare {
     }
 }
 
-/// The four layout combinations, tuned last so the timed blob (written
-/// by [`save_blob`] with [`BlobOptions::tuned`]) is the final state on
-/// disk.
-fn option_grid() -> [BlobOptions; 4] {
-    [
-        BlobOptions::default(),
-        BlobOptions {
-            hot_first: true,
-            quantize: false,
-        },
-        BlobOptions {
-            hot_first: false,
-            quantize: true,
-        },
-        BlobOptions::tuned(),
-    ]
+/// Both layouts: plain, and the tuned one [`save_blob`] writes below.
+fn option_grid() -> [BlobOptions; 2] {
+    [BlobOptions::default(), BlobOptions::tuned()]
 }
 
 fn main() {
@@ -294,7 +279,7 @@ fn main() {
                 }
 
                 let tuned = BlobModel::open(&blob_path).expect("open tuned blob");
-                let (hot_first, quantized) = (tuned.hot_first(), tuned.quantized());
+                let quantized = tuned.quantized();
                 let blob_bytes = tuned.n_bytes();
                 drop(tuned);
                 let json_bytes =
@@ -318,7 +303,6 @@ fn main() {
                     json_bytes,
                     blob_bytes,
                     bits_identical,
-                    hot_first,
                     quantized,
                     secs_json,
                     secs_blob,
@@ -326,7 +310,7 @@ fn main() {
                 };
                 eprintln!(
                     "[blob] {group}/{}: {learner}: {} B json -> {} B blob, open+predict {:.1}us \
-                     json vs {:.1}us blob ({:.1}x), bits={} hot_first={} quantized={}",
+                     json vs {:.1}us blob ({:.1}x), bits={} quantized={}",
                     row.dataset,
                     row.json_bytes,
                     row.blob_bytes,
@@ -334,7 +318,6 @@ fn main() {
                     row.secs_blob * 1e6,
                     row.speedup,
                     row.bits_identical,
-                    row.hot_first,
                     row.quantized,
                 );
                 rows.push(row);

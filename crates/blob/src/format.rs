@@ -54,7 +54,8 @@ pub const BLOB_ALIGN: usize = 64;
 pub const ENDIAN_MARK: u32 = 0x0A0B_0C0D;
 
 /// Header flag: tree nodes are stored in hot-first (per-tree BFS)
-/// order, so shallow — frequently traversed — nodes share cache lines.
+/// order. Only older builds wrote it; readers still accept it, since a
+/// permuted slab with forward children predicts exactly the same bits.
 pub const FLAG_HOT_FIRST: u32 = 1;
 
 /// Header flag: at least one threshold/cut section is stored as `f32`.
@@ -159,15 +160,12 @@ pub fn blob_fingerprint(bytes: &[u8]) -> u64 {
         .finish()
 }
 
-/// Layout choices for [`encode_blob`]. Both default to off; both are
-/// guaranteed not to change a single predicted bit — hot-first is a
-/// pure index permutation, quantization only happens when it is exact.
+/// Layout choices for [`encode_blob`]. Off by default, and guaranteed
+/// not to change a single predicted bit: quantization only happens
+/// when it is exact. (Node order is not a choice: the evaluator walks
+/// an in-memory table, so the on-disk order buys no speed.)
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BlobOptions {
-    /// Reorder each tree's nodes into BFS (breadth-first) order, so the
-    /// shallow nodes every row traverses are packed together at the
-    /// front of the tree's cache lines.
-    pub hot_first: bool,
     /// Store forest thresholds and gbdt bin cuts as `f32` — halving
     /// those slabs — when (and only when) every value round-trips
     /// `f64 → f32 → f64` bit-exactly. Slabs with any non-round-tripping
@@ -176,12 +174,10 @@ pub struct BlobOptions {
 }
 
 impl BlobOptions {
-    /// Both layout optimizations enabled.
+    /// The layout the server and exporters write: exact-only
+    /// quantization on.
     pub fn tuned() -> BlobOptions {
-        BlobOptions {
-            hot_first: true,
-            quantize: true,
-        }
+        BlobOptions { quantize: true }
     }
 }
 
@@ -191,109 +187,6 @@ pub(crate) fn f32_round_trips(values: &[f64]) -> bool {
     values
         .iter()
         .all(|&v| (f64::from(v as f32)).to_bits() == v.to_bits())
-}
-
-/// New-order → old-index permutation putting each tree's nodes in BFS
-/// order, or `None` when the slab does not satisfy the block layout
-/// this transform assumes (roots sorted at block starts, every block
-/// node reachable exactly once) — callers then keep the original order.
-pub(crate) fn hot_first_perm(
-    tree_roots: &[u32],
-    left: &[u32],
-    right: &[u32],
-    is_leaf: &[bool],
-) -> Option<Vec<usize>> {
-    let n = is_leaf.len();
-    if left.len() != n || right.len() != n {
-        return None;
-    }
-    if n == 0 {
-        return if tree_roots.is_empty() {
-            Some(Vec::new())
-        } else {
-            None
-        };
-    }
-    // Tree t owns the block [roots[t], roots[t+1]) and its root is the
-    // block start — the layout `CompiledGbdt::from_model` produces.
-    if tree_roots.first() != Some(&0) {
-        return None;
-    }
-    let mut bounds: Vec<usize> = tree_roots.iter().map(|&r| r as usize).collect();
-    bounds.push(n);
-    if bounds.windows(2).any(|w| w[0] >= w[1]) {
-        return None;
-    }
-    let mut order = Vec::with_capacity(n);
-    let mut visited = vec![false; n];
-    for w in bounds.windows(2) {
-        let (start, end) = (w[0], w[1]);
-        let block_base = order.len();
-        let mut head = order.len();
-        order.push(start);
-        visited[start] = true;
-        while head < order.len() {
-            let at = order[head];
-            head += 1;
-            if !is_leaf[at] {
-                for &child in &[left[at] as usize, right[at] as usize] {
-                    // A child outside its block, or reached twice,
-                    // breaks the permutation — bail out entirely.
-                    if child < start || child >= end || visited[child] {
-                        return None;
-                    }
-                    visited[child] = true;
-                    order.push(child);
-                }
-            }
-        }
-        if order.len() - block_base != end - start {
-            return None; // unreachable nodes in the block
-        }
-    }
-    Some(order)
-}
-
-/// Applies a new→old permutation to the child-pointer slabs, returning
-/// `(tree_roots, left, right)` rewritten for the new layout. Leaf child
-/// pointers are normalized to 0 (the evaluator never reads them).
-fn remap_children(
-    order: &[usize],
-    tree_roots: &[u32],
-    left: &[u32],
-    right: &[u32],
-    is_leaf: &[bool],
-) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
-    let mut old_to_new = vec![0u32; order.len()];
-    for (new_i, &old_i) in order.iter().enumerate() {
-        old_to_new[old_i] = new_i as u32;
-    }
-    let roots = tree_roots.iter().map(|&r| old_to_new[r as usize]).collect();
-    let map_children = |slab: &[u32]| -> Vec<u32> {
-        order
-            .iter()
-            .map(|&old_i| {
-                if is_leaf[old_i] {
-                    0
-                } else {
-                    old_to_new[slab[old_i] as usize]
-                }
-            })
-            .collect()
-    };
-    (roots, map_children(left), map_children(right))
-}
-
-fn permute<T: Copy>(order: &[usize], slab: &[T]) -> Vec<T> {
-    order.iter().map(|&old_i| slab[old_i]).collect()
-}
-
-fn permute_wide(order: &[usize], slab: &[f64], width: usize) -> Vec<f64> {
-    let mut out = Vec::with_capacity(slab.len());
-    for &old_i in order {
-        out.extend_from_slice(&slab[old_i * width..(old_i + 1) * width]);
-    }
-    out
 }
 
 fn task_words(task: flaml_data::Task) -> (u64, u64) {
@@ -423,36 +316,13 @@ impl Writer {
                 }
                 self.push_u64s(idx, KIND_CUTS_OFFSETS, &cuts_offsets);
                 self.push_floats(idx, KIND_CUTS_VALUES, &cuts_values);
-
-                let order = if self.opts.hot_first {
-                    hot_first_perm(&m.tree_roots, &m.left, &m.right, &m.is_leaf)
-                } else {
-                    None
-                };
-                if let Some(order) = order {
-                    self.flags |= FLAG_HOT_FIRST;
-                    let (roots, left, right) =
-                        remap_children(&order, &m.tree_roots, &m.left, &m.right, &m.is_leaf);
-                    self.push_u32s(idx, KIND_TREE_ROOTS, &roots);
-                    self.push_u32s(idx, KIND_FEATURE, &permute(&order, &m.feature));
-                    self.push_u32s(idx, KIND_THRESHOLD, &permute(&order, &m.threshold));
-                    self.push_u32s(idx, KIND_LEFT, &left);
-                    self.push_u32s(idx, KIND_RIGHT, &right);
-                    self.push_f64s(idx, KIND_LEAF_VALUE, &permute(&order, &m.leaf_value));
-                    self.push_u8s(
-                        idx,
-                        KIND_IS_LEAF,
-                        &Self::bools_as_bytes(&permute(&order, &m.is_leaf)),
-                    );
-                } else {
-                    self.push_u32s(idx, KIND_TREE_ROOTS, &m.tree_roots);
-                    self.push_u32s(idx, KIND_FEATURE, &m.feature);
-                    self.push_u32s(idx, KIND_THRESHOLD, &m.threshold);
-                    self.push_u32s(idx, KIND_LEFT, &m.left);
-                    self.push_u32s(idx, KIND_RIGHT, &m.right);
-                    self.push_f64s(idx, KIND_LEAF_VALUE, &m.leaf_value);
-                    self.push_u8s(idx, KIND_IS_LEAF, &Self::bools_as_bytes(&m.is_leaf));
-                }
+                self.push_u32s(idx, KIND_TREE_ROOTS, &m.tree_roots);
+                self.push_u32s(idx, KIND_FEATURE, &m.feature);
+                self.push_u32s(idx, KIND_THRESHOLD, &m.threshold);
+                self.push_u32s(idx, KIND_LEFT, &m.left);
+                self.push_u32s(idx, KIND_RIGHT, &m.right);
+                self.push_f64s(idx, KIND_LEAF_VALUE, &m.leaf_value);
+                self.push_u8s(idx, KIND_IS_LEAF, &Self::bools_as_bytes(&m.is_leaf));
             }
             CompiledModel::Forest(m) => {
                 let idx = self.alloc_model();
@@ -468,39 +338,13 @@ impl Writer {
                         m.leaf_width as u64,
                     ],
                 );
-                let order = if self.opts.hot_first {
-                    hot_first_perm(&m.tree_roots, &m.left, &m.right, &m.is_leaf)
-                } else {
-                    None
-                };
-                if let Some(order) = order {
-                    self.flags |= FLAG_HOT_FIRST;
-                    let (roots, left, right) =
-                        remap_children(&order, &m.tree_roots, &m.left, &m.right, &m.is_leaf);
-                    self.push_u32s(idx, KIND_TREE_ROOTS, &roots);
-                    self.push_u32s(idx, KIND_FEATURE, &permute(&order, &m.feature));
-                    self.push_floats(idx, KIND_THRESHOLD, &permute(&order, &m.threshold));
-                    self.push_u32s(idx, KIND_LEFT, &left);
-                    self.push_u32s(idx, KIND_RIGHT, &right);
-                    self.push_u8s(
-                        idx,
-                        KIND_IS_LEAF,
-                        &Self::bools_as_bytes(&permute(&order, &m.is_leaf)),
-                    );
-                    self.push_f64s(
-                        idx,
-                        KIND_VALUES,
-                        &permute_wide(&order, &m.values, m.leaf_width),
-                    );
-                } else {
-                    self.push_u32s(idx, KIND_TREE_ROOTS, &m.tree_roots);
-                    self.push_u32s(idx, KIND_FEATURE, &m.feature);
-                    self.push_floats(idx, KIND_THRESHOLD, &m.threshold);
-                    self.push_u32s(idx, KIND_LEFT, &m.left);
-                    self.push_u32s(idx, KIND_RIGHT, &m.right);
-                    self.push_u8s(idx, KIND_IS_LEAF, &Self::bools_as_bytes(&m.is_leaf));
-                    self.push_f64s(idx, KIND_VALUES, &m.values);
-                }
+                self.push_u32s(idx, KIND_TREE_ROOTS, &m.tree_roots);
+                self.push_u32s(idx, KIND_FEATURE, &m.feature);
+                self.push_floats(idx, KIND_THRESHOLD, &m.threshold);
+                self.push_u32s(idx, KIND_LEFT, &m.left);
+                self.push_u32s(idx, KIND_RIGHT, &m.right);
+                self.push_u8s(idx, KIND_IS_LEAF, &Self::bools_as_bytes(&m.is_leaf));
+                self.push_f64s(idx, KIND_VALUES, &m.values);
             }
             CompiledModel::Linear(m) => self.encode_linear(m),
             CompiledModel::Stacked(m) => {

@@ -13,12 +13,12 @@
 //! The contract that makes the format safe to prefer is
 //! **bit-identity**: a [`BlobModel`] predicts exactly the same bits as
 //! the JSON-loaded [`CompiledModel`] for every learner, because both
-//! feed the single [`flaml_serve::ModelView`] evaluator. The two layout
-//! options ([`BlobOptions`]) keep that contract by construction —
-//! hot-first ordering is a pure node permutation, and f32 quantization
-//! is only applied to slabs whose every value round-trips
+//! feed the single [`flaml_serve::ModelView`] evaluator. The one layout
+//! option ([`BlobOptions`]) keeps that contract by construction: f32
+//! quantization is only applied to slabs whose every value round-trips
 //! `f64 → f32 → f64` bit-exactly (widening reads then restore the
-//! original doubles).
+//! original doubles). Blobs that older builds wrote in hot-first node
+//! order ([`FLAG_HOT_FIRST`]) still open and predict the same bits.
 //!
 //! ```no_run
 //! use flaml_blob::{save_blob, BlobModel, BlobOptions};
@@ -77,8 +77,8 @@ impl ArtifactFormat {
     /// Publishes `model` at `path` in this format (atomically, through
     /// `storage`), returning the artifact fingerprint: the payload
     /// fingerprint of a JSON document, the whole-file fingerprint of a
-    /// blob. Blobs use the tuned layout (hot-first node order plus
-    /// exact-only quantization); neither changes a predicted bit.
+    /// blob. Blobs use the tuned layout (exact-only quantization), which
+    /// changes no predicted bit.
     ///
     /// # Errors
     ///

@@ -4,9 +4,10 @@
 //! [`BlobModel::open`] does all the work the format ever requires:
 //! header checks (magic, version, endianness, flags), an FNV-1a
 //! fingerprint pass over the whole file, and a structural walk that proves
-//! every section the model graph references is present, aligned,
-//! in-bounds and internally consistent (child indices strictly
-//! increase, so tree evaluation provably terminates). What it does
+//! every section the model graph references is present, aligned and
+//! in-bounds, then the same [`ModelView::check`] the JSON loader runs
+//! (consistent slab lengths, child indices strictly increase so tree
+//! evaluation provably terminates). What it does
 //! *not* do is deserialize: the parsed representation is a tree of
 //! section descriptors — offsets and counts into the mapping — and
 //! [`BlobModel::view`] turns those into borrowed slices feeding the
@@ -21,11 +22,13 @@ use flaml_learners::Encoding;
 use flaml_metrics::Pred;
 use flaml_serve::{
     ArtifactError, CompiledLinear, CompiledModel, CutsRef, FloatSlab, ForestView, GbdtView,
-    LeafFlags, ModelView,
+    LeafFlags, ModelView, Servable, Tables,
 };
 use flaml_store::Storage;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::path::Path;
+use std::sync::OnceLock;
 
 /// Stacked ensembles deeper than this are rejected at open — far above
 /// anything the search produces, low enough that a crafted file cannot
@@ -115,6 +118,14 @@ pub struct BlobModel {
     flags: u32,
     fingerprint: u64,
     root: Node,
+    tables: OnceLock<Tables>,
+}
+
+impl Servable for BlobModel {
+    fn parts(&self) -> (ModelView<'_>, Cow<'_, Tables>) {
+        let tables = self.tables.get_or_init(|| Tables::build(&self.view()));
+        (self.view(), Cow::Borrowed(tables))
+    }
 }
 
 impl BlobModel {
@@ -266,12 +277,13 @@ impl BlobModel {
                 parser.next_model
             )));
         }
-        let fingerprint = expected;
+        node_view(&root, bytes).check()?;
         Ok(BlobModel {
             map,
             flags,
-            fingerprint,
+            fingerprint: expected,
             root,
+            tables: OnceLock::new(),
         })
     }
 
@@ -282,15 +294,15 @@ impl BlobModel {
     }
 
     /// Predicts on `data` straight off the mapped bytes — bit-identical
-    /// to [`CompiledModel::predict`] of the same model.
+    /// to [`CompiledModel::predict`] of the same model. The first call
+    /// builds the evaluator [`Tables`]; later ones reuse them.
     pub fn predict(&self, data: impl Into<DatasetView>) -> Pred {
-        let data: DatasetView = data.into();
-        self.view().predict_view(&data)
+        self.serve(&data.into())
     }
 
     /// Materializes an owned [`CompiledModel`] (a slab copy; see
     /// [`ModelView::to_compiled`] for the node-order caveat on
-    /// hot-first blobs).
+    /// hot-first blobs written by older builds).
     pub fn to_compiled(&self) -> CompiledModel {
         self.view().to_compiled()
     }
@@ -299,11 +311,6 @@ impl BlobModel {
     /// header.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
-    }
-
-    /// Whether tree nodes are stored in hot-first (BFS) order.
-    pub fn hot_first(&self) -> bool {
-        self.flags & format::FLAG_HOT_FIRST != 0
     }
 
     /// Whether any threshold/cut section is stored quantized to `f32`.
@@ -524,92 +531,14 @@ impl Parser<'_> {
         }
     }
 
-    /// Validates the tree slabs shared by gbdt and forest models:
-    /// consistent lengths, roots in range, and — for every internal
-    /// node — in-range feature and strictly forward child pointers.
-    /// Forward pointers are what both writers produce (children follow
-    /// parents in DFS and BFS layouts alike) and they make tree
-    /// evaluation provably terminating on any accepted file.
-    #[allow(clippy::too_many_arguments)]
-    fn check_trees(
-        &self,
-        model: u32,
-        n_features: usize,
-        tree_roots: &Slab,
-        feature: &Slab,
-        left: &Slab,
-        right: &Slab,
-        is_leaf: &Slab,
-    ) -> Result<(), ArtifactError> {
-        let n_nodes = feature.count;
-        for (name, count) in [
-            ("left", left.count),
-            ("right", right.count),
-            ("is_leaf", is_leaf.count),
-        ] {
-            if count != n_nodes {
-                return Err(layout(format!(
-                    "model {model}: {name} slab has {count} nodes, feature slab has {n_nodes}"
-                )));
-            }
-        }
-        let roots: &[u32] = slab_slice(self.bytes, tree_roots);
-        if let Some(&r) = roots.iter().find(|&&r| r as usize >= n_nodes) {
-            return Err(layout(format!(
-                "model {model}: tree root {r} out of range ({n_nodes} nodes)"
-            )));
-        }
-        let features: &[u32] = slab_slice(self.bytes, feature);
-        let lefts: &[u32] = slab_slice(self.bytes, left);
-        let rights: &[u32] = slab_slice(self.bytes, right);
-        let leaves: &[u8] = slab_slice(self.bytes, is_leaf);
-        for i in 0..n_nodes {
-            if leaves[i] != 0 {
-                continue;
-            }
-            if features[i] as usize >= n_features {
-                return Err(layout(format!(
-                    "model {model}: node {i} splits on feature {} of {n_features}",
-                    features[i]
-                )));
-            }
-            for (name, child) in [("left", lefts[i]), ("right", rights[i])] {
-                let child = child as usize;
-                if child <= i || child >= n_nodes {
-                    return Err(layout(format!(
-                        "model {model}: node {i} has non-forward {name} child {child}"
-                    )));
-                }
-            }
-        }
-        Ok(())
-    }
-
     fn parse_gbdt(&self, model: u32, meta: &[u64], task: Task) -> Result<GbdtNode, ArtifactError> {
         if meta.len() < 5 {
             return Err(layout(format!("model {model}: gbdt meta too short")));
         }
         let n_features = meta[3] as usize;
-        let n_groups = meta[4] as usize;
-        let task_groups = match task {
-            Task::MultiClass(k) => k,
-            Task::Regression | Task::Binary => 1,
-        };
-        if n_groups != task_groups {
-            return Err(layout(format!(
-                "model {model}: {n_groups} score groups for a {task_groups}-group task"
-            )));
-        }
-        let init_scores = self.section(model, format::KIND_INIT_SCORES, Elem::F64)?;
-        if init_scores.count != n_groups {
-            return Err(layout(format!(
-                "model {model}: {} init scores for {n_groups} groups",
-                init_scores.count
-            )));
-        }
         let cuts_offsets = self.section(model, format::KIND_CUTS_OFFSETS, Elem::U64)?;
         let cuts_values = self.float_section(model, format::KIND_CUTS_VALUES)?;
-        if cuts_offsets.count != n_features + 1 {
+        if cuts_offsets.count.checked_sub(1) != Some(n_features) {
             return Err(layout(format!(
                 "model {model}: {} cut offsets for {n_features} features",
                 cuts_offsets.count
@@ -624,40 +553,19 @@ impl Parser<'_> {
                 "model {model}: cut offsets are not a prefix sum over the cut values"
             )));
         }
-        let tree_roots = self.section(model, format::KIND_TREE_ROOTS, Elem::U32)?;
-        let feature = self.section(model, format::KIND_FEATURE, Elem::U32)?;
-        let threshold = self.section(model, format::KIND_THRESHOLD, Elem::U32)?;
-        let left = self.section(model, format::KIND_LEFT, Elem::U32)?;
-        let right = self.section(model, format::KIND_RIGHT, Elem::U32)?;
-        let leaf_value = self.section(model, format::KIND_LEAF_VALUE, Elem::F64)?;
-        let is_leaf = self.section(model, format::KIND_IS_LEAF, Elem::U8)?;
-        if threshold.count != feature.count || leaf_value.count != feature.count {
-            return Err(layout(format!(
-                "model {model}: inconsistent node slab lengths"
-            )));
-        }
-        self.check_trees(
-            model,
-            n_features,
-            &tree_roots,
-            &feature,
-            &left,
-            &right,
-            &is_leaf,
-        )?;
         Ok(GbdtNode {
             task,
-            n_groups,
-            init_scores,
+            n_groups: meta[4] as usize,
+            init_scores: self.section(model, format::KIND_INIT_SCORES, Elem::F64)?,
             cuts_offsets,
             cuts_values,
-            tree_roots,
-            feature,
-            threshold,
-            left,
-            right,
-            leaf_value,
-            is_leaf,
+            tree_roots: self.section(model, format::KIND_TREE_ROOTS, Elem::U32)?,
+            feature: self.section(model, format::KIND_FEATURE, Elem::U32)?,
+            threshold: self.section(model, format::KIND_THRESHOLD, Elem::U32)?,
+            left: self.section(model, format::KIND_LEFT, Elem::U32)?,
+            right: self.section(model, format::KIND_RIGHT, Elem::U32)?,
+            leaf_value: self.section(model, format::KIND_LEAF_VALUE, Elem::F64)?,
+            is_leaf: self.section(model, format::KIND_IS_LEAF, Elem::U8)?,
         })
     }
 
@@ -670,50 +578,17 @@ impl Parser<'_> {
         if meta.len() < 5 {
             return Err(layout(format!("model {model}: forest meta too short")));
         }
-        let n_features = meta[3] as usize;
-        let leaf_width = meta[4] as usize;
-        if leaf_width == 0 {
-            return Err(layout(format!("model {model}: zero leaf width")));
-        }
-        let tree_roots = self.section(model, format::KIND_TREE_ROOTS, Elem::U32)?;
-        let feature = self.section(model, format::KIND_FEATURE, Elem::U32)?;
-        let threshold = self.float_section(model, format::KIND_THRESHOLD)?;
-        let left = self.section(model, format::KIND_LEFT, Elem::U32)?;
-        let right = self.section(model, format::KIND_RIGHT, Elem::U32)?;
-        let is_leaf = self.section(model, format::KIND_IS_LEAF, Elem::U8)?;
-        let values = self.section(model, format::KIND_VALUES, Elem::F64)?;
-        let n_nodes = feature.count;
-        if threshold.slab.count != n_nodes {
-            return Err(layout(format!(
-                "model {model}: inconsistent node slab lengths"
-            )));
-        }
-        if values.count != n_nodes * leaf_width {
-            return Err(layout(format!(
-                "model {model}: {} leaf values for {n_nodes} nodes of width {leaf_width}",
-                values.count
-            )));
-        }
-        self.check_trees(
-            model,
-            n_features,
-            &tree_roots,
-            &feature,
-            &left,
-            &right,
-            &is_leaf,
-        )?;
         Ok(ForestNode {
             task,
-            n_features,
-            leaf_width,
-            tree_roots,
-            feature,
-            threshold,
-            left,
-            right,
-            is_leaf,
-            values,
+            n_features: meta[3] as usize,
+            leaf_width: meta[4] as usize,
+            tree_roots: self.section(model, format::KIND_TREE_ROOTS, Elem::U32)?,
+            feature: self.section(model, format::KIND_FEATURE, Elem::U32)?,
+            threshold: self.float_section(model, format::KIND_THRESHOLD)?,
+            left: self.section(model, format::KIND_LEFT, Elem::U32)?,
+            right: self.section(model, format::KIND_RIGHT, Elem::U32)?,
+            is_leaf: self.section(model, format::KIND_IS_LEAF, Elem::U8)?,
+            values: self.section(model, format::KIND_VALUES, Elem::F64)?,
         })
     }
 

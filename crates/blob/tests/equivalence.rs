@@ -1,7 +1,7 @@
 //! The format's headline contract: a [`BlobModel`] predicts
 //! bit-identically to the JSON-loaded [`CompiledModel`] for **every**
-//! learner kind, every task, every layout-option combination, and both
-//! byte backings (aligned heap copy and the real file mapping).
+//! learner kind, every task, both layouts (plain and quantized), and
+//! both byte backings (aligned heap copy and the real file mapping).
 
 use flaml_blob::{encode_blob, save_blob, ArtifactFormat, BlobModel, BlobOptions};
 use flaml_data::{Dataset, Task};
@@ -90,24 +90,10 @@ fn fit_roster(data: &Dataset) -> Vec<(&'static str, FittedModel)> {
     ]
 }
 
-fn option_grid() -> [(&'static str, BlobOptions); 4] {
+fn option_grid() -> [(&'static str, BlobOptions); 2] {
     [
         ("plain", BlobOptions::default()),
-        (
-            "hot_first",
-            BlobOptions {
-                hot_first: true,
-                quantize: false,
-            },
-        ),
-        (
-            "quantized",
-            BlobOptions {
-                hot_first: false,
-                quantize: true,
-            },
-        ),
-        ("tuned", BlobOptions::tuned()),
+        ("quantized", BlobOptions::tuned()),
     ]
 }
 
@@ -152,19 +138,14 @@ fn blob_predictions_are_bit_identical_across_every_learner_and_layout() {
                 assert_eq!(mapped.n_features(), compiled.n_features(), "{ctx}: width");
 
                 // Materializing back to an owned model preserves
-                // predictions too (node order may differ; bits may not).
+                // predictions and, with no node permutation, the slabs.
                 let owned = mapped.to_compiled();
                 assert_eq!(
                     reference,
                     pred_bits(&owned.predict(&data)),
                     "{ctx}: to_compiled"
                 );
-                if !opts.hot_first {
-                    assert_eq!(
-                        owned, compiled,
-                        "{ctx}: unpermuted slabs round-trip exactly"
-                    );
-                }
+                assert_eq!(owned, compiled, "{ctx}: slabs round-trip exactly");
             }
 
             // The format dispatch every caller goes through writes the
@@ -217,29 +198,11 @@ fn layout_flags_reflect_what_was_written() {
     let compiled = CompiledModel::compile(&model).expect("compile");
 
     let plain = BlobModel::from_bytes(&encode_blob(&compiled, BlobOptions::default())).unwrap();
-    assert!(!plain.hot_first());
     assert!(!plain.quantized());
-
-    let hot = BlobModel::from_bytes(&encode_blob(
-        &compiled,
-        BlobOptions {
-            hot_first: true,
-            quantize: false,
-        },
-    ))
-    .unwrap();
-    assert!(hot.hot_first(), "fitted gbdt slabs satisfy the BFS layout");
 
     // Integer-grid cut points are all exactly f32-representable, so the
     // quantizer must engage on this model.
-    let quant = BlobModel::from_bytes(&encode_blob(
-        &compiled,
-        BlobOptions {
-            hot_first: false,
-            quantize: true,
-        },
-    ))
-    .unwrap();
+    let quant = BlobModel::from_bytes(&encode_blob(&compiled, BlobOptions::tuned())).unwrap();
     assert!(
         quant.quantized(),
         "f32-exact thresholds must be stored quantized"
@@ -255,9 +218,12 @@ fn deterministic_bytes_and_stable_fingerprint() {
     let a = encode_blob(&compiled, BlobOptions::tuned());
     let b = encode_blob(&compiled, BlobOptions::tuned());
     assert_eq!(a, b, "same model + options => identical bytes");
-    assert_ne!(
-        a,
-        encode_blob(&compiled, BlobOptions::default()),
-        "layout options are visible in the bytes"
+    // Quantization is exact-only: it shows in the bytes exactly when
+    // some section could take it.
+    let engaged = BlobModel::from_bytes(&a).unwrap().quantized();
+    assert_eq!(
+        a != encode_blob(&compiled, BlobOptions::default()),
+        engaged,
+        "layout options are visible in the bytes when they engage"
     );
 }

@@ -46,10 +46,7 @@ fn arb_dataset() -> impl Strategy<Value = Dataset> {
 }
 
 fn arb_opts() -> impl Strategy<Value = BlobOptions> {
-    (0usize..4).prop_map(|i| BlobOptions {
-        hot_first: i & 1 != 0,
-        quantize: i & 2 != 0,
-    })
+    (0usize..2).prop_map(|i| BlobOptions { quantize: i != 0 })
 }
 
 /// Pathological f64s a binary format is most likely to mangle.
@@ -208,7 +205,7 @@ proptest! {
         // A threshold that cannot round-trip f64 → f32 → f64 must force
         // the f64 slab even when quantization is requested.
         let model = slab_forest(sub, 1.0, 2.0);
-        let opts = BlobOptions { hot_first: false, quantize: true };
+        let opts = BlobOptions { quantize: true };
         let blob = BlobModel::from_bytes(&encode_blob(&model, opts)).unwrap();
         prop_assert!(!blob.quantized(), "subnormal {sub:e} must not quantize");
     }
@@ -357,6 +354,38 @@ fn header_probes_fire_before_the_fingerprint() {
         BlobModel::from_bytes(&stale).unwrap_err(),
         ArtifactError::FingerprintMismatch { .. }
     ));
+}
+
+#[test]
+fn more_cuts_than_a_two_byte_bin_holds_is_a_typed_layout_error() {
+    // The blob loader runs the same structural check as the JSON one:
+    // a 65 535th cut on a feature used to panic on every predict.
+    let with_cuts = |n: usize| {
+        let mut model = slab_gbdt(0.5, -1.0, 1.0);
+        if let CompiledModel::Gbdt(m) = &mut model {
+            m.cuts = vec![(0..n).map(|c| c as f64).collect()];
+        }
+        encode_blob(&model, BlobOptions::default())
+    };
+    let data = Dataset::new(
+        "wide",
+        Task::Regression,
+        vec![vec![0.25, 7e4]],
+        vec![0.0; 2],
+    )
+    .unwrap();
+    assert_eq!(
+        BlobModel::from_bytes(&with_cuts(65_534))
+            .unwrap()
+            .predict(&data)
+            .n_rows(),
+        2
+    );
+    let err = BlobModel::from_bytes(&with_cuts(65_535)).unwrap_err();
+    assert!(
+        matches!(&err, ArtifactError::Layout(m) if m.contains("65535 cuts")),
+        "{err}"
+    );
 }
 
 #[test]

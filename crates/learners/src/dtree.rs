@@ -80,6 +80,7 @@ pub struct DTreeNode {
 /// Whether row value `v` goes to the left child of a split at `threshold`.
 /// Missing values always go left. Public because the compiled serving
 /// layer must traverse with exactly these semantics.
+#[inline]
 pub fn goes_left(v: f64, threshold: f64) -> bool {
     v.is_nan() || v <= threshold
 }

@@ -18,7 +18,7 @@
 //! [`ArtifactError`]s before a single prediction is made.
 
 use crate::error::ArtifactError;
-use crate::view::Bound;
+use crate::view::Servable;
 use flaml_data::{DatasetView, Task};
 use flaml_learners::{Encoding, FittedModel, ForestModel, GbdtModel, LinearModel, StackedModel};
 use flaml_metrics::Pred;
@@ -300,9 +300,9 @@ impl CompiledModel {
         }
     }
 
-    /// Feature columns the model expects at [`CompiledModel::bind`]
-    /// time. Lets callers (e.g. a request front end) reject a
-    /// mis-shaped matrix with a typed error instead of panicking.
+    /// Feature columns the model expects at predict time. Lets callers
+    /// (e.g. a request front end) reject a mis-shaped matrix with a
+    /// typed error instead of panicking.
     pub fn n_features(&self) -> usize {
         match self {
             CompiledModel::Gbdt(m) => m.cuts.len(),
@@ -316,27 +316,11 @@ impl CompiledModel {
         }
     }
 
-    /// Binds the model to one request matrix: bins / gathers / encodes
-    /// the matrix **once**, returning an evaluator whose
-    /// [`Bound::eval_range`] is pure per-row work. Binding up front is
-    /// what makes row-chunked batched inference byte-identical to a
-    /// single sequential pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` has a different feature count than the model
-    /// was trained on.
-    pub fn bind(&self, data: &DatasetView) -> Bound<'_> {
-        self.view().bind(data)
-    }
-
-    /// Predicts on `data` through the compiled evaluator. Bit-identical
-    /// to the source [`FittedModel::predict`].
+    /// Predicts on `data` through the compiled evaluator, building its
+    /// [`crate::Tables`] for this one call. Bit-identical to the source
+    /// [`FittedModel::predict`].
     pub fn predict(&self, data: impl Into<DatasetView>) -> Pred {
-        let data: DatasetView = data.into();
-        let bound = self.bind(&data);
-        let flat = bound.eval_range(0, bound.n_rows());
-        bound.finish(flat)
+        self.serve(&data.into())
     }
 
     /// The artifact document and its payload fingerprint. The payload
@@ -366,7 +350,12 @@ impl CompiledModel {
     /// [`ArtifactError::Parse`] for corrupt or truncated JSON,
     /// [`ArtifactError::BadMagic`] / [`ArtifactError::Version`] for
     /// foreign or future files, [`ArtifactError::FingerprintMismatch`]
-    /// when the payload does not hash to the recorded fingerprint.
+    /// when the payload does not hash to the recorded fingerprint,
+    /// [`ArtifactError::Layout`] when it fails [`ModelView::check`] (the
+    /// sender computes the fingerprint, so it proves nothing about the
+    /// structure).
+    ///
+    /// [`ModelView::check`]: crate::ModelView::check
     pub fn from_artifact_str(text: &str) -> Result<CompiledModel, ArtifactError> {
         // Probe the header first (the derived deserializer ignores the
         // unknown `model` field) so magic/version mismatches get their
@@ -395,6 +384,7 @@ impl CompiledModel {
                 found,
             });
         }
+        file.model.view().check()?;
         Ok(file.model)
     }
 

@@ -1,7 +1,7 @@
 //! Batched inference over the exec pool.
 //!
 //! A [`BatchEngine`] splits each request matrix into fixed-size row
-//! chunks and runs them as pool jobs. Because [`crate::CompiledModel::bind`]
+//! chunks and runs them as pool jobs. Because [`crate::ModelView::bind`]
 //! does all per-request setup up front and chunk evaluation is pure
 //! per-row math, concatenating the chunk results in submission order —
 //! which [`flaml_exec::ExecPool::run_batch`] guarantees — produces
@@ -15,7 +15,7 @@
 //! these into per-slot latency percentiles and throughput
 //! ([`flaml_exec::Telemetry::by_slot`]).
 
-use crate::artifact::CompiledModel;
+use crate::view::Servable;
 use flaml_data::DatasetView;
 use flaml_exec::{EventSink, ExecPool, Job, JobStatus, TrialEvent, TrialEventKind};
 use flaml_metrics::Pred;
@@ -52,17 +52,25 @@ impl<'p> BatchEngine<'p> {
         self.batch_rows
     }
 
-    /// Predicts on `data` with the compiled model, chunked across the
-    /// pool. Byte-identical to `model.predict(data)` and to the source
+    /// Predicts on `data` with `model` — a [`crate::CompiledModel`], or a
+    /// value that keeps its evaluator tables such as a registry
+    /// [`crate::VersionedModel`] — chunked across the pool.
+    /// Byte-identical to `model.predict(data)` and to the source
     /// interpreted model.
     ///
     /// # Panics
     ///
     /// Panics if `data` has the wrong feature count or a chunk
     /// evaluation panics.
-    pub fn predict(&self, slot: &str, model: &CompiledModel, data: impl Into<DatasetView>) -> Pred {
+    pub fn predict<M: Servable + ?Sized>(
+        &self,
+        slot: &str,
+        model: &M,
+        data: impl Into<DatasetView>,
+    ) -> Pred {
         let data: DatasetView = data.into();
-        let bound = model.bind(&data);
+        let (view, tables) = model.parts();
+        let bound = view.bind(&tables, &data);
         let n = bound.n_rows();
         let chunks: Vec<(usize, usize)> = (0..n)
             .step_by(self.batch_rows)

@@ -27,9 +27,11 @@ pub enum ArtifactError {
         /// Format version this build supports.
         supported: u32,
     },
-    /// The file's structural layout is invalid: truncated slabs,
-    /// misaligned section offsets, out-of-range node indices or
-    /// inconsistent slab lengths in a binary artifact. Distinct from
+    /// The file's structural layout is invalid: truncated slabs or
+    /// misaligned section offsets in a binary artifact, or — in either
+    /// format — out-of-range or backward node indices, inconsistent slab
+    /// lengths, or more cuts on a feature than a bin can hold (see
+    /// [`crate::ModelView::check`]). Distinct from
     /// [`ArtifactError::Parse`] so operators can tell a torn download
     /// from a file that hashes correctly but violates the layout
     /// contract.

@@ -16,7 +16,8 @@
 //!   output byte-identical to a sequential pass.
 //! * [`ModelRegistry`] — named, versioned serving slots with atomic
 //!   `Arc`-swap hot-reload and rollback; a reader never observes a torn
-//!   model.
+//!   model. Each [`VersionedModel`] keeps the evaluator [`Tables`] it
+//!   builds on its first predict.
 //!
 //! Serving telemetry is not a type of this crate: the engine and the
 //! registry emit into the same [`flaml_exec::TrialEvent`] stream the
@@ -48,7 +49,7 @@
 //! let pool = ExecPool::new(2);
 //! let engine = BatchEngine::new(&pool, 64);
 //! let served = registry.get("step").unwrap();
-//! let batched = engine.predict("step", &served.model, &data);
+//! let batched = engine.predict("step", &*served, &data);
 //! assert_eq!(batched, model.predict(&data));
 //! # Ok(())
 //! # }
@@ -69,4 +70,6 @@ pub use artifact::{
 pub use batch::BatchEngine;
 pub use error::ArtifactError;
 pub use registry::{ModelRegistry, PromoteReason, Published, VersionedModel};
-pub use view::{Bound, CutsRef, FloatSlab, ForestView, GbdtView, LeafFlags, ModelView};
+pub use view::{
+    Bound, CutsRef, FloatSlab, ForestView, GbdtView, LeafFlags, ModelView, Servable, Tables,
+};

@@ -12,13 +12,15 @@
 //! republishing.
 
 use crate::artifact::{fingerprint, CompiledModel};
+use crate::view::{ModelView, Servable, Tables};
 use flaml_exec::{EventSink, TrialEvent, TrialEventKind};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// One published model version: immutable once created, shared by
 /// `Arc` so a hot-swap never invalidates an in-flight reader.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct VersionedModel {
     /// Slot the model was published to.
     pub name: String,
@@ -29,6 +31,18 @@ pub struct VersionedModel {
     pub fingerprint: u64,
     /// The compiled model.
     pub model: CompiledModel,
+    /// Built on the version's first predict, so a version that is never
+    /// served costs no table memory.
+    tables: OnceLock<Tables>,
+}
+
+impl Servable for VersionedModel {
+    fn parts(&self) -> (ModelView<'_>, Cow<'_, Tables>) {
+        let tables = self
+            .tables
+            .get_or_init(|| Tables::build(&self.model.view()));
+        (self.model.view(), Cow::Borrowed(tables))
+    }
 }
 
 #[derive(Debug)]
@@ -139,6 +153,7 @@ impl ModelRegistry {
                 version,
                 fingerprint: fp,
                 model,
+                tables: OnceLock::new(),
             }));
             slot.current = slot.versions.len() - 1;
         }

@@ -167,6 +167,41 @@ proptest! {
     }
 
     #[test]
+    fn hostile_child_pointers_and_features_are_typed_layout_errors(
+        data in arb_dataset(),
+        kind in 0usize..2,
+        at_frac in 0.0f64..1.0,
+        field in 0usize..3,
+        value in prop_oneof![Just(0u32), Just(1), Just(2), Just(u32::MAX), 0u32..64],
+    ) {
+        // The sender computes the fingerprint, so it proves nothing about
+        // the structure: a self-loop or a backward child used to load and
+        // then spin the predicting thread forever.
+        let model: flaml_learners::FittedModel = if kind == 1 {
+            Forest::fit(&data, &ForestParams { n_trees: 3, ..ForestParams::default() }, 1)
+                .unwrap().into()
+        } else {
+            Gbdt::fit(&data, &GbdtParams { n_trees: 3, ..GbdtParams::default() }, 1)
+                .unwrap().into()
+        };
+        let mut compiled = CompiledModel::compile(&model).unwrap();
+        let (feature, left, right) = match &mut compiled {
+            CompiledModel::Gbdt(m) => (&mut m.feature, &mut m.left, &mut m.right),
+            CompiledModel::Forest(m) => (&mut m.feature, &mut m.left, &mut m.right),
+            _ => unreachable!("tree models"),
+        };
+        let at = ((feature.len() - 1) as f64 * at_frac) as usize;
+        [feature, left, right][field][at] = value;
+        match CompiledModel::from_artifact_str(&compiled.to_artifact_string()) {
+            // A mutation the structure tolerates (a leaf's unread field,
+            // a forward in-range child or feature) must still predict.
+            Ok(loaded) => prop_assert_eq!(loaded.predict(&data).n_rows(), data.n_rows()),
+            Err(ArtifactError::Layout(_)) => {}
+            Err(other) => prop_assert!(false, "untyped rejection {:?}", other),
+        }
+    }
+
+    #[test]
     fn corrupted_payload_bytes_never_load_silently(
         data in arb_dataset(),
         seed in 0u64..10,
@@ -199,4 +234,39 @@ proptest! {
             Err(other) => prop_assert!(false, "untyped rejection {:?}", other),
         }
     }
+}
+
+/// A one-split boosted model whose only feature has `n_cuts` cuts.
+fn gbdt_with_cuts(n_cuts: usize) -> CompiledModel {
+    let mut model = slab_gbdt(0.5, -1.0, 1.0);
+    if let CompiledModel::Gbdt(m) = &mut model {
+        m.cuts = vec![(0..n_cuts).map(|c| c as f64).collect()];
+    }
+    model
+}
+
+#[test]
+fn more_cuts_than_a_two_byte_bin_holds_is_a_typed_load_error() {
+    // 65 534 cuts make 65 536 bins (the missing-value bin included):
+    // exactly what a two-byte bin holds. One more used to panic inside
+    // `BinMapper::from_cuts` on every predict.
+    let data = Dataset::new(
+        "wide",
+        Task::Regression,
+        vec![vec![0.25, 7e4]],
+        vec![0.0; 2],
+    )
+    .unwrap();
+    let widest = gbdt_with_cuts(65_534).to_artifact_string();
+    let loaded = CompiledModel::from_artifact_str(&widest).unwrap();
+    assert_eq!(
+        pred_bits(&loaded, &data),
+        pred_bits(&gbdt_with_cuts(65_534), &data)
+    );
+    let too_wide = gbdt_with_cuts(65_535).to_artifact_string();
+    let err = CompiledModel::from_artifact_str(&too_wide).unwrap_err();
+    assert!(
+        matches!(&err, ArtifactError::Layout(m) if m.contains("65535 cuts")),
+        "{err}"
+    );
 }

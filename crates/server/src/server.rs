@@ -729,9 +729,10 @@ impl Server {
                 inner_sink.emit(ev);
             }),
         );
-        // Serve under the registry key so slot stats are per-tenant.
+        // Serve under the registry key so slot stats are per-tenant, and
+        // through the version itself so its evaluator tables are reused.
         let pred = catch_unwind(AssertUnwindSafe(|| {
-            engine.predict(&key, &served.model, &data)
+            engine.predict(&key, served.as_ref(), &data)
         }))
         .map_err(|_| (500, ErrorBody::json("prediction panicked")))?;
         let (n_classes, values) = match pred {

@@ -303,6 +303,47 @@ fn hostile_class_counts_are_typed_400s_and_the_server_survives() {
     server.stop();
 }
 
+/// The sender computes an artifact's fingerprint, so a correctly hashed
+/// artifact can still be hostile: a GBDT root whose children point back
+/// at itself used to load, publish, and pin the predicting connection
+/// thread (and a core) in an endless walk. It is a typed `400` now, and
+/// the server keeps answering.
+#[test]
+fn self_looping_artifacts_are_typed_400s_and_the_server_survives() {
+    use flaml_serve::{CompiledGbdt, CompiledModel};
+    let (server, addr) = start(scratch_root("self-loop"), 4);
+    let looping = CompiledModel::Gbdt(CompiledGbdt {
+        cuts: vec![vec![0.5]],
+        n_groups: 1,
+        init_scores: vec![0.0],
+        task: flaml_data::Task::Regression,
+        tree_roots: vec![0],
+        feature: vec![0, 0, 0],
+        threshold: vec![1, 0, 0],
+        left: vec![0, 0, 0],
+        right: vec![0, 0, 0],
+        leaf_value: vec![0.0, -1.0, 1.0],
+        is_leaf: vec![false, true, true],
+    });
+    let (status, body) = http(
+        addr,
+        "POST",
+        "/tenants/acme/slots/loop",
+        &looping.to_artifact_string(),
+    );
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("non-forward"), "{body}");
+    let predict = "{\"slot\":\"loop\",\"columns\":[[0.25]]}";
+    assert_eq!(
+        http(addr, "POST", "/tenants/acme/predict", predict).0,
+        404,
+        "nothing was published"
+    );
+    let (status, body) = http(addr, "GET", "/healthz", "");
+    assert_eq!((status, body.as_str()), (200, "{\"ok\":true}"));
+    server.stop();
+}
+
 /// `server.rs`'s `MAX_CONNECTIONS`, which is private to the crate.
 const MAX_CONNECTIONS: usize = 256;
 
