@@ -158,9 +158,7 @@ fn replay(
         for t in roster {
             let (est, space) = &estimators[t.est];
             let (td, _) = plane.prepare(t.sample_size, est.max_bin(&t.config, space));
-            let out = run_trial_prepared(
-                &td, est, &t.config, space, strategy, metric, spec.seed, None, pool, None,
-            );
+            let out = run_trial_prepared(&td, est, &t.config, space, metric, spec.seed, None, pool);
             if let Some(v) = sink.as_mut() {
                 v.push(out.error.to_bits());
             }

@@ -57,8 +57,6 @@ fn main() {
         chaos: exec.chaos,
         journal_dir: exec.journal_dir.clone(),
         resume: exec.resume,
-        tree_cache: exec.tree_cache,
-        tree_cache_bytes: exec.tree_cache_bytes,
         ..GridSpec::default()
     };
     let results = run_grid(&groups, &spec);

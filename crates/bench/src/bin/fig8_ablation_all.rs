@@ -28,8 +28,6 @@ fn main() {
         chaos: exec.chaos,
         journal_dir: exec.journal_dir.clone(),
         resume: exec.resume,
-        tree_cache: exec.tree_cache,
-        tree_cache_bytes: exec.tree_cache_bytes,
         ..GridSpec::default()
     };
     let groups = default_groups(exec.scale(), per_group);

@@ -149,11 +149,6 @@ impl Args {
             chunk_rows: self.usize("chunk-rows", 120).max(8),
             drift_at: self.usize("drift-at", 8).max(2),
             promote_margin: self.f64("promote-margin", 0.01).max(0.0),
-            // The cache defaults on, so `--tree-cache off|false|0`
-            // disables it; a bare `--tree-cache` flag or any other value
-            // leaves it on.
-            tree_cache: !matches!(self.str("tree-cache", "on").as_str(), "off" | "false" | "0"),
-            tree_cache_bytes: self.usize("tree-cache-bytes", crate::run::DEFAULT_TREE_CACHE_BYTES),
             artifact_format: match self.opt_str("artifact-format") {
                 None => flaml_core::ArtifactFormat::Json,
                 Some(spec) => spec.parse().unwrap_or_else(|e| {
@@ -194,9 +189,6 @@ impl Args {
 ///   concept shift every N chunks (default 8, clamped ≥ 2);
 /// - `--promote-margin X` — margin a challenger must beat the champion
 ///   by to be promoted (default 0.01, clamped ≥ 0);
-/// - `--tree-cache off` — disable the cross-trial boosting tree cache
-///   (default on; search traces are bit-identical either way);
-/// - `--tree-cache-bytes N` — tree-cache byte budget (default 256 MiB);
 /// - `--artifact-format json|blob` — format for exported serving
 ///   artifacts (default json; any other value aborts with exit 2).
 #[derive(Debug, Clone)]
@@ -244,11 +236,6 @@ pub struct ExecArgs {
     /// Promotion margin for online champion–challenger benchmarks
     /// (`--promote-margin`, default 0.01, always ≥ 0).
     pub promote_margin: f64,
-    /// Whether the cross-trial boosting tree cache is enabled
-    /// (`--tree-cache off` disables; default on).
-    pub tree_cache: bool,
-    /// Tree-cache byte budget (`--tree-cache-bytes`, default 256 MiB).
-    pub tree_cache_bytes: usize,
     /// Format for exported serving artifacts (`--artifact-format
     /// json|blob`, default json; anything else aborts with exit 2).
     pub artifact_format: flaml_core::ArtifactFormat,
@@ -287,8 +274,6 @@ impl ExecArgs {
             fault_plan: self.chaos,
             journal: None,
             resume: self.resume,
-            tree_cache: self.tree_cache,
-            tree_cache_bytes: self.tree_cache_bytes,
         }
     }
 }
@@ -403,27 +388,6 @@ mod tests {
         assert_eq!(e.chunk_rows, 8);
         assert_eq!(e.drift_at, 2);
         assert_eq!(e.promote_margin, 0.0);
-    }
-
-    #[test]
-    fn exec_parses_tree_cache_knobs() {
-        // Default: on, 256 MiB.
-        let e = args("").exec();
-        assert!(e.tree_cache);
-        assert_eq!(e.tree_cache_bytes, 256 * 1024 * 1024);
-
-        // Disabling values.
-        for spec in ["off", "false", "0"] {
-            let e = args(&format!("--tree-cache {spec}")).exec();
-            assert!(!e.tree_cache, "--tree-cache {spec} must disable");
-        }
-
-        // Affirmative / bare forms stay on; byte budget is tunable.
-        let e = args("--tree-cache on --tree-cache-bytes 1024").exec();
-        assert!(e.tree_cache);
-        assert_eq!(e.tree_cache_bytes, 1024);
-        let e = args("--tree-cache --seed 1").exec();
-        assert!(e.tree_cache, "bare flag leaves the default on");
     }
 
     #[test]

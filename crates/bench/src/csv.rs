@@ -4,8 +4,9 @@
 //! [`TrialLine`] — including the data-plane counters
 //! (`prepared_hits` / `prepared_misses` / `bytes_copied_saved` /
 //! `prepared_evictions`) and the tree-cache counters
-//! (`tree_cache_hits` / `tree_cache_misses` / `trees_saved`) — with
-//! the free-text `config` quoted and last so the fixed columns split on
+//! (`tree_cache_hits` / `tree_cache_misses` / `trees_saved`, written as
+//! 0 by current searches; older journals carry counts) — with the
+//! free-text `config` quoted and last so the fixed columns split on
 //! plain commas.
 
 use flaml_core::TrialLine;
@@ -51,11 +52,11 @@ pub struct TrialCsvRow {
     pub bytes_copied_saved: usize,
     /// Prepared-data cache entries evicted under the byte budget.
     pub prepared_evictions: usize,
-    /// Folds that continued boosting from a cached tree prefix.
+    /// The journal's `tree_cache_hits` (0 in current journals).
     pub tree_cache_hits: usize,
-    /// Cache-eligible folds that started from round zero.
+    /// The journal's `tree_cache_misses` (0 in current journals).
     pub tree_cache_misses: usize,
-    /// Trees served from cached prefixes instead of being refit.
+    /// The journal's `trees_saved` (0 in current journals).
     pub trees_saved: usize,
     /// Configuration rendered as `name=value` pairs.
     pub config: String,

@@ -80,11 +80,6 @@ pub struct GridSpec {
     /// With `journal_dir` set: cells whose journal already exists resume
     /// from it (replaying committed trials) instead of starting over.
     pub resume: bool,
-    /// Whether the FLAML cells use the cross-trial boosting tree cache
-    /// (search traces are bit-identical either way).
-    pub tree_cache: bool,
-    /// Tree-cache byte budget per FLAML cell.
-    pub tree_cache_bytes: usize,
 }
 
 impl Default for GridSpec {
@@ -102,8 +97,6 @@ impl Default for GridSpec {
             chaos: None,
             journal_dir: None,
             resume: false,
-            tree_cache: true,
-            tree_cache_bytes: crate::run::DEFAULT_TREE_CACHE_BYTES,
         }
     }
 }
@@ -211,8 +204,6 @@ pub fn run_grid(groups: &[(&str, Vec<Dataset>)], spec: &GridSpec) -> Vec<GridRes
                         fault_plan: spec.chaos,
                         journal,
                         resume: spec.resume,
-                        tree_cache: spec.tree_cache,
-                        tree_cache_bytes: spec.tree_cache_bytes,
                     },
                 ) {
                     Ok(r) => r,

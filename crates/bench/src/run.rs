@@ -110,8 +110,6 @@ impl Method {
                 fault_plan: None,
                 journal: None,
                 resume: false,
-                tree_cache: true,
-                tree_cache_bytes: DEFAULT_TREE_CACHE_BYTES,
             },
         )
     }
@@ -135,9 +133,7 @@ impl Method {
                     .seed(cfg.seed)
                     .sample_size_init(cfg.sample_init)
                     .time_source(cfg.time_source)
-                    .workers(cfg.workers)
-                    .tree_cache(cfg.tree_cache)
-                    .tree_cache_bytes(cfg.tree_cache_bytes);
+                    .workers(cfg.workers);
                 if let Some(cap) = cfg.max_trials {
                     automl = automl.max_trials(cap);
                 }
@@ -215,15 +211,7 @@ pub struct RunConfig {
     /// With `journal` set: continue from the journal if it already
     /// exists, instead of starting it over.
     pub resume: bool,
-    /// Whether the cross-trial boosting tree cache is enabled (FLAML
-    /// methods only). Search traces are bit-identical either way.
-    pub tree_cache: bool,
-    /// Byte budget of the tree cache.
-    pub tree_cache_bytes: usize,
 }
-
-/// Default tree-cache byte budget, matching [`AutoMl`]'s default.
-pub const DEFAULT_TREE_CACHE_BYTES: usize = 256 * 1024 * 1024;
 
 impl std::fmt::Display for Method {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

@@ -219,6 +219,8 @@ pub enum AutoMlError {
     UnknownLearner(String),
     /// Compiling, saving or loading a serving artifact failed.
     Artifact(flaml_serve::ArtifactError),
+    /// The time budget is not a finite number of seconds above zero.
+    BadTimeBudget(f64),
 }
 
 impl fmt::Display for AutoMlError {
@@ -254,6 +256,10 @@ impl fmt::Display for AutoMlError {
                 write!(f, "journaled learner {name:?} is not a builtin learner")
             }
             AutoMlError::Artifact(e) => write!(f, "serving artifact error: {e}"),
+            AutoMlError::BadTimeBudget(budget) => write!(
+                f,
+                "time budget must be a finite number of seconds above 0, got {budget}"
+            ),
         }
     }
 }
@@ -428,8 +434,6 @@ pub struct AutoMl {
     pub(crate) starting_points: Vec<(String, Vec<f64>, f64)>,
     pub(crate) prepared_cache: bool,
     pub(crate) prepared_cache_bytes: usize,
-    pub(crate) tree_cache: bool,
-    pub(crate) tree_cache_bytes: usize,
     /// Storage backend for journal persistence. `None` means the real
     /// filesystem ([`flaml_store::DiskStorage`]); tests inject
     /// [`flaml_store::ChaosStorage`] here to fault the journal's I/O.
@@ -466,8 +470,6 @@ impl Default for AutoMl {
             starting_points: Vec::new(),
             prepared_cache: true,
             prepared_cache_bytes: 256 * 1024 * 1024,
-            tree_cache: true,
-            tree_cache_bytes: 256 * 1024 * 1024,
             storage: None,
         }
     }
@@ -617,25 +619,6 @@ impl AutoMl {
         self
     }
 
-    /// Enables or disables the cross-trial tree cache (fitted boosting
-    /// prefixes memoized per (config-without-`tree_num`, sample, fold)
-    /// and continued by later trials — see [`crate::TreeCache`]).
-    /// Continuation is bit-identical to fitting from scratch, so the
-    /// trial trace is byte-identical either way; this knob only trades
-    /// memory for speed. Default: on.
-    pub fn tree_cache(mut self, on: bool) -> AutoMl {
-        self.tree_cache = on;
-        self
-    }
-
-    /// Caps the bytes the tree cache may hold; the oldest-stored
-    /// prefixes are evicted first when the budget is exceeded. Default:
-    /// 256 MiB.
-    pub fn tree_cache_bytes(mut self, bytes: usize) -> AutoMl {
-        self.tree_cache_bytes = bytes;
-        self
-    }
-
     /// Quarantines a learner after this many *consecutive* failed trials
     /// (non-finite final error). A quarantined learner is skipped by the
     /// ECI proposer until its next scheduled probe; a successful probe
@@ -720,15 +703,31 @@ impl AutoMl {
         self
     }
 
+    /// Checks the settings no search could run under, before any trial
+    /// runs or any journal is created: [`AutoMl::fit`] and every
+    /// [`crate::SearchHandle`] slice apply it first.
+    ///
+    /// # Errors
+    ///
+    /// [`AutoMlError::BadTimeBudget`] unless the time budget is finite
+    /// and above zero.
+    pub fn validate(&self) -> Result<(), AutoMlError> {
+        if self.time_budget.is_finite() && self.time_budget > 0.0 {
+            Ok(())
+        } else {
+            Err(AutoMlError::BadTimeBudget(self.time_budget))
+        }
+    }
+
     /// Runs the search on `data` and returns the best model found.
     ///
     /// # Errors
     ///
-    /// Returns [`AutoMlError`] if the estimator list is empty, the
-    /// dataset is degenerate (fewer than 2 rows, a single-class
-    /// classification target, or no usable feature after dropping
-    /// constant/all-NaN columns), no trial succeeded, or the final refit
-    /// failed.
+    /// Returns [`AutoMlError`] if the settings fail
+    /// [`AutoMl::validate`], the estimator list is empty, the dataset is
+    /// degenerate (fewer than 2 rows, a single-class classification
+    /// target, or no usable feature after dropping constant/all-NaN
+    /// columns), no trial succeeded, or the final refit failed.
     pub fn fit(&self, data: &Dataset) -> Result<AutoMlResult, AutoMlError> {
         let mut search = Search::open(self.clone(), data, None)?;
         search.step(usize::MAX)?;

@@ -49,7 +49,6 @@ use crate::ensemble::{build_stacked, MemberSpec};
 use crate::resample::{
     run_trial_prepared, ResampleRule, ResampleStrategy, TrialOutcome, TrialStatus,
 };
-use crate::treecache::{TreeCache, TreeCacheStats, TreeKey, TrialBoost};
 use flaml_data::{Dataset, DatasetView, Task};
 use flaml_exec::{
     EventSink, ExecPool, Job, JobResult, JobStatus, TrialEvent, TrialEventKind, TrialMeta,
@@ -105,14 +104,6 @@ struct Proposal {
     data: Option<Arc<TrialData>>,
     /// Cache hit/miss accounting for this trial's preparation.
     prep: PrepStats,
-    /// The trial's warm-continuation plan when its fit is eligible for
-    /// the tree cache: per-fold keys and cached prefixes, looked up at
-    /// proposal time (controller thread, deterministic order). `None`
-    /// for ineligible fits, replay, or a disabled cache — those run the
-    /// plain fit path.
-    boost: Option<TrialBoost>,
-    /// Tree-cache hit/miss accounting for this trial's plan.
-    tree_prep: TreeCacheStats,
 }
 
 /// The incumbent: the best finite-loss trial committed so far.
@@ -275,8 +266,8 @@ fn verify_replay_line(line: &TrialLine, p: &Proposal) -> Result<(), AutoMlError>
 /// What it holds is what a *parked* search costs: proposer, ECI and
 /// quarantine state, the budget clock, the RNG, the trial records, the
 /// incumbent's trial model and the open journal writer. The data plane
-/// and the tree cache are deliberately *not* here — they live for one
-/// [`Search::step`] call, so a parked search pins no cache bytes.
+/// is deliberately *not* here — it lives for one [`Search::step`] call,
+/// so a parked search pins no cache bytes.
 pub(crate) struct Search {
     settings: AutoMl,
     /// The dataset as the caller passed it, for [`Search::verify_data`].
@@ -321,6 +312,7 @@ impl Search {
         data: &Dataset,
         parsed: Option<Journal>,
     ) -> Result<Search, AutoMlError> {
+        settings.validate()?;
         let roster = settings.roster();
         if roster.is_empty() {
             return Err(AutoMlError::NoEstimators);
@@ -496,19 +488,19 @@ impl Search {
         self.best.as_ref().map_or(f64::INFINITY, |b| b.error)
     }
 
-    /// A wall clock bounds every fit by the budget that is left.
+    /// A wall clock bounds every fit by the budget that is left; a
+    /// budget too large for a [`Duration`] bounds nothing.
     fn deadline(&self) -> Option<Duration> {
-        self.clock.is_wall().then(|| {
-            let remaining = self.settings.time_budget - self.clock.elapsed();
-            Duration::from_secs_f64(remaining.max(0.05))
-        })
+        let remaining = self.settings.time_budget - self.clock.elapsed();
+        self.clock
+            .is_wall()
+            .then(|| Duration::try_from_secs_f64(remaining.max(0.05)).ok())
+            .flatten()
     }
 
     /// The job that executes attempt `attempt` of `p`. Retries vary the
     /// seed so a genuinely flaky fit gets a different draw, not a replay
-    /// of the same failure; the warm plan is reused as-is (cache-eligible
-    /// fits are seed-invariant, so the seed cannot change the continued
-    /// tree sequence).
+    /// of the same failure.
     fn attempt_job<'a>(
         &'a self,
         p: &'a Proposal,
@@ -522,19 +514,10 @@ impl Search {
             .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(attempt as u64));
         // The job borrows what it reads, not the whole search: the journal
         // writer is the controller thread's alone.
-        let (strategy, metric, fold_pool) = (self.strategy, self.metric, &self.fold_pool);
+        let (metric, fold_pool) = (self.metric, &self.fold_pool);
         let job = Job::new(move |_ctx| {
             run_trial_prepared(
-                td,
-                &st.kind,
-                &p.config,
-                &st.space,
-                strategy,
-                metric,
-                seed,
-                deadline,
-                fold_pool,
-                p.boost.as_ref(),
+                td, &st.kind, &p.config, &st.space, metric, seed, deadline, fold_pool,
             )
         })
         .deadline(deadline);
@@ -573,7 +556,6 @@ impl Search {
                 cost_factor: p.cost_factor,
                 status: TrialStatus::Panicked,
                 message: Some(msg),
-                fold_states: Vec::new(),
             },
         };
         let poison = self
@@ -617,7 +599,6 @@ impl Search {
         in_flight: &[Proposal],
         live: bool,
         plane: &mut DataPlane,
-        tree_cache: &TreeCache,
     ) -> Option<Proposal> {
         let settings = &self.settings;
         let n = self.dataset.rows;
@@ -669,46 +650,6 @@ impl Search {
         } else {
             (None, PrepStats::default())
         };
-        // Tree-cache plan: per-fold prefix lookups, on the controller
-        // thread so cache reads happen in deterministic proposal order.
-        // The learner name is part of the key and a batch never holds two
-        // proposals for one learner, so a batch's lookups cannot depend on
-        // its own store-backs — accounting is identical at any worker
-        // count.
-        let mut tree_prep = TreeCacheStats::default();
-        let boost = match &data {
-            Some(td) if tree_cache.enabled() => {
-                st.kind.boost_params(&config, &st.space).map(|params| {
-                    let tree_idx = st.space.index_of("tree_num");
-                    let mut keys = Vec::with_capacity(td.folds.len());
-                    let mut warm = Vec::with_capacity(td.folds.len());
-                    for fi in 0..td.folds.len() {
-                        let key = TreeKey::new(
-                            learner.clone(),
-                            config.values(),
-                            tree_idx,
-                            trial_s,
-                            fi,
-                            params.max_bin,
-                            self.dataset.fingerprint,
-                        );
-                        let cached = tree_cache.get(&key);
-                        match &cached {
-                            Some(s) => {
-                                tree_prep.tree_cache_hits += 1;
-                                tree_prep.trees_saved +=
-                                    s.rounds_done().min(params.n_trees) * s.n_groups();
-                            }
-                            None => tree_prep.tree_cache_misses += 1,
-                        }
-                        warm.push(cached);
-                        keys.push(key);
-                    }
-                    TrialBoost { params, keys, warm }
-                })
-            }
-            _ => None,
-        };
         Some(Proposal {
             li,
             trial_no: it + 1,
@@ -721,8 +662,6 @@ impl Search {
             seed: settings.seed.wrapping_add(it as u64),
             data,
             prep,
-            boost,
-            tree_prep,
         })
     }
 
@@ -732,13 +671,11 @@ impl Search {
     /// trials remain queued the loop *replays* instead of executing.
     ///
     /// The zero-copy data plane (each trial's views and bin artifacts,
-    /// memoized across trials) and the cross-trial tree cache (fitted
-    /// boosting prefixes, continued by later trials) live for this call
-    /// only. Both are owned by the controller thread — lookups at
-    /// proposal time, store-backs at commit time — and observationally
-    /// pure: cached artifacts are bit-identical to fresh computation, so
-    /// traces depend neither on the cache settings nor on where a search
-    /// was sliced.
+    /// memoized across trials) lives for this call only. It is owned by
+    /// the controller thread — filled at proposal time — and
+    /// observationally pure: cached artifacts are bit-identical to fresh
+    /// computation, so traces depend neither on the cache settings nor on
+    /// where a search was sliced.
     pub(crate) fn step(&mut self, stop_at: usize) -> Result<Stop, AutoMlError> {
         let mut plane = DataPlane::new(
             self.shuffled.clone(),
@@ -746,8 +683,6 @@ impl Search {
             self.settings.prepared_cache,
             self.settings.prepared_cache_bytes,
         );
-        let mut tree_cache =
-            TreeCache::new(self.settings.tree_cache, self.settings.tree_cache_bytes);
         let budget = self.settings.time_budget;
         let target = self.settings.max_trials.unwrap_or(usize::MAX);
         loop {
@@ -775,7 +710,7 @@ impl Search {
             };
             let mut proposals: Vec<Proposal> = Vec::with_capacity(width);
             for it in iter..(iter + width).min(stop_at).min(target) {
-                match self.propose(it, &proposals, live, &mut plane, &tree_cache) {
+                match self.propose(it, &proposals, live, &mut plane) {
                     Some(p) => proposals.push(p),
                     None => break,
                 }
@@ -811,7 +746,7 @@ impl Search {
             for (b, (p, result)) in proposals.iter().zip(results).enumerate() {
                 discarding |= b > 0 && self.clock.elapsed() >= budget;
                 if !discarding {
-                    self.commit(p, result, &mut tree_cache)?;
+                    self.commit(p, result)?;
                 } else if let Some(result) = result {
                     let sink = self.settings.event_sink.as_ref();
                     emit(sink, TrialEventKind::Finished, p, |ev| {
@@ -836,7 +771,6 @@ impl Search {
         &mut self,
         p: &Proposal,
         result: Option<JobResult<TrialOutcome>>,
-        tree_cache: &mut TreeCache,
     ) -> Result<(), AutoMlError> {
         let n = self.dataset.rows;
         // No events during replay: the journaled records already describe
@@ -898,9 +832,12 @@ impl Search {
                 prepared_misses: p.prep.prepared_misses,
                 prepared_evictions: p.prep.prepared_evictions,
                 bytes_copied_saved: p.prep.bytes_copied_saved,
-                tree_cache_hits: p.tree_prep.tree_cache_hits,
-                tree_cache_misses: p.tree_prep.tree_cache_misses,
-                trees_saved: p.tree_prep.trees_saved,
+                // No fit continues cached trees, so these are always 0;
+                // the keys stay until the next versioned journal change
+                // so canonical bytes and the journal pins hold.
+                tree_cache_hits: 0,
+                tree_cache_misses: 0,
+                trees_saved: 0,
                 seed: p.seed,
                 improved,
                 best_loss: if improved {
@@ -928,20 +865,6 @@ impl Search {
         };
         let status = TrialStatus::parse(&line.status).unwrap_or(TrialStatus::Ok);
         self.n_retries += line.attempts;
-
-        // Tree-cache store-back, in submission (= commit) order: each
-        // fold's grown prefix replaces a shorter cached one. A
-        // deadline-truncated continuation still lands here — its
-        // completed prefix is valid and worth keeping. Replayed and
-        // ineligible trials carry no plan and store nothing.
-        if let (Some(tb), Some(outcome)) = (&p.boost, &ran) {
-            for (key, state) in tb.keys.iter().zip(&outcome.fold_states) {
-                if let Some(state) = state {
-                    tree_cache.store(key.clone(), state.clone());
-                }
-            }
-            tree_cache.observe(p.tree_prep);
-        }
 
         // Feedback into the proposers.
         let st = &mut self.states[p.li];
@@ -1071,9 +994,6 @@ impl Search {
                 ev.prepared_misses = line.prepared_misses;
                 ev.prepared_evictions = line.prepared_evictions;
                 ev.bytes_copied_saved = line.bytes_copied_saved;
-                ev.tree_cache_hits = line.tree_cache_hits;
-                ev.tree_cache_misses = line.tree_cache_misses;
-                ev.trees_saved = line.trees_saved;
                 ev.meta = Some(TrialMeta {
                     mode: line.mode.clone(),
                     status: line.status.clone(),
@@ -1144,8 +1064,8 @@ impl Search {
             .is_wall()
             .then(|| (settings.time_budget - self.clock.elapsed()).max(0.0));
         let out_of_budget = remaining.is_some_and(|r| r <= 0.0);
-        let refit_budget =
-            remaining.map(|r| Duration::from_secs_f64(r.max(0.05).min(settings.time_budget)));
+        let refit_budget = remaining
+            .and_then(|r| Duration::try_from_secs_f64(r.max(0.05).min(settings.time_budget)).ok());
         let model = match (out_of_budget, best.model) {
             (true, Some(m)) => m,
             (_, trial_model) => {

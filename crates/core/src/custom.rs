@@ -194,23 +194,6 @@ impl Estimator {
         }
     }
 
-    /// The boosting parameters of this learner's trial fit when the fit
-    /// is eligible for the cross-trial tree cache (see
-    /// [`crate::TreeCache`]): a builtin boosting learner whose
-    /// configuration is seed-invariant (no row/column subsampling) and
-    /// prefix-stable (no early stopping). `None` for everything else —
-    /// custom learners are opaque, so their fits are never cached.
-    pub fn boost_params(
-        &self,
-        config: &Config,
-        space: &SearchSpace,
-    ) -> Option<flaml_learners::GbdtParams> {
-        match self {
-            Estimator::Builtin(k) => crate::learner::cacheable_gbdt_params(*k, config, space),
-            Estimator::Custom(_) => None,
-        }
-    }
-
     /// The virtual-clock complexity factor of a configuration.
     pub fn cost_factor(&self, config: &Config, space: &SearchSpace) -> f64 {
         match self {

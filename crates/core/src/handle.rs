@@ -17,10 +17,10 @@
 //! A parked search keeps its proposer, ECI and quarantine state, its
 //! budget clock (stopped, so time in the queue is not billed), RNG,
 //! trial records, the incumbent's trial model and its open journal
-//! writer. It does *not* keep the prepared-data and tree caches: those
-//! are rebuilt cold inside each slice, so the cache bytes a service
-//! holds are bounded by the slices actually running, not by the
-//! searches in flight.
+//! writer. It does *not* keep the prepared-data cache: that is rebuilt
+//! cold inside each slice, so the cache bytes a service holds are
+//! bounded by the slices actually running, not by the searches in
+//! flight.
 //!
 //! The journal is for crashes. Every committed trial is durable before
 //! the search proceeds, so a new process can [`SearchHandle::attach`]
@@ -94,13 +94,15 @@ impl SearchHandle {
     ///
     /// # Errors
     ///
-    /// Returns [`AutoMlError::Journal`] if the journal cannot be read.
+    /// Returns [`AutoMlError::Journal`] if the journal cannot be read
+    /// through the settings' storage.
     pub fn attach(
         settings: AutoMl,
         journal: impl Into<PathBuf>,
     ) -> Result<SearchHandle, AutoMlError> {
         let journal = journal.into();
-        let on_disk = Journal::read(&journal)?;
+        let storage = settings.storage.clone().unwrap_or_else(flaml_store::disk);
+        let on_disk = Journal::read_with(storage.as_ref(), &journal)?;
         Ok(SearchHandle {
             state: State::Pending(Box::new((settings.resume_from(&journal), Some(on_disk)))),
             journal,

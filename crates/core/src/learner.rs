@@ -4,11 +4,10 @@
 use crate::spaces::LearnerKind;
 use flaml_data::DatasetView;
 use flaml_learners::{
-    FitError, FittedModel, Forest, ForestParams, Gbdt, GbdtFitState, GbdtParams, Growth, Linear,
-    LinearParams, PreparedBins, SplitCriterion,
+    FitError, FittedModel, Forest, ForestParams, Gbdt, GbdtParams, Growth, Linear, LinearParams,
+    PreparedBins, SplitCriterion,
 };
 use flaml_search::{Config, SearchSpace};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// The CatBoost-style learner's round cap; the searched hyperparameter is
@@ -140,63 +139,6 @@ fn xgboost_params(config: &Config, space: &SearchSpace) -> GbdtParams {
         growth: Growth::DepthWise,
         early_stop_rounds: None,
     }
-}
-
-/// The boosting parameters for `kind`'s trial fit when (and only when)
-/// that fit is eligible for cross-trial prefix caching: a builtin
-/// LightGBM/XGBoost-style learner whose configuration draws nothing from
-/// the RNG (no row or column subsampling), making the tree sequence
-/// seed-invariant and prefix-stable. CatBoost-style fits are excluded:
-/// their round count is governed by searched early stopping, so a
-/// continued run would not be prefix-stable.
-pub(crate) fn cacheable_gbdt_params(
-    kind: LearnerKind,
-    config: &Config,
-    space: &SearchSpace,
-) -> Option<GbdtParams> {
-    let params = match kind {
-        LearnerKind::LightGbm => lightgbm_params(config, space),
-        LearnerKind::XgBoost => xgboost_params(config, space),
-        _ => return None,
-    };
-    let seed_invariant = params.subsample >= 1.0
-        && params.colsample_bytree >= 1.0
-        && params.colsample_bylevel >= 1.0;
-    seed_invariant.then_some(params)
-}
-
-/// Fits a cache-eligible boosting run, continuing from `warm` when given:
-/// the bit-exactness contract of [`Gbdt::fit_continue`] makes the result
-/// identical to a cold fit at `params.n_trees`. Returns the model
-/// together with the (possibly grown) fit state for store-back. When the
-/// cached prefix already covers the target, no boosting happens at all —
-/// the model is a snapshot of the prefix and the state is returned
-/// untouched.
-pub(crate) fn fit_gbdt_warm(
-    data: &DatasetView,
-    params: &GbdtParams,
-    seed: u64,
-    budget: Option<Duration>,
-    prepared: Option<&PreparedBins>,
-    warm: Option<Arc<GbdtFitState>>,
-) -> Result<(FittedModel, Arc<GbdtFitState>), FitError> {
-    if let Some(w) = warm {
-        if w.rounds_done() >= params.n_trees {
-            let model = w.model_at(params.n_trees);
-            return Ok((model.into(), w));
-        }
-        let mut state = (*w).clone();
-        let extra = params.n_trees - state.rounds_done();
-        Gbdt::fit_continue_bounded(&mut state, extra, budget);
-        let state = Arc::new(state);
-        let model = state.model_at(state.rounds_done());
-        return Ok((model.into(), state));
-    }
-    let mut state = Gbdt::fit_start(data, params, seed, prepared)?;
-    Gbdt::fit_continue_bounded(&mut state, params.n_trees, budget);
-    let state = Arc::new(state);
-    let model = state.model_at(state.rounds_done());
-    Ok((model.into(), state))
 }
 
 /// A rough complexity factor for the configuration, used by the virtual

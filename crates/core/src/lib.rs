@@ -51,7 +51,6 @@ mod learner;
 mod resample;
 mod serving;
 mod spaces;
-mod treecache;
 
 pub use automl::{
     retrain_from_log, AutoMl, AutoMlError, AutoMlResult, LearnerSelection, ResampleChoice,
@@ -69,7 +68,6 @@ pub use resample::{
 };
 pub use serving::export_artifact_from_log;
 pub use spaces::LearnerKind;
-pub use treecache::{TreeCache, TreeCacheStats, TreeKey, TrialBoost};
 
 // Re-export the execution runtime so downstream crates can size pools and
 // subscribe to trial telemetry without depending on flaml-exec directly.

@@ -17,15 +17,13 @@
 
 use crate::custom::Estimator;
 use crate::dataplane::{DataPlane, TrialData};
-use crate::treecache::TrialBoost;
 use flaml_data::Dataset;
 use flaml_exec::{ExecPool, Job, JobStatus};
-use flaml_learners::{FittedModel, GbdtFitState};
+use flaml_learners::FittedModel;
 use flaml_metrics::Metric;
 use flaml_search::{Config, SearchSpace};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// The resampling strategy used to assess each trial.
@@ -172,8 +170,8 @@ pub struct TrialOutcome {
     /// is sanitized to `INFINITY` and flagged
     /// [`TrialStatus::NonFiniteLoss`].
     pub error: f64,
-    /// The model trained during the trial (holdout only; CV trials defer
-    /// training the final model).
+    /// The model trained during a one-fold (holdout) trial; CV trials
+    /// defer training the final model.
     pub model: Option<FittedModel>,
     /// Number of model fits the trial performed.
     pub n_fits: usize,
@@ -183,11 +181,6 @@ pub struct TrialOutcome {
     pub status: TrialStatus,
     /// Panic or diagnostic message, if any.
     pub message: Option<String>,
-    /// Per-fold boosting states after a warm (tree-cache-eligible) trial,
-    /// in fold order — what the controller stores back into the
-    /// [`crate::TreeCache`]. Empty when the trial ran without a
-    /// continuation plan or aborted before any fit.
-    pub fold_states: Vec<Option<Arc<GbdtFitState>>>,
 }
 
 impl TrialOutcome {
@@ -200,7 +193,6 @@ impl TrialOutcome {
             cost_factor,
             status: TrialStatus::Failed,
             message: None,
-            fold_states: Vec::new(),
         }
     }
 
@@ -213,16 +205,6 @@ impl TrialOutcome {
     pub fn timed_out(&self) -> bool {
         self.status == TrialStatus::TimedOut
     }
-}
-
-/// One fold's evaluation inside a CV trial.
-enum FoldEval {
-    /// The fold trained and scored (the loss may still be infinite).
-    Scored(f64),
-    /// The learner returned a fit error.
-    FitFailed,
-    /// An earlier fold already failed; this fold was skipped.
-    Skipped,
 }
 
 /// Evaluates `config` for `kind` on the first `sample_size` rows of the
@@ -246,256 +228,129 @@ pub fn run_trial(
 ) -> TrialOutcome {
     let mut plane = DataPlane::new(shuffled.view(), strategy, true, usize::MAX);
     let (trial, _) = plane.prepare(sample_size, kind.max_bin(config, space));
-    run_trial_prepared(
-        &trial, kind, config, space, strategy, metric, seed, deadline, pool, None,
-    )
+    run_trial_prepared(&trial, kind, config, space, metric, seed, deadline, pool)
 }
 
-/// Evaluates `config` for `kind` on a prepared [`TrialData`] under
-/// `strategy`, scoring with `metric`. Model fits are dispatched as jobs
-/// on `pool`: CV folds run concurrently when the pool has more than one
-/// worker, and a `pool` with one worker reproduces the sequential fold
-/// loop exactly.
+/// Evaluates `config` for `kind` on a prepared [`TrialData`], scoring
+/// each of its folds with `metric`. Each fold's fit is one job on `pool`:
+/// CV folds run concurrently when the pool has more than one worker, and
+/// a `pool` with one worker reproduces the sequential fold loop exactly.
+/// Holdout is the one-fold case of the same loop.
 ///
 /// Failures (unfittable subsample, degenerate metric, a panicking
 /// learner) surface as `error = INFINITY` rather than an `Err`, because
 /// a failed trial is a legitimate observation for the search.
-///
-/// `boost`, when given, switches cache-eligible boosting fits to the
-/// warm-continuation path: each fold continues from its cached prefix in
-/// `boost.warm` (or starts cold under the same staged code path) and the
-/// resulting states come back in [`TrialOutcome::fold_states`] for
-/// store-back. Warm and cold fits are bit-identical by the
-/// [`flaml_learners::Gbdt::fit_continue`] contract.
 #[allow(clippy::too_many_arguments)]
 pub fn run_trial_prepared(
     trial: &TrialData,
     kind: &Estimator,
     config: &Config,
     space: &SearchSpace,
-    strategy: ResampleStrategy,
     metric: Metric,
     seed: u64,
     deadline: Option<Duration>,
     pool: &ExecPool,
-    boost: Option<&TrialBoost>,
 ) -> TrialOutcome {
     let cost_factor = kind.cost_factor(config, space);
-    match strategy {
-        ResampleStrategy::Holdout { .. } => {
-            let Some(fold) = trial.folds.first() else {
-                return TrialOutcome::aborted(cost_factor);
-            };
-            let job = Job::new(move |ctx: &flaml_exec::JobCtx| {
-                let fitted = match boost {
-                    Some(b) => crate::learner::fit_gbdt_warm(
-                        &fold.train,
-                        &b.params,
-                        seed,
-                        ctx.remaining(),
-                        fold.bins.as_deref(),
-                        b.warm.first().cloned().flatten(),
-                    )
-                    .map(|(model, state)| (model, Some(state))),
-                    None => kind
-                        .fit_prepared(
-                            &fold.train,
-                            config,
-                            space,
-                            seed,
-                            ctx.remaining(),
-                            fold.bins.as_deref(),
-                        )
-                        .map(|model| (model, None)),
-                };
+    let n_fits = trial.folds.len();
+    if n_fits == 0 {
+        return TrialOutcome::aborted(cost_factor);
+    }
+    // A one-fold (holdout) trial keeps its model; CV defers training the
+    // final model, so its folds' models are dropped as soon as scored.
+    let keep_model = n_fits == 1;
+    // Split any deadline evenly across folds so CV cannot overrun even
+    // when folds run one after another.
+    let per_fold = deadline.map(|d| d / n_fits as u32);
+    // Once one fold's fit fails the trial error is infinite regardless of
+    // the other folds; later folds short-circuit. With one worker this
+    // reproduces the sequential loop's early break exactly.
+    let aborted = AtomicBool::new(false);
+    let aborted = &aborted;
+    // A job yields its fold's raw loss (possibly NaN, so the aggregation
+    // can tell a non-finite loss from a fit failure) and kept model, or
+    // `None` when the fit failed or was skipped.
+    let jobs: Vec<_> = trial
+        .folds
+        .iter()
+        .map(|fold| {
+            Job::new(move |ctx: &flaml_exec::JobCtx| {
+                if aborted.load(Ordering::SeqCst) {
+                    return None;
+                }
+                let fitted = kind.fit_prepared(
+                    &fold.train,
+                    config,
+                    space,
+                    seed,
+                    ctx.remaining(),
+                    fold.bins.as_deref(),
+                );
                 match fitted {
-                    Ok((model, state)) => {
-                        // Keep the raw loss (possibly NaN) so the commit
-                        // path can distinguish a non-finite loss from a
-                        // deterministic fit failure.
+                    Ok(model) => {
                         let err = metric
                             .loss(&model.predict(&fold.valid), &fold.valid_target)
                             .unwrap_or(f64::INFINITY);
-                        (FoldEval::Scored(err), Some(model), state)
+                        Some((err, keep_model.then_some(model)))
                     }
-                    Err(_) => (FoldEval::FitFailed, None, None),
+                    Err(_) => {
+                        aborted.store(true, Ordering::SeqCst);
+                        None
+                    }
                 }
             })
-            .deadline(deadline);
-            let result = pool
-                .run_batch(vec![job], None)
-                .pop()
-                .expect("one job in, one result out");
-            let timed_out = result.status.timed_out();
-            match result.status {
-                JobStatus::Finished((eval, model, state))
-                | JobStatus::TimedOut((eval, model, state)) => {
-                    let fold_states = vec![state];
-                    match eval {
-                        FoldEval::Scored(err) => {
-                            let (error, status) = if err.is_nan() {
-                                (f64::INFINITY, TrialStatus::NonFiniteLoss)
-                            } else if err.is_infinite() {
-                                (err, TrialStatus::Failed)
-                            } else if timed_out {
-                                (err, TrialStatus::TimedOut)
-                            } else {
-                                (err, TrialStatus::Ok)
-                            };
-                            TrialOutcome {
-                                error,
-                                model,
-                                n_fits: 1,
-                                cost_factor,
-                                status,
-                                message: None,
-                                fold_states,
-                            }
-                        }
-                        FoldEval::FitFailed | FoldEval::Skipped => TrialOutcome {
-                            error: f64::INFINITY,
-                            model: None,
-                            n_fits: 1,
-                            cost_factor,
-                            status: TrialStatus::Failed,
-                            message: None,
-                            fold_states,
-                        },
-                    }
-                }
-                JobStatus::Panicked(msg) => TrialOutcome {
-                    error: f64::INFINITY,
-                    model: None,
-                    n_fits: 1,
-                    cost_factor,
-                    status: TrialStatus::Panicked,
-                    message: Some(msg),
-                    fold_states: vec![None],
-                },
-            }
-        }
-        ResampleStrategy::Cv { .. } => {
-            if trial.folds.is_empty() {
-                return TrialOutcome::aborted(cost_factor);
-            }
-            let n_fits = trial.folds.len();
-            // Split any deadline evenly across folds so CV cannot overrun
-            // even when folds run one after another.
-            let per_fold = deadline.map(|d| d / n_fits as u32);
-            // Once one fold's fit fails the trial error is infinite
-            // regardless of the other folds; later folds short-circuit.
-            // With one worker this reproduces the sequential loop's early
-            // break exactly.
-            let aborted = AtomicBool::new(false);
-            let aborted_ref = &aborted;
-            let jobs: Vec<Job<'_, (FoldEval, Option<Arc<GbdtFitState>>)>> = trial
-                .folds
-                .iter()
-                .enumerate()
-                .map(|(fi, fold)| {
-                    Job::new(move |ctx: &flaml_exec::JobCtx| {
-                        if aborted_ref.load(Ordering::SeqCst) {
-                            return (FoldEval::Skipped, None);
-                        }
-                        let fitted = match boost {
-                            Some(b) => crate::learner::fit_gbdt_warm(
-                                &fold.train,
-                                &b.params,
-                                seed,
-                                ctx.remaining(),
-                                fold.bins.as_deref(),
-                                b.warm.get(fi).cloned().flatten(),
-                            )
-                            .map(|(model, state)| (model, Some(state))),
-                            None => kind
-                                .fit_prepared(
-                                    &fold.train,
-                                    config,
-                                    space,
-                                    seed,
-                                    ctx.remaining(),
-                                    fold.bins.as_deref(),
-                                )
-                                .map(|model| (model, None)),
-                        };
-                        match fitted {
-                            Ok((model, state)) => {
-                                let err = metric
-                                    .loss(&model.predict(&fold.valid), &fold.valid_target)
-                                    .unwrap_or(f64::INFINITY);
-                                (FoldEval::Scored(err), state)
-                            }
-                            Err(_) => {
-                                aborted_ref.store(true, Ordering::SeqCst);
-                                (FoldEval::FitFailed, None)
-                            }
-                        }
-                    })
-                    .deadline(per_fold)
-                })
-                .collect();
-            let results = pool.run_batch(jobs, None);
+            .deadline(per_fold)
+        })
+        .collect();
 
-            // Aggregate in fold (= submission) order so the floating-point
-            // sum is identical to the sequential loop's.
-            let mut total = 0.0;
-            let mut n_ok = 0usize;
-            let mut saw_nan = false;
-            let mut panicked = false;
-            let mut timed_out = false;
-            let mut message = None;
-            let mut fold_states: Vec<Option<Arc<GbdtFitState>>> = Vec::with_capacity(n_fits);
-            for result in results {
-                if result.status.timed_out() {
-                    timed_out = true;
-                }
-                match result.status {
-                    JobStatus::Finished((FoldEval::Scored(err), state))
-                    | JobStatus::TimedOut((FoldEval::Scored(err), state)) => {
-                        fold_states.push(state);
-                        if err.is_nan() {
-                            saw_nan = true;
-                        } else {
-                            total += err;
-                            n_ok += 1;
-                        }
-                    }
-                    JobStatus::Finished((_, state)) | JobStatus::TimedOut((_, state)) => {
-                        fold_states.push(state);
-                    }
-                    JobStatus::Panicked(msg) => {
-                        fold_states.push(None);
-                        panicked = true;
-                        message.get_or_insert(msg);
-                    }
+    // Aggregate in fold (= submission) order so the floating-point sum is
+    // identical to the sequential loop's.
+    let mut losses = Vec::with_capacity(n_fits);
+    let mut model = None;
+    let (mut saw_nan, mut panicked, mut timed_out) = (false, false, false);
+    let mut message = None;
+    for result in pool.run_batch(jobs, None) {
+        timed_out |= result.status.timed_out();
+        match result.status {
+            JobStatus::Finished(Some((err, m))) | JobStatus::TimedOut(Some((err, m))) => {
+                model = model.or(m);
+                if err.is_nan() {
+                    saw_nan = true;
+                } else {
+                    losses.push(err);
                 }
             }
-            let error = if n_ok == n_fits && n_fits > 0 {
-                total / n_fits as f64
-            } else {
-                f64::INFINITY
-            };
-            let status = if panicked {
-                TrialStatus::Panicked
-            } else if saw_nan {
-                TrialStatus::NonFiniteLoss
-            } else if !error.is_finite() {
-                TrialStatus::Failed
-            } else if timed_out {
-                TrialStatus::TimedOut
-            } else {
-                TrialStatus::Ok
-            };
-            TrialOutcome {
-                error,
-                model: None,
-                n_fits,
-                cost_factor,
-                status,
-                message,
-                fold_states,
+            JobStatus::Finished(None) | JobStatus::TimedOut(None) => {}
+            JobStatus::Panicked(msg) => {
+                panicked = true;
+                message.get_or_insert(msg);
             }
         }
+    }
+    // A lone fold's loss keeps its own bits: `0.0 + -0.0` is `+0.0`.
+    let error = match losses.as_slice() {
+        _ if losses.len() < n_fits => f64::INFINITY,
+        [only] => *only,
+        all => all.iter().fold(0.0, |total, err| total + err) / n_fits as f64,
+    };
+    let status = if panicked {
+        TrialStatus::Panicked
+    } else if saw_nan {
+        TrialStatus::NonFiniteLoss
+    } else if !error.is_finite() {
+        TrialStatus::Failed
+    } else if timed_out {
+        TrialStatus::TimedOut
+    } else {
+        TrialStatus::Ok
+    };
+    TrialOutcome {
+        error,
+        model,
+        n_fits,
+        cost_factor,
+        status,
+        message,
     }
 }
 

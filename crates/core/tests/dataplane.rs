@@ -3,14 +3,10 @@
 //! materialized copy, pre-binned fits must match unprepared fits, and the
 //! AutoML trial trace must not change whether the prepared-data cache is
 //! on, off, or evicting under a tiny byte budget — at any worker count.
-//! The cross-trial tree cache obeys the same discipline: warm boosting
-//! continuations are bit-identical to cold fits at the trial-execution
-//! layer, and its telemetry counters move only when the cache is on.
 
 use flaml_core::{
-    default_virtual_cost, event_channel, fit_learner, fit_learner_prepared, run_trial_prepared,
-    AutoMl, DataPlane, Estimator, ExecPool, LearnerKind, ResampleChoice, ResampleStrategy,
-    Telemetry, TimeSource, TreeCache, TreeKey, TrialBoost, TrialRecord,
+    default_virtual_cost, event_channel, fit_learner, fit_learner_prepared, AutoMl, Estimator,
+    LearnerKind, ResampleChoice, Telemetry, TimeSource, TrialRecord,
 };
 use flaml_data::{Dataset, DatasetView, Task};
 use flaml_learners::{PreparedBins, PreparedSort};
@@ -202,138 +198,12 @@ fn telemetry_counters_reflect_cache_state() {
     // miss per trial — so the two miss totals are not comparable.
 }
 
-/// Trial-execution layer of the tree cache: a trial continued from cached
-/// shorter prefixes must produce the same loss bits as a cold fit of the
-/// same configuration — growing forward (4 → 16 trees) and snapshotting
-/// backward (a 16-tree prefix answering an 8-tree trial) — and its grown
-/// states must be storable back for the next continuation.
+/// Eviction telemetry: a one-byte prepared-data budget must surface its
+/// evictions, and the default budget must not evict at all.
 #[test]
-fn warm_continuation_trials_match_cold_fits_bit_for_bit() {
-    let data = dataset(Task::Binary, 400, 31);
-    let fingerprint = data.fingerprint();
-    let est = Estimator::from(LearnerKind::LightGbm);
-    let space = est.space(data.n_rows());
-    let strategy = ResampleStrategy::Cv { folds: 5 };
-    let metric = flaml_metrics::Metric::default_for(data.task());
-    let pool = ExecPool::new(2);
-    let sample = data.n_rows();
-    let mut plane = DataPlane::new(data.shuffled_view(7), strategy, true, 64 * 1024 * 1024);
-    let mut cache = TreeCache::new(true, 64 * 1024 * 1024);
-
-    // Runs the init config at `trees` trees; with a cache, looks up every
-    // fold's prefix first and stores the grown states back after. Returns
-    // (loss bits, fold hits, deepest continued state).
-    let mut run = |trees: usize, cache: Option<&mut TreeCache>| -> (u64, usize, usize) {
-        let tidx = space.index_of("tree_num").expect("gbdt space has tree_num");
-        let mut values = space.init_config().values().to_vec();
-        values[tidx] = trees as f64;
-        let config = flaml_search::Config::from(values);
-        let bp = est
-            .boost_params(&config, &space)
-            .expect("the init config is seed-invariant, hence cacheable");
-        let (td, _) = plane.prepare(sample, est.max_bin(&config, &space));
-        let mut cache = cache;
-        let mut hits = 0;
-        let boost = cache.as_mut().map(|tc| {
-            let mut keys = Vec::with_capacity(td.folds.len());
-            let mut warm = Vec::with_capacity(td.folds.len());
-            for fi in 0..td.folds.len() {
-                let key = TreeKey::new(
-                    est.name(),
-                    config.values(),
-                    Some(tidx),
-                    sample,
-                    fi,
-                    bp.max_bin,
-                    fingerprint,
-                );
-                match tc.get(&key) {
-                    Some(s) => {
-                        hits += 1;
-                        warm.push(Some(s));
-                    }
-                    None => warm.push(None),
-                }
-                keys.push(key);
-            }
-            TrialBoost {
-                params: bp,
-                keys,
-                warm,
-            }
-        });
-        let out = run_trial_prepared(
-            &td,
-            &est,
-            &config,
-            &space,
-            strategy,
-            metric,
-            9,
-            None,
-            &pool,
-            boost.as_ref(),
-        );
-        assert!(out.error.is_finite(), "trial at {trees} trees failed");
-        let rounds = out
-            .fold_states
-            .iter()
-            .flatten()
-            .map(|s| s.rounds_done())
-            .max()
-            .unwrap_or(0);
-        if let (Some(tc), Some(tb)) = (cache, &boost) {
-            for (key, state) in tb.keys.iter().zip(&out.fold_states) {
-                if let Some(state) = state {
-                    tc.store(key.clone(), state.clone());
-                }
-            }
-        }
-        (out.error.to_bits(), hits, rounds)
-    };
-
-    let (cold4, no_hits, no_states) = run(4, None);
-    assert_eq!(no_hits, 0);
-    assert_eq!(no_states, 0, "a cold trial carries no continuation states");
-    let (seed4, misses, rounds4) = run(4, Some(&mut cache));
-    assert_eq!(seed4, cold4, "caching a fresh fit must not change its loss");
-    assert_eq!(misses, 0, "an empty cache cannot hit");
-    assert_eq!(rounds4, 4);
-
-    // Forward: the 16-tree trial continues every fold from its cached
-    // 4-tree prefix and must match a cold 16-tree fit bit-for-bit.
-    let (cold16, _, _) = run(16, None);
-    let (warm16, hits16, rounds16) = run(16, Some(&mut cache));
-    assert_eq!(hits16, 5, "every fold continues from its own prefix");
-    assert_eq!(rounds16, 16, "continuation must grow the prefix to 16");
-    assert_eq!(warm16, cold16, "warm continuation diverged from cold fit");
-
-    // Backward: an 8-tree trial is answered by a snapshot of the cached
-    // 16-tree prefix, again bit-identical to a cold 8-tree fit.
-    let (cold8, _, _) = run(8, None);
-    let (warm8, hits8, _) = run(8, Some(&mut cache));
-    assert_eq!(hits8, 5, "a longer prefix must answer a shorter trial");
-    assert_eq!(warm8, cold8, "backward snapshot diverged from cold fit");
-}
-
-/// Tree-cache and eviction telemetry: with the cache on, eligible trials
-/// perform real lookups; with it off, no counter may move. A one-byte
-/// prepared-data budget must surface its evictions.
-#[test]
-fn tree_cache_and_eviction_telemetry_counters() {
+fn prepared_eviction_telemetry_counters() {
     let data = dataset(Task::Binary, 600, 23);
     let on = telemetry_of(sweep_automl(1), &data);
-    assert!(
-        on.tree_cache_misses > 0,
-        "eligible LightGbm trials must consult the tree cache"
-    );
-    let off = telemetry_of(sweep_automl(1).tree_cache(false), &data);
-    assert_eq!(off.tree_cache_hits, 0, "disabled cache cannot hit");
-    assert_eq!(
-        off.tree_cache_misses, 0,
-        "disabled cache is never consulted"
-    );
-    assert_eq!(off.trees_saved, 0, "disabled cache saves nothing");
     let evicting = telemetry_of(
         sweep_automl(1).prepared_cache(true).prepared_cache_bytes(1),
         &data,

@@ -9,7 +9,8 @@
 //! so every shape runs on every CI invocation.
 
 use flaml_core::{
-    default_virtual_cost, event_channel, AutoMl, AutoMlError, LearnerKind, Telemetry, TimeSource,
+    default_virtual_cost, event_channel, AutoMl, AutoMlError, LearnerKind, SearchHandle, Telemetry,
+    TimeSource,
 };
 use flaml_data::{Dataset, Task};
 
@@ -170,4 +171,50 @@ fn degenerate_shape_sweep_never_panics() {
             }
         }
     }
+}
+
+/// A time budget that is not a finite number of seconds above zero is a
+/// typed error returned before any trial runs or any journal is created,
+/// under either clock and through either entry point.
+#[test]
+fn unusable_time_budgets_are_typed_errors_before_any_journal() {
+    let (x, y) = informative(120);
+    let d = Dataset::new("budget", Task::Binary, vec![x], y).unwrap();
+    let clocks = [TimeSource::Virtual(default_virtual_cost), TimeSource::Wall];
+    for budget in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0] {
+        for (c, clock) in clocks.into_iter().enumerate() {
+            let path = std::env::temp_dir().join(format!(
+                "flaml_budget_{budget}_{c}_{}.jsonl",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_file(&path);
+            let settings = quick(0).time_source(clock).time_budget(budget);
+            let fitted = settings.clone().journal(&path).fit(&d);
+            let sliced = SearchHandle::new(settings, &path).run_slice(&d, 2);
+            for (entry, outcome) in [("fit", fitted.err()), ("slice", sliced.err())] {
+                match outcome {
+                    Some(AutoMlError::BadTimeBudget(b)) => {
+                        assert_eq!(b.to_bits(), budget.to_bits(), "{entry} {budget}")
+                    }
+                    other => panic!("{entry} {budget}: expected BadTimeBudget, got {other:?}"),
+                }
+            }
+            assert!(!path.exists(), "{budget}: a journal was created");
+        }
+    }
+}
+
+/// A finite budget too large for a `Duration` bounds nothing under the
+/// wall clock; it must not panic converting the deadline.
+#[test]
+fn a_budget_beyond_duration_range_runs_under_the_wall_clock() {
+    let (x, y) = informative(120);
+    let d = Dataset::new("huge-budget", Task::Binary, vec![x], y).unwrap();
+    let result = quick(0)
+        .time_source(TimeSource::Wall)
+        .time_budget(1e308)
+        .max_trials(2)
+        .fit(&d)
+        .unwrap();
+    assert_eq!(result.trials.len(), 2);
 }

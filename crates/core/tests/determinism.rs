@@ -168,107 +168,6 @@ fn resume_refuses_a_journal_from_different_settings() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// Builds the `base` search with one tree-cache variant applied.
-fn with_tree_cache(workers: usize, variant: &str) -> AutoMl {
-    match variant {
-        "on" => base(workers).tree_cache(true),
-        "off" => base(workers).tree_cache(false),
-        // A one-byte budget: every store-back immediately evicts, so the
-        // cache is permanently cold while its code path still runs.
-        "evicting" => base(workers).tree_cache_bytes(1),
-        other => unreachable!("unknown tree cache variant {other}"),
-    }
-}
-
-#[test]
-fn tree_cache_on_off_and_evicting_traces_are_identical() {
-    // The cross-trial tree cache must be observationally pure: a warm
-    // continuation is bit-identical to a cold fit, so the committed trial
-    // trace — configs, losses, costs, learner choices — cannot depend on
-    // whether the cache is on (the default), off, or thrashing under a
-    // one-byte budget. The roster includes LightGbm, whose eligible
-    // configurations drive real lookups and store-backs, at both worker
-    // counts.
-    let data = binary_dataset(700, 12);
-    let reference = base(1).fit(&data).unwrap();
-    assert!(reference.trials.len() > 5, "sweep ran too few trials");
-    let want = trace(&reference.trials);
-    for workers in [1, 4] {
-        for variant in ["on", "off", "evicting"] {
-            let run = with_tree_cache(workers, variant).fit(&data).unwrap();
-            assert_eq!(
-                want,
-                trace(&run.trials),
-                "workers={workers}, tree cache {variant}: trace diverged"
-            );
-            assert_eq!(
-                reference.best_error.to_bits(),
-                run.best_error.to_bits(),
-                "workers={workers}, tree cache {variant}: best error diverged"
-            );
-        }
-    }
-}
-
-#[test]
-fn kill_and_resume_with_tree_cache_variants_matches() {
-    // Crash recovery must not depend on tree-cache warmth: the
-    // uninterrupted run carries whatever the cache accumulated, while a
-    // resumed process replays the journal with a cold cache and rebuilds
-    // warmth only from the trials it actually re-executes. Traces must
-    // match anyway, and the journals must agree byte-for-byte under
-    // [`flaml_core::Journal::canonical_bytes`], which zeroes exactly the
-    // process-lifetime fields (wall time and cache counters).
-    let data = binary_dataset(700, 13);
-    for variant in ["on", "evicting", "off"] {
-        let full = with_tree_cache(1, variant).fit(&data).unwrap();
-        let total = full.trials.len();
-        assert!(total >= 4, "tree cache {variant}: too few trials ({total})");
-        let k = total / 2;
-        let path = journal_path("treecache_resume", 1, k);
-        with_tree_cache(1, variant)
-            .max_trials(k)
-            .journal(&path)
-            .fit(&data)
-            .unwrap();
-        let resumed = with_tree_cache(1, variant)
-            .resume_from(&path)
-            .fit(&data)
-            .unwrap();
-        assert_eq!(
-            trace(&full.trials),
-            trace(&resumed.trials),
-            "tree cache {variant}: resumed trace diverged"
-        );
-        assert_eq!(full.best_error.to_bits(), resumed.best_error.to_bits());
-        // The resumed journal must be canonically identical to one from a
-        // run that was never interrupted.
-        let fresh = journal_path("treecache_fresh", 1, k);
-        with_tree_cache(1, variant)
-            .journal(&fresh)
-            .fit(&data)
-            .unwrap();
-        // Strip the header line first: the killed run was capped at k
-        // trials, so its header records a different `max_trials` — the
-        // trial records themselves are what must agree.
-        let canonical_trials = |p: &std::path::Path| {
-            let journal = flaml_core::Journal::read(p).unwrap();
-            let bytes = journal.canonical_bytes();
-            bytes
-                .split_once('\n')
-                .map(|(_, rest)| rest.to_string())
-                .unwrap_or_default()
-        };
-        assert_eq!(
-            canonical_trials(&path),
-            canonical_trials(&fresh),
-            "tree cache {variant}: canonical journal bytes diverged"
-        );
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&fresh);
-    }
-}
-
 #[test]
 fn speculative_holdout_also_matches() {
     // Same contract when trials are holdout-evaluated (the model is
@@ -379,4 +278,43 @@ fn all_learner_journals_match_the_pinned_bytes() {
         assert_eq!(name, want_name);
         assert_eq!(*h, want, "{name} moved; computed table:\n{table}");
     }
+}
+
+#[test]
+fn a_journal_carrying_tree_cache_counts_resumes_exactly() {
+    // The fixture is the first five trials of an all-learner search,
+    // journaled when searches still ran a cross-trial tree cache: its
+    // lines carry non-zero `tree_cache_misses`, which current searches
+    // write as 0. Resuming it must still land on the canonical bytes of
+    // a run that was never interrupted.
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/journal_with_tree_cache_counts_killed_at_trial_5.jsonl"
+    );
+    let killed = flaml_core::Journal::read(fixture).unwrap();
+    assert_eq!(killed.trials.len(), 5);
+    assert!(
+        killed.trials.iter().any(|t| t.tree_cache_misses > 0),
+        "the fixture must carry tree-cache counts"
+    );
+    let data = pinned_dataset(Task::Binary);
+    let settings = || {
+        AutoMl::new()
+            .time_source(TimeSource::Virtual(default_virtual_cost))
+            .sample_size_init(200)
+            .time_budget(60.0)
+            .max_trials(12)
+            .seed(11)
+    };
+    let resumed = journal_path("counted_resume", 1, 5);
+    std::fs::copy(fixture, &resumed).unwrap();
+    settings().resume_from(&resumed).fit(&data).unwrap();
+    let fresh = journal_path("counted_fresh", 1, 5);
+    settings().journal(&fresh).fit(&data).unwrap();
+    let canonical = |p: &std::path::Path| flaml_core::Journal::read(p).unwrap().canonical_bytes();
+    let (resumed_bytes, fresh_bytes) = (canonical(&resumed), canonical(&fresh));
+    let _ = std::fs::remove_file(&resumed);
+    let _ = std::fs::remove_file(&fresh);
+    assert_eq!(resumed_bytes.lines().count(), 13, "header + 12 trials");
+    assert_eq!(resumed_bytes, fresh_bytes);
 }

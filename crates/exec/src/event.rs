@@ -167,13 +167,13 @@ pub struct TrialEvent {
     /// Bytes of dataset copies the zero-copy data plane avoided
     /// materializing for this trial.
     pub bytes_copied_saved: usize,
-    /// Folds of this trial that continued boosting from a cached tree
-    /// prefix (committed terminal events only; 0 elsewhere).
+    /// Always 0: no trial fit continues a cached tree prefix. Kept,
+    /// with the two fields below, because `flaml-perf` still reads all
+    /// three; they leave with the typed trial events.
     pub tree_cache_hits: usize,
-    /// Cache-eligible folds of this trial that started from round zero.
+    /// Always 0 (see `tree_cache_hits`).
     pub tree_cache_misses: usize,
-    /// Trees served from cached prefixes instead of being refit for this
-    /// trial, summed over folds.
+    /// Always 0 (see `tree_cache_hits`).
     pub trees_saved: usize,
     /// Full per-trial metadata (committed terminal events only).
     pub meta: Option<TrialMeta>,
@@ -442,14 +442,6 @@ pub struct Telemetry {
     /// Bytes of dataset copies the zero-copy data plane avoided
     /// materializing, summed over all events.
     pub bytes_copied_saved: usize,
-    /// Tree-cache hits (warm-continued folds) summed over all events.
-    pub tree_cache_hits: usize,
-    /// Tree-cache misses (cold cache-eligible folds) summed over all
-    /// events.
-    pub tree_cache_misses: usize,
-    /// Trees served from cached prefixes instead of being refit, summed
-    /// over all events.
-    pub trees_saved: usize,
     /// Per-learner counts keyed by learner name (unnamed trials group
     /// under the empty string).
     pub by_learner: BTreeMap<String, LearnerCounts>,
@@ -473,9 +465,6 @@ impl Telemetry {
         self.prepared_misses += event.prepared_misses;
         self.prepared_evictions += event.prepared_evictions;
         self.bytes_copied_saved += event.bytes_copied_saved;
-        self.tree_cache_hits += event.tree_cache_hits;
-        self.tree_cache_misses += event.tree_cache_misses;
-        self.trees_saved += event.trees_saved;
         let mut tenant = (!event.tenant.is_empty())
             .then(|| self.by_tenant.entry(event.tenant.clone()).or_default());
         match event.kind {
@@ -625,26 +614,17 @@ mod tests {
         ev.prepared_misses = 3;
         ev.prepared_evictions = 1;
         ev.bytes_copied_saved = 4096;
-        ev.tree_cache_hits = 1;
-        ev.tree_cache_misses = 4;
-        ev.trees_saved = 12;
         sink.emit(ev.clone());
         ev.prepared_hits = 5;
         ev.prepared_misses = 0;
         ev.prepared_evictions = 2;
         ev.bytes_copied_saved = 1024;
-        ev.tree_cache_hits = 5;
-        ev.tree_cache_misses = 0;
-        ev.trees_saved = 100;
         sink.emit(ev);
         let t = Telemetry::new().drain(&rx);
         assert_eq!(t.prepared_hits, 7);
         assert_eq!(t.prepared_misses, 3);
         assert_eq!(t.prepared_evictions, 3);
         assert_eq!(t.bytes_copied_saved, 5120);
-        assert_eq!(t.tree_cache_hits, 6);
-        assert_eq!(t.tree_cache_misses, 4);
-        assert_eq!(t.trees_saved, 112);
     }
 
     #[test]

@@ -151,8 +151,9 @@ impl Journal {
     /// records physical time; `prepared_hits` / `prepared_misses` /
     /// `prepared_evictions` record the warmth of the in-process
     /// prepared-data cache; `tree_cache_hits` / `tree_cache_misses` /
-    /// `trees_saved` record the warmth of the in-process tree cache. All
-    /// of these depend on how the process ran (a resumed run restarts
+    /// `trees_saved` recorded the warmth of a since-removed in-process
+    /// tree cache (current searches write 0). All of these depend on how
+    /// the process ran (a resumed run restarts
     /// with cold caches), not on the search trajectory, so two journals
     /// of the same virtual-clock search — live, sliced, or
     /// killed-and-resumed — compare equal here. (`TrialLine`'s JSON

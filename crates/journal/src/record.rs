@@ -116,15 +116,17 @@ pub struct TrialLine {
     /// materializing for this trial.
     #[serde(default)]
     pub bytes_copied_saved: usize,
-    /// Folds of this trial that continued boosting from a cached tree
-    /// prefix.
+    /// Written as 0: no trial fit continues a cached tree prefix.
+    /// Journals from searches that still had a cross-trial tree cache
+    /// carry its counts here. The key stays, with the two below, until
+    /// the next versioned journal change, so existing canonical bytes
+    /// keep their value.
     #[serde(default)]
     pub tree_cache_hits: usize,
-    /// Cache-eligible folds of this trial that started from round zero.
+    /// Written as 0 (see `tree_cache_hits`).
     #[serde(default)]
     pub tree_cache_misses: usize,
-    /// Trees served from cached prefixes instead of being refit, summed
-    /// over folds.
+    /// Written as 0 (see `tree_cache_hits`).
     #[serde(default)]
     pub trees_saved: usize,
     /// The trial's base evaluation seed.

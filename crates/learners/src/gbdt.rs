@@ -561,8 +561,8 @@ impl Gbdt {
 ///
 /// Because no boosting round reads `params.n_trees`, the tree sequence
 /// is *prefix-stable*: the first `r` rounds of any run equal the `r`
-/// rounds of a shorter run with the same inputs, which is what makes
-/// cross-trial prefix caching (the core crate's `TreeCache`) exact.
+/// rounds of a shorter run with the same inputs, so continuing a state
+/// (or snapshotting a prefix with [`GbdtFitState::model_at`]) is exact.
 #[derive(Debug, Clone)]
 pub struct GbdtFitState {
     params: GbdtParams,
@@ -618,29 +618,6 @@ impl GbdtFitState {
             Some(p) => !self.valid_rows.is_empty() && self.rounds_since_best >= p.max(1),
             None => false,
         }
-    }
-
-    /// Approximate owned heap footprint in bytes, for cache budgeting.
-    /// The `Arc`-shared binned matrix is *excluded*: it is owned (and
-    /// budgeted) by the data plane's `PreparedBins` cache entry.
-    pub fn heap_bytes(&self) -> usize {
-        use std::mem::size_of_val;
-        let tree_bytes: usize = self
-            .trees
-            .iter()
-            .map(|t| size_of_val(t.nodes.as_slice()))
-            .sum();
-        tree_bytes
-            + self.mapper.heap_bytes()
-            + size_of_val(self.scores.as_slice())
-            + size_of_val(self.gh.as_slice())
-            + size_of_val(self.init_scores.as_slice())
-            + size_of_val(&*self.y)
-            + size_of_val(self.train_rows.as_slice())
-            + size_of_val(self.valid_rows.as_slice())
-            + size_of_val(self.all_features.as_slice())
-            + self.sampled_rows.capacity() * std::mem::size_of::<u32>()
-            + self.hist.heap_bytes()
     }
 
     /// Runs boosting rounds until `target` rounds are done, the budget
@@ -1342,28 +1319,6 @@ mod tests {
                 constraint: "must be <= 65535",
             })
         );
-    }
-
-    #[test]
-    fn state_bytes_follow_the_element_types_and_count_the_scratch() {
-        let d = xor_data(300, 9);
-        let params = GbdtParams::default();
-        let mut state = Gbdt::fit_start(&d, &params, 0, None).unwrap();
-        let fresh = state.heap_bytes();
-        // scores + [g, h] + y per row, the train-row list, one id per
-        // feature; cuts and init scores on top.
-        let per_row = 4 * std::mem::size_of::<f64>() + std::mem::size_of::<u32>();
-        assert!(fresh >= 300 * per_row + 2 * std::mem::size_of::<u32>());
-        assert!(
-            fresh < 300 * per_row + 16 * 1024,
-            "no scratch before a round"
-        );
-        Gbdt::fit_continue(&mut state, 1);
-        let tree = std::mem::size_of_val(state.trees[0].nodes.as_slice());
-        let scratch = state.hist.heap_bytes();
-        // Arena + spill + node-ordered [g, h] per row, at the least.
-        assert!(scratch >= 300 * (2 * std::mem::size_of::<u32>() + 16));
-        assert_eq!(state.heap_bytes(), fresh + tree + scratch);
     }
 
     #[test]

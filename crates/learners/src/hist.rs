@@ -275,17 +275,6 @@ impl HistBuilder {
         &self.arena[node.clone()]
     }
 
-    /// Retained heap footprint in bytes (for cache budgeting).
-    pub(crate) fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        (self.arena.capacity() + self.spill.capacity()) * size_of::<u32>()
-            + (self.slabs.node_gh.capacity() + self.slabs.cells.capacity()) * size_of::<GradPair>()
-            + self.slabs.seen.capacity()
-            + self.slabs.seen_bins.capacity() * size_of::<Bin>()
-            + self.level_gain.capacity() * size_of::<f64>()
-            + self.level_valid.capacity()
-    }
-
     /// The best split of `node` over `features`: the highest gain above
     /// `1e-12`, the earliest `(feature, threshold)` winning ties.
     pub(crate) fn best_split(

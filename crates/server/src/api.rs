@@ -93,12 +93,14 @@ impl FitRequest {
     ///
     /// # Errors
     ///
-    /// Returns a message naming any unknown estimator.
+    /// Returns a message naming any unknown estimator, or a time budget
+    /// [`AutoMl::validate`] refuses.
     pub fn to_automl(&self) -> Result<AutoMl, String> {
         let mut automl = AutoMl::new()
             .time_budget(self.time_budget)
             .seed(self.seed)
             .time_source(TimeSource::Virtual(default_virtual_cost));
+        automl.validate().map_err(|e| e.to_string())?;
         if let Some(n) = self.max_trials {
             automl = automl.max_trials(n);
         }
@@ -486,6 +488,12 @@ mod tests {
         req.dataset.task = "multiclass:3".into();
         req.dataset.target = vec![5.0];
         assert!(req.to_dataset().unwrap_err().contains("invalid dataset"));
+        req.estimators.clear();
+        for budget in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0] {
+            req.time_budget = budget;
+            let err = req.to_automl().unwrap_err();
+            assert!(err.contains("time budget"), "{budget}: {err}");
+        }
     }
 
     #[test]

@@ -428,9 +428,13 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Reads the journal-backed progress of a search — committed trials,
-/// spent budget, best loss — used by recovery to report statuses.
-pub fn journal_progress(path: &std::path::Path) -> (usize, f64, Option<f64>) {
-    match Journal::read(path) {
+/// spent budget, best loss — through `storage`; used by recovery to
+/// report statuses.
+pub fn journal_progress(
+    storage: &dyn flaml_core::Storage,
+    path: &std::path::Path,
+) -> (usize, f64, Option<f64>) {
+    match Journal::read_with(storage, path) {
         Ok(j) => {
             let best = j.best_trial().map(|t| t.loss);
             (j.trials.len(), j.spent_budget(), best)

@@ -313,11 +313,17 @@ impl Server {
         let tenant_dir = self.inner.cfg.root.join(tenant);
         let journal = tenant_dir.join(format!("{id}.jsonl"));
         let failed = tenant_dir.join(format!("{id}.failed"));
-        let request: Option<FitRequest> = std::fs::read_to_string(sidecar)
-            .ok()
-            .and_then(|text| serde_json::from_str(&text).ok());
+        let storage = self.inner.cfg.storage.as_ref();
+        let read_text = |path: &std::path::Path| {
+            storage
+                .read(path)
+                .ok()
+                .and_then(|bytes| String::from_utf8(bytes).ok())
+        };
+        let request: Option<FitRequest> =
+            read_text(sidecar).and_then(|text| serde_json::from_str(&text).ok());
         let terminal = |state: &str, slot: &str, version, error| {
-            let (committed, spent, best_loss) = journal_progress(&journal);
+            let (committed, spent, best_loss) = journal_progress(storage, &journal);
             crate::api::SearchStatus {
                 id: id.to_string(),
                 state: state.to_string(),
@@ -344,8 +350,8 @@ impl Server {
             );
             return;
         };
-        if failed.exists() {
-            let msg = std::fs::read_to_string(&failed).unwrap_or_default();
+        if storage.exists(&failed) {
+            let msg = read_text(&failed).unwrap_or_default();
             self.inner
                 .scheduler
                 .record_terminal(tenant, terminal("failed", &request.slot, None, Some(msg)));
@@ -376,7 +382,7 @@ impl Server {
         let built = request.to_automl().and_then(|automl| {
             let automl = automl.storage(Arc::clone(&self.inner.cfg.storage));
             let data = request.to_dataset()?;
-            let handle = if journal.exists() {
+            let handle = if storage.exists(&journal) {
                 match SearchHandle::attach(automl.clone(), &journal) {
                     Ok(handle) => handle,
                     Err(e) => {

@@ -1,16 +1,19 @@
 //! Shared helpers for the server integration tests: a tiny HTTP
-//! client, a deterministic dataset generator, and scratch roots.
+//! client, a deterministic dataset generator, scratch roots, and a
+//! storage that records what it was asked to read.
 
 // Each test binary compiles its own copy; not every binary uses every
 // helper.
 #![allow(dead_code)]
 
+use flaml_core::{DiskStorage, Storage, StorageError, StorageFile};
 use flaml_server::{DatasetPayload, FitRequest};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 /// One-shot HTTP request; returns `(status, body)`.
 pub fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
@@ -101,4 +104,62 @@ pub fn await_terminal(addr: SocketAddr, tenant: &str, id: &str) -> flaml_server:
         std::thread::sleep(std::time::Duration::from_millis(100));
     }
     panic!("search {tenant}/{id} did not reach a terminal state");
+}
+
+/// The real disk, recording every path read through it: what shows
+/// that a component reads through its configured [`Storage`] rather
+/// than `std::fs`.
+#[derive(Debug, Default)]
+pub struct RecordingStorage {
+    reads: Mutex<Vec<PathBuf>>,
+}
+
+impl RecordingStorage {
+    /// Every path passed to `read` so far, in call order.
+    pub fn reads(&self) -> Vec<PathBuf> {
+        self.reads.lock().expect("recording lock").clone()
+    }
+}
+
+impl Storage for RecordingStorage {
+    fn create(&self, path: &Path) -> Result<Box<dyn StorageFile>, StorageError> {
+        DiskStorage.create(path)
+    }
+    fn append(&self, path: &Path) -> Result<Box<dyn StorageFile>, StorageError> {
+        DiskStorage.append(path)
+    }
+    fn read(&self, path: &Path) -> Result<Vec<u8>, StorageError> {
+        self.reads
+            .lock()
+            .expect("recording lock")
+            .push(path.to_path_buf());
+        DiskStorage.read(path)
+    }
+    fn file_len(&self, path: &Path) -> Result<u64, StorageError> {
+        DiskStorage.file_len(path)
+    }
+    fn truncate_file(&self, path: &Path, len: u64) -> Result<(), StorageError> {
+        DiskStorage.truncate_file(path, len)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> Result<(), StorageError> {
+        DiskStorage.rename(from, to)
+    }
+    fn remove(&self, path: &Path) -> Result<(), StorageError> {
+        DiskStorage.remove(path)
+    }
+    fn create_dir_all(&self, dir: &Path) -> Result<(), StorageError> {
+        DiskStorage.create_dir_all(dir)
+    }
+    fn sync_dir(&self, dir: &Path) -> Result<(), StorageError> {
+        DiskStorage.sync_dir(dir)
+    }
+    fn scan(&self, dir: &Path) -> Result<Vec<PathBuf>, StorageError> {
+        DiskStorage.scan(dir)
+    }
+    fn exists(&self, path: &Path) -> bool {
+        DiskStorage.exists(path)
+    }
+    fn is_dir(&self, path: &Path) -> bool {
+        DiskStorage.is_dir(path)
+    }
 }

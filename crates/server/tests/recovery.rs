@@ -5,10 +5,11 @@
 
 mod common;
 
-use common::{await_terminal, fit_request, http, scratch_root};
+use common::{await_terminal, fit_request, http, scratch_root, RecordingStorage};
 use flaml_core::{Journal, SearchHandle};
 use flaml_server::{FitAccepted, Server, ServerConfig};
 use std::io::Write;
+use std::sync::Arc;
 
 fn config(root: std::path::PathBuf) -> ServerConfig {
     ServerConfig {
@@ -146,5 +147,51 @@ fn direct_publishes_survive_restart_and_roll_back() {
     let predict = "{\"slot\":\"direct\",\"columns\":[[0.5,0.1],[0.2,0.9]]}";
     let (status, body) = http(addr, "POST", "/tenants/acme/predict", predict);
     assert_eq!(status, 200, "slot lost across restart: {body}");
+    server.stop();
+}
+
+#[test]
+fn recovery_reads_sidecars_markers_and_journals_through_storage() {
+    let root = scratch_root("storage_reads");
+    let tenant_dir = root.join("acme");
+    std::fs::create_dir_all(&tenant_dir).unwrap();
+    let request = fit_request("churn", 4, 3);
+    let body = serde_json::to_string(&request).unwrap();
+    // s0000 failed on a previous process; s0001 was killed mid-search.
+    let failed_sidecar = tenant_dir.join("s0000.request.json");
+    let failed = tenant_dir.join("s0000.failed");
+    std::fs::write(&failed_sidecar, &body).unwrap();
+    std::fs::write(&failed, "search failed: boom").unwrap();
+    let running_sidecar = tenant_dir.join("s0001.request.json");
+    let journal = tenant_dir.join("s0001.jsonl");
+    std::fs::write(&running_sidecar, &body).unwrap();
+    let data = request.to_dataset().unwrap();
+    let mut handle = SearchHandle::new(request.to_automl().unwrap(), &journal);
+    handle.run_slice(&data, 2).unwrap();
+    drop(handle);
+
+    let storage = Arc::new(RecordingStorage::default());
+    let server = Server::new(ServerConfig {
+        storage: storage.clone(),
+        ..config(root)
+    })
+    .unwrap();
+    let reads = storage.reads();
+    for path in [&failed_sidecar, &failed, &running_sidecar, &journal] {
+        assert!(
+            reads.contains(path),
+            "{} was not read through the storage: {reads:?}",
+            path.display()
+        );
+    }
+
+    // The recovered statuses carry what was read.
+    let (server, addr) = server.start("127.0.0.1:0").unwrap();
+    let done = await_terminal(addr, "acme", "s0000");
+    assert_eq!(done.state, "failed");
+    assert_eq!(done.error.as_deref(), Some("search failed: boom"));
+    let done = await_terminal(addr, "acme", "s0001");
+    assert_eq!(done.state, "finished", "resume failed: {:?}", done.error);
+    assert_eq!(done.committed, 4);
     server.stop();
 }

@@ -229,6 +229,45 @@ fn bad_inputs_get_typed_errors() {
 }
 
 #[test]
+fn a_nan_time_budget_is_a_400_before_any_sidecar() {
+    let root = scratch_root("nan_budget");
+    let (server, addr) = start(root.clone(), 4);
+
+    // A time budget no search can run under is refused before anything
+    // is persisted or admitted — the vendored JSON reads `NaN` as a
+    // number, so only validation stands in the way.
+    let inflight = |stats: &str| {
+        let at = stats.find("\"inflight\":").expect("inflight in stats") + 11;
+        let digits: String = stats[at..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect();
+        digits.parse::<usize>().expect("inflight count")
+    };
+    let (_, stats) = http(addr, "GET", "/stats", "");
+    let before = inflight(&stats);
+    let mut request = fit_request("slot", 4, 1);
+    request.time_budget = f64::NAN;
+    let body = serde_json::to_string(&request).unwrap();
+    assert!(body.contains("\"time_budget\":NaN"), "{body}");
+    let (status, reply) = http(addr, "POST", "/tenants/acme/fit", &body);
+    assert_eq!(status, 400, "{reply}");
+    assert!(reply.contains("time budget"), "{reply}");
+    let sidecars = std::fs::read_dir(root.join("acme"))
+        .map(|dir| {
+            dir.filter_map(Result::ok)
+                .filter(|e| e.file_name().to_string_lossy().ends_with(".request.json"))
+                .count()
+        })
+        .unwrap_or(0);
+    assert_eq!(sidecars, 0, "a refused fit must leave no sidecar");
+    let (_, stats) = http(addr, "GET", "/stats", "");
+    assert_eq!(inflight(&stats), before, "a refused fit holds no slot");
+
+    server.stop();
+}
+
+#[test]
 fn predict_feature_mismatch_is_400_and_wrong_artifact_rejected() {
     let (server, addr) = start(scratch_root("features"), 4);
 
