@@ -1,9 +1,9 @@
 //! Minimal argument parsing shared by the experiment binaries
 //! (`--key value` pairs and `--flag` switches; no external dependencies),
-//! plus [`ExecArgs`]: the execution knobs every binary shares —
-//! `--seed`, `--jobs`, `--virtual`, `--chaos`, `--max-trials`,
-//! `--journal DIR` / `--resume`, `--full` — parsed in one place instead
-//! of ten.
+//! plus [`ExecArgs`]: the execution knobs the figure and table binaries
+//! share — `--seed`, `--jobs`, `--virtual`, `--chaos`, `--max-trials`,
+//! `--journal DIR` / `--resume`, `--full` — parsed in one place. A flag
+//! no binary reads is ignored.
 
 use flaml_core::{default_virtual_cost, TimeSource};
 use std::collections::{HashMap, HashSet};
@@ -125,10 +125,9 @@ impl Args {
             eprintln!("--resume requires --journal DIR (the directory holding the journals)");
             std::process::exit(2);
         }
-        let jobs = self.usize("jobs", 1);
         ExecArgs {
             seed: self.u64("seed", 0),
-            jobs,
+            jobs: self.usize("jobs", 1),
             time_source: if self.flag("virtual") {
                 TimeSource::Virtual(default_virtual_cost)
             } else {
@@ -139,58 +138,23 @@ impl Args {
             journal_dir,
             resume,
             full: self.flag("full"),
-            batch: self.usize("batch", 32).max(1),
-            concurrency: self.usize("concurrency", jobs).max(1),
-            artifact: self.opt_str("artifact").map(PathBuf::from),
-            port: self.usize("port", 8700).min(u16::MAX as usize) as u16,
-            tenants: self.usize("tenants", 2).max(1),
-            max_inflight: self.usize("max-inflight", 8).max(1),
-            chunks: self.usize("chunks", 24).max(1),
-            chunk_rows: self.usize("chunk-rows", 120).max(8),
-            drift_at: self.usize("drift-at", 8).max(2),
-            promote_margin: self.f64("promote-margin", 0.01).max(0.0),
-            artifact_format: match self.opt_str("artifact-format") {
-                None => flaml_core::ArtifactFormat::Json,
-                Some(spec) => spec.parse().unwrap_or_else(|e| {
-                    eprintln!("invalid --artifact-format: {e}");
-                    std::process::exit(2);
-                }),
-            },
         }
     }
 }
 
-/// The execution knobs shared by every experiment binary, parsed once by
-/// [`Args::exec`] instead of per-binary:
+/// The execution knobs shared by the figure and table binaries, parsed
+/// once by [`Args::exec`] instead of per-binary:
 ///
 /// - `--seed N` — run seed (default 0);
 /// - `--jobs N` — concurrent grid cells / pool workers;
 /// - `--virtual` — deterministic virtual-clock budget accounting;
 /// - `--chaos seed:rate` — deterministic fault injection;
 /// - `--max-trials N` — per-run trial cap (also the "kill at trial N"
-///   knob of the resume smoke test);
+///   knob of the resume test in `tests/cli.rs`);
 /// - `--journal DIR` — journal every FLAML run to
 ///   `DIR/<dataset>_<method>_<budget>s_seed<seed>.jsonl`;
 /// - `--resume` — continue from the journals already in `DIR`;
-/// - `--full` — full-scale dataset suites;
-/// - `--batch N` — serving batch size in rows (default 32, clamped ≥ 1);
-/// - `--concurrency N` — serving pool workers (default: `--jobs`);
-/// - `--artifact PATH` — export the winning model as a serving artifact;
-/// - `--port N` — service port to target or bind (default 8700);
-/// - `--tenants N` — tenants a service load generator simulates
-///   (default 2, clamped ≥ 1);
-/// - `--max-inflight N` — the service admission bound (default 8,
-///   clamped ≥ 1);
-/// - `--chunks N` — stream length in chunks for online benchmarks
-///   (default 24, clamped ≥ 1);
-/// - `--chunk-rows N` — rows per stream chunk (default 120, clamped
-///   ≥ 8);
-/// - `--drift-at N` — chunks per stream concept segment, i.e. a
-///   concept shift every N chunks (default 8, clamped ≥ 2);
-/// - `--promote-margin X` — margin a challenger must beat the champion
-///   by to be promoted (default 0.01, clamped ≥ 0);
-/// - `--artifact-format json|blob` — format for exported serving
-///   artifacts (default json; any other value aborts with exit 2).
+/// - `--full` — full-scale dataset suites.
 #[derive(Debug, Clone)]
 pub struct ExecArgs {
     /// Run seed.
@@ -209,36 +173,6 @@ pub struct ExecArgs {
     pub resume: bool,
     /// Full-scale dataset suites (`--full`).
     pub full: bool,
-    /// Serving batch size in rows (`--batch`, default 32, always ≥ 1).
-    pub batch: usize,
-    /// Serving pool workers (`--concurrency`, default: `jobs`, always
-    /// ≥ 1).
-    pub concurrency: usize,
-    /// Where to export the winning model as a serving artifact
-    /// (`--artifact PATH`), if requested.
-    pub artifact: Option<PathBuf>,
-    /// Service port to target or bind (`--port`, default 8700).
-    pub port: u16,
-    /// Tenants a service load generator simulates (`--tenants`,
-    /// default 2, always ≥ 1).
-    pub tenants: usize,
-    /// Service admission bound (`--max-inflight`, default 8, always
-    /// ≥ 1).
-    pub max_inflight: usize,
-    /// Stream length in chunks for online benchmarks (`--chunks`,
-    /// default 24, always ≥ 1).
-    pub chunks: usize,
-    /// Rows per stream chunk (`--chunk-rows`, default 120, always ≥ 8).
-    pub chunk_rows: usize,
-    /// Chunks per stream concept segment — a concept shift every N
-    /// chunks (`--drift-at`, default 8, always ≥ 2).
-    pub drift_at: usize,
-    /// Promotion margin for online champion–challenger benchmarks
-    /// (`--promote-margin`, default 0.01, always ≥ 0).
-    pub promote_margin: f64,
-    /// Format for exported serving artifacts (`--artifact-format
-    /// json|blob`, default json; anything else aborts with exit 2).
-    pub artifact_format: flaml_core::ArtifactFormat,
 }
 
 impl ExecArgs {
@@ -330,81 +264,5 @@ mod tests {
 
         let e = args("").exec();
         assert_eq!(e.journal_file("x"), None);
-    }
-
-    #[test]
-    fn exec_parses_serving_knobs() {
-        let e = args("--jobs 4 --batch 128 --concurrency 2 --artifact model.json").exec();
-        assert_eq!(e.batch, 128);
-        assert_eq!(e.concurrency, 2);
-        assert_eq!(e.artifact, Some(PathBuf::from("model.json")));
-
-        // Defaults: batch 32, concurrency follows --jobs, no artifact.
-        let e = args("--jobs 3").exec();
-        assert_eq!(e.batch, 32);
-        assert_eq!(e.concurrency, 3);
-        assert_eq!(e.artifact, None);
-
-        // Degenerate values are clamped to 1, never 0.
-        let e = args("--batch 0 --concurrency 0").exec();
-        assert_eq!(e.batch, 1);
-        assert_eq!(e.concurrency, 1);
-    }
-
-    #[test]
-    fn exec_parses_server_knobs() {
-        let e = args("--port 9100 --tenants 5 --max-inflight 3").exec();
-        assert_eq!(e.port, 9100);
-        assert_eq!(e.tenants, 5);
-        assert_eq!(e.max_inflight, 3);
-
-        // Defaults, and clamping of degenerate values.
-        let e = args("").exec();
-        assert_eq!(e.port, 8700);
-        assert_eq!(e.tenants, 2);
-        assert_eq!(e.max_inflight, 8);
-        let e = args("--tenants 0 --max-inflight 0 --port 99999").exec();
-        assert_eq!(e.tenants, 1);
-        assert_eq!(e.max_inflight, 1);
-        assert_eq!(e.port, u16::MAX);
-    }
-
-    #[test]
-    fn exec_parses_online_knobs() {
-        let e = args("--chunks 16 --chunk-rows 100 --drift-at 6 --promote-margin 0.02").exec();
-        assert_eq!(e.chunks, 16);
-        assert_eq!(e.chunk_rows, 100);
-        assert_eq!(e.drift_at, 6);
-        assert_eq!(e.promote_margin, 0.02);
-
-        // Defaults, and clamping of degenerate values.
-        let e = args("").exec();
-        assert_eq!(e.chunks, 24);
-        assert_eq!(e.chunk_rows, 120);
-        assert_eq!(e.drift_at, 8);
-        assert_eq!(e.promote_margin, 0.01);
-        let e = args("--chunks 0 --chunk-rows 1 --drift-at 1 --promote-margin -3").exec();
-        assert_eq!(e.chunks, 1);
-        assert_eq!(e.chunk_rows, 8);
-        assert_eq!(e.drift_at, 2);
-        assert_eq!(e.promote_margin, 0.0);
-    }
-
-    #[test]
-    fn exec_parses_artifact_format() {
-        use flaml_core::ArtifactFormat;
-        assert_eq!(args("").exec().artifact_format, ArtifactFormat::Json);
-        assert_eq!(
-            args("--artifact-format json").exec().artifact_format,
-            ArtifactFormat::Json
-        );
-        assert_eq!(
-            args("--artifact-format blob").exec().artifact_format,
-            ArtifactFormat::Blob
-        );
-        // An invalid value exits(2) rather than silently defaulting —
-        // covered here only at the parse layer, since exit() would kill
-        // the test harness.
-        assert!("yaml".parse::<ArtifactFormat>().is_err());
     }
 }

@@ -269,7 +269,7 @@ pub fn run_grid(groups: &[(&str, Vec<Dataset>)], spec: &GridSpec) -> Vec<GridRes
 }
 
 /// Serializes grid results to a JSON file (pretty-printed, stable
-/// order) through [`crate::report::write_json`].
+/// order), published atomically.
 ///
 /// # Errors
 ///

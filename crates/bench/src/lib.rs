@@ -16,15 +16,14 @@
 //! | `fig8_ablation_all` | Figure 8: ablation score differences |
 //! | `table4_selectivity` | Table 4: selectivity-estimation q-errors |
 //! | `journal_tool` | (no figure) inspect / verify-replay / export-csv on trial journals |
-//! | `bench_dataplane` | (no figure) prepared-data cache purity + replay throughput gate |
-//! | `bench_serve` | (no figure) compiled-artifact bit-exactness, batched-inference identity + throughput gate, hot-swap soak, serving latency JSON |
-//! | `bench_blob` | (no figure) binary-artifact bit-exactness per layout, open-to-first-predict speedup gate vs. JSON, cross-process page-sharing probe |
-//! | `bench_server` | (no figure) multi-tenant service load generator: mixed fit/predict stream with p99 + rows/sec gates, and `--verify` byte-compares resumed search journals against in-process reference runs |
 //!
-//! Every binary accepts the shared execution flags parsed by
-//! [`cli::ExecArgs`] — `--seed`, `--jobs`, `--virtual`, `--chaos`,
-//! `--max-trials`, and `--journal DIR` / `--resume` for crash-safe
-//! journaling and continuation of the FLAML runs.
+//! The figure and table binaries accept the shared execution flags
+//! parsed by [`cli::ExecArgs`] — `--seed`, `--jobs`, `--virtual`,
+//! `--chaos`, `--max-trials`, `--full`, and `--journal DIR` / `--resume`
+//! for crash-safe journaling and continuation of the FLAML runs;
+//! `tests/cli.rs` runs them end to end. Throughput and latency of the
+//! library's layers are measured by `flaml-perf` (`crates/perf`), not
+//! here.
 //!
 //! The library half provides the shared machinery: a [`Method`] registry
 //! over FLAML, its ablations and the baselines; the comparative-study
@@ -37,7 +36,6 @@ pub mod cli;
 pub mod csv;
 pub mod grid;
 pub mod report;
-pub mod roster;
 pub mod run;
 
 pub use cli::{journal_stem, Args, ExecArgs};

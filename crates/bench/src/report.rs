@@ -11,7 +11,7 @@ use std::path::Path;
 /// # Errors
 ///
 /// Returns any serialization or I/O error.
-pub fn write_json<T: Serialize + ?Sized>(path: &str, value: &T) -> std::io::Result<()> {
+pub(crate) fn write_json<T: Serialize + ?Sized>(path: &str, value: &T) -> std::io::Result<()> {
     let json = serde_json::to_string_pretty(value)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
     let (storage, path) = (flaml_store::disk(), Path::new(path));

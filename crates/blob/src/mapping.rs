@@ -37,10 +37,14 @@ enum MapInner {
     Heap(AlignedBuf),
 }
 
-// The mapping is read-only for its whole lifetime: PROT_READ pages or
-// an owned buffer nothing else can reach. Shared references hand out
-// `&[u8]` only.
+// SAFETY: `Mapping`'s only field holds a raw pointer to bytes that are
+// read-only for the mapping's whole lifetime — PROT_READ pages, or an
+// owned buffer nothing else can reach — and that this value alone
+// releases, once, in `Drop`. Moving it to another thread moves that sole
+// ownership with it.
 unsafe impl Send for Mapping {}
+// SAFETY: shared references hand out `&[u8]` only and nothing mutates
+// the bytes through `&self`, so concurrent readers cannot race.
 unsafe impl Sync for Mapping {}
 
 impl Mapping {
@@ -70,6 +74,12 @@ impl Mapping {
     pub(crate) fn bytes(&self) -> &[u8] {
         match &self.inner {
             #[cfg(all(unix, target_pointer_width = "64"))]
+            // SAFETY: `map_shared` got `ptr` from a successful mmap of
+            // exactly `len` (> 0) readable bytes, which stay mapped until
+            // `Drop`; the returned slice borrows `self`, so it cannot
+            // outlive the mapping. Not enforced: the file must not shrink
+            // while it is mapped — a read of a page past the new end of
+            // file is a SIGBUS, not an error.
             MapInner::Mmap { ptr, len } => unsafe { std::slice::from_raw_parts(*ptr, *len) },
             MapInner::Heap(buf) => buf.bytes(),
         }
@@ -92,6 +102,9 @@ impl Drop for Mapping {
         if let MapInner::Mmap { ptr, len } = self.inner {
             if len > 0 {
                 // A failed munmap leaks the mapping; nothing safe to do.
+                // SAFETY: `ptr`/`len` are exactly what mmap returned, and
+                // this runs once, after every slice borrowed from `self`
+                // has ended.
                 unsafe {
                     let _ = sys::munmap(ptr as *mut std::os::raw::c_void, len);
                 }
@@ -112,10 +125,14 @@ pub(crate) struct AlignedBuf {
 impl AlignedBuf {
     fn copy_of(bytes: &[u8]) -> AlignedBuf {
         let layout = Self::layout(bytes.len());
+        // SAFETY: `layout` has a non-zero size (`len.max(1)`) and a
+        // valid power-of-two alignment; a null result is handled below.
         let ptr = unsafe { std::alloc::alloc(layout) };
         if ptr.is_null() {
             std::alloc::handle_alloc_error(layout);
         }
+        // SAFETY: `ptr` is a fresh allocation of at least `bytes.len()`
+        // bytes, so it is valid for the write and cannot overlap `bytes`.
         unsafe {
             std::ptr::copy_nonoverlapping(bytes.as_ptr(), ptr, bytes.len());
         }
@@ -130,12 +147,16 @@ impl AlignedBuf {
     }
 
     fn bytes(&self) -> &[u8] {
+        // SAFETY: `copy_of` initialised all `len` bytes at `ptr`; the
+        // buffer is freed only in `Drop`, and the slice borrows `self`.
         unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
     }
 }
 
 impl Drop for AlignedBuf {
     fn drop(&mut self) {
+        // SAFETY: `ptr` came from `alloc` with this same layout (a
+        // function of `len`, which never changes) and is freed once.
         unsafe { std::alloc::dealloc(self.ptr, Self::layout(self.len)) }
     }
 }
@@ -174,6 +195,9 @@ fn map_shared(path: &Path) -> Result<Option<Mapping>, ArtifactError> {
     }
     let len = usize::try_from(len)
         .map_err(|_| ArtifactError::Layout(format!("blob of {len} bytes exceeds address space")))?;
+    // SAFETY: a null hint lets the kernel choose the address, `len` is
+    // the file's non-zero length, and the fd is open for reading for the
+    // whole call; a failure is checked below and never dereferenced.
     let ptr = unsafe {
         sys::mmap(
             std::ptr::null_mut(),

@@ -356,6 +356,10 @@ fn read_u64(bytes: &[u8], at: usize) -> u64 {
 fn slab_slice<'a, T>(bytes: &'a [u8], slab: &Slab) -> &'a [T] {
     debug_assert!(slab.off + slab.count * std::mem::size_of::<T>() <= bytes.len());
     debug_assert_eq!(bytes.as_ptr() as usize % crate::format::BLOB_ALIGN, 0);
+    // SAFETY: in bounds and aligned as the doc comment above shows; the
+    // format stores only plain integer and float elements, for which
+    // every bit pattern is valid; and the slice borrows `bytes`, so it
+    // cannot outlive the `Mapping` behind them.
     unsafe { std::slice::from_raw_parts(bytes.as_ptr().add(slab.off).cast::<T>(), slab.count) }
 }
 

@@ -63,9 +63,7 @@ pub use eci::{sample_by_inverse_eci, EciState};
 pub use ensemble::{build_stacked, MemberSpec};
 pub use handle::{SearchHandle, SliceOutcome};
 pub use learner::{config_cost_factor, fit_learner, fit_learner_prepared};
-pub use resample::{
-    run_trial, run_trial_prepared, ResampleRule, ResampleStrategy, TrialOutcome, TrialStatus,
-};
+pub use resample::{run_trial, ResampleRule, ResampleStrategy, TrialOutcome, TrialStatus};
 pub use serving::export_artifact_from_log;
 pub use spaces::LearnerKind;
 

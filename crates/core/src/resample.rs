@@ -210,7 +210,7 @@ impl TrialOutcome {
 /// Evaluates `config` for `kind` on the first `sample_size` rows of the
 /// (pre-shuffled) dataset under `strategy`, scoring with `metric`.
 ///
-/// A convenience wrapper around [`run_trial_prepared`] that derives the
+/// A convenience wrapper around `run_trial_prepared` that derives the
 /// trial's views (and, for binned learners, its bin artifacts) fresh —
 /// what the controller's [`DataPlane`] would produce on a cache miss.
 #[allow(clippy::too_many_arguments)]
@@ -241,7 +241,7 @@ pub fn run_trial(
 /// learner) surface as `error = INFINITY` rather than an `Err`, because
 /// a failed trial is a legitimate observation for the search.
 #[allow(clippy::too_many_arguments)]
-pub fn run_trial_prepared(
+pub(crate) fn run_trial_prepared(
     trial: &TrialData,
     kind: &Estimator,
     config: &Config,

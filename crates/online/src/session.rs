@@ -813,7 +813,7 @@ impl OnlineSession {
 
         let journal_path = self.round_journal_path(round_id);
         self.rt.storage.create_dir_all(&self.dir.join("rounds"))?;
-        let settings = self.round_settings(round_id);
+        let settings = self.round_settings(round_id)?;
         let mut handle = if resumed && self.rt.storage.exists(&journal_path) {
             // A torn or mismatched search journal is recreatable state:
             // fall back to a fresh deterministic search.
@@ -915,8 +915,11 @@ impl OnlineSession {
 
     /// The AutoMl settings for challenger round `round_id`: virtual
     /// clock (worker-count independent), per-round derived seed, and a
-    /// warm start from the previous round's best configurations.
-    fn round_settings(&self, round_id: u64) -> AutoMl {
+    /// warm start from the previous round's best configurations. The
+    /// previous round's journal is read through the stream's storage,
+    /// and a failed read is an error (it wedges the session like any
+    /// other storage failure), never a silent cold start.
+    fn round_settings(&self, round_id: u64) -> Result<AutoMl, OnlineError> {
         let mut settings = AutoMl::new()
             .time_budget(self.cfg.round_budget)
             .max_trials(self.cfg.round_trials)
@@ -931,14 +934,15 @@ impl OnlineSession {
             // the previous round's journal is complete — rounds finish
             // before the next begins — so this read is identical on
             // the live and recovery paths.
-            if let Ok(journal) = Journal::read(self.round_journal_path(round_id - 1)) {
-                let points = journal.best_configs();
-                if !points.is_empty() {
-                    settings = settings.starting_points(points);
-                }
+            let previous = self.round_journal_path(round_id - 1);
+            let journal = Journal::read_with(self.rt.storage.as_ref(), &previous)
+                .map_err(|e| OnlineError::AutoMl(AutoMlError::Journal(e)))?;
+            let points = journal.best_configs();
+            if !points.is_empty() {
+                settings = settings.starting_points(points);
             }
         }
-        settings
+        Ok(settings)
     }
 
     fn commit(&mut self, ev: OnlineEvent) -> Result<(), OnlineError> {

@@ -6,8 +6,13 @@
 mod common;
 
 use common::{fast_config, runtime, scratch, stream};
-use flaml_core::{ChaosStorage, IoFaultPlan, Journal};
+use flaml_core::{
+    AutoMlError, ChaosStorage, DiskStorage, IoFaultPlan, Journal, Storage, StorageError,
+    StorageFile,
+};
 use flaml_online::{LogError, OnlineError, OnlineSession};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 const CHUNKS: usize = 12;
@@ -73,6 +78,102 @@ fn reopen_between_every_chunk_matches_uninterrupted() {
         String::from_utf8(session.journal_bytes().unwrap()).unwrap(),
         reference,
         "reopening between chunks changed the trace"
+    );
+}
+
+/// The real disk, except that every read of round 1's search journal
+/// fails — the read round 2's warm start makes.
+#[derive(Debug, Default)]
+struct RoundOneUnreadable {
+    refused: AtomicUsize,
+}
+
+impl Storage for RoundOneUnreadable {
+    fn create(&self, path: &Path) -> Result<Box<dyn StorageFile>, StorageError> {
+        DiskStorage.create(path)
+    }
+    fn append(&self, path: &Path) -> Result<Box<dyn StorageFile>, StorageError> {
+        DiskStorage.append(path)
+    }
+    fn read(&self, path: &Path) -> Result<Vec<u8>, StorageError> {
+        if path.ends_with("rounds/round_0001.jsonl") {
+            self.refused.fetch_add(1, Ordering::Relaxed);
+            return Err(StorageError::Io {
+                op: "read",
+                path: path.to_path_buf(),
+                source: std::io::Error::other("injected read failure"),
+            });
+        }
+        DiskStorage.read(path)
+    }
+    fn file_len(&self, path: &Path) -> Result<u64, StorageError> {
+        DiskStorage.file_len(path)
+    }
+    fn truncate_file(&self, path: &Path, len: u64) -> Result<(), StorageError> {
+        DiskStorage.truncate_file(path, len)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> Result<(), StorageError> {
+        DiskStorage.rename(from, to)
+    }
+    fn remove(&self, path: &Path) -> Result<(), StorageError> {
+        DiskStorage.remove(path)
+    }
+    fn create_dir_all(&self, dir: &Path) -> Result<(), StorageError> {
+        DiskStorage.create_dir_all(dir)
+    }
+    fn sync_dir(&self, dir: &Path) -> Result<(), StorageError> {
+        DiskStorage.sync_dir(dir)
+    }
+    fn scan(&self, dir: &Path) -> Result<Vec<PathBuf>, StorageError> {
+        DiskStorage.scan(dir)
+    }
+    fn exists(&self, path: &Path) -> bool {
+        DiskStorage.exists(path)
+    }
+    fn is_dir(&self, path: &Path) -> bool {
+        DiskStorage.is_dir(path)
+    }
+}
+
+#[test]
+fn a_failed_warm_start_read_wedges_the_session_and_reopen_resumes_exactly() {
+    let reference = run_reference(&scratch("warm_ref"), 1, CHUNKS);
+
+    // Round 2 warm-starts from round 1's journal through the stream's
+    // storage; when that read fails, the push fails and wedges the
+    // session instead of running the round cold.
+    let dir = scratch("warm_fail");
+    let s = stream(11);
+    let storage = Arc::new(RoundOneUnreadable::default());
+    let mut session = OnlineSession::create(
+        &dir,
+        fast_config(&s),
+        runtime(Arc::clone(&storage) as Arc<dyn Storage>, 1),
+    )
+    .unwrap();
+    let (failed_at, err) = (0..CHUNKS)
+        .find_map(|i| session.push_chunk(&s.chunk(i)).err().map(|e| (i, e)))
+        .expect("round 2's warm start must read round 1's journal through the storage");
+    assert!(
+        matches!(err, OnlineError::AutoMl(AutoMlError::Journal(_))),
+        "chunk {failed_at}: {err}"
+    );
+    assert_eq!(storage.refused.load(Ordering::Relaxed), 1);
+    assert_eq!(session.status().rounds, 2, "the failure is round 2's");
+    assert!(session.is_wedged());
+    drop(session);
+
+    // Reopening on the plain disk finishes the interrupted chunk, and
+    // the rest of the stream lands on the uninterrupted trace.
+    let mut session = OnlineSession::open(&dir, runtime(flaml_core::disk(), 1)).unwrap();
+    assert_eq!(session.status().chunks, failed_at + 1);
+    for i in failed_at + 1..CHUNKS {
+        session.push_chunk(&s.chunk(i)).unwrap();
+    }
+    assert_eq!(
+        String::from_utf8(session.journal_bytes().unwrap()).unwrap(),
+        reference,
+        "a failed warm-start read changed the promotion trace"
     );
 }
 

@@ -4,7 +4,11 @@
 mod common;
 
 use common::{fast_config, scratch, stream};
-use flaml_online::{kind, ChunkOutcome, OnlineError, OnlineRuntime, OnlineSession};
+use flaml_core::CompiledModel;
+use flaml_data::{Dataset, Task};
+use flaml_metrics::Metric;
+use flaml_online::{kind, ChunkOutcome, OnlineConfig, OnlineError, OnlineRuntime, OnlineSession};
+use flaml_synth::DriftStream;
 
 #[test]
 fn warmup_trains_a_first_champion() {
@@ -158,18 +162,11 @@ fn schema_mismatch_is_rejected_without_wedging() {
     assert_eq!(session.status().chunks, 2);
 }
 
-#[test]
-fn rejected_drift_round_arms_a_retry_that_survives_restart() {
-    use flaml_data::Task;
-    use flaml_online::OnlineConfig;
-    use flaml_synth::DriftStream;
-
-    // The bench_online geometry: drift is confirmed at the segment
-    // boundary itself, so the drift round trains on a window still
-    // dominated by the old concept, loses its holdout, and is
-    // rejected. The rejection must arm exactly one follow-up round
-    // `window_chunks - 1` chunks later — after the window has
-    // refreshed with post-shift data — and that retry must promote.
+/// A longer stream with the library's default learners: 120-row chunks,
+/// 4 features, a concept shift every 8 chunks, and a window tight
+/// enough that by the time drift is confirmed the training window is
+/// dominated by post-shift chunks.
+fn long_stream() -> (DriftStream, OnlineConfig) {
     let mut s = DriftStream::new(0);
     s.rows = 120;
     s.features = 4;
@@ -182,6 +179,18 @@ fn rejected_drift_round_arms_a_retry_that_survives_restart() {
     cfg.warmup_chunks = 2;
     cfg.drift_window = 2;
     cfg.drift_threshold = 0.1;
+    (s, cfg)
+}
+
+#[test]
+fn rejected_drift_round_arms_a_retry_that_survives_restart() {
+    // On the long stream drift is confirmed at the segment boundary
+    // itself, so the drift round trains on a window still dominated by
+    // the old concept, loses its holdout, and is rejected. The
+    // rejection must arm exactly one follow-up round
+    // `window_chunks - 1` chunks later — after the window has
+    // refreshed with post-shift data — and that retry must promote.
+    let (s, cfg) = long_stream();
     let n = 21;
 
     let dir = scratch("retry");
@@ -240,9 +249,57 @@ fn rejected_drift_round_arms_a_retry_that_survives_restart() {
 }
 
 #[test]
-fn reverting_concept_rolls_back_the_promotion() {
-    use flaml_data::{Dataset, Task};
+fn adapting_beats_a_never_retrained_champion() {
+    // Both arms are scored prequentially on every chunk before the
+    // session trains on it: the session's serving champion, and a
+    // frozen copy of the first (warmup) champion — what a deploy-once
+    // pipeline would serve. They are compared on error rate, which is
+    // bounded, so the one or two post-shift chunks where the adapted
+    // champion is confidently wrong cannot dominate the mean, while a
+    // champion stuck on a stale concept pays on every later chunk.
+    // Challenger rounds run on the virtual clock, so the numbers are a
+    // pure function of the seed.
+    let (s, mut cfg) = long_stream();
+    // Backstop, not pre-emptor: longer than the 2 × drift_window run-up
+    // the detector needs, so drift still fires first after a shift, but
+    // a drift round rejected on a blended window is followed by an
+    // all-fresh retrain one refresh later.
+    cfg.refresh_every = 2 * cfg.window_chunks;
+    let error = |model: &CompiledModel, data: &Dataset| {
+        Metric::Accuracy
+            .loss(&model.predict(data.view()), data.target())
+            .unwrap()
+    };
 
+    let mut session =
+        OnlineSession::create(scratch("regret"), cfg, OnlineRuntime::local()).unwrap();
+    let mut frozen: Option<CompiledModel> = None;
+    let (mut adapted, mut fixed, mut scored) = (0.0, 0.0, 0);
+    for i in 0..24 {
+        let data = s.chunk(i);
+        if let (Some(champion), Some(frozen)) = (session.champion_model(), &frozen) {
+            adapted += error(champion, &data);
+            fixed += error(frozen, &data);
+            scored += 1;
+        }
+        session.push_chunk(&data).unwrap();
+        if frozen.is_none() {
+            frozen = session.champion_model().cloned();
+        }
+    }
+    let (adapted, fixed) = (adapted / f64::from(scored), fixed / f64::from(scored));
+    let status = session.status();
+    assert!(status.drift_events >= 1, "no drift fired: {status:?}");
+    assert!(status.promotions >= 2, "no challenger promoted: {status:?}");
+    assert!(
+        adapted <= 0.95 * fixed,
+        "over {scored} chunks the adapting champion erred {adapted:.4} against the \
+         frozen one's {fixed:.4}: less than 5 % better"
+    );
+}
+
+#[test]
+fn reverting_concept_rolls_back_the_promotion() {
     // Hand-built stream: concept A, a brief flip to NOT-A (drift fires,
     // a challenger trained on the flipped chunks wins the flipped
     // holdout), then back to A — where the old champion clearly beats

@@ -1,5 +1,5 @@
-//! The service's JSON wire types, shared by the server and its load
-//! generator (`bench_server`).
+//! The service's JSON wire types, shared by the server, its clients and
+//! the recovery tests.
 //!
 //! [`FitRequest`] is the contract that makes crash recovery
 //! *verifiable*: the server persists every accepted request as a

@@ -28,9 +28,8 @@
 //!
 //! The HTTP layer is a dependency-free `std::net` HTTP/1.1 subset
 //! ([`http`]) whose head cap holds while a request is read; wire types
-//! live in [`api`] and are shared with the `bench_server` load generator
-//! so a verifier can re-run any search from its sidecar and byte-compare
-//! journals.
+//! live in [`api`] and are shared with clients, so a verifier can re-run
+//! any search from its sidecar and byte-compare journals.
 //!
 //! # Routes
 //!

@@ -7,9 +7,13 @@ mod common;
 
 use common::{await_terminal, fit_request, http, scratch_root, RecordingStorage};
 use flaml_core::{Journal, SearchHandle};
-use flaml_server::{FitAccepted, Server, ServerConfig};
-use std::io::Write;
+use flaml_server::{FitAccepted, FitRequest, Server, ServerConfig};
+use std::io::{BufRead, BufReader, Write};
+use std::net::SocketAddr;
+use std::path::Path;
+use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn config(root: std::path::PathBuf) -> ServerConfig {
     ServerConfig {
@@ -114,6 +118,105 @@ fn killed_midsearch_server_resumes_byte_identically() {
     let done = await_terminal(addr, "acme", "s0001");
     assert_eq!(done.state, "finished", "{:?}", done.error);
     server.stop();
+}
+
+/// A `flaml-server` process, killed when dropped so a failed assertion
+/// never leaves one running.
+struct ServerProcess(Child);
+
+impl Drop for ServerProcess {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Starts the `flaml-server` binary over `root` on an ephemeral port;
+/// returns it with the loopback address of the port it reports.
+fn spawn_server(root: &Path) -> (ServerProcess, SocketAddr) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_flaml-server"))
+        .args(["--port", "0", "--max-inflight", "4", "--root"])
+        .arg(root)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn flaml-server");
+    let stdout = child.stdout.take().expect("server stdout");
+    let server = ServerProcess(child);
+    let mut line = String::new();
+    BufReader::new(stdout)
+        .read_line(&mut line)
+        .expect("read the listening line");
+    let bound: SocketAddr = line
+        .split("listening on ")
+        .nth(1)
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|addr| addr.parse().ok())
+        .unwrap_or_else(|| panic!("no listening address in {line:?}"));
+    (server, SocketAddr::from(([127, 0, 0, 1], bound.port())))
+}
+
+#[test]
+fn a_sigkilled_server_process_resumes_byte_identically() {
+    let root = scratch_root("sigkill");
+    let mut request = fit_request("churn", 40, 13);
+    request.time_budget = 60.0;
+    let (mut server, addr) = spawn_server(&root);
+    let (status, body) = http(
+        addr,
+        "POST",
+        "/tenants/acme/fit",
+        &serde_json::to_string(&request).unwrap(),
+    );
+    assert_eq!(status, 202, "{body}");
+    let id = serde_json::from_str::<FitAccepted>(&body).unwrap().id;
+    let tenant_dir = root.join("acme");
+    let journal = tenant_dir.join(format!("{id}.jsonl"));
+
+    // SIGKILL the process as soon as its journal holds a committed trial.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !Journal::read(&journal).is_ok_and(|j| !j.trials.is_empty()) {
+        assert!(Instant::now() < deadline, "no trial committed within 10 s");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    server.0.kill().expect("SIGKILL the server");
+    server.0.wait().expect("reap the server");
+    let killed_at = Journal::read(&journal).unwrap().trials.len();
+
+    // Restart on the same root; meanwhile run the durable sidecar's
+    // request uninterrupted in this process, as a verifier would.
+    let (_server, addr) = spawn_server(&root);
+    let sidecar = std::fs::read_to_string(tenant_dir.join(format!("{id}.request.json"))).unwrap();
+    let sidecar: FitRequest = serde_json::from_str(&sidecar).unwrap();
+    let ref_path = std::env::temp_dir().join(format!(
+        "flaml_server_sigkill_ref_{}.jsonl",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&ref_path);
+    sidecar
+        .to_automl()
+        .unwrap()
+        .journal(&ref_path)
+        .fit(&sidecar.to_dataset().unwrap())
+        .unwrap();
+    let reference = Journal::read(&ref_path).unwrap();
+    let _ = std::fs::remove_file(&ref_path);
+    assert!(
+        killed_at > 0 && killed_at < reference.trials.len(),
+        "the kill must land mid-search: {killed_at} of {} trials",
+        reference.trials.len()
+    );
+
+    let done = await_terminal(addr, "acme", &id);
+    assert_eq!(done.state, "finished", "resume failed: {:?}", done.error);
+    assert_eq!(done.committed, reference.trials.len());
+    assert_eq!(
+        Journal::read(&journal).unwrap().canonical_bytes(),
+        reference.canonical_bytes(),
+        "the resumed journal diverged from the uninterrupted run"
+    );
+    drop(_server);
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]

@@ -67,7 +67,7 @@ impl DriftStream {
     }
 
     /// The segment (concept) index that chunk `index` belongs to.
-    pub fn segment_of(&self, index: usize) -> usize {
+    fn segment_of(&self, index: usize) -> usize {
         index / self.segment_chunks.max(1)
     }
 
