@@ -5,7 +5,7 @@
 #![allow(dead_code)]
 
 use flaml_core::{LearnerKind, Storage};
-use flaml_data::Task;
+use flaml_data::{Dataset, Task};
 use flaml_online::{OnlineConfig, OnlineRuntime};
 use flaml_synth::DriftStream;
 use std::path::PathBuf;
@@ -34,6 +34,25 @@ pub fn stream(seed: u64) -> DriftStream {
     s.segment_chunks = 6;
     s.margin_noise = 0.15;
     s
+}
+
+/// One 60-row, one-feature chunk of the concept `y = x > 0.5` (A), or
+/// of its negation (NOT-A) when `flipped`; `idx` varies the rows. A
+/// stream that flips to NOT-A and back drives drift, promotion and
+/// then a probation rollback or a rejected round.
+pub fn flip_chunk(idx: usize, flipped: bool) -> Dataset {
+    let rows = 60;
+    let x: Vec<f64> = (0..rows)
+        .map(|r| ((r * 7919 + idx * 104_729) % 997) as f64 / 997.0)
+        .collect();
+    let y: Vec<f64> = x
+        .iter()
+        .map(|&v| {
+            let label = v > 0.5;
+            f64::from(if flipped { !label } else { label })
+        })
+        .collect();
+    Dataset::new(format!("flip-{idx}"), Task::Binary, vec![x], y).unwrap()
 }
 
 /// A config sized for test speed, matched to [`stream`].

@@ -1,46 +1,70 @@
 //! The determinism contract of the promotion trace: byte-identical
 //! journals across worker counts, across kill-and-reopen at every chunk
-//! boundary, and across a crashpoint sweep that kills the session at
-//! every mutating storage op (mirroring the server's durability suite).
+//! boundary, and across crashpoint sweeps that kill the session at
+//! every mutating storage op (mirroring the server's durability suite)
+//! on three streams: a drift promotion, a probation rollback, and a
+//! rejected drift round with its armed retry. Every recovered session
+//! must also report the uninterrupted session's `status()`.
 
 mod common;
 
-use common::{fast_config, runtime, scratch, stream};
+use common::{fast_config, flip_chunk, runtime, scratch, stream};
 use flaml_core::{
     AutoMlError, ChaosStorage, DiskStorage, IoFaultPlan, Journal, Storage, StorageError,
     StorageFile,
 };
-use flaml_online::{LogError, OnlineError, OnlineSession};
+use flaml_data::Dataset;
+use flaml_online::{kind, LogError, OnlineConfig, OnlineError, OnlineSession, StreamStatus};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 const CHUNKS: usize = 12;
 
-/// Pushes chunks `0..n` of the standard test stream into a fresh
-/// session at `dir` and returns the final journal bytes.
-fn run_reference(dir: &std::path::Path, workers: usize, n: usize) -> String {
-    let s = stream(11);
-    let cfg = fast_config(&s);
+/// One uninterrupted run of `chunks` on the real disk: the status
+/// after each prefix (`statuses[i]` after `i` chunks) and the final
+/// journal.
+struct Reference {
+    statuses: Vec<StreamStatus>,
+    journal: String,
+}
+
+fn uninterrupted(dir: &Path, cfg: &OnlineConfig, workers: usize, chunks: &[Dataset]) -> Reference {
     let mut session =
-        OnlineSession::create(dir, cfg, runtime(flaml_core::disk(), workers)).unwrap();
-    for i in 0..n {
-        session.push_chunk(&s.chunk(i)).unwrap();
+        OnlineSession::create(dir, cfg.clone(), runtime(flaml_core::disk(), workers)).unwrap();
+    let mut statuses = vec![session.status()];
+    for chunk in chunks {
+        session.push_chunk(chunk).unwrap();
+        statuses.push(session.status());
     }
-    let status = session.status();
+    let journal = String::from_utf8(session.journal_bytes().unwrap()).unwrap();
+    Reference { statuses, journal }
+}
+
+/// The first `n` chunks of the standard test stream.
+fn standard_chunks(n: usize) -> Vec<Dataset> {
+    let s = stream(11);
+    (0..n).map(|i| s.chunk(i)).collect()
+}
+
+/// Pushes chunks `0..n` of the standard test stream into a fresh
+/// session at `dir`.
+fn run_reference(dir: &Path, workers: usize, n: usize) -> Reference {
+    let reference = uninterrupted(dir, &fast_config(&stream(11)), workers, &standard_chunks(n));
+    let status = reference.statuses.last().unwrap();
     assert!(
         status.promotions >= 2 && status.drift_events >= 1,
         "reference run too quiet to be a meaningful gate: {status:?}"
     );
-    String::from_utf8(session.journal_bytes().unwrap()).unwrap()
+    reference
 }
 
 #[test]
 fn trace_is_byte_identical_across_worker_counts() {
     let dir1 = scratch("workers1");
     let dir4 = scratch("workers4");
-    let one = run_reference(&dir1, 1, CHUNKS);
-    let four = run_reference(&dir4, 4, CHUNKS);
+    let one = run_reference(&dir1, 1, CHUNKS).journal;
+    let four = run_reference(&dir4, 4, CHUNKS).journal;
     assert_eq!(
         one, four,
         "promotion trace depends on worker count — virtual clock broken"
@@ -71,12 +95,23 @@ fn reopen_between_every_chunk_matches_uninterrupted() {
         // A brand-new process per chunk: open, push, drop.
         let mut session = OnlineSession::open(&dir, runtime(flaml_core::disk(), 1)).unwrap();
         assert_eq!(session.status().chunks, i, "reopen lost or invented chunks");
+        assert_eq!(
+            session.status(),
+            reference.statuses[i],
+            "reopen before chunk {i}"
+        );
         session.push_chunk(&s.chunk(i)).unwrap();
+        assert_eq!(
+            session.status(),
+            reference.statuses[i + 1],
+            "push of chunk {i}"
+        );
     }
     let session = OnlineSession::open(&dir, runtime(flaml_core::disk(), 1)).unwrap();
+    assert_eq!(session.status(), reference.statuses[CHUNKS]);
     assert_eq!(
         String::from_utf8(session.journal_bytes().unwrap()).unwrap(),
-        reference,
+        reference.journal,
         "reopening between chunks changed the trace"
     );
 }
@@ -137,7 +172,7 @@ impl Storage for RoundOneUnreadable {
 
 #[test]
 fn a_failed_warm_start_read_wedges_the_session_and_reopen_resumes_exactly() {
-    let reference = run_reference(&scratch("warm_ref"), 1, CHUNKS);
+    let reference = run_reference(&scratch("warm_ref"), 1, CHUNKS).journal;
 
     // Round 2 warm-starts from round 1's journal through the stream's
     // storage; when that read fails, the push fails and wedges the
@@ -177,97 +212,157 @@ fn a_failed_warm_start_read_wedges_the_session_and_reopen_resumes_exactly() {
     );
 }
 
-#[test]
-fn crashpoint_sweep_recovers_byte_identically_at_every_op() {
-    // Shorter stream than the other suites: the sweep replays it once
-    // per mutating storage op.
-    let n = 8;
-    let s = stream(11);
-    let cfg = fast_config(&s);
-
-    let reference = {
-        let dir = scratch("sweep_ref");
-        let mut session =
-            OnlineSession::create(&dir, cfg.clone(), runtime(flaml_core::disk(), 1)).unwrap();
-        for i in 0..n {
-            session.push_chunk(&s.chunk(i)).unwrap();
-        }
-        let status = session.status();
-        assert!(
-            status.promotions >= 2,
-            "sweep stream must exercise warmup + drift promotion: {status:?}"
-        );
-        String::from_utf8(session.journal_bytes().unwrap()).unwrap()
+/// Kills a fresh session of `cfg` at every mutating storage op the
+/// lifecycle of `chunks` issues, recovers on the real disk (open, or
+/// recreate if the crash preceded the durable header), pushes whatever
+/// is missing, and requires the uninterrupted run's journal bytes and
+/// `status()` after every recovered prefix. Returns the uninterrupted
+/// run and its mutating-op count.
+fn crash_sweep(tag: &str, cfg: &OnlineConfig, chunks: &[Dataset]) -> (Reference, u64) {
+    let reference = uninterrupted(&scratch(&format!("{tag}_ref")), cfg, 1, chunks);
+    let chaos_session = |dir: &Path, chaos: &Arc<ChaosStorage>| {
+        OnlineSession::create(
+            dir,
+            cfg.clone(),
+            runtime(Arc::clone(chaos) as Arc<dyn Storage>, 1),
+        )
     };
 
     // Fault-free chaos run: count every mutating storage op the stream
     // lifecycle issues.
     let total = {
-        let dir = scratch("sweep_count");
         let chaos = Arc::new(ChaosStorage::new(flaml_core::disk(), IoFaultPlan::new(1)));
-        let mut session = OnlineSession::create(
-            &dir,
-            cfg.clone(),
-            runtime(Arc::clone(&chaos) as Arc<dyn flaml_core::Storage>, 1),
-        )
-        .unwrap();
-        for i in 0..n {
-            session.push_chunk(&s.chunk(i)).unwrap();
+        let mut session = chaos_session(&scratch(&format!("{tag}_count")), &chaos).unwrap();
+        for chunk in chunks {
+            session.push_chunk(chunk).unwrap();
         }
         assert_eq!(
             String::from_utf8(session.journal_bytes().unwrap()).unwrap(),
-            reference
+            reference.journal
         );
         chaos.ops_issued()
     };
-    assert!(
-        total >= 30,
-        "expected the stream lifecycle to issue many storage ops, got {total}"
-    );
 
     for k in 0..total {
-        let dir = scratch(&format!("sweep_{k}"));
+        let dir = scratch(&format!("{tag}_{k}"));
         let chaos = Arc::new(ChaosStorage::new(
             flaml_core::disk(),
             IoFaultPlan::new(1).crash_at(k),
         ));
         let crashed = (|| -> Result<(), OnlineError> {
-            let mut session = OnlineSession::create(
-                &dir,
-                cfg.clone(),
-                runtime(Arc::clone(&chaos) as Arc<dyn flaml_core::Storage>, 1),
-            )?;
-            for i in 0..n {
-                session.push_chunk(&s.chunk(i))?;
+            let mut session = chaos_session(&dir, &chaos)?;
+            for chunk in chunks {
+                session.push_chunk(chunk)?;
             }
             Ok(())
         })()
         .is_err();
-        assert!(crashed, "op {k}: the injected crash did not surface");
+        assert!(crashed, "{tag} op {k}: the injected crash did not surface");
 
-        // Recover on the real disk: open (or recreate, if the crash
-        // preceded the durable header) and push whatever is missing.
         let mut session = match OnlineSession::open(&dir, runtime(flaml_core::disk(), 1)) {
             Ok(session) => session,
             Err(OnlineError::Journal(LogError::Missing)) => {
                 OnlineSession::create(&dir, cfg.clone(), runtime(flaml_core::disk(), 1))
-                    .unwrap_or_else(|e| panic!("op {k}: recreate failed: {e}"))
+                    .unwrap_or_else(|e| panic!("{tag} op {k}: recreate failed: {e}"))
             }
-            Err(e) => panic!("op {k}: reopen failed: {e}"),
+            Err(e) => panic!("{tag} op {k}: reopen failed: {e}"),
         };
         let done = session.status().chunks;
-        assert!(done <= n, "op {k}: recovery invented chunks");
-        for i in done..n {
+        assert!(
+            done <= chunks.len(),
+            "{tag} op {k}: recovery invented chunks"
+        );
+        assert_eq!(
+            session.status(),
+            reference.statuses[done],
+            "{tag} op {k}: recovered status differs from the uninterrupted one"
+        );
+        for (i, chunk) in chunks.iter().enumerate().skip(done) {
             session
-                .push_chunk(&s.chunk(i))
-                .unwrap_or_else(|e| panic!("op {k}: chunk {i} failed after recovery: {e}"));
+                .push_chunk(chunk)
+                .unwrap_or_else(|e| panic!("{tag} op {k}: chunk {i} failed after recovery: {e}"));
+            assert_eq!(
+                session.status(),
+                reference.statuses[i + 1],
+                "{tag} op {k}: status after chunk {i} differs"
+            );
         }
         assert_eq!(
             String::from_utf8(session.journal_bytes().unwrap()).unwrap(),
-            reference,
-            "op {k}: promotion trace diverged after crash + recovery"
+            reference.journal,
+            "{tag} op {k}: promotion trace diverged after crash + recovery"
         );
         drop(session);
         let _ = std::fs::remove_dir_all(&dir);
     }
+    (reference, total)
+}
+
+/// The one-feature flip stream: `runs` of (concept, chunk count), A =
+/// unflipped.
+fn flip_stream(runs: &[(bool, usize)]) -> Vec<Dataset> {
+    runs.iter()
+        .flat_map(|&(flipped, n)| std::iter::repeat_n(flipped, n))
+        .enumerate()
+        .map(|(idx, flipped)| flip_chunk(idx, flipped))
+        .collect()
+}
+
+fn flip_config() -> OnlineConfig {
+    let mut cfg = fast_config(&stream(5));
+    cfg.features = 1;
+    cfg
+}
+
+#[test]
+fn crashpoint_sweep_recovers_byte_identically_at_every_op() {
+    // Shorter stream than the other suites: the sweep replays it once
+    // per mutating storage op.
+    let (reference, total) = crash_sweep("sweep", &fast_config(&stream(11)), &standard_chunks(8));
+    let status = reference.statuses.last().unwrap();
+    assert!(
+        status.promotions >= 2,
+        "sweep stream must exercise warmup + drift promotion: {status:?}"
+    );
+    // The exact count pins the sequence of mutating storage ops.
+    assert_eq!(total, 129, "mutating storage ops of the stream lifecycle");
+}
+
+#[test]
+fn crashpoint_sweep_through_a_probation_rollback() {
+    // A, then a flip long enough for a drift challenger to win, then A
+    // again: probation restores the warmup champion.
+    let chunks = flip_stream(&[(false, 4), (true, 4), (false, 4)]);
+    let (reference, total) = crash_sweep("sweep_rollback", &flip_config(), &chunks);
+    let status = reference.statuses.last().unwrap();
+    assert_eq!(
+        (status.drift_events, status.promotions, status.rollbacks),
+        (1, 2, 1),
+        "{status:?}"
+    );
+    assert_eq!(status.era, 1, "the warmup champion is restored");
+    assert_eq!(total, 185, "mutating storage ops of the stream lifecycle");
+}
+
+#[test]
+fn crashpoint_sweep_through_a_rejected_drift_round_and_its_retry() {
+    // One flipped chunk fewer: the drift challenger loses its holdout,
+    // and the retry it arms loses too.
+    let chunks = flip_stream(&[(false, 4), (true, 3), (false, 4)]);
+    let (reference, total) = crash_sweep("sweep_reject", &flip_config(), &chunks);
+    let status = reference.statuses.last().unwrap();
+    assert_eq!(
+        (status.drift_events, status.promotions, status.rejections),
+        (1, 1, 2),
+        "{status:?}"
+    );
+    let round = format!("\"kind\":\"{}\"", kind::ROUND);
+    assert!(
+        reference
+            .journal
+            .lines()
+            .any(|l| l.contains(&round) && l.contains("\"reason\":\"retry\"")),
+        "the rejected drift round must arm a retry"
+    );
+    assert_eq!(total, 177, "mutating storage ops of the stream lifecycle");
 }

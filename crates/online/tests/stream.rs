@@ -3,7 +3,7 @@
 
 mod common;
 
-use common::{fast_config, scratch, stream};
+use common::{fast_config, flip_chunk, scratch, stream};
 use flaml_core::CompiledModel;
 use flaml_data::{Dataset, Task};
 use flaml_metrics::Metric;
@@ -304,21 +304,6 @@ fn reverting_concept_rolls_back_the_promotion() {
     // a challenger trained on the flipped chunks wins the flipped
     // holdout), then back to A — where the old champion clearly beats
     // the new one, so probation must roll the promotion back.
-    let chunk = |idx: usize, flipped: bool| -> Dataset {
-        let rows = 60;
-        let x: Vec<f64> = (0..rows)
-            .map(|r| ((r * 7919 + idx * 104_729) % 997) as f64 / 997.0)
-            .collect();
-        let y: Vec<f64> = x
-            .iter()
-            .map(|&v| {
-                let label = v > 0.5;
-                f64::from(if flipped { !label } else { label })
-            })
-            .collect();
-        Dataset::new(format!("flip-{idx}"), Task::Binary, vec![x], y).unwrap()
-    };
-
     let dir = scratch("rollback");
     let s = stream(5);
     let mut cfg = fast_config(&s);
@@ -329,7 +314,7 @@ fn reverting_concept_rolls_back_the_promotion() {
 
     let mut idx = 0;
     let mut push = |session: &mut OnlineSession, flipped: bool| {
-        let out = session.push_chunk(&chunk(idx, flipped)).unwrap();
+        let out = session.push_chunk(&flip_chunk(idx, flipped)).unwrap();
         idx += 1;
         out
     };
