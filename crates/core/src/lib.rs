@@ -76,9 +76,7 @@ pub use flaml_exec::{
 
 // Re-export the journal so resume/warm-start workflows (read a log, seed
 // `starting_points`, inspect best trials) need only this crate.
-pub use flaml_journal::{
-    discover, DiscoveredJournal, Journal, JournalError, JournalHeader, TrialLine,
-};
+pub use flaml_journal::{Journal, JournalError, JournalHeader, TrialLine};
 
 // Re-export the storage layer so fault-injection tests and durability
 // tooling (chaos plans, atomic publish) need only this crate.

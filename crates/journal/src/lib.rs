@@ -31,12 +31,10 @@
 
 #![warn(missing_docs)]
 
-mod discover;
 mod reader;
 mod record;
 mod writer;
 
-pub use discover::{discover, discover_with, DiscoveredJournal};
 pub use reader::{Journal, JournalError};
 pub use record::{DatasetInfo, JournalHeader, TrialLine, SCHEMA_VERSION};
 pub use writer::JournalWriter;

@@ -19,8 +19,10 @@
 //! hoist the per-fit binning work of [`Gbdt`] out of repeated trials, and
 //! [`GbdtFitState`] makes a boosting run resumable: [`Gbdt::fit_start`]
 //! plus [`Gbdt::fit_continue`] grow a model in stages bit-identical to a
-//! single monolithic fit, so callers can cache and extend tree prefixes
-//! across trials.
+//! single monolithic fit. No search extends a prefix across trials:
+//! FLOW² moves every coordinate per step, so no two trials share one
+//! (DESIGN §17). Continuing a fitted state in the final refit is the
+//! next intended consumer.
 //!
 //! # Example
 //!

@@ -17,6 +17,17 @@
 //!    score champion and challenger on the holdout, and journal the
 //!    `promote` / `reject` decision.
 //!
+//! # State is a fold of the journal
+//!
+//! The stream's state (counters, eras, probation sums, the drift
+//! detector, the fingerprints of the window's chunks and the current
+//! chunk's progress mask) changes in one place, `apply`, which folds
+//! one committed event into it. A live step commits its event — append,
+//! then `apply` — and keeps only side effects for itself: scoring
+//! models, writing chunk files and artifacts, running searches,
+//! publishing to or rolling back the registry. Nothing in the state
+//! grows with the stream's length.
+//!
 //! # Crash recovery
 //!
 //! Every decision is journaled *before* it takes effect elsewhere, and
@@ -25,12 +36,12 @@
 //! deterministic to recompute or read back and verified. Because the
 //! pipeline is strictly sequential, at most the **last** chunk's
 //! processing can be incomplete after a crash. [`OnlineSession::open`]
-//! replays the committed events to rebuild the exact in-memory state
-//! (including the drift detector, which is a pure function of the
-//! journaled losses), then re-enters the pipeline for the last chunk
-//! with a progress mask of the steps already committed — each step is
-//! skipped if committed, recomputed identically if not. The resulting
-//! journal is byte-identical to an uninterrupted run's.
+//! calls the same `apply` on every committed event, loads the two
+//! models and the window the state names, then runs the last chunk
+//! through the same `run_chunk` a live push uses: each step its
+//! progress mask records is skipped, the rest are recomputed
+//! identically. The resulting journal is byte-identical to an
+//! uninterrupted run's.
 
 use crate::chunk::{concat_chunks, ChunkPayload};
 use crate::drift::{DriftDetector, DriftSignal};
@@ -309,60 +320,57 @@ pub struct StreamStatus {
     pub window: usize,
 }
 
-/// A champion (or probation predecessor): the era it was promoted in
-/// and its compiled artifact.
-#[derive(Debug, Clone)]
-struct Champion {
-    era: u64,
-    model: CompiledModel,
-}
-
-/// Progress mask for the chunk being (re-)processed: which pipeline
-/// steps already have committed journal events. Live pushes start from
-/// `default()`; recovery folds the committed tail of the journal into
-/// one of these and re-enters the pipeline with it.
-#[derive(Debug, Clone, Default)]
+/// What the current chunk's pipeline has already committed. `apply`
+/// resets it at each `chunk` event and fills it in as the chunk's later
+/// events commit; `run_chunk` skips every step it
+/// records, which is nothing on a live push and the committed prefix
+/// on recovery.
+#[derive(Debug, Default)]
 struct Progress {
-    chunk: Option<usize>,
-    /// Champion era when the chunk's processing started (`Some(0)` =
-    /// none). Live pushes leave this `None` (the current champion *is*
-    /// the chunk-start champion); recovery needs it because a round
-    /// later in the same chunk may have replaced the champion — the
-    /// prequential eval must not rerun against the new one.
-    era_at_start: Option<u64>,
-    /// Whether probation was already running when the chunk's
-    /// processing started. Same recovery concern as `era_at_start`: a
-    /// promotion *during* this chunk starts probation for the next
-    /// chunk, not retroactively for this one.
-    probation_at_start: Option<bool>,
+    /// Champion era when the chunk arrived (0 = none): the prequential
+    /// eval runs against it even if a round later in the chunk promotes
+    /// a new champion.
+    era_at_start: u64,
+    /// Whether probation was running when the chunk arrived; a
+    /// promotion during the chunk starts probation with the next one.
+    probation_at_start: bool,
     champ_eval: Option<f64>,
-    prev_eval: bool,
-    drift_committed: bool,
     drift_signal: Option<DriftSignal>,
+    prev_eval: bool,
+    rolled_back: bool,
+    drift_committed: bool,
     round: Option<(u64, String)>,
     decided: bool,
 }
 
-/// Scalar state recovered by folding the committed journal events.
-struct FoldState {
+/// The stream's state: a fold of its committed events. Only `apply`
+/// changes it — after each commit on a live push, and over the
+/// read-back journal on recovery.
+#[derive(Debug)]
+struct Folded {
     next_chunk: usize,
-    last_fp: u64,
+    /// Fingerprints of the last `window_chunks` chunks, oldest first.
+    fps: VecDeque<u64>,
     chunks_since_round: usize,
+    /// Chunks until the follow-up round a rejected drift round armed
+    /// (`Some(0)` = due). See the round decision in `run_chunk`.
+    retry_in: Option<usize>,
     rounds: u64,
     next_era: u64,
     champ_era: u64,
+    /// The probation predecessor's era (0 = no probation). Non-zero
+    /// with `probation_left == 0` only while a failed probation's
+    /// rollback is due.
     prev_era: u64,
     probation_left: usize,
     prob_cur: f64,
     prob_prev: f64,
     detector: DriftDetector,
-    retry_in: Option<usize>,
     n_drift: usize,
     n_promote: usize,
     n_reject: usize,
     n_rollback: usize,
     last_loss: Option<f64>,
-    chunk_fps: BTreeMap<usize, u64>,
     progress: Progress,
 }
 
@@ -374,27 +382,11 @@ pub struct OnlineSession {
     log: LineLog,
     metric: Metric,
     policy: PromotionPolicy,
-    detector: DriftDetector,
-    next_chunk: usize,
-    last_fp: u64,
+    state: Folded,
     window: VecDeque<(usize, Dataset)>,
-    champion: Option<Champion>,
-    prev: Option<Champion>,
-    next_era: u64,
-    rounds: u64,
-    chunks_since_round: usize,
-    /// Chunks until the follow-up round a rejected drift round armed
-    /// (`Some(0)` = due). See the round-decision chain in `process`.
-    retry_in: Option<usize>,
-    probation_left: usize,
-    prob_cur: f64,
-    prob_prev: f64,
-    n_drift: usize,
-    n_promote: usize,
-    n_reject: usize,
-    n_rollback: usize,
-    last_loss: Option<f64>,
-    events: Vec<OnlineEvent>,
+    /// Compiled models of the eras `state` names: the champion and the
+    /// probation predecessor.
+    models: BTreeMap<u64, CompiledModel>,
     wedged: bool,
 }
 
@@ -454,75 +446,60 @@ impl OnlineSession {
         for sub in ["", "chunks", "rounds", "champions"] {
             sweep_stale_tmps(s.rt.storage.as_ref(), &s.dir.join(sub))?;
         }
-
-        let fold = s.fold(&contents.records)?;
-        s.next_chunk = fold.next_chunk;
-        s.last_fp = fold.last_fp;
-        s.chunks_since_round = fold.chunks_since_round;
-        s.retry_in = fold.retry_in;
-        s.rounds = fold.rounds;
-        s.next_era = fold.next_era;
-        s.probation_left = fold.probation_left;
-        s.prob_cur = fold.prob_cur;
-        s.prob_prev = fold.prob_prev;
-        s.detector = fold.detector;
-        s.n_drift = fold.n_drift;
-        s.n_promote = fold.n_promote;
-        s.n_reject = fold.n_reject;
-        s.n_rollback = fold.n_rollback;
-        s.last_loss = fold.last_loss;
-        s.events = contents.records;
-
-        s.champion = s.load_champion(fold.champ_era)?;
-        s.prev = s.load_champion(fold.prev_era)?;
-        s.load_window(&fold.chunk_fps)?;
+        for ev in &contents.records {
+            s.apply(ev)?;
+        }
+        let named = [s.state.prev_era, s.state.champ_era];
+        for era in named.into_iter().filter(|&era| era != 0) {
+            let model = CompiledModel::load_with(s.rt.storage.as_ref(), &s.champion_path(era))
+                .map_err(artifact_err)?;
+            s.models.insert(era, model);
+        }
+        s.load_window()?;
 
         // Restore serving state: the registry is process-local, so
         // republish the probation predecessor (rollback target) first,
         // then the current champion on top of it.
         if let Some(reg) = &s.rt.registry {
-            if let Some(prev) = &s.prev {
-                reg.publish_with(&s.rt.slot, prev.model.clone(), PromoteReason::Manual);
-            }
-            if let Some(champ) = &s.champion {
-                reg.publish_with(&s.rt.slot, champ.model.clone(), PromoteReason::Manual);
+            for model in named.iter().filter_map(|era| s.models.get(era)) {
+                reg.publish_with(&s.rt.slot, model.clone(), PromoteReason::Manual);
             }
         }
-
-        s.finish_pending(fold.progress)?;
+        s.finish_pending()?;
         Ok(s)
     }
 
     fn blank(dir: PathBuf, cfg: OnlineConfig, rt: OnlineRuntime, log: LineLog) -> OnlineSession {
-        let metric = cfg.resolved_metric();
-        let policy = PromotionPolicy::new(cfg.promote_margin);
-        let detector = DriftDetector::new(cfg.drift_window, cfg.drift_threshold);
-        OnlineSession {
-            cfg,
-            rt,
-            dir,
-            log,
-            metric,
-            policy,
-            detector,
+        let state = Folded {
             next_chunk: 0,
-            last_fp: 0,
-            window: VecDeque::new(),
-            champion: None,
-            prev: None,
-            next_era: 1,
-            rounds: 0,
+            fps: VecDeque::new(),
             chunks_since_round: 0,
             retry_in: None,
+            rounds: 0,
+            next_era: 1,
+            champ_era: 0,
+            prev_era: 0,
             probation_left: 0,
             prob_cur: 0.0,
             prob_prev: 0.0,
+            detector: DriftDetector::new(cfg.drift_window, cfg.drift_threshold),
             n_drift: 0,
             n_promote: 0,
             n_reject: 0,
             n_rollback: 0,
             last_loss: None,
-            events: Vec::new(),
+            progress: Progress::default(),
+        };
+        OnlineSession {
+            metric: cfg.resolved_metric(),
+            policy: PromotionPolicy::new(cfg.promote_margin),
+            cfg,
+            rt,
+            dir,
+            log,
+            state,
+            window: VecDeque::new(),
+            models: BTreeMap::new(),
             wedged: false,
         }
     }
@@ -559,37 +536,46 @@ impl OnlineSession {
         if data.n_rows() == 0 {
             return Err(OnlineError::Corrupt("empty chunk".to_string()));
         }
-        if self.next_chunk > 0 && data.fingerprint() == self.last_fp {
+        if self.state.fps.back() == Some(&data.fingerprint()) {
             return Ok(ChunkOutcome::Duplicate);
         }
-        let index = self.next_chunk;
+        let index = self.state.next_chunk;
         let result = self
             .persist_chunk(index, data)
-            .and_then(|()| self.run_chunk(index, data.clone(), Progress::default()));
+            .and_then(|()| self.run_chunk(index, data));
         if result.is_err() {
             self.wedged = true;
         }
         result
     }
 
-    /// The committed promotion trace (all events since stream start).
-    pub fn events(&self) -> &[OnlineEvent] {
-        &self.events
+    /// The committed promotion trace (all events since stream start),
+    /// read back from the journal.
+    ///
+    /// # Errors
+    ///
+    /// [`OnlineError::Journal`] if the journal cannot be read.
+    pub fn events(&self) -> Result<Vec<OnlineEvent>, OnlineError> {
+        let journal = self.dir.join("online.jsonl");
+        let contents =
+            read_log(self.rt.storage.as_ref(), &journal).map_err(OnlineError::Journal)?;
+        Ok(contents.records)
     }
 
     /// The stream's counters.
     pub fn status(&self) -> StreamStatus {
+        let st = &self.state;
         StreamStatus {
-            chunks: self.next_chunk,
-            rounds: self.rounds,
-            era: self.champion.as_ref().map_or(0, |c| c.era),
-            drift_events: self.n_drift,
-            promotions: self.n_promote,
-            rejections: self.n_reject,
-            rollbacks: self.n_rollback,
-            last_loss: self.last_loss,
-            probation_left: if self.prev.is_some() {
-                self.probation_left
+            chunks: st.next_chunk,
+            rounds: st.rounds,
+            era: st.champ_era,
+            drift_events: st.n_drift,
+            promotions: st.n_promote,
+            rejections: st.n_reject,
+            rollbacks: st.n_rollback,
+            last_loss: st.last_loss,
+            probation_left: if st.prev_era != 0 {
+                st.probation_left
             } else {
                 0
             },
@@ -615,7 +601,7 @@ impl OnlineSession {
 
     /// The serving champion's compiled model, if a champion exists.
     pub fn champion_model(&self) -> Option<&CompiledModel> {
-        self.champion.as_ref().map(|c| &c.model)
+        self.models.get(&self.state.champ_era)
     }
 
     /// Raw bytes of the stream journal — the promotion trace the
@@ -628,23 +614,16 @@ impl OnlineSession {
     // Pipeline
     // ------------------------------------------------------------------
 
-    /// Runs (or resumes, per `prog`) the pipeline for chunk `index`.
-    fn run_chunk(
-        &mut self,
-        index: usize,
-        data: Dataset,
-        mut prog: Progress,
-    ) -> Result<ChunkOutcome, OnlineError> {
-        let fp = data.fingerprint();
-        if prog.chunk.is_none() {
+    /// Runs chunk `index` through the pipeline, skipping each step the
+    /// chunk's progress mask records as committed. A live push enters
+    /// with `index == next_chunk` and commits every step; recovery
+    /// re-enters with the last committed chunk and commits the rest.
+    fn run_chunk(&mut self, index: usize, data: &Dataset) -> Result<ChunkOutcome, OnlineError> {
+        if index == self.state.next_chunk {
             let mut ev = OnlineEvent::new(kind::CHUNK, index);
-            ev.fingerprint = fp;
+            ev.fingerprint = data.fingerprint();
             ev.rows = data.n_rows();
             self.commit(ev)?;
-            self.next_chunk = index + 1;
-            self.last_fp = fp;
-            self.chunks_since_round += 1;
-            self.retry_in = self.retry_in.map(|r| r.saturating_sub(1));
         }
         if self.window.back().map(|(i, _)| *i) != Some(index) {
             self.window.push_back((index, data.clone()));
@@ -657,133 +636,91 @@ impl OnlineSession {
         // Prequential champion eval — against the champion serving
         // when the chunk *arrived* (a round later in this chunk may
         // promote a new one).
-        let mut champion_loss = None;
-        let eval_era = match prog.era_at_start {
-            Some(0) => None,
-            Some(era) => Some(era),
-            None => self.champion.as_ref().map(|c| c.era),
-        };
-        if let Some(champ_era) = eval_era {
-            let loss = match prog.champ_eval {
-                Some(loss) => loss,
-                None => {
-                    let model = self.champion.as_ref().expect("era implies champion");
-                    let loss = eval_model(self.metric, &model.model, &data)?;
-                    let mut ev = OnlineEvent::new(kind::EVAL, index);
-                    ev.era = champ_era;
-                    ev.loss = loss;
-                    self.commit(ev)?;
-                    if self.prev.is_some() && self.probation_left > 0 {
-                        self.prob_cur += loss;
-                    }
-                    self.last_loss = Some(loss);
-                    prog.drift_signal = self.detector.observe(loss);
-                    loss
-                }
-            };
-            champion_loss = Some(loss);
+        let p = &self.state.progress;
+        if p.era_at_start != 0 && p.champ_eval.is_none() {
+            self.commit_eval(index, p.era_at_start, data)?;
         }
-
-        // Probation: score the previous champion on the same chunk and
-        // decide once the probation window closes. The decision is a
-        // pure function of the journaled eval sums, so recovery
-        // recomputes it identically.
-        let mut rolled_back = false;
-        let probation_active = match prog.probation_at_start {
-            Some(active) => active,
-            None => self.prev.is_some() && self.probation_left > 0,
-        };
-        if probation_active && self.prev.is_some() && self.probation_left > 0 && !prog.prev_eval {
-            let prev = self.prev.as_ref().expect("checked above");
-            let prev_era = prev.era;
-            let loss = eval_model(self.metric, &prev.model, &data)?;
-            let mut ev = OnlineEvent::new(kind::EVAL, index);
-            ev.era = prev_era;
-            ev.loss = loss;
+        // Probation: score the previous champion on the same chunk.
+        // `apply` decides once the window closes: a pass just ends
+        // probation, a failure leaves the rollback below due.
+        let p = &self.state.progress;
+        if p.probation_at_start && !p.prev_eval {
+            self.commit_eval(index, self.state.prev_era, data)?;
+        }
+        if self.state.prev_era != 0 && self.state.probation_left == 0 {
+            let mut ev = OnlineEvent::new(kind::ROLLBACK, index);
+            ev.era = self.state.prev_era;
+            ev.version = self.state.prev_era;
+            ev.previous = self.state.champ_era;
             self.commit(ev)?;
-            self.prob_prev += loss;
-            self.probation_left -= 1;
-        }
-        if self.prev.is_some() && self.probation_left == 0 {
-            if self.policy.should_roll_back(self.prob_prev, self.prob_cur) {
-                let prev = self.prev.take().expect("checked above");
-                let current_era = self.champion.as_ref().map_or(0, |c| c.era);
-                let mut ev = OnlineEvent::new(kind::ROLLBACK, index);
-                ev.era = prev.era;
-                ev.version = prev.era;
-                ev.previous = current_era;
-                self.commit(ev)?;
-                self.n_rollback += 1;
-                if let Some(reg) = &self.rt.registry {
-                    reg.rollback(&self.rt.slot);
-                }
-                self.champion = Some(prev);
-                self.detector.reset();
-                rolled_back = true;
-            } else {
-                self.prev = None;
+            if let Some(reg) = &self.rt.registry {
+                reg.rollback(&self.rt.slot);
             }
         }
 
         // Round decision. Suppressed while a rollback just happened or
-        // probation is still running (`prev` is only Some then) — the
-        // last promotion must settle before the next challenger.
-        let mut drifted = prog.drift_committed;
-        let mut round_outcome = None;
-        if let Some((round_id, reason)) = prog.round.clone() {
-            if !prog.decided {
-                round_outcome = Some(self.complete_round(index, round_id, &reason, true)?);
-            }
-        } else if !rolled_back && self.prev.is_none() {
-            if self.champion.is_none() {
-                if self.window.len() >= self.cfg.warmup_chunks {
-                    round_outcome = Some(self.start_round(index, "warmup")?);
-                }
-            } else if let Some(sig) = prog.drift_signal {
-                if !prog.drift_committed {
-                    let era = self.champion.as_ref().expect("champion exists").era;
+        // probation is still running — the last promotion must settle
+        // before the next challenger.
+        let p = &self.state.progress;
+        let resumed = p.round.is_some();
+        if !resumed && !p.rolled_back && self.state.prev_era == 0 {
+            let reason = if self.state.champ_era == 0 {
+                (self.window.len() >= self.cfg.warmup_chunks).then_some("warmup")
+            } else if let Some(sig) = p.drift_signal {
+                if !p.drift_committed {
                     let mut ev = OnlineEvent::new(kind::DRIFT, index);
-                    ev.era = era;
+                    ev.era = self.state.champ_era;
                     ev.baseline = sig.baseline;
                     ev.recent = sig.recent;
                     self.commit(ev)?;
-                    self.n_drift += 1;
                 }
-                drifted = true;
-                round_outcome = Some(self.start_round(index, "drift")?);
-            } else if self.retry_in == Some(0) {
+                Some("drift")
+            } else if self.state.retry_in == Some(0) {
                 // A drift-triggered challenger lost its holdout — almost
                 // always because the training window still held the old
                 // concept when drift was confirmed. The window has since
                 // refreshed with post-shift chunks; try once more.
-                round_outcome = Some(self.start_round(index, "retry")?);
+                Some("retry")
             } else if self.cfg.refresh_every > 0
-                && self.chunks_since_round >= self.cfg.refresh_every
+                && self.state.chunks_since_round >= self.cfg.refresh_every
             {
-                round_outcome = Some(self.start_round(index, "scheduled")?);
+                Some("scheduled")
+            } else {
+                None
+            };
+            if let Some(reason) = reason {
+                let mut ev = OnlineEvent::new(kind::ROUND, index);
+                ev.round = self.state.rounds + 1;
+                ev.reason = reason.to_string();
+                self.commit(ev)?;
             }
         }
+        let round = match self.state.progress.round.clone() {
+            Some((round_id, reason)) if !self.state.progress.decided => {
+                Some(self.complete_round(index, round_id, &reason, resumed)?)
+            }
+            _ => None,
+        };
 
+        let p = &self.state.progress;
         Ok(ChunkOutcome::Processed {
             chunk: index,
-            champion_loss,
-            drifted,
-            round: round_outcome,
-            rolled_back,
+            champion_loss: p.champ_eval,
+            drifted: p.drift_committed,
+            round,
+            rolled_back: p.rolled_back,
         })
     }
 
-    /// Journals a `round` event and runs the round to its decision.
-    fn start_round(&mut self, index: usize, reason: &str) -> Result<RoundOutcome, OnlineError> {
-        let round_id = self.rounds + 1;
-        let mut ev = OnlineEvent::new(kind::ROUND, index);
-        ev.round = round_id;
-        ev.reason = reason.to_string();
-        self.commit(ev)?;
-        self.rounds = round_id;
-        self.chunks_since_round = 0;
-        self.retry_in = None;
-        self.complete_round(index, round_id, reason, false)
+    /// Scores era `era`'s model on the chunk and journals the `eval`.
+    fn commit_eval(&mut self, index: usize, era: u64, data: &Dataset) -> Result<(), OnlineError> {
+        let model = self.models.get(&era).ok_or_else(|| {
+            OnlineError::Corrupt(format!("no model for era {era} at chunk {index}"))
+        })?;
+        let mut ev = OnlineEvent::new(kind::EVAL, index);
+        ev.era = era;
+        ev.loss = eval_model(self.metric, model, data)?;
+        self.commit(ev)
     }
 
     /// Trains a challenger for round `round_id`, scores it against the
@@ -838,38 +775,39 @@ impl OnlineSession {
             Some(m) => eval_model(self.metric, m, &holdout)?,
             None => f64::INFINITY,
         };
-        let champion_loss = match &self.champion {
-            Some(c) => eval_model(self.metric, &c.model, &holdout)?,
+        let champion_loss = match self.champion_model() {
+            Some(m) => eval_model(self.metric, m, &holdout)?,
             None => f64::INFINITY,
         };
 
         let promoted =
             compiled.is_some() && self.policy.should_promote(challenger_loss, champion_loss);
+        let mut ev = OnlineEvent::new(
+            if promoted {
+                kind::PROMOTE
+            } else {
+                kind::REJECT
+            },
+            index,
+        );
+        ev.round = round_id;
+        ev.loss = challenger_loss;
+        ev.baseline = champion_loss;
+        ev.reason = reason.to_string();
         if promoted {
             let model = compiled.expect("promoted implies compiled");
-            let era = self.next_era;
+            let era = self.state.next_era;
             let artifact = self.champion_path(era);
             self.rt
                 .storage
                 .create_dir_all(&self.dir.join("champions"))?;
-            let model_fp = model
+            ev.model_fp = model
                 .save_with(self.rt.storage.as_ref(), &artifact)
                 .map_err(artifact_err)?;
-            let previous_era = self.champion.as_ref().map_or(0, |c| c.era);
-
-            let mut ev = OnlineEvent::new(kind::PROMOTE, index);
             ev.era = era;
-            ev.round = round_id;
-            ev.loss = challenger_loss;
-            ev.baseline = champion_loss;
-            ev.reason = reason.to_string();
             ev.version = era;
-            ev.previous = previous_era;
-            ev.model_fp = model_fp;
+            ev.previous = self.state.champ_era;
             self.commit(ev)?;
-            self.n_promote += 1;
-            self.next_era = era + 1;
-
             if let Some(reg) = &self.rt.registry {
                 let why = if reason == "drift" || reason == "retry" {
                     PromoteReason::Drift
@@ -878,31 +816,9 @@ impl OnlineSession {
                 };
                 reg.publish_with(&self.rt.slot, model.clone(), why);
             }
-            let old = self.champion.replace(Champion { era, model });
-            if let Some(old) = old {
-                if self.cfg.probation_chunks > 0 {
-                    self.prev = Some(old);
-                    self.probation_left = self.cfg.probation_chunks;
-                    self.prob_cur = 0.0;
-                    self.prob_prev = 0.0;
-                }
-            }
-            self.detector.reset();
+            self.models.insert(era, model);
         } else {
-            let mut ev = OnlineEvent::new(kind::REJECT, index);
-            ev.round = round_id;
-            ev.loss = challenger_loss;
-            ev.baseline = champion_loss;
-            ev.reason = reason.to_string();
             self.commit(ev)?;
-            self.n_reject += 1;
-            self.detector.reset();
-            if reason == "drift" {
-                // One follow-up once the sliding window is fully
-                // post-shift; a rejected retry does not re-arm, so a
-                // false alarm costs exactly one extra search.
-                self.retry_in = Some(self.cfg.window_chunks.saturating_sub(1));
-            }
         }
         Ok(RoundOutcome {
             round: round_id,
@@ -945,11 +861,119 @@ impl OnlineSession {
         Ok(settings)
     }
 
+    /// Appends `ev` to the journal, then folds it into the state and
+    /// drops the models of eras the state no longer names.
     fn commit(&mut self, ev: OnlineEvent) -> Result<(), OnlineError> {
         let journal = self.dir.join("online.jsonl");
         self.log
             .append(&to_line(&ev, "serialize-event", &journal)?)?;
-        self.events.push(ev);
+        self.apply(&ev)?;
+        let (champ, prev) = (self.state.champ_era, self.state.prev_era);
+        self.models.retain(|&era, _| era == champ || era == prev);
+        Ok(())
+    }
+
+    /// Folds one committed event into the stream's state — the only
+    /// code that changes it, on the live path and on recovery alike.
+    /// Every rule is a pure function of the event and the state, so a
+    /// replayed journal rebuilds exactly what the live session held.
+    fn apply(&mut self, ev: &OnlineEvent) -> Result<(), OnlineError> {
+        let st = &mut self.state;
+        let p = &mut st.progress;
+        match ev.kind.as_str() {
+            kind::CHUNK => {
+                st.next_chunk = ev.chunk + 1;
+                st.fps.push_back(ev.fingerprint);
+                if st.fps.len() > self.cfg.window_chunks {
+                    st.fps.pop_front();
+                }
+                st.chunks_since_round += 1;
+                st.retry_in = st.retry_in.map(|r| r.saturating_sub(1));
+                *p = Progress {
+                    era_at_start: st.champ_era,
+                    probation_at_start: st.prev_era != 0 && st.probation_left > 0,
+                    ..Progress::default()
+                };
+            }
+            kind::EVAL if ev.era == st.champ_era && ev.era != 0 => {
+                if st.prev_era != 0 && st.probation_left > 0 {
+                    st.prob_cur += ev.loss;
+                }
+                st.last_loss = Some(ev.loss);
+                p.champ_eval = Some(ev.loss);
+                p.drift_signal = st.detector.observe(ev.loss);
+            }
+            kind::EVAL if ev.era == st.prev_era && ev.era != 0 => {
+                st.prob_prev += ev.loss;
+                st.probation_left = st.probation_left.saturating_sub(1);
+                p.prev_eval = true;
+                // The last probation eval decides: a pass writes no
+                // event and ends probation here; a failure keeps
+                // `prev_era` until the `rollback` event commits.
+                if st.probation_left == 0
+                    && !self.policy.should_roll_back(st.prob_prev, st.prob_cur)
+                {
+                    st.prev_era = 0;
+                }
+            }
+            kind::EVAL => {
+                return Err(OnlineError::Corrupt(format!(
+                    "eval event for unknown era {} at chunk {}",
+                    ev.era, ev.chunk
+                )))
+            }
+            kind::DRIFT => {
+                st.n_drift += 1;
+                p.drift_committed = true;
+            }
+            kind::ROUND => {
+                st.rounds = ev.round;
+                st.chunks_since_round = 0;
+                st.retry_in = None;
+                p.round = Some((ev.round, ev.reason.clone()));
+            }
+            kind::PROMOTE => {
+                st.n_promote += 1;
+                st.next_era = st.next_era.max(ev.era + 1);
+                if ev.previous != 0 && self.cfg.probation_chunks > 0 {
+                    st.prev_era = ev.previous;
+                    st.probation_left = self.cfg.probation_chunks;
+                    st.prob_cur = 0.0;
+                    st.prob_prev = 0.0;
+                } else {
+                    st.prev_era = 0;
+                    st.probation_left = 0;
+                }
+                st.champ_era = ev.era;
+                st.detector.reset();
+                p.decided = true;
+            }
+            kind::REJECT => {
+                st.n_reject += 1;
+                st.detector.reset();
+                if ev.reason == "drift" {
+                    // One follow-up once the sliding window is fully
+                    // post-shift; a rejected retry does not re-arm, so
+                    // a false alarm costs exactly one extra search.
+                    st.retry_in = Some(self.cfg.window_chunks.saturating_sub(1));
+                }
+                p.decided = true;
+            }
+            kind::ROLLBACK => {
+                st.n_rollback += 1;
+                st.champ_era = ev.version;
+                st.prev_era = 0;
+                st.probation_left = 0;
+                st.detector.reset();
+                p.rolled_back = true;
+            }
+            other => {
+                return Err(OnlineError::Corrupt(format!(
+                    "unknown event kind {other:?} at chunk {}",
+                    ev.chunk
+                )))
+            }
+        }
         Ok(())
     }
 
@@ -999,153 +1023,27 @@ impl OnlineSession {
     // Recovery
     // ------------------------------------------------------------------
 
-    /// Replays the committed events into the scalar state an
-    /// uninterrupted session would hold, plus the progress mask of the
-    /// last chunk. The drift detector is rebuilt by feeding it the
-    /// journaled champion losses — it is a pure function of them.
-    fn fold(&self, events: &[OnlineEvent]) -> Result<FoldState, OnlineError> {
-        let mut f = FoldState {
-            next_chunk: 0,
-            last_fp: 0,
-            chunks_since_round: 0,
-            rounds: 0,
-            next_era: 1,
-            champ_era: 0,
-            prev_era: 0,
-            probation_left: 0,
-            prob_cur: 0.0,
-            prob_prev: 0.0,
-            detector: DriftDetector::new(self.cfg.drift_window, self.cfg.drift_threshold),
-            retry_in: None,
-            n_drift: 0,
-            n_promote: 0,
-            n_reject: 0,
-            n_rollback: 0,
-            last_loss: None,
-            chunk_fps: BTreeMap::new(),
-            progress: Progress::default(),
-        };
-        // A probation decision that *passes* writes no event; it is
-        // implied by any later event. Rollbacks are explicit.
-        let settle_probation = |f: &mut FoldState| {
-            if f.prev_era != 0 && f.probation_left == 0 {
-                f.prev_era = 0;
-            }
-        };
-        for ev in events {
-            match ev.kind.as_str() {
-                kind::CHUNK => {
-                    settle_probation(&mut f);
-                    f.next_chunk = ev.chunk + 1;
-                    f.last_fp = ev.fingerprint;
-                    f.chunks_since_round += 1;
-                    f.retry_in = f.retry_in.map(|r| r.saturating_sub(1));
-                    f.chunk_fps.insert(ev.chunk, ev.fingerprint);
-                    f.progress = Progress {
-                        chunk: Some(ev.chunk),
-                        era_at_start: Some(f.champ_era),
-                        probation_at_start: Some(f.prev_era != 0 && f.probation_left > 0),
-                        ..Progress::default()
-                    };
-                }
-                kind::EVAL => {
-                    if ev.era == f.champ_era && f.champ_era != 0 {
-                        if f.prev_era != 0 && f.probation_left > 0 {
-                            f.prob_cur += ev.loss;
-                        }
-                        f.last_loss = Some(ev.loss);
-                        f.progress.champ_eval = Some(ev.loss);
-                        f.progress.drift_signal = f.detector.observe(ev.loss);
-                    } else if ev.era == f.prev_era && f.prev_era != 0 {
-                        f.prob_prev += ev.loss;
-                        f.probation_left = f.probation_left.saturating_sub(1);
-                        f.progress.prev_eval = true;
-                    } else {
-                        return Err(OnlineError::Corrupt(format!(
-                            "eval event for unknown era {} at chunk {}",
-                            ev.era, ev.chunk
-                        )));
-                    }
-                }
-                kind::DRIFT => {
-                    settle_probation(&mut f);
-                    f.n_drift += 1;
-                    f.progress.drift_committed = true;
-                }
-                kind::ROUND => {
-                    settle_probation(&mut f);
-                    f.rounds = ev.round;
-                    f.chunks_since_round = 0;
-                    f.retry_in = None;
-                    f.progress.round = Some((ev.round, ev.reason.clone()));
-                    f.progress.decided = false;
-                }
-                kind::PROMOTE => {
-                    f.n_promote += 1;
-                    f.next_era = f.next_era.max(ev.era + 1);
-                    if ev.previous != 0 && self.cfg.probation_chunks > 0 {
-                        f.prev_era = ev.previous;
-                        f.probation_left = self.cfg.probation_chunks;
-                        f.prob_cur = 0.0;
-                        f.prob_prev = 0.0;
-                    } else {
-                        f.prev_era = 0;
-                        f.probation_left = 0;
-                    }
-                    f.champ_era = ev.era;
-                    f.detector.reset();
-                    f.progress.decided = true;
-                }
-                kind::REJECT => {
-                    f.n_reject += 1;
-                    f.detector.reset();
-                    if ev.reason == "drift" {
-                        f.retry_in = Some(self.cfg.window_chunks.saturating_sub(1));
-                    }
-                    f.progress.decided = true;
-                }
-                kind::ROLLBACK => {
-                    f.n_rollback += 1;
-                    f.champ_era = ev.version;
-                    f.prev_era = 0;
-                    f.probation_left = 0;
-                    f.detector.reset();
-                }
-                other => {
-                    return Err(OnlineError::Corrupt(format!(
-                        "unknown event kind {other:?} at chunk {}",
-                        ev.chunk
-                    )))
-                }
-            }
-        }
-        Ok(f)
-    }
-
-    /// Loads the champion artifact for `era` (0 = none).
-    fn load_champion(&self, era: u64) -> Result<Option<Champion>, OnlineError> {
-        if era == 0 {
-            return Ok(None);
-        }
-        let model = CompiledModel::load_with(self.rt.storage.as_ref(), &self.champion_path(era))
-            .map_err(artifact_err)?;
-        Ok(Some(Champion { era, model }))
+    /// Decodes persisted chunk `index`.
+    fn read_chunk(&self, index: usize) -> Result<Dataset, OnlineError> {
+        let bytes = self
+            .rt
+            .storage
+            .read(&self.chunk_path(index))
+            .map_err(|e| OnlineError::Corrupt(format!("chunk {index} unreadable: {e}")))?;
+        let text = String::from_utf8(bytes)
+            .map_err(|_| OnlineError::Corrupt(format!("chunk {index} not UTF-8")))?;
+        let payload: ChunkPayload = serde_json::from_str(&text)
+            .map_err(|e| OnlineError::Corrupt(format!("chunk {index} invalid: {e}")))?;
+        payload.into_dataset()
     }
 
     /// Reloads the sliding window from the persisted chunk files,
     /// verifying each against its journaled fingerprint.
-    fn load_window(&mut self, chunk_fps: &BTreeMap<usize, u64>) -> Result<(), OnlineError> {
-        let start = self.next_chunk.saturating_sub(self.cfg.window_chunks);
-        for index in start..self.next_chunk {
-            let bytes = self.rt.storage.read(&self.chunk_path(index)).map_err(|e| {
-                OnlineError::Corrupt(format!("window chunk {index} unreadable: {e}"))
-            })?;
-            let text = String::from_utf8(bytes)
-                .map_err(|_| OnlineError::Corrupt(format!("window chunk {index} not UTF-8")))?;
-            let payload: ChunkPayload = serde_json::from_str(&text)
-                .map_err(|e| OnlineError::Corrupt(format!("window chunk {index} invalid: {e}")))?;
-            let data = payload.into_dataset()?;
-            if chunk_fps.get(&index) != Some(&data.fingerprint()) {
+    fn load_window(&mut self) -> Result<(), OnlineError> {
+        let start = self.state.next_chunk - self.state.fps.len();
+        for (index, &fp) in (start..).zip(&self.state.fps) {
+            let data = self.read_chunk(index)?;
+            if data.fingerprint() != fp {
                 return Err(OnlineError::Corrupt(format!(
                     "window chunk {index} fingerprint mismatch"
                 )));
@@ -1158,27 +1056,14 @@ impl OnlineSession {
     /// Completes whatever a crash interrupted: the last chunk's
     /// remaining pipeline steps, then a chunk that was persisted but
     /// never journaled.
-    fn finish_pending(&mut self, progress: Progress) -> Result<(), OnlineError> {
-        if let Some(index) = progress.chunk {
-            let data = self
-                .window
-                .back()
-                .filter(|(i, _)| *i == index)
-                .map(|(_, d)| d.clone())
-                .ok_or_else(|| {
-                    OnlineError::Corrupt(format!("last chunk {index} missing from window"))
-                })?;
-            self.run_chunk(index, data, progress)?;
+    fn finish_pending(&mut self) -> Result<(), OnlineError> {
+        if let Some((index, data)) = self.window.back().cloned() {
+            self.run_chunk(index, &data)?;
         }
-        let pending = self.chunk_path(self.next_chunk);
-        if self.rt.storage.exists(&pending) {
-            let bytes = self.rt.storage.read(&pending)?;
-            let text = String::from_utf8(bytes)
-                .map_err(|_| OnlineError::Corrupt("pending chunk not UTF-8".to_string()))?;
-            let payload: ChunkPayload = serde_json::from_str(&text)
-                .map_err(|e| OnlineError::Corrupt(format!("pending chunk invalid: {e}")))?;
-            let data = payload.into_dataset()?;
-            self.run_chunk(self.next_chunk, data, Progress::default())?;
+        let next = self.state.next_chunk;
+        if self.rt.storage.exists(&self.chunk_path(next)) {
+            let data = self.read_chunk(next)?;
+            self.run_chunk(next, &data)?;
         }
         Ok(())
     }

@@ -2,9 +2,10 @@
 //! journals across worker counts, across kill-and-reopen at every chunk
 //! boundary, and across crashpoint sweeps that kill the session at
 //! every mutating storage op (mirroring the server's durability suite)
-//! on three streams: a drift promotion, a probation rollback, and a
-//! rejected drift round with its armed retry. Every recovered session
-//! must also report the uninterrupted session's `status()`.
+//! on four streams: a drift promotion, a probation rollback, a rejected
+//! drift round with its armed retry, and a rollback on a chunk where a
+//! scheduled round is due. Every recovered session must also report the
+//! uninterrupted session's `status()`.
 
 mod common;
 
@@ -365,4 +366,23 @@ fn crashpoint_sweep_through_a_rejected_drift_round_and_its_retry() {
         "the rejected drift round must arm a retry"
     );
     assert_eq!(total, 177, "mutating storage ops of the stream lifecycle");
+}
+
+#[test]
+fn crashpoint_sweep_through_a_rollback_while_a_scheduled_round_is_due() {
+    // With `refresh_every = 1` a scheduled round is due on every chunk,
+    // the one whose probation fails included. The rollback suppresses
+    // that round live, so recovery after the `rollback` event commits
+    // must suppress it too.
+    let mut cfg = flip_config();
+    cfg.refresh_every = 1;
+    let chunks = flip_stream(&[(false, 4), (true, 4), (false, 2)]);
+    let (reference, total) = crash_sweep("sweep_due", &cfg, &chunks);
+    let status = reference.statuses.last().unwrap();
+    assert_eq!(
+        (status.promotions, status.rejections, status.rollbacks),
+        (3, 3, 1),
+        "{status:?}"
+    );
+    assert_eq!(total, 238, "mutating storage ops of the stream lifecycle");
 }

@@ -80,7 +80,7 @@ fn concept_shift_fires_drift_and_promotes_a_challenger() {
     );
     assert!(status.era >= 2, "champion never replaced: {status:?}");
 
-    let events = session.events();
+    let events = session.events().unwrap();
     assert!(
         events
             .iter()
@@ -198,7 +198,7 @@ fn rejected_drift_round_arms_a_retry_that_survives_restart() {
     for i in 0..n {
         session.push_chunk(&s.chunk(i)).unwrap();
     }
-    let events = session.events().to_vec();
+    let events = session.events().unwrap();
     let reference = session.journal_bytes().unwrap();
 
     let reject = events
@@ -348,6 +348,7 @@ fn reverting_concept_rolls_back_the_promotion() {
     assert!(
         session
             .events()
+            .unwrap()
             .iter()
             .any(|e| e.kind == kind::ROLLBACK && e.version == 1),
         "rollback event missing"

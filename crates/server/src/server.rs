@@ -33,8 +33,8 @@ use crate::api::{
 use crate::http::{is_timeout, read_request, write_response, Request};
 use crate::scheduler::{journal_progress, Scheduler, SearchJob};
 use flaml_core::{
-    discover, ArtifactFormat, BatchEngine, BlobModel, CompiledModel, EventSink, ExecPool,
-    ModelRegistry, SearchHandle, Telemetry, TrialEvent, TrialEventKind,
+    ArtifactFormat, BatchEngine, BlobModel, CompiledModel, EventSink, ExecPool, ModelRegistry,
+    SearchHandle, Telemetry, TrialEvent, TrialEventKind,
 };
 use flaml_data::{Dataset, Task};
 use flaml_online::{ChunkOutcome, OnlineError, OnlineRuntime, OnlineSession};
@@ -1039,11 +1039,6 @@ impl Server {
         };
         drop(telemetry);
         reply(200, &body)
-    }
-
-    /// Journals discovered under the state root (diagnostics).
-    pub fn journals(&self) -> Vec<flaml_core::DiscoveredJournal> {
-        discover(&self.inner.cfg.root).unwrap_or_default()
     }
 }
 

@@ -521,3 +521,52 @@ fn vanishing_peers_do_not_end_the_accept_loop() {
     }
     server.stop();
 }
+
+#[test]
+fn a_drift_window_that_cannot_fill_never_fires_and_the_stream_recovers() {
+    // `2 * drift_window` overflows: the detector must treat the window
+    // as never full, not panic on the first champion eval while the
+    // stream's lock is held (and again on every restart's replay).
+    let root = scratch_root("huge_drift_window");
+    let mut s = flaml_synth::DriftStream::new(3);
+    s.rows = 60;
+    s.features = 4;
+    let options = flaml_server::StreamOptions {
+        seed: Some(3),
+        estimators: vec!["lr".into()],
+        drift_window: Some(1 << 63),
+        round_trials: Some(4),
+        ..flaml_server::StreamOptions::default()
+    };
+    let status = |addr| {
+        let (code, body) = http(addr, "GET", "/tenants/acme/stream/wide/status", "");
+        assert_eq!(code, 200, "status failed: {body}");
+        serde_json::from_str::<flaml_server::StreamStatusBody>(&body).unwrap()
+    };
+
+    let (server, addr) = start(root.clone(), 4);
+    // Default warmup is 3 chunks: the fourth is the first the champion
+    // is evaluated on.
+    for i in 0..4 {
+        let request = StreamChunkRequest {
+            options: Some(options.clone()),
+            dataset: flaml_server::DatasetPayload::from_dataset(&s.chunk(i)),
+        };
+        let (code, body) = http(
+            addr,
+            "POST",
+            "/tenants/acme/stream/wide",
+            &serde_json::to_string(&request).unwrap(),
+        );
+        assert_eq!(code, 200, "chunk {i}: {body}");
+    }
+    let before = status(addr);
+    assert_eq!((before.chunks, before.era, before.drift_events), (4, 1, 0));
+    server.stop();
+
+    let (server, addr) = start(root.clone(), 4);
+    let after = status(addr);
+    assert_eq!((after.chunks, after.era), (4, 1), "{after:?}");
+    server.stop();
+    let _ = std::fs::remove_dir_all(&root);
+}
