@@ -322,9 +322,8 @@ pub struct StreamStatus {
 
 /// What the current chunk's pipeline has already committed. `apply`
 /// resets it at each `chunk` event and fills it in as the chunk's later
-/// events commit; `run_chunk` skips every step it
-/// records, which is nothing on a live push and the committed prefix
-/// on recovery.
+/// events commit; `run_chunk` skips every step it records, which is
+/// nothing on a live push and the committed prefix on recovery.
 #[derive(Debug, Default)]
 struct Progress {
     /// Champion era when the chunk arrived (0 = none): the prequential
