@@ -4,14 +4,14 @@
 //! random forest maps to score 1.
 
 use flaml_core::{
-    fit_learner, run_trial, AutoMlError, BudgetClock, ExecPool, LearnerKind, ResampleRule,
+    fit_learner, run_trial, AutoMl, AutoMlError, BudgetClock, ExecPool, LearnerKind, ResampleRule,
     TimeSource, TrialInfo,
 };
 use flaml_data::{Dataset, Task};
 use flaml_learners::FittedModel;
 use flaml_metrics::{Metric, Pred, ScaleAnchors};
 use flaml_search::RandomSearch;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The constant baseline predictor: class priors for classification,
 /// label mean for regression, fitted on `train` and emitted for `n_test`
@@ -40,8 +40,9 @@ pub fn constant_predictor(train: &Dataset, n_test: usize) -> Pred {
 ///
 /// # Errors
 ///
-/// Returns [`AutoMlError::NoViableModel`] if no configuration could be
-/// evaluated.
+/// Returns [`AutoMlError::BadTimeBudget`] unless `budget_secs` is finite
+/// and above zero, and [`AutoMlError::NoViableModel`] if no configuration
+/// could be evaluated.
 pub fn tuned_random_forest(
     train: &Dataset,
     metric: Metric,
@@ -50,6 +51,7 @@ pub fn tuned_random_forest(
     time_source: TimeSource,
     max_trials: Option<usize>,
 ) -> Result<FittedModel, AutoMlError> {
+    AutoMl::new().time_budget(budget_secs).validate()?;
     let kind = LearnerKind::Rf;
     let shuffled = train.shuffled(seed);
     let n = shuffled.n_rows();
@@ -70,13 +72,7 @@ pub fn tuned_random_forest(
         }
         let point = sampler.ask();
         let config = space.decode(&point);
-        let deadline = if clock.is_wall() {
-            Some(Duration::from_secs_f64(
-                (budget_secs - clock.elapsed()).max(0.05),
-            ))
-        } else {
-            None
-        };
+        let deadline = clock.deadline(budget_secs);
         let t0 = Instant::now();
         let outcome = run_trial(
             &shuffled,
@@ -124,7 +120,9 @@ pub fn tuned_random_forest(
 ///
 /// # Errors
 ///
-/// Returns [`AutoMlError`] if the reference forest could not be tuned.
+/// Returns [`AutoMlError`] if the reference forest could not be tuned,
+/// [`AutoMlError::BadTimeBudget`] among them for an unusable
+/// `rf_budget_secs`.
 pub fn calibration_anchors(
     train: &Dataset,
     test: &Dataset,
@@ -206,5 +204,25 @@ mod tests {
             anchors.reference,
             anchors.baseline
         );
+    }
+
+    #[test]
+    fn unusable_rf_budgets_are_typed_errors_before_any_trial() {
+        // NaN never trips the stop check and a wall deadline cannot hold
+        // ±inf; the trial cap makes a regression fail here, not hang.
+        let (train, test) = split_dataset(300, 2);
+        for source in [TimeSource::Wall, TimeSource::Virtual(default_virtual_cost)] {
+            let anchors = |budget: f64, cap: usize| {
+                calibration_anchors(&train, &test, Metric::RocAuc, budget, 0, source, Some(cap))
+            };
+            for budget in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0] {
+                match anchors(budget, 3) {
+                    Err(AutoMlError::BadTimeBudget(b)) => assert_eq!(b.to_bits(), budget.to_bits()),
+                    other => panic!("{budget} under {}: {:?}", source.name(), other.map(|_| ())),
+                }
+            }
+            // A finite budget too large for a `Duration` bounds nothing.
+            assert!(anchors(1e20, 2).is_ok(), "1e20 under {}", source.name());
+        }
     }
 }

@@ -4,7 +4,7 @@
 
 use crate::joint::JointSpace;
 use flaml_core::{
-    fit_learner, run_trial, AutoMlError, AutoMlResult, BudgetClock, ExecPool, LearnerKind,
+    fit_learner, run_trial, AutoMl, AutoMlError, AutoMlResult, BudgetClock, ExecPool, LearnerKind,
     ResampleRule, ResampleStrategy, TimeSource, TrialInfo, TrialMode, TrialRecord,
 };
 use flaml_data::Dataset;
@@ -100,13 +100,15 @@ enum Proposer {
 ///
 /// # Errors
 ///
-/// Returns [`AutoMlError`] if the estimator list has fewer than two
-/// entries or no trial produced a finite error.
+/// Returns [`AutoMlError`] if the time budget is not finite and above
+/// zero (the rule of [`AutoMl::validate`]), the estimator list has fewer
+/// than two entries, or no trial produced a finite error.
 pub fn run_baseline(
     kind: BaselineKind,
     data: &Dataset,
     settings: &BaselineSettings,
 ) -> Result<AutoMlResult, AutoMlError> {
+    AutoMl::new().time_budget(settings.time_budget).validate()?;
     if settings.estimators.len() < 2 {
         return Err(AutoMlError::NoEstimators);
     }
@@ -186,12 +188,7 @@ pub fn run_baseline(
 
         let (learner, config, subspace) = joint.split(&point);
         let estimator = flaml_core::Estimator::Builtin(learner);
-        let deadline = if clock.is_wall() {
-            let remaining = settings.time_budget - clock.elapsed();
-            Some(Duration::from_secs_f64(remaining.max(0.05)))
-        } else {
-            None
-        };
+        let deadline = clock.deadline(settings.time_budget);
         let t0 = Instant::now();
         let mut outcome = run_trial(
             &shuffled,
@@ -282,8 +279,8 @@ pub fn run_baseline(
         None
     };
     let out_of_budget = remaining.map(|r| r <= 0.0).unwrap_or(false);
-    let refit_budget =
-        remaining.map(|r| Duration::from_secs_f64(r.max(0.05).min(settings.time_budget)));
+    let refit_budget = remaining
+        .and_then(|r| Duration::try_from_secs_f64(r.max(0.05).min(settings.time_budget)).ok());
     let model = match (out_of_budget, best_model) {
         (true, Some(m)) => m,
         (_, best_model) => match fit_learner(
@@ -423,6 +420,38 @@ mod tests {
             s.max_trials = Some(5);
             let r = run_baseline(kind, &data, &s).unwrap();
             assert_eq!(r.trials.len(), 5, "{kind}");
+        }
+    }
+
+    #[test]
+    fn unusable_budgets_are_typed_errors_before_any_trial() {
+        // NaN never trips the stop check and a wall deadline cannot hold
+        // ±inf; the trial cap makes a regression fail here, not hang.
+        let data = dataset(300, 6);
+        for source in [TimeSource::Wall, TimeSource::Virtual(default_virtual_cost)] {
+            let run = |kind, budget: f64, cap: usize| {
+                let mut s = settings(budget);
+                s.time_source = source;
+                s.max_trials = Some(cap);
+                run_baseline(kind, &data, &s)
+            };
+            for kind in [BaselineKind::RandomSearch, BaselineKind::Bohb] {
+                for budget in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0] {
+                    match run(kind, budget, 3) {
+                        Err(AutoMlError::BadTimeBudget(b)) => {
+                            assert_eq!(b.to_bits(), budget.to_bits())
+                        }
+                        other => panic!(
+                            "{kind} {budget} under {}: {:?}",
+                            source.name(),
+                            other.map(|r| r.trials.len())
+                        ),
+                    }
+                }
+                // A finite budget too large for a `Duration` bounds nothing.
+                let r = run(kind, 1e20, 2).unwrap();
+                assert_eq!(r.trials.len(), 2, "{kind} under {}", source.name());
+            }
         }
     }
 }

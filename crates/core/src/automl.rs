@@ -569,13 +569,13 @@ impl AutoMl {
         out
     }
 
-    /// Sets the worker count of the trial-execution pool (default 1 =
-    /// fully sequential, the paper's setting). With more workers,
-    /// cross-validation folds evaluate concurrently; under round-robin
-    /// learner selection the controller additionally pre-executes
-    /// upcoming trials speculatively on idle workers, committing their
-    /// results in submission order — so a virtual-clock run produces the
-    /// same trial trace at any worker count.
+    /// Sets the worker count of the fold pool (default 1 = fully
+    /// sequential, the paper's setting). One trial runs at a time under
+    /// every selection policy; with more workers its cross-validation
+    /// folds evaluate concurrently (a holdout trial has one fold, so the
+    /// extra workers idle). Folds aggregate in fold order, so a
+    /// virtual-clock run produces the same trial trace at any worker
+    /// count.
     pub fn workers(mut self, workers: usize) -> AutoMl {
         self.workers = workers.max(1);
         self

@@ -6,7 +6,7 @@
 //! controller's behaviour (ECI updates, sample-size schedule, stopping)
 //! is then a pure function of the seed.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Facts about a trial that a virtual cost model may use.
 #[derive(Debug, Clone, Copy)]
@@ -95,6 +95,16 @@ impl BudgetClock {
             TimeSource::Wall => self.start.elapsed().as_secs_f64() + self.wall_offset,
             TimeSource::Virtual(_) => self.virtual_now,
         }
+    }
+
+    /// The deadline of a trial starting now under `budget`: on a wall
+    /// clock the budget left, but at least 50 ms; a virtual clock, or a
+    /// budget too large for a [`Duration`], bounds nothing.
+    pub fn deadline(&self, budget: f64) -> Option<Duration> {
+        let remaining = budget - self.elapsed();
+        self.is_wall()
+            .then(|| Duration::try_from_secs_f64(remaining.max(0.05)).ok())
+            .flatten()
     }
 
     /// Advances the clock by an externally recorded cost without charging

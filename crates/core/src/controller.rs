@@ -20,23 +20,14 @@
 //!
 //! # Parallel execution
 //!
-//! Trials execute on a [`flaml_exec::ExecPool`] sized by
-//! [`AutoMl::workers`]. With one worker (the default) everything runs
-//! inline and the trace is identical to the historical sequential
-//! controller. With more workers the parallelism goes to one of two
-//! places:
-//!
-//! - **ECI selection** (FLAML proper): the next trial depends on the
-//!   previous trial's outcome, so trials stay sequential and the workers
-//!   evaluate CV folds concurrently inside each trial.
-//! - **Round-robin selection** (the paper's ablation): consecutive
-//!   trials touch *different* learners, whose proposals are independent,
-//!   so the controller *speculatively* pre-executes the next up-to-`w`
-//!   trials on idle workers and commits their results strictly in
-//!   submission order. Under a virtual clock the committed trace is
-//!   byte-identical at any worker count; speculative trials that a
-//!   sequential run would never have started (budget already exhausted
-//!   at commit time) are discarded, never fed back.
+//! One trial is in flight at a time, under every selection policy: the
+//! loop proposes, runs and observes each trial before it proposes the
+//! next, as the paper's Figure 3 does. [`AutoMl::workers`] sizes the
+//! [`flaml_exec::ExecPool`] that evaluates a trial's CV folds
+//! concurrently; with one worker (the default) everything runs inline.
+//! Fold-order aggregation keeps the fold sum bit-exact, so under a
+//! virtual clock the committed trace is byte-identical at any worker
+//! count.
 
 use crate::automl::{
     AutoMl, AutoMlError, AutoMlResult, LearnerSelection, ResampleChoice, TrialMode, TrialRecord,
@@ -289,11 +280,7 @@ pub(crate) struct Search {
     states: Vec<LearnerState>,
     /// The learner the paper runs first, to calibrate the base trial cost.
     fastest: usize,
-    /// More than one worker only when *speculating*: sound (and useful)
-    /// only when consecutive trials are guaranteed to touch different
-    /// learners — round-robin with at least two. Otherwise the workers
-    /// go to `fold_pool` and accelerate CV folds inside each trial.
-    trial_pool: ExecPool,
+    /// Evaluates one trial's CV folds concurrently.
     fold_pool: ExecPool,
     rng: StdRng,
     trials: Vec<TrialRecord>,
@@ -434,11 +421,6 @@ impl Search {
             .map(|(i, _)| i)
             .expect("non-empty estimators");
 
-        let workers = settings.workers.max(1);
-        let speculative = workers > 1
-            && settings.learner_selection == LearnerSelection::RoundRobin
-            && states.len() > 1;
-
         let mut search = Search {
             input: data.clone(),
             dataset,
@@ -449,8 +431,7 @@ impl Search {
             journal,
             states,
             fastest,
-            trial_pool: ExecPool::new(if speculative { workers } else { 1 }),
-            fold_pool: ExecPool::new(if speculative { 1 } else { workers }),
+            fold_pool: ExecPool::new(settings.workers),
             rng: StdRng::seed_from_u64(settings.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             trials: Vec::new(),
             n_retries: 0,
@@ -488,30 +469,18 @@ impl Search {
         self.best.as_ref().map_or(f64::INFINITY, |b| b.error)
     }
 
-    /// A wall clock bounds every fit by the budget that is left; a
-    /// budget too large for a [`Duration`] bounds nothing.
-    fn deadline(&self) -> Option<Duration> {
-        let remaining = self.settings.time_budget - self.clock.elapsed();
-        self.clock
-            .is_wall()
-            .then(|| Duration::try_from_secs_f64(remaining.max(0.05)).ok())
-            .flatten()
-    }
-
-    /// The job that executes attempt `attempt` of `p`. Retries vary the
-    /// seed so a genuinely flaky fit gets a different draw, not a replay
-    /// of the same failure.
-    fn attempt_job<'a>(
-        &'a self,
-        p: &'a Proposal,
-        attempt: u32,
-        deadline: Option<Duration>,
-    ) -> Job<'a, TrialOutcome> {
+    /// Runs attempt `attempt` of `p` as a one-job batch on the
+    /// controller thread, so a panic becomes a failed attempt and a
+    /// return past the wall-clock deadline a timed-out one. Retries vary
+    /// the seed so a genuinely flaky fit gets a different draw, not a
+    /// replay of the same failure.
+    fn attempt(&self, p: &Proposal, attempt: u32) -> JobResult<TrialOutcome> {
         let st = &self.states[p.li];
         let td = p.data.as_deref().expect("live trials carry prepared data");
         let seed = p
             .seed
             .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(attempt as u64));
+        let deadline = self.clock.deadline(self.settings.time_budget);
         // The job borrows what it reads, not the whole search: the journal
         // writer is the controller thread's alone.
         let (metric, fold_pool) = (self.metric, &self.fold_pool);
@@ -521,10 +490,14 @@ impl Search {
             )
         })
         .deadline(deadline);
-        match self.settings.fault_plan {
+        let job = match self.settings.fault_plan {
             Some(plan) => plan.instrument(job, p.trial_no as u64, attempt),
             None => job,
-        }
+        };
+        ExecPool::sequential()
+            .run_batch(vec![job], None)
+            .pop()
+            .expect("one job in, one result out")
     }
 
     /// Turns one attempt's raw [`JobResult`] into a committed
@@ -588,26 +561,19 @@ impl Search {
     }
 
     /// Steps 1 + 2 for trial index `it`: learner choice, then
-    /// hyperparameters and sample size. `None` when a proposal for the
-    /// chosen learner is already `in_flight` — its feedback must land
-    /// before the learner proposes again. Replayed trials (`live` false)
+    /// hyperparameters and sample size. Replayed trials (`live` false)
     /// never execute, so they skip preparation: resume costs no
     /// data-plane work and no cache churn.
-    fn propose(
-        &mut self,
-        it: usize,
-        in_flight: &[Proposal],
-        live: bool,
-        plane: &mut DataPlane,
-    ) -> Option<Proposal> {
+    fn propose(&mut self, it: usize, live: bool, plane: &mut DataPlane) -> Proposal {
         let settings = &self.settings;
         let n = self.dataset.rows;
         let li = if it == 0 {
             self.fastest
         } else {
             match settings.learner_selection {
-                // Round-robin ignores quarantine so the speculative
-                // trace stays invariant across worker counts.
+                // Round-robin ignores quarantine: the ablation gives
+                // every learner the same share of trials by policy, so
+                // a failure budget is not its to apply.
                 LearnerSelection::RoundRobin => it % self.states.len(),
                 LearnerSelection::Eci => {
                     let global_best = self.global_best();
@@ -629,9 +595,6 @@ impl Search {
                 }
             }
         };
-        if in_flight.iter().any(|p| p.li == li) {
-            return None;
-        }
         let st = &mut self.states[li];
         let grow_sample = st.eci.tried()
             && st.sample_size < n
@@ -650,7 +613,7 @@ impl Search {
         } else {
             (None, PrepStats::default())
         };
-        Some(Proposal {
+        Proposal {
             li,
             trial_no: it + 1,
             mode,
@@ -662,7 +625,7 @@ impl Search {
             seed: settings.seed.wrapping_add(it as u64),
             data,
             prep,
-        })
+        }
     }
 
     /// Runs the propose → execute → commit loop until `stop_at` trials
@@ -699,66 +662,20 @@ impl Search {
 
             // Proposals are generated during replay exactly as live (so
             // every RNG advances identically), but outcomes and costs come
-            // from the journal, one trial at a time. Live, the batch is 1
-            // unless speculating; the first trial always runs alone (it
-            // calibrates the base cost of every untried learner).
+            // from the journal.
             let live = self.replay.is_empty();
-            let width = if live && iter > 0 {
-                self.trial_pool.workers().min(self.states.len())
-            } else {
-                1
-            };
-            let mut proposals: Vec<Proposal> = Vec::with_capacity(width);
-            for it in iter..(iter + width).min(stop_at).min(target) {
-                match self.propose(it, &proposals, live, &mut plane) {
-                    Some(p) => proposals.push(p),
-                    None => break,
-                }
-            }
-
-            // Step 3: run the batch and observe errors and costs.
-            let results: Vec<Option<JobResult<TrialOutcome>>> = if live {
-                let deadline = self.deadline();
-                let sink = self.settings.event_sink.as_ref();
-                for p in &proposals {
-                    emit(sink, TrialEventKind::Started, p, |_| ());
-                }
-                let jobs = proposals
-                    .iter()
-                    .map(|p| self.attempt_job(p, 0, deadline))
-                    .collect();
-                self.trial_pool
-                    .run_batch(jobs, None)
-                    .into_iter()
-                    .map(Some)
-                    .collect()
-            } else {
-                vec![None]
-            };
-
-            // Commit strictly in submission order; feedback, budget
-            // charging and stopping decisions all happen here, exactly as
-            // the sequential controller interleaved them. It re-checks the
-            // budget before every trial after the first, so a speculative
-            // result whose turn arrives past the budget must be dropped,
-            // not fed back.
-            let mut discarding = false;
-            for (b, (p, result)) in proposals.iter().zip(results).enumerate() {
-                discarding |= b > 0 && self.clock.elapsed() >= budget;
-                if !discarding {
-                    self.commit(p, result)?;
-                } else if let Some(result) = result {
-                    let sink = self.settings.event_sink.as_ref();
-                    emit(sink, TrialEventKind::Finished, p, |ev| {
-                        ev.wall_secs = Some(result.wall_secs);
-                        ev.message =
-                            Some("speculative trial discarded: budget exhausted".to_string());
-                    });
-                }
-            }
-            if discarding {
-                return Ok(Stop::Budget);
-            }
+            let p = self.propose(iter, live, &mut plane);
+            // Step 3: run the trial and observe its error and cost.
+            let result = live.then(|| {
+                emit(
+                    self.settings.event_sink.as_ref(),
+                    TrialEventKind::Started,
+                    &p,
+                    |_| (),
+                );
+                self.attempt(&p, 0)
+            });
+            self.commit(&p, result)?;
         }
     }
 
@@ -788,10 +705,7 @@ impl Search {
             // Transient failures (panics, non-finite losses) get retried
             // on the trial's own budget: every attempt is charged like a
             // fresh evaluation, the fault plan re-rolls per attempt, and
-            // deterministic failures / timeouts are never retried. The
-            // retry runs inline as a single-job batch, so it is
-            // panic-isolated and identical in sequential and speculative
-            // modes.
+            // deterministic failures / timeouts are never retried.
             let mut attempt: u32 = 0;
             while outcome.status.transient()
                 && (attempt as usize) < self.settings.max_retries
@@ -801,12 +715,7 @@ impl Search {
                 emit(sink, TrialEventKind::Retried, p, |ev| {
                     ev.message = Some(format!("retry {attempt} after {}", outcome.status));
                 });
-                let job = self.attempt_job(p, attempt, self.deadline());
-                let retry = self
-                    .trial_pool
-                    .run_batch(vec![job], None)
-                    .pop()
-                    .expect("one job in, one result out");
+                let retry = self.attempt(p, attempt);
                 let (o, c, m) = self.settle(retry, p, attempt);
                 attempt_costs.push(c);
                 cost += c;

@@ -100,10 +100,11 @@ fn chaos_trace_is_worker_count_invariant() {
 }
 
 #[test]
-fn speculative_chaos_trace_is_worker_count_invariant() {
-    // Round-robin enables speculative pre-execution; injected faults must
-    // commit identically because they are keyed by trial number, not by
-    // which worker ran the attempt.
+fn round_robin_chaos_trace_is_worker_count_invariant() {
+    // Round-robin ignores quarantine, so its chaos trace takes a
+    // different path from ECI's; injected faults must still commit
+    // identically because they are keyed by trial number, not by which
+    // worker ran the attempt.
     let data = binary_dataset(700, 6);
     let seq = base(1)
         .learner_selection(LearnerSelection::RoundRobin)
@@ -112,7 +113,7 @@ fn speculative_chaos_trace_is_worker_count_invariant() {
     let par = base(4)
         .learner_selection(LearnerSelection::RoundRobin)
         .fit(&data)
-        .expect("speculative chaos run");
+        .expect("parallel chaos run");
     assert_eq!(trace(&seq.trials), trace(&par.trials));
     assert_eq!(seq.n_retries, par.n_retries);
 }

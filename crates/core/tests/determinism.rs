@@ -1,11 +1,11 @@
 //! Determinism contract of the flaml-exec runtime integration: under a
 //! virtual clock, the committed trial trace is a pure function of
-//! (dataset, settings, seed) — independent of worker count, speculative
-//! execution, and fold-level parallelism.
+//! (dataset, settings, seed) — independent of worker count, selection
+//! policy, and fold-level parallelism.
 
 use flaml_core::{
-    default_virtual_cost, AutoMl, LearnerKind, LearnerSelection, ResampleChoice, TimeSource,
-    TrialRecord,
+    default_virtual_cost, event_channel, AutoMl, LearnerKind, LearnerSelection, ResampleChoice,
+    TimeSource, TrialEventKind, TrialRecord,
 };
 use flaml_data::{Dataset, Task};
 use rand::rngs::StdRng;
@@ -69,12 +69,12 @@ fn eci_mode_trace_is_worker_count_invariant() {
 }
 
 #[test]
-fn speculative_round_robin_matches_sequential_trace() {
-    // Round-robin enables speculation: workers pre-execute upcoming
-    // trials, results commit in submission order. Under the virtual
-    // clock a workers=1 run must be byte-identical to any worker count.
-    // A generous virtual budget so many rounds run whatever configs the
-    // search happens to propose; max_trials still caps the run.
+fn round_robin_matches_sequential_trace() {
+    // Round-robin runs one trial at a time like ECI; extra workers go to
+    // CV folds. Under the virtual clock a workers=1 run must be
+    // byte-identical to any worker count. A generous virtual budget so
+    // many rounds run whatever configs the search happens to propose;
+    // max_trials still caps the run.
     let data = binary_dataset(800, 3);
     let seq = base(1)
         .learner_selection(LearnerSelection::RoundRobin)
@@ -83,7 +83,7 @@ fn speculative_round_robin_matches_sequential_trace() {
         .unwrap();
     assert!(
         seq.trials.len() > 6,
-        "need several rounds to exercise speculation, got {}",
+        "need several rounds of the roster, got {}",
         seq.trials.len()
     );
     for workers in [2, 4, 8] {
@@ -95,6 +95,45 @@ fn speculative_round_robin_matches_sequential_trace() {
         assert_eq!(trace(&seq.trials), trace(&par.trials), "workers={workers}");
         assert_eq!(seq.best_learner, par.best_learner);
         assert_eq!(seq.best_error.to_bits(), par.best_error.to_bits());
+    }
+}
+
+#[test]
+fn the_event_stream_matches_the_commits() {
+    // One trial in flight: each trial's `Started` is followed by its own
+    // terminal event before the next trial starts, and no trial starts
+    // that the search does not commit — under both selection policies,
+    // at any worker count, when the budget (not the cap) ends the run.
+    let data = binary_dataset(600, 8);
+    for selection in [LearnerSelection::Eci, LearnerSelection::RoundRobin] {
+        for workers in [1, 4] {
+            let (sink, rx) = event_channel();
+            let result = base(workers)
+                .learner_selection(selection)
+                .estimators([LearnerKind::LightGbm, LearnerKind::XgBoost, LearnerKind::Rf])
+                .time_budget(1.0)
+                .max_trials(1000)
+                .event_sink(sink)
+                .fit(&data)
+                .unwrap();
+            assert!(result.trials.len() < 1000, "the budget must end the run");
+            let seen: Vec<(bool, u64)> = rx
+                .try_iter()
+                .filter_map(|ev| match ev.kind {
+                    TrialEventKind::Started => Some((true, ev.job_id)),
+                    TrialEventKind::Finished
+                    | TrialEventKind::TimedOut
+                    | TrialEventKind::Panicked => Some((false, ev.job_id)),
+                    _ => None,
+                })
+                .collect();
+            let expected: Vec<(bool, u64)> = result
+                .trials
+                .iter()
+                .flat_map(|t| [(true, t.iter as u64), (false, t.iter as u64)])
+                .collect();
+            assert_eq!(seen, expected, "{selection:?} workers={workers}");
+        }
     }
 }
 
@@ -169,7 +208,7 @@ fn resume_refuses_a_journal_from_different_settings() {
 }
 
 #[test]
-fn speculative_holdout_also_matches() {
+fn round_robin_holdout_also_matches() {
     // Same contract when trials are holdout-evaluated (the model is
     // trained inside the trial rather than deferred).
     let data = binary_dataset(500, 4);

@@ -26,9 +26,9 @@
 //! Three layers of the workspace sit on top of it: the benchmark grid
 //! farms independent (method × dataset × budget) cells to the pool
 //! (`--jobs N`), cross-validation evaluates folds concurrently, and the
-//! AutoML controller speculatively pre-executes the round-robin
-//! ablation's next trials on idle workers while committing results in
-//! submission order.
+//! AutoML controller runs each trial as a one-job batch on the
+//! sequential pool, which gives every attempt panic isolation and
+//! deadline classification.
 //!
 //! ```
 //! use flaml_exec::{ExecPool, Job};

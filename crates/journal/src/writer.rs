@@ -66,7 +66,7 @@ impl JournalWriter {
     }
 
     /// Reopens a journal for a resumed run: truncates the file to its
-    /// committed prefix (discarding any torn tail, so new records can
+    /// committed prefix (dropping any torn tail, so new records can
     /// never glue onto torn bytes) and appends after it. Pass the
     /// `committed_bytes` reported by [`crate::Journal::read`].
     ///

@@ -7,7 +7,6 @@
 //! `<= t` left, so missing values always travel with the leftmost bin.
 
 use flaml_data::DatasetView;
-use std::sync::Arc;
 
 /// The stored bin index type. Two bytes per cell instead of four halves
 /// the binned matrix (the largest per-view artifact the data plane
@@ -255,9 +254,7 @@ impl BinMapper {
 #[derive(Debug, Clone)]
 pub struct PreparedBins {
     mapper: BinMapper,
-    /// `Arc`-shared so fit states ([`crate::GbdtFitState`]) can hold the
-    /// matrix without copying it; cloning a `PreparedBins` stays cheap.
-    binned: Arc<BinnedDataset>,
+    binned: BinnedDataset,
     max_bin: usize,
 }
 
@@ -272,28 +269,7 @@ impl PreparedBins {
     ) -> PreparedBins {
         let data: DatasetView = data.into();
         let mapper = BinMapper::from_sorted(sort, max_bin);
-        let binned = Arc::new(mapper.transform(&data));
-        PreparedBins {
-            mapper,
-            binned,
-            max_bin,
-        }
-    }
-
-    /// Bins `data` with an already-fitted `mapper` (e.g. one rebuilt from
-    /// a serving artifact's stored cuts). The recorded `max_bin` is the
-    /// mapper's own bin budget, so the artifact matches itself on lookup.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` has a different feature count than the mapper.
-    pub fn from_mapper(mapper: BinMapper, data: impl Into<DatasetView>) -> PreparedBins {
-        let data: DatasetView = data.into();
-        let max_bin = (0..mapper.n_features())
-            .map(|j| mapper.n_bins(j).saturating_sub(1))
-            .max()
-            .unwrap_or(2);
-        let binned = Arc::new(mapper.transform(&data));
+        let binned = mapper.transform(&data);
         PreparedBins {
             mapper,
             binned,
@@ -314,13 +290,6 @@ impl PreparedBins {
     /// The pre-binned training matrix.
     pub fn binned(&self) -> &BinnedDataset {
         &self.binned
-    }
-
-    /// The pre-binned training matrix as a shared handle (what a
-    /// resumable fit state holds, so continuing a fit never copies the
-    /// matrix).
-    pub fn binned_arc(&self) -> Arc<BinnedDataset> {
-        self.binned.clone()
     }
 
     /// Approximate heap footprint in bytes (for cache budgeting).

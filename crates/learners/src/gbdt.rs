@@ -25,7 +25,6 @@ use flaml_metrics::Pred;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::borrow::Cow;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Tree growth policy.
@@ -436,328 +435,120 @@ impl Gbdt {
         prepared: Option<&PreparedBins>,
     ) -> Result<GbdtModel, FitError> {
         // `start` is captured before binning so the budget covers the
-        // whole fit, exactly as the pre-staged monolithic loop did.
+        // whole fit.
         let start = Instant::now();
-        let mut state = Self::fit_start(data, params, seed, prepared)?;
-        state.advance(params.n_trees, budget, start);
-        Ok(state.into_model())
-    }
-
-    /// Stage 0 of a resumable fit: validates, bins (or adopts `prepared`
-    /// when its `max_bin` matches), gathers targets, splits off the
-    /// early-stopping holdout and initializes scores — everything up to,
-    /// but not including, the first boosting round. The returned
-    /// [`GbdtFitState`] has zero rounds; grow it with
-    /// [`Gbdt::fit_continue`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Gbdt::fit`].
-    pub fn fit_start(
-        data: impl Into<DatasetView>,
-        params: &GbdtParams,
-        seed: u64,
-        prepared: Option<&PreparedBins>,
-    ) -> Result<GbdtFitState, FitError> {
         let data: DatasetView = data.into();
         params.validate()?;
         let n = data.n_rows();
-        let n_groups = match data.task() {
+        let task = data.task();
+        let n_groups = match task {
             Task::Regression | Task::Binary => 1,
             Task::MultiClass(k) => k,
         };
-        let (mapper, binned): (BinMapper, Arc<BinnedDataset>) =
-            match prepared.filter(|p| p.max_bin() == params.max_bin) {
-                Some(p) => (p.mapper().clone(), p.binned_arc()),
-                None => {
-                    let m = BinMapper::fit(&data, params.max_bin);
-                    let b = Arc::new(m.transform(&data));
-                    (m, b)
-                }
-            };
-        let y: Arc<[f64]> = data.gather_target().into();
+        let binned_here;
+        let (mapper, binned) = match prepared.filter(|p| p.max_bin() == params.max_bin) {
+            Some(p) => (p.mapper().clone(), p.binned()),
+            None => {
+                let m = BinMapper::fit(&data, params.max_bin);
+                binned_here = m.transform(&data);
+                (m, &binned_here)
+            }
+        };
+        let y = data.gather_target();
 
         // Early-stopping holdout: every 10th row (the controller shuffles
         // data, so a stride is a random sample).
-        let (train_rows, valid_rows): (Vec<u32>, Vec<u32>) =
-            if params.early_stop_rounds.is_some() && n >= 20 {
-                let mut tr = Vec::with_capacity(n - n / 10);
-                let mut va = Vec::with_capacity(n / 10);
-                for i in 0..n {
-                    if i % 10 == 9 {
-                        va.push(i as u32);
-                    } else {
-                        tr.push(i as u32);
-                    }
-                }
-                (tr, va)
-            } else {
-                ((0..n as u32).collect(), Vec::new())
-            };
+        let early_stop = params.early_stop_rounds.filter(|_| n >= 20);
+        let (train_rows, valid_rows): (Vec<u32>, Vec<u32>) = if early_stop.is_some() {
+            (0..n as u32).partition(|i| i % 10 != 9)
+        } else {
+            ((0..n as u32).collect(), Vec::new())
+        };
 
-        let init_scores = init_scores(data.task(), &y, &train_rows)?;
-        let mut scores = vec![0.0; n * n_groups];
-        for slot in scores.chunks_exact_mut(n_groups) {
-            slot.copy_from_slice(&init_scores);
-        }
+        let init_scores = init_scores(task, &y, &train_rows)?;
+        let mut scores = init_scores.repeat(n);
+        // Per-row `[gradient, hessian]` of the group being fitted.
+        let mut gh: Vec<GradPair> = vec![[0.0; 2]; n];
+        // `0..n_features`, built once: what column sampling draws from.
+        let all_features: Vec<u32> = (0..data.n_features() as u32).collect();
+        // This round's row subsample (unused when `subsample == 1`).
+        let mut sampled_rows: Vec<u32> = Vec::new();
+        let mut hist = HistBuilder::default();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut trees: Vec<Tree> = Vec::new();
+        let (mut best_valid, mut best_round, mut rounds_since_best) = (f64::INFINITY, 0, 0);
 
-        Ok(GbdtFitState {
-            params: params.clone(),
-            mapper,
-            binned,
-            y,
-            task: data.task(),
-            n_features: data.n_features(),
-            n_groups,
-            train_rows,
-            valid_rows,
-            init_scores,
-            scores,
-            gh: vec![[0.0; 2]; n],
-            all_features: (0..data.n_features() as u32).collect(),
-            sampled_rows: Vec::new(),
-            hist: HistBuilder::default(),
-            rng: StdRng::seed_from_u64(seed),
-            trees: Vec::new(),
-            rounds_done: 0,
-            best_valid: f64::INFINITY,
-            best_round: 0,
-            rounds_since_best: 0,
-        })
-    }
-
-    /// Adds `extra_trees` boosting rounds to a paused fit state. A fresh
-    /// `fit` at `n` rounds and `fit_start` + `fit_continue(k)` +
-    /// `fit_continue(n - k)` produce bit-identical models for every `k`:
-    /// the per-round floating-point accumulation order, the RNG draw
-    /// sequence and the early-stopping bookkeeping are all part of the
-    /// state, so a continuation resumes mid-stream exactly where a
-    /// monolithic run would have been.
-    pub fn fit_continue(state: &mut GbdtFitState, extra_trees: usize) {
-        Self::fit_continue_bounded(state, extra_trees, None);
-    }
-
-    /// Like [`Gbdt::fit_continue`] but stops adding rounds once `budget`
-    /// elapses (measured from this call), always completing at least one
-    /// round when any were requested. A budget-truncated continuation
-    /// leaves a valid state: the completed prefix can be snapshotted with
-    /// [`GbdtFitState::model`] and continued again later.
-    pub fn fit_continue_bounded(
-        state: &mut GbdtFitState,
-        extra_trees: usize,
-        budget: Option<Duration>,
-    ) {
-        let target = state.rounds_done.saturating_add(extra_trees);
-        state.advance(target, budget, Instant::now());
-    }
-}
-
-/// A paused, resumable boosting run: everything `Gbdt::fit` keeps on its
-/// stack between rounds, lifted into a value. The state owns the trees
-/// grown so far, the per-row raw scores, the gradient/hessian and
-/// histogram scratch, the RNG mid-stream, and the binning identity
-/// (mapper + `Arc`-shared binned matrix), so continuing it is
-/// bit-identical to never having paused.
-///
-/// Because no boosting round reads `params.n_trees`, the tree sequence
-/// is *prefix-stable*: the first `r` rounds of any run equal the `r`
-/// rounds of a shorter run with the same inputs, so continuing a state
-/// (or snapshotting a prefix with [`GbdtFitState::model_at`]) is exact.
-#[derive(Debug, Clone)]
-pub struct GbdtFitState {
-    params: GbdtParams,
-    mapper: BinMapper,
-    binned: Arc<BinnedDataset>,
-    y: Arc<[f64]>,
-    task: Task,
-    n_features: usize,
-    n_groups: usize,
-    train_rows: Vec<u32>,
-    valid_rows: Vec<u32>,
-    init_scores: Vec<f64>,
-    scores: Vec<f64>,
-    /// Per-row `[gradient, hessian]` of the group being fitted.
-    gh: Vec<GradPair>,
-    /// `0..n_features`, built once: what column sampling draws from.
-    all_features: Vec<u32>,
-    /// This round's row subsample (unused when `subsample == 1`).
-    sampled_rows: Vec<u32>,
-    hist: HistBuilder,
-    rng: StdRng,
-    trees: Vec<Tree>,
-    rounds_done: usize,
-    best_valid: f64,
-    best_round: usize,
-    rounds_since_best: usize,
-}
-
-impl GbdtFitState {
-    /// Boosting rounds completed so far.
-    pub fn rounds_done(&self) -> usize {
-        self.rounds_done
-    }
-
-    /// Score groups per row (1 for regression/binary, `k` for `k`-class).
-    pub fn n_groups(&self) -> usize {
-        self.n_groups
-    }
-
-    /// The parameters the state was started with (`n_trees` is advisory
-    /// here — continuation targets come from the `fit_continue` calls).
-    pub fn params(&self) -> &GbdtParams {
-        &self.params
-    }
-
-    /// Whether early stopping has fired: the patience is exhausted and
-    /// further continuation would add no rounds.
-    pub fn stopped_early(&self) -> bool {
-        match self.params.early_stop_rounds {
-            // `max(1)` because `rounds_since_best == 0` can mean "the
-            // last round improved", which never stops the monolithic
-            // loop (it only breaks on the non-improving branch).
-            Some(p) => !self.valid_rows.is_empty() && self.rounds_since_best >= p.max(1),
-            None => false,
-        }
-    }
-
-    /// Runs boosting rounds until `target` rounds are done, the budget
-    /// elapses, or early stopping fires. Bit-identical to the rounds the
-    /// pre-staged monolithic loop ran: the budget is checked before every
-    /// round except the first of this call (the monolithic loop skipped
-    /// the check at round 0), and the patience break is re-checked at the
-    /// top of each iteration (side-effect-free, so checking it one
-    /// iteration later than the inline `break` observes the same state).
-    fn advance(&mut self, target: usize, budget: Option<Duration>, start: Instant) {
-        let entry = self.rounds_done;
-        while self.rounds_done < target {
-            if self.stopped_early() {
+        for round in 0..params.n_trees {
+            // The budget never stops round 0: a fit returns at least one
+            // round.
+            if round > 0 && budget.is_some_and(|b| start.elapsed() >= b) {
                 break;
             }
-            if self.rounds_done > entry {
-                if let Some(b) = budget {
-                    if start.elapsed() >= b {
+            // Row subsample for this round (shared across groups): one
+            // draw per training row.
+            sampled_rows.clear();
+            if params.subsample < 1.0 {
+                sampled_rows.extend(
+                    train_rows
+                        .iter()
+                        .filter(|_| rng.gen::<f64>() < params.subsample),
+                );
+            }
+            let rows: &[u32] = if sampled_rows.is_empty() {
+                &train_rows
+            } else {
+                &sampled_rows
+            };
+
+            for c in 0..n_groups {
+                compute_gradients(task, &y, &scores, n_groups, c, &mut gh);
+                let tree = TreeGrower {
+                    binned,
+                    gh: &gh,
+                    params,
+                    rng: &mut rng,
+                    hist: &mut hist,
+                }
+                .grow(rows, &all_features);
+                // Update scores on all rows (train + valid) for the group.
+                for i in 0..n {
+                    scores[i * n_groups + c] += tree.eval_binned(binned, i);
+                }
+                trees.push(tree);
+            }
+
+            // Early stopping on the internal holdout; a patience of 0
+            // stops like a patience of 1.
+            if let Some(patience) = early_stop {
+                let loss = holdout_loss(task, &y, &scores, n_groups, &valid_rows);
+                if loss < best_valid - 1e-12 {
+                    best_valid = loss;
+                    best_round = round;
+                    rounds_since_best = 0;
+                } else {
+                    rounds_since_best += 1;
+                    if rounds_since_best >= patience.max(1) {
                         break;
                     }
                 }
             }
-            let round = self.rounds_done;
-            // Row subsample for this round (shared across groups): one
-            // draw per training row, into a buffer the state keeps.
-            self.sampled_rows.clear();
-            if self.params.subsample < 1.0 {
-                let (rng, subsample) = (&mut self.rng, self.params.subsample);
-                self.sampled_rows.extend(
-                    self.train_rows
-                        .iter()
-                        .filter(|_| rng.gen::<f64>() < subsample),
-                );
-            }
-            let rows: &[u32] = if self.sampled_rows.is_empty() {
-                &self.train_rows
-            } else {
-                &self.sampled_rows
-            };
-
-            let n = self.gh.len();
-            for c in 0..self.n_groups {
-                compute_gradients(
-                    self.task,
-                    &self.y,
-                    &self.scores,
-                    self.n_groups,
-                    c,
-                    &mut self.gh,
-                );
-                let tree = TreeGrower {
-                    binned: &self.binned,
-                    gh: &self.gh,
-                    params: &self.params,
-                    rng: &mut self.rng,
-                    hist: &mut self.hist,
-                }
-                .grow(rows, &self.all_features);
-                // Update scores on all rows (train + valid) for the group.
-                for i in 0..n {
-                    let v = tree.eval_binned(&self.binned, i);
-                    self.scores[i * self.n_groups + c] += v;
-                }
-                self.trees.push(tree);
-            }
-            self.rounds_done = round + 1;
-
-            // Early stopping on the internal holdout.
-            if self.params.early_stop_rounds.is_some() && !self.valid_rows.is_empty() {
-                let loss = holdout_loss(
-                    self.task,
-                    &self.y,
-                    &self.scores,
-                    self.n_groups,
-                    &self.valid_rows,
-                );
-                if loss < self.best_valid - 1e-12 {
-                    self.best_valid = loss;
-                    self.best_round = round;
-                    self.rounds_since_best = 0;
-                } else {
-                    self.rounds_since_best += 1;
-                }
-            }
         }
-    }
 
-    /// Snapshots the current state into a model without consuming it
-    /// (trees are cloned). Applies the early-stopping truncation exactly
-    /// as a finished fit would.
-    pub fn model(&self) -> GbdtModel {
-        self.clone().into_model()
-    }
-
-    /// Converts the state into its model, consuming it.
-    pub fn into_model(mut self) -> GbdtModel {
         // Truncate to the best round when early stopping was active.
-        if self.params.early_stop_rounds.is_some() && !self.valid_rows.is_empty() {
-            self.trees.truncate((self.best_round + 1) * self.n_groups);
+        if early_stop.is_some() {
+            trees.truncate((best_round + 1) * n_groups);
         }
-        if self.trees.is_empty() {
-            self.trees.push(Tree::leaf(0.0));
+        if trees.is_empty() {
+            trees.push(Tree::leaf(0.0));
         }
-        GbdtModel {
-            mapper: self.mapper,
-            trees: self.trees,
-            n_groups: self.n_groups,
-            init_scores: self.init_scores,
-            task: self.task,
-            n_features: self.n_features,
-        }
-    }
-
-    /// The model after exactly `rounds` rounds — a *backward* snapshot of
-    /// a longer state, valid because the tree sequence is prefix-stable.
-    /// Only available without early stopping (early stopping truncates to
-    /// the best validation round, which is not a pure prefix function).
-    ///
-    /// # Panics
-    ///
-    /// Panics if early stopping is configured, `rounds == 0`, or `rounds`
-    /// exceeds [`GbdtFitState::rounds_done`].
-    pub fn model_at(&self, rounds: usize) -> GbdtModel {
-        assert!(
-            self.params.early_stop_rounds.is_none(),
-            "backward snapshots require early_stop_rounds = None"
-        );
-        assert!(
-            rounds >= 1 && rounds <= self.rounds_done,
-            "rounds {rounds} out of range 1..={}",
-            self.rounds_done
-        );
-        GbdtModel {
-            mapper: self.mapper.clone(),
-            trees: self.trees[..rounds * self.n_groups].to_vec(),
-            n_groups: self.n_groups,
-            init_scores: self.init_scores.clone(),
-            task: self.task,
-            n_features: self.n_features,
-        }
+        Ok(GbdtModel {
+            mapper,
+            trees,
+            n_groups,
+            init_scores,
+            task,
+            n_features: data.n_features(),
+        })
     }
 }
 

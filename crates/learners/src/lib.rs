@@ -16,13 +16,9 @@
 //! subsample view, a fold view, ...) and produce a [`FittedModel`] whose
 //! [`FittedModel::predict`] returns a [`flaml_metrics::Pred`] ready for
 //! metric evaluation. [`PreparedSort`] and [`PreparedBins`] let callers
-//! hoist the per-fit binning work of [`Gbdt`] out of repeated trials, and
-//! [`GbdtFitState`] makes a boosting run resumable: [`Gbdt::fit_start`]
-//! plus [`Gbdt::fit_continue`] grow a model in stages bit-identical to a
-//! single monolithic fit. No search extends a prefix across trials:
-//! FLOW² moves every coordinate per step, so no two trials share one
-//! (DESIGN §17). Continuing a fitted state in the final refit is the
-//! next intended consumer.
+//! hoist the per-fit binning work of [`Gbdt`] out of repeated trials.
+//! Every boosting fit is one cold loop over its rounds: no search or
+//! refit continues another fit's trees (DESIGN §17 says why).
 //!
 //! # Example
 //!
@@ -57,7 +53,7 @@ pub use binning::{BinMapper, BinnedDataset, PreparedBins, PreparedSort};
 pub use dtree::{goes_left, DTreeNode, DecisionTree, SplitCriterion, TreeParams};
 pub use error::FitError;
 pub use forest::{Forest, ForestModel, ForestParams};
-pub use gbdt::{Gbdt, GbdtFitState, GbdtModel, GbdtNode, GbdtParams, Growth};
+pub use gbdt::{Gbdt, GbdtModel, GbdtNode, GbdtParams, Growth};
 pub use linear::{Encoding, Linear, LinearModel, LinearParams};
 pub use stacking::{fit_meta, member_columns, meta_features, StackedModel};
 

@@ -4,8 +4,8 @@
 
 use flaml_data::{Dataset, Task};
 use flaml_learners::{
-    goes_left, BinMapper, DTreeNode, DecisionTree, Forest, ForestParams, Gbdt, GbdtParams, Growth,
-    Linear, LinearParams, SplitCriterion, TreeParams,
+    goes_left, BinMapper, DTreeNode, DecisionTree, Forest, ForestParams, Gbdt, GbdtNode,
+    GbdtParams, Growth, Linear, LinearParams, SplitCriterion, TreeParams,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -441,9 +441,12 @@ fn arb_regression_dataset() -> impl Strategy<Value = Dataset> {
     })
 }
 
+/// One exported GBDT node with its leaf value as bits.
+type NodeBits = (u32, u32, u32, u32, u64, bool);
+
 /// A dataset of any task kind whose features mix ordinary values with
 /// NaN (missing) and subnormal magnitudes — the awkward inputs the
-/// binning layer must absorb without breaking continuation exactness.
+/// binning layer must absorb without breaking bit-exact tree prefixes.
 fn arb_messy_dataset() -> impl Strategy<Value = Dataset> {
     // The stub's `prop_oneof!` draws arms uniformly; repeating the
     // numeric arm biases features toward ordinary values.
@@ -564,50 +567,40 @@ proptest! {
     }
 
     #[test]
-    fn gbdt_continuation_is_bit_exact(
+    fn gbdt_trees_are_a_prefix_of_a_longer_fit(
         data in arb_messy_dataset(),
         n in 2usize..9,
-        ksel in 0usize..4,
+        ksel in 0usize..3,
+        sampled in 0u8..2,
         seed in 0u64..5,
     ) {
-        // fit(n) == fit(k) + fit_continue(n - k), bit for bit, for every
-        // split point — including the k ∈ {0, 1, n-1} edges — across
-        // binary/multiclass/regression objectives and features containing
-        // NaN and subnormal values.
-        let k = [0, 1, n - 1, n / 2][ksel];
-        let params = GbdtParams { n_trees: n, ..GbdtParams::default() };
-        let full = Gbdt::fit(&data, &params, seed).unwrap();
-
-        let mut state = Gbdt::fit_start(&data, &params, seed, None).unwrap();
-        Gbdt::fit_continue(&mut state, k);
-        prop_assert_eq!(state.rounds_done(), k);
-        Gbdt::fit_continue(&mut state, n - k);
-        prop_assert_eq!(state.rounds_done(), n);
-        let staged = state.model();
-
-        let full_bits: Vec<u64> =
-            full.raw_scores(&data).iter().map(|v| v.to_bits()).collect();
-        let staged_bits: Vec<u64> =
-            staged.raw_scores(&data).iter().map(|v| v.to_bits()).collect();
-        prop_assert_eq!(full_bits, staged_bits, "k = {}", k);
-
-        // A backward snapshot at k rounds equals the direct k-round fit.
-        if k >= 1 {
-            let short = Gbdt::fit(
-                &data,
-                &GbdtParams { n_trees: k, ..params },
-                seed,
-            ).unwrap();
-            let short_bits: Vec<u64> =
-                short.raw_scores(&data).iter().map(|v| v.to_bits()).collect();
-            let snap_bits: Vec<u64> = state
-                .model_at(k)
-                .raw_scores(&data)
+        // No boosting round reads `n_trees`, so the first `k · groups`
+        // trees of an `n`-round fit are a `k`-round fit, bit for bit —
+        // at the k ∈ {1, n-1} edges, across binary/multiclass/regression
+        // objectives, with NaN and subnormal features, and with row and
+        // column sampling drawing from the fit's RNG.
+        let k = [1, n - 1, n / 2][ksel];
+        let (subsample, colsample_bytree) = if sampled == 1 { (0.7, 0.6) } else { (1.0, 1.0) };
+        let params = GbdtParams { n_trees: n, subsample, colsample_bytree, ..GbdtParams::default() };
+        let long = Gbdt::fit(&data, &params, seed).unwrap();
+        let short = Gbdt::fit(&data, &GbdtParams { n_trees: k, ..params }, seed).unwrap();
+        let bits = |trees: &[Vec<GbdtNode>]| -> Vec<Vec<NodeBits>> {
+            trees
                 .iter()
-                .map(|v| v.to_bits())
-                .collect();
-            prop_assert_eq!(short_bits, snap_bits, "backward snapshot at k = {}", k);
-        }
+                .map(|tree| {
+                    tree.iter()
+                        .map(|n| (n.feature, n.threshold, n.left, n.right, n.leaf_value.to_bits(), n.is_leaf))
+                        .collect()
+                })
+                .collect()
+        };
+        let groups = long.n_groups();
+        prop_assert_eq!(long.export_trees().len(), n * groups);
+        prop_assert_eq!(
+            bits(&long.export_trees()[..k * groups]),
+            bits(&short.export_trees()),
+            "k = {}", k
+        );
     }
 
     #[test]

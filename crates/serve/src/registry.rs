@@ -7,7 +7,7 @@
 //! a concurrent publish or the one after it, never a torn or
 //! half-written model, because the model behind the `Arc` is immutable.
 //! Publishing appends a new version and swaps the current pointer under
-//! the write lock; rollback steps the pointer back without discarding
+//! the write lock; rollback steps the pointer back without dropping
 //! history, so a rolled-back version can be rolled forward again by
 //! republishing.
 

@@ -59,7 +59,7 @@ impl LineLog {
     }
 
     /// Reopens an existing log for a resumed run: truncates the file to
-    /// `committed_bytes` (as reported by [`read_log`]), discarding any
+    /// `committed_bytes` (as reported by [`read_log`]), dropping any
     /// torn tail, and appends after it.
     ///
     /// # Errors
