@@ -8,10 +8,10 @@
 //! ```
 //!
 //! `inspect` prints the header, the committed trials, the per-learner
-//! best configurations, and — when `<stem>.artifact.blob` or
-//! `<stem>.artifact.json` siblings exist next to the journal (the
-//! server's completion artifacts) — each artifact's format, size and
-//! fingerprint. `export-csv` renders the trial records as CSV.
+//! best configurations, and — when a `<stem>.status.json` sibling
+//! exists next to the journal (the terminal record `flaml-server`
+//! writes when a search finishes or fails) — that record verbatim.
+//! `export-csv` renders the trial records as CSV.
 //! `verify-replay` is the strong check: it reconstructs the run's
 //! settings from the journal header, locates the dataset among the
 //! built-in synthetic suites (by name, then by the header's content
@@ -91,7 +91,7 @@ fn inspect(journal: &Journal, path: &str) {
         journal.committed_bytes,
         journal.spent_budget()
     );
-    describe_artifacts(path);
+    print_terminal_record(path);
     println!();
 
     let rows: Vec<Vec<String>> = journal
@@ -147,27 +147,12 @@ fn inspect(journal: &Journal, path: &str) {
     }
 }
 
-/// Prints one line per completion-artifact sibling of the journal
-/// (`<stem>.artifact.blob` / `<stem>.artifact.json` — the files the
-/// server writes next to `<stem>.jsonl` when a search finishes), with
-/// format, size and whether it verifies (magic, version, fingerprint).
-/// Unreadable artifacts are reported, never fatal.
-fn describe_artifacts(journal_path: &str) {
-    use flaml_core::ArtifactFormat;
-    let stem = std::path::Path::new(journal_path).with_extension("");
-    for format in ArtifactFormat::ALL {
-        let sibling = std::path::PathBuf::from(format!("{}{}", stem.display(), format.suffix()));
-        let Ok(meta) = std::fs::metadata(&sibling) else {
-            continue;
-        };
-        match format.load_with(&flaml_core::DiskStorage, &sibling) {
-            Ok(_) => println!(
-                "artifact: {} ({format}, {} bytes, verified)",
-                sibling.display(),
-                meta.len()
-            ),
-            Err(e) => println!("artifact: {} ({format}) UNREADABLE: {e}", sibling.display()),
-        }
+/// Prints the journal's `<stem>.status.json` sibling verbatim, when one
+/// exists.
+fn print_terminal_record(journal_path: &str) {
+    let record = std::path::Path::new(journal_path).with_extension("status.json");
+    if let Ok(text) = std::fs::read_to_string(&record) {
+        println!("terminal record {}: {}", record.display(), text.trim_end());
     }
 }
 

@@ -21,10 +21,11 @@
 //!   [`scheduler`]).
 //! * **Crash recovery** — every accepted fit is persisted (request
 //!   sidecar + trial journal) before the client sees `202`. A killed
-//!   server replays the tree on restart: finished artifacts are
-//!   republished and in-flight searches resume their journals
-//!   byte-identically under the deterministic virtual clock (see
-//!   [`server`]).
+//!   server replays the tree on restart: slot files — the one durable
+//!   copy of each served model — are republished, searches that ended
+//!   are recorded from their terminal records, and in-flight searches
+//!   resume their journals byte-identically under the deterministic
+//!   virtual clock (see [`server`]).
 //!
 //! The HTTP layer is a dependency-free `std::net` HTTP/1.1 subset
 //! ([`http`]) whose head cap holds while a request is read; wire types

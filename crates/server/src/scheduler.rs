@@ -15,6 +15,11 @@
 //! ([`Scheduler::submit`] returns the counts for a typed 429); crash
 //! recovery re-admits journaled searches outside the bound, because a
 //! restart must never drop work it already accepted.
+//!
+//! A search that ends writes its model to its slot file (the one
+//! durable copy) and then the [`SearchStatus`] it ended with to
+//! `{id}.status.json`: its terminal record, which recovery reads in
+//! place of the search.
 
 use crate::api::SearchStatus;
 use flaml_core::{
@@ -25,7 +30,7 @@ use flaml_data::Dataset;
 use flaml_store::{atomic_write_file, Storage};
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -124,7 +129,7 @@ impl Scheduler {
     }
 
     fn admit(&self, job: SearchJob) {
-        self.set_status(&job, "queued", None, None);
+        self.set_status(&job, "queued");
         let depth;
         {
             let mut q = self.queues.lock().expect("scheduler lock");
@@ -184,7 +189,7 @@ impl Scheduler {
             };
             let spent_before = job.handle.spent();
             let committed_before = job.handle.committed();
-            self.set_status(&job, "running", None, None);
+            self.set_status(&job, "running");
             self.emit_depth_now();
 
             let slice = catch_unwind(AssertUnwindSafe(|| {
@@ -196,7 +201,7 @@ impl Scheduler {
 
             match slice {
                 Ok(Ok(SliceOutcome::Paused { .. })) => {
-                    self.set_status(&job, "queued", None, None);
+                    self.set_status(&job, "queued");
                     let depth;
                     {
                         let mut q = self.queues.lock().expect("scheduler lock");
@@ -214,16 +219,14 @@ impl Scheduler {
                     let published = self.publish(&job, &result);
                     self.finish_one();
                     match published {
-                        Ok(version) => self.set_status_full(
+                        Ok(version) => self.settle(
                             &job,
                             "finished",
                             Some(result.best_error),
                             Some(version),
                             None,
                         ),
-                        Err(msg) => {
-                            self.mark_failed(&job, &msg);
-                        }
+                        Err(msg) => self.settle(&job, "failed", None, None, Some(msg)),
                     }
                 }
                 Ok(Err(e)) => {
@@ -234,12 +237,12 @@ impl Scheduler {
                         self.emit_storage_fault(&job.tenant, &e.to_string());
                     }
                     self.finish_one();
-                    self.mark_failed(&job, &e.to_string());
+                    self.settle(&job, "failed", None, None, Some(e.to_string()));
                 }
                 Err(panic) => {
-                    let msg = panic_message(&panic);
+                    let msg = format!("slice panicked: {}", panic_message(&panic));
                     self.finish_one();
-                    self.mark_failed(&job, &format!("slice panicked: {msg}"));
+                    self.settle(&job, "failed", None, None, Some(msg));
                 }
             }
         }
@@ -310,19 +313,11 @@ impl Scheduler {
         let compiled = result
             .compile()
             .map_err(|e: AutoMlError| format!("compiling best model failed: {e}"))?;
-        let tenant_dir = self.root.join(&job.tenant);
-        // Completion marker first: recovery treats a search with an
-        // artifact file as done even if the process dies mid-publish.
-        // Both writes publish atomically, so a crash anywhere in here
-        // leaves either no marker (the journal re-derives the result on
-        // restart) or a complete one — never a torn artifact.
-        self.write_artifact(&compiled, &tenant_dir, &job.id)
-            .map_err(|e| {
-                self.emit_storage_fault(&job.tenant, &e.to_string());
-                format!("writing artifact failed: {e}")
-            })?;
-        // The slot file is the durable registry: restart republishes it.
-        self.write_artifact(&compiled, &tenant_dir.join("slots"), &job.slot)
+        // The slot file is the one durable copy of the model: restart
+        // republishes it. It publishes atomically, so a crash in here
+        // leaves the old slot file or the new one, never a torn one.
+        let slots_dir = self.root.join(&job.tenant).join("slots");
+        self.write_artifact(&compiled, &slots_dir, &job.slot)
             .map_err(|e| {
                 self.emit_storage_fault(&job.tenant, &e.to_string());
                 format!("writing slot artifact failed: {e}")
@@ -333,23 +328,26 @@ impl Scheduler {
             .version)
     }
 
-    fn mark_failed(&self, job: &SearchJob, msg: &str) {
-        let marker = self
-            .root
-            .join(&job.tenant)
-            .join(format!("{}.failed", job.id));
-        let written = marker
-            .parent()
-            .map_or(Ok(()), |dir| self.storage.create_dir_all(dir))
-            .and_then(|()| atomic_write_file(self.storage.as_ref(), &marker, msg.as_bytes()));
-        if let Err(e) = written {
-            // The marker is what recovery reads; losing it silently
-            // would resurrect this failed search as healthy on restart.
-            // The in-memory status still reports the failure, and the
-            // fault is counted for operators.
-            self.emit_storage_fault(&job.tenant, &format!("writing failure marker: {e}"));
+    /// Shows the status `job` ended with and writes it atomically as
+    /// the search's terminal record, `{id}.status.json`, which recovery
+    /// reads instead of re-deriving the search. A record that is lost
+    /// costs only that re-derivation from the journal on restart, so a
+    /// failed write is counted as a storage fault and the status shown
+    /// stands.
+    fn settle(
+        &self,
+        job: &SearchJob,
+        state: &str,
+        best_loss: Option<f64>,
+        published_version: Option<u64>,
+        error: Option<String>,
+    ) {
+        let status = self.set_status_full(job, state, best_loss, published_version, error);
+        let record = terminal_record(&self.root.join(&job.tenant), &job.id);
+        let text = serde_json::to_string(&status).expect("statuses always serialize");
+        if let Err(e) = atomic_write_file(self.storage.as_ref(), &record, text.as_bytes()) {
+            self.emit_storage_fault(&job.tenant, &format!("writing terminal record: {e}"));
         }
-        self.set_status_full(job, "failed", None, None, Some(msg.to_string()));
     }
 
     pub(crate) fn emit_storage_fault(&self, tenant: &str, detail: &str) {
@@ -359,8 +357,8 @@ impl Scheduler {
         self.sink.emit(ev);
     }
 
-    fn set_status(&self, job: &SearchJob, state: &str, best: Option<f64>, version: Option<u64>) {
-        self.set_status_full(job, state, best, version, None);
+    fn set_status(&self, job: &SearchJob, state: &str) {
+        self.set_status_full(job, state, None, None, None);
     }
 
     fn set_status_full(
@@ -370,26 +368,25 @@ impl Scheduler {
         best_loss: Option<f64>,
         published_version: Option<u64>,
         error: Option<String>,
-    ) {
+    ) -> SearchStatus {
         // Keep the last observed best loss when a slice has none to
         // report (statuses only ever gain information).
         let mut statuses = self.statuses.lock().expect("status lock");
         let prior_best = statuses
             .get(&(job.tenant.clone(), job.id.clone()))
             .and_then(|s| s.best_loss);
-        statuses.insert(
-            (job.tenant.clone(), job.id.clone()),
-            SearchStatus {
-                id: job.id.clone(),
-                state: state.to_string(),
-                committed: job.handle.committed(),
-                spent: job.handle.spent(),
-                best_loss: best_loss.or(prior_best),
-                slot: job.slot.clone(),
-                published_version,
-                error,
-            },
-        );
+        let status = SearchStatus {
+            id: job.id.clone(),
+            state: state.to_string(),
+            committed: job.handle.committed(),
+            spent: job.handle.spent(),
+            best_loss: best_loss.or(prior_best),
+            slot: job.slot.clone(),
+            published_version,
+            error,
+        };
+        statuses.insert((job.tenant.clone(), job.id.clone()), status.clone());
+        status
     }
 
     fn emit_depth_now(&self) {
@@ -427,12 +424,18 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// The terminal record of search `id` in `tenant_dir`:
+/// `{id}.status.json`, the [`SearchStatus`] it ended with.
+pub(crate) fn terminal_record(tenant_dir: &Path, id: &str) -> PathBuf {
+    tenant_dir.join(format!("{id}.status.json"))
+}
+
 /// Reads the journal-backed progress of a search — committed trials,
 /// spent budget, best loss — through `storage`; used by recovery to
-/// report statuses.
-pub fn journal_progress(
+/// report the statuses of searches it cannot re-admit.
+pub(crate) fn journal_progress(
     storage: &dyn flaml_core::Storage,
-    path: &std::path::Path,
+    path: &Path,
 ) -> (usize, f64, Option<f64>) {
     match Journal::read_with(storage, path) {
         Ok(j) => {

@@ -7,31 +7,35 @@
 //! model slots (registry keys `tenant/slot`) and searches; everything
 //! durable lives under `root/{tenant}/`: the search journal
 //! (`{id}.jsonl`), the request sidecar (`{id}.request.json`), the
-//! completion marker (`{id}.artifact.json` / `{id}.artifact.blob` per
-//! [`ServerConfig::artifact_format`], or `{id}.failed`), and the
-//! durable slot registry (`slots/{slot}.artifact.json` or `.blob`).
-//! Recovery reads either artifact format, blob preferred. Names are
-//! restricted to `[A-Za-z0-9_-]`, so no request can escape its
-//! tenant's directory.
+//! terminal record of a search that finished or failed
+//! (`{id}.status.json`, the [`SearchStatus`] it ended with), and the
+//! durable slot registry (`slots/{slot}.artifact.json` or `.blob` per
+//! [`ServerConfig::artifact_format`]) — the one durable copy of each
+//! served model. Recovery reads either artifact format, blob preferred.
+//! Names are restricted to `[A-Za-z0-9_-]`, so no request can escape
+//! its tenant's directory.
 //!
 //! ## Recovery protocol
 //!
 //! The sidecar is written (and fsynced) *before* a fit is admitted, so
 //! after a kill the directory tree is the full intent log. On startup
-//! the server replays it: slot artifacts are republished, searches
-//! with a completion marker are recorded (finished searches republish
-//! their artifact), and every remaining sidecar is re-admitted — with
-//! [`SearchHandle::attach`] when its journal exists, from scratch
-//! otherwise. Because searches run under the virtual clock and the
-//! journal replays deterministically, the resumed trace is
-//! byte-identical (canonically) to a never-interrupted run.
+//! the server replays it: slot files are republished, each at version
+//! 1 (registry versions and rollback are per process); a search with a
+//! terminal record is recorded as that status, without reading its
+//! sidecar or publishing anything; and every remaining sidecar is
+//! re-admitted — with [`SearchHandle::attach`] when its journal exists,
+//! from scratch otherwise. Because searches run under the virtual clock
+//! and the journal replays deterministically, the resumed trace is
+//! byte-identical (canonically) to a never-interrupted run, and a
+//! search that died between its slot write and its record republishes
+//! the same bits.
 
 use crate::api::{
     valid_name, ErrorBody, FitAccepted, FitRequest, PredictRequest, PredictResponse, Rejected,
-    StreamChunkRequest, StreamPushResponse, StreamRoundBody, StreamStatusBody,
+    SearchStatus, StreamChunkRequest, StreamPushResponse, StreamRoundBody, StreamStatusBody,
 };
 use crate::http::{is_timeout, read_request, write_response, Request};
-use crate::scheduler::{journal_progress, Scheduler, SearchJob};
+use crate::scheduler::{journal_progress, terminal_record, Scheduler, SearchJob};
 use flaml_core::{
     ArtifactFormat, BatchEngine, BlobModel, CompiledModel, EventSink, ExecPool, ModelRegistry,
     SearchHandle, Telemetry, TrialEvent, TrialEventKind,
@@ -65,9 +69,10 @@ pub struct ServerConfig {
     pub fit_workers: usize,
     /// Tenant allow-list (`None` = any well-formed tenant name).
     pub tenants: Option<Vec<String>>,
-    /// Backend for every durable write (sidecars, markers, artifacts,
-    /// journals). Production uses [`flaml_store::disk`]; tests wrap it
-    /// in a [`flaml_store::ChaosStorage`] to inject disk faults.
+    /// Backend for every durable write (sidecars, terminal records,
+    /// artifacts, journals). Production uses [`flaml_store::disk`];
+    /// tests wrap it in a [`flaml_store::ChaosStorage`] to inject disk
+    /// faults.
     pub storage: Arc<dyn Storage>,
     /// Read/write timeout on client sockets (`None` = block forever).
     /// A stalled client beyond the timeout gets a 408 and its
@@ -225,7 +230,7 @@ impl Server {
                 }
             }
             for slot in slot_names {
-                if let Some(model) = self.load_artifact(&tenant, &slots_dir, &slot, "slot") {
+                if let Some(model) = self.load_artifact(&tenant, &slots_dir, &slot) {
                     self.inner
                         .registry
                         .publish(&format!("{tenant}/{slot}"), model);
@@ -280,29 +285,27 @@ impl Server {
         self.inner.sink.emit(ev);
     }
 
-    /// Loads `{stem}.artifact.blob` or `{stem}.artifact.json` from
-    /// `dir`, blob first (the cheaper, mmap-backed open). A file that
-    /// fails validation is quarantined and the next format is tried,
-    /// so a corrupt blob degrades to its JSON sibling instead of
-    /// losing the model. `what` labels the quarantine event ("slot",
-    /// "completion").
+    /// Loads the slot file `{slot}.artifact.blob` or
+    /// `{slot}.artifact.json` from `dir`, blob first (the cheaper,
+    /// mmap-backed open). A file that fails validation is quarantined
+    /// and the next format is tried, so a corrupt blob degrades to its
+    /// JSON sibling instead of losing the model.
     fn load_artifact(
         &self,
         tenant: &str,
         dir: &std::path::Path,
-        stem: &str,
-        what: &str,
+        slot: &str,
     ) -> Option<CompiledModel> {
         let storage = self.inner.cfg.storage.as_ref();
         for format in ArtifactFormat::ALL {
-            let path = dir.join(format!("{stem}{}", format.suffix()));
+            let path = dir.join(format!("{slot}{}", format.suffix()));
             if !storage.exists(&path) {
                 continue;
             }
             match format.load_with(storage, &path) {
                 Ok(model) => return Some(model),
                 Err(e) => {
-                    self.quarantine(&path, tenant, &format!("{what} artifact ({format}): {e}"));
+                    self.quarantine(&path, tenant, &format!("slot artifact ({format}): {e}"));
                 }
             }
         }
@@ -312,7 +315,7 @@ impl Server {
     fn recover_search(&self, tenant: &str, id: &str, sidecar: &std::path::Path) {
         let tenant_dir = self.inner.cfg.root.join(tenant);
         let journal = tenant_dir.join(format!("{id}.jsonl"));
-        let failed = tenant_dir.join(format!("{id}.failed"));
+        let record = terminal_record(&tenant_dir, id);
         let storage = self.inner.cfg.storage.as_ref();
         let read_text = |path: &std::path::Path| {
             storage
@@ -320,61 +323,47 @@ impl Server {
                 .ok()
                 .and_then(|bytes| String::from_utf8(bytes).ok())
         };
+        // Finished or failed on a previous process: the terminal record
+        // is its status, and its model (if any) is already in its slot
+        // file. Any other record is outside input — sidelined, and the
+        // search re-derived from its journal, which writes a new one.
+        if storage.exists(&record) {
+            let status = read_text(&record)
+                .and_then(|text| serde_json::from_str::<SearchStatus>(&text).ok())
+                .filter(|s| s.id == id && matches!(s.state.as_str(), "finished" | "failed"));
+            match status {
+                Some(status) => {
+                    self.inner.scheduler.record_terminal(tenant, status);
+                    return;
+                }
+                None => self.quarantine(&record, tenant, "unusable terminal record"),
+            }
+        }
         let request: Option<FitRequest> =
             read_text(sidecar).and_then(|text| serde_json::from_str(&text).ok());
-        let terminal = |state: &str, slot: &str, version, error| {
+        let failed = |slot: &str, error: String| {
             let (committed, spent, best_loss) = journal_progress(storage, &journal);
-            crate::api::SearchStatus {
+            SearchStatus {
                 id: id.to_string(),
-                state: state.to_string(),
+                state: "failed".to_string(),
                 committed,
                 spent,
                 best_loss,
                 slot: slot.to_string(),
-                published_version: version,
-                error,
+                published_version: None,
+                error: Some(error),
             }
         };
         let Some(request) = request else {
             // The sidecar is the intent record; without it the search
             // cannot be reconstructed. Sideline it and report the loss.
             self.quarantine(sidecar, tenant, "unreadable request sidecar");
-            self.inner.scheduler.record_terminal(
-                tenant,
-                terminal(
-                    "failed",
-                    "",
-                    None,
-                    Some("unreadable request sidecar (quarantined)".into()),
-                ),
-            );
-            return;
-        };
-        if storage.exists(&failed) {
-            let msg = read_text(&failed).unwrap_or_default();
+            let error = "unreadable request sidecar (quarantined)".to_string();
             self.inner
                 .scheduler
-                .record_terminal(tenant, terminal("failed", &request.slot, None, Some(msg)));
+                .record_terminal(tenant, failed("", error));
             return;
-        }
-        // Finished on a previous process: republish its completion
-        // artifact (`.blob` preferred, `.json` fallback) so the slot
-        // serves again even if the slot file was lost. A corrupt
-        // completion marker is quarantined and the search falls through
-        // to journal re-admission, which re-derives the artifact from
-        // the committed trials.
-        if let Some(m) = self.load_artifact(tenant, &tenant_dir, id, "completion") {
-            let version = self
-                .inner
-                .registry
-                .publish(&format!("{tenant}/{}", request.slot), m)
-                .version;
-            self.inner.scheduler.record_terminal(
-                tenant,
-                terminal("finished", &request.slot, Some(version), None),
-            );
-            return;
-        }
+        };
         // In flight when the process died: re-admit, resuming the
         // journal byte-identically where one exists. An unreadable
         // journal is quarantined and the search restarts from scratch —
@@ -409,7 +398,7 @@ impl Server {
             Err(msg) => {
                 self.inner
                     .scheduler
-                    .record_terminal(tenant, terminal("failed", &request.slot, None, Some(msg)));
+                    .record_terminal(tenant, failed(&request.slot, msg));
             }
         }
     }
@@ -628,8 +617,10 @@ impl Server {
         let journal = tenant_dir.join(format!("{id}.jsonl"));
         // Persist the sidecar durably BEFORE admitting: once the client
         // sees 202, a kill at any point leaves enough on disk to resume.
-        // Atomic publish, so a crash mid-write cannot leave a torn
-        // sidecar that recovery would quarantine.
+        // It is the body as received — it parsed as a `FitRequest`, and
+        // recovery parses it with the same parser. Atomic publish, so a
+        // crash mid-write cannot leave a torn sidecar that recovery
+        // would quarantine.
         let storage = Arc::clone(&self.inner.cfg.storage);
         storage
             .create_dir_all(&tenant_dir)
@@ -637,9 +628,7 @@ impl Server {
                 atomic_write_file(
                     storage.as_ref(),
                     &tenant_dir.join(format!("{id}.request.json")),
-                    serde_json::to_string(&request)
-                        .expect("requests always serialize")
-                        .as_bytes(),
+                    body,
                 )
             })
             .map_err(|e| {

@@ -17,7 +17,7 @@ use common::{await_terminal, http, payload, scratch_root};
 use flaml_core::{
     ArtifactFormat, BlobModel, BlobOptions, ChaosStorage, IoFaultPlan, Journal, SearchHandle,
 };
-use flaml_server::{FitRequest, Server, ServerConfig};
+use flaml_server::{FitRequest, SearchStatus, Server, ServerConfig};
 use std::io::{Read, Write};
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -25,8 +25,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// The smallest search that exercises the full durable pipeline:
-/// sidecar, journal create + per-trial commits, completion artifact,
-/// slot artifact.
+/// sidecar, journal create + per-trial commits, slot artifact, terminal
+/// record.
 fn tiny_fit_request(slot: &str) -> FitRequest {
     FitRequest {
         slot: slot.into(),
@@ -124,10 +124,9 @@ fn crashpoint_sweep_recovers_byte_identically_at_every_op() {
         assert_eq!(resumed, reference, "fault-free chaos run diverged");
         chaos.ops_issued()
     };
-    assert!(
-        total >= 20,
-        "expected the lifecycle to issue many storage ops, got {total}"
-    );
+    // Pinned: a change that adds or drops a storage op on the search
+    // lifecycle must say so here.
+    assert_eq!(total, 29, "mutating storage ops of one search lifecycle");
 
     for k in 0..total {
         let root = scratch_root(&format!("sweep_{k}"));
@@ -275,13 +274,13 @@ fn torn_sidecar_is_quarantined_and_server_keeps_serving() {
 }
 
 #[test]
-fn corrupt_completion_artifact_is_quarantined_and_rederived() {
-    let request = tiny_fit_request("artifact");
-    let reference = reference_bytes(&request, "artifact");
+fn corrupt_terminal_record_is_quarantined_and_rederived() {
+    let request = tiny_fit_request("record");
+    let reference = reference_bytes(&request, "record");
     let body = serde_json::to_string(&request).expect("serialize");
 
-    // Run a search to completion to get a real completion artifact.
-    let root = scratch_root("artifact");
+    // Run a search to completion to get a real terminal record.
+    let root = scratch_root("record");
     let (server, addr) = start(config(root.clone(), None));
     let (status, resp) = http(addr, "POST", "/tenants/acme/fit", &body);
     assert_eq!(status, 202, "{resp}");
@@ -289,37 +288,106 @@ fn corrupt_completion_artifact_is_quarantined_and_rederived() {
     assert_eq!(done.state, "finished", "{:?}", done.error);
     server.stop();
 
-    let artifact = root.join("acme/s0000.artifact.json");
-    let pristine = std::fs::read(&artifact).expect("artifact bytes");
+    let record = root.join("acme/s0000.status.json");
+    let pristine = std::fs::read_to_string(&record).expect("record text");
+    let status: SearchStatus = serde_json::from_str(&pristine).expect("record parses");
+    assert_eq!(
+        (status.id.as_str(), status.state.as_str()),
+        ("s0000", "finished")
+    );
 
-    // Tear the artifact at a spread of offsets; every tear must be
-    // quarantined on restart and the journal must re-derive the result.
-    let mut cuts: Vec<usize> = (0..pristine.len()).step_by(97).collect();
-    cuts.push(pristine.len() - 1);
-    for cut in cuts {
-        std::fs::write(&artifact, &pristine[..cut]).expect("torn artifact");
-        let _ = std::fs::remove_file(root.join("acme/s0000.failed"));
+    // Tears at every 7th byte offset, then two records that parse but
+    // are not this search's terminal status: every one is outside input,
+    // quarantined on restart, and the journal re-derives the search.
+    let mut cases: Vec<(String, String)> = (0..pristine.len())
+        .step_by(7)
+        .map(|cut| (format!("cut {cut}"), pristine[..cut].to_string()))
+        .collect();
+    let mut running = status.clone();
+    running.state = "running".into();
+    let mut other = status.clone();
+    other.id = "s0001".into();
+    for (what, record) in [("running", running), ("wrong id", other)] {
+        let text = serde_json::to_string(&record).expect("serialize");
+        cases.push((what.to_string(), text));
+    }
+    for (what, bytes) in cases {
+        std::fs::write(&record, bytes).expect("corrupt record");
 
         let (server, addr) = start(config(root.clone(), None));
         let done = await_terminal(addr, "acme", "s0000");
-        assert_eq!(done.state, "finished", "cut {cut}: {:?}", done.error);
-        assert!(stats_counter(addr, "storage_quarantined") >= 1, "cut {cut}");
-        // The re-derived artifact is complete and loads.
+        assert_eq!(done.state, "finished", "{what}: {:?}", done.error);
+        assert!(stats_counter(addr, "storage_quarantined") >= 1, "{what}");
         assert!(
-            flaml_core::CompiledModel::load(&artifact).is_ok(),
-            "cut {cut}: re-derived artifact unreadable"
+            root.join("acme/s0000.status.json.corrupt").exists(),
+            "{what}: record not quarantined"
         );
         let resumed = Journal::read(root.join("acme/s0000.jsonl"))
             .expect("journal")
             .canonical_bytes();
-        assert_eq!(resumed, reference, "cut {cut}: journal changed");
-        let predict = "{\"slot\":\"artifact\",\"columns\":[[0.5,0.1],[0.2,0.9]]}";
+        assert_eq!(resumed, reference, "{what}: journal changed");
+        let predict = "{\"slot\":\"record\",\"columns\":[[0.5,0.1],[0.2,0.9]]}";
         let (status, resp) = http(addr, "POST", "/tenants/acme/predict", predict);
-        assert_eq!(status, 200, "cut {cut}: {resp}");
+        assert_eq!(status, 200, "{what}: {resp}");
         server.stop();
-        // Reset for the next tear: drop the quarantine file.
-        let _ = std::fs::remove_file(root.join("acme/s0000.artifact.json.corrupt"));
+        // The re-derived search wrote a fresh record that parses.
+        let rewritten: SearchStatus =
+            serde_json::from_str(&std::fs::read_to_string(&record).expect("record rewritten"))
+                .unwrap_or_else(|e| panic!("{what}: rewritten record unreadable: {e}"));
+        assert_eq!(rewritten.state, "finished", "{what}");
+        let _ = std::fs::remove_file(root.join("acme/s0000.status.json.corrupt"));
     }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_pretty_printed_fit_body_is_persisted_verbatim_and_resumes() {
+    let request = tiny_fit_request("pretty");
+    let reference = reference_bytes(&request, "pretty");
+    let body = format!(
+        "\n  {}  \n",
+        serde_json::to_string_pretty(&request).expect("serialize")
+    );
+
+    // A fault-free chaos run counts the lifecycle's ops; the crash
+    // then lands halfway through it, after the sidecar.
+    let total = {
+        let root = scratch_root("pretty_clean");
+        let chaos = Arc::new(ChaosStorage::new(flaml_core::disk(), IoFaultPlan::new(1)));
+        let (server, addr) = start(config(root.clone(), Some(Arc::clone(&chaos))));
+        let (status, resp) = http(addr, "POST", "/tenants/acme/fit", &body);
+        assert_eq!(status, 202, "{resp}");
+        await_terminal(addr, "acme", "s0000");
+        server.stop();
+        let _ = std::fs::remove_dir_all(&root);
+        chaos.ops_issued()
+    };
+    let root = scratch_root("pretty");
+    let chaos = Arc::new(ChaosStorage::new(
+        flaml_core::disk(),
+        IoFaultPlan::new(1).crash_at(total / 2),
+    ));
+    let (server, addr) = start(config(root.clone(), Some(chaos)));
+    let (status, resp) = http(addr, "POST", "/tenants/acme/fit", &body);
+    assert_eq!(status, 202, "{resp}");
+    let done = await_terminal(addr, "acme", "s0000");
+    assert_eq!(done.state, "failed", "the crash must land mid-search");
+    server.stop();
+
+    let sidecar = std::fs::read(root.join("acme/s0000.request.json")).expect("sidecar");
+    assert!(
+        sidecar == body.as_bytes(),
+        "the sidecar is not the body as sent"
+    );
+
+    let (server, addr) = start(config(root.clone(), None));
+    let done = await_terminal(addr, "acme", "s0000");
+    assert_eq!(done.state, "finished", "{:?}", done.error);
+    let resumed = Journal::read(root.join("acme/s0000.jsonl"))
+        .expect("journal")
+        .canonical_bytes();
+    assert_eq!(resumed, reference, "the resumed journal diverged");
+    server.stop();
     let _ = std::fs::remove_dir_all(&root);
 }
 
@@ -405,7 +473,7 @@ fn enospc_mid_search_fails_typed_with_parseable_journal() {
 
     // After the disk recovers (plain storage), restart converges to a
     // terminal state: finished via journal re-admission, or failed with
-    // the persisted typed error if the failure marker survived.
+    // the persisted typed error if the terminal record survived.
     let (server, addr) = start(config(root.clone(), None));
     let done = await_terminal(addr, "acme", "s0000");
     match done.state.as_str() {
@@ -525,77 +593,49 @@ fn blob_save_crashpoint_sweep_never_tears_the_final_name() {
 }
 
 #[test]
-fn torn_blob_completion_artifact_is_quarantined_and_rederived() {
+fn a_blob_format_search_leaves_one_blob_slot_artifact() {
     let request = tiny_fit_request("blobart");
-    let reference = reference_bytes(&request, "blobart");
     let body = serde_json::to_string(&request).expect("serialize");
-
-    let blob_cfg = |root: PathBuf| {
-        let mut cfg = config(root, None);
-        cfg.artifact_format = ArtifactFormat::Blob;
-        cfg
-    };
 
     // Run a search to completion under the blob format.
     let root = scratch_root("blob_artifact");
-    let (server, addr) = start(blob_cfg(root.clone()));
+    let mut cfg = config(root.clone(), None);
+    cfg.artifact_format = ArtifactFormat::Blob;
+    let (server, addr) = start(cfg);
     let (status, resp) = http(addr, "POST", "/tenants/acme/fit", &body);
     assert_eq!(status, 202, "{resp}");
     let done = await_terminal(addr, "acme", "s0000");
     assert_eq!(done.state, "finished", "{:?}", done.error);
     server.stop();
 
-    let artifact = root.join("acme/s0000.artifact.blob");
-    assert!(artifact.exists(), "blob completion artifact missing");
-    assert!(
-        !root.join("acme/s0000.artifact.json").exists(),
-        "json sibling should not exist under the blob format"
+    // One durable copy of the model: the blob slot file, beside the
+    // sidecar, the journal and the terminal record.
+    let names = |dir: PathBuf| {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .expect("list dir")
+            .map(|e| {
+                e.expect("dir entry")
+                    .file_name()
+                    .to_string_lossy()
+                    .into_owned()
+            })
+            .collect();
+        names.sort();
+        names
+    };
+    assert_eq!(
+        names(root.join("acme")),
+        [
+            "s0000.jsonl",
+            "s0000.request.json",
+            "s0000.status.json",
+            "slots"
+        ]
     );
-    assert!(
-        root.join("acme/slots/blobart.artifact.blob").exists(),
-        "blob slot artifact missing"
-    );
-    let pristine = std::fs::read(&artifact).expect("artifact bytes");
-
-    // Truncations (including an empty file and a cut inside the
-    // header) plus a mid-payload byte flip: every corruption must be
-    // quarantined on restart and the journal must re-derive the blob.
-    let mut corruptions: Vec<Vec<u8>> = [0, 1, 63, 64, pristine.len() / 2, pristine.len() - 1]
-        .iter()
-        .map(|&cut| pristine[..cut].to_vec())
-        .collect();
-    let mut flipped = pristine.clone();
-    flipped[pristine.len() / 3] ^= 0x40;
-    corruptions.push(flipped);
-    for (i, bytes) in corruptions.iter().enumerate() {
-        std::fs::write(&artifact, bytes).expect("corrupt artifact");
-        let _ = std::fs::remove_file(root.join("acme/s0000.failed"));
-
-        let (server, addr) = start(blob_cfg(root.clone()));
-        let done = await_terminal(addr, "acme", "s0000");
-        assert_eq!(done.state, "finished", "corruption {i}: {:?}", done.error);
-        assert!(
-            stats_counter(addr, "storage_quarantined") >= 1,
-            "corruption {i}"
-        );
-        // The re-derived blob is complete and validates.
-        assert!(
-            BlobModel::open(&artifact).is_ok(),
-            "corruption {i}: re-derived blob unreadable"
-        );
-        let resumed = Journal::read(root.join("acme/s0000.jsonl"))
-            .expect("journal")
-            .canonical_bytes();
-        assert_eq!(resumed, reference, "corruption {i}: journal changed");
-        let predict = "{\"slot\":\"blobart\",\"columns\":[[0.5,0.1],[0.2,0.9]]}";
-        let (status, resp) = http(addr, "POST", "/tenants/acme/predict", predict);
-        assert_eq!(status, 200, "corruption {i}: {resp}");
-        server.stop();
-        let _ = std::fs::remove_file(root.join("acme/s0000.artifact.blob.corrupt"));
-    }
+    assert_eq!(names(root.join("acme/slots")), ["blobart.artifact.blob"]);
 
     // A restart in the default JSON configuration still serves the
-    // blob artifacts: readers are format-agnostic.
+    // blob artifact: readers are format-agnostic.
     let (server, addr) = start(config(root.clone(), None));
     let predict = "{\"slot\":\"blobart\",\"columns\":[[0.5,0.1],[0.2,0.9]]}";
     let (status, resp) = http(addr, "POST", "/tenants/acme/predict", predict);

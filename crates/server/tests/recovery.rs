@@ -7,7 +7,7 @@ mod common;
 
 use common::{await_terminal, fit_request, http, scratch_root, RecordingStorage};
 use flaml_core::{Journal, SearchHandle};
-use flaml_server::{FitAccepted, FitRequest, Server, ServerConfig};
+use flaml_server::{FitAccepted, FitRequest, PredictResponse, SearchStatus, Server, ServerConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::SocketAddr;
 use std::path::Path;
@@ -88,7 +88,7 @@ fn killed_midsearch_server_resumes_byte_identically() {
     assert_eq!(status, 200, "predict after recovery failed: {body}");
     server.stop();
 
-    // A second restart finds the completion marker: the search reports
+    // A second restart finds the terminal record: the search reports
     // finished without re-running, the slot still serves, and new ids
     // continue past the recovered one.
     let (server, addr) = Server::new(config(root))
@@ -262,9 +262,19 @@ fn recovery_reads_sidecars_markers_and_journals_through_storage() {
     let body = serde_json::to_string(&request).unwrap();
     // s0000 failed on a previous process; s0001 was killed mid-search.
     let failed_sidecar = tenant_dir.join("s0000.request.json");
-    let failed = tenant_dir.join("s0000.failed");
+    let record = tenant_dir.join("s0000.status.json");
     std::fs::write(&failed_sidecar, &body).unwrap();
-    std::fs::write(&failed, "search failed: boom").unwrap();
+    let failed = SearchStatus {
+        id: "s0000".into(),
+        state: "failed".into(),
+        committed: 0,
+        spent: 0.0,
+        best_loss: None,
+        slot: "churn".into(),
+        published_version: None,
+        error: Some("search failed: boom".into()),
+    };
+    std::fs::write(&record, serde_json::to_string(&failed).unwrap()).unwrap();
     let running_sidecar = tenant_dir.join("s0001.request.json");
     let journal = tenant_dir.join("s0001.jsonl");
     std::fs::write(&running_sidecar, &body).unwrap();
@@ -280,13 +290,19 @@ fn recovery_reads_sidecars_markers_and_journals_through_storage() {
     })
     .unwrap();
     let reads = storage.reads();
-    for path in [&failed_sidecar, &failed, &running_sidecar, &journal] {
+    for path in [&record, &running_sidecar, &journal] {
         assert!(
             reads.contains(path),
             "{} was not read through the storage: {reads:?}",
             path.display()
         );
     }
+    // A terminal record stands in for the search: its sidecar, which
+    // carries the whole dataset, is not read.
+    assert!(
+        !reads.contains(&failed_sidecar),
+        "the sidecar of a terminal search was read: {reads:?}"
+    );
 
     // The recovered statuses carry what was read.
     let (server, addr) = server.start("127.0.0.1:0").unwrap();
@@ -297,4 +313,144 @@ fn recovery_reads_sidecars_markers_and_journals_through_storage() {
     assert_eq!(done.state, "finished", "resume failed: {:?}", done.error);
     assert_eq!(done.committed, 4);
     server.stop();
+}
+
+/// `(fingerprint, version)` that `slot` of tenant `acme` serves.
+fn served(addr: SocketAddr, slot: &str) -> (u64, u64) {
+    let predict = format!("{{\"slot\":\"{slot}\",\"columns\":[[0.5,0.1],[0.2,0.9]]}}");
+    let (status, body) = http(addr, "POST", "/tenants/acme/predict", &predict);
+    assert_eq!(status, 200, "predict from {slot} failed: {body}");
+    let response: PredictResponse = serde_json::from_str(&body).unwrap();
+    (response.fingerprint, response.version)
+}
+
+#[test]
+fn a_direct_publish_after_a_finished_search_survives_restart() {
+    let root = scratch_root("publish_after_search");
+    let (server, addr) = Server::new(config(root.clone()))
+        .unwrap()
+        .start("127.0.0.1:0")
+        .unwrap();
+    for (slot, seed) in [("a", 1), ("b", 2)] {
+        let body = serde_json::to_string(&fit_request(slot, 4, seed)).unwrap();
+        let (status, body) = http(addr, "POST", "/tenants/acme/fit", &body);
+        assert_eq!(status, 202, "{body}");
+    }
+    for id in ["s0000", "s0001"] {
+        let done = await_terminal(addr, "acme", id);
+        assert_eq!(done.state, "finished", "{id}: {:?}", done.error);
+    }
+    // Publish b's slot file into a, over s0000's model.
+    let (searched, _) = served(addr, "a");
+    let (fp_b, _) = served(addr, "b");
+    assert_ne!(searched, fp_b, "the two searches should differ");
+    let b_artifact = std::fs::read_to_string(root.join("acme/slots/b.artifact.json")).unwrap();
+    let (status, body) = http(addr, "POST", "/tenants/acme/slots/a", &b_artifact);
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(served(addr, "a"), (fp_b, 2));
+    server.stop();
+
+    // Each slot serves its slot file at version 1 after a restart, and
+    // the finished search only reports its status.
+    for restart in 1..=2 {
+        let (server, addr) = Server::new(config(root.clone()))
+            .unwrap()
+            .start("127.0.0.1:0")
+            .unwrap();
+        assert_eq!(served(addr, "a"), (fp_b, 1), "restart {restart}");
+        let done = await_terminal(addr, "acme", "s0000");
+        assert_eq!(done.state, "finished", "restart {restart}");
+        server.stop();
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_root_written_before_terminal_records_recovers_once() {
+    let root = scratch_root("legacy_root");
+    let tenant_dir = root.join("acme");
+    std::fs::create_dir_all(&tenant_dir).unwrap();
+    // s0000 finished under the old layout: a complete journal and a
+    // completion artifact beside the slot file's place.
+    let finished = fit_request("done", 4, 3);
+    let data = finished.to_dataset().unwrap();
+    let finished_sidecar = tenant_dir.join("s0000.request.json");
+    std::fs::write(&finished_sidecar, serde_json::to_string(&finished).unwrap()).unwrap();
+    let result = finished
+        .to_automl()
+        .unwrap()
+        .journal(tenant_dir.join("s0000.jsonl"))
+        .fit(&data)
+        .unwrap();
+    let legacy_artifact = tenant_dir.join("s0000.artifact.json");
+    result.compile().unwrap().save(&legacy_artifact).unwrap();
+    // s0001 failed under the old layout: a partial journal and a
+    // `.failed` marker.
+    let failed = fit_request("broke", 6, 5);
+    let failed_sidecar = tenant_dir.join("s0001.request.json");
+    std::fs::write(&failed_sidecar, serde_json::to_string(&failed).unwrap()).unwrap();
+    let mut handle = SearchHandle::new(failed.to_automl().unwrap(), tenant_dir.join("s0001.jsonl"));
+    handle.run_slice(&failed.to_dataset().unwrap(), 2).unwrap();
+    drop(handle);
+    let legacy_marker = tenant_dir.join("s0001.failed");
+    std::fs::write(&legacy_marker, "search failed: boom").unwrap();
+
+    // The first restart re-derives each search once from its journal,
+    // and each leaves a terminal record.
+    let (server, addr) = Server::new(config(root.clone()))
+        .unwrap()
+        .start("127.0.0.1:0")
+        .unwrap();
+    let mut ended = Vec::new();
+    for id in ["s0000", "s0001"] {
+        let done = await_terminal(addr, "acme", id);
+        let record = std::fs::read_to_string(tenant_dir.join(format!("{id}.status.json")))
+            .unwrap_or_else(|e| panic!("{id} left no terminal record: {e}"));
+        let record: SearchStatus = serde_json::from_str(&record).unwrap();
+        assert_eq!(
+            (&record.state, record.committed),
+            (&done.state, done.committed)
+        );
+        ended.push(done);
+    }
+    server.stop();
+    let journals = || {
+        ["s0000", "s0001"].map(|id| std::fs::read(tenant_dir.join(format!("{id}.jsonl"))).unwrap())
+    };
+    let before = journals();
+
+    // The second restart re-runs nothing: it reads the records, neither
+    // sidecar nor legacy file, and leaves the journals as they were.
+    let storage = Arc::new(RecordingStorage::default());
+    let (server, addr) = Server::new(ServerConfig {
+        storage: storage.clone(),
+        ..config(root.clone())
+    })
+    .unwrap()
+    .start("127.0.0.1:0")
+    .unwrap();
+    let reads = storage.reads();
+    for path in [
+        &finished_sidecar,
+        &failed_sidecar,
+        &legacy_artifact,
+        &legacy_marker,
+    ] {
+        assert!(!reads.contains(path), "{} was read", path.display());
+        assert!(path.exists(), "{} was removed", path.display());
+    }
+    for (id, first) in ["s0000", "s0001"].into_iter().zip(&ended) {
+        let again = await_terminal(addr, "acme", id);
+        assert_eq!(
+            (&again.state, again.committed),
+            (&first.state, first.committed)
+        );
+    }
+    server.stop();
+    assert_eq!(
+        journals(),
+        before,
+        "a journal changed on the second restart"
+    );
+    let _ = std::fs::remove_dir_all(&root);
 }

@@ -1,7 +1,7 @@
 //! flaml-store: the durable storage layer of the FLAML reproduction.
 //!
 //! Everything the stack persists — write-ahead journals, request
-//! sidecars, completion markers, compiled-model artifacts, bench
+//! sidecars, terminal records, compiled-model artifacts, bench
 //! reports — goes through one small [`Storage`] trait instead of ad-hoc
 //! `std::fs` calls. That buys three things:
 //!
