@@ -4,8 +4,8 @@
 //! random forest maps to score 1.
 
 use flaml_core::{
-    fit_learner, run_trial, AutoMl, AutoMlError, BudgetClock, ExecPool, LearnerKind, ResampleRule,
-    TimeSource, TrialInfo,
+    run_trial, AutoMl, AutoMlError, BudgetClock, Estimator, ExecPool, LearnerKind,
+    ResampleStrategy, TimeSource, TrialInfo,
 };
 use flaml_data::{Dataset, Task};
 use flaml_learners::FittedModel;
@@ -56,7 +56,7 @@ pub fn tuned_random_forest(
     let shuffled = train.shuffled(seed);
     let n = shuffled.n_rows();
     let space = kind.space(n);
-    let strategy = ResampleRule::default().choose(n, shuffled.n_features(), budget_secs);
+    let strategy = ResampleStrategy::choose(n, shuffled.n_features(), budget_secs);
     let mut clock = BudgetClock::new(time_source);
     let mut sampler = RandomSearch::new(space.clone(), seed);
     let mut best: Option<(flaml_search::Config, f64)> = None;
@@ -76,7 +76,7 @@ pub fn tuned_random_forest(
         let t0 = Instant::now();
         let outcome = run_trial(
             &shuffled,
-            &flaml_core::Estimator::Builtin(kind),
+            &Estimator::Builtin(kind),
             &config,
             &space,
             n,
@@ -111,7 +111,9 @@ pub fn tuned_random_forest(
     let Some((config, _)) = best else {
         return Err(AutoMlError::NoViableModel);
     };
-    fit_learner(kind, &shuffled, &config, &space, seed, None).map_err(AutoMlError::RefitFailed)
+    Estimator::Builtin(kind)
+        .fit(&shuffled, &config, &space, seed, None, None)
+        .map_err(AutoMlError::RefitFailed)
 }
 
 /// Computes the benchmark's scale anchors on a train/test pair: the raw

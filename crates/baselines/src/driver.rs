@@ -4,13 +4,13 @@
 
 use crate::joint::JointSpace;
 use flaml_core::{
-    fit_learner, run_trial, AutoMl, AutoMlError, AutoMlResult, BudgetClock, ExecPool, LearnerKind,
-    ResampleRule, ResampleStrategy, TimeSource, TrialInfo, TrialMode, TrialRecord,
+    run_trial, AutoMl, AutoMlError, AutoMlResult, BudgetClock, Estimator, ExecPool, LearnerKind,
+    ResampleStrategy, TimeSource, TrialInfo, TrialMode, TrialRecord,
 };
 use flaml_data::Dataset;
 use flaml_metrics::Metric;
 use flaml_search::{Config, Hyperband, JobSource, RandomSearch, SearchSpace, Tpe};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Which baseline system to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,7 +120,7 @@ pub fn run_baseline(
     let n = shuffled.n_rows();
     let d = shuffled.n_features();
     // The same rule and thresholds as FLAML.
-    let strategy = ResampleRule::default().choose(n, d, settings.time_budget);
+    let strategy = ResampleStrategy::choose(n, d, settings.time_budget);
     let joint = JointSpace::new(&settings.estimators, n);
     let r_min = (settings.sample_size_min.min(n) as f64 / n as f64).clamp(1e-6, 1.0);
 
@@ -187,7 +187,7 @@ pub fn run_baseline(
         };
 
         let (learner, config, subspace) = joint.split(&point);
-        let estimator = flaml_core::Estimator::Builtin(learner);
+        let estimator = Estimator::Builtin(learner);
         let deadline = clock.deadline(settings.time_budget);
         let t0 = Instant::now();
         let mut outcome = run_trial(
@@ -270,26 +270,16 @@ pub fn run_baseline(
     let Some((best_learner, best_config, best_space, best_error)) = best else {
         return Err(AutoMlError::NoViableModel);
     };
-    // Same clamp as FLAML's controller: the refit gets the time actually
-    // left, never a budget gift; an exhausted budget reuses the trial's
-    // model when one exists.
-    let remaining = if clock.is_wall() {
-        Some((settings.time_budget - clock.elapsed()).max(0.0))
-    } else {
-        None
-    };
-    let out_of_budget = remaining.map(|r| r <= 0.0).unwrap_or(false);
-    let refit_budget = remaining
-        .and_then(|r| Duration::try_from_secs_f64(r.max(0.05).min(settings.time_budget)).ok());
-    let model = match (out_of_budget, best_model) {
+    let (spent, refit_budget) = clock.refit_deadline(settings.time_budget);
+    let model = match (spent, best_model) {
         (true, Some(m)) => m,
-        (_, best_model) => match fit_learner(
-            best_learner,
+        (_, best_model) => match Estimator::Builtin(best_learner).fit(
             &shuffled,
             &best_config,
             &best_space,
             settings.seed,
             refit_budget,
+            None,
         ) {
             Ok(m) => m,
             Err(e) => match best_model {
@@ -306,10 +296,7 @@ pub fn run_baseline(
         best_error,
         model,
         trials,
-        strategy: match strategy {
-            ResampleStrategy::Cv { folds } => ResampleStrategy::Cv { folds },
-            ResampleStrategy::Holdout { ratio } => ResampleStrategy::Holdout { ratio },
-        },
+        strategy,
         metric,
         n_retries: 0,
         n_quarantined: 0,

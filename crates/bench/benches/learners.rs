@@ -3,7 +3,7 @@
 //! model and the per-learner cost constants of the appendix.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
-use flaml_core::{fit_learner, CompiledModel, LearnerKind, ModelRegistry};
+use flaml_core::{CompiledModel, Estimator, LearnerKind, ModelRegistry};
 use flaml_data::{Dataset, Task};
 use flaml_learners::{
     BinMapper, Forest, ForestParams, Gbdt, GbdtParams, Growth, Linear, LinearParams,
@@ -121,7 +121,8 @@ fn bench_cheapest_configs(c: &mut Criterion) {
     for kind in LearnerKind::ALL {
         let space = kind.space(data.n_rows());
         let config = space.init_config();
-        let fit = || black_box(fit_learner(kind, &data, &config, &space, 0, None).unwrap());
+        let est = Estimator::from(kind);
+        let fit = || black_box(est.fit(&data, &config, &space, 0, None, None).unwrap());
         let ms = (0..5)
             .map(|_| {
                 let start = Instant::now();

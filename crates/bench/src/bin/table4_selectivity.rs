@@ -13,7 +13,7 @@
 
 use flaml_baselines::{run_baseline, BaselineKind, BaselineSettings};
 use flaml_bench::{render_table, Args};
-use flaml_core::{fit_learner, AutoMl, LearnerKind};
+use flaml_core::{AutoMl, Estimator, LearnerKind};
 use flaml_data::Dataset;
 use flaml_metrics::{q_error_quantile, Metric};
 use flaml_search::Config;
@@ -37,7 +37,9 @@ fn manual_model(train: &Dataset, seed: u64) -> flaml_learners::FittedModel {
     values[space.index_of("learning_rate").expect("param")] = 0.3;
     values[space.index_of("min_child_weight").expect("param")] = 1.0;
     let config = Config::from(values);
-    fit_learner(kind, train, &config, &space, seed, None).expect("manual config fits")
+    Estimator::from(kind)
+        .fit(train, &config, &space, seed, None, None)
+        .expect("manual config fits")
 }
 
 fn main() {

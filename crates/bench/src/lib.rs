@@ -39,7 +39,7 @@ pub mod report;
 pub mod run;
 
 pub use cli::{journal_stem, Args, ExecArgs};
-pub use csv::{parse_trials_csv, render_trials_csv, TrialCsvRow, TRIAL_CSV_HEADER};
+pub use csv::{render_trials_csv, TRIAL_CSV_HEADER};
 pub use grid::{paired_scores, run_grid, GridResult, GridSpec};
 pub use report::{box_stats, percent_better_or_equal, render_table, BoxStats};
 pub use run::{evaluate_scaled, holdout_split, Method, RunConfig};

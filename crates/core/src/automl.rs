@@ -30,15 +30,15 @@
 
 use crate::clock::TimeSource;
 use crate::controller::{sanitize, Search};
-use crate::custom::{CustomLearner, Estimator};
+use crate::custom::CustomLearner;
+use crate::learner::{Estimator, LearnerKind};
 use crate::resample::{ResampleStrategy, TrialStatus};
-use crate::spaces::LearnerKind;
 use flaml_data::Dataset;
 use flaml_exec::FaultPlan;
 use flaml_journal::JournalError;
 use flaml_learners::FittedModel;
 use flaml_metrics::Metric;
-use flaml_search::Config;
+use flaml_search::{Config, SearchSpace};
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
@@ -217,6 +217,20 @@ pub enum AutoMlError {
     /// The journal's best trial used a learner this build cannot
     /// reconstruct by name (e.g. a custom learner).
     UnknownLearner(String),
+    /// A custom learner's name is a builtin learner's name or another
+    /// custom learner's: journals, traces and warm starts identify a
+    /// learner by name, so every name must have one owner.
+    DuplicateLearner(String),
+    /// Stored configuration values — a journal line's, a warm-start
+    /// point's — do not fit the named learner's search space.
+    ConfigMismatch {
+        /// The learner the values were stored for.
+        learner: String,
+        /// Parameters in the learner's search space.
+        expected: usize,
+        /// Values stored.
+        found: usize,
+    },
     /// Compiling, saving or loading a serving artifact failed.
     Artifact(flaml_serve::ArtifactError),
     /// The time budget is not a finite number of seconds above zero.
@@ -255,6 +269,18 @@ impl fmt::Display for AutoMlError {
             AutoMlError::UnknownLearner(name) => {
                 write!(f, "journaled learner {name:?} is not a builtin learner")
             }
+            AutoMlError::DuplicateLearner(name) => write!(
+                f,
+                "custom learner {name:?} reuses a builtin or another custom learner's name"
+            ),
+            AutoMlError::ConfigMismatch {
+                learner,
+                expected,
+                found,
+            } => write!(
+                f,
+                "stored configuration of {learner:?} has {found} values; its search space has {expected} parameters"
+            ),
             AutoMlError::Artifact(e) => write!(f, "serving artifact error: {e}"),
             AutoMlError::BadTimeBudget(budget) => write!(
                 f,
@@ -370,7 +396,8 @@ pub struct Retrained {
 ///
 /// Returns [`AutoMlError`] if the journal is unusable, records no
 /// finite-loss trial, was recorded against different data, names a
-/// non-builtin learner, or the refit fails.
+/// non-builtin learner, stores a configuration that does not fit that
+/// learner's space, or the refit fails.
 pub fn retrain_from_log(
     path: impl AsRef<std::path::Path>,
     data: &Dataset,
@@ -394,9 +421,9 @@ pub fn retrain_from_log(
 
     let shuffled = data.shuffled(journal.header.seed);
     let space = kind.space(shuffled.n_rows());
-    let config = Config::from(best.config_values.clone());
+    let config = stored_config(&best.learner, &best.config_values, &space)?;
     let model = Estimator::Builtin(kind)
-        .fit(&shuffled, &config, &space, journal.header.seed, None)
+        .fit(&shuffled, &config, &space, journal.header.seed, None, None)
         .map_err(AutoMlError::RefitFailed)?;
     Ok(Retrained {
         learner: best.learner.clone(),
@@ -405,6 +432,24 @@ pub fn retrain_from_log(
         loss: best.loss,
         model,
     })
+}
+
+/// `values` as a configuration of `learner`'s `space`, or the typed
+/// error for stored values (a journal line's, a warm-start point's) that
+/// do not fit it.
+pub(crate) fn stored_config(
+    learner: &str,
+    values: &[f64],
+    space: &SearchSpace,
+) -> Result<Config, AutoMlError> {
+    if values.len() != space.dim() {
+        return Err(AutoMlError::ConfigMismatch {
+            learner: learner.to_string(),
+            expected: space.dim(),
+            found: values.len(),
+        });
+    }
+    Ok(Config::from(values.to_vec()))
 }
 
 /// Builder-style AutoML entry point (the library's `fit()`).
@@ -420,7 +465,6 @@ pub struct AutoMl {
     pub(crate) resample_choice: ResampleChoice,
     pub(crate) max_trials: Option<usize>,
     pub(crate) time_source: TimeSource,
-    pub(crate) sample_growth: f64,
     pub(crate) ensemble: bool,
     pub(crate) custom_learners: Vec<std::sync::Arc<dyn CustomLearner>>,
     pub(crate) workers: usize,
@@ -456,7 +500,6 @@ impl Default for AutoMl {
             resample_choice: ResampleChoice::Auto,
             max_trials: None,
             time_source: TimeSource::Wall,
-            sample_growth: 2.0,
             ensemble: false,
             custom_learners: Vec::new(),
             workers: 1,
@@ -546,13 +589,15 @@ impl AutoMl {
     /// Registers a user-defined learner (the paper's `add_learner`). The
     /// learner joins the estimator list and is searched like any builtin
     /// one: ECI prioritization, FLOW² over its declared space, and the
-    /// sample-size schedule all apply.
+    /// sample-size schedule all apply. Its name must be its own: see
+    /// [`AutoMl::validate`].
     pub fn add_learner(mut self, learner: std::sync::Arc<dyn CustomLearner>) -> AutoMl {
         self.custom_learners.push(learner);
         self
     }
 
-    /// The full estimator roster: builtins then custom learners.
+    /// The full estimator roster: builtins then custom learners. A
+    /// builtin repeated in the estimator list joins once.
     pub(crate) fn roster(&self) -> Vec<Estimator> {
         let mut out: Vec<Estimator> = Vec::new();
         for &k in &self.estimators {
@@ -687,7 +732,9 @@ impl AutoMl {
     /// journal — the named learner's FLOW² thread starts at that
     /// configuration instead of its default low-cost init, and its ECI
     /// state is primed with the prior loss. Learners not in the current
-    /// estimator list are ignored.
+    /// estimator list are ignored; a point whose values do not fit its
+    /// learner's space fails the search with
+    /// [`AutoMlError::ConfigMismatch`] before any journal is created.
     pub fn starting_points(mut self, points: Vec<(String, Vec<f64>, f64)>) -> AutoMl {
         self.starting_points = points;
         self
@@ -710,13 +757,22 @@ impl AutoMl {
     /// # Errors
     ///
     /// [`AutoMlError::BadTimeBudget`] unless the time budget is finite
-    /// and above zero.
+    /// and above zero; [`AutoMlError::DuplicateLearner`] when a custom
+    /// learner's name is a builtin learner's (whether or not that
+    /// builtin is in the estimator list) or another custom learner's.
     pub fn validate(&self) -> Result<(), AutoMlError> {
-        if self.time_budget.is_finite() && self.time_budget > 0.0 {
-            Ok(())
-        } else {
-            Err(AutoMlError::BadTimeBudget(self.time_budget))
+        if !(self.time_budget.is_finite() && self.time_budget > 0.0) {
+            return Err(AutoMlError::BadTimeBudget(self.time_budget));
         }
+        for (i, custom) in self.custom_learners.iter().enumerate() {
+            let name = custom.name();
+            if LearnerKind::parse(name).is_some()
+                || self.custom_learners[..i].iter().any(|c| c.name() == name)
+            {
+                return Err(AutoMlError::DuplicateLearner(name.to_string()));
+            }
+        }
+        Ok(())
     }
 
     /// Runs the search on `data` and returns the best model found.
@@ -727,7 +783,8 @@ impl AutoMl {
     /// [`AutoMl::validate`], the estimator list is empty, the dataset is
     /// degenerate (fewer than 2 rows, a single-class classification
     /// target, or no usable feature after dropping constant/all-NaN
-    /// columns), no trial succeeded, or the final refit failed.
+    /// columns), a warm-start point does not fit its learner's space, no
+    /// trial succeeded, or the final refit failed.
     pub fn fit(&self, data: &Dataset) -> Result<AutoMlResult, AutoMlError> {
         let mut search = Search::open(self.clone(), data, None)?;
         search.step(usize::MAX)?;

@@ -107,6 +107,19 @@ impl BudgetClock {
             .flatten()
     }
 
+    /// The final refit after a search under `budget`: whether a wall
+    /// clock has spent the whole budget (a caller holding the best
+    /// trial's model then keeps it), and the refit's deadline — the time
+    /// left, but at least 50 ms and at most `budget`, so an exhausted
+    /// budget grants no extra time. A virtual clock, or a budget too
+    /// large for a [`Duration`], bounds nothing.
+    pub fn refit_deadline(&self, budget: f64) -> (bool, Option<Duration>) {
+        let remaining = self.is_wall().then(|| (budget - self.elapsed()).max(0.0));
+        let deadline =
+            remaining.and_then(|r| Duration::try_from_secs_f64(r.max(0.05).min(budget)).ok());
+        (remaining.is_some_and(|r| r <= 0.0), deadline)
+    }
+
     /// Advances the clock by an externally recorded cost without charging
     /// a trial — how journal replay re-applies a previous process's
     /// spending. On a virtual clock this performs the same `+=` a live

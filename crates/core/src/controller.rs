@@ -30,16 +30,15 @@
 //! count.
 
 use crate::automl::{
-    AutoMl, AutoMlError, AutoMlResult, LearnerSelection, ResampleChoice, TrialMode, TrialRecord,
+    stored_config, AutoMl, AutoMlError, AutoMlResult, LearnerSelection, ResampleChoice, TrialMode,
+    TrialRecord,
 };
 use crate::clock::{BudgetClock, TrialInfo};
-use crate::custom::Estimator;
 use crate::dataplane::{DataPlane, PrepStats, TrialData};
 use crate::eci::{sample_by_inverse_eci, EciState};
 use crate::ensemble::{build_stacked, MemberSpec};
-use crate::resample::{
-    run_trial_prepared, ResampleRule, ResampleStrategy, TrialOutcome, TrialStatus,
-};
+use crate::learner::Estimator;
+use crate::resample::{run_trial_prepared, ResampleStrategy, TrialOutcome, TrialStatus};
 use flaml_data::{Dataset, DatasetView, Task};
 use flaml_exec::{
     EventSink, ExecPool, Job, JobResult, JobStatus, TrialEvent, TrialEventKind, TrialMeta,
@@ -54,7 +53,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Duration;
+
+/// The sample-size growth factor `c` of ECI2 and of each sample-up
+/// trial: the paper doubles the sample.
+const SAMPLE_GROWTH: f64 = 2.0;
 
 struct LearnerState {
     kind: Estimator,
@@ -322,57 +324,18 @@ impl Search {
         let dataset = dataset_info(&clean);
         let n = dataset.rows;
 
-        let rule = ResampleRule::default();
         let strategy = match settings.resample_choice {
-            ResampleChoice::Auto => rule.choose(n, dataset.features, settings.time_budget),
-            ResampleChoice::AlwaysCv => ResampleStrategy::Cv {
-                folds: rule.cv_folds,
-            },
-            ResampleChoice::AlwaysHoldout => ResampleStrategy::Holdout {
-                ratio: rule.holdout_ratio,
-            },
+            ResampleChoice::Auto => {
+                ResampleStrategy::choose(n, dataset.features, settings.time_budget)
+            }
+            ResampleChoice::AlwaysCv => ResampleStrategy::CV,
+            ResampleChoice::AlwaysHoldout => ResampleStrategy::HOLDOUT,
         };
         let init_s = if settings.sampling {
             settings.sample_size_init.min(n)
         } else {
             n
         };
-
-        // Journal setup: on a fresh run, create the log and durably write
-        // its header; on resume, read the old log back (verifying its
-        // header against this run), queue its committed trials for replay,
-        // and reopen it for appending (truncating any torn tail first).
-        let mut replay: VecDeque<TrialLine> = VecDeque::new();
-        let mut journal: Option<JournalWriter> = None;
-        if let Some(path) = &settings.journal_path {
-            let storage = settings.storage.clone().unwrap_or_else(flaml_store::disk);
-            let header = JournalHeader {
-                schema_version: SCHEMA_VERSION,
-                seed: settings.seed,
-                time_budget: settings.time_budget,
-                max_trials: settings.max_trials,
-                sample_size_init: settings.sample_size_init,
-                sampling: settings.sampling,
-                learner_selection: settings.learner_selection.name().to_string(),
-                resample: settings.resample_choice.name().to_string(),
-                metric: metric.name().to_string(),
-                estimators: roster.iter().map(|e| e.name()).collect(),
-                time_source: settings.time_source.name().to_string(),
-                dataset: dataset.clone(),
-            };
-            let writer = if settings.resume {
-                let on_disk = match parsed {
-                    Some(journal) => journal,
-                    None => Journal::read_with(storage.as_ref(), path)?,
-                };
-                verify_resume_header(&on_disk.header, &header)?;
-                replay = on_disk.trials.into();
-                JournalWriter::resume_with(storage.as_ref(), path, on_disk.committed_bytes)
-            } else {
-                JournalWriter::create_with(storage.as_ref(), path, &header)
-            };
-            journal = Some(writer.map_err(AutoMlError::Durability)?);
-        }
 
         let mut states: Vec<LearnerState> = roster
             .into_iter()
@@ -400,14 +363,51 @@ impl Search {
         // Warm start: seed FLOW² threads and ECI priors from prior results
         // (typically a previous journal's per-learner best configurations).
         // Applied before any trial, so a resumed run that was originally
-        // warm-started replays identically when given the same points.
+        // warm-started replays identically when given the same points;
+        // and before the journal exists, so a point that does not fit its
+        // learner's space leaves no journal behind.
         for (name, values, loss) in &settings.starting_points {
             if let Some(st) = states.iter_mut().find(|s| s.kind.name() == *name) {
-                let config = Config::from(values.clone());
-                let point = st.space.encode(&config);
+                let point = st.space.encode(&stored_config(name, values, &st.space)?);
                 st.flow2.seed_point(&point);
                 st.eci.set_prior_err(*loss);
             }
+        }
+
+        // Journal setup: on a fresh run, create the log and durably write
+        // its header; on resume, read the old log back (verifying its
+        // header against this run), queue its committed trials for replay,
+        // and reopen it for appending (truncating any torn tail first).
+        let mut replay: VecDeque<TrialLine> = VecDeque::new();
+        let mut journal: Option<JournalWriter> = None;
+        if let Some(path) = &settings.journal_path {
+            let storage = settings.storage.clone().unwrap_or_else(flaml_store::disk);
+            let header = JournalHeader {
+                schema_version: SCHEMA_VERSION,
+                seed: settings.seed,
+                time_budget: settings.time_budget,
+                max_trials: settings.max_trials,
+                sample_size_init: settings.sample_size_init,
+                sampling: settings.sampling,
+                learner_selection: settings.learner_selection.name().to_string(),
+                resample: settings.resample_choice.name().to_string(),
+                metric: metric.name().to_string(),
+                estimators: states.iter().map(|st| st.kind.name()).collect(),
+                time_source: settings.time_source.name().to_string(),
+                dataset: dataset.clone(),
+            };
+            let writer = if settings.resume {
+                let on_disk = match parsed {
+                    Some(journal) => journal,
+                    None => Journal::read_with(storage.as_ref(), path)?,
+                };
+                verify_resume_header(&on_disk.header, &header)?;
+                replay = on_disk.trials.into();
+                JournalWriter::resume_with(storage.as_ref(), path, on_disk.committed_bytes)
+            } else {
+                JournalWriter::create_with(storage.as_ref(), path, &header)
+            };
+            journal = Some(writer.map_err(AutoMlError::Durability)?);
         }
 
         let fastest = states
@@ -589,18 +589,17 @@ impl Search {
                     }
                     let ecis: Vec<f64> = eligible
                         .iter()
-                        .map(|&i| states[i].eci.eci(global_best, settings.sample_growth))
+                        .map(|&i| states[i].eci.eci(global_best, SAMPLE_GROWTH))
                         .collect();
                     eligible[sample_by_inverse_eci(&ecis, self.rng.gen::<f64>())]
                 }
             }
         };
         let st = &mut self.states[li];
-        let grow_sample = st.eci.tried()
-            && st.sample_size < n
-            && st.eci.eci1() >= st.eci.eci2(settings.sample_growth);
+        let grow_sample =
+            st.eci.tried() && st.sample_size < n && st.eci.eci1() >= st.eci.eci2(SAMPLE_GROWTH);
         let (mode, trial_s, point) = if grow_sample {
-            let s_new = ((st.sample_size as f64 * settings.sample_growth) as usize).min(n);
+            let s_new = ((st.sample_size as f64 * SAMPLE_GROWTH) as usize).min(n);
             (TrialMode::SampleUp, s_new, st.flow2.best_point())
         } else {
             (TrialMode::Search, st.sample_size, st.flow2.ask())
@@ -920,12 +919,7 @@ impl Search {
         let eci_snapshot = if self.settings.learner_selection == LearnerSelection::Eci {
             self.states
                 .iter()
-                .map(|s| {
-                    (
-                        s.kind.name(),
-                        s.eci.eci(line.best_loss, self.settings.sample_growth),
-                    )
-                })
+                .map(|s| (s.kind.name(), s.eci.eci(line.best_loss, SAMPLE_GROWTH)))
                 .collect()
         } else {
             Vec::new()
@@ -962,20 +956,13 @@ impl Search {
         let best_kind = &self.states[best.li].kind;
         let best_space = &self.states[best.li].space;
 
-        // The refit budget is the time actually left — an exhausted
-        // budget must not grant the refit extra time. Fall back to the
-        // trial's model when nothing remains (or the refit fails); only
-        // when there is no trial model either (CV defers its models) does
-        // the refit get a minimal grace budget, since returning no model
-        // at all would turn a finished search into an error.
-        let remaining = self
-            .clock
-            .is_wall()
-            .then(|| (settings.time_budget - self.clock.elapsed()).max(0.0));
-        let out_of_budget = remaining.is_some_and(|r| r <= 0.0);
-        let refit_budget = remaining
-            .and_then(|r| Duration::try_from_secs_f64(r.max(0.05).min(settings.time_budget)).ok());
-        let model = match (out_of_budget, best.model) {
+        // Fall back to the trial's model when the budget is spent (or the
+        // refit fails); only when there is no trial model either (CV
+        // defers its models) does the refit run on its grace budget,
+        // since returning no model at all would turn a finished search
+        // into an error.
+        let (spent, refit_budget) = self.clock.refit_deadline(settings.time_budget);
+        let model = match (spent, best.model) {
             (true, Some(m)) => m,
             (_, trial_model) => {
                 match best_kind.fit(
@@ -984,6 +971,7 @@ impl Search {
                     best_space,
                     settings.seed,
                     refit_budget,
+                    None,
                 ) {
                     Ok(m) => m,
                     Err(e) => trial_model.ok_or(AutoMlError::RefitFailed(e))?,

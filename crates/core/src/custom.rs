@@ -54,16 +54,17 @@
 //! # let _ = automl;
 //! ```
 
-use crate::spaces::LearnerKind;
 use flaml_data::DatasetView;
-use flaml_learners::{FitError, FittedModel, PreparedBins};
+use flaml_learners::{FitError, FittedModel};
 use flaml_search::{Config, SearchSpace};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// A user-defined learner pluggable into the AutoML search.
 pub trait CustomLearner: std::fmt::Debug + Send + Sync {
-    /// Unique learner name (used in trial records and reports).
+    /// The learner's name, as trial records, journals and reports
+    /// identify it. It must differ from every builtin learner's name and
+    /// from every other custom learner's, or [`crate::AutoMl::validate`]
+    /// rejects the settings with [`crate::AutoMlError::DuplicateLearner`].
     fn name(&self) -> &str;
 
     /// The hyperparameter search space for a dataset of `n_rows` rows.
@@ -99,127 +100,14 @@ pub trait CustomLearner: std::fmt::Debug + Send + Sync {
     ) -> Result<FittedModel, FitError>;
 }
 
-/// A searchable estimator: one of the six builtin learners or a
-/// user-registered [`CustomLearner`].
-#[derive(Debug, Clone)]
-pub enum Estimator {
-    /// A builtin learner of the paper's ML layer.
-    Builtin(LearnerKind),
-    /// A user-defined learner.
-    Custom(Arc<dyn CustomLearner>),
-}
-
-impl Estimator {
-    /// The learner's name.
-    pub fn name(&self) -> String {
-        match self {
-            Estimator::Builtin(k) => k.name().to_string(),
-            Estimator::Custom(c) => c.name().to_string(),
-        }
-    }
-
-    /// The learner's search space for `n_rows` training rows.
-    pub fn space(&self, n_rows: usize) -> SearchSpace {
-        match self {
-            Estimator::Builtin(k) => k.space(n_rows),
-            Estimator::Custom(c) => c.space(n_rows),
-        }
-    }
-
-    /// The ECI initialization constant.
-    pub fn cost_constant(&self) -> f64 {
-        match self {
-            Estimator::Builtin(k) => k.cost_constant(),
-            Estimator::Custom(c) => c.cost_constant(),
-        }
-    }
-
-    /// Trains a model for the decoded configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FitError`] for invalid configurations or unusable data.
-    pub fn fit(
-        &self,
-        data: impl Into<DatasetView>,
-        config: &Config,
-        space: &SearchSpace,
-        seed: u64,
-        budget: Option<Duration>,
-    ) -> Result<FittedModel, FitError> {
-        let data: DatasetView = data.into();
-        self.fit_prepared(&data, config, space, seed, budget, None)
-    }
-
-    /// Like [`Estimator::fit`], but reuses a cached [`PreparedBins`]
-    /// artifact when the learner bins its features and the artifact's
-    /// `max_bin` matches the configuration's. A mismatched or absent
-    /// artifact falls back to computing bins from `data` — the fitted
-    /// model is bit-identical either way.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FitError`] for invalid configurations or unusable data.
-    pub fn fit_prepared(
-        &self,
-        data: &DatasetView,
-        config: &Config,
-        space: &SearchSpace,
-        seed: u64,
-        budget: Option<Duration>,
-        prepared: Option<&PreparedBins>,
-    ) -> Result<FittedModel, FitError> {
-        match self {
-            Estimator::Builtin(k) => crate::learner::fit_learner_prepared(
-                *k, data, config, space, seed, budget, prepared,
-            ),
-            Estimator::Custom(c) => c.fit(data, config, space, seed, budget),
-        }
-    }
-
-    /// The binning resolution this learner fits `config` with, or `None`
-    /// for learners that do not bin. The data plane prepares (and caches)
-    /// a [`PreparedBins`] artifact per `(sample, fold, max_bin)` key;
-    /// returning exactly the `max_bin` that
-    /// [`crate::fit_learner`] will put in the learner's
-    /// parameters is what makes the cached artifact admissible.
-    pub fn max_bin(&self, config: &Config, space: &SearchSpace) -> Option<usize> {
-        match self {
-            Estimator::Builtin(LearnerKind::LightGbm) => {
-                Some(config.get(space, "max_bin") as usize)
-            }
-            Estimator::Builtin(LearnerKind::XgBoost | LearnerKind::CatBoost) => Some(255),
-            Estimator::Builtin(LearnerKind::Rf | LearnerKind::ExtraTrees | LearnerKind::Lr)
-            | Estimator::Custom(_) => None,
-        }
-    }
-
-    /// The virtual-clock complexity factor of a configuration.
-    pub fn cost_factor(&self, config: &Config, space: &SearchSpace) -> f64 {
-        match self {
-            Estimator::Builtin(k) => crate::learner::config_cost_factor(*k, config, space),
-            // Without learner-specific knowledge, scale by tree_num-like
-            // parameters if present, else a constant.
-            Estimator::Custom(_) => space
-                .index_of("tree_num")
-                .map(|i| config.values()[i] * 32.0)
-                .unwrap_or(64.0),
-        }
-    }
-}
-
-impl From<LearnerKind> for Estimator {
-    fn from(k: LearnerKind) -> Self {
-        Estimator::Builtin(k)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Estimator, LearnerKind};
     use flaml_data::{Dataset, Task};
     use flaml_learners::{Linear, LinearParams};
     use flaml_search::{Domain, ParamDef};
+    use std::sync::Arc;
 
     #[derive(Debug)]
     struct Stub;
@@ -278,7 +166,7 @@ mod tests {
         let data = toy();
         let space = e.space(data.n_rows());
         let model = e
-            .fit(&data, &space.init_config(), &space, 0, None)
+            .fit(&data, &space.init_config(), &space, 0, None, None)
             .expect("stub fits");
         assert_eq!(model.predict(&data).n_rows(), 60);
     }

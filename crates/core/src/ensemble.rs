@@ -5,7 +5,7 @@
 //! training data. Off by default (FLAML keeps overhead low), enabled with
 //! [`crate::AutoMl::ensemble`].
 
-use crate::custom::Estimator;
+use crate::learner::Estimator;
 use flaml_data::{stratified_kfold, Dataset, DatasetView};
 use flaml_learners::{fit_meta, meta_features, FittedModel, StackedModel};
 use flaml_search::{Config, SearchSpace};
@@ -58,7 +58,7 @@ pub fn build_stacked(
         for spec in &specs {
             let m = spec
                 .kind
-                .fit(&train, &spec.config, &spec.space, seed, budget)
+                .fit(&train, &spec.config, &spec.space, seed, budget, None)
                 .ok()?;
             models.push(m);
         }
@@ -102,7 +102,7 @@ pub fn build_stacked(
     for spec in &specs {
         let m = spec
             .kind
-            .fit(shuffled, &spec.config, &spec.space, seed, budget)
+            .fit(shuffled, &spec.config, &spec.space, seed, budget, None)
             .ok()?;
         members.push(m);
     }

@@ -4,9 +4,9 @@
 //! candidate learners, and this AutoML layer drives the search with four
 //! components (paper Figure 3):
 //!
-//! 1. **Resampling-strategy proposer** ([`ResampleRule`]) — cross
-//!    validation vs. holdout by a thresholding rule on data size and
-//!    budget.
+//! 1. **Resampling-strategy proposer** ([`ResampleStrategy::choose`]) —
+//!    cross validation vs. holdout by a thresholding rule on data size
+//!    and budget.
 //! 2. **Learner proposer** ([`EciState`]) — each learner is chosen with
 //!    probability proportional to `1/ECI`, its *estimated cost for
 //!    improvement*.
@@ -50,22 +50,20 @@ mod handle;
 mod learner;
 mod resample;
 mod serving;
-mod spaces;
 
 pub use automl::{
     retrain_from_log, AutoMl, AutoMlError, AutoMlResult, LearnerSelection, ResampleChoice,
     Retrained, TrialMode, TrialRecord,
 };
 pub use clock::{default_virtual_cost, BudgetClock, TimeSource, TrialInfo};
-pub use custom::{CustomLearner, Estimator};
+pub use custom::CustomLearner;
 pub use dataplane::{DataPlane, FoldData, PrepStats, TrialData};
 pub use eci::{sample_by_inverse_eci, EciState};
 pub use ensemble::{build_stacked, MemberSpec};
 pub use handle::{SearchHandle, SliceOutcome};
-pub use learner::{config_cost_factor, fit_learner, fit_learner_prepared};
-pub use resample::{run_trial, ResampleRule, ResampleStrategy, TrialOutcome, TrialStatus};
+pub use learner::{Estimator, LearnerKind};
+pub use resample::{run_trial, ResampleStrategy, TrialOutcome, TrialStatus};
 pub use serving::export_artifact_from_log;
-pub use spaces::LearnerKind;
 
 // Re-export the execution runtime so downstream crates can size pools and
 // subscribe to trial telemetry without depending on flaml-exec directly.

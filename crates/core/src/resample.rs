@@ -15,8 +15,8 @@
 //! single-worker pool evaluates folds inline in fold order, reproducing
 //! the sequential fold loop bit-for-bit.
 
-use crate::custom::Estimator;
 use crate::dataplane::{DataPlane, TrialData};
+use crate::learner::Estimator;
 use flaml_data::Dataset;
 use flaml_exec::{ExecPool, Job, JobStatus};
 use flaml_learners::FittedModel;
@@ -42,6 +42,24 @@ pub enum ResampleStrategy {
 }
 
 impl ResampleStrategy {
+    /// The paper's cross-validation: 5 folds.
+    pub(crate) const CV: ResampleStrategy = ResampleStrategy::Cv { folds: 5 };
+    /// The paper's holdout: 10 % of the rows validate.
+    pub(crate) const HOLDOUT: ResampleStrategy = ResampleStrategy::Holdout { ratio: 0.1 };
+
+    /// Step 0's thresholding rule for a dataset and time budget, with the
+    /// paper's numbers: cross-validate below 100K instances when
+    /// `instances x features / budget` is also below 10M per hour,
+    /// otherwise hold out.
+    pub fn choose(n_rows: usize, n_features: usize, budget_secs: f64) -> ResampleStrategy {
+        let rate = n_rows as f64 * n_features as f64 / budget_secs.max(1e-9);
+        if n_rows < 100_000 && rate < 10.0e6 / 3600.0 {
+            ResampleStrategy::CV
+        } else {
+            ResampleStrategy::HOLDOUT
+        }
+    }
+
     /// Number of model fits one trial performs under this strategy.
     pub fn fits_per_trial(&self) -> usize {
         match self {
@@ -56,47 +74,6 @@ impl std::fmt::Display for ResampleStrategy {
         match self {
             ResampleStrategy::Cv { folds } => write!(f, "cv{folds}"),
             ResampleStrategy::Holdout { ratio } => write!(f, "holdout{ratio}"),
-        }
-    }
-}
-
-/// Thresholds of the strategy rule; the defaults are the paper's numbers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ResampleRule {
-    /// Use holdout above this instance count (paper: 100K).
-    pub instance_threshold: usize,
-    /// Use holdout above this `instances x features / budget-seconds`
-    /// rate (paper: 10M per hour).
-    pub rate_threshold: f64,
-    /// Folds for cross-validation (paper: 5).
-    pub cv_folds: usize,
-    /// Holdout ratio (paper: 0.1).
-    pub holdout_ratio: f64,
-}
-
-impl Default for ResampleRule {
-    fn default() -> Self {
-        ResampleRule {
-            instance_threshold: 100_000,
-            rate_threshold: 10.0e6 / 3600.0,
-            cv_folds: 5,
-            holdout_ratio: 0.1,
-        }
-    }
-}
-
-impl ResampleRule {
-    /// Applies the thresholding rule for a dataset and time budget.
-    pub fn choose(&self, n_rows: usize, n_features: usize, budget_secs: f64) -> ResampleStrategy {
-        let rate = n_rows as f64 * n_features as f64 / budget_secs.max(1e-9);
-        if n_rows < self.instance_threshold && rate < self.rate_threshold {
-            ResampleStrategy::Cv {
-                folds: self.cv_folds,
-            }
-        } else {
-            ResampleStrategy::Holdout {
-                ratio: self.holdout_ratio,
-            }
         }
     }
 }
@@ -278,7 +255,7 @@ pub(crate) fn run_trial_prepared(
                 if aborted.load(Ordering::SeqCst) {
                     return None;
                 }
-                let fitted = kind.fit_prepared(
+                let fitted = kind.fit(
                     &fold.train,
                     config,
                     space,
@@ -373,29 +350,26 @@ mod tests {
 
     #[test]
     fn rule_picks_cv_for_small_cheap_tasks() {
-        let rule = ResampleRule::default();
         // 1000 x 5 over 3600s => rate 1.39/s, far below 2778/s.
         assert_eq!(
-            rule.choose(1_000, 5, 3600.0),
+            ResampleStrategy::choose(1_000, 5, 3600.0),
             ResampleStrategy::Cv { folds: 5 }
         );
     }
 
     #[test]
     fn rule_picks_holdout_for_big_data() {
-        let rule = ResampleRule::default();
         assert_eq!(
-            rule.choose(200_000, 5, 3600.0),
+            ResampleStrategy::choose(200_000, 5, 3600.0),
             ResampleStrategy::Holdout { ratio: 0.1 }
         );
     }
 
     #[test]
     fn rule_picks_holdout_when_budget_is_tight() {
-        let rule = ResampleRule::default();
         // 50k x 100 over 60s => 83k/s >> 2778/s.
         assert_eq!(
-            rule.choose(50_000, 100, 60.0),
+            ResampleStrategy::choose(50_000, 100, 60.0),
             ResampleStrategy::Holdout { ratio: 0.1 }
         );
     }

@@ -93,7 +93,7 @@ pub fn export_artifact_from_log(
 mod tests {
     use super::*;
     use crate::automl::AutoMl;
-    use crate::spaces::LearnerKind;
+    use crate::learner::LearnerKind;
     use flaml_data::Task;
     use flaml_metrics::Pred;
 

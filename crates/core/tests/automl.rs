@@ -424,3 +424,92 @@ fn wall_clock_budget_is_roughly_respected() {
     );
     assert!(!result.trials.is_empty());
 }
+
+/// A custom learner that takes whatever name it is given: a one-knob
+/// shallow forest whose knob is called `depth`.
+#[derive(Debug)]
+struct Named(&'static str);
+
+impl flaml_core::CustomLearner for Named {
+    fn name(&self) -> &str {
+        self.0
+    }
+    fn space(&self, _n: usize) -> flaml_search::SearchSpace {
+        use flaml_search::{Domain, ParamDef, SearchSpace};
+        SearchSpace::new(vec![ParamDef::new("depth", Domain::int(1, 6), 3.0)]).expect("valid")
+    }
+    fn fit(
+        &self,
+        data: &DatasetView,
+        config: &flaml_search::Config,
+        space: &flaml_search::SearchSpace,
+        seed: u64,
+        budget: Option<std::time::Duration>,
+    ) -> Result<flaml_learners::FittedModel, flaml_learners::FitError> {
+        use flaml_learners::{FittedModel, Forest, ForestParams};
+        let params = ForestParams {
+            n_trees: 4,
+            max_depth: Some(config.get(space, "depth") as usize),
+            ..ForestParams::default()
+        };
+        Forest::fit_bounded(data, &params, seed, budget).map(FittedModel::from)
+    }
+}
+
+/// Runs `automl` and requires the refusal a second owner of `name` gets,
+/// before any trial.
+fn assert_duplicate(automl: AutoMl, name: &str) {
+    let data = binary_dataset(300, 60);
+    match automl.max_trials(4).fit(&data) {
+        Err(AutoMlError::DuplicateLearner(dup)) => assert_eq!(dup, name),
+        other => panic!("expected DuplicateLearner({name:?}), got {other:?}"),
+    }
+}
+
+#[test]
+fn a_custom_learner_named_like_a_listed_builtin_is_rejected() {
+    // Journals would name both "lr", and a retrain would rebuild the
+    // builtin from the custom learner's values.
+    let automl = virtual_automl()
+        .estimators([LearnerKind::LightGbm, LearnerKind::Lr])
+        .add_learner(std::sync::Arc::new(Named("lr")));
+    assert_duplicate(automl, "lr");
+}
+
+#[test]
+fn a_custom_learner_named_like_an_unlisted_builtin_is_rejected() {
+    let automl = virtual_automl()
+        .estimators([LearnerKind::LightGbm])
+        .add_learner(std::sync::Arc::new(Named("xgboost")));
+    assert_duplicate(automl, "xgboost");
+}
+
+#[test]
+fn two_custom_learners_with_one_name_are_rejected() {
+    let automl = virtual_automl()
+        .estimators([LearnerKind::LightGbm])
+        .add_learner(std::sync::Arc::new(Named("shallow")))
+        .add_learner(std::sync::Arc::new(Named("shallow")));
+    assert_duplicate(automl, "shallow");
+}
+
+#[test]
+fn repeated_builtins_still_join_once() {
+    let result = virtual_automl()
+        .estimators([
+            LearnerKind::LightGbm,
+            LearnerKind::Lr,
+            LearnerKind::LightGbm,
+        ])
+        .add_learner(std::sync::Arc::new(Named("shallow")))
+        .max_trials(6)
+        .fit(&binary_dataset(300, 61))
+        .unwrap();
+    let mut names: Vec<&str> = result.trials[0]
+        .eci_snapshot
+        .iter()
+        .map(|(name, _)| name.as_str())
+        .collect();
+    names.sort_unstable();
+    assert_eq!(names, ["lightgbm", "lr", "shallow"]);
+}

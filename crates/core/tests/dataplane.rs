@@ -5,8 +5,8 @@
 //! on, off, or evicting under a tiny byte budget — at any worker count.
 
 use flaml_core::{
-    default_virtual_cost, event_channel, fit_learner, fit_learner_prepared, AutoMl, Estimator,
-    LearnerKind, ResampleChoice, Telemetry, TimeSource, TrialRecord,
+    default_virtual_cost, event_channel, AutoMl, Estimator, LearnerKind, ResampleChoice, Telemetry,
+    TimeSource, TrialRecord,
 };
 use flaml_data::{Dataset, DatasetView, Task};
 use flaml_learners::{PreparedBins, PreparedSort};
@@ -61,13 +61,16 @@ fn view_fits_match_materialized_copy_fits() {
         let select = shuffled.select(&scattered);
         let eval = data.view();
         for kind in LearnerKind::ALL {
+            let est = Estimator::from(kind);
             let space = kind.space(prefix.n_rows());
             let config = space.init_config();
             for (label, view) in [("prefix", &prefix), ("select", &select)] {
-                let from_view = fit_learner(kind, view.clone(), &config, &space, 9, None)
+                let from_view = est
+                    .fit(view, &config, &space, 9, None, None)
                     .unwrap_or_else(|e| panic!("{kind}/{task:?}/{label} view fit: {e:?}"));
                 let copy = view.materialize();
-                let from_copy = fit_learner(kind, &copy, &config, &space, 9, None)
+                let from_copy = est
+                    .fit(&copy, &config, &space, 9, None, None)
                     .unwrap_or_else(|e| panic!("{kind}/{task:?}/{label} copy fit: {e:?}"));
                 assert_eq!(
                     bits(&from_view.predict(eval.clone())),
@@ -106,10 +109,11 @@ fn prepared_bins_fits_match_unprepared_fits() {
                 .expect("gbdt learners have a max_bin");
             let sort = PreparedSort::compute(view.clone());
             let bins_mat = PreparedBins::prepare(&sort, view.clone(), max_bin);
-            let prepared =
-                fit_learner_prepared(kind, &view, &config, &space, 9, None, Some(&bins_mat))
-                    .unwrap_or_else(|e| panic!("{kind}/{task:?} prepared fit: {e:?}"));
-            let fresh = fit_learner_prepared(kind, &view, &config, &space, 9, None, None)
+            let prepared = est
+                .fit(&view, &config, &space, 9, None, Some(&bins_mat))
+                .unwrap_or_else(|e| panic!("{kind}/{task:?} prepared fit: {e:?}"));
+            let fresh = est
+                .fit(&view, &config, &space, 9, None, None)
                 .unwrap_or_else(|e| panic!("{kind}/{task:?} unprepared fit: {e:?}"));
             assert_eq!(
                 bits(&prepared.predict(data.view())),

@@ -4,8 +4,8 @@
 //! search from a prior run's best configurations.
 
 use flaml_core::{
-    default_virtual_cost, retrain_from_log, AutoMl, Journal, LearnerKind, TimeSource, TrialMode,
-    TrialRecord, TrialStatus,
+    default_virtual_cost, retrain_from_log, AutoMl, AutoMlError, Journal, LearnerKind, TimeSource,
+    TrialLine, TrialMode, TrialRecord, TrialStatus,
 };
 use flaml_data::{Dataset, Task};
 use rand::rngs::StdRng;
@@ -125,6 +125,62 @@ fn retrain_from_log_reproduces_the_best_model_exactly() {
     let err = retrain_from_log(&path, &other).unwrap_err();
     assert!(err.to_string().contains("fingerprint"), "got: {err}");
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn retrain_from_log_rejects_a_best_config_that_does_not_fit_its_space() {
+    let data = binary_dataset(600, 11);
+    let path = scratch("retrain_short_config");
+    base().journal(&path).fit(&data).unwrap();
+    // Drop the last stored value of every trial line: the best line's
+    // values are then one short of its learner's space.
+    let text = std::fs::read_to_string(&path).unwrap();
+    let mut lines = text.lines();
+    let mut edited = format!("{}\n", lines.next().unwrap());
+    for line in lines {
+        let mut trial: TrialLine = serde_json::from_str(line).unwrap();
+        trial.config_values.pop();
+        edited += &serde_json::to_string(&trial).unwrap();
+        edited.push('\n');
+    }
+    std::fs::write(&path, edited).unwrap();
+
+    let best = Journal::read(&path).unwrap().best_trial().unwrap().clone();
+    match retrain_from_log(&path, &data) {
+        Err(AutoMlError::ConfigMismatch {
+            learner,
+            expected,
+            found,
+        }) => {
+            assert_eq!(learner, best.learner);
+            assert_eq!((expected, found), (found + 1, best.config_values.len()));
+        }
+        other => panic!(
+            "expected ConfigMismatch, got {:?}",
+            other.map(|r| r.learner)
+        ),
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_starting_point_that_does_not_fit_its_space_is_a_typed_error() {
+    let data = binary_dataset(300, 5);
+    let path = scratch("short_starting_point");
+    let err = base()
+        .journal(&path)
+        .starting_points(vec![("lightgbm".into(), vec![4.0, 4.0], 0.3)])
+        .fit(&data)
+        .unwrap_err();
+    match err {
+        AutoMlError::ConfigMismatch {
+            learner,
+            expected,
+            found,
+        } => assert_eq!((learner.as_str(), expected, found), ("lightgbm", 9, 2)),
+        other => panic!("expected ConfigMismatch, got {other}"),
+    }
+    assert!(!path.exists(), "a refused warm start must leave no journal");
 }
 
 /// A binary task hard enough that the initial low-cost configurations

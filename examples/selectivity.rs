@@ -8,7 +8,7 @@
 //! cargo run --release --example selectivity
 //! ```
 
-use flaml::{fit_learner, AutoMl, LearnerKind};
+use flaml::{AutoMl, Estimator, LearnerKind};
 use flaml_metrics::{q_error_quantile, Metric};
 use flaml_search::Config;
 use flaml_synth::{selectivity_dataset, TableDistribution};
@@ -52,12 +52,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     values[space.index_of("leaf_num").expect("param exists")] = 16.0;
     values[space.index_of("learning_rate").expect("param exists")] = 0.3;
     values[space.index_of("min_child_weight").expect("param exists")] = 1.0;
-    let manual = fit_learner(
-        kind,
+    let manual = Estimator::from(kind).fit(
         &workload.train,
         &Config::from(values),
         &space,
         0,
+        None,
         None,
     )?;
     let pred = manual.predict(&workload.test);

@@ -3,8 +3,8 @@
 # prints them and exits non-zero when either exceeds its ceiling. The
 # ceilings only ever go down — a PR that shrinks a number lowers its
 # ceiling to match.
-MAX_CODE_LINES=19800
-MAX_PUBLIC_ITEMS=790
+MAX_CODE_LINES=19682
+MAX_PUBLIC_ITEMS=782
 # Counted as ISSUE 14 defines them, over every *.rs under src/ and
 # crates/*/src except crates/perf (the benchmark), up to the file's
 # first `#[cfg(test)]` line:
