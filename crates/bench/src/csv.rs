@@ -54,6 +54,95 @@ pub fn render_trials_csv(trials: &[TrialLine]) -> String {
 mod tests {
     use super::*;
 
+    fn line(iter: usize) -> TrialLine {
+        TrialLine {
+            iter,
+            learner: "lightgbm".into(),
+            config: "trees=4, lr=0.1000, note=\"q\"".into(),
+            config_values: vec![4.0, 0.1],
+            sample_size: 500 + iter,
+            loss: 0.125 + iter as f64 * 0.001,
+            status: "ok".into(),
+            mode: "search".into(),
+            attempts: iter % 3,
+            attempt_costs: vec![0.05],
+            cost: 0.05,
+            total_time: 0.2,
+            wall_secs: 0.017,
+            prepared_hits: iter * 2,
+            prepared_misses: iter,
+            prepared_evictions: iter % 2,
+            bytes_copied_saved: iter * 4096,
+            tree_cache_hits: iter % 4,
+            tree_cache_misses: iter % 3,
+            trees_saved: iter * 17,
+            seed: 7,
+            improved: iter.is_multiple_of(2),
+            best_loss: 0.125,
+        }
+    }
+
+    /// The cells of each data row: 19 fixed columns split on plain
+    /// commas, then the quoted config with its doubled quotes undone.
+    fn rows(csv: &str) -> Vec<Vec<String>> {
+        let mut lines = csv.lines();
+        assert_eq!(lines.next(), Some(TRIAL_CSV_HEADER));
+        lines
+            .map(|row| {
+                let mut cells: Vec<String> = row.splitn(20, ',').map(str::to_string).collect();
+                assert_eq!(cells.len(), 20, "{row:?}");
+                let config = cells[19]
+                    .strip_prefix('"')
+                    .and_then(|c| c.strip_suffix('"'));
+                cells[19] = config.expect("config is quoted").replace("\"\"", "\"");
+                cells
+            })
+            .collect()
+    }
+
+    fn bits(cell: &str) -> u64 {
+        cell.parse::<f64>().unwrap().to_bits()
+    }
+
+    #[test]
+    fn csv_round_trips_every_exported_field() {
+        let trials: Vec<TrialLine> = (1..=5).map(line).collect();
+        let rows = rows(&render_trials_csv(&trials));
+        assert_eq!(rows.len(), trials.len());
+        for (c, t) in rows.iter().zip(&trials) {
+            assert_eq!(c[0], t.iter.to_string());
+            assert_eq!(c[1], t.learner);
+            assert_eq!(c[2], t.mode);
+            assert_eq!(c[3], t.status);
+            assert_eq!(c[4], t.sample_size.to_string());
+            assert_eq!(bits(&c[5]), t.loss.to_bits());
+            assert_eq!(bits(&c[6]), t.cost.to_bits());
+            assert_eq!(bits(&c[7]), t.total_time.to_bits());
+            assert_eq!(bits(&c[8]), t.wall_secs.to_bits());
+            assert_eq!(c[9], t.attempts.to_string());
+            assert_eq!(c[10].parse::<bool>(), Ok(t.improved));
+            assert_eq!(bits(&c[11]), t.best_loss.to_bits());
+            assert_eq!(c[12], t.prepared_hits.to_string());
+            assert_eq!(c[13], t.prepared_misses.to_string());
+            assert_eq!(c[14], t.bytes_copied_saved.to_string());
+            assert_eq!(c[15], t.prepared_evictions.to_string());
+            assert_eq!(c[16], t.tree_cache_hits.to_string());
+            assert_eq!(c[17], t.tree_cache_misses.to_string());
+            assert_eq!(c[18], t.trees_saved.to_string());
+            assert_eq!(c[19], t.config, "embedded quotes must unescape");
+        }
+    }
+
+    #[test]
+    fn failure_sentinel_loss_round_trips() {
+        let mut t = line(1);
+        t.loss = f64::INFINITY;
+        t.best_loss = f64::INFINITY;
+        let rows = rows(&render_trials_csv(&[t]));
+        assert_eq!(bits(&rows[0][5]), f64::INFINITY.to_bits());
+        assert_eq!(bits(&rows[0][11]), f64::INFINITY.to_bits());
+    }
+
     #[test]
     fn renders_a_known_line_exactly() {
         let failed = TrialLine {
