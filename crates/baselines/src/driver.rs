@@ -82,17 +82,26 @@ impl Default for BaselineSettings {
     }
 }
 
-enum Proposer {
+/// Where a baseline's fresh points come from.
+enum Sampler {
+    Tpe(Tpe),
     Random(RandomSearch),
-    Bo(Tpe),
-    Bohb {
-        tpe: Tpe,
-        hb: Hyperband,
-    },
-    Hyperband {
-        sampler: RandomSearch,
-        hb: Hyperband,
-    },
+}
+
+impl Sampler {
+    fn ask(&mut self) -> Vec<f64> {
+        match self {
+            Sampler::Tpe(tpe) => tpe.ask(),
+            Sampler::Random(rs) => rs.ask(),
+        }
+    }
+
+    fn tell(&mut self, error: f64) {
+        match self {
+            Sampler::Tpe(tpe) => tpe.tell(error),
+            Sampler::Random(rs) => rs.tell(error),
+        }
+    }
 }
 
 /// Runs a baseline AutoML system on `data` and returns a result in the
@@ -133,19 +142,19 @@ pub fn run_baseline(
             BaselineKind::Bohb => 0x424f4842,
             BaselineKind::Hyperband => 0x48422121,
         };
-    let mut proposer = match kind {
-        BaselineKind::RandomSearch => {
-            Proposer::Random(RandomSearch::new(joint.space().clone(), seed))
+    let mut sampler = match kind {
+        BaselineKind::Bo | BaselineKind::Bohb => {
+            Sampler::Tpe(Tpe::new(joint.space().clone(), seed))
         }
-        BaselineKind::Bo => Proposer::Bo(Tpe::new(joint.space().clone(), seed)),
-        BaselineKind::Bohb => Proposer::Bohb {
-            tpe: Tpe::new(joint.space().clone(), seed),
-            hb: Hyperband::new(3, r_min),
-        },
-        BaselineKind::Hyperband => Proposer::Hyperband {
-            sampler: RandomSearch::new(joint.space().clone(), seed),
-            hb: Hyperband::new(3, r_min),
-        },
+        BaselineKind::RandomSearch | BaselineKind::Hyperband => {
+            Sampler::Random(RandomSearch::new(joint.space().clone(), seed))
+        }
+    };
+    // The fidelity baselines size each trial (and promote survivors)
+    // by a Hyperband schedule; the others run every trial on full data.
+    let mut hyperband = match kind {
+        BaselineKind::Bohb | BaselineKind::Hyperband => Some(Hyperband::new(3, r_min)),
+        BaselineKind::Bo | BaselineKind::RandomSearch => None,
     };
 
     let pool = ExecPool::new(settings.workers.max(1));
@@ -165,23 +174,14 @@ pub fn run_baseline(
         }
 
         // Propose a joint point and a sample size.
-        let (point, sample_size, mode, job) = match &mut proposer {
-            Proposer::Random(rs) => (rs.ask(), n, TrialMode::Search, None),
-            Proposer::Bo(tpe) => (tpe.ask(), n, TrialMode::Search, None),
-            Proposer::Bohb { tpe, hb } => {
-                let job = hb.next_job();
+        let job = hyperband.as_mut().map(Hyperband::next_job);
+        let (point, sample_size, mode) = match &job {
+            None => (sampler.ask(), n, TrialMode::Search),
+            Some(job) => {
                 let s = ((job.fidelity * n as f64).round() as usize).clamp(1, n);
                 match &job.source {
-                    JobSource::Fresh => (tpe.ask(), s, TrialMode::Search, Some(job)),
-                    JobSource::Promoted(cfg) => (cfg.clone(), s, TrialMode::SampleUp, Some(job)),
-                }
-            }
-            Proposer::Hyperband { sampler, hb } => {
-                let job = hb.next_job();
-                let s = ((job.fidelity * n as f64).round() as usize).clamp(1, n);
-                match &job.source {
-                    JobSource::Fresh => (sampler.ask(), s, TrialMode::Search, Some(job)),
-                    JobSource::Promoted(cfg) => (cfg.clone(), s, TrialMode::SampleUp, Some(job)),
+                    JobSource::Fresh => (sampler.ask(), s, TrialMode::Search),
+                    JobSource::Promoted(cfg) => (cfg.clone(), s, TrialMode::SampleUp),
                 }
             }
         };
@@ -213,25 +213,11 @@ pub fn run_baseline(
         let cost = clock.charge(&info, measured);
 
         // Feed the proposer.
-        match &mut proposer {
-            Proposer::Random(rs) => rs.tell(outcome.error),
-            Proposer::Bo(tpe) => tpe.tell(outcome.error),
-            Proposer::Bohb { tpe, hb } => {
-                let job = job.expect("bohb issues jobs");
-                match &job.source {
-                    JobSource::Fresh => tpe.tell(outcome.error),
-                    JobSource::Promoted(_) => {}
-                }
-                hb.report(&job, point.clone(), outcome.error);
-            }
-            Proposer::Hyperband { sampler, hb } => {
-                let job = job.expect("hyperband issues jobs");
-                match &job.source {
-                    JobSource::Fresh => sampler.tell(outcome.error),
-                    JobSource::Promoted(_) => {}
-                }
-                hb.report(&job, point.clone(), outcome.error);
-            }
+        if mode == TrialMode::Search {
+            sampler.tell(outcome.error);
+        }
+        if let (Some(hb), Some(job)) = (hyperband.as_mut(), &job) {
+            hb.report(job, point, outcome.error);
         }
 
         let improved_global = outcome.error.is_finite()

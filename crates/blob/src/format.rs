@@ -24,9 +24,9 @@
 //! header carries an endianness marker so a big-endian host (or a blob
 //! written by one, if that ever exists) is rejected instead of
 //! misread. Section offsets are multiples of 64 from the start of the
-//! file, so once the base pointer is 64-byte-aligned (mapped pages are
-//! page-aligned; the heap fallback allocates aligned) every slab
-//! reinterprets as `&[u32]` / `&[f64]` directly.
+//! file, so once the base pointer is 64-byte-aligned (the reader copies
+//! the file into a buffer that starts aligned) every slab reinterprets
+//! as `&[u32]` / `&[f64]` directly.
 //!
 //! Models are encoded as a pre-order walk: each model owns a block of
 //! sections tagged `model_index << 8 | section_kind`, and a stacked

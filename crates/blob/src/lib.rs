@@ -1,14 +1,12 @@
-//! Mmap-able binary model artifacts.
+//! Binary model artifacts.
 //!
 //! The JSON artifact (`flaml-serve`) is the portable interchange form:
 //! human-inspectable, schema-tolerant, byte-order-free. This crate adds
 //! the *serving* form — a versioned, little-endian, 64-byte-aligned
 //! blob whose on-disk bytes **are** the [`CompiledModel`]
-//! structure-of-arrays node slabs. Opening one is `mmap` + header
-//! validation + an FNV-1a fingerprint pass: zero deserialization, no
-//! allocation proportional to model size, and `MAP_SHARED` read-only
-//! pages mean every process serving the same artifact shares one
-//! physical copy through the page cache.
+//! structure-of-arrays node slabs. Opening one is a file read into an
+//! aligned buffer + header validation + an FNV-1a fingerprint pass: no
+//! parse and no deserialization, the slabs are read in place.
 //!
 //! The contract that makes the format safe to prefer is
 //! **bit-identity**: a [`BlobModel`] predicts exactly the same bits as
@@ -33,7 +31,6 @@
 #![warn(missing_docs)]
 
 mod format;
-mod mapping;
 mod model;
 
 pub use format::{
@@ -57,7 +54,7 @@ pub enum ArtifactFormat {
     /// The portable JSON document (`.artifact.json`) — default.
     #[default]
     Json,
-    /// The mmap-able binary blob (`.artifact.blob`).
+    /// The binary blob (`.artifact.blob`).
     Blob,
 }
 

@@ -1,5 +1,5 @@
 //! Opening and serving a blob: validate once, then predict straight
-//! off the mapped bytes.
+//! off the blob's bytes.
 //!
 //! [`BlobModel::open`] does all the work the format ever requires:
 //! header checks (magic, version, endianness, flags), an FNV-1a
@@ -9,14 +9,13 @@
 //! (consistent slab lengths, child indices strictly increase so tree
 //! evaluation provably terminates). What it does
 //! *not* do is deserialize: the parsed representation is a tree of
-//! section descriptors — offsets and counts into the mapping — and
+//! section descriptors — offsets and counts into the bytes — and
 //! [`BlobModel::view`] turns those into borrowed slices feeding the
 //! same [`ModelView`] evaluator that owned [`CompiledModel`]s use.
 //! Every rejection is a typed [`ArtifactError`]; no input bytes can
 //! make `open` panic or `predict` loop.
 
-use crate::format::{self, Elem};
-use crate::mapping::Mapping;
+use crate::format::{self, Elem, BLOB_ALIGN};
 use flaml_data::{DatasetView, Task};
 use flaml_learners::Encoding;
 use flaml_metrics::Pred;
@@ -40,7 +39,7 @@ fn layout(msg: impl Into<String>) -> ArtifactError {
 }
 
 /// A validated section: `count` elements starting `off` bytes into the
-/// file. Ranges, not slices — the mapping and its views live in the
+/// file. Ranges, not slices — the bytes and their views live in the
 /// same struct, so views are minted on demand instead of self-borrowed.
 #[derive(Debug, Clone, Copy)]
 struct Slab {
@@ -107,14 +106,41 @@ struct Entry {
     count: usize,
 }
 
-/// A model served directly from blob bytes — a memory mapping (or an
-/// aligned heap copy when the storage declines mapping) plus the
-/// validated section descriptors into it. Prediction goes through the
-/// exact [`ModelView`] evaluator owned [`CompiledModel`]s use, so
-/// outputs are bit-identical to the JSON-artifact path.
+/// Blob bytes in an owned buffer whose first byte is
+/// [`BLOB_ALIGN`]-aligned, so slab sections (whose offsets are 64-aligned
+/// within the file) reinterpret as `&[u32]` / `&[f64]`. The `Vec` is
+/// allocated `BLOB_ALIGN - 1` bytes longer than the blob, which starts
+/// `pad` bytes in; it never grows again (`truncate` keeps the
+/// allocation), and moving it does not move its heap bytes, so the
+/// alignment holds for the buffer's whole life.
+#[derive(Debug)]
+struct AlignedBytes {
+    buf: Vec<u8>,
+    pad: usize,
+}
+
+impl AlignedBytes {
+    fn copy_of(bytes: &[u8]) -> AlignedBytes {
+        let mut buf = vec![0u8; bytes.len() + BLOB_ALIGN - 1];
+        let pad = (BLOB_ALIGN - buf.as_ptr() as usize % BLOB_ALIGN) % BLOB_ALIGN;
+        buf[pad..pad + bytes.len()].copy_from_slice(bytes);
+        buf.truncate(pad + bytes.len());
+        AlignedBytes { buf, pad }
+    }
+
+    fn bytes(&self) -> &[u8] {
+        &self.buf[self.pad..]
+    }
+}
+
+/// A model served directly from blob bytes — an owned, aligned copy of
+/// the file read once — plus the validated section descriptors into it.
+/// Prediction goes through the exact [`ModelView`] evaluator owned
+/// [`CompiledModel`]s use, so outputs are bit-identical to the
+/// JSON-artifact path.
 #[derive(Debug)]
 pub struct BlobModel {
-    map: Mapping,
+    bytes: AlignedBytes,
     flags: u32,
     fingerprint: u64,
     root: Node,
@@ -129,7 +155,7 @@ impl Servable for BlobModel {
 }
 
 impl BlobModel {
-    /// Maps and validates the blob at `path` on the local filesystem.
+    /// Reads and validates the blob at `path` on the local filesystem.
     ///
     /// # Errors
     ///
@@ -139,28 +165,19 @@ impl BlobModel {
     /// for payload corruption, [`ArtifactError::Layout`] for truncation
     /// and every structural violation.
     pub fn open(path: impl AsRef<Path>) -> Result<BlobModel, ArtifactError> {
-        BlobModel::parse(Mapping::from_file(path.as_ref())?)
+        BlobModel::from_bytes(&std::fs::read(path)?)
     }
 
-    /// [`BlobModel::open`] against an explicit [`Storage`]. Storages
-    /// backed by real files expose a mappable path
-    /// ([`Storage::mmap_source`]) and get the zero-copy mapping;
-    /// fault-injecting or virtual storages decline, and the blob is
-    /// read through [`Storage::read`] into an aligned buffer — slower,
-    /// but every byte still flows through the storage's fault surface.
+    /// [`BlobModel::open`] against an explicit [`Storage`]: the bytes
+    /// come from [`Storage::read`], so every one of them flows through
+    /// the storage's fault surface.
     ///
     /// # Errors
     ///
     /// Same as [`BlobModel::open`], with read failures surfacing as
     /// [`ArtifactError::Storage`].
     pub fn open_with(storage: &dyn Storage, path: &Path) -> Result<BlobModel, ArtifactError> {
-        match storage.mmap_source(path) {
-            Some(real) => BlobModel::parse(Mapping::from_file(&real)?),
-            None => {
-                let bytes = storage.read(path)?;
-                BlobModel::parse(Mapping::from_bytes(&bytes))
-            }
-        }
+        BlobModel::from_bytes(&storage.read(path)?)
     }
 
     /// Validates blob bytes already in memory (copied into an aligned
@@ -170,17 +187,17 @@ impl BlobModel {
     ///
     /// Same as [`BlobModel::open`].
     pub fn from_bytes(bytes: &[u8]) -> Result<BlobModel, ArtifactError> {
-        BlobModel::parse(Mapping::from_bytes(bytes))
+        BlobModel::parse(AlignedBytes::copy_of(bytes))
     }
 
-    fn parse(map: Mapping) -> Result<BlobModel, ArtifactError> {
+    fn parse(owned: AlignedBytes) -> Result<BlobModel, ArtifactError> {
         if cfg!(target_endian = "big") {
             return Err(layout(
                 "blob artifacts are little-endian memory images; use the JSON artifact \
                  format on big-endian hosts",
             ));
         }
-        let bytes = map.bytes();
+        let bytes = owned.bytes();
         let len = bytes.len();
         if len < format::HEADER_LEN {
             return Err(layout(format!(
@@ -243,10 +260,9 @@ impl BlobModel {
                 .map_err(|_| layout(format!("section {tag:#x}: offset out of range")))?;
             let count = usize::try_from(count)
                 .map_err(|_| layout(format!("section {tag:#x}: count out of range")))?;
-            if off % crate::format::BLOB_ALIGN != 0 {
+            if off % BLOB_ALIGN != 0 {
                 return Err(layout(format!(
-                    "section {tag:#x}: offset {off} not {}-byte aligned",
-                    crate::format::BLOB_ALIGN
+                    "section {tag:#x}: offset {off} not {BLOB_ALIGN}-byte aligned"
                 )));
             }
             let nbytes = count
@@ -279,7 +295,7 @@ impl BlobModel {
         }
         node_view(&root, bytes).check()?;
         Ok(BlobModel {
-            map,
+            bytes: owned,
             flags,
             fingerprint: expected,
             root,
@@ -287,13 +303,13 @@ impl BlobModel {
         })
     }
 
-    /// Renders the mapped slabs as the shared [`ModelView`] evaluator
+    /// Renders the blob's slabs as the shared [`ModelView`] evaluator
     /// input. No allocation beyond stacked-member vectors.
     pub fn view(&self) -> ModelView<'_> {
-        node_view(&self.root, self.map.bytes())
+        node_view(&self.root, self.bytes.bytes())
     }
 
-    /// Predicts on `data` straight off the mapped bytes — bit-identical
+    /// Predicts on `data` straight off the blob's bytes — bit-identical
     /// to [`CompiledModel::predict`] of the same model. The first call
     /// builds the evaluator [`Tables`]; later ones reuse them.
     pub fn predict(&self, data: impl Into<DatasetView>) -> Pred {
@@ -318,15 +334,9 @@ impl BlobModel {
         self.flags & format::FLAG_QUANTIZED != 0
     }
 
-    /// Whether the bytes are a shared file mapping (as opposed to an
-    /// owned aligned copy).
-    pub fn is_mmap(&self) -> bool {
-        self.map.is_mmap()
-    }
-
     /// Total blob size in bytes.
     pub fn n_bytes(&self) -> usize {
-        self.map.bytes().len()
+        self.bytes.bytes().len()
     }
 
     /// The task the model predicts.
@@ -350,16 +360,17 @@ fn read_u64(bytes: &[u8], at: usize) -> u64 {
 
 /// Reinterprets a validated slab as a typed slice. Soundness: `parse`
 /// proved `off + count * size_of::<T>() <= bytes.len()` and
-/// `off % 64 == 0`, and the mapping base is 64-byte-aligned (page
-/// alignment or the aligned heap buffer), so the pointer is aligned
-/// and in-bounds for all `T` the format stores.
+/// `off % 64 == 0`, and `bytes` starts at the 64-byte-aligned front of
+/// an [`AlignedBytes`] buffer, so the pointer is aligned and in-bounds
+/// for all `T` the format stores.
 fn slab_slice<'a, T>(bytes: &'a [u8], slab: &Slab) -> &'a [T] {
     debug_assert!(slab.off + slab.count * std::mem::size_of::<T>() <= bytes.len());
-    debug_assert_eq!(bytes.as_ptr() as usize % crate::format::BLOB_ALIGN, 0);
+    debug_assert_eq!(bytes.as_ptr() as usize % BLOB_ALIGN, 0);
     // SAFETY: in bounds and aligned as the doc comment above shows; the
     // format stores only plain integer and float elements, for which
-    // every bit pattern is valid; and the slice borrows `bytes`, so it
-    // cannot outlive the `Mapping` behind them.
+    // every bit pattern is valid; and the slice borrows `bytes`, which
+    // the owning `BlobModel` never mutates, so it cannot outlive or race
+    // the buffer behind them.
     unsafe { std::slice::from_raw_parts(bytes.as_ptr().add(slab.off).cast::<T>(), slab.count) }
 }
 

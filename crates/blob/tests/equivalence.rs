@@ -1,7 +1,7 @@
 //! The format's headline contract: a [`BlobModel`] predicts
 //! bit-identically to the JSON-loaded [`CompiledModel`] for **every**
 //! learner kind, every task, both layouts (plain and quantized), and
-//! both byte backings (aligned heap copy and the real file mapping).
+//! both ways in (bytes already in memory and a file on disk).
 
 use flaml_blob::{encode_blob, save_blob, ArtifactFormat, BlobModel, BlobOptions};
 use flaml_data::{Dataset, Task};
@@ -12,6 +12,8 @@ use flaml_learners::{
 use flaml_metrics::Pred;
 use flaml_serve::CompiledModel;
 use flaml_store::DiskStorage;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn pred_bits(p: &Pred) -> Vec<u64> {
     match p {
@@ -118,28 +120,29 @@ fn blob_predictions_are_bit_identical_across_every_learner_and_layout() {
             for (combo, opts) in option_grid() {
                 let ctx = format!("{learner}/{}/{combo}", data.name());
 
-                // Heap backing: parse the encoded bytes directly.
+                // In memory: parse the encoded bytes directly.
                 let bytes = encode_blob(&compiled, opts);
-                let heap = BlobModel::from_bytes(&bytes).unwrap_or_else(|e| {
+                let in_memory = BlobModel::from_bytes(&bytes).unwrap_or_else(|e| {
                     panic!("{ctx}: open from bytes failed: {e}");
                 });
-                assert!(!heap.is_mmap());
-                assert_eq!(reference, pred_bits(&heap.predict(&data)), "{ctx}: heap");
+                assert_eq!(
+                    reference,
+                    pred_bits(&in_memory.predict(&data)),
+                    "{ctx}: from_bytes"
+                );
 
-                // File backing: save atomically, reopen via mmap.
+                // On disk: save atomically, reopen from the file.
                 let path = dir.join(format!("{}_{learner}_{combo}.artifact.blob", data.name()));
                 let fp = save_blob(&compiled, &path, opts).expect("save blob");
-                let mapped = BlobModel::open(&path).expect("open blob");
-                assert_eq!(fp, mapped.fingerprint(), "{ctx}: fingerprint");
-                #[cfg(all(unix, target_pointer_width = "64"))]
-                assert!(mapped.is_mmap(), "{ctx}: expected a real mapping");
-                assert_eq!(reference, pred_bits(&mapped.predict(&data)), "{ctx}: mmap");
-                assert_eq!(mapped.task(), compiled.task(), "{ctx}: task");
-                assert_eq!(mapped.n_features(), compiled.n_features(), "{ctx}: width");
+                let opened = BlobModel::open(&path).expect("open blob");
+                assert_eq!(fp, opened.fingerprint(), "{ctx}: fingerprint");
+                assert_eq!(reference, pred_bits(&opened.predict(&data)), "{ctx}: open");
+                assert_eq!(opened.task(), compiled.task(), "{ctx}: task");
+                assert_eq!(opened.n_features(), compiled.n_features(), "{ctx}: width");
 
                 // Materializing back to an owned model preserves
                 // predictions and, with no node permutation, the slabs.
-                let owned = mapped.to_compiled();
+                let owned = opened.to_compiled();
                 assert_eq!(
                     reference,
                     pred_bits(&owned.predict(&data)),
@@ -226,4 +229,49 @@ fn deterministic_bytes_and_stable_fingerprint() {
         engaged,
         "layout options are visible in the bytes when they engage"
     );
+}
+
+/// A forest grown to purity on noisy labels, plus the data it was grown
+/// on: a blob of a few hundred kB, many pages long.
+fn big_forest() -> (Dataset, CompiledModel) {
+    let mut rng = StdRng::seed_from_u64(3);
+    let n = 1000;
+    let cols: Vec<Vec<f64>> = (0..6)
+        .map(|_| (0..n).map(|_| rng.gen::<f64>()).collect())
+        .collect();
+    let y: Vec<f64> = (0..n)
+        .map(|i| f64::from((cols[0][i] + cols[1][i] > 1.0) != (rng.gen::<f64>() < 0.3)))
+        .collect();
+    let data = Dataset::new("big", Task::Binary, cols, y).unwrap();
+    let params = ForestParams {
+        n_trees: 20,
+        ..ForestParams::default()
+    };
+    let model: FittedModel = Forest::fit(&data, &params, 3).unwrap().into();
+    (data, CompiledModel::compile(&model).unwrap())
+}
+
+#[test]
+fn a_blob_file_truncated_after_open_still_predicts_the_bits_read_at_open() {
+    let (data, compiled) = big_forest();
+    let dir = std::env::temp_dir().join(format!("flaml_blob_shrink_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("shrinking.artifact.blob");
+    save_blob(&compiled, &path, BlobOptions::tuned()).expect("save blob");
+    let blob = BlobModel::open(&path).expect("open blob");
+    assert!(blob.n_bytes() > 64 * 4096, "{} bytes", blob.n_bytes());
+    let before = pred_bits(&blob.predict(&data));
+    assert_eq!(before, pred_bits(&compiled.predict(&data)));
+
+    // Shrink the file in place: the open model must not read it again.
+    let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+    file.set_len(blob.n_bytes() as u64 / 2).unwrap();
+    drop(file);
+    assert_eq!(before, pred_bits(&blob.predict(&data)), "predict");
+    assert_eq!(
+        before,
+        pred_bits(&blob.to_compiled().predict(&data)),
+        "to_compiled"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -389,7 +389,7 @@ fn more_cuts_than_a_two_byte_bin_holds_is_a_typed_layout_error() {
 }
 
 #[test]
-fn truncated_file_on_disk_is_rejected_through_the_mmap_path() {
+fn truncated_file_on_disk_is_rejected_through_the_file_path() {
     let model = slab_gbdt(0.5, -1.0, 1.0);
     let bytes = encode_blob(&model, BlobOptions::default());
     let dir = std::env::temp_dir().join(format!("flaml_blob_trunc_{}", std::process::id()));

@@ -91,7 +91,7 @@ pub use flaml_serve::{
 };
 
 // Re-export the binary artifact layer alongside: same "fit, then
-// serve" story, mmap-backed.
+// serve" story, from a blob whose slabs are read in place.
 pub use flaml_blob::{
     encode_blob, save_blob, save_blob_with, ArtifactFormat, BlobModel, BlobOptions, BLOB_MAGIC,
 };

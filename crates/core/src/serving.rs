@@ -24,7 +24,7 @@ impl AutoMlResult {
 
     /// Compiles the final model and writes it to `path` as a versioned,
     /// fingerprinted artifact in `format`: the portable JSON document,
-    /// or the mmap-able binary blob whose predictions are bit-identical.
+    /// or the binary blob whose predictions are bit-identical.
     /// Returns the artifact fingerprint.
     ///
     /// # Errors

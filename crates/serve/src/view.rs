@@ -1,19 +1,19 @@
 //! Borrowed slab views and the one evaluator over them.
 //!
 //! [`CompiledModel`] owns its structure-of-arrays slabs as `Vec`s; the
-//! binary blob format (`flaml-blob`) maps the same slabs straight off
-//! disk. Both render themselves as a [`ModelView`] — a tree of borrowed
+//! binary blob format (`flaml-blob`) reads the same slabs in place out
+//! of the blob's bytes. Both render themselves as a [`ModelView`] — a tree of borrowed
 //! slices — and every prediction in the stack runs through the single
 //! evaluator defined here. That is what makes the "bit-identical across
 //! backings" contract structural rather than aspirational: there is
-//! exactly one accumulation order, owned and mapped models merely feed
+//! exactly one accumulation order, owned models and blobs merely feed
 //! it different pointers.
 //!
-//! Two tiny enums absorb the representational differences a mapped
+//! Two tiny enums absorb the representational differences a blob
 //! backing needs:
 //!
 //! * [`LeafFlags`] — `Vec<bool>` in owned models, a raw `u8` slab on
-//!   disk (reinterpreting mapped bytes as `bool` would be UB).
+//!   disk (reinterpreting blob bytes as `bool` would be UB).
 //! * [`FloatSlab`] — `f64` thresholds/cuts, or the optional
 //!   f32-quantized section of a blob. Quantized slabs are only ever
 //!   written when every value round-trips `f64 → f32 → f64` exactly, so
@@ -105,7 +105,7 @@ impl FloatSlab<'_> {
 }
 
 /// Per-feature bin cut points over either layout: nested `Vec`s (owned
-/// models) or a flat value slab with prefix-sum offsets (mapped blobs).
+/// models) or a flat value slab with prefix-sum offsets (blobs).
 #[derive(Debug, Clone, Copy)]
 pub enum CutsRef<'a> {
     /// Owned ragged cuts.
@@ -200,8 +200,8 @@ pub struct ForestView<'a> {
 }
 
 /// Any compiled model rendered as borrowed slabs — the input of the one
-/// evaluator both the JSON-backed [`CompiledModel`] and mmap-backed
-/// blobs share.
+/// evaluator both the JSON-backed [`CompiledModel`] and blob-backed
+/// models share.
 #[derive(Debug, Clone)]
 pub enum ModelView<'a> {
     /// Boosted trees.
@@ -443,7 +443,7 @@ impl<'m> ModelView<'m> {
     }
 
     /// Materializes the view as an owned [`CompiledModel`] — a straight
-    /// slab copy with no re-flattening, so a mapped blob can enter
+    /// slab copy with no re-flattening, so a blob can enter
     /// registries that hold owned models. The copy preserves the
     /// *stored* node order: a hot-first blob written by an older build
     /// materializes with permuted slabs (predictions are identical;

@@ -1,9 +1,10 @@
 //! A minimal, dependency-free HTTP/1.1 layer over `std::net`.
 //!
 //! Exactly the subset a JSON service needs: request line, headers,
-//! `Content-Length` bodies, keep-alive. No chunked encoding, no TLS,
-//! no pipelining beyond the sequential keep-alive loop. Requests are
-//! size-capped so a misbehaving client cannot balloon server memory.
+//! `Content-Length` bodies, keep-alive. No chunked encoding (a head
+//! that carries `Transfer-Encoding` is refused), no TLS, no pipelining
+//! beyond the sequential keep-alive loop. Requests are size-capped so a
+//! misbehaving client cannot balloon server memory.
 
 use std::io::{self, BufRead, Read, Write};
 
@@ -44,8 +45,10 @@ impl Request {
 ///
 /// # Errors
 ///
-/// Returns an I/O error on malformed request lines, oversized heads or
-/// bodies, or a socket failure.
+/// Returns an I/O error on malformed request lines, heads whose body
+/// framing is not one agreed `Content-Length` (a `Transfer-Encoding`
+/// header, or `Content-Length` headers that disagree), oversized heads
+/// or bodies, or a socket failure.
 pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<Request>> {
     let mut budget = MAX_HEAD_BYTES;
     let mut line = String::new();
@@ -61,7 +64,7 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<Request>> {
     }
     let path = target.split('?').next().unwrap_or("/").to_string();
 
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
     // HTTP/1.1 defaults to keep-alive; `Connection: close` opts out.
     let mut keep_alive = !version.ends_with("1.0");
     let mut header = String::new();
@@ -79,14 +82,24 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<Request>> {
         let value = value.trim();
         match name.to_ascii_lowercase().as_str() {
             "content-length" => {
-                content_length = value.parse().map_err(|_| bad("bad content-length"))?;
+                let length = value.parse().map_err(|_| bad("bad content-length"))?;
+                // RFC 9112 §6.3: disagreeing lengths leave the framing
+                // unknown, so the request cannot be read.
+                if content_length.is_some_and(|seen| seen != length) {
+                    return Err(bad("conflicting content-length"));
+                }
+                content_length = Some(length);
             }
+            // Only `Content-Length` framing is implemented; reading a
+            // chunked body as the next request would desync the stream.
+            "transfer-encoding" => return Err(bad("transfer-encoding is not supported")),
             "connection" => {
                 keep_alive = !value.eq_ignore_ascii_case("close");
             }
             _ => {}
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
         return Err(bad("body too large"));
     }

@@ -7,7 +7,7 @@
 //!              [--artifact-format json|blob] [--io-chaos SEED:RATE]
 //! ```
 //!
-//! `--artifact-format blob` publishes artifacts as mmap-able binary
+//! `--artifact-format blob` publishes artifacts as binary
 //! blobs instead of JSON documents; recovery reads both regardless.
 //! `--socket-timeout 0` disables socket timeouts. `--io-chaos`
 //! wraps the disk in a seeded fault-injecting storage (short writes,

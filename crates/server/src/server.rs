@@ -79,7 +79,7 @@ pub struct ServerConfig {
     /// connection thread back.
     pub socket_timeout: Option<Duration>,
     /// Format new artifacts are published in: the portable JSON
-    /// document (default) or the mmap-able binary blob. Recovery and
+    /// document (default) or the binary blob. Recovery and
     /// `/predict` read both regardless — the knob only picks what
     /// *writes* produce.
     pub artifact_format: ArtifactFormat,
@@ -286,8 +286,8 @@ impl Server {
     }
 
     /// Loads the slot file `{slot}.artifact.blob` or
-    /// `{slot}.artifact.json` from `dir`, blob first (the cheaper,
-    /// mmap-backed open). A file that fails validation is quarantined
+    /// `{slot}.artifact.json` from `dir`, blob first (the cheaper
+    /// open: no parse). A file that fails validation is quarantined
     /// and the next format is tried, so a corrupt blob degrades to its
     /// JSON sibling instead of losing the model.
     fn load_artifact(

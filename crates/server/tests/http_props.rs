@@ -6,7 +6,9 @@
 //! as a typed `Err`. Never a panic, never more than `MAX_HEAD_BYTES + 1`
 //! head bytes or `Content-Length` body bytes consumed, and never a
 //! body-sized allocation before the declared length passed the
-//! `MAX_BODY_BYTES` check.
+//! `MAX_BODY_BYTES` check. Body framing the reader does not implement — a
+//! `Transfer-Encoding` header, `Content-Length`s that disagree — is
+//! refused on its head.
 
 use flaml_server::http::{read_request, Request, MAX_BODY_BYTES};
 use proptest::prelude::*;
@@ -436,4 +438,24 @@ fn a_short_body_is_an_unexpected_eof_and_a_clean_eof_is_none() {
         .result
         .expect_err("no blank line");
     assert!(err.to_string().contains("closed mid-headers"), "{err}");
+}
+
+#[test]
+fn framing_the_reader_does_not_implement_is_refused_on_its_head() {
+    for (bytes, why) in [
+        (
+            &b"GET /healthz HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n0\r\n\r\n"[..],
+            "transfer-encoding",
+        ),
+        (
+            &b"POST /x HTTP/1.1\r\nContent-Length: 5\r\ncontent-length: 3\r\n\r\nabcde"[..],
+            "conflicting content-length",
+        ),
+    ] {
+        let outcome = read(bytes);
+        assert_bounded(bytes, &outcome);
+        let err = outcome.result.expect_err(why);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains(why), "{err}");
+    }
 }
