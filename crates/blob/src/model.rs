@@ -26,6 +26,7 @@ use flaml_serve::{
 use flaml_store::Storage;
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::io::{self, Read};
 use std::path::Path;
 use std::sync::OnceLock;
 
@@ -120,17 +121,33 @@ struct AlignedBytes {
 }
 
 impl AlignedBytes {
-    fn copy_of(bytes: &[u8]) -> AlignedBytes {
-        let mut buf = vec![0u8; bytes.len() + BLOB_ALIGN - 1];
-        let pad = (BLOB_ALIGN - buf.as_ptr() as usize % BLOB_ALIGN) % BLOB_ALIGN;
-        buf[pad..pad + bytes.len()].copy_from_slice(bytes);
-        buf.truncate(pad + bytes.len());
-        AlignedBytes { buf, pad }
-    }
-
     fn bytes(&self) -> &[u8] {
         &self.buf[self.pad..]
     }
+}
+
+/// Reads the `len` bytes `source` held when its length was taken straight
+/// into a zeroed aligned buffer. A file can change between that and the
+/// read: a short read, or a byte still there after `len`, is a layout
+/// error, and a `len` that cannot be allocated an I/O error.
+fn read_aligned(source: &mut impl Read, len: u64) -> Result<AlignedBytes, ArtifactError> {
+    let cap = usize::try_from(len).map_or(usize::MAX, |n| n.saturating_add(BLOB_ALIGN - 1));
+    let mut buf = Vec::new();
+    buf.try_reserve_exact(cap)
+        .map_err(|e| io::Error::new(io::ErrorKind::OutOfMemory, e))?;
+    buf.resize(cap, 0);
+    let pad = (BLOB_ALIGN - buf.as_ptr() as usize % BLOB_ALIGN) % BLOB_ALIGN;
+    buf.truncate(pad + cap - (BLOB_ALIGN - 1));
+    source
+        .read_exact(&mut buf[pad..])
+        .map_err(|e| match e.kind() {
+            io::ErrorKind::UnexpectedEof => layout(format!("shrank below {len} bytes while read")),
+            _ => ArtifactError::Io(e),
+        })?;
+    if source.read(&mut [0u8; 1])? != 0 {
+        return Err(layout(format!("grew past {len} bytes while read")));
+    }
+    Ok(AlignedBytes { buf, pad })
 }
 
 /// A model served directly from blob bytes — an owned, aligned copy of
@@ -165,7 +182,9 @@ impl BlobModel {
     /// for payload corruption, [`ArtifactError::Layout`] for truncation
     /// and every structural violation.
     pub fn open(path: impl AsRef<Path>) -> Result<BlobModel, ArtifactError> {
-        BlobModel::from_bytes(&std::fs::read(path)?)
+        let mut file = std::fs::File::open(path)?;
+        let len = file.metadata()?.len();
+        BlobModel::parse(read_aligned(&mut file, len)?)
     }
 
     /// [`BlobModel::open`] against an explicit [`Storage`]: the bytes
@@ -187,7 +206,7 @@ impl BlobModel {
     ///
     /// Same as [`BlobModel::open`].
     pub fn from_bytes(bytes: &[u8]) -> Result<BlobModel, ArtifactError> {
-        BlobModel::parse(AlignedBytes::copy_of(bytes))
+        BlobModel::parse(read_aligned(&mut &bytes[..], bytes.len() as u64)?)
     }
 
     fn parse(owned: AlignedBytes) -> Result<BlobModel, ArtifactError> {
@@ -681,5 +700,24 @@ impl Parser<'_> {
             y_mean,
             y_std,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_read_of_another_length_than_the_file_had_is_a_layout_error() {
+        let bytes = [7u8; 100];
+        let read = read_aligned(&mut &bytes[..], 100).expect("same length");
+        assert_eq!(read.bytes(), &bytes[..]);
+        assert_eq!(read.bytes().as_ptr() as usize % BLOB_ALIGN, 0);
+        for (len, what) in [(101, "shrank"), (99, "grew")] {
+            match read_aligned(&mut &bytes[..], len) {
+                Err(ArtifactError::Layout(msg)) => assert!(msg.contains(what), "{msg}"),
+                other => panic!("length {len}: {other:?}"),
+            }
+        }
     }
 }

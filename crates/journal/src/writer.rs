@@ -1,8 +1,7 @@
 //! The append side of the journal: fsync-on-commit JSONL writing.
 
 use crate::record::{JournalHeader, TrialLine};
-use flaml_store::{disk, LineLog, Storage, StorageError};
-use serde::Serialize;
+use flaml_store::{disk, to_line, LineLog, Storage, StorageError};
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -25,15 +24,6 @@ pub struct JournalWriter {
     path: PathBuf,
     /// First storage error encountered while appending, if any.
     error: Option<StorageError>,
-}
-
-/// One JSONL line for `record`.
-fn to_line<T: Serialize>(
-    record: &T,
-    op: &'static str,
-    path: &Path,
-) -> Result<String, StorageError> {
-    serde_json::to_string(record).map_err(|e| StorageError::unwritable(op, path, e))
 }
 
 impl JournalWriter {

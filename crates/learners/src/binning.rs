@@ -17,54 +17,130 @@ pub(crate) type Bin = u16;
 /// the missing-value bin) all fit [`Bin`].
 pub(crate) const MAX_BIN: usize = Bin::MAX as usize;
 
-/// The per-feature sorted-unique non-NaN values of one data view: the
-/// expensive part of quantile binning, computed once and shared.
+/// The per-feature value order of one data view: the expensive part of
+/// quantile binning, computed once and shared.
 ///
-/// [`BinMapper`]'s cut points are a pure function of this sorted-unique
-/// set (the seed path sorts then dedups before deriving cuts), so a
-/// mapper built via [`BinMapper::from_sorted`] for any `max_bin` is
-/// bit-identical to one built directly from the raw columns — the sort
-/// is paid once per view instead of once per trial.
+/// Each feature keeps its non-NaN rows in ascending value order and where
+/// each run of one value starts; a distinct value is read from the view
+/// at its run's first row. [`BinMapper`]'s cut points are a pure function
+/// of the sorted-unique values, so a mapper built via
+/// [`BinMapper::from_sorted`] for any `max_bin` is bit-identical to one
+/// built directly from the raw columns, and [`PreparedBins::prepare`]
+/// bins every row in one walk of the order instead of a search per
+/// value — the sort is paid once per view instead of once per trial.
 #[derive(Debug, Clone)]
 pub struct PreparedSort {
-    /// `columns[j]` holds feature `j`'s distinct non-NaN values, sorted.
-    columns: Vec<Vec<f64>>,
+    /// The view the order was computed over (shares its storage).
+    view: DatasetView,
+    columns: Vec<SortedColumn>,
+}
+
+/// One feature's non-NaN rows (view positions) sorted by value, ties and
+/// the two zeros in row order, and where each run of one value starts.
+/// A run's first row holds its value's first occurrence, which is the
+/// distinct value binning uses (of `-0.0` and `0.0`, the earlier one).
+#[derive(Debug, Clone)]
+struct SortedColumn {
+    rows: Vec<u32>,
+    starts: Vec<u32>,
+}
+
+impl SortedColumn {
+    fn len(&self) -> usize {
+        self.starts.len()
+    }
+
+    /// Where run `i` starts in `rows`; `rows.len()` for `i == len()`.
+    fn start(&self, i: usize) -> usize {
+        self.starts.get(i).map_or(self.rows.len(), |&s| s as usize)
+    }
 }
 
 impl PreparedSort {
-    /// Sorts and dedups every feature column of `data`.
+    /// Sorts every feature column of `data`.
     pub fn compute(data: impl Into<DatasetView>) -> PreparedSort {
-        let data: DatasetView = data.into();
-        let columns = (0..data.n_features())
-            .map(|j| sorted_uniques(data.column_values(j)))
+        let view: DatasetView = data.into();
+        let columns = (0..view.n_features())
+            .map(|j| key_sort(view.column_values(j)))
             .collect();
-        PreparedSort { columns }
+        PreparedSort { view, columns }
     }
 
-    /// Number of features.
-    pub fn n_features(&self) -> usize {
-        self.columns.len()
-    }
-
-    /// Approximate heap footprint in bytes (for cache budgeting).
+    /// Approximate heap footprint in bytes (for cache budgeting); the
+    /// view's storage is shared, not counted.
     pub fn heap_bytes(&self) -> usize {
-        self.columns
+        let cells: usize = self
+            .columns
             .iter()
-            .map(|c| c.len() * std::mem::size_of::<f64>())
-            .sum()
+            .map(|c| c.rows.len() + c.starts.len())
+            .sum();
+        cells * std::mem::size_of::<u32>()
     }
 }
 
-pub(crate) fn sorted_uniques(values: impl Iterator<Item = f64>) -> Vec<f64> {
-    let mut values: Vec<f64> = values.filter(|v| !v.is_nan()).collect();
-    // Stable on purpose: `-0.0 == 0.0`, so `dedup` keeps whichever zero
-    // came first in the input, and only a stable sort preserves that
-    // order. `sort_unstable_by` would make the survivor's sign depend
-    // on the sort's internals (input `[0.0, -0.0]` is a counter-example
-    // to "provably the same"), so it is not used.
-    values.sort_by(|a, b| a.partial_cmp(b).expect("no NaN after filter"));
-    values.dedup();
-    values
+/// An order-preserving key of a non-NaN value: `key(a) < key(b)` exactly
+/// when `a < b`, and the two zeros share a key (`-0.0 + 0.0` is `+0.0`).
+fn sort_key(v: f64) -> u64 {
+    let bits = (v + 0.0).to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | (1 << 63)
+    }
+}
+
+/// Sorts the non-NaN positions of `values` by [`sort_key`], ties in
+/// position order — the order a stable sort by value gives — with a
+/// stable least-significant-digit radix sort of `(key, position)` pairs.
+/// All eight bytes' counts come from one pass; a byte every key shares
+/// would leave the order as it is, so its pass is skipped.
+fn key_sort(values: impl Iterator<Item = f64>) -> SortedColumn {
+    let mut pairs = Vec::with_capacity(values.size_hint().0);
+    let mut counts = [[0usize; 256]; 8];
+    for (i, v) in values.enumerate().filter(|(_, v)| !v.is_nan()) {
+        let key = sort_key(v);
+        for (d, count) in counts.iter_mut().enumerate() {
+            count[(key >> (8 * d)) as u8 as usize] += 1;
+        }
+        pairs.push((key, i as u32));
+    }
+    let n = pairs.len();
+    let mut scratch = vec![(0, 0); n];
+    for (d, count) in counts.iter().enumerate().filter(|(_, c)| !c.contains(&n)) {
+        let mut next = [0usize; 256];
+        for b in 1..256 {
+            next[b] = next[b - 1] + count[b - 1];
+        }
+        for &pair in &pairs {
+            let digit = (pair.0 >> (8 * d)) as u8 as usize;
+            scratch[next[digit]] = pair;
+            next[digit] += 1;
+        }
+        std::mem::swap(&mut pairs, &mut scratch);
+    }
+    let starts = (0..n as u32)
+        .filter(|&i| i == 0 || pairs[i as usize - 1].0 != pairs[i as usize].0)
+        .collect();
+    let rows = pairs.into_iter().map(|(_, row)| row).collect();
+    SortedColumn { rows, starts }
+}
+
+/// The sorted distinct non-NaN values of `values` — of equal values (the
+/// two zeros) the first in input order — and each value's rank among
+/// them, its run in the key sort (`nan_rank` for a `NaN`).
+pub(crate) fn ranked(values: &[f64], nan_rank: u32) -> (Vec<f64>, Vec<u32>) {
+    let col = key_sort(values.iter().copied());
+    let mut ranks = vec![nan_rank; values.len()];
+    for i in 0..col.len() {
+        for &r in &col.rows[col.start(i)..col.start(i + 1)] {
+            ranks[r as usize] = i as u32;
+        }
+    }
+    let uniques = col
+        .starts
+        .iter()
+        .map(|&s| values[col.rows[s as usize] as usize]);
+    (uniques.collect(), ranks)
 }
 
 /// Values binned together by [`bin_lanes`] during a column transform.
@@ -98,6 +174,28 @@ fn bin_lanes<const N: usize>(cuts: &[f64], values: [f64; N]) -> [Bin; N] {
     })
 }
 
+/// Derives quantile cuts from a column's `n` sorted-unique values,
+/// `value(i)` being the `i`-th.
+fn cuts_from_sorted(n: usize, value: impl Fn(usize) -> f64, max_bin: usize) -> Vec<f64> {
+    if n == 0 {
+        return Vec::new();
+    }
+    if n <= max_bin {
+        // One bin per distinct value: cuts at midpoints.
+        return (1..n).map(|i| (value(i - 1) + value(i)) / 2.0).collect();
+    }
+    // Quantile cuts: max_bin bins need max_bin - 1 interior cuts.
+    let mut cuts = Vec::with_capacity(max_bin - 1);
+    for q in 1..max_bin {
+        let pos = (q * n / max_bin).min(n - 1).max(1);
+        let cut = (value(pos - 1) + value(pos)) / 2.0;
+        if cuts.last().is_none_or(|&last| cut > last) {
+            cuts.push(cut);
+        }
+    }
+    cuts
+}
+
 /// Per-feature quantile cut points mapping raw values to bin indices.
 #[derive(Debug, Clone)]
 pub struct BinMapper {
@@ -115,49 +213,24 @@ impl BinMapper {
     /// ([`crate::Gbdt::fit`] rejects a `max_bin` above that range as a
     /// typed error before it gets here.)
     pub fn fit(data: impl Into<DatasetView>, max_bin: usize) -> BinMapper {
-        let data: DatasetView = data.into();
-        let max_bin = max_bin.clamp(2, MAX_BIN);
-        let cuts = (0..data.n_features())
-            .map(|j| Self::cuts_from_sorted(&sorted_uniques(data.column_values(j)), max_bin))
-            .collect();
-        BinMapper { cuts }
+        BinMapper::from_sorted(&PreparedSort::compute(data), max_bin)
     }
 
     /// Builds a mapper from a precomputed [`PreparedSort`], skipping the
-    /// per-trial sort. Produces exactly the cuts [`BinMapper::fit`] would
-    /// for the same view and `max_bin`.
-    ///
-    /// `max_bin` is clamped to `2..=65535`, as in [`BinMapper::fit`].
+    /// per-trial sort: the cuts [`BinMapper::fit`] derives for the view
+    /// the sort was computed over. `max_bin` is clamped as there.
     pub fn from_sorted(sort: &PreparedSort, max_bin: usize) -> BinMapper {
         let max_bin = max_bin.clamp(2, MAX_BIN);
-        let cuts = sort
-            .columns
-            .iter()
-            .map(|values| Self::cuts_from_sorted(values, max_bin))
-            .collect();
-        BinMapper { cuts }
-    }
-
-    /// Derives quantile cuts from a column's sorted-unique value set.
-    fn cuts_from_sorted(values: &[f64], max_bin: usize) -> Vec<f64> {
-        if values.is_empty() {
-            return Vec::new();
+        let cuts = sort.columns.iter().enumerate().map(|(j, col)| {
+            let distinct = |i: usize| {
+                sort.view
+                    .value(col.rows[col.starts[i] as usize] as usize, j)
+            };
+            cuts_from_sorted(col.len(), distinct, max_bin)
+        });
+        BinMapper {
+            cuts: cuts.collect(),
         }
-        if values.len() <= max_bin {
-            // One bin per distinct value: cuts at midpoints.
-            return values.windows(2).map(|w| (w[0] + w[1]) / 2.0).collect();
-        }
-        // Quantile cuts: max_bin bins need max_bin - 1 interior cuts.
-        let mut cuts = Vec::with_capacity(max_bin - 1);
-        for q in 1..max_bin {
-            let pos = q * values.len() / max_bin;
-            let pos = pos.min(values.len() - 1).max(1);
-            let cut = (values[pos - 1] + values[pos]) / 2.0;
-            if cuts.last().is_none_or(|&last| cut > last) {
-                cuts.push(cut);
-            }
-        }
-        cuts
     }
 
     /// Rebuilds a mapper from stored cut points — e.g. the cuts embedded
@@ -239,12 +312,50 @@ impl BinMapper {
             }
             bins.extend(values.map(|v| bin_lanes(cuts, [v])[0]));
         }
+        self.binned(bins, n_rows)
+    }
+
+    fn binned(&self, bins: Vec<Bin>, n_rows: usize) -> BinnedDataset {
+        let n_bins = (0..self.n_features()).map(|j| self.n_bins(j)).collect();
         BinnedDataset {
             bins,
             n_rows,
-            n_bins: (0..self.n_features()).map(|j| self.n_bins(j)).collect(),
+            n_bins,
         }
     }
+}
+
+/// Bins the view `sort` was computed over under `cuts` in one walk of
+/// each feature's value order. A value's bin is `1 + #cuts below it`;
+/// the values ascend and the cuts do not descend, so the runs of bin
+/// `1 + k` are those from the end of bin `k`'s up to the first run above
+/// cut `k` — one lower bound per cut, over the feature's values gathered
+/// once in row order — and every row is written once. The rows outside
+/// every run (the `NaN`s) keep bin 0.
+///
+/// The one cut that is not ordered, the `NaN` midpoint of `-inf` and
+/// `+inf`, only arises when those are a feature's only values: no value
+/// is above it, which the lower bound finds too (`v > NaN` is false).
+fn bin_sorted(cuts: &[Vec<f64>], sort: &PreparedSort) -> Vec<Bin> {
+    let n_rows = sort.view.n_rows();
+    let mut bins: Vec<Bin> = vec![0; n_rows * cuts.len()];
+    for ((j, cuts), col) in cuts.iter().enumerate().zip(&sort.columns) {
+        let out = &mut bins[j * n_rows..(j + 1) * n_rows];
+        let values: Vec<f64> = sort.view.column_values(j).collect();
+        let value = |s: &u32| values[col.rows[*s as usize] as usize];
+        let mut run = 0;
+        for below in 0..=cuts.len() {
+            let end = match cuts.get(below) {
+                Some(&cut) => run + col.starts[run..].partition_point(|s| !value(s).gt(&cut)),
+                None => col.len(),
+            };
+            for &r in &col.rows[col.start(run)..col.start(end)] {
+                out[r as usize] = (1 + below) as Bin;
+            }
+            run = end;
+        }
+    }
+    bins
 }
 
 /// The build-once, reuse-everywhere binning artifact of one training
@@ -259,17 +370,29 @@ pub struct PreparedBins {
 }
 
 impl PreparedBins {
-    /// Bins `data` with cuts derived from `sort` (which must have been
-    /// computed over the same view). `max_bin` is recorded unclamped so
+    /// Bins `data` with cuts derived from `sort`, in one walk of each
+    /// feature's value order: the bins [`BinMapper::transform`] gives,
+    /// without its search per value. `max_bin` is recorded unclamped so
     /// callers can match a prepared artifact to a trial's configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sort` was computed over a view of another shape: it
+    /// must have been computed over `data`.
     pub fn prepare(
         sort: &PreparedSort,
         data: impl Into<DatasetView>,
         max_bin: usize,
     ) -> PreparedBins {
         let data: DatasetView = data.into();
+        let shape = (data.n_rows(), data.n_features());
+        assert_eq!(
+            shape,
+            (sort.view.n_rows(), sort.columns.len()),
+            "not the sorted view"
+        );
         let mapper = BinMapper::from_sorted(sort, max_bin);
-        let binned = mapper.transform(&data);
+        let binned = mapper.binned(bin_sorted(&mapper.cuts, sort), data.n_rows());
         PreparedBins {
             mapper,
             binned,
@@ -357,6 +480,151 @@ impl BinnedDataset {
 mod tests {
     use super::*;
     use flaml_data::{Dataset, Task};
+    use proptest::prelude::*;
+
+    /// The reference sort: the stable sort and `dedup` this module used
+    /// before the key sort, verbatim.
+    fn oracle_sorted_uniques(values: impl Iterator<Item = f64>) -> Vec<f64> {
+        let mut values: Vec<f64> = values.filter(|v| !v.is_nan()).collect();
+        values.sort_by(|a, b| a.partial_cmp(b).expect("no NaN after filter"));
+        values.dedup();
+        values
+    }
+
+    /// The reference cut derivation over a sorted-unique slice, verbatim.
+    fn oracle_cuts(values: &[f64], max_bin: usize) -> Vec<f64> {
+        if values.is_empty() {
+            return Vec::new();
+        }
+        if values.len() <= max_bin {
+            return values.windows(2).map(|w| (w[0] + w[1]) / 2.0).collect();
+        }
+        let mut cuts = Vec::with_capacity(max_bin - 1);
+        for q in 1..max_bin {
+            let pos = q * values.len() / max_bin;
+            let pos = pos.min(values.len() - 1).max(1);
+            let cut = (values[pos - 1] + values[pos]) / 2.0;
+            if cuts.last().is_none_or(|&last| cut > last) {
+                cuts.push(cut);
+            }
+        }
+        cuts
+    }
+
+    /// The reference fit path: cuts from the stable sort, then a search
+    /// per value ([`BinMapper::transform`]).
+    fn oracle_bins(data: &DatasetView, max_bin: usize) -> (BinMapper, BinnedDataset) {
+        let max_bin = max_bin.clamp(2, MAX_BIN);
+        let cuts = (0..data.n_features())
+            .map(|j| oracle_cuts(&oracle_sorted_uniques(data.column_values(j)), max_bin))
+            .collect();
+        let mapper = BinMapper { cuts };
+        let binned = mapper.transform(data);
+        (mapper, binned)
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A value a sort or a cut can trip over: missing cells, both zeros,
+    /// subnormals, midpoints that overflow, infinities, small integers
+    /// for heavy ties, and plain floats.
+    fn awkward_value() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            -100f64..100.0,
+            -100f64..100.0,
+            (0u8..4).prop_map(f64::from),
+            Just(f64::NAN),
+            Just(0.0f64),
+            Just(-0.0f64),
+            Just(2.5e-310f64),
+            Just(-4.0e-320f64),
+            Just(1.5e308f64),
+            Just(-1e308f64),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+        ]
+    }
+
+    /// A column of `n` values: awkward, few distinct (ties and the two
+    /// zeros in either order; only infinities, whose midpoint cut is
+    /// `NaN`), constant, or all `NaN`.
+    fn awkward_column(n: usize) -> impl Strategy<Value = Vec<f64>> {
+        let zeros = prop_oneof![Just(0.0f64), Just(-0.0f64), Just(1.0f64), Just(f64::NAN)];
+        let infinities = prop_oneof![Just(f64::INFINITY), Just(f64::NEG_INFINITY), Just(f64::NAN)];
+        prop_oneof![
+            proptest::collection::vec(awkward_value(), n),
+            proptest::collection::vec(awkward_value(), n),
+            proptest::collection::vec(zeros, n),
+            proptest::collection::vec(infinities, n),
+            proptest::collection::vec((0u16..2_000).prop_map(|v| f64::from(v) / 7.0), n),
+            awkward_value().prop_map(move |v| vec![v; n]),
+            Just(vec![f64::NAN; n]),
+        ]
+    }
+
+    /// A view over one to four awkward columns: the whole dataset or a
+    /// reordering selection with repeated rows.
+    fn awkward_view() -> impl Strategy<Value = DatasetView> {
+        (1usize..=4, 1usize..400).prop_flat_map(|(n_features, n)| {
+            (
+                proptest::collection::vec(awkward_column(n), n_features),
+                proptest::collection::vec(0usize..n, 1..2 * n + 1),
+                0u8..2,
+            )
+                .prop_map(move |(cols, order, select)| {
+                    let d = data(cols);
+                    if select == 1 {
+                        d.view().select(&order)
+                    } else {
+                        d.view()
+                    }
+                })
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn ranks_equal_the_stable_sort_and_a_search_bit_for_bit(view in awkward_view()) {
+            for j in 0..view.n_features() {
+                let col: Vec<f64> = view.column_values(j).collect();
+                let (uniques, ranks) = ranked(&col, u32::MAX);
+                let want = oracle_sorted_uniques(col.iter().copied());
+                prop_assert_eq!(bits(&uniques), bits(&want));
+                for (v, &rank) in col.iter().zip(&ranks) {
+                    let search = want.partition_point(|u| u < v) as u32;
+                    prop_assert_eq!(rank, if v.is_nan() { u32::MAX } else { search });
+                }
+            }
+        }
+
+        #[test]
+        fn the_sort_walk_equals_fit_plus_transform_bit_for_bit(
+            view in awkward_view(),
+            max_bin in 2usize..1024,
+        ) {
+            let sort = PreparedSort::compute(&view);
+            let distinct = (0..view.n_features()).map(|j| sort.columns[j].len());
+            let mut max_bins = vec![2, 3, 255, 1023, max_bin];
+            for d in distinct {
+                // One bin per distinct value starts exactly at `d`.
+                max_bins.extend([d.saturating_sub(1).max(2), d.max(2), d + 1]);
+            }
+            for max_bin in max_bins {
+                let prepared = PreparedBins::prepare(&sort, &view, max_bin);
+                let (mapper, binned) = oracle_bins(&view, max_bin);
+                prop_assert_eq!(prepared.max_bin(), max_bin);
+                for j in 0..view.n_features() {
+                    let (got, want) = (&prepared.mapper().cuts[j], &mapper.cuts[j]);
+                    prop_assert_eq!(bits(got), bits(want), "max_bin={}", max_bin);
+                    prop_assert_eq!(prepared.binned().column(j), binned.column(j));
+                    prop_assert_eq!(prepared.binned().n_bins(j), binned.n_bins(j));
+                }
+                prop_assert_eq!(prepared.binned().n_rows(), view.n_rows());
+            }
+        }
+    }
 
     fn data(cols: Vec<Vec<f64>>) -> Dataset {
         let n = cols[0].len();

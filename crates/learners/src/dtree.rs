@@ -7,7 +7,7 @@
 //! paper's `extra trees` learner does. Missing values travel to the left
 //! child.
 
-use crate::binning::sorted_uniques;
+use crate::binning::ranked;
 use flaml_data::DatasetView;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -226,25 +226,13 @@ impl<'a> Grower<'a> {
         let cols: Vec<Vec<f64>> = (0..data.n_features())
             .map(|j| data.column_values(j).collect())
             .collect();
-        let ranked = |col: &Vec<f64>| {
-            let uniques = sorted_uniques(col.iter().copied());
-            let rank = |v: &f64| {
-                if v.is_nan() {
-                    NAN_RANK
-                } else {
-                    uniques.partition_point(|u| u < v) as u32
-                }
-            };
-            let ranks = col.iter().map(rank).collect();
-            (uniques, ranks)
-        };
         Grower {
             params,
             n_classes,
             ranks: if params.random_threshold {
                 Vec::new()
             } else {
-                cols.iter().map(ranked).collect()
+                cols.iter().map(|col| ranked(col, NAN_RANK)).collect()
             },
             features: vec![0; cols.len()],
             cols,

@@ -18,13 +18,18 @@ pub enum FitError {
     BadData(String),
 }
 
-impl FitError {
-    pub(crate) fn bad_param(name: &'static str, value: f64, constraint: &'static str) -> Self {
-        FitError::BadParam {
+/// A hyperparameter rule: `(broken, name, value, constraint)`.
+type ParamRule = (bool, &'static str, f64, &'static str);
+
+/// The first broken rule, in order, as a [`FitError::BadParam`].
+pub(crate) fn check_params(rules: &[ParamRule]) -> Result<(), FitError> {
+    match rules.iter().find(|rule| rule.0) {
+        Some(&(_, name, value, constraint)) => Err(FitError::BadParam {
             name,
             value,
             constraint,
-        }
+        }),
+        None => Ok(()),
     }
 }
 

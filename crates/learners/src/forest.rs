@@ -6,6 +6,7 @@
 //! threshold selection (ET draws one random threshold per feature).
 
 use crate::dtree::{DecisionTree, Grower, SplitCriterion, TreeParams};
+use crate::error::check_params;
 use crate::FitError;
 use flaml_data::{DatasetView, Task};
 use flaml_metrics::Pred;
@@ -82,16 +83,12 @@ impl Forest {
         budget: Option<Duration>,
     ) -> Result<ForestModel, FitError> {
         let data: DatasetView = data.into();
-        if params.n_trees == 0 {
-            return Err(FitError::bad_param("n_trees", 0.0, "must be >= 1"));
-        }
-        if !(params.max_features > 0.0 && params.max_features <= 1.0) {
-            return Err(FitError::bad_param(
-                "max_features",
-                params.max_features,
-                "must be in (0, 1]",
-            ));
-        }
+        let share = params.max_features;
+        let outside = !(share > 0.0 && share <= 1.0);
+        check_params(&[
+            (params.n_trees == 0, "n_trees", 0.0, "must be >= 1"),
+            (outside, "max_features", share, "must be in (0, 1]"),
+        ])?;
         let start = Instant::now();
         let n = data.n_rows();
         if n == 0 {
@@ -113,12 +110,8 @@ impl Forest {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut trees = Vec::with_capacity(params.n_trees);
         for t in 0..params.n_trees {
-            if t > 0 {
-                if let Some(b) = budget {
-                    if start.elapsed() >= b {
-                        break;
-                    }
-                }
+            if t > 0 && budget.is_some_and(|b| start.elapsed() >= b) {
+                break;
             }
             let rows: Vec<usize> = if params.extra {
                 (0..n).collect()
@@ -148,13 +141,7 @@ impl ForestModel {
         for tree in &self.trees {
             tree.accumulate_split_counts(&mut counts);
         }
-        let total: f64 = counts.iter().sum();
-        if total > 0.0 {
-            for c in &mut counts {
-                *c /= total;
-            }
-        }
-        counts
+        crate::normalized(counts)
     }
 
     /// Predicts by averaging per-tree leaf distributions (classification)
@@ -171,11 +158,6 @@ impl ForestModel {
     /// Panics if `data` has a different feature count than training data.
     pub fn predict(&self, data: impl Into<DatasetView>) -> Pred {
         let data: DatasetView = data.into();
-        assert_eq!(
-            data.n_features(),
-            self.n_features,
-            "predicting with a different feature count"
-        );
         let cols: Vec<Vec<f64>> = (0..data.n_features())
             .map(|j| data.column_values(j).collect())
             .collect();

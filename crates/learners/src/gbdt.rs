@@ -16,7 +16,8 @@
 //! rows and columns can be subsampled (`subsample`, `colsample_bytree`,
 //! `colsample_bylevel`). All of these are searched by FLAML (Table 5).
 
-use crate::binning::{BinMapper, BinnedDataset, PreparedBins, MAX_BIN};
+use crate::binning::{BinMapper, BinnedDataset, PreparedBins, PreparedSort, MAX_BIN};
+use crate::error::check_params;
 use crate::hist::{leaf_value, split_gain, GradPair, HistBuilder, NodeTask, Split};
 use crate::link::{sigmoid, softmax_in_place};
 use crate::FitError;
@@ -25,6 +26,7 @@ use flaml_metrics::Pred;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::borrow::Cow;
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// Tree growth policy.
@@ -91,63 +93,25 @@ impl Default for GbdtParams {
 }
 
 impl GbdtParams {
+    /// The first out-of-range hyperparameter, in declaration order.
     fn validate(&self) -> Result<(), FitError> {
-        if self.n_trees == 0 {
-            return Err(FitError::bad_param("n_trees", 0.0, "must be >= 1"));
-        }
-        if self.max_leaves < 2 {
-            return Err(FitError::bad_param(
-                "max_leaves",
-                self.max_leaves as f64,
-                "must be >= 2",
-            ));
-        }
-        if !(self.learning_rate > 0.0 && self.learning_rate <= 2.0) {
-            return Err(FitError::bad_param(
-                "learning_rate",
-                self.learning_rate,
-                "must be in (0, 2]",
-            ));
-        }
-        for (name, v) in [
-            ("subsample", self.subsample),
-            ("colsample_bytree", self.colsample_bytree),
-            ("colsample_bylevel", self.colsample_bylevel),
-        ] {
-            if !(v > 0.0 && v <= 1.0) {
-                return Err(FitError::bad_param(
-                    match name {
-                        "subsample" => "subsample",
-                        "colsample_bytree" => "colsample_bytree",
-                        _ => "colsample_bylevel",
-                    },
-                    v,
-                    "must be in (0, 1]",
-                ));
-            }
-        }
-        if self.min_child_weight < 0.0 {
-            return Err(FitError::bad_param(
-                "min_child_weight",
-                self.min_child_weight,
-                "must be >= 0",
-            ));
-        }
-        if self.max_bin > MAX_BIN {
-            return Err(FitError::bad_param(
-                "max_bin",
-                self.max_bin as f64,
-                "must be <= 65535",
-            ));
-        }
-        if self.reg_alpha < 0.0 || self.reg_lambda < 0.0 {
-            return Err(FitError::bad_param(
-                "reg_alpha/reg_lambda",
-                self.reg_alpha.min(self.reg_lambda),
-                "must be >= 0",
-            ));
-        }
-        Ok(())
+        let outside = |v: f64, hi: f64| !(v > 0.0 && v <= hi);
+        let (leaves, lr) = (self.max_leaves as f64, self.learning_rate);
+        let (sub, mcw) = (self.subsample, self.min_child_weight);
+        let (tree, level) = (self.colsample_bytree, self.colsample_bylevel);
+        let (bins, reg) = (self.max_bin as f64, self.reg_alpha.min(self.reg_lambda));
+        let unit = "must be in (0, 1]";
+        check_params(&[
+            (self.n_trees == 0, "n_trees", 0.0, "must be >= 1"),
+            (leaves < 2.0, "max_leaves", leaves, "must be >= 2"),
+            (outside(lr, 2.0), "learning_rate", lr, "must be in (0, 2]"),
+            (outside(sub, 1.0), "subsample", sub, unit),
+            (outside(tree, 1.0), "colsample_bytree", tree, unit),
+            (outside(level, 1.0), "colsample_bylevel", level, unit),
+            (mcw < 0.0, "min_child_weight", mcw, "must be >= 0"),
+            (self.max_bin > MAX_BIN, "max_bin", bins, "must be <= 65535"),
+            (reg < 0.0, "reg_alpha/reg_lambda", reg, "must be >= 0"),
+        ])
     }
 }
 
@@ -155,47 +119,24 @@ impl GbdtParams {
 #[derive(Debug, Clone, Copy)]
 pub struct Gbdt;
 
-#[derive(Debug, Clone)]
-struct Node {
-    feature: u32,
-    threshold: u32,
-    left: u32,
-    right: u32,
-    leaf_value: f64,
-    is_leaf: bool,
-    /// Objective gain of this node's split (0 for leaves); feeds
-    /// gain-weighted feature importance.
-    split_gain: f64,
-}
-
-#[derive(Debug, Clone)]
+/// A tree as it is exported, plus each node's split gain (0 for leaves),
+/// which feeds gain-weighted feature importance.
+#[derive(Debug, Clone, Default)]
 struct Tree {
-    nodes: Vec<Node>,
-}
-
-impl Node {
-    fn leaf(value: f64) -> Node {
-        Node {
-            feature: 0,
-            threshold: 0,
-            left: 0,
-            right: 0,
-            leaf_value: value,
-            is_leaf: true,
-            split_gain: 0.0,
-        }
-    }
+    nodes: Vec<GbdtNode>,
+    gains: Vec<f64>,
 }
 
 impl Tree {
-    fn leaf(value: f64) -> Tree {
-        Tree {
-            nodes: vec![Node::leaf(value)],
-        }
-    }
-
-    fn n_leaves(&self) -> usize {
-        self.nodes.iter().filter(|n| n.is_leaf).count()
+    /// Appends a leaf and returns its index.
+    fn push_leaf(&mut self, value: f64) -> usize {
+        self.nodes.push(GbdtNode {
+            leaf_value: value,
+            is_leaf: true,
+            ..GbdtNode::default()
+        });
+        self.gains.push(0.0);
+        self.nodes.len() - 1
     }
 
     /// Evaluates the tree on pre-binned feature columns for row `row`.
@@ -220,7 +161,7 @@ impl Tree {
 /// Thresholds are bin indices (a row goes left when `bin <= threshold`;
 /// `NaN` always bins to 0, the leftmost bin); child indices are local to
 /// the exporting tree.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct GbdtNode {
     /// Feature column the node splits on (0 for leaves).
     pub feature: u32,
@@ -278,33 +219,8 @@ impl GbdtModel {
     /// Flattened per-tree node lists in boosting order (tree `t` scores
     /// group `t % n_groups`), for compilation into a serving artifact.
     pub fn export_trees(&self) -> Vec<Vec<GbdtNode>> {
-        self.trees
-            .iter()
-            .map(|tree| {
-                tree.nodes
-                    .iter()
-                    .map(|n| GbdtNode {
-                        feature: n.feature,
-                        threshold: n.threshold,
-                        left: n.left,
-                        right: n.right,
-                        leaf_value: n.leaf_value,
-                        is_leaf: n.is_leaf,
-                    })
-                    .collect()
-            })
-            .collect()
+        self.trees.iter().map(|tree| tree.nodes.clone()).collect()
     }
-    /// Number of boosting rounds actually kept (after early stopping).
-    pub fn n_rounds(&self) -> usize {
-        self.trees.len() / self.n_groups
-    }
-
-    /// Total number of leaves across all trees.
-    pub fn total_leaves(&self) -> usize {
-        self.trees.iter().map(Tree::n_leaves).sum()
-    }
-
     /// Gain-weighted feature importance, normalized to sum to 1 (all
     /// zeros if no tree ever split). Weighting by objective gain rather
     /// than split count keeps the tie-break splits of already-pure nodes
@@ -313,19 +229,13 @@ impl GbdtModel {
     pub fn feature_importance(&self) -> Vec<f64> {
         let mut counts = vec![0.0; self.n_features];
         for tree in &self.trees {
-            for node in &tree.nodes {
+            for (node, gain) in tree.nodes.iter().zip(&tree.gains) {
                 if !node.is_leaf {
-                    counts[node.feature as usize] += node.split_gain.max(0.0);
+                    counts[node.feature as usize] += gain.max(0.0);
                 }
             }
         }
-        let total: f64 = counts.iter().sum();
-        if total > 0.0 {
-            for c in &mut counts {
-                *c /= total;
-            }
-        }
-        counts
+        crate::normalized(counts)
     }
 
     /// Raw (margin) scores per row and group, before the link function.
@@ -344,12 +254,7 @@ impl GbdtModel {
         let n = data.n_rows();
         let k = self.n_groups;
         let binned = self.mapper.transform(&data);
-        let mut scores = vec![0.0; n * k];
-        for i in 0..n {
-            for (c, init) in self.init_scores.iter().enumerate() {
-                scores[i * k + c] = *init;
-            }
-        }
+        let mut scores = self.init_scores.repeat(n);
         for (t, tree) in self.trees.iter().enumerate() {
             let c = t % k;
             for (i, slot) in scores.chunks_exact_mut(k).enumerate() {
@@ -370,10 +275,7 @@ impl GbdtModel {
         let raw = self.raw_scores(data);
         match self.task {
             Task::Regression => Pred::from_values(raw),
-            Task::Binary => {
-                let pos = raw.iter().map(|&f| sigmoid(f)).collect();
-                Pred::binary_probs(pos)
-            }
+            Task::Binary => Pred::binary_probs(raw.iter().map(|&f| sigmoid(f)).collect()),
             Task::MultiClass(k) => {
                 let mut p = raw;
                 for row in p.chunks_exact_mut(k) {
@@ -419,10 +321,10 @@ impl Gbdt {
 
     /// Like [`Gbdt::fit_bounded`] but reuses a [`PreparedBins`] artifact
     /// (shared bin cuts plus the pre-binned feature matrix) when one is
-    /// supplied for the same `max_bin`; a mismatched or absent artifact
-    /// falls back to binning in place. The fitted model is bit-identical
-    /// either way — [`PreparedBins::prepare`] produces exactly what
-    /// [`BinMapper::fit`] + [`BinMapper::transform`] would.
+    /// supplied for the same `max_bin` and shape as `data`; a mismatched
+    /// or absent artifact falls back to binning in place, through the same
+    /// [`PreparedSort`] → [`PreparedBins`] path, so the fitted model is
+    /// bit-identical either way.
     ///
     /// # Errors
     ///
@@ -445,25 +347,23 @@ impl Gbdt {
             Task::Regression | Task::Binary => 1,
             Task::MultiClass(k) => k,
         };
-        let binned_here;
-        let (mapper, binned) = match prepared.filter(|p| p.max_bin() == params.max_bin) {
-            Some(p) => (p.mapper().clone(), p.binned()),
-            None => {
-                let m = BinMapper::fit(&data, params.max_bin);
-                binned_here = m.transform(&data);
-                (m, &binned_here)
-            }
+        let shape = (params.max_bin, n, data.n_features());
+        let fits = |p: &&PreparedBins| {
+            (p.max_bin(), p.binned().n_rows(), p.mapper().n_features()) == shape
         };
+        let bin_here =
+            || PreparedBins::prepare(&PreparedSort::compute(&data), &data, params.max_bin);
+        let prepared = prepared
+            .filter(fits)
+            .map_or_else(|| Cow::Owned(bin_here()), Cow::Borrowed);
+        let (mapper, binned) = (prepared.mapper().clone(), prepared.binned());
         let y = data.gather_target();
 
         // Early-stopping holdout: every 10th row (the controller shuffles
         // data, so a stride is a random sample).
         let early_stop = params.early_stop_rounds.filter(|_| n >= 20);
-        let (train_rows, valid_rows): (Vec<u32>, Vec<u32>) = if early_stop.is_some() {
-            (0..n as u32).partition(|i| i % 10 != 9)
-        } else {
-            ((0..n as u32).collect(), Vec::new())
-        };
+        let (train_rows, valid_rows): (Vec<u32>, Vec<u32>) =
+            (0..n as u32).partition(|i| early_stop.is_none() || i % 10 != 9);
 
         let init_scores = init_scores(task, &y, &train_rows)?;
         let mut scores = init_scores.repeat(n);
@@ -474,6 +374,8 @@ impl Gbdt {
         // This round's row subsample (unused when `subsample == 1`).
         let mut sampled_rows: Vec<u32> = Vec::new();
         let mut hist = HistBuilder::default();
+        // The arena range of each node of the tree just grown.
+        let mut node_rows: Vec<Range<usize>> = Vec::new();
         let mut rng = StdRng::seed_from_u64(seed);
         let mut trees: Vec<Tree> = Vec::new();
         let (mut best_valid, mut best_round, mut rounds_since_best) = (f64::INFINITY, 0, 0);
@@ -508,12 +410,19 @@ impl Gbdt {
                     params,
                     rng: &mut rng,
                     hist: &mut hist,
+                    node_rows: &mut node_rows,
                 }
                 .grow(rows, &all_features);
                 // Update scores on all rows (train + valid) for the group.
-                for i in 0..n {
-                    scores[i * n_groups + c] += tree.eval_binned(binned, i);
-                }
+                add_tree_scores(
+                    &tree,
+                    &hist,
+                    &node_rows,
+                    rows,
+                    binned,
+                    &mut scores,
+                    (n_groups, c),
+                );
                 trees.push(tree);
             }
 
@@ -539,7 +448,9 @@ impl Gbdt {
             trees.truncate((best_round + 1) * n_groups);
         }
         if trees.is_empty() {
-            trees.push(Tree::leaf(0.0));
+            let mut tree = Tree::default();
+            tree.push_leaf(0.0);
+            trees.push(tree);
         }
         Ok(GbdtModel {
             mapper,
@@ -606,14 +517,53 @@ fn compute_gradients(
         Task::MultiClass(k) => {
             for i in 0..y.len() {
                 let row = &scores[i * n_groups..i * n_groups + k];
-                let max = row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                let denom: f64 = row.iter().map(|&v| (v - max).exp()).sum();
-                let p = (row[class] - max).exp() / denom;
+                let p = softmax_at(row, class);
                 let target = f64::from(y[i] as usize == class);
                 gh[i] = [p - target, (2.0 * p * (1.0 - p)).max(1e-16)];
             }
         }
     }
+    // The histogram engine tells a bin holding rows by its hessian sum.
+    debug_assert!(gh.iter().all(|&[_, h]| h > 0.0), "a hessian is not > 0");
+}
+
+/// Adds `tree`'s value to `scores[row * n_groups + c]` for every row,
+/// once, as a walk per row would. The tree was just grown by `hist` on
+/// the ascending rows `sample`, node `i` owning arena range
+/// `node_rows[i]`: a leaf's value goes to the rows of its range (the
+/// sampled rows the tree routes to it); only the other rows walk.
+fn add_tree_scores(
+    tree: &Tree,
+    hist: &HistBuilder,
+    node_rows: &[Range<usize>],
+    sample: &[u32],
+    binned: &BinnedDataset,
+    scores: &mut [f64],
+    (n_groups, c): (usize, usize),
+) {
+    for (node, range) in tree.nodes.iter().zip(node_rows) {
+        if node.is_leaf {
+            for &r in hist.rows(range) {
+                scores[r as usize * n_groups + c] += node.leaf_value;
+            }
+        }
+    }
+    let n = scores.len() / n_groups;
+    if sample.len() < n {
+        let mut sampled = sample.iter().copied().peekable();
+        for i in 0..n {
+            if sampled.next_if_eq(&(i as u32)).is_none() {
+                scores[i * n_groups + c] += tree.eval_binned(binned, i);
+            }
+        }
+    }
+}
+
+/// The softmax probability of `class` in one row of raw scores.
+fn softmax_at(row: &[f64], class: usize) -> f64 {
+    let max = row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    let denom: f64 = row.iter().map(|&v| (v - max).exp()).sum();
+    (row[class] - max).exp() / denom
 }
 
 fn holdout_loss(task: Task, y: &[f64], scores: &[f64], n_groups: usize, rows: &[u32]) -> f64 {
@@ -638,10 +588,7 @@ fn holdout_loss(task: Task, y: &[f64], scores: &[f64], n_groups: usize, rows: &[
         Task::MultiClass(k) => {
             for &i in rows {
                 let row = &scores[i as usize * n_groups..i as usize * n_groups + k];
-                let max = row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                let denom: f64 = row.iter().map(|&v| (v - max).exp()).sum();
-                let c = y[i as usize] as usize;
-                let p = ((row[c] - max).exp() / denom).clamp(1e-15, 1.0 - 1e-15);
+                let p = softmax_at(row, y[i as usize] as usize).clamp(1e-15, 1.0 - 1e-15);
                 total -= p.ln();
             }
         }
@@ -673,6 +620,8 @@ struct TreeGrower<'a> {
     params: &'a GbdtParams,
     rng: &'a mut StdRng,
     hist: &'a mut HistBuilder,
+    /// Filled with the arena range of each node, by node index.
+    node_rows: &'a mut Vec<Range<usize>>,
 }
 
 impl TreeGrower<'_> {
@@ -681,13 +630,16 @@ impl TreeGrower<'_> {
         let tree_features = sample_features(all_features, self.params.colsample_bytree, self.rng);
         let g_sum: f64 = rows.iter().map(|&r| self.gh[r as usize][0]).sum();
         let h_sum: f64 = rows.iter().map(|&r| self.gh[r as usize][1]).sum();
-        let mut tree = Tree::leaf(leaf_value(g_sum, h_sum, self.params));
+        let mut tree = Tree::default();
+        tree.push_leaf(leaf_value(g_sum, h_sum, self.params));
         let root = NodeTask {
             node: 0,
             rows: self.hist.start_tree(self.binned, rows),
             g_sum,
             h_sum,
         };
+        self.node_rows.clear();
+        self.node_rows.push(root.rows.clone());
         match self.params.growth {
             Growth::LeafWise => self.grow_leaf_wise(&tree_features, &mut tree, root),
             Growth::DepthWise => self.grow_depth_wise(&tree_features, &mut tree, root),
@@ -712,18 +664,17 @@ impl TreeGrower<'_> {
             (task.rows.start..mid, split.left_g, split.left_h),
             (mid..task.rows.end, split.right_g, split.right_h),
         ];
+        tree.gains[task.node] = split.gain;
         let parent = &mut tree.nodes[task.node];
         parent.is_leaf = false;
         parent.feature = split.feature;
-        parent.split_gain = split.gain;
         parent.threshold = split.threshold;
         parent.left = left_id as u32;
         parent.right = left_id as u32 + 1;
         let params = self.params;
         children.map(|(rows, g_sum, h_sum)| {
-            let node = tree.nodes.len();
-            tree.nodes
-                .push(Node::leaf(leaf_value(g_sum, h_sum, params)));
+            let node = tree.push_leaf(leaf_value(g_sum, h_sum, params));
+            self.node_rows.push(rows.clone());
             NodeTask {
                 node,
                 rows,
@@ -733,14 +684,19 @@ impl TreeGrower<'_> {
         })
     }
 
-    /// Samples `task`'s level features and queues it if it has a split.
+    /// Samples `task`'s level features and queues it if it has a split
+    /// and the tree `may_grow`. The sample is drawn either way.
     fn push_candidate(
         &mut self,
         tree_features: &[u32],
         task: NodeTask,
+        may_grow: bool,
         candidates: &mut Vec<(NodeTask, Split)>,
     ) {
         let feats = sample_features(tree_features, self.params.colsample_bylevel, self.rng);
+        if !may_grow {
+            return;
+        }
         if let Some(s) = self.best_split(&feats, &task) {
             candidates.push((task, s));
         }
@@ -749,7 +705,7 @@ impl TreeGrower<'_> {
     fn grow_leaf_wise(&mut self, tree_features: &[u32], tree: &mut Tree, root: NodeTask) {
         // Candidate leaves with their best splits; pick the max gain greedily.
         let mut candidates: Vec<(NodeTask, Split)> = Vec::new();
-        self.push_candidate(tree_features, root, &mut candidates);
+        self.push_candidate(tree_features, root, true, &mut candidates);
         let mut n_leaves = 1usize;
         while n_leaves < self.params.max_leaves && !candidates.is_empty() {
             let best_idx = candidates
@@ -760,9 +716,12 @@ impl TreeGrower<'_> {
                 .expect("non-empty candidates");
             let (task, split) = candidates.swap_remove(best_idx);
             n_leaves += 1;
+            // The split that reaches `max_leaves` ends the tree, so its
+            // children's splits could never be taken.
+            let may_grow = n_leaves < self.params.max_leaves;
             for child in self.apply_split(tree, task, split) {
                 if child.rows.len() >= 2 {
-                    self.push_candidate(tree_features, child, &mut candidates);
+                    self.push_candidate(tree_features, child, may_grow, &mut candidates);
                 }
             }
         }
@@ -1125,6 +1084,151 @@ mod tests {
             Gbdt::fit(&d, &GbdtParams::default(), 0),
             Err(FitError::BadData(_))
         ));
+    }
+
+    impl GbdtModel {
+        /// Number of boosting rounds kept (after early stopping).
+        fn n_rounds(&self) -> usize {
+            self.trees.len() / self.n_groups
+        }
+
+        /// Total number of leaves across all trees.
+        fn total_leaves(&self) -> usize {
+            self.trees.iter().map(Tree::n_leaves).sum()
+        }
+    }
+
+    impl Tree {
+        fn n_leaves(&self) -> usize {
+            self.nodes.iter().filter(|n| n.is_leaf).count()
+        }
+    }
+
+    /// Every bit of a model: cuts, nodes and initial scores.
+    fn model_bits(m: &GbdtModel) -> Vec<u64> {
+        let cuts = m.mapper().cuts().iter().flatten().map(|v| v.to_bits());
+        let nodes = m.export_trees().into_iter().flatten().flat_map(|n| {
+            let links = [n.feature, n.threshold, n.left, n.right].map(u64::from);
+            links
+                .into_iter()
+                .chain([n.leaf_value.to_bits(), u64::from(n.is_leaf)])
+        });
+        let init = m.init_scores().iter().map(|v| v.to_bits());
+        cuts.chain(nodes).chain(init).collect()
+    }
+
+    #[test]
+    fn an_artifact_of_another_shape_is_not_used() {
+        let d = xor_data(300, 11);
+        let params = GbdtParams {
+            n_trees: 5,
+            ..GbdtParams::default()
+        };
+        let want = model_bits(&Gbdt::fit_prepared(&d, &params, 1, None, None).unwrap());
+        // Fewer rows, more rows, more features: each is binned in place.
+        let wide = Dataset::new(
+            "wide",
+            Task::Binary,
+            vec![
+                d.column(0).to_vec(),
+                d.column(1).to_vec(),
+                d.column(0).to_vec(),
+            ],
+            d.target().to_vec(),
+        )
+        .unwrap();
+        for other in [d.view().prefix(200), xor_data(400, 12).view(), wide.view()] {
+            let sort = PreparedSort::compute(&other);
+            let prepared = PreparedBins::prepare(&sort, &other, params.max_bin);
+            let got = Gbdt::fit_prepared(&d, &params, 1, None, Some(&prepared)).unwrap();
+            assert_eq!(model_bits(&got), want, "{} rows", other.n_rows());
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn leaf_range_scores_equal_the_per_row_walk(
+            seed in 0u64..1_000_000_000,
+            n in proptest::prop_oneof![
+                proptest::strategy::Just(2usize),
+                proptest::strategy::Just(3),
+                // One holdout row: the only row outside a full sample.
+                proptest::strategy::Just(10),
+                proptest::strategy::Just(19),
+                proptest::strategy::Just(41),
+                proptest::strategy::Just(257),
+                proptest::strategy::Just(1_500),
+            ],
+            growth in 0usize..3,
+            max_leaves in 2usize..40,
+            subsample in 0u8..2,
+            early_stop in 0u8..2,
+            n_groups in 1usize..4,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let cols: Vec<Vec<f64>> = (0..3)
+                .map(|_| {
+                    (0..n)
+                        .map(|_| match rng.gen_range(0..10) {
+                            0 => f64::NAN,
+                            1 => -0.0,
+                            2 => 0.0,
+                            k => f64::from(rng.gen_range(0..k * 40)),
+                        })
+                        .collect()
+                })
+                .collect();
+            let y = (0..n).map(|_| rng.gen::<f64>()).collect();
+            let d = Dataset::new("scores", Task::Regression, cols, y).unwrap();
+            let max_bin = [2, 7, 63, 255, 1023][rng.gen_range(0..5)];
+            let prepared = PreparedBins::prepare(&PreparedSort::compute(&d), &d, max_bin);
+            let binned = prepared.binned();
+            // The sample a round grows on: the training rows (all, or all
+            // but the early-stopping holdout), row-subsampled or not.
+            let train: Vec<u32> = (0..n as u32)
+                .filter(|i| early_stop == 0 || i % 10 != 9)
+                .collect();
+            let keep = rng.gen::<f64>();
+            let mut sample: Vec<u32> = train
+                .iter()
+                .copied()
+                .filter(|_| subsample == 0 || rng.gen::<f64>() < keep)
+                .collect();
+            if sample.is_empty() {
+                sample = train;
+            }
+            let gh: Vec<GradPair> = (0..n)
+                .map(|_| [rng.gen::<f64>() * 2.0 - 1.0, (rng.gen::<f64>() * 0.25).max(1e-16)])
+                .collect();
+            let params = GbdtParams {
+                max_leaves,
+                growth: [Growth::LeafWise, Growth::DepthWise, Growth::Oblivious][growth],
+                colsample_bylevel: [1.0, 0.5][rng.gen_range(0..2)],
+                min_child_weight: [0.0, 1e-3, 1.0][rng.gen_range(0..3)],
+                ..GbdtParams::default()
+            };
+            let all_features = [0, 1, 2];
+            let (mut hist, mut node_rows) = (HistBuilder::default(), Vec::new());
+            let tree = TreeGrower {
+                binned,
+                gh: &gh,
+                params: &params,
+                rng: &mut rng,
+                hist: &mut hist,
+                node_rows: &mut node_rows,
+            }
+            .grow(&sample, &all_features);
+            let c = seed as usize % n_groups;
+            let before: Vec<f64> = (0..n * n_groups).map(|i| (i as f64).sin()).collect();
+            let mut got = before.clone();
+            add_tree_scores(&tree, &hist, &node_rows, &sample, binned, &mut got, (n_groups, c));
+            let mut want = before;
+            for i in 0..n {
+                want[i * n_groups + c] += tree.eval_binned(binned, i);
+            }
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(bits(&got), bits(&want));
+        }
     }
 
     #[test]

@@ -18,12 +18,14 @@
 //! of [`GROUP`] features, each feature adding into its own region of
 //! one flat slab of `[g, h]` cells (`region k` = cells
 //! `k * stride..(k + 1) * stride`, `stride` = the widest feature's bin
-//! count). A parallel slab of `seen` bytes replaces a per-bin row
-//! counter: the only two questions the scan asks of the counts are
-//! "is any row left of threshold `t`" (`t >=` first seen bin) and "is
-//! every row left of it" (`t >=` last seen bin). After a scan only the
-//! seen cells are cleared, so nothing is allocated or zeroed per node
-//! beyond what the node touched.
+//! count). No per-bin row counter is kept: the only two questions the
+//! scan asks of the counts are "is any row left of threshold `t`" (`t >=`
+//! first seen bin) and "is every row left of it" (`t >=` last seen bin),
+//! and every row's hessian is `> 0` (regression uses `1.0`, the
+//! classification losses clamp at `1e-16`), so a bin holds a row exactly
+//! when its hessian sum is `> 0`. After a scan only the seen cells are
+//! cleared, so nothing is allocated or zeroed per node beyond what the
+//! node touched.
 
 use crate::binning::{Bin, BinnedDataset};
 use crate::gbdt::GbdtParams;
@@ -148,9 +150,6 @@ struct Slabs {
     node_gh: Vec<GradPair>,
     /// `GROUP` regions of `stride` `[g, h]` cells; all zero between nodes.
     cells: Vec<GradPair>,
-    /// `GROUP` regions of `stride` seen flags (0 or 1); all zero between
-    /// nodes.
-    seen: Vec<u8>,
     /// The seen bins of the feature being scanned (`stride` slots).
     seen_bins: Vec<Bin>,
     stride: usize,
@@ -164,16 +163,13 @@ fn accumulate<const K: usize>(
     rows: &[u32],
     node_gh: &[GradPair],
     cells: &mut [GradPair],
-    seen: &mut [u8],
     stride: usize,
 ) {
     for (&r, &[g, h]) in rows.iter().zip(node_gh) {
         for (k, col) in cols.iter().enumerate() {
-            let at = k * stride + col[r as usize] as usize;
-            let cell = &mut cells[at];
+            let cell = &mut cells[k * stride + col[r as usize] as usize];
             cell[0] += g;
             cell[1] += h;
-            seen[at] = 1;
         }
     }
 }
@@ -197,11 +193,11 @@ impl Slabs {
         let stride = self.stride;
         for (g, group) in features.chunks(GROUP).enumerate() {
             let col = |k: usize| binned.column(group[k] as usize);
-            let (cells, seen) = (&mut self.cells[..], &mut self.seen[..]);
+            let cells = &mut self.cells[..];
             macro_rules! dispatch {
                 ($($k:literal)*) => {
                     match group.len() {
-                        $($k => accumulate::<$k>(std::array::from_fn(col), rows, node_gh, cells, seen, stride),)*
+                        $($k => accumulate::<$k>(std::array::from_fn(col), rows, node_gh, cells, stride),)*
                         n => unreachable!("chunks({GROUP}) yielded {n} features"),
                     }
                 };
@@ -209,13 +205,14 @@ impl Slabs {
             dispatch!(1 2 3 4 5 6 7 8);
             for (k, &feature) in group.iter().enumerate() {
                 let region = k * stride..k * stride + binned.n_bins(feature as usize);
-                let (cells, seen) = (&mut self.cells[region.clone()], &mut self.seen[region]);
+                let cells = &mut self.cells[region];
                 // Branch-free compaction: every bin is written at the
-                // cursor, which only moves past the seen ones.
+                // cursor, which only moves past the seen ones — those
+                // with a positive hessian sum.
                 let mut n_seen = 0;
-                for (bin, &flag) in seen.iter().enumerate() {
+                for (bin, cell) in cells.iter().enumerate() {
                     self.seen_bins[n_seen] = bin as Bin;
-                    n_seen += usize::from(flag);
+                    n_seen += usize::from(cell[1] > 0.0);
                 }
                 let seen_bins = &self.seen_bins[..n_seen];
                 visit(
@@ -228,7 +225,6 @@ impl Slabs {
                 );
                 for &bin in seen_bins {
                     cells[bin as usize] = [0.0; 2];
-                    seen[bin as usize] = 0;
                 }
             }
         }
@@ -265,7 +261,6 @@ impl HistBuilder {
             .unwrap_or(0);
         self.slabs.stride = stride;
         self.slabs.cells.resize(GROUP * stride, [0.0; 2]);
-        self.slabs.seen.resize(GROUP * stride, 0);
         self.slabs.seen_bins.resize(stride, 0);
         0..rows.len()
     }

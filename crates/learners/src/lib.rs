@@ -109,6 +109,15 @@ impl FittedModel {
     }
 }
 
+/// `weights` scaled to sum to 1; all zeros stay zeros.
+fn normalized(mut weights: Vec<f64>) -> Vec<f64> {
+    let total: f64 = weights.iter().sum();
+    if total > 0.0 {
+        weights.iter_mut().for_each(|w| *w /= total);
+    }
+    weights
+}
+
 impl From<GbdtModel> for FittedModel {
     fn from(m: GbdtModel) -> Self {
         FittedModel::Gbdt(m)

@@ -8,6 +8,7 @@
 //! by one-vs-rest, ridge regression by normal equations — all via a small
 //! in-crate Cholesky solver, so convergence is fast and deterministic.
 
+use crate::error::check_params;
 use crate::link::sigmoid;
 use crate::FitError;
 use flaml_data::{DatasetView, FeatureKind, Task};
@@ -100,12 +101,11 @@ impl Linear {
         budget: Option<Duration>,
     ) -> Result<LinearModel, FitError> {
         let data: DatasetView = data.into();
-        if params.c <= 0.0 || params.c.is_nan() {
-            return Err(FitError::bad_param("c", params.c, "must be > 0"));
-        }
-        if params.max_iter == 0 {
-            return Err(FitError::bad_param("max_iter", 0.0, "must be >= 1"));
-        }
+        let c = params.c;
+        check_params(&[
+            (c <= 0.0 || c.is_nan(), "c", c, "must be > 0"),
+            (params.max_iter == 0, "max_iter", 0.0, "must be >= 1"),
+        ])?;
         let start = Instant::now();
         let encodings = build_encodings(&data);
         let x = design_matrix(&data, &encodings);
@@ -113,38 +113,24 @@ impl Linear {
         let n = data.n_rows();
         let lambda = 1.0 / (params.c * n as f64);
 
-        match data.task() {
+        let y = data.gather_target();
+        let task = data.task();
+        let (weights, y_mean, y_std) = match task {
             Task::Regression => {
-                let y = data.gather_target();
                 let y_mean = y.iter().sum::<f64>() / n as f64;
                 let y_std = {
                     let var = y.iter().map(|v| (v - y_mean) * (v - y_mean)).sum::<f64>() / n as f64;
                     var.sqrt().max(1e-12)
                 };
                 let ys: Vec<f64> = y.iter().map(|v| (v - y_mean) / y_std).collect();
-                let w = ridge_solve(&x, &ys, lambda)?;
-                Ok(LinearModel {
-                    encodings,
-                    weights: vec![w],
-                    task: Task::Regression,
-                    y_mean,
-                    y_std,
-                })
+                (vec![ridge_solve(&x, &ys, lambda)?], y_mean, y_std)
             }
             Task::Binary => {
-                let targets: Vec<f64> = data.gather_target();
-                let w = irls(&x, &targets, lambda, params.max_iter, budget, start)?;
-                Ok(LinearModel {
-                    encodings,
-                    weights: vec![w],
-                    task: Task::Binary,
-                    y_mean: 0.0,
-                    y_std: 1.0,
-                })
+                let w = irls(&x, &y, lambda, params.max_iter, budget, start)?;
+                (vec![w], 0.0, 1.0)
             }
             Task::MultiClass(k) => {
                 let mut weights = Vec::with_capacity(k);
-                let y = data.gather_target();
                 for c in 0..k {
                     let targets: Vec<f64> = y.iter().map(|&y| f64::from(y as usize == c)).collect();
                     // A class can be absent from a subsample; a zero model
@@ -156,15 +142,16 @@ impl Linear {
                     };
                     weights.push(w);
                 }
-                Ok(LinearModel {
-                    encodings,
-                    weights,
-                    task: Task::MultiClass(k),
-                    y_mean: 0.0,
-                    y_std: 1.0,
-                })
+                (weights, 0.0, 1.0)
             }
-        }
+        };
+        Ok(LinearModel {
+            encodings,
+            weights,
+            task,
+            y_mean,
+            y_std,
+        })
     }
 }
 
@@ -289,11 +276,6 @@ impl LinearModel {
                 Pred::Probs { n_classes: k, p }
             }
         }
-    }
-
-    /// Number of design-matrix columns (including intercept).
-    pub fn n_weights(&self) -> usize {
-        self.weights[0].len()
     }
 }
 
@@ -499,12 +481,8 @@ fn irls(
     let reg = lambda * n as f64;
     let mut w = vec![0.0; d];
     for iter in 0..max_iter {
-        if iter > 0 {
-            if let Some(b) = budget {
-                if start.elapsed() >= b {
-                    break;
-                }
-            }
+        if iter > 0 && budget.is_some_and(|b| start.elapsed() >= b) {
+            break;
         }
         let margins = x.matvec(&w);
         // Gradient and Hessian of the penalized log-loss.
@@ -548,6 +526,13 @@ fn irls(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl LinearModel {
+        /// Number of design-matrix columns (including intercept).
+        fn n_weights(&self) -> usize {
+            self.weights[0].len()
+        }
+    }
     use flaml_data::Dataset;
     use flaml_metrics::Metric;
     use rand::rngs::StdRng;

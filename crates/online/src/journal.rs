@@ -14,7 +14,7 @@
 //! The file is a [`flaml_store::LineLog`]: how a line commits, how a
 //! failed append is undone and what a reader may trust after a crash
 //! are that type's contract (DESIGN.md §15). This module only says what
-//! a line holds — [`to_line`] out, [`read_log`] back in.
+//! a line holds — [`flaml_store::to_line`] out, [`read_log`] back in.
 
 use flaml_store::{CommittedLog, LogReadError, Storage, StorageError};
 use serde::{Deserialize, Serialize};
@@ -171,15 +171,6 @@ impl std::fmt::Display for LogError {
 
 impl std::error::Error for LogError {}
 
-/// One journal line for a header or an event.
-pub(crate) fn to_line<T: Serialize>(
-    record: &T,
-    op: &'static str,
-    path: &Path,
-) -> Result<String, StorageError> {
-    serde_json::to_string(record).map_err(|e| StorageError::unwritable(op, path, e))
-}
-
 /// Reads a stream journal's committed prefix (see [`LogError`]).
 ///
 /// # Errors
@@ -218,7 +209,7 @@ pub(crate) fn read_log(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flaml_store::{disk, LineLog};
+    use flaml_store::{disk, to_line, LineLog};
 
     fn header() -> OnlineHeader {
         OnlineHeader {

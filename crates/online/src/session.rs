@@ -45,9 +45,7 @@
 
 use crate::chunk::{concat_chunks, ChunkPayload};
 use crate::drift::{DriftDetector, DriftSignal};
-use crate::journal::{
-    kind, read_log, to_line, LogError, OnlineEvent, OnlineHeader, ONLINE_SCHEMA_VERSION,
-};
+use crate::journal::{kind, read_log, LogError, OnlineEvent, OnlineHeader, ONLINE_SCHEMA_VERSION};
 use crate::promote::PromotionPolicy;
 use crate::OnlineError;
 use flaml_core::{
@@ -56,7 +54,7 @@ use flaml_core::{
 };
 use flaml_data::{Dataset, Task};
 use flaml_metrics::Metric;
-use flaml_store::{sweep_stale_tmps, LineLog};
+use flaml_store::{sweep_stale_tmps, to_line, LineLog};
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::Arc;

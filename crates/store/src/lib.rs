@@ -42,7 +42,7 @@ pub use chaos::{ChaosStorage, IoFault, IoFaultPlan};
 pub use disk::DiskStorage;
 pub use error::{is_enospc, StorageError};
 pub use fnv::Fnv1a;
-pub use log::{read_log, CommittedLog, LineLog, LogReadError};
+pub use log::{read_log, to_line, CommittedLog, LineLog, LogReadError};
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};

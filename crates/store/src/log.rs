@@ -4,8 +4,8 @@
 //!
 //! The trial journal (`flaml-journal`) and the stream journal
 //! (`flaml-online`) are both instances: each serialises its own header
-//! and record types to one line apiece and maps the errors; how a line
-//! commits, how a failed append is undone and what a reader may trust
+//! and record types to one line apiece through [`to_line`] and maps the
+//! errors; how a line commits, how a failed append is undone and what a reader may trust
 //! after a crash are decided here and nowhere else.
 //!
 //! **Commit.** [`LineLog::append`] writes `line + '\n'` and then
@@ -23,10 +23,25 @@
 //! **Resume.** [`LineLog::resume`] truncates the file to that length
 //! before appending after it.
 
+use serde::Serialize;
 use std::fmt;
 use std::path::Path;
 
 use crate::{create_parent_dir, Storage, StorageError, StorageFile};
+
+/// One log line for `record`: its JSON, without the newline. A record
+/// that does not serialise is the typed failure of `op` on `path`.
+///
+/// # Errors
+///
+/// [`StorageError::unwritable`] when serialisation fails.
+pub fn to_line<T: Serialize>(
+    record: &T,
+    op: &'static str,
+    path: &Path,
+) -> Result<String, StorageError> {
+    serde_json::to_string(record).map_err(|e| StorageError::unwritable(op, path, e))
+}
 
 /// The append side of a line log.
 #[derive(Debug)]
