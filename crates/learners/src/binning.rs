@@ -69,12 +69,8 @@ impl PreparedSort {
     /// Approximate heap footprint in bytes (for cache budgeting); the
     /// view's storage is shared, not counted.
     pub fn heap_bytes(&self) -> usize {
-        let cells: usize = self
-            .columns
-            .iter()
-            .map(|c| c.rows.len() + c.starts.len())
-            .sum();
-        cells * std::mem::size_of::<u32>()
+        let cells = |c: &SortedColumn| c.rows.len() + c.starts.len();
+        self.columns.iter().map(cells).sum::<usize>() * std::mem::size_of::<u32>()
     }
 }
 
@@ -95,9 +91,12 @@ fn sort_key(v: f64) -> u64 {
 /// All eight bytes' counts come from one pass; a byte every key shares
 /// would leave the order as it is, so its pass is skipped.
 fn key_sort(values: impl Iterator<Item = f64>) -> SortedColumn {
-    let mut pairs = Vec::with_capacity(values.size_hint().0);
+    // Gathered by a loop of its own, so that the loads of a view's
+    // scattered rows overlap.
+    let values: Vec<f64> = values.collect();
+    let mut pairs = Vec::with_capacity(values.len());
     let mut counts = [[0usize; 256]; 8];
-    for (i, v) in values.enumerate().filter(|(_, v)| !v.is_nan()) {
+    for (i, &v) in values.iter().enumerate().filter(|(_, v)| !v.is_nan()) {
         let key = sort_key(v);
         for (d, count) in counts.iter_mut().enumerate() {
             count[(key >> (8 * d)) as u8 as usize] += 1;
@@ -136,11 +135,8 @@ pub(crate) fn ranked(values: &[f64], nan_rank: u32) -> (Vec<f64>, Vec<u32>) {
             ranks[r as usize] = i as u32;
         }
     }
-    let uniques = col
-        .starts
-        .iter()
-        .map(|&s| values[col.rows[s as usize] as usize]);
-    (uniques.collect(), ranks)
+    let first = |&s: &u32| values[col.rows[s as usize] as usize];
+    (col.starts.iter().map(first).collect(), ranks)
 }
 
 /// Values binned together by [`bin_lanes`] during a column transform.
@@ -174,26 +170,52 @@ fn bin_lanes<const N: usize>(cuts: &[f64], values: [f64; N]) -> [Bin; N] {
     })
 }
 
+/// A cut and, when its own two values settle it, the index of the first
+/// distinct value above it.
+type Cut = (f64, Option<usize>);
+
 /// Derives quantile cuts from a column's `n` sorted-unique values,
-/// `value(i)` being the `i`-th.
-fn cuts_from_sorted(n: usize, value: impl Fn(usize) -> f64, max_bin: usize) -> Vec<f64> {
+/// `value(i)` being the `i`-th. A cut is the midpoint of values `pos - 1`
+/// and `pos`; unless that sum overflowed or is `NaN` it lies between
+/// them, so no earlier value is above it and the first above is value
+/// `pos`, or `pos + 1` when the midpoint rounded onto value `pos`.
+fn cuts_from_sorted(n: usize, value: impl Fn(usize) -> f64, max_bin: usize) -> Vec<Cut> {
+    let cut_at = |pos: usize| {
+        let (below, above) = (value(pos - 1), value(pos));
+        let cut = (below + above) / 2.0;
+        let settled = below <= cut && cut <= above;
+        (cut, settled.then(|| pos + usize::from(cut == above)))
+    };
     if n == 0 {
         return Vec::new();
     }
     if n <= max_bin {
         // One bin per distinct value: cuts at midpoints.
-        return (1..n).map(|i| (value(i - 1) + value(i)) / 2.0).collect();
+        return (1..n).map(cut_at).collect();
     }
     // Quantile cuts: max_bin bins need max_bin - 1 interior cuts.
-    let mut cuts = Vec::with_capacity(max_bin - 1);
+    let mut cuts: Vec<Cut> = Vec::with_capacity(max_bin - 1);
     for q in 1..max_bin {
-        let pos = (q * n / max_bin).min(n - 1).max(1);
-        let cut = (value(pos - 1) + value(pos)) / 2.0;
-        if cuts.last().is_none_or(|&last| cut > last) {
-            cuts.push(cut);
+        let (cut, first_above) = cut_at((q * n / max_bin).min(n - 1).max(1));
+        if cuts.last().is_none_or(|&(last, _)| cut > last) {
+            cuts.push((cut, first_above));
         }
     }
     cuts
+}
+
+/// Every feature's [`cuts_from_sorted`] over the order `sort` holds.
+fn sorted_cuts(sort: &PreparedSort, max_bin: usize) -> Vec<Vec<Cut>> {
+    let max_bin = max_bin.clamp(2, MAX_BIN);
+    let columns = sort.columns.iter().enumerate();
+    let cuts = columns.map(|(j, col)| {
+        let distinct = |i: usize| {
+            sort.view
+                .value(col.rows[col.starts[i] as usize] as usize, j)
+        };
+        cuts_from_sorted(col.len(), distinct, max_bin)
+    });
+    cuts.collect()
 }
 
 /// Per-feature quantile cut points mapping raw values to bin indices.
@@ -220,14 +242,11 @@ impl BinMapper {
     /// per-trial sort: the cuts [`BinMapper::fit`] derives for the view
     /// the sort was computed over. `max_bin` is clamped as there.
     pub fn from_sorted(sort: &PreparedSort, max_bin: usize) -> BinMapper {
-        let max_bin = max_bin.clamp(2, MAX_BIN);
-        let cuts = sort.columns.iter().enumerate().map(|(j, col)| {
-            let distinct = |i: usize| {
-                sort.view
-                    .value(col.rows[col.starts[i] as usize] as usize, j)
-            };
-            cuts_from_sorted(col.len(), distinct, max_bin)
-        });
+        BinMapper::from_cut_list(&sorted_cuts(sort, max_bin))
+    }
+
+    fn from_cut_list(cuts: &[Vec<Cut>]) -> BinMapper {
+        let cuts = cuts.iter().map(|c| c.iter().map(|&(cut, _)| cut).collect());
         BinMapper {
             cuts: cuts.collect(),
         }
@@ -329,24 +348,26 @@ impl BinMapper {
 /// each feature's value order. A value's bin is `1 + #cuts below it`;
 /// the values ascend and the cuts do not descend, so the runs of bin
 /// `1 + k` are those from the end of bin `k`'s up to the first run above
-/// cut `k` — one lower bound per cut, over the feature's values gathered
-/// once in row order — and every row is written once. The rows outside
-/// every run (the `NaN`s) keep bin 0.
+/// cut `k` — which [`cuts_from_sorted`] mostly knows, and a lower bound
+/// over the runs finds otherwise — and every row is written once. The
+/// rows outside every run (the `NaN`s) keep bin 0.
 ///
 /// The one cut that is not ordered, the `NaN` midpoint of `-inf` and
 /// `+inf`, only arises when those are a feature's only values: no value
 /// is above it, which the lower bound finds too (`v > NaN` is false).
-fn bin_sorted(cuts: &[Vec<f64>], sort: &PreparedSort) -> Vec<Bin> {
+fn bin_sorted(cuts: &[Vec<Cut>], sort: &PreparedSort) -> Vec<Bin> {
     let n_rows = sort.view.n_rows();
     let mut bins: Vec<Bin> = vec![0; n_rows * cuts.len()];
     for ((j, cuts), col) in cuts.iter().enumerate().zip(&sort.columns) {
         let out = &mut bins[j * n_rows..(j + 1) * n_rows];
-        let values: Vec<f64> = sort.view.column_values(j).collect();
-        let value = |s: &u32| values[col.rows[*s as usize] as usize];
+        let value = |s: &u32| sort.view.value(col.rows[*s as usize] as usize, j);
         let mut run = 0;
         for below in 0..=cuts.len() {
             let end = match cuts.get(below) {
-                Some(&cut) => run + col.starts[run..].partition_point(|s| !value(s).gt(&cut)),
+                Some(&(_, Some(first_above))) => first_above,
+                Some(&(cut, None)) => {
+                    run + col.starts[run..].partition_point(|s| !value(s).gt(&cut))
+                }
                 None => col.len(),
             };
             for &r in &col.rows[col.start(run)..col.start(end)] {
@@ -377,7 +398,7 @@ impl PreparedBins {
     ///
     /// # Panics
     ///
-    /// Panics if `sort` was computed over a view of another shape: it
+    /// Panics if `sort` was computed over a view of another length: it
     /// must have been computed over `data`.
     pub fn prepare(
         sort: &PreparedSort,
@@ -385,14 +406,10 @@ impl PreparedBins {
         max_bin: usize,
     ) -> PreparedBins {
         let data: DatasetView = data.into();
-        let shape = (data.n_rows(), data.n_features());
-        assert_eq!(
-            shape,
-            (sort.view.n_rows(), sort.columns.len()),
-            "not the sorted view"
-        );
-        let mapper = BinMapper::from_sorted(sort, max_bin);
-        let binned = mapper.binned(bin_sorted(&mapper.cuts, sort), data.n_rows());
+        assert_eq!(data.n_rows(), sort.view.n_rows(), "not the sorted view");
+        let cuts = sorted_cuts(sort, max_bin);
+        let mapper = BinMapper::from_cut_list(&cuts);
+        let binned = mapper.binned(bin_sorted(&cuts, sort), data.n_rows());
         PreparedBins {
             mapper,
             binned,
@@ -451,16 +468,6 @@ impl BinnedDataset {
         &self.bins[j * self.n_rows..(j + 1) * self.n_rows]
     }
 
-    /// Builds a matrix straight from bin columns (engine tests).
-    #[cfg(test)]
-    pub(crate) fn from_columns(columns: Vec<Vec<Bin>>, n_bins: Vec<usize>) -> BinnedDataset {
-        BinnedDataset {
-            n_rows: columns.first().map_or(0, Vec::len),
-            bins: columns.concat(),
-            n_bins,
-        }
-    }
-
     /// Approximate heap footprint in bytes (for cache budgeting).
     pub fn heap_bytes(&self) -> usize {
         std::mem::size_of_val(self.bins.as_slice()) + std::mem::size_of_val(self.n_bins.as_slice())
@@ -481,6 +488,17 @@ mod tests {
     use super::*;
     use flaml_data::{Dataset, Task};
     use proptest::prelude::*;
+
+    impl BinnedDataset {
+        /// Builds a matrix straight from bin columns (engine tests).
+        pub(crate) fn from_columns(columns: Vec<Vec<Bin>>, n_bins: Vec<usize>) -> BinnedDataset {
+            BinnedDataset {
+                n_rows: columns.first().map_or(0, Vec::len),
+                bins: columns.concat(),
+                n_bins,
+            }
+        }
+    }
 
     /// The reference sort: the stable sort and `dedup` this module used
     /// before the key sort, verbatim.
@@ -540,8 +558,10 @@ mod tests {
             Just(-0.0f64),
             Just(2.5e-310f64),
             Just(-4.0e-320f64),
+            Just(1e308f64),
             Just(1.5e308f64),
             Just(-1e308f64),
+            Just(-1.5e308f64),
             Just(f64::INFINITY),
             Just(f64::NEG_INFINITY),
         ]
