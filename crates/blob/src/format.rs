@@ -12,28 +12,27 @@
 //! │                            │   tag, element type, offset, count
 //! ├────────────────────────────┤ align64
 //! │ section data …             │   each section 64-byte-aligned:
-//! │                            │   the SoA node slabs, verbatim
+//! │                            │   one SoA node slab each
 //! └────────────────────────────┘
 //! ```
 //!
 //! The header fingerprint is FNV-1a over the **whole file** with the
 //! fingerprint field itself read as zero (see [`blob_fingerprint`]), so
 //! every byte — header fields and alignment padding included — is
-//! authenticated. All integers are little-endian —
-//! the format is a memory image, not an interchange encoding, and the
-//! header carries an endianness marker so a big-endian host (or a blob
-//! written by one, if that ever exists) is rejected instead of
-//! misread. Section offsets are multiples of 64 from the start of the
-//! file, so once the base pointer is 64-byte-aligned (the reader copies
-//! the file into a buffer that starts aligned) every slab reinterprets
-//! as `&[u32]` / `&[f64]` directly.
+//! authenticated. Every integer and float is written little-endian and
+//! read back with explicit little-endian decodes, so the bytes mean the
+//! same on any host; the header's endianness marker rejects a file
+//! whose bytes some other writer swapped. Section offsets are multiples
+//! of 64 from the start of the file (one cache line; readers still
+//! require it, though they decode rather than reinterpret the slabs).
 //!
 //! Models are encoded as a pre-order walk: each model owns a block of
 //! sections tagged `model_index << 8 | section_kind`, and a stacked
 //! ensemble is followed by its meta-learner, then its members, in
-//! order. The slab bytes are exactly the `CompiledModel` vectors, so a
-//! writer is a handful of `extend_from_slice` calls and a reader is
-//! offset arithmetic.
+//! order. Each section is one `CompiledModel` vector in little-endian
+//! order (`bool`s as bytes, ragged cuts and weights flattened behind
+//! prefix-sum offsets), so a writer is a handful of `extend_from_slice`
+//! calls and a reader one decoding pass per section.
 
 use flaml_serve::{ArtifactError, CompiledLinear, CompiledModel};
 use flaml_store::{atomic_write_file, create_parent_dir, Fnv1a, Storage};
@@ -45,12 +44,12 @@ pub const BLOB_MAGIC: [u8; 8] = *b"FLMLBLOB";
 /// Blob format version this build writes and reads.
 pub const BLOB_VERSION: u32 = 1;
 
-/// Alignment (bytes) of the heap fallback buffer and of every section
-/// offset — one x86 cache line, and a multiple of every slab element.
+/// Alignment (bytes) of every section offset — one x86 cache line, and
+/// a multiple of every slab element.
 pub const BLOB_ALIGN: usize = 64;
 
-/// Little-endian sentinel; reads back as a different value when the
-/// bytes are reinterpreted on a big-endian host.
+/// Endianness sentinel, stored little-endian; any other byte order
+/// reads back as a different value.
 pub const ENDIAN_MARK: u32 = 0x0A0B_0C0D;
 
 /// Header flag: tree nodes are stored in hot-first (per-tree BFS)

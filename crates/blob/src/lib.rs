@@ -2,16 +2,17 @@
 //!
 //! The JSON artifact (`flaml-serve`) is the portable interchange form:
 //! human-inspectable, schema-tolerant, byte-order-free. This crate adds
-//! the *serving* form — a versioned, little-endian, 64-byte-aligned
-//! blob whose on-disk bytes **are** the [`CompiledModel`]
-//! structure-of-arrays node slabs. Opening one is a file read into an
-//! aligned buffer + header validation + an FNV-1a fingerprint pass: no
-//! parse and no deserialization, the slabs are read in place.
+//! the *serving* form — a versioned, little-endian blob with one
+//! 64-byte-aligned section per [`CompiledModel`] structure-of-arrays
+//! node slab. Opening one is a file read + header validation + an
+//! FNV-1a fingerprint pass + a straight little-endian decode of each
+//! section into an owned [`CompiledModel`]: no text to parse.
 //!
 //! The contract that makes the format safe to prefer is
 //! **bit-identity**: a [`BlobModel`] predicts exactly the same bits as
 //! the JSON-loaded [`CompiledModel`] for every learner, because both
-//! feed the single [`flaml_serve::ModelView`] evaluator. The one layout
+//! loaders produce the same representation, pass the same
+//! [`CompiledModel::check`] and feed the single evaluator. The one layout
 //! option ([`BlobOptions`]) keeps that contract by construction: f32
 //! quantization is only applied to slabs whose every value round-trips
 //! `f64 → f32 → f64` bit-exactly (widening reads then restore the
@@ -104,7 +105,7 @@ impl ArtifactFormat {
     ) -> Result<CompiledModel, ArtifactError> {
         match self {
             ArtifactFormat::Json => CompiledModel::load_with(storage, path),
-            ArtifactFormat::Blob => BlobModel::open_with(storage, path).map(|b| b.to_compiled()),
+            ArtifactFormat::Blob => BlobModel::open_with(storage, path).map(CompiledModel::from),
         }
     }
 

@@ -8,8 +8,11 @@
 
 use flaml_blob::{blob_fingerprint, encode_blob, BlobModel, BlobOptions};
 use flaml_data::{Dataset, Task};
+use flaml_learners::{Encoding, MAX_ONE_HOT};
 use flaml_learners::{Forest, ForestParams, Gbdt, GbdtParams, Linear, LinearParams};
-use flaml_serve::{ArtifactError, CompiledForest, CompiledGbdt, CompiledModel};
+use flaml_serve::{
+    ArtifactError, CompiledForest, CompiledGbdt, CompiledLinear, CompiledModel, CompiledStacked,
+};
 use proptest::prelude::*;
 
 fn arb_dataset() -> impl Strategy<Value = Dataset> {
@@ -401,4 +404,137 @@ fn truncated_file_on_disk_is_rejected_through_the_file_path() {
         ArtifactError::Layout(_)
     ));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+fn linear(task: Task, encodings: Vec<Encoding>, weights: Vec<Vec<f64>>) -> CompiledLinear {
+    CompiledLinear {
+        encodings,
+        weights,
+        task,
+        y_mean: 0.0,
+        y_std: 1.0,
+    }
+}
+
+fn numeric(n: usize) -> Vec<Encoding> {
+    vec![
+        Encoding::Numeric {
+            mean: 0.0,
+            std: 1.0
+        };
+        n
+    ]
+}
+
+fn one_hot(cardinality: usize) -> Vec<Encoding> {
+    vec![Encoding::OneHot { cardinality }]
+}
+
+/// A stacked ensemble of one binary member (one prediction column)
+/// under a meta-learner over `inputs` columns.
+fn stacked(inputs: usize) -> CompiledModel {
+    let member = linear(Task::Binary, numeric(1), vec![vec![0.5, 0.1]]);
+    CompiledModel::Stacked(Box::new(CompiledStacked {
+        members: vec![CompiledModel::Linear(member)],
+        meta: linear(Task::Binary, numeric(inputs), vec![vec![1.0; inputs + 1]]),
+        task: Task::Binary,
+    }))
+}
+
+#[test]
+fn linear_parts_that_do_not_fit_their_encodings_are_refused_by_both_loaders() {
+    let lin = |task, encodings, weights| CompiledModel::Linear(linear(task, encodings, weights));
+    let hostile = [
+        (
+            "no weight groups",
+            lin(Task::Regression, numeric(1), vec![]),
+        ),
+        (
+            "3 groups for 2 classes",
+            lin(Task::MultiClass(2), numeric(1), vec![vec![0.5, 0.1]; 3]),
+        ),
+        (
+            "a huge one-hot cardinality",
+            lin(
+                Task::Regression,
+                one_hot(usize::MAX / 4),
+                vec![vec![0.5; 2]],
+            ),
+        ),
+        (
+            "one category over the cap",
+            lin(
+                Task::Regression,
+                one_hot(MAX_ONE_HOT + 1),
+                vec![vec![0.5; MAX_ONE_HOT + 2]],
+            ),
+        ),
+        (
+            "a group without its intercept",
+            lin(Task::Regression, numeric(2), vec![vec![5.0, 10.0]]),
+        ),
+        ("a meta-learner over 2 of 1 member columns", stacked(2)),
+    ];
+    for (case, model) in &hostile {
+        match CompiledModel::from_artifact_str(&model.to_artifact_string()) {
+            Err(ArtifactError::Layout(_)) => {}
+            other => panic!("{case}: the JSON loader gave {other:?}"),
+        }
+        match BlobModel::from_bytes(&encode_blob(model, BlobOptions::tuned())) {
+            Err(ArtifactError::Layout(_)) => {}
+            other => panic!("{case}: the blob loader gave {other:?}"),
+        }
+    }
+    let fitting = [
+        lin(
+            Task::Regression,
+            one_hot(MAX_ONE_HOT),
+            vec![vec![0.5; MAX_ONE_HOT + 1]],
+        ),
+        lin(Task::MultiClass(2), numeric(1), vec![vec![0.5, 0.1]; 2]),
+        stacked(1),
+    ];
+    for model in &fitting {
+        assert!(CompiledModel::from_artifact_str(&model.to_artifact_string()).is_ok());
+        assert!(BlobModel::from_bytes(&encode_blob(model, BlobOptions::tuned())).is_ok());
+    }
+}
+
+/// Section `tag`'s table entry: the byte offset of its data and of its
+/// count field.
+fn entry(bytes: &[u8], tag: u32) -> (usize, usize) {
+    let n = u32::from_le_bytes(bytes[20..24].try_into().unwrap()) as usize;
+    let at = (0..n)
+        .map(|i| 64 + 24 * i)
+        .find(|&at| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) == tag)
+        .expect("section present");
+    let off = u64::from_le_bytes(bytes[at + 8..at + 16].try_into().unwrap());
+    (off as usize, at + 16)
+}
+
+/// Meta counts that wrap when multiplied or incremented are a layout
+/// error, not an arithmetic overflow or an allocation of their size.
+#[test]
+fn meta_counts_that_overflow_are_a_layout_error() {
+    let model = CompiledModel::Linear(linear(Task::Regression, numeric(1), vec![vec![0.5, 0.1]]));
+    let good = encode_blob(&model, BlobOptions::default());
+    let (meta, _) = entry(&good, 0);
+    // 3 · n_encodings wraps to 2 words, the count the encodings
+    // section is set to.
+    let mut encodings = good.clone();
+    let (_, count) = entry(&encodings, 12);
+    encodings[count..count + 8].copy_from_slice(&2u64.to_le_bytes());
+    let wraps_to_2 = 2u64.wrapping_mul(0xAAAA_AAAA_AAAA_AAAB);
+    assert_eq!(wraps_to_2.wrapping_mul(3), 2);
+    encodings[meta + 40..meta + 48].copy_from_slice(&wraps_to_2.to_le_bytes());
+    // n_groups + 1 wraps to 0.
+    let mut groups = good;
+    groups[meta + 48..meta + 56].copy_from_slice(&u64::MAX.to_le_bytes());
+    for (case, mut bytes) in [("encodings", encodings), ("groups", groups)] {
+        repatch(&mut bytes);
+        match BlobModel::from_bytes(&bytes) {
+            Err(ArtifactError::Layout(_)) => {}
+            other => panic!("{case}: {other:?}"),
+        }
+    }
 }

@@ -54,7 +54,7 @@ pub use dtree::{goes_left, DTreeNode, DecisionTree, SplitCriterion, TreeParams};
 pub use error::FitError;
 pub use forest::{Forest, ForestModel, ForestParams};
 pub use gbdt::{Gbdt, GbdtModel, GbdtNode, GbdtParams, Growth};
-pub use linear::{Encoding, Linear, LinearModel, LinearParams};
+pub use linear::{Encoding, Linear, LinearModel, LinearParams, MAX_ONE_HOT};
 pub use stacking::{fit_meta, member_columns, meta_features, StackedModel};
 
 use flaml_data::DatasetView;

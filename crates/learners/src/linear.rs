@@ -39,6 +39,10 @@ impl Default for LinearParams {
 #[derive(Debug, Clone, Copy)]
 pub struct Linear;
 
+/// The most categories a feature is one-hot encoded over; a categorical
+/// feature with more is standardized like a numeric one.
+pub const MAX_ONE_HOT: usize = 64;
+
 /// How each raw feature column is embedded into the design matrix.
 /// Public (and serializable) so serving artifacts can store the fitted
 /// encodings and rebuild an identical model.
@@ -282,7 +286,7 @@ impl LinearModel {
 fn build_encodings(data: &DatasetView) -> Vec<Encoding> {
     (0..data.n_features())
         .map(|j| match data.feature_kind(j) {
-            FeatureKind::Categorical { cardinality } if cardinality <= 64 => {
+            FeatureKind::Categorical { cardinality } if cardinality <= MAX_ONE_HOT => {
                 Encoding::OneHot { cardinality }
             }
             _ => {

@@ -351,11 +351,9 @@ impl CompiledModel {
     /// [`ArtifactError::BadMagic`] / [`ArtifactError::Version`] for
     /// foreign or future files, [`ArtifactError::FingerprintMismatch`]
     /// when the payload does not hash to the recorded fingerprint,
-    /// [`ArtifactError::Layout`] when it fails [`ModelView::check`] (the
-    /// sender computes the fingerprint, so it proves nothing about the
-    /// structure).
-    ///
-    /// [`ModelView::check`]: crate::ModelView::check
+    /// [`ArtifactError::Layout`] when it fails [`CompiledModel::check`]
+    /// (the sender computes the fingerprint, so it proves nothing about
+    /// the structure).
     pub fn from_artifact_str(text: &str) -> Result<CompiledModel, ArtifactError> {
         // Probe the header first (the derived deserializer ignores the
         // unknown `model` field) so magic/version mismatches get their
@@ -384,7 +382,7 @@ impl CompiledModel {
                 found,
             });
         }
-        file.model.view().check()?;
+        file.model.check()?;
         Ok(file.model)
     }
 

@@ -1,7 +1,7 @@
 //! Batched inference over the exec pool.
 //!
 //! A [`BatchEngine`] splits each request matrix into fixed-size row
-//! chunks and runs them as pool jobs. Because [`crate::ModelView::bind`]
+//! chunks and runs them as pool jobs. Because [`crate::CompiledModel::bind`]
 //! does all per-request setup up front and chunk evaluation is pure
 //! per-row math, concatenating the chunk results in submission order —
 //! which [`flaml_exec::ExecPool::run_batch`] guarantees — produces
@@ -69,8 +69,8 @@ impl<'p> BatchEngine<'p> {
         data: impl Into<DatasetView>,
     ) -> Pred {
         let data: DatasetView = data.into();
-        let (view, tables) = model.parts();
-        let bound = view.bind(&tables, &data);
+        let (model, tables) = model.parts();
+        let bound = model.bind(&tables, &data);
         let n = bound.n_rows();
         let chunks: Vec<(usize, usize)> = (0..n)
             .step_by(self.batch_rows)

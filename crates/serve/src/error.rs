@@ -30,8 +30,9 @@ pub enum ArtifactError {
     /// The file's structural layout is invalid: truncated slabs or
     /// misaligned section offsets in a binary artifact, or — in either
     /// format — out-of-range or backward node indices, inconsistent slab
-    /// lengths, or more cuts on a feature than a bin can hold (see
-    /// [`crate::ModelView::check`]). Distinct from
+    /// lengths, more cuts on a feature than a bin can hold, or linear
+    /// weights that do not fit their encodings (see
+    /// [`crate::CompiledModel::check`]). Distinct from
     /// [`ArtifactError::Parse`] so operators can tell a torn download
     /// from a file that hashes correctly but violates the layout
     /// contract.

@@ -70,6 +70,4 @@ pub use artifact::{
 pub use batch::BatchEngine;
 pub use error::ArtifactError;
 pub use registry::{ModelRegistry, PromoteReason, Published, VersionedModel};
-pub use view::{
-    Bound, CutsRef, FloatSlab, ForestView, GbdtView, LeafFlags, ModelView, Servable, Tables,
-};
+pub use view::{Bound, Servable, Tables};

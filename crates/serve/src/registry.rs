@@ -12,7 +12,7 @@
 //! republishing.
 
 use crate::artifact::{fingerprint, CompiledModel};
-use crate::view::{ModelView, Servable, Tables};
+use crate::view::{Servable, Tables};
 use flaml_exec::{EventSink, TrialEvent, TrialEventKind};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -37,11 +37,9 @@ pub struct VersionedModel {
 }
 
 impl Servable for VersionedModel {
-    fn parts(&self) -> (ModelView<'_>, Cow<'_, Tables>) {
-        let tables = self
-            .tables
-            .get_or_init(|| Tables::build(&self.model.view()));
-        (self.model.view(), Cow::Borrowed(tables))
+    fn parts(&self) -> (&CompiledModel, Cow<'_, Tables>) {
+        let tables = self.tables.get_or_init(|| Tables::build(&self.model));
+        (&self.model, Cow::Borrowed(tables))
     }
 }
 

@@ -1,24 +1,14 @@
-//! Borrowed slab views and the one evaluator over them.
+//! The one structural check and the one evaluator over
+//! [`CompiledModel`].
 //!
-//! [`CompiledModel`] owns its structure-of-arrays slabs as `Vec`s; the
-//! binary blob format (`flaml-blob`) reads the same slabs in place out
-//! of the blob's bytes. Both render themselves as a [`ModelView`] — a tree of borrowed
-//! slices — and every prediction in the stack runs through the single
-//! evaluator defined here. That is what makes the "bit-identical across
-//! backings" contract structural rather than aspirational: there is
-//! exactly one accumulation order, owned models and blobs merely feed
-//! it different pointers.
-//!
-//! Two tiny enums absorb the representational differences a blob
-//! backing needs:
-//!
-//! * [`LeafFlags`] — `Vec<bool>` in owned models, a raw `u8` slab on
-//!   disk (reinterpreting blob bytes as `bool` would be UB).
-//! * [`FloatSlab`] — `f64` thresholds/cuts, or the optional
-//!   f32-quantized section of a blob. Quantized slabs are only ever
-//!   written when every value round-trips `f64 → f32 → f64` exactly, so
-//!   the widening read here reproduces the original bits by
-//!   construction.
+//! Both artifact loaders end in an owned [`CompiledModel`]: the JSON
+//! loader deserializes one, the binary blob loader (`flaml-blob`)
+//! decodes one. [`CompiledModel::check`] then proves it safe to serve,
+//! and every prediction in the stack runs through the single evaluator
+//! defined here. That is what makes the "bit-identical across backings"
+//! contract structural rather than aspirational: there is exactly one
+//! representation and one accumulation order, whatever file the model
+//! came from.
 //!
 //! The evaluator does not walk the slabs themselves: it walks the
 //! [`Tables`] built from them once per served model — every tree node
@@ -26,13 +16,11 @@
 //! [`LANES`] rows through each tree together for exactly the tree's
 //! depth in steps.
 
-use crate::artifact::{
-    CompiledForest, CompiledGbdt, CompiledLinear, CompiledModel, CompiledStacked,
-};
+use crate::artifact::{CompiledForest, CompiledGbdt, CompiledLinear, CompiledModel};
 use crate::error::ArtifactError;
 use flaml_data::{DatasetView, Task};
 use flaml_learners::link::{sigmoid, softmax_in_place};
-use flaml_learners::{goes_left, BinMapper, LinearModel};
+use flaml_learners::{goes_left, BinMapper, Encoding, LinearModel, MAX_ONE_HOT};
 use flaml_metrics::Pred;
 use std::borrow::Cow;
 use std::hint::select_unpredictable;
@@ -41,187 +29,6 @@ use std::hint::select_unpredictable;
 /// overlap instead of queueing behind one another.
 const LANES: usize = 8;
 
-/// Per-node leaf flags over either backing.
-#[derive(Debug, Clone, Copy)]
-pub enum LeafFlags<'a> {
-    /// Owned models store `Vec<bool>`.
-    Bools(&'a [bool]),
-    /// Mapped slabs store one byte per node (nonzero = leaf).
-    Bytes(&'a [u8]),
-}
-
-impl LeafFlags<'_> {
-    /// Whether node `i` is a leaf.
-    #[inline]
-    pub fn get(&self, i: usize) -> bool {
-        match self {
-            LeafFlags::Bools(b) => b[i],
-            LeafFlags::Bytes(b) => b[i] != 0,
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            LeafFlags::Bools(b) => b.len(),
-            LeafFlags::Bytes(b) => b.len(),
-        }
-    }
-}
-
-/// A float slab over either precision. Reads widen `f32 → f64`, which
-/// is exact for every value a quantized section is allowed to hold.
-#[derive(Debug, Clone, Copy)]
-pub enum FloatSlab<'a> {
-    /// Full-precision values.
-    F64(&'a [f64]),
-    /// Quantized values (each round-trips to its original `f64` bits).
-    F32(&'a [f32]),
-}
-
-impl FloatSlab<'_> {
-    /// Value `i`, widened to `f64`.
-    #[inline]
-    pub fn get(&self, i: usize) -> f64 {
-        match self {
-            FloatSlab::F64(v) => v[i],
-            FloatSlab::F32(v) => f64::from(v[i]),
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            FloatSlab::F64(v) => v.len(),
-            FloatSlab::F32(v) => v.len(),
-        }
-    }
-
-    /// The whole slab as owned `f64`s.
-    pub fn to_vec(&self) -> Vec<f64> {
-        match self {
-            FloatSlab::F64(v) => v.to_vec(),
-            FloatSlab::F32(v) => v.iter().map(|&x| f64::from(x)).collect(),
-        }
-    }
-}
-
-/// Per-feature bin cut points over either layout: nested `Vec`s (owned
-/// models) or a flat value slab with prefix-sum offsets (blobs).
-#[derive(Debug, Clone, Copy)]
-pub enum CutsRef<'a> {
-    /// Owned ragged cuts.
-    Nested(&'a [Vec<f64>]),
-    /// Flat cuts: feature `j` owns `values[offsets[j]..offsets[j + 1]]`.
-    Flat {
-        /// `n_features + 1` nondecreasing prefix offsets.
-        offsets: &'a [u64],
-        /// All cut points, feature-major.
-        values: FloatSlab<'a>,
-    },
-}
-
-impl CutsRef<'_> {
-    /// Feature columns the cuts describe.
-    pub fn n_features(&self) -> usize {
-        match self {
-            CutsRef::Nested(c) => c.len(),
-            CutsRef::Flat { offsets, .. } => offsets.len().saturating_sub(1),
-        }
-    }
-
-    /// Materializes the ragged form [`BinMapper::from_cuts`] consumes.
-    pub fn to_vecs(&self) -> Vec<Vec<f64>> {
-        match self {
-            CutsRef::Nested(c) => c.to_vec(),
-            CutsRef::Flat { offsets, values } => offsets
-                .windows(2)
-                .map(|w| {
-                    (w[0] as usize..w[1] as usize)
-                        .map(|i| values.get(i))
-                        .collect()
-                })
-                .collect(),
-        }
-    }
-}
-
-/// A boosted ensemble's slabs, borrowed from either backing. See
-/// [`crate::CompiledGbdt`] for the layout contract.
-#[derive(Debug, Clone)]
-pub struct GbdtView<'a> {
-    /// Task the model was trained for.
-    pub task: Task,
-    /// Score groups per boosting round.
-    pub n_groups: usize,
-    /// Initial score per group.
-    pub init_scores: &'a [f64],
-    /// Per-feature bin cut points of the training-time mapper.
-    pub cuts: CutsRef<'a>,
-    /// Slab index of each tree's root, in boosting order.
-    pub tree_roots: &'a [u32],
-    /// Split feature per node.
-    pub feature: &'a [u32],
-    /// Split threshold (bin index) per node.
-    pub threshold: &'a [u32],
-    /// Absolute slab index of the left child per node.
-    pub left: &'a [u32],
-    /// Absolute slab index of the right child per node.
-    pub right: &'a [u32],
-    /// Leaf value per node.
-    pub leaf_value: &'a [f64],
-    /// Whether each node is a leaf.
-    pub is_leaf: LeafFlags<'a>,
-}
-
-/// A forest's slabs, borrowed from either backing. See
-/// [`crate::CompiledForest`] for the layout contract.
-#[derive(Debug, Clone)]
-pub struct ForestView<'a> {
-    /// Task the model was trained for.
-    pub task: Task,
-    /// Feature columns the model was trained on.
-    pub n_features: usize,
-    /// Values stored per leaf.
-    pub leaf_width: usize,
-    /// Slab index of each tree's root.
-    pub tree_roots: &'a [u32],
-    /// Split feature per node.
-    pub feature: &'a [u32],
-    /// Split threshold (raw feature value) per node; possibly the
-    /// quantized section, whose widening read is exact by construction.
-    pub threshold: FloatSlab<'a>,
-    /// Absolute slab index of the left child per node.
-    pub left: &'a [u32],
-    /// Absolute slab index of the right child per node.
-    pub right: &'a [u32],
-    /// Whether each node is a leaf.
-    pub is_leaf: LeafFlags<'a>,
-    /// `leaf_width` output values per node, node-parallel.
-    pub values: &'a [f64],
-}
-
-/// Any compiled model rendered as borrowed slabs — the input of the one
-/// evaluator both the JSON-backed [`CompiledModel`] and blob-backed
-/// models share.
-#[derive(Debug, Clone)]
-pub enum ModelView<'a> {
-    /// Boosted trees.
-    Gbdt(GbdtView<'a>),
-    /// Random forest / extra-trees.
-    Forest(ForestView<'a>),
-    /// Logistic / ridge regression (evaluated through the training-time
-    /// [`LinearModel`], restored from these parts).
-    Linear(&'a CompiledLinear),
-    /// Stacked ensemble: member views plus the linear meta-learner.
-    Stacked {
-        /// Base members, in ensemble order.
-        members: Vec<ModelView<'a>>,
-        /// The meta-learner over member prediction columns.
-        meta: &'a CompiledLinear,
-        /// Task the ensemble was assembled for.
-        task: Task,
-    },
-}
-
 /// An [`ArtifactError::Layout`] from a format string.
 macro_rules! layout {
     ($($arg:tt)*) => {
@@ -229,7 +36,16 @@ macro_rules! layout {
     };
 }
 
-/// The tree half of [`ModelView::check`]: node slabs of one length
+/// Score groups of `task`: one per class of a multi-class task, one
+/// otherwise.
+fn score_groups(task: Task) -> usize {
+    match task {
+        Task::MultiClass(k) => k,
+        Task::Regression | Task::Binary => 1,
+    }
+}
+
+/// The tree half of [`CompiledModel::check`]: node slabs of one length
 /// (`more` holds the other node-parallel slabs' lengths), roots in
 /// range and, on every internal node, an in-range feature and strictly
 /// forward children.
@@ -238,7 +54,7 @@ fn check_trees(
     feature: &[u32],
     left: &[u32],
     right: &[u32],
-    is_leaf: LeafFlags<'_>,
+    is_leaf: &[bool],
     n_features: usize,
     more: &[usize],
 ) -> Result<(), ArtifactError> {
@@ -250,7 +66,7 @@ fn check_trees(
     if let Some(&r) = roots.iter().find(|&&r| r as usize >= n) {
         return Err(layout!("tree root {r} out of range ({n} nodes)"));
     }
-    for i in (0..n).filter(|&i| !is_leaf.get(i)) {
+    for i in (0..n).filter(|&i| !is_leaf[i]) {
         if feature[i] as usize >= n_features {
             let f = feature[i];
             return Err(layout!("node {i} splits on feature {f} of {n_features}"));
@@ -264,136 +80,144 @@ fn check_trees(
     Ok(())
 }
 
-impl<'m> ModelView<'m> {
-    /// The task the viewed model predicts.
-    pub fn task(&self) -> Task {
-        match self {
-            ModelView::Gbdt(v) => v.task,
-            ModelView::Forest(v) => v.task,
-            ModelView::Linear(m) => m.task,
-            ModelView::Stacked { task, .. } => *task,
-        }
+/// The linear half of [`CompiledModel::check`]: one weight group per
+/// score group, one-hot cardinalities within the learner's own cap, and
+/// every group exactly as long as the design row it multiplies.
+fn check_linear(m: &CompiledLinear) -> Result<(), ArtifactError> {
+    let groups = score_groups(m.task);
+    if m.weights.len() != groups {
+        let g = m.weights.len();
+        return Err(layout!("{g} weight groups for a {groups}-group task"));
     }
-
-    /// Feature columns the model expects at [`ModelView::bind`] time.
-    pub fn n_features(&self) -> usize {
-        match self {
-            ModelView::Gbdt(v) => v.cuts.n_features(),
-            ModelView::Forest(v) => v.n_features,
-            ModelView::Linear(m) => m.encodings.len(),
-            ModelView::Stacked { members, .. } => {
-                members.first().map(ModelView::n_features).unwrap_or(0)
+    // One design column per numeric feature, `cardinality` per one-hot
+    // feature, then the intercept.
+    let mut width = 1usize;
+    for (j, encoding) in m.encodings.iter().enumerate() {
+        let columns = match *encoding {
+            Encoding::Numeric { .. } => 1,
+            Encoding::OneHot { cardinality } if cardinality <= MAX_ONE_HOT => cardinality,
+            Encoding::OneHot { cardinality } => {
+                return Err(layout!(
+                    "feature {j} is one-hot over {cardinality} categories; the cap is {MAX_ONE_HOT}"
+                ));
             }
-        }
+        };
+        width = width
+            .checked_add(columns)
+            .ok_or_else(|| layout!("design width overflows"))?;
     }
+    if let Some((g, w)) = m.weights.iter().enumerate().find(|(_, w)| w.len() != width) {
+        let n = w.len();
+        return Err(layout!(
+            "weight group {g} has {n} weights for {width} columns"
+        ));
+    }
+    Ok(())
+}
 
+impl CompiledModel {
     /// The structural check both artifact loaders run before a model is
     /// served, so no accepted file can make the evaluator loop, index
-    /// out of bounds or panic: equal node-slab lengths, roots in range,
-    /// in-range features and strictly forward children on internal
-    /// nodes (which is what bounds every tree walk, and what lets
-    /// [`Tables::build`] find each tree's depth in one reverse pass),
-    /// one initial score per score group, `leaf_width` values per forest
-    /// node, and at most 65 534 cuts per feature (more would not fit a
-    /// two-byte bin).
+    /// out of bounds, panic or allocate without bound: at least two
+    /// classes in a multi-class task; equal node-slab lengths, roots in
+    /// range, in-range features and strictly forward children on
+    /// internal nodes (which is what bounds every tree walk, and what
+    /// lets [`Tables::build`] find each tree's depth in one reverse
+    /// pass); one initial score per score group and at most 65 534 cuts
+    /// per feature (more would not fit a two-byte bin); a forest with a
+    /// tree and `leaf_width` values per node; one linear weight group
+    /// per score group, each as long as the design row, and one-hot
+    /// cardinalities of at most [`MAX_ONE_HOT`]; and a stacked
+    /// meta-learner with one input per member prediction column.
     ///
     /// # Errors
     ///
     /// [`ArtifactError::Layout`] naming the first violation.
     pub fn check(&self) -> Result<(), ArtifactError> {
+        if let Task::MultiClass(k @ 0..=1) = self.task() {
+            return Err(layout!("a multi-class task with {k} classes"));
+        }
         match self {
-            ModelView::Gbdt(v) => {
-                let groups = match v.task {
-                    Task::MultiClass(k) => k,
-                    Task::Regression | Task::Binary => 1,
-                };
-                if v.n_groups != groups || v.init_scores.len() != groups {
-                    let (g, s) = (v.n_groups, v.init_scores.len());
+            CompiledModel::Gbdt(m) => {
+                let groups = score_groups(m.task);
+                if m.n_groups != groups || m.init_scores.len() != groups {
+                    let (g, s) = (m.n_groups, m.init_scores.len());
                     return Err(layout!(
                         "{g} groups, {s} init scores for a {groups}-group task"
                     ));
                 }
-                let most_cuts = match v.cuts {
-                    CutsRef::Nested(c) => c.iter().map(Vec::len).max(),
-                    CutsRef::Flat { offsets, .. } => offsets
-                        .windows(2)
-                        .map(|w| w[1].saturating_sub(w[0]) as usize)
-                        .max(),
-                };
-                if let Some(cuts @ 65_535..) = most_cuts {
+                if let Some(cuts @ 65_535..) = m.cuts.iter().map(Vec::len).max() {
                     return Err(layout!(
                         "a feature has {cuts} cuts; two-byte bins fit 65534"
                     ));
                 }
-                let (f, more) = (v.cuts.n_features(), [v.threshold.len(), v.leaf_value.len()]);
+                let more = [m.threshold.len(), m.leaf_value.len()];
                 check_trees(
-                    v.tree_roots,
-                    v.feature,
-                    v.left,
-                    v.right,
-                    v.is_leaf,
-                    f,
+                    &m.tree_roots,
+                    &m.feature,
+                    &m.left,
+                    &m.right,
+                    &m.is_leaf,
+                    m.cuts.len(),
                     &more,
                 )
             }
-            ModelView::Forest(v) => {
-                let (n, w) = (v.feature.len(), v.leaf_width);
-                if w != v.task.n_classes().unwrap_or(1) {
-                    return Err(layout!("leaf width {w} for a {:?} task", v.task));
+            CompiledModel::Forest(m) => {
+                let (n, w) = (m.feature.len(), m.leaf_width);
+                if w != m.task.n_classes().unwrap_or(1) {
+                    return Err(layout!("leaf width {w} for a {:?} task", m.task));
                 }
-                if n.checked_mul(w) != Some(v.values.len()) {
-                    let k = v.values.len();
+                if m.tree_roots.is_empty() {
+                    return Err(layout!("a forest without trees"));
+                }
+                if n.checked_mul(w) != Some(m.values.len()) {
+                    let k = m.values.len();
                     return Err(layout!("{k} leaf values for {n} nodes of width {w}"));
                 }
-                let (f, more) = (v.n_features, [v.threshold.len()]);
                 check_trees(
-                    v.tree_roots,
-                    v.feature,
-                    v.left,
-                    v.right,
-                    v.is_leaf,
-                    f,
-                    &more,
+                    &m.tree_roots,
+                    &m.feature,
+                    &m.left,
+                    &m.right,
+                    &m.is_leaf,
+                    m.n_features,
+                    &[m.threshold.len()],
                 )
             }
-            ModelView::Linear(_) => Ok(()),
-            ModelView::Stacked { members, .. } => {
+            CompiledModel::Linear(m) => check_linear(m),
+            CompiledModel::Stacked(m) => {
                 let n_features = self.n_features();
-                if members.iter().any(|m| m.n_features() != n_features) {
+                if m.members.iter().any(|x| x.n_features() != n_features) {
                     return Err(layout!("stacked members differ in feature count"));
                 }
-                members.iter().try_for_each(ModelView::check)
+                m.members.iter().try_for_each(CompiledModel::check)?;
+                check_linear(&m.meta)?;
+                // What `member_columns` extracts: a regression member's
+                // values, every class but the last of a classifier's
+                // probabilities.
+                let Some(columns) = m
+                    .members
+                    .iter()
+                    .map(|x| match x.task() {
+                        Task::MultiClass(k) => k - 1,
+                        Task::Regression | Task::Binary => 1,
+                    })
+                    .try_fold(0usize, usize::checked_add)
+                else {
+                    return Err(layout!("member prediction columns overflow"));
+                };
+                let inputs = m.meta.encodings.len();
+                if inputs != columns {
+                    return Err(layout!(
+                        "a meta-learner over {inputs} inputs for {columns} member columns"
+                    ));
+                }
+                Ok(())
             }
         }
     }
 
-    /// The meta-feature columns for `data`: the same extraction
-    /// [`flaml_learners::member_columns`] performs, but over member
-    /// predictions (which are bit-identical to interpreted ones).
-    fn member_columns(
-        members: &[ModelView<'m>],
-        tables: &'m [Table],
-        data: &DatasetView,
-    ) -> Vec<Vec<f64>> {
-        let n = data.n_rows();
-        let mut columns: Vec<Vec<f64>> = Vec::new();
-        for (member, table) in members.iter().zip(tables) {
-            match member.clone().bind_table(table, data).predict() {
-                Pred::Values(v) => {
-                    assert_eq!(v.len(), n);
-                    columns.push(v);
-                }
-                Pred::Probs { n_classes, p } => {
-                    for c in 0..n_classes.saturating_sub(1) {
-                        columns.push(p.chunks_exact(n_classes).map(|row| row[c]).collect());
-                    }
-                }
-            }
-        }
-        columns
-    }
-
-    /// Binds the view and its `tables` to one request matrix: bins /
+    /// Binds the model and its `tables` to one request matrix: bins /
     /// gathers (row-major) / encodes the matrix **once**, returning an
     /// evaluator whose [`Bound::eval_range`] is pure per-row work.
     /// Binding up front is what makes row-chunked batched inference
@@ -403,151 +227,90 @@ impl<'m> ModelView<'m> {
     ///
     /// Panics if `data` has a different feature count than the model
     /// was trained on, or if `tables` were built for another model.
-    pub fn bind(self, tables: &'m Tables, data: &DatasetView) -> Bound<'m> {
-        self.bind_table(&tables.0, data)
-    }
-
-    fn bind_table(self, table: &'m Table, data: &DatasetView) -> Bound<'m> {
-        let n_rows = data.n_rows();
-        if let ModelView::Gbdt(_) | ModelView::Forest(_) = self {
-            assert_eq!(
-                data.n_features(),
-                self.n_features(),
-                "predicting with a different feature count"
-            );
-        }
-        let inner = match (self, table) {
-            (ModelView::Gbdt(view), Table::Gbdt(mapper, packed)) => {
-                // The request matrix is binned once through the
-                // training-time mapper, exactly as the interpreted
-                // model's predict does, then laid out row by row.
-                let binned = mapper.transform(data);
-                let columns = (0..binned.n_features()).map(|j| binned.column(j).iter().copied());
-                BoundInner::Gbdt(view, Lanes::new(packed, n_rows, columns))
-            }
-            (ModelView::Forest(view), Table::Forest(packed)) => {
-                let columns = (0..data.n_features()).map(|j| data.column_values(j));
-                BoundInner::Forest(view, Lanes::new(packed, n_rows, columns))
-            }
-            (ModelView::Linear(_), Table::Linear(model)) => {
-                let cols = gather_columns(data);
-                BoundInner::Linear { model, cols }
-            }
-            (ModelView::Stacked { members, .. }, Table::Stacked(model, tables)) => {
-                let cols = ModelView::member_columns(&members, tables, data);
-                BoundInner::Linear { model, cols }
-            }
-            _ => panic!("evaluator tables built for a different model"),
-        };
-        Bound { inner, n_rows }
-    }
-
-    /// Materializes the view as an owned [`CompiledModel`] — a straight
-    /// slab copy with no re-flattening, so a blob can enter
-    /// registries that hold owned models. The copy preserves the
-    /// *stored* node order: a hot-first blob written by an older build
-    /// materializes with permuted slabs (predictions are identical;
-    /// slab-level `==` against the original compiled model is not).
-    pub fn to_compiled(&self) -> CompiledModel {
-        match self {
-            ModelView::Gbdt(v) => CompiledModel::Gbdt(CompiledGbdt {
-                cuts: v.cuts.to_vecs(),
-                n_groups: v.n_groups,
-                init_scores: v.init_scores.to_vec(),
-                task: v.task,
-                tree_roots: v.tree_roots.to_vec(),
-                feature: v.feature.to_vec(),
-                threshold: v.threshold.to_vec(),
-                left: v.left.to_vec(),
-                right: v.right.to_vec(),
-                leaf_value: v.leaf_value.to_vec(),
-                is_leaf: (0..v.is_leaf.len()).map(|i| v.is_leaf.get(i)).collect(),
-            }),
-            ModelView::Forest(v) => CompiledModel::Forest(CompiledForest {
-                task: v.task,
-                n_features: v.n_features,
-                leaf_width: v.leaf_width,
-                tree_roots: v.tree_roots.to_vec(),
-                feature: v.feature.to_vec(),
-                threshold: v.threshold.to_vec(),
-                left: v.left.to_vec(),
-                right: v.right.to_vec(),
-                is_leaf: (0..v.is_leaf.len()).map(|i| v.is_leaf.get(i)).collect(),
-                values: v.values.to_vec(),
-            }),
-            ModelView::Linear(m) => CompiledModel::Linear((*m).clone()),
-            ModelView::Stacked {
-                members,
-                meta,
-                task,
-            } => CompiledModel::Stacked(Box::new(CompiledStacked {
-                members: members.iter().map(ModelView::to_compiled).collect(),
-                meta: (*meta).clone(),
-                task: *task,
-            })),
-        }
+    pub fn bind<'m>(&'m self, tables: &'m Tables, data: &DatasetView) -> Bound<'m> {
+        bind(self, &tables.0, data)
     }
 }
 
-impl CompiledModel {
-    /// Renders the owned model as borrowed slabs (see [`ModelView`]).
-    pub fn view(&self) -> ModelView<'_> {
-        match self {
-            CompiledModel::Gbdt(m) => ModelView::Gbdt(GbdtView {
-                task: m.task,
-                n_groups: m.n_groups,
-                init_scores: &m.init_scores,
-                cuts: CutsRef::Nested(&m.cuts),
-                tree_roots: &m.tree_roots,
-                feature: &m.feature,
-                threshold: &m.threshold,
-                left: &m.left,
-                right: &m.right,
-                leaf_value: &m.leaf_value,
-                is_leaf: LeafFlags::Bools(&m.is_leaf),
-            }),
-            CompiledModel::Forest(m) => ModelView::Forest(ForestView {
-                task: m.task,
-                n_features: m.n_features,
-                leaf_width: m.leaf_width,
-                tree_roots: &m.tree_roots,
-                feature: &m.feature,
-                threshold: FloatSlab::F64(&m.threshold),
-                left: &m.left,
-                right: &m.right,
-                is_leaf: LeafFlags::Bools(&m.is_leaf),
-                values: &m.values,
-            }),
-            CompiledModel::Linear(m) => ModelView::Linear(m),
-            CompiledModel::Stacked(m) => ModelView::Stacked {
-                members: m.members.iter().map(CompiledModel::view).collect(),
-                meta: &m.meta,
-                task: m.task,
-            },
+/// The meta-feature columns for `data`: the same extraction
+/// [`flaml_learners::member_columns`] performs, but over member
+/// predictions (which are bit-identical to interpreted ones).
+fn member_columns(
+    members: &[CompiledModel],
+    tables: &[Table],
+    data: &DatasetView,
+) -> Vec<Vec<f64>> {
+    let n = data.n_rows();
+    let mut columns: Vec<Vec<f64>> = Vec::new();
+    for (member, table) in members.iter().zip(tables) {
+        match bind(member, table, data).predict() {
+            Pred::Values(v) => {
+                assert_eq!(v.len(), n);
+                columns.push(v);
+            }
+            Pred::Probs { n_classes, p } => {
+                for c in 0..n_classes.saturating_sub(1) {
+                    columns.push(p.chunks_exact(n_classes).map(|row| row[c]).collect());
+                }
+            }
         }
     }
+    columns
 }
 
-/// A model that can answer requests: its slab view plus the [`Tables`]
-/// the evaluator walks. Values that serve many requests keep their
-/// tables ([`crate::VersionedModel`], blob models); a bare
+fn bind<'m>(model: &'m CompiledModel, table: &'m Table, data: &DatasetView) -> Bound<'m> {
+    let n_rows = data.n_rows();
+    if let CompiledModel::Gbdt(_) | CompiledModel::Forest(_) = model {
+        assert_eq!(
+            data.n_features(),
+            model.n_features(),
+            "predicting with a different feature count"
+        );
+    }
+    let inner = match (model, table) {
+        (CompiledModel::Gbdt(m), Table::Gbdt(mapper, packed)) => {
+            // The request matrix is binned once through the
+            // training-time mapper, exactly as the interpreted model's
+            // predict does, then laid out row by row.
+            let binned = mapper.transform(data);
+            let columns = (0..binned.n_features()).map(|j| binned.column(j).iter().copied());
+            BoundInner::Gbdt(m, Lanes::new(packed, n_rows, columns))
+        }
+        (CompiledModel::Forest(m), Table::Forest(packed)) => {
+            let columns = (0..data.n_features()).map(|j| data.column_values(j));
+            BoundInner::Forest(m, Lanes::new(packed, n_rows, columns))
+        }
+        (CompiledModel::Linear(_), Table::Linear(model)) => {
+            let cols = gather_columns(data);
+            BoundInner::Linear { model, cols }
+        }
+        (CompiledModel::Stacked(m), Table::Stacked(model, tables)) => {
+            let cols = member_columns(&m.members, tables, data);
+            BoundInner::Linear { model, cols }
+        }
+        _ => panic!("evaluator tables built for a different model"),
+    };
+    Bound { inner, n_rows }
+}
+
+/// A model that can answer requests: a [`CompiledModel`] plus the
+/// [`Tables`] the evaluator walks. Values that serve many requests keep
+/// their tables ([`crate::VersionedModel`], blob models); a bare
 /// [`CompiledModel`] builds them for the call.
 pub trait Servable {
-    /// The model's view and its tables.
-    fn parts(&self) -> (ModelView<'_>, Cow<'_, Tables>);
+    /// The model and its tables.
+    fn parts(&self) -> (&CompiledModel, Cow<'_, Tables>);
 
     /// Predicts on `data` through the shared evaluator.
     fn serve(&self, data: &DatasetView) -> Pred {
-        let (view, tables) = self.parts();
-        view.bind(&tables, data).predict()
+        let (model, tables) = self.parts();
+        model.bind(&tables, data).predict()
     }
 }
 
 impl Servable for CompiledModel {
-    fn parts(&self) -> (ModelView<'_>, Cow<'_, Tables>) {
-        let view = self.view();
-        let tables = Tables::build(&view);
-        (view, Cow::Owned(tables))
+    fn parts(&self) -> (&CompiledModel, Cow<'_, Tables>) {
+        (self, Cow::Owned(Tables::build(self)))
     }
 }
 
@@ -604,15 +367,11 @@ impl<T: Split> Packed<T> {
     /// Packs node `i` from `split(i)` = `(feature, threshold, left,
     /// right)`, leaves as self-loops, then finds every tree's depth in
     /// one reverse pass: children follow their parent
-    /// ([`ModelView::check`]), so their heights are known first.
-    fn new(
-        roots: &[u32],
-        is_leaf: LeafFlags<'_>,
-        split: impl Fn(usize) -> (u32, T, u32, u32),
-    ) -> Self {
+    /// ([`CompiledModel::check`]), so their heights are known first.
+    fn new(roots: &[u32], is_leaf: &[bool], split: impl Fn(usize) -> (u32, T, u32, u32)) -> Self {
         let nodes: Vec<Node<T>> = (0..is_leaf.len())
             .map(|i| {
-                let ((feature, threshold, left, right), leaf) = (split(i), is_leaf.get(i));
+                let ((feature, threshold, left, right), leaf) = (split(i), is_leaf[i]);
                 let at = i as u32;
                 Node {
                     feature: if leaf { 0 } else { feature },
@@ -655,35 +414,37 @@ enum Table {
 }
 
 impl Tables {
-    /// Builds the tables of `view`.
+    /// Builds the tables of `model`.
     ///
     /// # Panics
     ///
-    /// Panics if `view` fails [`ModelView::check`]. Both loaders run
-    /// that check, so only a hand-built model can get here invalid.
-    pub fn build(view: &ModelView<'_>) -> Tables {
-        if let Err(e) = view.check() {
+    /// Panics if `model` fails [`CompiledModel::check`]. Both loaders
+    /// run that check, so only a hand-built model can get here invalid.
+    pub fn build(model: &CompiledModel) -> Tables {
+        if let Err(e) = model.check() {
             panic!("serving a structurally invalid model: {e}");
         }
-        Tables(Table::of(view))
+        Tables(Table::of(model))
     }
 }
 
 impl Table {
-    fn of(view: &ModelView<'_>) -> Table {
-        match view {
-            ModelView::Gbdt(v) => Table::Gbdt(
-                BinMapper::from_cuts(v.cuts.to_vecs()),
-                Packed::new(v.tree_roots, v.is_leaf, |i| {
-                    (v.feature[i], v.threshold[i], v.left[i], v.right[i])
+    fn of(model: &CompiledModel) -> Table {
+        match model {
+            CompiledModel::Gbdt(m) => Table::Gbdt(
+                BinMapper::from_cuts(m.cuts.clone()),
+                Packed::new(&m.tree_roots, &m.is_leaf, |i| {
+                    (m.feature[i], m.threshold[i], m.left[i], m.right[i])
                 }),
             ),
-            ModelView::Forest(v) => Table::Forest(Packed::new(v.tree_roots, v.is_leaf, |i| {
-                (v.feature[i], v.threshold.get(i), v.left[i], v.right[i])
-            })),
-            ModelView::Linear(m) => Table::Linear(m.to_model()),
-            ModelView::Stacked { members, meta, .. } => {
-                Table::Stacked(meta.to_model(), members.iter().map(Table::of).collect())
+            CompiledModel::Forest(m) => {
+                Table::Forest(Packed::new(&m.tree_roots, &m.is_leaf, |i| {
+                    (m.feature[i], m.threshold[i], m.left[i], m.right[i])
+                }))
+            }
+            CompiledModel::Linear(m) => Table::Linear(m.to_model()),
+            CompiledModel::Stacked(m) => {
+                Table::Stacked(m.meta.to_model(), m.members.iter().map(Table::of).collect())
             }
         }
     }
@@ -781,7 +542,7 @@ impl<'a, T: Split> Lanes<'a, T> {
     }
 }
 
-/// A model view bound to one request matrix (see [`ModelView::bind`]).
+/// A model bound to one request matrix (see [`CompiledModel::bind`]).
 /// All per-request setup — binning, column gathering, member
 /// prediction — happened at bind time; [`Bound::eval_range`] touches
 /// only the rows it is asked for, so disjoint ranges can run on
@@ -793,8 +554,8 @@ pub struct Bound<'m> {
 }
 
 enum BoundInner<'m> {
-    Gbdt(GbdtView<'m>, Lanes<'m, u32>),
-    Forest(ForestView<'m>, Lanes<'m, f64>),
+    Gbdt(&'m CompiledGbdt, Lanes<'m, u32>),
+    Forest(&'m CompiledForest, Lanes<'m, f64>),
     Linear {
         model: &'m LinearModel,
         cols: Vec<Vec<f64>>,
@@ -810,14 +571,10 @@ impl Bound<'_> {
     /// Output values per row in the flat representation
     /// [`Bound::eval_range`] produces.
     pub fn width(&self) -> usize {
-        let task = match &self.inner {
-            BoundInner::Gbdt(view, _) => view.task,
-            BoundInner::Forest(view, _) => return view.leaf_width,
-            BoundInner::Linear { model, .. } => model.task(),
-        };
-        match task {
-            Task::Regression | Task::Binary => 1,
-            Task::MultiClass(k) => k,
+        match &self.inner {
+            BoundInner::Gbdt(m, _) => m.n_groups,
+            BoundInner::Forest(m, _) => m.leaf_width,
+            BoundInner::Linear { model, .. } => score_groups(model.task()),
         }
     }
 
@@ -826,15 +583,15 @@ impl Bound<'_> {
     /// adjacent ranges is bitwise equal to one evaluation of the union.
     pub fn eval_range(&self, lo: usize, hi: usize) -> Vec<f64> {
         match &self.inner {
-            BoundInner::Gbdt(view, lanes) => {
-                let k = view.n_groups;
-                let mut scores = view.init_scores.repeat(hi - lo);
+            BoundInner::Gbdt(m, lanes) => {
+                let k = m.n_groups;
+                let mut scores = m.init_scores.repeat(hi - lo);
                 // Each row adds its trees' leaves in boosting order, the
                 // interpreted `raw_scores` order, whatever its block.
                 lanes.walk(lo, hi, |t, r, leaf| {
-                    scores[r * k + t % k] += view.leaf_value[leaf];
+                    scores[r * k + t % k] += m.leaf_value[leaf];
                 });
-                match view.task {
+                match m.task {
                     Task::Regression => scores,
                     Task::Binary => scores.iter().map(|&f| sigmoid(f)).collect(),
                     Task::MultiClass(k) => {
@@ -846,18 +603,18 @@ impl Bound<'_> {
                     }
                 }
             }
-            BoundInner::Forest(view, lanes) => {
-                let w = view.leaf_width;
-                let m = view.tree_roots.len() as f64;
+            BoundInner::Forest(m, lanes) => {
+                let w = m.leaf_width;
+                let n_trees = m.tree_roots.len() as f64;
                 let mut out = vec![0.0; (hi - lo) * w];
                 lanes.walk(lo, hi, |_, r, leaf| {
-                    let vals = &view.values[leaf * w..(leaf + 1) * w];
+                    let vals = &m.values[leaf * w..(leaf + 1) * w];
                     for (o, v) in out[r * w..(r + 1) * w].iter_mut().zip(vals) {
                         *o += *v;
                     }
                 });
                 for v in &mut out {
-                    *v /= m;
+                    *v /= n_trees;
                 }
                 out
             }
@@ -881,11 +638,11 @@ impl Bound<'_> {
     /// the model's [`Pred`], exactly as the interpreted predict does.
     pub fn finish(&self, flat: Vec<f64>) -> Pred {
         let task = match &self.inner {
-            BoundInner::Gbdt(view, _) => view.task,
-            BoundInner::Forest(view, _) => match view.task {
+            BoundInner::Gbdt(m, _) => m.task,
+            BoundInner::Forest(m, _) => match m.task {
                 Task::Regression => return Pred::from_values(flat),
                 Task::Binary | Task::MultiClass(_) => {
-                    let n_classes = view.leaf_width;
+                    let n_classes = m.leaf_width;
                     return Pred::Probs { n_classes, p: flat };
                 }
             },

@@ -1,7 +1,8 @@
 //! The serving evaluator against its oracle. The evaluator walks eight
 //! rows at a time through a packed node table; the oracle here is the
-//! walk it replaced — one row at a time, node by node through the view's
-//! slabs, each tree's leaf added in boosting order. Every prediction
+//! walk it replaced — one row at a time, node by node through the
+//! `CompiledGbdt` / `CompiledForest` slabs, each tree's leaf added in
+//! boosting order. Every prediction
 //! must match the oracle bit for bit: across learners and tasks, JSON
 //! and blob backings (plain, quantized, and a hot-first blob written by
 //! an older build), row counts on both sides of every lane-block edge,
@@ -18,8 +19,8 @@ use flaml_learners::{
 };
 use flaml_metrics::Pred;
 use flaml_serve::{
-    BatchEngine, CompiledForest, CompiledGbdt, CompiledLinear, CompiledModel, ForestView, GbdtView,
-    ModelRegistry, ModelView, Servable,
+    BatchEngine, CompiledForest, CompiledGbdt, CompiledLinear, CompiledModel, ModelRegistry,
+    Servable,
 };
 
 fn bits(p: &Pred) -> Vec<u64> {
@@ -30,28 +31,28 @@ fn bits(p: &Pred) -> Vec<u64> {
 }
 
 /// One boosted tree, one row: the per-row slab walk.
-fn gbdt_leaf(v: &GbdtView<'_>, bins: &[Vec<u16>], root: u32, row: usize) -> f64 {
+fn gbdt_leaf(m: &CompiledGbdt, bins: &[Vec<u16>], root: u32, row: usize) -> f64 {
     let mut at = root as usize;
-    while !v.is_leaf.get(at) {
-        let bin = bins[v.feature[at] as usize][row];
-        at = if u32::from(bin) <= v.threshold[at] {
-            v.left[at] as usize
+    while !m.is_leaf[at] {
+        let bin = bins[m.feature[at] as usize][row];
+        at = if u32::from(bin) <= m.threshold[at] {
+            m.left[at] as usize
         } else {
-            v.right[at] as usize
+            m.right[at] as usize
         };
     }
-    v.leaf_value[at]
+    m.leaf_value[at]
 }
 
 /// One forest tree, one row: the per-row slab walk.
-fn forest_leaf(v: &ForestView<'_>, cols: &[Vec<f64>], root: u32, row: usize) -> usize {
+fn forest_leaf(m: &CompiledForest, cols: &[Vec<f64>], root: u32, row: usize) -> usize {
     let mut at = root as usize;
-    while !v.is_leaf.get(at) {
-        let x = cols[v.feature[at] as usize][row];
-        at = if goes_left(x, v.threshold.get(at)) {
-            v.left[at] as usize
+    while !m.is_leaf[at] {
+        let x = cols[m.feature[at] as usize][row];
+        at = if goes_left(x, m.threshold[at]) {
+            m.left[at] as usize
         } else {
-            v.right[at] as usize
+            m.right[at] as usize
         };
     }
     at
@@ -67,25 +68,25 @@ fn linear(meta: &CompiledLinear, cols: &[Vec<f64>], n: usize) -> Pred {
     meta.to_model().predict_columns(cols, n)
 }
 
-/// What the evaluator must predict for `view` on `data`.
-fn oracle(view: &ModelView<'_>, data: &DatasetView) -> Pred {
+/// What the evaluator must predict for `model` on `data`.
+fn oracle(model: &CompiledModel, data: &DatasetView) -> Pred {
     let n = data.n_rows();
-    match view {
-        ModelView::Gbdt(v) => {
-            let binned = BinMapper::from_cuts(v.cuts.to_vecs()).transform(data);
+    match model {
+        CompiledModel::Gbdt(m) => {
+            let binned = BinMapper::from_cuts(m.cuts.clone()).transform(data);
             let bins: Vec<Vec<u16>> = (0..binned.n_features())
                 .map(|j| binned.column(j).to_vec())
                 .collect();
-            let k = v.n_groups;
+            let k = m.n_groups;
             let mut scores = Vec::with_capacity(n * k);
             for row in 0..n {
-                let mut slot = v.init_scores.to_vec();
-                for (t, &root) in v.tree_roots.iter().enumerate() {
-                    slot[t % k] += gbdt_leaf(v, &bins, root, row);
+                let mut slot = m.init_scores.clone();
+                for (t, &root) in m.tree_roots.iter().enumerate() {
+                    slot[t % k] += gbdt_leaf(m, &bins, root, row);
                 }
                 scores.extend(slot);
             }
-            match v.task {
+            match m.task {
                 Task::Regression => Pred::from_values(scores),
                 Task::Binary => Pred::binary_probs(scores.into_iter().map(sigmoid).collect()),
                 Task::MultiClass(k) => {
@@ -99,21 +100,21 @@ fn oracle(view: &ModelView<'_>, data: &DatasetView) -> Pred {
                 }
             }
         }
-        ModelView::Forest(v) => {
+        CompiledModel::Forest(m) => {
             let cols = columns(data);
-            let w = v.leaf_width;
+            let w = m.leaf_width;
             let mut out = vec![0.0; n * w];
             for row in 0..n {
-                for &root in v.tree_roots {
-                    let leaf = forest_leaf(v, &cols, root, row);
+                for &root in &m.tree_roots {
+                    let leaf = forest_leaf(m, &cols, root, row);
                     for c in 0..w {
-                        out[row * w + c] += v.values[leaf * w + c];
+                        out[row * w + c] += m.values[leaf * w + c];
                     }
                 }
             }
-            let m = v.tree_roots.len() as f64;
-            let out: Vec<f64> = out.into_iter().map(|x| x / m).collect();
-            match v.task {
+            let n_trees = m.tree_roots.len() as f64;
+            let out: Vec<f64> = out.into_iter().map(|x| x / n_trees).collect();
+            match m.task {
                 Task::Regression => Pred::from_values(out),
                 _ => Pred::Probs {
                     n_classes: w,
@@ -121,10 +122,10 @@ fn oracle(view: &ModelView<'_>, data: &DatasetView) -> Pred {
                 },
             }
         }
-        ModelView::Linear(m) => linear(m, &columns(data), n),
-        ModelView::Stacked { members, meta, .. } => {
+        CompiledModel::Linear(m) => linear(m, &columns(data), n),
+        CompiledModel::Stacked(m) => {
             let mut cols = Vec::new();
-            for member in members {
+            for member in &m.members {
                 match oracle(member, data) {
                     Pred::Values(v) => cols.push(v),
                     Pred::Probs { n_classes, p } => {
@@ -134,7 +135,7 @@ fn oracle(view: &ModelView<'_>, data: &DatasetView) -> Pred {
                     }
                 }
             }
-            linear(meta, &cols, n)
+            linear(&m.meta, &cols, n)
         }
     }
 }
@@ -247,7 +248,7 @@ fn lane_walk_matches_the_slab_walk_on_every_learner_backing_and_row_count() {
                     .select(&(rows % 3..rows % 3 + rows).collect::<Vec<_>>());
                 for (backing, model) in backings {
                     let ctx = format!("{name} {task:?} {backing} {rows} rows");
-                    let want = bits(&oracle(&model.parts().0, &request));
+                    let want = bits(&oracle(model.parts().0, &request));
                     assert_eq!(bits(&model.serve(&request)), want, "{ctx}");
                 }
             }
@@ -266,7 +267,7 @@ fn batch_chunks_that_cut_lane_blocks_apart_match_the_oracle() {
             let served = registry.get(name).unwrap();
             for rows in [17, 96, 257] {
                 let request = pool.view().prefix(rows);
-                let want = bits(&oracle(&served.model.view(), &request));
+                let want = bits(&oracle(&served.model, &request));
                 for chunk in [1, 5, 13] {
                     let engine = BatchEngine::new(&pool_workers, chunk);
                     let ctx = format!("{name} {task:?} {rows} rows in chunks of {chunk}");
@@ -372,7 +373,7 @@ fn single_leaf_and_depth_skewed_trees_match_the_oracle() {
         let loaded = CompiledModel::from_artifact_str(&model.to_artifact_string()).unwrap();
         for rows in ROW_COUNTS {
             let request = two.view().prefix(rows);
-            let want = bits(&oracle(&loaded.view(), &request));
+            let want = bits(&oracle(&loaded, &request));
             assert_eq!(bits(&loaded.predict(&request)), want, "{rows} rows");
         }
     }
@@ -410,7 +411,7 @@ fn a_hot_first_blob_from_an_older_build_predicts_bit_identically() {
     let data = Dataset::new("fixture", Task::Regression, cols, vec![0.0; n as usize]).unwrap();
     for rows in ROW_COUNTS.into_iter().filter(|&r| r <= n as usize) {
         let request = data.view().prefix(rows);
-        let want = bits(&oracle(&json.view(), &request));
+        let want = bits(&oracle(&json, &request));
         assert_eq!(bits(&json.predict(&request)), want, "json, {rows} rows");
         assert_eq!(
             bits(&blob.predict(&request)),
@@ -418,7 +419,7 @@ fn a_hot_first_blob_from_an_older_build_predicts_bit_identically() {
             "hot-first blob, {rows} rows"
         );
         assert_eq!(
-            bits(&oracle(&blob.view(), &request)),
+            bits(&oracle(blob.parts().0, &request)),
             want,
             "blob oracle, {rows} rows"
         );
@@ -443,7 +444,7 @@ fn served_versions_match_one_shot_predicts_across_publish_and_rollback() {
         );
         assert_eq!(bits(&served.serve(&request)), one_shot, "{ctx}: again");
         assert_eq!(
-            bits(&oracle(&served.model.view(), &request)),
+            bits(&oracle(&served.model, &request)),
             one_shot,
             "{ctx}: oracle"
         );

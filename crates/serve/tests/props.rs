@@ -270,3 +270,36 @@ fn more_cuts_than_a_two_byte_bin_holds_is_a_typed_load_error() {
         "{err}"
     );
 }
+
+/// Shapes no learner produces, which used to load and then panic on
+/// every predict: a zero-class boosted model (its score slot is the
+/// tree index modulo zero) and a forest with no trees whose leaf width
+/// sizes a rows × width buffer past what can be allocated.
+#[test]
+fn zero_class_and_treeless_models_are_typed_load_errors() {
+    let mut zero_classes = slab_gbdt(0.5, -1.0, 1.0);
+    if let CompiledModel::Gbdt(m) = &mut zero_classes {
+        m.task = Task::MultiClass(0);
+        m.n_groups = 0;
+        m.init_scores.clear();
+    }
+    let width = usize::MAX / 8;
+    let treeless = CompiledModel::Forest(CompiledForest {
+        task: Task::MultiClass(width),
+        n_features: 1,
+        leaf_width: width,
+        tree_roots: vec![],
+        feature: vec![],
+        threshold: vec![],
+        left: vec![],
+        right: vec![],
+        is_leaf: vec![],
+        values: vec![],
+    });
+    for model in [zero_classes, treeless] {
+        match CompiledModel::from_artifact_str(&model.to_artifact_string()) {
+            Err(ArtifactError::Layout(_)) => {}
+            other => panic!("{:?} loaded as {other:?}", model.task()),
+        }
+    }
+}

@@ -754,8 +754,8 @@ impl Server {
         // independent choices.
         let model = if body.starts_with(&flaml_core::BLOB_MAGIC) {
             BlobModel::from_bytes(body)
+                .map(CompiledModel::from)
                 .map_err(|e| bad_request(format!("bad blob artifact: {e}")))?
-                .to_compiled()
         } else {
             let text =
                 std::str::from_utf8(body).map_err(|_| bad_request("artifact body is not UTF-8"))?;

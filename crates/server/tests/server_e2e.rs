@@ -383,6 +383,84 @@ fn self_looping_artifacts_are_typed_400s_and_the_server_survives() {
     server.stop();
 }
 
+/// A linear artifact is checked against its own encodings before it is
+/// published: weight groups that do not match the task or the design
+/// width, a one-hot cardinality over the learner's cap and a stacked
+/// meta-learner over the wrong number of member columns used to load
+/// and then panic, allocate without bound or silently drop the
+/// intercept on every predict. Each is a typed `400` now, and no slot
+/// file is written.
+#[test]
+fn linear_parts_that_do_not_fit_their_encodings_are_typed_400s() {
+    use flaml_data::Task;
+    use flaml_learners::Encoding;
+    use flaml_serve::{CompiledLinear, CompiledModel, CompiledStacked};
+    let numeric = |n: usize| {
+        vec![
+            Encoding::Numeric {
+                mean: 0.0,
+                std: 1.0
+            };
+            n
+        ]
+    };
+    let linear = |task, encodings, weights| CompiledLinear {
+        encodings,
+        weights,
+        task,
+        y_mean: 0.0,
+        y_std: 1.0,
+    };
+    let one_hot = |cardinality| vec![Encoding::OneHot { cardinality }];
+    let lin = |task, encodings, weights| CompiledModel::Linear(linear(task, encodings, weights));
+    let stacked = CompiledModel::Stacked(Box::new(CompiledStacked {
+        members: vec![lin(Task::Binary, numeric(1), vec![vec![0.5, 0.1]])],
+        meta: linear(Task::Binary, numeric(2), vec![vec![1.0; 3]]),
+        task: Task::Binary,
+    }));
+    let hostile = [
+        ("groupless", lin(Task::Regression, numeric(1), vec![])),
+        (
+            "three",
+            lin(Task::MultiClass(2), numeric(1), vec![vec![0.5, 0.1]; 3]),
+        ),
+        (
+            "huge",
+            lin(
+                Task::Regression,
+                one_hot(usize::MAX / 4),
+                vec![vec![0.5; 2]],
+            ),
+        ),
+        (
+            "short",
+            lin(Task::Regression, numeric(2), vec![vec![5.0, 10.0]]),
+        ),
+        ("stacked", stacked),
+    ];
+    let root = scratch_root("linear-parts");
+    let (server, addr) = start(root.clone(), 4);
+    for (slot, model) in &hostile {
+        let route = format!("/tenants/acme/slots/{slot}");
+        let (status, body) = http(addr, "POST", &route, &model.to_artifact_string());
+        assert_eq!(status, 400, "{slot}: {body}");
+        assert!(body.contains("layout"), "{slot}: {body}");
+        for suffix in [".artifact.json", ".artifact.blob"] {
+            let file = root.join(format!("acme/slots/{slot}{suffix}"));
+            assert!(!file.exists(), "{slot}: {} was written", file.display());
+        }
+        let predict = format!("{{\"slot\":\"{slot}\",\"columns\":[[0.25]]}}");
+        assert_eq!(
+            http(addr, "POST", "/tenants/acme/predict", &predict).0,
+            404,
+            "{slot}: nothing was published"
+        );
+    }
+    let (status, body) = http(addr, "GET", "/healthz", "");
+    assert_eq!((status, body.as_str()), (200, "{\"ok\":true}"));
+    server.stop();
+}
+
 /// `server.rs`'s `MAX_CONNECTIONS`, which is private to the crate.
 const MAX_CONNECTIONS: usize = 256;
 

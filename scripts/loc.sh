@@ -3,9 +3,9 @@
 # prints them and exits non-zero when any exceeds its ceiling. The
 # ceilings only ever go down — a PR that shrinks a number lowers its
 # ceiling to match.
-MAX_CODE_LINES=19503
-MAX_PUBLIC_ITEMS=774
-MAX_UNSAFE_LINES=1
+MAX_CODE_LINES=19136
+MAX_PUBLIC_ITEMS=759
+MAX_UNSAFE_LINES=0
 # Counted as ISSUE 14 defines them, over every *.rs under src/ and
 # crates/*/src except crates/perf (the benchmark), up to the file's
 # first `#[cfg(test)]` line:
