@@ -84,7 +84,7 @@ impl Args {
     }
 
     /// An integer value, if present.
-    pub fn opt_usize(&self, key: &str) -> Option<usize> {
+    fn opt_usize(&self, key: &str) -> Option<usize> {
         self.values.get(key).and_then(|v| v.parse().ok())
     }
 

@@ -84,7 +84,7 @@ impl BudgetClock {
     }
 
     /// Whether this clock runs on wall time.
-    pub fn is_wall(&self) -> bool {
+    fn is_wall(&self) -> bool {
         matches!(self.source, TimeSource::Wall)
     }
 

@@ -119,11 +119,6 @@ impl EciState {
         self.n_trials
     }
 
-    /// Total cost spent on this learner (`K0`).
-    pub fn total_cost(&self) -> f64 {
-        self.k0
-    }
-
     /// Best validation error (`ε̃_l`).
     pub fn best_err(&self) -> f64 {
         self.best_err
@@ -228,7 +223,6 @@ mod tests {
         let mut e = EciState::new(1.0);
         assert!(e.on_trial(3.0, 0.4));
         assert_eq!(e.best_err(), 0.4);
-        assert_eq!(e.total_cost(), 3.0);
         assert_eq!(e.kappa(), 3.0);
     }
 

@@ -11,7 +11,7 @@ use std::sync::Arc;
 /// Categorical columns store category indices as `f64` values; learners may
 /// exploit the distinction (e.g. one-hot encode for linear models). Missing
 /// values are represented as `NaN` in either kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FeatureKind {
     /// Real-valued feature.
     Numeric,
@@ -90,10 +90,82 @@ impl Task {
 /// Largest class count [`Task::parse_wire`] accepts.
 const MAX_WIRE_CLASSES: usize = 65_535;
 
+/// The one wire form of a [`Dataset`]: HTTP `/fit` and `/stream`
+/// bodies, request sidecars and stream chunk files. Bytes become a
+/// dataset only through [`DatasetPayload::to_dataset`], which runs
+/// every [`Dataset::with_kinds`] check.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct DatasetPayload {
+    /// Dataset name (informational; excluded from fingerprints).
+    pub name: String,
+    /// Task name as printed by [`Task::wire_name`].
+    pub task: String,
+    /// Feature columns, column-major.
+    pub columns: Vec<Vec<f64>>,
+    /// Cardinality per column: 0 = numeric, k > 0 = categorical with k
+    /// categories. Absent or empty: every column is numeric.
+    #[serde(default)]
+    pub cardinalities: Vec<usize>,
+    /// Target values, one per row.
+    pub target: Vec<f64>,
+}
+
+impl DatasetPayload {
+    /// The payload of `data`, every column's kind included. The round
+    /// trip through [`DatasetPayload::to_dataset`] is bit-exact: the
+    /// rebuilt dataset's [`Dataset::fingerprint`] equals the original's.
+    pub fn from_dataset(data: &Dataset) -> DatasetPayload {
+        DatasetPayload {
+            name: data.name().to_string(),
+            task: data.task().wire_name(),
+            columns: data.columns().to_vec(),
+            cardinalities: data
+                .feature_kinds()
+                .iter()
+                .map(|kind| match kind {
+                    FeatureKind::Numeric => 0,
+                    FeatureKind::Categorical { cardinality } => *cardinality,
+                })
+                .collect(),
+            target: data.target().to_vec(),
+        }
+    }
+
+    /// Builds the dataset through [`Dataset::with_kinds`].
+    ///
+    /// # Errors
+    ///
+    /// A message for an unknown task string, or for data
+    /// [`Dataset::with_kinds`] refuses (ragged columns, bad labels, a
+    /// cardinality list of another length than the columns, …).
+    pub fn to_dataset(&self) -> Result<Dataset, String> {
+        let task = Task::parse_wire(&self.task)?;
+        let kinds = if self.cardinalities.is_empty() {
+            vec![FeatureKind::Numeric; self.columns.len()]
+        } else {
+            self.cardinalities
+                .iter()
+                .map(|&cardinality| match cardinality {
+                    0 => FeatureKind::Numeric,
+                    cardinality => FeatureKind::Categorical { cardinality },
+                })
+                .collect()
+        };
+        Dataset::with_kinds(
+            self.name.clone(),
+            task,
+            self.columns.clone(),
+            kinds,
+            self.target.clone(),
+        )
+        .map_err(|e| format!("invalid dataset: {e:?}"))
+    }
+}
+
 /// The shared, immutable storage behind a [`Dataset`] and every
 /// [`DatasetView`] derived from it. Never exposed mutably once wrapped in
 /// an `Arc`; row subsets are expressed as index views over this storage.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct DatasetCore {
     pub(crate) name: String,
     pub(crate) task: Task,
@@ -117,24 +189,6 @@ pub(crate) struct DatasetCore {
 #[derive(Debug, Clone)]
 pub struct Dataset {
     pub(crate) core: Arc<DatasetCore>,
-}
-
-// Serialization delegates to the inner core so the on-disk shape stays the
-// flat `{name, task, columns, kinds, target}` object it was before the
-// storage moved behind an `Arc` (the vendored serde stub has no blanket
-// `Arc<T>` impls, and the flat shape is the compatible one anyway).
-impl Serialize for Dataset {
-    fn to_value(&self) -> serde::Value {
-        self.core.to_value()
-    }
-}
-
-impl<'de> Deserialize<'de> for Dataset {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
-        DatasetCore::from_value(value).map(|core| Dataset {
-            core: Arc::new(core),
-        })
-    }
 }
 
 impl Dataset {
@@ -416,12 +470,6 @@ impl Dataset {
         }
     }
 
-    /// `#instances * #features`, the size measure used by the paper's
-    /// resampling-strategy rule (Step 0).
-    pub fn size_product(&self) -> u64 {
-        self.n_rows() as u64 * self.n_features() as u64
-    }
-
     /// A content fingerprint: FNV-1a over the task, shape, and the raw
     /// bits of every feature and target value. Two datasets fingerprint
     /// equal iff they hold bit-identical data for the same task — the
@@ -580,6 +628,34 @@ mod tests {
     }
 
     #[test]
+    fn payload_keeps_kinds_and_counts_them() {
+        let d = Dataset::with_kinds(
+            "mixed",
+            Task::Binary,
+            vec![vec![0.5, 1.5, 2.5], vec![0.0, 2.0, 1.0]],
+            vec![
+                FeatureKind::Numeric,
+                FeatureKind::Categorical { cardinality: 3 },
+            ],
+            vec![0.0, 1.0, 1.0],
+        )
+        .unwrap();
+        let mut payload = DatasetPayload::from_dataset(&d);
+        assert_eq!(payload.cardinalities, [0, 3]);
+        let back = payload.to_dataset().unwrap();
+        assert_eq!(back.fingerprint(), d.fingerprint());
+        assert_eq!(back.feature_kinds(), d.feature_kinds());
+
+        payload.cardinalities.clear();
+        let numeric = payload.to_dataset().unwrap();
+        assert_eq!(numeric.feature_kinds(), [FeatureKind::Numeric; 2]);
+
+        payload.cardinalities = vec![0, 3, 0];
+        let err = payload.to_dataset().unwrap_err();
+        assert!(err.contains("KindMismatch"), "{err}");
+    }
+
+    #[test]
     fn select_reorders_rows() {
         let d = toy(4, Task::Regression);
         let s = d.select(&[3, 1]);
@@ -619,18 +695,6 @@ mod tests {
         assert_eq!(original.name(), "toy");
         assert_eq!(renamed.name(), "other");
         assert_eq!(original.column(0), renamed.column(0));
-    }
-
-    #[test]
-    fn serde_round_trip_keeps_the_flat_shape() {
-        let d = toy(4, Task::Binary);
-        let value = d.to_value();
-        // The Arc indirection must not leak into the serialized shape.
-        let fields = value.as_obj().expect("dataset serializes as an object");
-        assert!(fields.iter().any(|(k, _)| k == "columns"));
-        let back = Dataset::from_value(&value).unwrap();
-        assert_eq!(back.fingerprint(), d.fingerprint());
-        assert_eq!(back.name(), d.name());
     }
 
     #[test]
@@ -679,11 +743,6 @@ mod tests {
     #[test]
     fn regression_has_no_priors() {
         assert!(toy(5, Task::Regression).class_priors().is_none());
-    }
-
-    #[test]
-    fn size_product_matches() {
-        assert_eq!(toy(7, Task::Regression).size_product(), 14);
     }
 
     #[test]

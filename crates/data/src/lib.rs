@@ -28,7 +28,7 @@ mod error;
 mod split;
 mod view;
 
-pub use dataset::{Dataset, FeatureKind, Task};
+pub use dataset::{Dataset, DatasetPayload, FeatureKind, Task};
 pub use error::DataError;
 pub use split::{kfold, stratified_kfold, train_test_split, Fold};
 pub use view::DatasetView;

@@ -59,8 +59,7 @@ impl Forest {
     ///
     /// # Errors
     ///
-    /// Returns [`FitError`] for out-of-range hyperparameters or a view
-    /// without rows.
+    /// Returns [`FitError`] for out-of-range hyperparameters.
     pub fn fit(
         data: impl Into<DatasetView>,
         params: &ForestParams,
@@ -74,8 +73,7 @@ impl Forest {
     ///
     /// # Errors
     ///
-    /// Returns [`FitError`] for out-of-range hyperparameters or a view
-    /// without rows.
+    /// Returns [`FitError`] for out-of-range hyperparameters.
     pub fn fit_bounded(
         data: impl Into<DatasetView>,
         params: &ForestParams,
@@ -91,9 +89,6 @@ impl Forest {
         ])?;
         let start = Instant::now();
         let n = data.n_rows();
-        if n == 0 {
-            return Err(FitError::BadData("no rows to fit on".into()));
-        }
         let criterion = if data.task() == Task::Regression {
             SplitCriterion::Variance
         } else {
@@ -171,7 +166,7 @@ impl ForestModel {
     /// # Panics
     ///
     /// Panics if `cols` has a different feature count than training data.
-    pub fn predict_cols(&self, cols: &[Vec<f64>], n: usize) -> Pred {
+    fn predict_cols(&self, cols: &[Vec<f64>], n: usize) -> Pred {
         assert_eq!(
             cols.len(),
             self.n_features,
@@ -348,37 +343,6 @@ mod tests {
             0
         )
         .is_err());
-    }
-
-    #[test]
-    fn a_view_without_rows_is_a_typed_error() {
-        // `Dataset::new` rejects an empty target and views clamp to one
-        // row, but deserialization validates nothing: a stored dataset
-        // can arrive with no rows, and the trial path must see a typed
-        // failure rather than the tree's zero-rows assertion.
-        use serde::{Deserialize, Serialize, Value};
-        let Value::Obj(mut fields) = blobs(4, 0).to_value() else {
-            panic!("a dataset serializes as an object");
-        };
-        for (name, value) in &mut fields {
-            match name.as_str() {
-                "columns" => *value = Value::Arr(vec![Value::Arr(Vec::new()); 2]),
-                "target" => *value = Value::Arr(Vec::new()),
-                _ => {}
-            }
-        }
-        let empty = Dataset::from_value(&Value::Obj(fields)).unwrap();
-        assert_eq!(empty.n_rows(), 0);
-        for extra in [false, true] {
-            let params = ForestParams {
-                extra,
-                ..ForestParams::default()
-            };
-            let err = Forest::fit(&empty, &params, 0).unwrap_err();
-            assert!(matches!(err, FitError::BadData(_)), "{err}");
-            let bounded = Forest::fit_bounded(&empty, &params, 0, Some(Duration::from_secs(1)));
-            assert!(matches!(bounded, Err(FitError::BadData(_))));
-        }
     }
 
     #[test]

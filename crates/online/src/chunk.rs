@@ -3,65 +3,21 @@
 //! Every ingested chunk is persisted (atomically) before any journal
 //! event mentions it, so a resumed session can rebuild its sliding
 //! training window from disk without replaying the stream source.
-//! [`ChunkPayload`] is the JSON form; [`concat_chunks`] materializes a
-//! window of chunks into the single [`Dataset`] a challenger trains on.
+//! A chunk file holds the [`flaml_data::DatasetPayload`] of its chunk;
+//! [`concat_chunks`] materializes a window of chunks into the single
+//! [`Dataset`] a challenger trains on.
 
 use crate::OnlineError;
 use flaml_data::{Dataset, FeatureKind, Task};
-use serde::{Deserialize, Serialize};
 
-/// Serializable form of one chunk: column-major features, kinds, labels.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ChunkPayload {
-    /// Dataset name (informational; excluded from fingerprints).
-    pub name: String,
-    /// Task name as printed by [`Task::wire_name`].
-    pub task: String,
-    /// Column-major feature matrix.
-    pub columns: Vec<Vec<f64>>,
-    /// Cardinality per column: 0 = numeric, k > 0 = categorical with k
-    /// categories.
-    pub cardinalities: Vec<usize>,
-    /// Labels, one per row.
-    pub target: Vec<f64>,
-}
-
-impl ChunkPayload {
-    /// Captures a dataset for persistence.
-    pub fn from_dataset(data: &Dataset) -> ChunkPayload {
-        ChunkPayload {
-            name: data.name().to_string(),
-            task: data.task().wire_name(),
-            columns: data.columns().to_vec(),
-            cardinalities: data
-                .feature_kinds()
-                .iter()
-                .map(|k| match k {
-                    FeatureKind::Numeric => 0,
-                    FeatureKind::Categorical { cardinality } => *cardinality,
-                })
-                .collect(),
-            target: data.target().to_vec(),
-        }
-    }
-
-    /// Rebuilds the dataset. The round trip is bit-exact: the rebuilt
-    /// dataset's [`Dataset::fingerprint`] equals the original's.
-    pub fn into_dataset(self) -> Result<Dataset, OnlineError> {
-        let task = Task::parse_wire(&self.task).map_err(OnlineError::Corrupt)?;
-        let kinds = self
-            .cardinalities
-            .iter()
-            .map(|&c| {
-                if c == 0 {
-                    FeatureKind::Numeric
-                } else {
-                    FeatureKind::Categorical { cardinality: c }
-                }
-            })
-            .collect();
-        Dataset::with_kinds(&self.name, task, self.columns, kinds, self.target)
-            .map_err(|e| OnlineError::Corrupt(format!("chunk payload invalid: {e}")))
+/// A chunk schema as an error message names it: task and feature count,
+/// then the column kinds when any is categorical.
+pub(crate) fn schema(task: Task, features: usize, kinds: &[FeatureKind]) -> String {
+    let text = format!("{} x{features} features", task.wire_name());
+    if kinds.iter().all(|k| *k == FeatureKind::Numeric) {
+        text
+    } else {
+        format!("{text}, kinds {kinds:?}")
     }
 }
 
@@ -85,16 +41,8 @@ pub fn concat_chunks(name: &str, chunks: &[&Dataset]) -> Result<Dataset, OnlineE
             || chunk.feature_kinds() != first.feature_kinds()
         {
             return Err(OnlineError::SchemaMismatch {
-                expected: format!(
-                    "{} x{} features",
-                    first.task().wire_name(),
-                    first.n_features()
-                ),
-                got: format!(
-                    "{} x{} features",
-                    chunk.task().wire_name(),
-                    chunk.n_features()
-                ),
+                expected: schema(first.task(), first.n_features(), first.feature_kinds()),
+                got: schema(chunk.task(), chunk.n_features(), chunk.feature_kinds()),
             });
         }
         for (dst, src) in columns.iter_mut().zip(chunk.columns()) {
@@ -115,6 +63,7 @@ pub fn concat_chunks(name: &str, chunks: &[&Dataset]) -> Result<Dataset, OnlineE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flaml_data::DatasetPayload;
 
     fn chunk(name: &str, base: f64) -> Dataset {
         Dataset::new(
@@ -129,9 +78,9 @@ mod tests {
     #[test]
     fn payload_round_trip_is_bit_exact() {
         let d = chunk("c0", 0.5);
-        let json = serde_json::to_string(&ChunkPayload::from_dataset(&d)).unwrap();
-        let back: ChunkPayload = serde_json::from_str(&json).unwrap();
-        let rebuilt = back.into_dataset().unwrap();
+        let json = serde_json::to_string(&DatasetPayload::from_dataset(&d)).unwrap();
+        let back: DatasetPayload = serde_json::from_str(&json).unwrap();
+        let rebuilt = back.to_dataset().unwrap();
         assert_eq!(rebuilt.fingerprint(), d.fingerprint());
         assert_eq!(rebuilt.name(), "c0");
     }

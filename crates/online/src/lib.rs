@@ -47,7 +47,7 @@ mod journal;
 mod promote;
 mod session;
 
-pub use chunk::{concat_chunks, ChunkPayload};
+pub use chunk::concat_chunks;
 pub use drift::{DriftDetector, DriftSignal};
 pub use journal::{kind, LogError, OnlineEvent, OnlineHeader, ONLINE_SCHEMA_VERSION};
 pub use promote::PromotionPolicy;

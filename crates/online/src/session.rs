@@ -43,7 +43,7 @@
 //! identically. The resulting journal is byte-identical to an
 //! uninterrupted run's.
 
-use crate::chunk::{concat_chunks, ChunkPayload};
+use crate::chunk::{concat_chunks, schema};
 use crate::drift::{DriftDetector, DriftSignal};
 use crate::journal::{kind, read_log, LogError, OnlineEvent, OnlineHeader, ONLINE_SCHEMA_VERSION};
 use crate::promote::PromotionPolicy;
@@ -52,9 +52,10 @@ use flaml_core::{
     default_virtual_cost, disk, AutoMl, AutoMlError, CompiledModel, Journal, LearnerKind,
     ModelRegistry, PromoteReason, SearchHandle, Storage, TimeSource,
 };
-use flaml_data::{Dataset, Task};
+use flaml_data::{Dataset, DatasetPayload, Task};
 use flaml_metrics::Metric;
 use flaml_store::{sweep_stale_tmps, to_line, LineLog};
+use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -276,8 +277,8 @@ pub enum ChunkOutcome {
     },
 }
 
-/// A finished challenger round.
-#[derive(Debug, Clone, PartialEq)]
+/// A finished challenger round, as `/stream` reports it.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RoundOutcome {
     /// Round index (1-based).
     pub round: u64,
@@ -507,31 +508,32 @@ impl OnlineSession {
     ///
     /// # Errors
     ///
-    /// [`OnlineError::SchemaMismatch`] leaves the session usable; any
-    /// other error wedges it ([`OnlineError::Wedged`] thereafter) —
-    /// in-memory state can no longer be trusted against the journal,
-    /// and the caller must [`OnlineSession::open`] a fresh one, which
-    /// recovers exactly.
+    /// [`OnlineError::SchemaMismatch`] — a chunk whose task, width or
+    /// column kinds differ from the stream's, refused before anything is
+    /// persisted — leaves the session usable; any other error wedges it
+    /// ([`OnlineError::Wedged`] thereafter) — in-memory state can no
+    /// longer be trusted against the journal, and the caller must
+    /// [`OnlineSession::open`] a fresh one, which recovers exactly.
     pub fn push_chunk(&mut self, data: &Dataset) -> Result<ChunkOutcome, OnlineError> {
         if self.wedged {
             return Err(OnlineError::Wedged);
         }
-        if data.task() != self.cfg.task || data.n_features() != self.cfg.features {
+        // The window's chunks share one schema, kinds included: a chunk
+        // of another one is refused here, before it is persisted, rather
+        // than failing the window assembly of every later round.
+        let kinds = self.window.back().map(|(_, last)| last.feature_kinds());
+        if data.task() != self.cfg.task
+            || data.n_features() != self.cfg.features
+            || kinds.is_some_and(|kinds| kinds != data.feature_kinds())
+        {
             return Err(OnlineError::SchemaMismatch {
-                expected: format!(
-                    "{} x{} features",
-                    self.cfg.task.wire_name(),
-                    self.cfg.features
+                expected: schema(
+                    self.cfg.task,
+                    self.cfg.features,
+                    kinds.unwrap_or(data.feature_kinds()),
                 ),
-                got: format!(
-                    "{} x{} features",
-                    data.task().wire_name(),
-                    data.n_features()
-                ),
+                got: schema(data.task(), data.n_features(), data.feature_kinds()),
             });
-        }
-        if data.n_rows() == 0 {
-            return Err(OnlineError::Corrupt("empty chunk".to_string()));
         }
         if self.state.fps.back() == Some(&data.fingerprint()) {
             return Ok(ChunkOutcome::Duplicate);
@@ -979,7 +981,7 @@ impl OnlineSession {
     // ------------------------------------------------------------------
 
     fn persist_chunk(&mut self, index: usize, data: &Dataset) -> Result<(), OnlineError> {
-        let payload = serde_json::to_string(&ChunkPayload::from_dataset(data))
+        let payload = serde_json::to_string(&DatasetPayload::from_dataset(data))
             .map_err(|e| OnlineError::Corrupt(format!("chunk serialize failed: {e}")))?;
         self.rt.storage.create_dir_all(&self.dir.join("chunks"))?;
         flaml_core::atomic_write_file(
@@ -1029,9 +1031,10 @@ impl OnlineSession {
             .map_err(|e| OnlineError::Corrupt(format!("chunk {index} unreadable: {e}")))?;
         let text = String::from_utf8(bytes)
             .map_err(|_| OnlineError::Corrupt(format!("chunk {index} not UTF-8")))?;
-        let payload: ChunkPayload = serde_json::from_str(&text)
-            .map_err(|e| OnlineError::Corrupt(format!("chunk {index} invalid: {e}")))?;
-        payload.into_dataset()
+        serde_json::from_str::<DatasetPayload>(&text)
+            .map_err(|e| e.to_string())
+            .and_then(|payload| payload.to_dataset())
+            .map_err(|e| OnlineError::Corrupt(format!("chunk {index} invalid: {e}")))
     }
 
     /// Reloads the sliding window from the persisted chunk files,

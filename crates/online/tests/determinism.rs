@@ -5,16 +5,18 @@
 //! on four streams: a drift promotion, a probation rollback, a rejected
 //! drift round with its armed retry, and a rollback on a chunk where a
 //! scheduled round is due. Every recovered session must also report the
-//! uninterrupted session's `status()`.
+//! uninterrupted session's `status()`. A committed stream directory with
+//! a categorical column, written by an earlier build, must match what
+//! this build writes and reopen.
 
 mod common;
 
 use common::{fast_config, flip_chunk, runtime, scratch, stream};
 use flaml_core::{
-    AutoMlError, ChaosStorage, DiskStorage, IoFaultPlan, Journal, Storage, StorageError,
-    StorageFile,
+    AutoMlError, ChaosStorage, DiskStorage, IoFaultPlan, Journal, LearnerKind, Storage,
+    StorageError, StorageFile,
 };
-use flaml_data::Dataset;
+use flaml_data::{Dataset, FeatureKind, Task};
 use flaml_online::{kind, LogError, OnlineConfig, OnlineError, OnlineSession, StreamStatus};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -385,4 +387,128 @@ fn crashpoint_sweep_through_a_rollback_while_a_scheduled_round_is_due() {
         "{status:?}"
     );
     assert_eq!(total, 238, "mutating storage ops of the stream lifecycle");
+}
+
+/// Chunk `idx` of the stream in `tests/fixtures/mixed_stream`: 30 rows,
+/// one numeric column and one categorical column of 3 categories.
+fn mixed_chunk(idx: usize) -> Dataset {
+    let rows = 30;
+    let x: Vec<f64> = (0..rows)
+        .map(|r| ((r * 7919 + idx * 104_729) % 997) as f64 / 997.0)
+        .collect();
+    let c: Vec<f64> = (0..rows).map(|r| ((r + idx) % 3) as f64).collect();
+    let y: Vec<f64> = x
+        .iter()
+        .zip(&c)
+        .map(|(&v, &k)| f64::from(v + 0.2 * k > 0.6))
+        .collect();
+    Dataset::with_kinds(
+        format!("mixed-{idx}"),
+        Task::Binary,
+        vec![x, c],
+        vec![
+            FeatureKind::Numeric,
+            FeatureKind::Categorical { cardinality: 3 },
+        ],
+        y,
+    )
+    .unwrap()
+}
+
+fn mixed_config() -> OnlineConfig {
+    let mut cfg = OnlineConfig::new(Task::Binary, 2);
+    cfg.seed = 3;
+    cfg.estimators = vec![LearnerKind::Lr];
+    cfg.window_chunks = 4;
+    cfg.holdout_chunks = 1;
+    cfg.warmup_chunks = 2;
+    cfg.round_budget = 5.0;
+    cfg.round_trials = 3;
+    cfg
+}
+
+fn copy_dir(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let path = entry.unwrap().path();
+        let target = to.join(path.file_name().unwrap());
+        if path.is_dir() {
+            copy_dir(&path, &target);
+        } else {
+            std::fs::copy(&path, &target).unwrap();
+        }
+    }
+}
+
+#[test]
+fn a_stream_directory_from_the_chunk_payload_era_reopens_byte_identically() {
+    // `tests/fixtures/mixed_stream` was written by the build whose chunk
+    // files came from `flaml_online::ChunkPayload` (key order `name,
+    // task, columns, cardinalities, target`): chunks 0..3 of
+    // `mixed_chunk` under `mixed_config`, a warmup round included.
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/mixed_stream");
+    let chunk0 = std::fs::read_to_string(fixture.join("chunks/c000000.json")).unwrap();
+    let order = ["\"columns\"", "\"cardinalities\":[0,3]", "\"target\""].map(|k| chunk0.find(k));
+    assert!(
+        order[0] < order[1] && order[1] < order[2] && order[0].is_some(),
+        "fixture key order: {order:?}"
+    );
+
+    // Today's build writes the same state for the same chunks: every
+    // file byte for byte, the round journal canonically (its wall
+    // times are not canonical).
+    let fresh = scratch("mixed_fresh");
+    let mut session =
+        OnlineSession::create(&fresh, mixed_config(), runtime(flaml_core::disk(), 1)).unwrap();
+    for i in 0..3 {
+        session.push_chunk(&mixed_chunk(i)).unwrap();
+    }
+    for file in [
+        "online.jsonl",
+        "chunks/c000000.json",
+        "chunks/c000001.json",
+        "chunks/c000002.json",
+        "champions/era_0001.artifact.json",
+    ] {
+        assert_eq!(
+            std::fs::read(fresh.join(file)).unwrap(),
+            std::fs::read(fixture.join(file)).unwrap(),
+            "{file}"
+        );
+    }
+    let round = "rounds/round_0001.jsonl";
+    assert_eq!(
+        Journal::read(fresh.join(round)).unwrap().canonical_bytes(),
+        Journal::read(fixture.join(round))
+            .unwrap()
+            .canonical_bytes()
+    );
+
+    // The old directory reopens with its categorical window, refuses a
+    // chunk of other kinds and goes on exactly like the fresh session.
+    let old = scratch("mixed_old");
+    copy_dir(&fixture, &old);
+    let mut reopened = OnlineSession::open(&old, runtime(flaml_core::disk(), 1)).unwrap();
+    assert_eq!(reopened.status(), session.status());
+    let numeric = Dataset::new(
+        "numeric",
+        Task::Binary,
+        mixed_chunk(3).columns().to_vec(),
+        mixed_chunk(3).target().to_vec(),
+    )
+    .unwrap();
+    assert!(matches!(
+        reopened.push_chunk(&numeric),
+        Err(OnlineError::SchemaMismatch { .. })
+    ));
+    assert_eq!(
+        reopened.push_chunk(&mixed_chunk(3)).unwrap(),
+        session.push_chunk(&mixed_chunk(3)).unwrap()
+    );
+    assert_eq!(
+        reopened.journal_bytes().unwrap(),
+        session.journal_bytes().unwrap()
+    );
+    let _ = std::fs::remove_dir_all(&fresh);
+    let _ = std::fs::remove_dir_all(&old);
 }

@@ -5,7 +5,7 @@ mod common;
 
 use common::{fast_config, flip_chunk, scratch, stream};
 use flaml_core::CompiledModel;
-use flaml_data::{Dataset, Task};
+use flaml_data::{Dataset, FeatureKind, Task};
 use flaml_metrics::Metric;
 use flaml_online::{kind, ChunkOutcome, OnlineConfig, OnlineError, OnlineRuntime, OnlineSession};
 use flaml_synth::DriftStream;
@@ -160,6 +160,44 @@ fn schema_mismatch_is_rejected_without_wedging() {
     // The session is still usable.
     session.push_chunk(&s.chunk(1)).unwrap();
     assert_eq!(session.status().chunks, 2);
+}
+
+#[test]
+fn a_chunk_whose_kinds_differ_is_refused_before_it_is_persisted() {
+    let dir = scratch("kinds");
+    let s = stream(5);
+    let mut session = OnlineSession::create(&dir, fast_config(&s), OnlineRuntime::local()).unwrap();
+    session.push_chunk(&s.chunk(0)).unwrap();
+
+    // Same task, width and values; column 0 declared categorical. The
+    // second chunk fills the warmup window, so had it been taken in,
+    // the warmup round would have failed to assemble the window.
+    let numeric = s.chunk(1);
+    let mut kinds = numeric.feature_kinds().to_vec();
+    kinds[0] = FeatureKind::Categorical { cardinality: 4 };
+    let categorical = Dataset::with_kinds(
+        numeric.name(),
+        numeric.task(),
+        numeric.columns().to_vec(),
+        kinds,
+        numeric.target().to_vec(),
+    )
+    .unwrap();
+    match session.push_chunk(&categorical) {
+        Err(OnlineError::SchemaMismatch { got, .. }) => {
+            assert!(got.contains("Categorical"), "{got}")
+        }
+        other => panic!("expected schema mismatch, got {other:?}"),
+    }
+    assert!(!dir.join("chunks").join("c000001.json").exists());
+    assert_eq!(session.status().chunks, 1);
+
+    // The session is still usable, and so is the directory.
+    session.push_chunk(&numeric).unwrap();
+    assert_eq!(session.status().chunks, 2);
+    drop(session);
+    let reopened = OnlineSession::open(&dir, OnlineRuntime::local()).unwrap();
+    assert_eq!(reopened.status().chunks, 2);
 }
 
 /// A longer stream with the library's default learners: 120-row chunks,

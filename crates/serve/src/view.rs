@@ -3,12 +3,13 @@
 //!
 //! Both artifact loaders end in an owned [`CompiledModel`]: the JSON
 //! loader deserializes one, the binary blob loader (`flaml-blob`)
-//! decodes one. [`CompiledModel::check`] then proves it safe to serve,
-//! and every prediction in the stack runs through the single evaluator
-//! defined here. That is what makes the "bit-identical across backings"
-//! contract structural rather than aspirational: there is exactly one
-//! representation and one accumulation order, whatever file the model
-//! came from.
+//! decodes one. [`CompiledModel::check`] then proves it safe to serve —
+//! once, in the loader; nothing behind it checks again — and every
+//! prediction in the stack runs through the single evaluator defined
+//! here, which trusts the model it is given. That is what makes the
+//! "bit-identical across backings" contract structural rather than
+//! aspirational: there is exactly one representation and one
+//! accumulation order, whatever file the model came from.
 //!
 //! The evaluator does not walk the slabs themselves: it walks the
 //! [`Tables`] built from them once per served model — every tree node
@@ -414,16 +415,12 @@ enum Table {
 }
 
 impl Tables {
-    /// Builds the tables of `model`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `model` fails [`CompiledModel::check`]. Both loaders
-    /// run that check, so only a hand-built model can get here invalid.
+    /// Builds the tables of `model`, trusting its structure: a model
+    /// read from a file passed [`CompiledModel::check`] in its loader,
+    /// and one compiled from a fitted learner is well formed by
+    /// construction. A hand-built model that breaks a rule of that
+    /// check may panic, here or when it predicts.
     pub fn build(model: &CompiledModel) -> Tables {
-        if let Err(e) = model.check() {
-            panic!("serving a structurally invalid model: {e}");
-        }
         Tables(Table::of(model))
     }
 }

@@ -4,12 +4,12 @@
 //! artifacts survive a disk round trip, and the registry never serves
 //! a torn or stale-after-promote model under concurrent load.
 
-use flaml_data::{Dataset, Task};
+use flaml_data::{Dataset, FeatureKind, Task};
 use flaml_exec::ExecPool;
 use flaml_learners::FittedModel;
 use flaml_learners::{
-    fit_meta, meta_features, Forest, ForestParams, Gbdt, GbdtParams, Linear, LinearParams,
-    StackedModel,
+    fit_meta, meta_features, Encoding, Forest, ForestParams, Gbdt, GbdtParams, Growth, Linear,
+    LinearParams, StackedModel,
 };
 use flaml_metrics::Pred;
 use flaml_serve::{
@@ -41,7 +41,15 @@ fn dataset(task: Task, n: usize, seed: u64) -> Dataset {
             Task::Regression => x0[i] * 2.0 + (x1[i] * 3.0).sin(),
         })
         .collect();
-    Dataset::new("serve-test", task, vec![x0, x1, x2], y).unwrap()
+    // A categorical column, so the linear learner one-hot encodes it.
+    let x3: Vec<f64> = (0..n).map(|i| (i % 4) as f64).collect();
+    let kinds = vec![
+        FeatureKind::Numeric,
+        FeatureKind::Numeric,
+        FeatureKind::Numeric,
+        FeatureKind::Categorical { cardinality: 4 },
+    ];
+    Dataset::with_kinds("serve-test", task, vec![x0, x1, x2, x3], kinds, y).unwrap()
 }
 
 fn fit_all(data: &Dataset) -> Vec<(&'static str, FittedModel)> {
@@ -68,6 +76,43 @@ fn fit_all(data: &Dataset) -> Vec<(&'static str, FittedModel)> {
     let linear: FittedModel = Linear::fit(data, &LinearParams::default(), 7)
         .unwrap()
         .into();
+    // The tree shapes of the other builtin learners: depth-wise
+    // (`xgboost`), oblivious with early stopping (`catboost`) and
+    // extremely randomized (`extra_tree`).
+    let depth_wise: FittedModel = Gbdt::fit(
+        data,
+        &GbdtParams {
+            n_trees: 8,
+            growth: Growth::DepthWise,
+            ..GbdtParams::default()
+        },
+        7,
+    )
+    .unwrap()
+    .into();
+    let oblivious: FittedModel = Gbdt::fit(
+        data,
+        &GbdtParams {
+            n_trees: 8,
+            growth: Growth::Oblivious,
+            early_stop_rounds: Some(3),
+            ..GbdtParams::default()
+        },
+        7,
+    )
+    .unwrap()
+    .into();
+    let extra: FittedModel = Forest::fit(
+        data,
+        &ForestParams {
+            n_trees: 6,
+            extra: true,
+            ..ForestParams::default()
+        },
+        7,
+    )
+    .unwrap()
+    .into();
     let members = vec![gbdt.clone(), forest.clone()];
     let oof = meta_features(&members, data, data.target().to_vec());
     let meta = fit_meta(&oof, 7).unwrap();
@@ -76,6 +121,9 @@ fn fit_all(data: &Dataset) -> Vec<(&'static str, FittedModel)> {
         ("gbdt", gbdt),
         ("forest", forest),
         ("linear", linear),
+        ("depth_wise", depth_wise),
+        ("oblivious", oblivious),
+        ("extra", extra),
         ("stacked", stacked),
     ]
 }
@@ -149,6 +197,12 @@ fn artifact_disk_round_trip_preserves_predictions() {
                 derived,
                 "{name} on {task:?}: artifact bytes"
             );
+            if let CompiledModel::Linear(m) = &compiled {
+                let one_hot = Encoding::OneHot { cardinality: 4 };
+                assert_eq!(m.encodings[3], one_hot, "{name} on {task:?}");
+            }
+            // The load runs `CompiledModel::check`, the one structural
+            // gate, on the compiled form of every learner and task.
             let loaded = CompiledModel::load(&path).unwrap();
             assert_eq!(loaded, compiled, "{name} on {task:?}: artifact round trip");
             assert_eq!(

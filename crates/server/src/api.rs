@@ -10,54 +10,13 @@
 //! byte-compare journals — there is no second code path to drift.
 
 use flaml_core::{default_virtual_cost, AutoMl, LearnerKind, TimeSource};
+pub use flaml_data::DatasetPayload;
 use flaml_data::{Dataset, Task};
+use flaml_online::RoundOutcome;
 use serde::{Deserialize, Serialize};
 
 /// Default trials per scheduler slice when a request does not say.
 pub const DEFAULT_SLICE_TRIALS: usize = 4;
-
-/// An inline dataset: feature columns plus target.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct DatasetPayload {
-    /// Dataset name (recorded in the journal header).
-    pub name: String,
-    /// Task name as printed by [`Task::wire_name`].
-    pub task: String,
-    /// Feature columns, column-major.
-    pub columns: Vec<Vec<f64>>,
-    /// Target values, one per row.
-    pub target: Vec<f64>,
-}
-
-impl DatasetPayload {
-    /// Materializes the inline payload as a [`Dataset`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for an unknown task string or invalid data
-    /// (ragged columns, bad labels, …).
-    pub fn to_dataset(&self) -> Result<Dataset, String> {
-        let task = Task::parse_wire(&self.task)?;
-        Dataset::new(
-            self.name.clone(),
-            task,
-            self.columns.clone(),
-            self.target.clone(),
-        )
-        .map_err(|e| format!("invalid dataset: {e:?}"))
-    }
-
-    /// Builds the wire payload for an in-memory [`Dataset`] (clients,
-    /// load generators, and tests assembling stream chunks).
-    pub fn from_dataset(data: &Dataset) -> DatasetPayload {
-        DatasetPayload {
-            name: data.name().to_string(),
-            task: data.task().wire_name(),
-            columns: data.columns().to_vec(),
-            target: data.target().to_vec(),
-        }
-    }
-}
 
 /// A tenant's request to run an AutoML search and publish the winner.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -260,21 +219,6 @@ pub struct StreamChunkRequest {
     pub dataset: DatasetPayload,
 }
 
-/// A challenger round reported inside a [`StreamPushResponse`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StreamRoundBody {
-    /// Round index (1-based).
-    pub round: u64,
-    /// Trigger: `"warmup"`, `"drift"`, or `"scheduled"`.
-    pub reason: String,
-    /// Whether the challenger was promoted.
-    pub promoted: bool,
-    /// Challenger's holdout loss.
-    pub challenger_loss: f64,
-    /// Champion's holdout loss (infinite when there was no champion).
-    pub champion_loss: f64,
-}
-
 /// `200` body for a stream chunk push.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StreamPushResponse {
@@ -291,7 +235,7 @@ pub struct StreamPushResponse {
     /// Whether probation failed and the previous champion was restored.
     pub rolled_back: bool,
     /// The challenger round this chunk triggered, if any.
-    pub round: Option<StreamRoundBody>,
+    pub round: Option<RoundOutcome>,
     /// Era of the serving champion after this chunk (0 = none yet).
     pub era: u64,
 }
@@ -454,6 +398,7 @@ mod tests {
                 name: "d".into(),
                 task: "binary".into(),
                 columns: vec![vec![0.0, 1.0, 0.5, 0.25]],
+                cardinalities: vec![],
                 target: vec![0.0, 1.0, 1.0, 0.0],
             },
         };
@@ -480,6 +425,7 @@ mod tests {
                 name: "d".into(),
                 task: "ternary".into(),
                 columns: vec![vec![0.0]],
+                cardinalities: vec![],
                 target: vec![0.0],
             },
         };
@@ -533,6 +479,7 @@ mod tests {
                 name: "chunk-0".into(),
                 task: "binary".into(),
                 columns: vec![vec![0.0, 1.0]],
+                cardinalities: vec![],
                 target: vec![0.0, 1.0],
             },
         };
@@ -550,6 +497,30 @@ mod tests {
         )
         .unwrap();
         assert!(bare.options.is_none());
+    }
+
+    #[test]
+    fn a_push_response_keeps_its_bytes() {
+        let response = StreamPushResponse {
+            slot: "s".into(),
+            chunk: 1,
+            duplicate: false,
+            champion_loss: None,
+            drifted: false,
+            rolled_back: false,
+            round: Some(RoundOutcome {
+                round: 1,
+                reason: "warmup".into(),
+                promoted: true,
+                challenger_loss: 0.5,
+                champion_loss: f64::INFINITY,
+            }),
+            era: 1,
+        };
+        assert_eq!(
+            serde_json::to_string(&response).unwrap(),
+            r#"{"slot":"s","chunk":1,"duplicate":false,"champion_loss":null,"drifted":false,"rolled_back":false,"round":{"round":1,"reason":"warmup","promoted":true,"challenger_loss":0.5,"champion_loss":Infinity},"era":1}"#
+        );
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub mod server;
 pub use api::{
     valid_name, DatasetPayload, ErrorBody, FitAccepted, FitRequest, PredictRequest,
     PredictResponse, Rejected, SearchStatus, StreamChunkRequest, StreamOptions, StreamPushResponse,
-    StreamRoundBody, StreamStatusBody, DEFAULT_SLICE_TRIALS,
+    StreamStatusBody, DEFAULT_SLICE_TRIALS,
 };
 pub use scheduler::{Scheduler, SearchJob};
 pub use server::{Server, ServerConfig};

@@ -32,7 +32,7 @@
 
 use crate::api::{
     valid_name, ErrorBody, FitAccepted, FitRequest, PredictRequest, PredictResponse, Rejected,
-    SearchStatus, StreamChunkRequest, StreamPushResponse, StreamRoundBody, StreamStatusBody,
+    SearchStatus, StreamChunkRequest, StreamPushResponse, StreamStatusBody,
 };
 use crate::http::{is_timeout, read_request, write_response, Request};
 use crate::scheduler::{journal_progress, terminal_record, Scheduler, SearchJob};
@@ -842,9 +842,6 @@ impl Server {
         check_slot(slot)?;
         let request: StreamChunkRequest = parse_json(body)?;
         let chunk = request.dataset.to_dataset().map_err(bad_request)?;
-        if chunk.n_rows() == 0 {
-            return Err(bad_request("chunk must have at least one row"));
-        }
         let key = format!("{tenant}/{slot}");
         let cell = {
             // Map lock held only for lookup/creation, never across a
@@ -903,13 +900,7 @@ impl Server {
                         champion_loss,
                         drifted,
                         rolled_back,
-                        round: round.map(|r| StreamRoundBody {
-                            round: r.round,
-                            reason: r.reason,
-                            promoted: r.promoted,
-                            challenger_loss: r.challenger_loss,
-                            champion_loss: r.champion_loss,
-                        }),
+                        round,
                         era,
                     },
                 };

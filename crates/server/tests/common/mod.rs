@@ -65,6 +65,7 @@ pub fn payload(n: usize, seed: u64) -> DatasetPayload {
         name: "server-test".into(),
         task: "binary".into(),
         columns: vec![x0, x1],
+        cardinalities: vec![],
         target: y,
     }
 }

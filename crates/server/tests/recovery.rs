@@ -315,6 +315,53 @@ fn recovery_reads_sidecars_markers_and_journals_through_storage() {
     server.stop();
 }
 
+#[test]
+fn a_sidecar_without_cardinalities_recovers() {
+    // A sidecar written before datasets carried kinds has no
+    // `cardinalities` key: recovery reads it as all-numeric and resumes
+    // the search it recorded.
+    let request = fit_request("churn", 6, 9);
+    let body = serde_json::to_string(&request).unwrap();
+    let old_body = body.replace("\"cardinalities\":[],", "");
+    assert!(!old_body.contains("cardinalities"), "{old_body}");
+    let root = scratch_root("old_sidecar");
+    let tenant_dir = root.join("acme");
+    std::fs::create_dir_all(&tenant_dir).unwrap();
+    std::fs::write(tenant_dir.join("s0000.request.json"), &old_body).unwrap();
+    let journal = tenant_dir.join("s0000.jsonl");
+    let data = request.to_dataset().unwrap();
+    let mut handle = SearchHandle::new(request.to_automl().unwrap(), &journal);
+    handle.run_slice(&data, 2).unwrap();
+    drop(handle);
+
+    let reference_path = std::env::temp_dir().join(format!(
+        "flaml_server_old_sidecar_ref_{}.jsonl",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&reference_path);
+    request
+        .to_automl()
+        .unwrap()
+        .journal(&reference_path)
+        .fit(&data)
+        .unwrap();
+    let reference = Journal::read(&reference_path).unwrap().canonical_bytes();
+    let _ = std::fs::remove_file(&reference_path);
+
+    let (server, addr) = Server::new(config(root.clone()))
+        .unwrap()
+        .start("127.0.0.1:0")
+        .unwrap();
+    let done = await_terminal(addr, "acme", "s0000");
+    assert_eq!(done.state, "finished", "resume failed: {:?}", done.error);
+    assert_eq!(
+        Journal::read(&journal).unwrap().canonical_bytes(),
+        reference
+    );
+    server.stop();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// `(fingerprint, version)` that `slot` of tenant `acme` serves.
 fn served(addr: SocketAddr, slot: &str) -> (u64, u64) {
     let predict = format!("{{\"slot\":\"{slot}\",\"columns\":[[0.5,0.1],[0.2,0.9]]}}");

@@ -7,8 +7,11 @@
 mod common;
 
 use common::{await_terminal, fit_request, http, read_response, scratch_root};
+use flaml_core::Journal;
+use flaml_data::{Dataset, FeatureKind};
 use flaml_server::{
-    ErrorBody, FitAccepted, PredictResponse, Rejected, Server, ServerConfig, StreamChunkRequest,
+    DatasetPayload, ErrorBody, FitAccepted, PredictResponse, Rejected, Server, ServerConfig,
+    StreamChunkRequest,
 };
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -253,18 +256,116 @@ fn a_nan_time_budget_is_a_400_before_any_sidecar() {
     let (status, reply) = http(addr, "POST", "/tenants/acme/fit", &body);
     assert_eq!(status, 400, "{reply}");
     assert!(reply.contains("time budget"), "{reply}");
-    let sidecars = std::fs::read_dir(root.join("acme"))
+    assert_eq!(
+        sidecar_count(&root),
+        0,
+        "a refused fit must leave no sidecar"
+    );
+    let (_, stats) = http(addr, "GET", "/stats", "");
+    assert_eq!(inflight(&stats), before, "a refused fit holds no slot");
+
+    server.stop();
+}
+
+/// The `.request.json` sidecars under `root/acme`.
+fn sidecar_count(root: &std::path::Path) -> usize {
+    std::fs::read_dir(root.join("acme"))
         .map(|dir| {
             dir.filter_map(Result::ok)
                 .filter(|e| e.file_name().to_string_lossy().ends_with(".request.json"))
                 .count()
         })
-        .unwrap_or(0);
-    assert_eq!(sidecars, 0, "a refused fit must leave no sidecar");
-    let (_, stats) = http(addr, "GET", "/stats", "");
-    assert_eq!(inflight(&stats), before, "a refused fit holds no slot");
+        .unwrap_or(0)
+}
 
+/// Posts `body` as a fit, waits for it to finish, and returns the
+/// search's canonical journal.
+fn fit_to_journal(root: &std::path::Path, addr: SocketAddr, body: &str) -> String {
+    let (status, reply) = http(addr, "POST", "/tenants/acme/fit", body);
+    assert_eq!(status, 202, "{reply}");
+    let id = serde_json::from_str::<FitAccepted>(&reply).unwrap().id;
+    let done = await_terminal(addr, "acme", &id);
+    assert_eq!(done.state, "finished", "{:?}", done.error);
+    let journal = root.join("acme").join(format!("{id}.jsonl"));
+    Journal::read(&journal).unwrap().canonical_bytes()
+}
+
+#[test]
+fn a_fit_body_without_cardinalities_runs_the_all_numeric_search() {
+    let root = scratch_root("no_cardinalities");
+    let (server, addr) = start(root.clone(), 4);
+    let body = serde_json::to_string(&fit_request("slot", 6, 3)).unwrap();
+    let without = body.replace("\"cardinalities\":[],", "");
+    assert!(!without.contains("cardinalities"), "{without}");
+    let journal = fit_to_journal(&root, addr, &without);
+    // The canonical journal FNV of this body under the build that had no
+    // `cardinalities` key: a body without it still runs that search.
+    assert_eq!(flaml_serve::fingerprint(&journal), 0xebf4_4433_f762_2f72);
     server.stop();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn cardinalities_of_the_wrong_length_are_a_400_without_a_sidecar() {
+    let root = scratch_root("bad_cardinalities");
+    let (server, addr) = start(root.clone(), 4);
+    let mut request = fit_request("slot", 4, 1);
+    for cardinalities in [vec![0], vec![0, 2, 0]] {
+        request.dataset.cardinalities = cardinalities;
+        let body = serde_json::to_string(&request).unwrap();
+        let (status, reply) = http(addr, "POST", "/tenants/acme/fit", &body);
+        assert_eq!(status, 400, "{reply}");
+        assert!(reply.contains("KindMismatch"), "{reply}");
+    }
+    assert_eq!(
+        sidecar_count(&root),
+        0,
+        "a refused fit must leave no sidecar"
+    );
+    server.stop();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_categorical_fit_journals_like_the_library() {
+    // Column 2 is categorical: `lr` one-hot encodes it, and the kinds
+    // enter the dataset fingerprint the journal header records.
+    let numeric = fit_request("slot", 8, 5).to_dataset().unwrap();
+    let mut columns = numeric.columns().to_vec();
+    columns.push((0..numeric.n_rows()).map(|i| (i % 5) as f64).collect());
+    let mut kinds = numeric.feature_kinds().to_vec();
+    kinds.push(FeatureKind::Categorical { cardinality: 5 });
+    let data = Dataset::with_kinds(
+        numeric.name(),
+        numeric.task(),
+        columns,
+        kinds,
+        numeric.target().to_vec(),
+    )
+    .unwrap();
+    let mut request = fit_request("slot", 8, 5);
+    request.dataset = DatasetPayload::from_dataset(&data);
+
+    let reference_path = std::env::temp_dir().join(format!(
+        "flaml_server_categorical_ref_{}.jsonl",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&reference_path);
+    request
+        .to_automl()
+        .unwrap()
+        .journal(&reference_path)
+        .fit(&data)
+        .unwrap();
+    let reference = Journal::read(&reference_path).unwrap().canonical_bytes();
+    let _ = std::fs::remove_file(&reference_path);
+
+    let root = scratch_root("categorical_fit");
+    let (server, addr) = start(root.clone(), 4);
+    let body = serde_json::to_string(&request).unwrap();
+    assert_eq!(fit_to_journal(&root, addr, &body), reference);
+    server.stop();
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]

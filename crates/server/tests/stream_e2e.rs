@@ -216,3 +216,35 @@ fn stream_survives_restart_with_a_byte_identical_trace() {
     let _ = std::fs::remove_dir_all(&root);
     let _ = std::fs::remove_dir_all(&ref_root);
 }
+
+#[test]
+fn a_chunk_with_other_kinds_is_a_400_and_the_stream_goes_on() {
+    let root = scratch_root("stream_kinds");
+    let (server, addr) = start_server(&root);
+    let s = drift_stream();
+    push(addr, "clicks", &s, 0);
+
+    // Chunk 1 again, column 0 declared categorical: the same task and
+    // width, another schema. It is refused before it is persisted.
+    let mut request = StreamChunkRequest {
+        options: None,
+        dataset: DatasetPayload::from_dataset(&s.chunk(1)),
+    };
+    request.dataset.cardinalities[0] = 4;
+    let (code, body) = http(
+        addr,
+        "POST",
+        "/tenants/acme/stream/clicks",
+        &serde_json::to_string(&request).unwrap(),
+    );
+    assert_eq!(code, 400, "a chunk of other kinds must be a 400: {body}");
+    let chunk_file = root.join("acme/streams/clicks/chunks/c000001.json");
+    assert!(!chunk_file.exists(), "the refused chunk was persisted");
+
+    // The next good chunk is accepted, at the index the refused one
+    // would have taken.
+    assert_eq!(push(addr, "clicks", &s, 1).chunk, 1);
+    assert!(chunk_file.exists());
+    server.stop();
+    let _ = std::fs::remove_dir_all(&root);
+}

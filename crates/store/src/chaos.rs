@@ -163,7 +163,7 @@ impl IoFaultPlan {
 
     /// The torn prefix length for a short write or crash at op `op` of a
     /// `total`-byte buffer: deterministic, in `[0, total)`.
-    pub fn torn_len(&self, op: u64, total: usize) -> usize {
+    fn torn_len(&self, op: u64, total: usize) -> usize {
         if total == 0 {
             return 0;
         }

@@ -32,7 +32,7 @@ fn io_err(op: &'static str, path: &Path, source: io::Error) -> StorageError {
 
 /// A [`StorageFile`] backed by a real [`File`].
 #[derive(Debug)]
-pub struct DiskFile {
+struct DiskFile {
     file: File,
     path: PathBuf,
 }
