@@ -16,7 +16,8 @@
 //! `--virtual` (deterministic virtual-clock accounting) the scores are
 //! identical at any job count, just faster on multi-core.
 //!
-//! `--journal DIR` writes one crash-safe trial journal per FLAML cell;
+//! `--journal DIR` writes one crash-safe trial journal per cell (every
+//! method, baselines included);
 //! a later invocation with `--journal DIR --resume` replays the committed
 //! trials and continues (e.g. after a kill, or with a larger
 //! `--max-trials`).

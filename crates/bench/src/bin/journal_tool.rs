@@ -236,6 +236,20 @@ fn verify_replay(journal: &Journal, path: &str, test_ratio: f64) -> bool {
         eprintln!("[journal-tool] unknown metric {:?} in header", h.metric);
         return false;
     };
+    let Some(selection) = LearnerSelection::parse(&h.learner_selection) else {
+        eprintln!(
+            "[journal-tool] unknown learner selection {:?} in header",
+            h.learner_selection
+        );
+        return false;
+    };
+    let Some(resample) = ResampleChoice::parse(&h.resample) else {
+        eprintln!(
+            "[journal-tool] unknown resample choice {:?} in header",
+            h.resample
+        );
+        return false;
+    };
 
     // Resume reopens the journal for appending (and truncates any torn
     // tail), so verification runs on a scratch copy, never the original.
@@ -257,16 +271,9 @@ fn verify_replay(journal: &Journal, path: &str, test_ratio: f64) -> bool {
         .sampling(h.sampling)
         .metric(metric)
         .estimators(estimators)
+        .learner_selection(selection)
+        .resample(resample)
         .resume_from(&copy);
-    automl = match h.learner_selection.as_str() {
-        "round-robin" => automl.learner_selection(LearnerSelection::RoundRobin),
-        _ => automl.learner_selection(LearnerSelection::Eci),
-    };
-    automl = match h.resample.as_str() {
-        "cv" => automl.resample(ResampleChoice::AlwaysCv),
-        "holdout" => automl.resample(ResampleChoice::AlwaysHoldout),
-        _ => automl.resample(ResampleChoice::Auto),
-    };
     if h.time_source == "virtual" {
         automl = automl.time_source(TimeSource::Virtual(default_virtual_cost));
     }

@@ -11,9 +11,8 @@
 //! cargo run -p flaml-bench --release --bin table4_selectivity -- --budget 5
 //! ```
 
-use flaml_baselines::{run_baseline, BaselineKind, BaselineSettings};
 use flaml_bench::{render_table, Args};
-use flaml_core::{AutoMl, Estimator, LearnerKind};
+use flaml_core::{AutoMl, Estimator, LearnerKind, LearnerSelection};
 use flaml_data::Dataset;
 use flaml_metrics::{q_error_quantile, Metric};
 use flaml_search::Config;
@@ -60,71 +59,36 @@ fn main() {
         eprintln!("[table4] {} ...", w.name);
         let mut row = vec![w.name.clone()];
 
-        // FLAML, optimizing the q-error quantile directly.
-        let t0 = Instant::now();
-        let mut automl = AutoMl::new()
-            .time_budget(budget)
-            .metric(Metric::QErrorP95)
-            .seed(seed);
-        if let Some(path) =
-            exec.journal_file(&flaml_bench::journal_stem(&w.name, "flaml", budget, seed))
-        {
-            automl = if exec.resume && path.exists() {
-                automl.resume_from(path)
-            } else {
-                automl.journal(path)
-            };
-        }
-        let flaml = automl.fit(&w.train);
-        match &flaml {
-            Ok(r) => row.push(format!(
-                "{:.2} ({:.0}s)",
-                qerr(&r.model, &w.test),
-                t0.elapsed().as_secs_f64()
-            )),
-            Err(e) => row.push(format!("fail: {e}")),
-        }
-
-        // BO AutoML (auto-sklearn stand-in).
-        let t0 = Instant::now();
-        let bo = run_baseline(
-            BaselineKind::Bo,
-            &w.train,
-            &BaselineSettings {
-                time_budget: budget,
-                metric: Some(Metric::QErrorP95),
-                seed,
-                ..BaselineSettings::default()
-            },
-        );
-        match &bo {
-            Ok(r) => row.push(format!(
-                "{:.2} ({:.0}s)",
-                qerr(&r.model, &w.test),
-                t0.elapsed().as_secs_f64()
-            )),
-            Err(e) => row.push(format!("fail: {e}")),
-        }
-
-        // Random search (TPOT stand-in).
-        let t0 = Instant::now();
-        let rs = run_baseline(
-            BaselineKind::RandomSearch,
-            &w.train,
-            &BaselineSettings {
-                time_budget: budget,
-                metric: Some(Metric::QErrorP95),
-                seed,
-                ..BaselineSettings::default()
-            },
-        );
-        match &rs {
-            Ok(r) => row.push(format!(
-                "{:.2} ({:.0}s)",
-                qerr(&r.model, &w.test),
-                t0.elapsed().as_secs_f64()
-            )),
-            Err(e) => row.push(format!("fail: {e}")),
+        // FLAML, the BO AutoML (auto-sklearn stand-in) and random search
+        // (TPOT stand-in), each optimizing the q-error quantile directly.
+        for (name, selection) in [
+            ("flaml", LearnerSelection::Eci),
+            ("bo", LearnerSelection::Bo),
+            ("random", LearnerSelection::Random),
+        ] {
+            let t0 = Instant::now();
+            let mut automl = AutoMl::new()
+                .time_budget(budget)
+                .metric(Metric::QErrorP95)
+                .seed(seed)
+                .learner_selection(selection);
+            if let Some(path) =
+                exec.journal_file(&flaml_bench::journal_stem(&w.name, name, budget, seed))
+            {
+                automl = if exec.resume && path.exists() {
+                    automl.resume_from(path)
+                } else {
+                    automl.journal(path)
+                };
+            }
+            match automl.fit(&w.train) {
+                Ok(r) => row.push(format!(
+                    "{:.2} ({:.0}s)",
+                    qerr(&r.model, &w.test),
+                    t0.elapsed().as_secs_f64()
+                )),
+                Err(e) => row.push(format!("fail: {e}")),
+            }
         }
 
         // Manual configuration.

@@ -3,15 +3,9 @@
 //! class-prior (or label-mean) predictor maps to score 0 and a tuned
 //! random forest maps to score 1.
 
-use flaml_core::{
-    run_trial, AutoMl, AutoMlError, BudgetClock, Estimator, ExecPool, LearnerKind,
-    ResampleStrategy, TimeSource, TrialInfo,
-};
+use flaml_core::{AutoMl, AutoMlError, LearnerKind, LearnerSelection, TimeSource};
 use flaml_data::{Dataset, Task};
-use flaml_learners::FittedModel;
 use flaml_metrics::{Metric, Pred, ScaleAnchors};
-use flaml_search::RandomSearch;
-use std::time::Instant;
 
 /// The constant baseline predictor: class priors for classification,
 /// label mean for regression, fitted on `train` and emitted for `n_test`
@@ -34,91 +28,12 @@ pub fn constant_predictor(train: &Dataset, n_test: usize) -> Pred {
     }
 }
 
-/// Tunes a random forest by random search under `budget_secs`, returning
-/// the best model refit on all of `train`. This is the benchmark's
-/// reference model (scaled score 1).
-///
-/// # Errors
-///
-/// Returns [`AutoMlError::BadTimeBudget`] unless `budget_secs` is finite
-/// and above zero, and [`AutoMlError::NoViableModel`] if no configuration
-/// could be evaluated.
-pub fn tuned_random_forest(
-    train: &Dataset,
-    metric: Metric,
-    budget_secs: f64,
-    seed: u64,
-    time_source: TimeSource,
-    max_trials: Option<usize>,
-) -> Result<FittedModel, AutoMlError> {
-    AutoMl::new().time_budget(budget_secs).validate()?;
-    let kind = LearnerKind::Rf;
-    let shuffled = train.shuffled(seed);
-    let n = shuffled.n_rows();
-    let space = kind.space(n);
-    let strategy = ResampleStrategy::choose(n, shuffled.n_features(), budget_secs);
-    let mut clock = BudgetClock::new(time_source);
-    let mut sampler = RandomSearch::new(space.clone(), seed);
-    let mut best: Option<(flaml_search::Config, f64)> = None;
-    let mut iter = 0usize;
-    loop {
-        if let Some(cap) = max_trials {
-            if iter >= cap {
-                break;
-            }
-        }
-        if iter > 0 && clock.elapsed() >= budget_secs {
-            break;
-        }
-        let point = sampler.ask();
-        let config = space.decode(&point);
-        let deadline = clock.deadline(budget_secs);
-        let t0 = Instant::now();
-        let outcome = run_trial(
-            &shuffled,
-            &Estimator::Builtin(kind),
-            &config,
-            &space,
-            n,
-            strategy,
-            metric,
-            seed.wrapping_add(iter as u64),
-            deadline,
-            &ExecPool::sequential(),
-        );
-        let measured = t0.elapsed().as_secs_f64();
-        clock.charge(
-            &TrialInfo {
-                learner_cost_constant: kind.cost_constant(),
-                sample_size: n,
-                n_features: shuffled.n_features(),
-                cost_factor: outcome.cost_factor,
-                n_fits: outcome.n_fits.max(1),
-            },
-            measured,
-        );
-        sampler.tell(outcome.error);
-        if outcome.error.is_finite()
-            && best
-                .as_ref()
-                .map(|(_, e)| outcome.error < *e)
-                .unwrap_or(true)
-        {
-            best = Some((config, outcome.error));
-        }
-        iter += 1;
-    }
-    let Some((config, _)) = best else {
-        return Err(AutoMlError::NoViableModel);
-    };
-    Estimator::Builtin(kind)
-        .fit(&shuffled, &config, &space, seed, None, None)
-        .map_err(AutoMlError::RefitFailed)
-}
-
 /// Computes the benchmark's scale anchors on a train/test pair: the raw
-/// score of the constant predictor (anchor 0) and of the tuned random
-/// forest (anchor 1), both evaluated on `test`.
+/// score of the constant predictor (anchor 0) and of the reference model
+/// (anchor 1), both evaluated on `test`. The reference is a random
+/// forest tuned by random search under `rf_budget_secs` — one
+/// [`AutoMl::fit`] of [`LearnerSelection::Random`] over `[Rf]` — and
+/// refit on all of `train`.
 ///
 /// # Errors
 ///
@@ -138,7 +53,17 @@ pub fn calibration_anchors(
     let baseline = metric
         .score(&baseline_pred, test.target())
         .unwrap_or(f64::NEG_INFINITY);
-    let rf = tuned_random_forest(train, metric, rf_budget_secs, seed, time_source, max_trials)?;
+    let mut automl = AutoMl::new()
+        .learner_selection(LearnerSelection::Random)
+        .estimators([LearnerKind::Rf])
+        .metric(metric)
+        .time_budget(rf_budget_secs)
+        .seed(seed)
+        .time_source(time_source);
+    if let Some(cap) = max_trials {
+        automl = automl.max_trials(cap);
+    }
+    let rf = automl.fit(train)?.model;
     let reference = metric
         .score(&rf.predict(test), test.target())
         .unwrap_or(f64::NEG_INFINITY);

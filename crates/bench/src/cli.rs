@@ -151,7 +151,7 @@ impl Args {
 /// - `--chaos seed:rate` — deterministic fault injection;
 /// - `--max-trials N` — per-run trial cap (also the "kill at trial N"
 ///   knob of the resume test in `tests/cli.rs`);
-/// - `--journal DIR` — journal every FLAML run to
+/// - `--journal DIR` — journal every run (FLAML and baselines) to
 ///   `DIR/<dataset>_<method>_<budget>s_seed<seed>.jsonl`;
 /// - `--resume` — continue from the journals already in `DIR`;
 /// - `--full` — full-scale dataset suites.

@@ -8,8 +8,8 @@
 //! back in submission order, so the results vector is identical at any
 //! job count (stderr progress lines may interleave).
 
+use crate::calibrate::calibration_anchors;
 use crate::run::{evaluate_scaled, holdout_split, Method, RunConfig};
-use flaml_baselines::calibration_anchors;
 use flaml_core::{ExecPool, TimeSource};
 use flaml_data::Dataset;
 use flaml_exec::{event_channel, Job, Telemetry};
@@ -71,10 +71,10 @@ pub struct GridSpec {
     /// Grid cells to execute concurrently (1 = sequential).
     pub jobs: usize,
     /// Optional deterministic fault injection (`--chaos seed:rate`),
-    /// applied to the FLAML methods' trial execution.
+    /// applied to every method's trial execution.
     pub chaos: Option<flaml_core::FaultPlan>,
     /// Optional directory receiving one crash-safe trial journal per
-    /// FLAML cell, named `<dataset>_<method>_<budget>s_seed<seed>.jsonl`
+    /// cell, named `<dataset>_<method>_<budget>s_seed<seed>.jsonl`
     /// (see [`crate::journal_stem`]).
     pub journal_dir: Option<std::path::PathBuf>,
     /// With `journal_dir` set: cells whose journal already exists resume
@@ -234,8 +234,8 @@ pub fn run_grid(groups: &[(&str, Vec<Dataset>)], spec: &GridSpec) -> Vec<GridRes
                     data.name(),
                     result.trials.len()
                 );
-                // The baseline drivers don't emit events; fall back to the
-                // flags their trial records carry.
+                // Trials replayed from a journal emit no events; their
+                // records carry the flags.
                 let n_timeouts = telemetry
                     .timed_out
                     .max(result.trials.iter().filter(|t| t.timed_out).count());

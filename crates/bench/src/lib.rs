@@ -20,24 +20,27 @@
 //! The figure and table binaries accept the shared execution flags
 //! parsed by [`cli::ExecArgs`] — `--seed`, `--jobs`, `--virtual`,
 //! `--chaos`, `--max-trials`, `--full`, and `--journal DIR` / `--resume`
-//! for crash-safe journaling and continuation of the FLAML runs;
+//! for crash-safe journaling and continuation of every method's runs —
+//! FLAML, its ablations and the baselines are all one `AutoMl::fit`;
 //! `tests/cli.rs` runs them end to end. Throughput and latency of the
 //! library's layers are measured by `flaml-perf` (`crates/perf`), not
 //! here.
 //!
 //! The library half provides the shared machinery: a [`Method`] registry
 //! over FLAML, its ablations and the baselines; the comparative-study
-//! [`grid`] runner with scaled-score calibration; and plain-text
+//! [`grid`] runner with scaled-score [`calibrate`]ion; and plain-text
 //! [`report`] formatting (tables, box-plot summaries, win percentages).
 
 #![warn(missing_docs)]
 
+pub mod calibrate;
 pub mod cli;
 pub mod csv;
 pub mod grid;
 pub mod report;
 pub mod run;
 
+pub use calibrate::{calibration_anchors, constant_predictor};
 pub use cli::{journal_stem, Args, ExecArgs};
 pub use csv::{render_trials_csv, TRIAL_CSV_HEADER};
 pub use grid::{paired_scores, run_grid, GridResult, GridSpec};

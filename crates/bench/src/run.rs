@@ -1,7 +1,7 @@
 //! The method registry: one entry point to run FLAML, its ablations, or
 //! any baseline with a common signature, plus train/test evaluation.
 
-use flaml_baselines::{calibration_anchors, run_baseline, BaselineKind, BaselineSettings};
+use crate::calibrate::calibration_anchors;
 use flaml_core::{
     AutoMl, AutoMlError, AutoMlResult, EventSink, FaultPlan, LearnerSelection, ResampleChoice,
     TimeSource,
@@ -115,73 +115,51 @@ impl Method {
     }
 
     /// Like [`Method::run`], with the execution knobs of the `flaml-exec`
-    /// runtime: a worker count for the trial-execution pool and an
-    /// optional trial-event sink.
-    ///
-    /// The event sink is honored by the FLAML methods (whose controller
-    /// emits per-trial events); the baseline drivers record timeout and
-    /// panic flags in their trial records instead.
+    /// runtime: a worker count for the trial-execution pool, an optional
+    /// trial-event sink, fault plan and journal. Every method — FLAML,
+    /// its ablations and the baselines — is one [`AutoMl::fit`], so all
+    /// of them honor every knob.
     ///
     /// # Errors
     ///
-    /// Propagates [`AutoMlError`] from the underlying system.
+    /// Propagates [`AutoMlError`] from the search.
     pub fn run_with(&self, train: &Dataset, cfg: &RunConfig) -> Result<AutoMlResult, AutoMlError> {
-        match self {
-            Method::Flaml | Method::FlamlRoundRobin | Method::FlamlFullData | Method::FlamlCv => {
-                let mut automl = AutoMl::new()
-                    .time_budget(cfg.budget_secs)
-                    .seed(cfg.seed)
-                    .sample_size_init(cfg.sample_init)
-                    .time_source(cfg.time_source)
-                    .workers(cfg.workers);
-                if let Some(cap) = cfg.max_trials {
-                    automl = automl.max_trials(cap);
-                }
-                if let Some(sink) = &cfg.event_sink {
-                    automl = automl.event_sink(sink.clone());
-                }
-                if let Some(plan) = cfg.fault_plan {
-                    automl = automl.fault_plan(plan);
-                }
-                if let Some(path) = &cfg.journal {
-                    // Resume only continues an existing log; a fresh path
-                    // under --resume (new cell, wiped directory) starts a
-                    // new journal instead of erroring.
-                    automl = if cfg.resume && path.exists() {
-                        automl.resume_from(path)
-                    } else {
-                        automl.journal(path)
-                    };
-                }
-                automl = match self {
-                    Method::FlamlRoundRobin => {
-                        automl.learner_selection(LearnerSelection::RoundRobin)
-                    }
-                    Method::FlamlFullData => automl.sampling(false),
-                    Method::FlamlCv => automl.resample(ResampleChoice::AlwaysCv),
-                    _ => automl,
-                };
-                automl.fit(train)
-            }
-            Method::Bohb | Method::Bo | Method::Random | Method::Hyperband => {
-                let kind = match self {
-                    Method::Bohb => BaselineKind::Bohb,
-                    Method::Bo => BaselineKind::Bo,
-                    Method::Random => BaselineKind::RandomSearch,
-                    _ => BaselineKind::Hyperband,
-                };
-                let settings = BaselineSettings {
-                    time_budget: cfg.budget_secs,
-                    seed: cfg.seed,
-                    sample_size_min: cfg.sample_init,
-                    time_source: cfg.time_source,
-                    max_trials: cfg.max_trials,
-                    workers: cfg.workers,
-                    ..BaselineSettings::default()
-                };
-                run_baseline(kind, train, &settings)
-            }
+        let mut automl = AutoMl::new()
+            .time_budget(cfg.budget_secs)
+            .seed(cfg.seed)
+            .sample_size_init(cfg.sample_init)
+            .time_source(cfg.time_source)
+            .workers(cfg.workers);
+        if let Some(cap) = cfg.max_trials {
+            automl = automl.max_trials(cap);
         }
+        if let Some(sink) = &cfg.event_sink {
+            automl = automl.event_sink(sink.clone());
+        }
+        if let Some(plan) = cfg.fault_plan {
+            automl = automl.fault_plan(plan);
+        }
+        if let Some(path) = &cfg.journal {
+            // Resume only continues an existing log; a fresh path under
+            // --resume (new cell, wiped directory) starts a new journal
+            // instead of erroring.
+            automl = if cfg.resume && path.exists() {
+                automl.resume_from(path)
+            } else {
+                automl.journal(path)
+            };
+        }
+        automl = match self {
+            Method::Flaml => automl,
+            Method::FlamlRoundRobin => automl.learner_selection(LearnerSelection::RoundRobin),
+            Method::FlamlFullData => automl.sampling(false),
+            Method::FlamlCv => automl.resample(ResampleChoice::AlwaysCv),
+            Method::Bohb => automl.learner_selection(LearnerSelection::Bohb),
+            Method::Bo => automl.learner_selection(LearnerSelection::Bo),
+            Method::Random => automl.learner_selection(LearnerSelection::Random),
+            Method::Hyperband => automl.learner_selection(LearnerSelection::Hyperband),
+        };
+        automl.fit(train)
     }
 }
 
@@ -203,10 +181,8 @@ pub struct RunConfig {
     /// Optional subscriber for per-trial telemetry events.
     pub event_sink: Option<EventSink>,
     /// Optional deterministic fault-injection plan (`--chaos seed:rate`).
-    /// Honored by the FLAML methods; baselines run unfaulted.
     pub fault_plan: Option<FaultPlan>,
-    /// Optional crash-safe trial journal for the run (FLAML methods
-    /// only; the baseline drivers do not emit committed-trial events).
+    /// Optional crash-safe trial journal for the run.
     pub journal: Option<std::path::PathBuf>,
     /// With `journal` set: continue from the journal if it already
     /// exists, instead of starting it over.

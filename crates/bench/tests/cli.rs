@@ -2,8 +2,9 @@
 //! `fig5_scores` on its smallest virtual-clock grid (one dataset per
 //! group, one 0.3 s budget): the results JSON is byte-identical at any
 //! `--jobs`, after a `--max-trials` kill and a `--resume`, and under
-//! `--chaos`; every journal a run writes replays exactly through
-//! `journal_tool verify-replay`.
+//! `--chaos`; every journal a run writes — the baselines' too — replays
+//! exactly through `journal_tool verify-replay`, which refuses a header
+//! naming a proposer or resampling choice it does not know.
 
 use flaml_bench::GridResult;
 use std::path::{Path, PathBuf};
@@ -15,6 +16,15 @@ fn scratch(tag: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// Runs `journal_tool verify-replay` on the journal at `path`.
+fn verify_replay(path: &Path) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_journal_tool"))
+        .arg("verify-replay")
+        .arg(path)
+        .output()
+        .expect("run journal_tool")
 }
 
 /// Runs `fig5_scores` on the smallest grid with `flags`, writing
@@ -66,14 +76,10 @@ fn a_grid_killed_at_trial_three_resumes_to_the_uninterrupted_results() {
     );
     assert_eq!(resumed, uninterrupted);
 
-    let mut replayed = 0;
+    let mut replayed = Vec::new();
     for entry in std::fs::read_dir(journals).unwrap() {
         let path = entry.unwrap().path();
-        let run = Command::new(env!("CARGO_BIN_EXE_journal_tool"))
-            .arg("verify-replay")
-            .arg(&path)
-            .output()
-            .expect("run journal_tool");
+        let run = verify_replay(&path);
         assert!(
             run.status.success(),
             "verify-replay {} failed: {}{}",
@@ -81,9 +87,13 @@ fn a_grid_killed_at_trial_three_resumes_to_the_uninterrupted_results() {
             String::from_utf8_lossy(&run.stdout),
             String::from_utf8_lossy(&run.stderr)
         );
-        replayed += 1;
+        let header = flaml_core::Journal::read(&path).unwrap().header;
+        replayed.push(header.learner_selection);
     }
-    assert!(replayed > 0, "the grid wrote no journals");
+    // Every method of the comparative study journals its cell.
+    replayed.sort();
+    replayed.dedup();
+    assert_eq!(replayed, ["bo", "bohb", "eci", "hyperband", "random"]);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -99,5 +109,45 @@ fn chaos_results_do_not_depend_on_the_job_count() {
         results.iter().any(|r| r.n_retries > 0),
         "rate 0.25 injected no fault"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn verify_replay_refuses_a_header_name_it_does_not_know() {
+    let dir = scratch("names");
+    let journals = dir.join("journals");
+    fig5(
+        &dir,
+        "cut",
+        &[
+            "--jobs",
+            "1",
+            "--max-trials",
+            "2",
+            "--journal",
+            journals.to_str().expect("a UTF-8 temp path"),
+        ],
+    );
+    let bohb = std::fs::read_dir(&journals)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .find(|path| path.to_string_lossy().contains("_bohb_"))
+        .expect("the grid journals its BOHB cell");
+    let text = std::fs::read_to_string(&bohb).unwrap();
+    assert!(verify_replay(&bohb).status.success());
+    for (field, known) in [("learner_selection", "bohb"), ("resample", "auto")] {
+        let from = format!("\"{field}\":\"{known}\"");
+        assert!(text.contains(&from), "{from} not in the header");
+        let tampered = dir.join(format!("{field}.jsonl"));
+        let to = format!("\"{field}\":\"nope\"");
+        std::fs::write(&tampered, text.replacen(&from, &to, 1)).unwrap();
+        let run = verify_replay(&tampered);
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(!run.status.success(), "{field} \"nope\" verified");
+        assert!(
+            stderr.contains("\"nope\" in header"),
+            "{field}: no unknown-name refusal in {stderr}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -44,7 +44,11 @@ use std::error::Error;
 use std::fmt;
 use std::path::PathBuf;
 
-/// How the learner proposer picks the next learner (Step 1).
+/// Which proposer drives the search: FLAML's (Steps 1–2, with the
+/// learner picked by ECI or round-robin) or one of the baseline systems
+/// the paper compares against. Every policy runs through the same
+/// controller — trial executor, budget clock, retry policy, journal and
+/// refit — so their traces are directly comparable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum LearnerSelection {
     /// ECI-based randomized prioritization (FLAML).
@@ -52,6 +56,18 @@ pub enum LearnerSelection {
     /// Round-robin over the estimator list (the paper's `roundrobin`
     /// ablation).
     RoundRobin,
+    /// HpBandSter's BOHB: TPE × Hyperband over sample-size fidelity, in
+    /// the joint learner × hyperparameter space.
+    Bohb,
+    /// TPE over the joint space on full data (the BO family:
+    /// auto-sklearn, cloud-automl stand-in).
+    Bo,
+    /// Uniform random search over the joint space on full data
+    /// (randomized-grid stand-in).
+    Random,
+    /// Random configurations under Hyperband allocation (Li et al.
+    /// 2017).
+    Hyperband,
 }
 
 impl LearnerSelection {
@@ -60,7 +76,25 @@ impl LearnerSelection {
         match self {
             LearnerSelection::Eci => "eci",
             LearnerSelection::RoundRobin => "round-robin",
+            LearnerSelection::Bohb => "bohb",
+            LearnerSelection::Bo => "bo",
+            LearnerSelection::Random => "random",
+            LearnerSelection::Hyperband => "hyperband",
         }
+    }
+
+    /// Parses a name as produced by [`LearnerSelection::name`].
+    pub fn parse(name: &str) -> Option<LearnerSelection> {
+        [
+            LearnerSelection::Eci,
+            LearnerSelection::RoundRobin,
+            LearnerSelection::Bohb,
+            LearnerSelection::Bo,
+            LearnerSelection::Random,
+            LearnerSelection::Hyperband,
+        ]
+        .into_iter()
+        .find(|s| s.name() == name)
     }
 }
 
@@ -84,14 +118,28 @@ impl ResampleChoice {
             ResampleChoice::AlwaysHoldout => "holdout",
         }
     }
+
+    /// Parses a name as produced by [`ResampleChoice::name`].
+    pub fn parse(name: &str) -> Option<ResampleChoice> {
+        [
+            ResampleChoice::Auto,
+            ResampleChoice::AlwaysCv,
+            ResampleChoice::AlwaysHoldout,
+        ]
+        .into_iter()
+        .find(|c| c.name() == name)
+    }
 }
 
 /// Whether a trial searched a new configuration or grew the sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TrialMode {
-    /// A new configuration proposed by FLOW².
+    /// A new configuration: proposed by FLOW² under FLAML's policies, by
+    /// the sampler (TPE or random) under the baselines'.
     Search,
-    /// The incumbent configuration re-evaluated at a doubled sample size.
+    /// A configuration re-evaluated at a larger sample size: FLAML's
+    /// incumbent at a doubled sample, or a Hyperband survivor promoted
+    /// to the next rung.
     SampleUp,
 }
 
@@ -137,7 +185,7 @@ pub struct TrialRecord {
     pub improved_global: bool,
     /// Best global error after this trial.
     pub best_error_so_far: f64,
-    /// ECI of every learner after this trial (empty under round-robin).
+    /// ECI of every learner after this trial (empty unless ECI selects).
     pub eci_snapshot: Vec<(String, f64)>,
     /// Whether a fit of this trial ran past its cooperative deadline.
     #[serde(default)]
@@ -562,7 +610,12 @@ impl AutoMl {
         self
     }
 
-    /// Chooses the learner-selection strategy (ECI or round-robin).
+    /// Chooses the proposer: FLAML's, with ECI or round-robin learner
+    /// choice, or a baseline system's. The baselines search the joint
+    /// learner × hyperparameter space of the estimator list; the
+    /// fidelity ones (BOHB, Hyperband) start at the initial sample size.
+    /// They share FLAML's retry policy ([`AutoMl::max_retries`]) but not
+    /// its first-trial rule or ECI calibration.
     pub fn learner_selection(mut self, sel: LearnerSelection) -> AutoMl {
         self.learner_selection = sel;
         self

@@ -62,7 +62,7 @@ pub fn default_virtual_cost(info: &TrialInfo) -> f64 {
 
 /// Tracks elapsed budget in wall or virtual seconds.
 #[derive(Debug)]
-pub struct BudgetClock {
+pub(crate) struct BudgetClock {
     source: TimeSource,
     start: Instant,
     virtual_now: f64,
@@ -74,7 +74,7 @@ pub struct BudgetClock {
 
 impl BudgetClock {
     /// Starts the clock.
-    pub fn new(source: TimeSource) -> BudgetClock {
+    pub(crate) fn new(source: TimeSource) -> BudgetClock {
         BudgetClock {
             source,
             start: Instant::now(),
@@ -90,7 +90,7 @@ impl BudgetClock {
 
     /// Seconds elapsed since the clock started (plus any
     /// [`BudgetClock::advance`]d pre-spent budget).
-    pub fn elapsed(&self) -> f64 {
+    pub(crate) fn elapsed(&self) -> f64 {
         match self.source {
             TimeSource::Wall => self.start.elapsed().as_secs_f64() + self.wall_offset,
             TimeSource::Virtual(_) => self.virtual_now,
@@ -100,7 +100,7 @@ impl BudgetClock {
     /// The deadline of a trial starting now under `budget`: on a wall
     /// clock the budget left, but at least 50 ms; a virtual clock, or a
     /// budget too large for a [`Duration`], bounds nothing.
-    pub fn deadline(&self, budget: f64) -> Option<Duration> {
+    pub(crate) fn deadline(&self, budget: f64) -> Option<Duration> {
         let remaining = budget - self.elapsed();
         self.is_wall()
             .then(|| Duration::try_from_secs_f64(remaining.max(0.05)).ok())
@@ -113,7 +113,7 @@ impl BudgetClock {
     /// left, but at least 50 ms and at most `budget`, so an exhausted
     /// budget grants no extra time. A virtual clock, or a budget too
     /// large for a [`Duration`], bounds nothing.
-    pub fn refit_deadline(&self, budget: f64) -> (bool, Option<Duration>) {
+    pub(crate) fn refit_deadline(&self, budget: f64) -> (bool, Option<Duration>) {
         let remaining = self.is_wall().then(|| (budget - self.elapsed()).max(0.0));
         let deadline =
             remaining.and_then(|r| Duration::try_from_secs_f64(r.max(0.05).min(budget)).ok());
@@ -126,7 +126,7 @@ impl BudgetClock {
     /// [`BudgetClock::charge`] would have, so replaying a run's recorded
     /// per-attempt costs in order reproduces its elapsed time
     /// bit-for-bit.
-    pub fn advance(&mut self, secs: f64) {
+    pub(crate) fn advance(&mut self, secs: f64) {
         match self.source {
             TimeSource::Wall => self.wall_offset += secs,
             TimeSource::Virtual(_) => self.virtual_now += secs,
@@ -150,7 +150,7 @@ impl BudgetClock {
     /// Charges one trial: returns the cost in this clock's seconds and
     /// advances virtual time if applicable. `measured` is the trial's
     /// measured wall seconds.
-    pub fn charge(&mut self, info: &TrialInfo, measured: f64) -> f64 {
+    pub(crate) fn charge(&mut self, info: &TrialInfo, measured: f64) -> f64 {
         match self.source {
             TimeSource::Wall => measured.max(1e-9),
             TimeSource::Virtual(model) => {

@@ -9,6 +9,12 @@
 //! restarts are enabled only at the full sample size; a restart resets the
 //! learner's sample size to the initial value.
 //!
+//! The baseline systems the paper compares against (BOHB, BO, random
+//! search, Hyperband) are the second arm of the same proposer
+//! ([`crate::joint`]): they pick a learner and its configuration from one
+//! joint space, and everything after the proposal — execution, charging,
+//! retries, journal, records and refit — is this loop's.
+//!
 //! # One driver
 //!
 //! A search is [`Search::open`]ed (validation, Step 0, journal create or
@@ -37,6 +43,7 @@ use crate::clock::{BudgetClock, TrialInfo};
 use crate::dataplane::{DataPlane, PrepStats, TrialData};
 use crate::eci::{sample_by_inverse_eci, EciState};
 use crate::ensemble::{build_stacked, MemberSpec};
+use crate::joint::Joint;
 use crate::learner::Estimator;
 use crate::resample::{run_trial_prepared, ResampleStrategy, TrialOutcome, TrialStatus};
 use flaml_data::{Dataset, DatasetView, Task};
@@ -280,6 +287,8 @@ pub(crate) struct Search {
     /// Journaled trials not yet replayed.
     replay: VecDeque<TrialLine>,
     states: Vec<LearnerState>,
+    /// The baselines' proposer; `None` under FLAML's own policies.
+    joint: Option<Joint>,
     /// The learner the paper runs first, to calibrate the base trial cost.
     fastest: usize,
     /// Evaluates one trial's CV folds concurrently.
@@ -420,6 +429,12 @@ impl Search {
             })
             .map(|(i, _)| i)
             .expect("non-empty estimators");
+        let joint = Joint::new(
+            settings.learner_selection,
+            states.iter().map(|st| (st.kind.name(), &st.space)),
+            settings.seed,
+            init_s as f64 / n as f64,
+        );
 
         let mut search = Search {
             input: data.clone(),
@@ -430,6 +445,7 @@ impl Search {
             clock,
             journal,
             states,
+            joint,
             fastest,
             fold_pool: ExecPool::new(settings.workers),
             rng: StdRng::seed_from_u64(settings.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
@@ -565,17 +581,21 @@ impl Search {
     /// never execute, so they skip preparation: resume costs no
     /// data-plane work and no cache churn.
     fn propose(&mut self, it: usize, live: bool, plane: &mut DataPlane) -> Proposal {
-        let settings = &self.settings;
         let n = self.dataset.rows;
-        let li = if it == 0 {
-            self.fastest
-        } else {
-            match settings.learner_selection {
-                // Round-robin ignores quarantine: the ablation gives
-                // every learner the same share of trials by policy, so
-                // a failure budget is not its to apply.
-                LearnerSelection::RoundRobin => it % self.states.len(),
-                LearnerSelection::Eci => {
+        let (li, mode, trial_s, config) = match self.joint.as_mut() {
+            // A baseline picks learner, configuration and sample size
+            // from its joint space; FLAML's fastest-learner-first rule
+            // does not apply to it.
+            Some(joint) => joint.ask(n),
+            None => {
+                let li = if it == 0 {
+                    self.fastest
+                } else if self.settings.learner_selection == LearnerSelection::RoundRobin {
+                    // Round-robin ignores quarantine: the ablation gives
+                    // every learner the same share of trials by policy,
+                    // so a failure budget is not its to apply.
+                    it % self.states.len()
+                } else {
                     let global_best = self.global_best();
                     let states = &self.states;
                     // Quarantined learners sit out until their probe
@@ -592,19 +612,21 @@ impl Search {
                         .map(|&i| states[i].eci.eci(global_best, SAMPLE_GROWTH))
                         .collect();
                     eligible[sample_by_inverse_eci(&ecis, self.rng.gen::<f64>())]
-                }
+                };
+                let st = &mut self.states[li];
+                let grow_sample = st.eci.tried()
+                    && st.sample_size < n
+                    && st.eci.eci1() >= st.eci.eci2(SAMPLE_GROWTH);
+                let (mode, trial_s, point) = if grow_sample {
+                    let s_new = ((st.sample_size as f64 * SAMPLE_GROWTH) as usize).min(n);
+                    (TrialMode::SampleUp, s_new, st.flow2.best_point())
+                } else {
+                    (TrialMode::Search, st.sample_size, st.flow2.ask())
+                };
+                (li, mode, trial_s, st.space.decode(&point))
             }
         };
-        let st = &mut self.states[li];
-        let grow_sample =
-            st.eci.tried() && st.sample_size < n && st.eci.eci1() >= st.eci.eci2(SAMPLE_GROWTH);
-        let (mode, trial_s, point) = if grow_sample {
-            let s_new = ((st.sample_size as f64 * SAMPLE_GROWTH) as usize).min(n);
-            (TrialMode::SampleUp, s_new, st.flow2.best_point())
-        } else {
-            (TrialMode::Search, st.sample_size, st.flow2.ask())
-        };
-        let config = st.space.decode(&point);
+        let st = &self.states[li];
         let learner = st.kind.name();
         let (data, prep) = if live {
             let (td, prep) = plane.prepare(trial_s, st.kind.max_bin(&config, &st.space));
@@ -621,7 +643,7 @@ impl Search {
             cost_factor: st.kind.cost_factor(&config, &st.space),
             config,
             learner,
-            seed: settings.seed.wrapping_add(it as u64),
+            seed: self.settings.seed.wrapping_add(it as u64),
             data,
             prep,
         }
@@ -775,44 +797,51 @@ impl Search {
         self.n_retries += line.attempts;
 
         // Feedback into the proposers.
-        let st = &mut self.states[p.li];
-        match p.mode {
-            TrialMode::Search => {
-                st.flow2.tell(line.loss);
-                st.eci.on_trial(line.cost, line.loss);
-            }
-            TrialMode::SampleUp => {
-                st.sample_size = p.trial_s;
-                st.flow2.set_best_err(line.loss);
-                let improved = st.eci.on_trial(line.cost, line.loss);
-                if !improved && line.loss.is_finite() {
-                    // Errors are only comparable at the same sample
-                    // size: rebase the learner's incumbent error. A
-                    // failed (infinite) trial must not poison it, or
-                    // the learner would never be selected again
-                    // (Property 3, FairChance).
-                    st.eci.rebase_err(line.loss);
+        match self.joint.as_mut() {
+            // The baselines keep no ECI state, so nothing is calibrated.
+            Some(joint) => joint.tell(p.mode, line.loss),
+            None => {
+                let st = &mut self.states[p.li];
+                match p.mode {
+                    TrialMode::Search => {
+                        st.flow2.tell(line.loss);
+                        st.eci.on_trial(line.cost, line.loss);
+                    }
+                    TrialMode::SampleUp => {
+                        st.sample_size = p.trial_s;
+                        st.flow2.set_best_err(line.loss);
+                        let improved = st.eci.on_trial(line.cost, line.loss);
+                        if !improved && line.loss.is_finite() {
+                            // Errors are only comparable at the same
+                            // sample size: rebase the learner's
+                            // incumbent error. A failed (infinite) trial
+                            // must not poison it, or the learner would
+                            // never be selected again (Property 3,
+                            // FairChance).
+                            st.eci.rebase_err(line.loss);
+                        }
+                        if st.sample_size >= n {
+                            st.flow2.set_adaptation(true);
+                        }
+                    }
                 }
-                if st.sample_size >= n {
-                    st.flow2.set_adaptation(true);
+                // Restart a converged thread (full sample size only).
+                if st.sample_size >= n && st.flow2.converged() {
+                    st.flow2.restart();
+                    if self.settings.sampling {
+                        st.sample_size = self.settings.sample_size_init.min(n);
+                        st.flow2.set_adaptation(st.sample_size >= n);
+                    }
                 }
-            }
-        }
-        // Restart a converged thread (full sample size only).
-        if st.sample_size >= n && st.flow2.converged() {
-            st.flow2.restart();
-            if self.settings.sampling {
-                st.sample_size = self.settings.sample_size_init.min(n);
-                st.flow2.set_adaptation(st.sample_size >= n);
-            }
-        }
-
-        // Calibrate untried learners' ECI after the very first trial.
-        if p.trial_no == 1 {
-            for (i, st) in self.states.iter_mut().enumerate() {
-                if i != p.li {
-                    st.eci
-                        .set_untried_estimate(line.cost * st.kind.cost_constant());
+                // Calibrate untried learners' ECI after the very first
+                // trial.
+                if p.trial_no == 1 {
+                    for (i, st) in self.states.iter_mut().enumerate() {
+                        if i != p.li {
+                            st.eci
+                                .set_untried_estimate(line.cost * st.kind.cost_constant());
+                        }
+                    }
                 }
             }
         }

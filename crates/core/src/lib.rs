@@ -17,6 +17,11 @@
 //! 4. **Controller** — runs trials, observes error and cost, and feeds
 //!    both back.
 //!
+//! The baseline systems of the paper's comparison (BOHB, BO, random
+//! search, Hyperband) are further [`LearnerSelection`]s: they propose
+//! from one joint learner × hyperparameter space, and the same
+//! controller runs, charges, journals and refits their trials.
+//!
 //! The entry point is [`AutoMl`]:
 //!
 //! ```
@@ -47,6 +52,7 @@ mod dataplane;
 mod eci;
 mod ensemble;
 mod handle;
+mod joint;
 mod learner;
 mod resample;
 mod serving;
@@ -55,14 +61,14 @@ pub use automl::{
     retrain_from_log, AutoMl, AutoMlError, AutoMlResult, LearnerSelection, ResampleChoice,
     Retrained, TrialMode, TrialRecord,
 };
-pub use clock::{default_virtual_cost, BudgetClock, TimeSource, TrialInfo};
+pub use clock::{default_virtual_cost, TimeSource, TrialInfo};
 pub use custom::CustomLearner;
 pub use dataplane::{DataPlane, FoldData, PrepStats, TrialData};
 pub use eci::{sample_by_inverse_eci, EciState};
 pub use ensemble::{build_stacked, MemberSpec};
 pub use handle::{SearchHandle, SliceOutcome};
 pub use learner::{Estimator, LearnerKind};
-pub use resample::{run_trial, ResampleStrategy, TrialOutcome, TrialStatus};
+pub use resample::{ResampleStrategy, TrialOutcome, TrialStatus};
 pub use serving::export_artifact_from_log;
 
 // Re-export the execution runtime so downstream crates can size pools and

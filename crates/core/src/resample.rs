@@ -15,9 +15,8 @@
 //! single-worker pool evaluates folds inline in fold order, reproducing
 //! the sequential fold loop bit-for-bit.
 
-use crate::dataplane::{DataPlane, TrialData};
+use crate::dataplane::TrialData;
 use crate::learner::Estimator;
-use flaml_data::Dataset;
 use flaml_exec::{ExecPool, Job, JobStatus};
 use flaml_learners::FittedModel;
 use flaml_metrics::Metric;
@@ -184,30 +183,6 @@ impl TrialOutcome {
     }
 }
 
-/// Evaluates `config` for `kind` on the first `sample_size` rows of the
-/// (pre-shuffled) dataset under `strategy`, scoring with `metric`.
-///
-/// A convenience wrapper around `run_trial_prepared` that derives the
-/// trial's views (and, for binned learners, its bin artifacts) fresh —
-/// what the controller's [`DataPlane`] would produce on a cache miss.
-#[allow(clippy::too_many_arguments)]
-pub fn run_trial(
-    shuffled: &Dataset,
-    kind: &Estimator,
-    config: &Config,
-    space: &SearchSpace,
-    sample_size: usize,
-    strategy: ResampleStrategy,
-    metric: Metric,
-    seed: u64,
-    deadline: Option<Duration>,
-    pool: &ExecPool,
-) -> TrialOutcome {
-    let mut plane = DataPlane::new(shuffled.view(), strategy, true, usize::MAX);
-    let (trial, _) = plane.prepare(sample_size, kind.max_bin(config, space));
-    run_trial_prepared(&trial, kind, config, space, metric, seed, deadline, pool)
-}
-
 /// Evaluates `config` for `kind` on a prepared [`TrialData`], scoring
 /// each of its folds with `metric`. Each fold's fit is one job on `pool`:
 /// CV folds run concurrently when the pool has more than one worker, and
@@ -334,7 +309,30 @@ pub(crate) fn run_trial_prepared(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flaml_data::Task;
+    use crate::dataplane::DataPlane;
+    use flaml_data::{Dataset, Task};
+
+    /// Evaluates `config` for `kind` on the first `sample_size` rows of
+    /// the (pre-shuffled) dataset under `strategy`, deriving the trial's
+    /// views and bin artifacts fresh — what the controller's data plane
+    /// would produce on a cache miss.
+    #[allow(clippy::too_many_arguments)]
+    fn run_trial(
+        shuffled: &Dataset,
+        kind: &Estimator,
+        config: &Config,
+        space: &SearchSpace,
+        sample_size: usize,
+        strategy: ResampleStrategy,
+        metric: Metric,
+        seed: u64,
+        deadline: Option<Duration>,
+        pool: &ExecPool,
+    ) -> TrialOutcome {
+        let mut plane = DataPlane::new(shuffled.view(), strategy, true, usize::MAX);
+        let (trial, _) = plane.prepare(sample_size, kind.max_bin(config, space));
+        run_trial_prepared(&trial, kind, config, space, metric, seed, deadline, pool)
+    }
 
     fn data(n: usize, d: usize) -> Dataset {
         let cols: Vec<Vec<f64>> = (0..d)

@@ -513,3 +513,26 @@ fn repeated_builtins_still_join_once() {
     names.sort_unstable();
     assert_eq!(names, ["lightgbm", "lr", "shallow"]);
 }
+
+#[test]
+fn selection_and_resample_names_parse_back() {
+    for sel in [
+        LearnerSelection::Eci,
+        LearnerSelection::RoundRobin,
+        LearnerSelection::Bohb,
+        LearnerSelection::Bo,
+        LearnerSelection::Random,
+        LearnerSelection::Hyperband,
+    ] {
+        assert_eq!(LearnerSelection::parse(sel.name()), Some(sel));
+    }
+    for choice in [
+        ResampleChoice::Auto,
+        ResampleChoice::AlwaysCv,
+        ResampleChoice::AlwaysHoldout,
+    ] {
+        assert_eq!(ResampleChoice::parse(choice.name()), Some(choice));
+    }
+    assert_eq!(LearnerSelection::parse("nope"), None);
+    assert_eq!(ResampleChoice::parse("nope"), None);
+}

@@ -152,39 +152,55 @@ fn kill_and_resume_reproduces_the_uninterrupted_trace() {
     // The crash-recovery contract: journal a run, kill it after k trials,
     // resume from the journal, and the continued trace must be
     // byte-identical to a run that was never interrupted — for an early,
-    // a middle, and a last-moment kill, sequential and parallel.
+    // a middle, and a last-moment kill, sequential and parallel. The
+    // baseline proposers resume too: replay re-feeds the TPE sampler
+    // and the Hyperband schedule (BOHB), and the random sampler. They
+    // get a larger budget: the joint space draws the costly `lr` often.
     let data = binary_dataset(700, 5);
-    for workers in [1usize, 4] {
-        let full = base(workers).fit(&data).unwrap();
-        let total = full.trials.len();
-        assert!(total >= 4, "need a few trials to kill between, got {total}");
-        for k in [1, total / 2, total - 1] {
-            let path = journal_path("resume", workers, k);
-            // "Kill at trial k": cap the journaled run at k trials. The
-            // journal then holds exactly the records a SIGKILL at that
-            // point would have committed (every record is fsynced).
-            let partial = base(workers)
-                .max_trials(k)
-                .journal(&path)
-                .fit(&data)
-                .unwrap();
-            assert_eq!(partial.trials.len(), k, "workers={workers} k={k}");
-            let resumed = base(workers).resume_from(&path).fit(&data).unwrap();
-            assert_eq!(
-                trace(&full.trials),
-                trace(&resumed.trials),
-                "workers={workers} k={k}"
-            );
-            assert_eq!(full.best_error.to_bits(), resumed.best_error.to_bits());
-            assert_eq!(full.best_config_rendered, resumed.best_config_rendered);
-            // The resumed process kept journaling: the file must now
-            // describe the full run and support a second resume that
-            // replays everything and runs nothing.
-            let journal = flaml_core::Journal::read(&path).unwrap();
-            assert_eq!(journal.trials.len(), total, "workers={workers} k={k}");
-            let replayed_only = base(workers).resume_from(&path).fit(&data).unwrap();
-            assert_eq!(trace(&full.trials), trace(&replayed_only.trials));
-            let _ = std::fs::remove_file(&path);
+    for (selection, budget) in [
+        (LearnerSelection::Eci, 1.0),
+        (LearnerSelection::Bohb, 1000.0),
+        (LearnerSelection::Random, 1000.0),
+    ] {
+        let base = |workers| {
+            base(workers)
+                .learner_selection(selection)
+                .time_budget(budget)
+        };
+        for workers in [1usize, 4] {
+            let full = base(workers).fit(&data).unwrap();
+            let total = full.trials.len();
+            assert!(total >= 4, "need a few trials to kill between, got {total}");
+            for k in [1, total / 2, total - 1] {
+                let tag = format!("resume_{}", selection.name());
+                let path = journal_path(&tag, workers, k);
+                // "Kill at trial k": cap the journaled run at k trials.
+                // The journal then holds exactly the records a SIGKILL at
+                // that point would have committed (every record is
+                // fsynced).
+                let partial = base(workers)
+                    .max_trials(k)
+                    .journal(&path)
+                    .fit(&data)
+                    .unwrap();
+                assert_eq!(partial.trials.len(), k, "workers={workers} k={k}");
+                let resumed = base(workers).resume_from(&path).fit(&data).unwrap();
+                assert_eq!(
+                    trace(&full.trials),
+                    trace(&resumed.trials),
+                    "{selection:?} workers={workers} k={k}"
+                );
+                assert_eq!(full.best_error.to_bits(), resumed.best_error.to_bits());
+                assert_eq!(full.best_config_rendered, resumed.best_config_rendered);
+                // The resumed process kept journaling: the file must now
+                // describe the full run and support a second resume that
+                // replays everything and runs nothing.
+                let journal = flaml_core::Journal::read(&path).unwrap();
+                assert_eq!(journal.trials.len(), total, "workers={workers} k={k}");
+                let replayed_only = base(workers).resume_from(&path).fit(&data).unwrap();
+                assert_eq!(trace(&full.trials), trace(&replayed_only.trials));
+                let _ = std::fs::remove_file(&path);
+            }
         }
     }
 }

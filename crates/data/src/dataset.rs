@@ -92,7 +92,7 @@ const MAX_WIRE_CLASSES: usize = 65_535;
 
 /// The one wire form of a [`Dataset`]: HTTP `/fit` and `/stream`
 /// bodies, request sidecars and stream chunk files. Bytes become a
-/// dataset only through [`DatasetPayload::to_dataset`], which runs
+/// dataset only through [`DatasetPayload::into_dataset`], which runs
 /// every [`Dataset::with_kinds`] check.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DatasetPayload {
@@ -112,7 +112,7 @@ pub struct DatasetPayload {
 
 impl DatasetPayload {
     /// The payload of `data`, every column's kind included. The round
-    /// trip through [`DatasetPayload::to_dataset`] is bit-exact: the
+    /// trip through [`DatasetPayload::into_dataset`] is bit-exact: the
     /// rebuilt dataset's [`Dataset::fingerprint`] equals the original's.
     pub fn from_dataset(data: &Dataset) -> DatasetPayload {
         DatasetPayload {
@@ -131,14 +131,16 @@ impl DatasetPayload {
         }
     }
 
-    /// Builds the dataset through [`Dataset::with_kinds`].
+    /// Builds the dataset through [`Dataset::with_kinds`], moving the
+    /// columns and target instead of copying them.
     ///
     /// # Errors
     ///
     /// A message for an unknown task string, or for data
-    /// [`Dataset::with_kinds`] refuses (ragged columns, bad labels, a
-    /// cardinality list of another length than the columns, …).
-    pub fn to_dataset(&self) -> Result<Dataset, String> {
+    /// [`Dataset::with_kinds`] refuses (ragged columns, bad labels, bad
+    /// category values, a cardinality list of another length than the
+    /// columns, …).
+    pub fn into_dataset(self) -> Result<Dataset, String> {
         let task = Task::parse_wire(&self.task)?;
         let kinds = if self.cardinalities.is_empty() {
             vec![FeatureKind::Numeric; self.columns.len()]
@@ -151,14 +153,8 @@ impl DatasetPayload {
                 })
                 .collect()
         };
-        Dataset::with_kinds(
-            self.name.clone(),
-            task,
-            self.columns.clone(),
-            kinds,
-            self.target.clone(),
-        )
-        .map_err(|e| format!("invalid dataset: {e:?}"))
+        Dataset::with_kinds(self.name, task, self.columns, kinds, self.target)
+            .map_err(|e| format!("invalid dataset: {e:?}"))
     }
 }
 
@@ -213,7 +209,9 @@ impl Dataset {
     /// # Errors
     ///
     /// Returns [`DataError`] if the columns are ragged, empty, the kinds
-    /// vector has the wrong length, or the labels are invalid for `task`.
+    /// vector has the wrong length, a categorical column holds a value
+    /// that is neither `NaN` nor an integer in `0..cardinality`, or the
+    /// labels are invalid for `task`.
     pub fn with_kinds(
         name: impl Into<String>,
         task: Task,
@@ -240,6 +238,20 @@ impl Dataset {
                     column: j,
                     actual: col.len(),
                 });
+            }
+        }
+        for (column, (col, kind)) in columns.iter().zip(&kinds).enumerate() {
+            if let FeatureKind::Categorical { cardinality } = *kind {
+                let valid =
+                    |v: f64| v.is_nan() || (v.fract() == 0.0 && v >= 0.0 && v < cardinality as f64);
+                if let Some(row) = col.iter().position(|&v| !valid(v)) {
+                    return Err(DataError::BadCategory {
+                        row,
+                        column,
+                        value: col[row],
+                        cardinality,
+                    });
+                }
             }
         }
         if let Some(k) = task.n_classes() {
@@ -628,6 +640,40 @@ mod tests {
     }
 
     #[test]
+    fn categorical_values_must_be_missing_or_a_category_index() {
+        let build = |values: Vec<f64>| {
+            Dataset::with_kinds(
+                "cat",
+                Task::Regression,
+                vec![vec![0.5, 1.5, 2.5], values],
+                vec![
+                    FeatureKind::Numeric,
+                    FeatureKind::Categorical { cardinality: 3 },
+                ],
+                vec![0.0, 1.0, 2.0],
+            )
+        };
+        assert!(build(vec![0.0, f64::NAN, 2.0]).is_ok());
+        for (bad, row) in [
+            (vec![0.0, -1.0, 2.0], 1),
+            (vec![2.5, 1.0, 2.0], 0),
+            (vec![0.0, 1.0, 3.0], 2),
+            (vec![f64::INFINITY, 1.0, 2.0], 0),
+        ] {
+            let value = bad[row];
+            assert_eq!(
+                build(bad).unwrap_err(),
+                DataError::BadCategory {
+                    row,
+                    column: 1,
+                    value,
+                    cardinality: 3
+                }
+            );
+        }
+    }
+
+    #[test]
     fn payload_keeps_kinds_and_counts_them() {
         let d = Dataset::with_kinds(
             "mixed",
@@ -642,16 +688,16 @@ mod tests {
         .unwrap();
         let mut payload = DatasetPayload::from_dataset(&d);
         assert_eq!(payload.cardinalities, [0, 3]);
-        let back = payload.to_dataset().unwrap();
+        let back = payload.clone().into_dataset().unwrap();
         assert_eq!(back.fingerprint(), d.fingerprint());
         assert_eq!(back.feature_kinds(), d.feature_kinds());
 
         payload.cardinalities.clear();
-        let numeric = payload.to_dataset().unwrap();
+        let numeric = payload.clone().into_dataset().unwrap();
         assert_eq!(numeric.feature_kinds(), [FeatureKind::Numeric; 2]);
 
         payload.cardinalities = vec![0, 3, 0];
-        let err = payload.to_dataset().unwrap_err();
+        let err = payload.into_dataset().unwrap_err();
         assert!(err.contains("KindMismatch"), "{err}");
     }
 

@@ -26,6 +26,18 @@ pub enum DataError {
         /// Number of classes implied by the task.
         n_classes: usize,
     },
+    /// A categorical column holds a value that is neither `NaN` (missing)
+    /// nor a category index.
+    BadCategory {
+        /// Row of the offending value.
+        row: usize,
+        /// Column of the offending value.
+        column: usize,
+        /// The offending value.
+        value: f64,
+        /// Number of categories the column's kind declares.
+        cardinality: usize,
+    },
     /// The number of feature kinds does not match the number of columns.
     KindMismatch {
         /// Number of columns.
@@ -57,6 +69,15 @@ impl fmt::Display for DataError {
             } => write!(
                 f,
                 "label {value} at row {row} is not an integer in 0..{n_classes}"
+            ),
+            DataError::BadCategory {
+                row,
+                column,
+                value,
+                cardinality,
+            } => write!(
+                f,
+                "categorical value {value} at row {row} of column {column} is neither NaN nor an integer in 0..{cardinality}"
             ),
             DataError::KindMismatch { columns, kinds } => write!(
                 f,

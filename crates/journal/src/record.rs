@@ -54,7 +54,9 @@ pub struct JournalHeader {
     pub sample_size_init: usize,
     /// Whether data subsampling was enabled.
     pub sampling: bool,
-    /// Learner-selection strategy (`"eci"` / `"round-robin"`).
+    /// The search's proposer: FLAML's learner selection (`"eci"` /
+    /// `"round-robin"`) or a baseline system (`"bohb"` / `"bo"` /
+    /// `"random"` / `"hyperband"`).
     pub learner_selection: String,
     /// Resampling choice (`"auto"` / `"cv"` / `"holdout"`).
     pub resample: String,

@@ -80,7 +80,7 @@ mod tests {
         let d = chunk("c0", 0.5);
         let json = serde_json::to_string(&DatasetPayload::from_dataset(&d)).unwrap();
         let back: DatasetPayload = serde_json::from_str(&json).unwrap();
-        let rebuilt = back.to_dataset().unwrap();
+        let rebuilt = back.into_dataset().unwrap();
         assert_eq!(rebuilt.fingerprint(), d.fingerprint());
         assert_eq!(rebuilt.name(), "c0");
     }

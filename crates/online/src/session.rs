@@ -1033,7 +1033,7 @@ impl OnlineSession {
             .map_err(|_| OnlineError::Corrupt(format!("chunk {index} not UTF-8")))?;
         serde_json::from_str::<DatasetPayload>(&text)
             .map_err(|e| e.to_string())
-            .and_then(|payload| payload.to_dataset())
+            .and_then(DatasetPayload::into_dataset)
             .map_err(|e| OnlineError::Corrupt(format!("chunk {index} invalid: {e}")))
     }
 

@@ -169,16 +169,19 @@ fn a_chunk_whose_kinds_differ_is_refused_before_it_is_persisted() {
     let mut session = OnlineSession::create(&dir, fast_config(&s), OnlineRuntime::local()).unwrap();
     session.push_chunk(&s.chunk(0)).unwrap();
 
-    // Same task, width and values; column 0 declared categorical. The
-    // second chunk fills the warmup window, so had it been taken in,
-    // the warmup round would have failed to assemble the window.
+    // Same task and width; column 0 declared categorical (and holding
+    // category indices, as a categorical column must). The second chunk
+    // fills the warmup window, so had it been taken in, the warmup round
+    // would have failed to assemble the window.
     let numeric = s.chunk(1);
     let mut kinds = numeric.feature_kinds().to_vec();
     kinds[0] = FeatureKind::Categorical { cardinality: 4 };
+    let mut columns = numeric.columns().to_vec();
+    columns[0] = (0..numeric.n_rows()).map(|i| (i % 4) as f64).collect();
     let categorical = Dataset::with_kinds(
         numeric.name(),
         numeric.task(),
-        numeric.columns().to_vec(),
+        columns,
         kinds,
         numeric.target().to_vec(),
     )

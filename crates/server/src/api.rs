@@ -4,14 +4,15 @@
 //! [`FitRequest`] is the contract that makes crash recovery
 //! *verifiable*: the server persists every accepted request as a
 //! sidecar JSON file next to the tenant's journal, and
-//! [`FitRequest::to_automl`] / [`FitRequest::to_dataset`] are the
-//! **only** way either side turns a request into a run. A verifier can
+//! [`FitRequest::to_automl`] and [`DatasetPayload::into_dataset`] of
+//! its `dataset` are the **only** way either side turns a request into
+//! a run. A verifier can
 //! therefore re-run any search from its sidecar in a fresh process and
 //! byte-compare journals — there is no second code path to drift.
 
 use flaml_core::{default_virtual_cost, AutoMl, LearnerKind, TimeSource};
 pub use flaml_data::DatasetPayload;
-use flaml_data::{Dataset, Task};
+use flaml_data::Task;
 use flaml_online::RoundOutcome;
 use serde::{Deserialize, Serialize};
 
@@ -77,16 +78,6 @@ impl FitRequest {
             automl = automl.estimators(kinds);
         }
         Ok(automl)
-    }
-
-    /// Materializes the request's inline dataset.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for an unknown task string or invalid data
-    /// (ragged columns, bad labels, …).
-    pub fn to_dataset(&self) -> Result<Dataset, String> {
-        self.dataset.to_dataset()
     }
 
     /// Trials per scheduler slice for this search.
@@ -405,10 +396,10 @@ mod tests {
         let json = serde_json::to_string(&req).unwrap();
         let back: FitRequest = serde_json::from_str(&json).unwrap();
         assert_eq!(json, serde_json::to_string(&back).unwrap());
-        let data = back.to_dataset().unwrap();
-        assert_eq!(data.n_rows(), 4);
         back.to_automl().unwrap();
         assert_eq!(back.slice_trials(), DEFAULT_SLICE_TRIALS);
+        let data = back.dataset.into_dataset().unwrap();
+        assert_eq!(data.n_rows(), 4);
     }
 
     #[test]
@@ -430,10 +421,20 @@ mod tests {
             },
         };
         assert!(req.to_automl().unwrap_err().contains("not-a-learner"));
-        assert!(req.to_dataset().unwrap_err().contains("ternary"));
+        assert!(req
+            .dataset
+            .clone()
+            .into_dataset()
+            .unwrap_err()
+            .contains("ternary"));
         req.dataset.task = "multiclass:3".into();
         req.dataset.target = vec![5.0];
-        assert!(req.to_dataset().unwrap_err().contains("invalid dataset"));
+        assert!(req
+            .dataset
+            .clone()
+            .into_dataset()
+            .unwrap_err()
+            .contains("invalid dataset"));
         req.estimators.clear();
         for budget in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0] {
             req.time_budget = budget;
@@ -486,7 +487,7 @@ mod tests {
         let json = serde_json::to_string(&req).unwrap();
         let back: StreamChunkRequest = serde_json::from_str(&json).unwrap();
         assert_eq!(json, serde_json::to_string(&back).unwrap());
-        let data = back.dataset.to_dataset().unwrap();
+        let data = back.dataset.into_dataset().unwrap();
         assert_eq!(
             DatasetPayload::from_dataset(&data).columns,
             req.dataset.columns

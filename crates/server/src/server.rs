@@ -368,9 +368,12 @@ impl Server {
         // journal byte-identically where one exists. An unreadable
         // journal is quarantined and the search restarts from scratch —
         // slower, but never wedged.
-        let built = request.to_automl().and_then(|automl| {
+        let automl = request.to_automl();
+        let slice_trials = request.slice_trials();
+        let FitRequest { slot, dataset, .. } = request;
+        let built = automl.and_then(|automl| {
             let automl = automl.storage(Arc::clone(&self.inner.cfg.storage));
-            let data = request.to_dataset()?;
+            let data = dataset.into_dataset()?;
             let handle = if storage.exists(&journal) {
                 match SearchHandle::attach(automl.clone(), &journal) {
                     Ok(handle) => handle,
@@ -389,8 +392,8 @@ impl Server {
                 self.inner.scheduler.submit_recovered(SearchJob {
                     tenant: tenant.to_string(),
                     id: id.to_string(),
-                    slot: request.slot.clone(),
-                    slice_trials: request.slice_trials(),
+                    slot,
+                    slice_trials,
                     handle,
                     data,
                 });
@@ -398,7 +401,7 @@ impl Server {
             Err(msg) => {
                 self.inner
                     .scheduler
-                    .record_terminal(tenant, failed(&request.slot, msg));
+                    .record_terminal(tenant, failed(&slot, msg));
             }
         }
     }
@@ -611,7 +614,11 @@ impl Server {
         let request: FitRequest = parse_json(body)?;
         check_slot(&request.slot)?;
         let automl = request.to_automl().map_err(bad_request)?;
-        let data = request.to_dataset().map_err(bad_request)?;
+        let slice_trials = request.slice_trials();
+        // The columns move into the dataset: past this point the body
+        // bytes and the dataset are the only copies.
+        let FitRequest { slot, dataset, .. } = request;
+        let data = dataset.into_dataset().map_err(bad_request)?;
         let id = self.assign_id(tenant);
         let tenant_dir = self.inner.cfg.root.join(tenant);
         let journal = tenant_dir.join(format!("{id}.jsonl"));
@@ -637,8 +644,8 @@ impl Server {
         let job = SearchJob {
             tenant: tenant.to_string(),
             id: id.clone(),
-            slot: request.slot.clone(),
-            slice_trials: request.slice_trials(),
+            slot,
+            slice_trials,
             handle: SearchHandle::new(automl.storage(Arc::clone(&storage)), &journal),
             data,
         };
@@ -841,7 +848,8 @@ impl Server {
         self.check_tenant(tenant)?;
         check_slot(slot)?;
         let request: StreamChunkRequest = parse_json(body)?;
-        let chunk = request.dataset.to_dataset().map_err(bad_request)?;
+        let StreamChunkRequest { dataset, options } = request;
+        let chunk = dataset.into_dataset().map_err(bad_request)?;
         let key = format!("{tenant}/{slot}");
         let cell = {
             // Map lock held only for lookup/creation, never across a
@@ -857,7 +865,7 @@ impl Server {
                     let rt = self.stream_runtime(tenant, slot);
                     let opened = match OnlineSession::open(&dir, rt.clone()) {
                         Err(OnlineError::Journal(flaml_online::LogError::Missing)) => {
-                            let options = request.options.clone().unwrap_or_default();
+                            let options = options.clone().unwrap_or_default();
                             let cfg = options
                                 .to_config(chunk.task(), chunk.n_features())
                                 .map_err(bad_request)?;

@@ -70,7 +70,7 @@ fn reference_bytes(request: &FitRequest, tag: &str) -> String {
         std::process::id()
     ));
     let _ = std::fs::remove_file(&path);
-    let data = request.to_dataset().expect("dataset");
+    let data = request.dataset.clone().into_dataset().expect("dataset");
     request
         .to_automl()
         .expect("automl")
@@ -184,7 +184,7 @@ fn crashpoint_sweep_recovers_byte_identically_at_every_op() {
 fn torn_journal_tail_resumes_byte_identically_at_every_offset() {
     let request = tiny_fit_request("torn");
     let reference = reference_bytes(&request, "torn");
-    let data = request.to_dataset().expect("dataset");
+    let data = request.dataset.clone().into_dataset().expect("dataset");
 
     // A pristine finished journal to tear.
     let pristine = std::env::temp_dir().join(format!(
@@ -531,7 +531,7 @@ fn predict_fingerprint(body: &str) -> u64 {
 fn blob_save_crashpoint_sweep_never_tears_the_final_name() {
     // A real fitted model to publish as a binary blob.
     let request = tiny_fit_request("blob");
-    let data = request.to_dataset().expect("dataset");
+    let data = request.dataset.clone().into_dataset().expect("dataset");
     let result = request
         .to_automl()
         .expect("automl")
@@ -652,7 +652,7 @@ fn slot_recovery_prefers_blob_and_falls_back_to_json_when_corrupt() {
         let mut request = tiny_fit_request("dual");
         request.seed = seed;
         request.dataset = payload(120, seed);
-        let data = request.to_dataset().expect("dataset");
+        let data = request.dataset.clone().into_dataset().expect("dataset");
         request
             .to_automl()
             .expect("automl")

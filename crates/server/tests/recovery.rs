@@ -29,7 +29,7 @@ fn config(root: std::path::PathBuf) -> ServerConfig {
 #[test]
 fn killed_midsearch_server_resumes_byte_identically() {
     let request = fit_request("churn", 12, 7);
-    let data = request.to_dataset().unwrap();
+    let data = request.dataset.clone().into_dataset().unwrap();
 
     // Reference: the same request run uninterrupted in one process.
     let ref_path = std::env::temp_dir().join(format!(
@@ -197,7 +197,7 @@ fn a_sigkilled_server_process_resumes_byte_identically() {
         .to_automl()
         .unwrap()
         .journal(&ref_path)
-        .fit(&sidecar.to_dataset().unwrap())
+        .fit(&sidecar.dataset.clone().into_dataset().unwrap())
         .unwrap();
     let reference = Journal::read(&ref_path).unwrap();
     let _ = std::fs::remove_file(&ref_path);
@@ -222,7 +222,7 @@ fn a_sigkilled_server_process_resumes_byte_identically() {
 #[test]
 fn direct_publishes_survive_restart_and_roll_back() {
     let request = fit_request("direct", 6, 21);
-    let data = request.to_dataset().unwrap();
+    let data = request.dataset.clone().into_dataset().unwrap();
     let result = request.to_automl().unwrap().fit(&data).unwrap();
     let artifact_v1 = result.compile().unwrap().to_artifact_string();
 
@@ -278,7 +278,7 @@ fn recovery_reads_sidecars_markers_and_journals_through_storage() {
     let running_sidecar = tenant_dir.join("s0001.request.json");
     let journal = tenant_dir.join("s0001.jsonl");
     std::fs::write(&running_sidecar, &body).unwrap();
-    let data = request.to_dataset().unwrap();
+    let data = request.dataset.clone().into_dataset().unwrap();
     let mut handle = SearchHandle::new(request.to_automl().unwrap(), &journal);
     handle.run_slice(&data, 2).unwrap();
     drop(handle);
@@ -329,7 +329,7 @@ fn a_sidecar_without_cardinalities_recovers() {
     std::fs::create_dir_all(&tenant_dir).unwrap();
     std::fs::write(tenant_dir.join("s0000.request.json"), &old_body).unwrap();
     let journal = tenant_dir.join("s0000.jsonl");
-    let data = request.to_dataset().unwrap();
+    let data = request.dataset.clone().into_dataset().unwrap();
     let mut handle = SearchHandle::new(request.to_automl().unwrap(), &journal);
     handle.run_slice(&data, 2).unwrap();
     drop(handle);
@@ -420,7 +420,7 @@ fn a_root_written_before_terminal_records_recovers_once() {
     // s0000 finished under the old layout: a complete journal and a
     // completion artifact beside the slot file's place.
     let finished = fit_request("done", 4, 3);
-    let data = finished.to_dataset().unwrap();
+    let data = finished.dataset.clone().into_dataset().unwrap();
     let finished_sidecar = tenant_dir.join("s0000.request.json");
     std::fs::write(&finished_sidecar, serde_json::to_string(&finished).unwrap()).unwrap();
     let result = finished
@@ -437,7 +437,9 @@ fn a_root_written_before_terminal_records_recovers_once() {
     let failed_sidecar = tenant_dir.join("s0001.request.json");
     std::fs::write(&failed_sidecar, serde_json::to_string(&failed).unwrap()).unwrap();
     let mut handle = SearchHandle::new(failed.to_automl().unwrap(), tenant_dir.join("s0001.jsonl"));
-    handle.run_slice(&failed.to_dataset().unwrap(), 2).unwrap();
+    handle
+        .run_slice(&failed.dataset.clone().into_dataset().unwrap(), 2)
+        .unwrap();
     drop(handle);
     let legacy_marker = tenant_dir.join("s0001.failed");
     std::fs::write(&legacy_marker, "search failed: boom").unwrap();

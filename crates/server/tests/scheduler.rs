@@ -17,7 +17,7 @@ use std::time::Duration;
 #[test]
 fn a_slice_that_fails_after_committing_trials_is_charged_for_them() {
     let request = fit_request("charge", 12, 7);
-    let data = request.to_dataset().unwrap();
+    let data = request.dataset.clone().into_dataset().unwrap();
     let root = scratch_root("charge");
     std::fs::create_dir_all(root.join("acme")).unwrap();
     let journal = root.join("acme/s0000.jsonl");
@@ -133,7 +133,7 @@ fn a_search_leaves_the_admission_bound_before_its_terminal_status_shows() {
             slot: request.slot.clone(),
             slice_trials: request.slice_trials(),
             handle: SearchHandle::new(request.to_automl().unwrap(), root.join("acme/s0000.jsonl")),
-            data: request.to_dataset().unwrap(),
+            data: request.dataset.clone().into_dataset().unwrap(),
         })
         .unwrap();
     let worker = {

@@ -327,10 +327,37 @@ fn cardinalities_of_the_wrong_length_are_a_400_without_a_sidecar() {
 }
 
 #[test]
+fn a_categorical_value_that_is_not_a_category_is_a_400_without_a_sidecar() {
+    // Column 1 declared categorical with 3 categories: -1.0 and 2.5 are
+    // not category indices, so the dataset gate refuses the body before
+    // the sidecar is written.
+    let root = scratch_root("bad_category");
+    let (server, addr) = start(root.clone(), 4);
+    for bad in [-1.0, 2.5] {
+        let mut request = fit_request("slot", 4, 1);
+        let n = request.dataset.target.len();
+        request.dataset.cardinalities = vec![0, 3];
+        request.dataset.columns[1] = (0..n).map(|i| (i % 3) as f64).collect();
+        request.dataset.columns[1][7] = bad;
+        let body = serde_json::to_string(&request).unwrap();
+        let (status, reply) = http(addr, "POST", "/tenants/acme/fit", &body);
+        assert_eq!(status, 400, "{bad}: {reply}");
+        assert!(reply.contains("BadCategory"), "{bad}: {reply}");
+    }
+    assert_eq!(
+        sidecar_count(&root),
+        0,
+        "a refused fit must leave no sidecar"
+    );
+    server.stop();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn a_categorical_fit_journals_like_the_library() {
     // Column 2 is categorical: `lr` one-hot encodes it, and the kinds
     // enter the dataset fingerprint the journal header records.
-    let numeric = fit_request("slot", 8, 5).to_dataset().unwrap();
+    let numeric = fit_request("slot", 8, 5).dataset.into_dataset().unwrap();
     let mut columns = numeric.columns().to_vec();
     columns.push((0..numeric.n_rows()).map(|i| (i % 5) as f64).collect());
     let mut kinds = numeric.feature_kinds().to_vec();

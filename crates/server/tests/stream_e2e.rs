@@ -224,13 +224,15 @@ fn a_chunk_with_other_kinds_is_a_400_and_the_stream_goes_on() {
     let s = drift_stream();
     push(addr, "clicks", &s, 0);
 
-    // Chunk 1 again, column 0 declared categorical: the same task and
-    // width, another schema. It is refused before it is persisted.
+    // Chunk 1 again, column 0 declared categorical (with category
+    // values): the same task and width, another schema. It is refused
+    // before it is persisted.
     let mut request = StreamChunkRequest {
         options: None,
         dataset: DatasetPayload::from_dataset(&s.chunk(1)),
     };
     request.dataset.cardinalities[0] = 4;
+    request.dataset.columns[0] = (0..s.rows).map(|i| (i % 4) as f64).collect();
     let (code, body) = http(
         addr,
         "POST",
@@ -245,6 +247,40 @@ fn a_chunk_with_other_kinds_is_a_400_and_the_stream_goes_on() {
     // would have taken.
     assert_eq!(push(addr, "clicks", &s, 1).chunk, 1);
     assert!(chunk_file.exists());
+    server.stop();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_chunk_with_a_value_that_is_not_a_category_is_a_400_and_persists_nothing() {
+    let root = scratch_root("stream_bad_category");
+    let (server, addr) = start_server(&root);
+    let s = drift_stream();
+    let chunk_file = root.join("acme/streams/clicks/chunks/c000000.json");
+    for bad in [-1.0, 2.5] {
+        // Column 0 declared categorical with 4 categories, one value
+        // outside them: the first chunk of a new stream is refused
+        // before anything reaches the disk.
+        let mut request = StreamChunkRequest {
+            options: Some(fast_options(s.seed)),
+            dataset: DatasetPayload::from_dataset(&s.chunk(0)),
+        };
+        request.dataset.cardinalities[0] = 4;
+        request.dataset.columns[0] = (0..s.rows).map(|i| (i % 4) as f64).collect();
+        request.dataset.columns[0][3] = bad;
+        let (code, body) = http(
+            addr,
+            "POST",
+            "/tenants/acme/stream/clicks",
+            &serde_json::to_string(&request).unwrap(),
+        );
+        assert_eq!(code, 400, "{bad}: {body}");
+        assert!(body.contains("BadCategory"), "{bad}: {body}");
+        assert!(
+            !chunk_file.exists(),
+            "{bad}: the refused chunk was persisted"
+        );
+    }
     server.stop();
     let _ = std::fs::remove_dir_all(&root);
 }

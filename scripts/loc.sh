@@ -3,8 +3,8 @@
 # prints them and exits non-zero when any exceeds its ceiling. The
 # ceilings only ever go down — a PR that shrinks a number lowers its
 # ceiling to match.
-MAX_CODE_LINES=19063
-MAX_PUBLIC_ITEMS=748
+MAX_CODE_LINES=18854
+MAX_PUBLIC_ITEMS=732
 MAX_UNSAFE_LINES=0
 MAX_STUB_LINES=1560
 # Counted as ISSUE 14 defines them, over every *.rs under src/ and

@@ -1,8 +1,8 @@
 //! Workspace-level integration tests: the facade crate, the full pipeline
 //! from synthetic data through FLAML and the baselines to scaled scores.
 
-use flaml::{default_virtual_cost, AutoMl, LearnerKind, TimeSource};
-use flaml_baselines::{calibration_anchors, run_baseline, BaselineKind, BaselineSettings};
+use flaml::{default_virtual_cost, AutoMl, LearnerKind, LearnerSelection, TimeSource};
+use flaml_bench::calibration_anchors;
 use flaml_metrics::{scaled_score, Metric};
 use flaml_synth::{
     binary_suite, regression_suite, selectivity_dataset, SuiteScale, TableDistribution,
@@ -52,25 +52,16 @@ fn flaml_beats_the_constant_baseline_on_suite_data() {
 #[test]
 fn flaml_and_bohb_share_the_trial_record_format() {
     let data = &regression_suite(SuiteScale::Small)[0];
-    let flaml = AutoMl::new()
+    let settings = AutoMl::new()
         .time_budget(0.5)
         .max_trials(10)
         .sample_size_init(100)
-        .time_source(virtual_source())
+        .time_source(virtual_source());
+    let flaml = settings.clone().fit(data).expect("flaml");
+    let bohb = settings
+        .learner_selection(LearnerSelection::Bohb)
         .fit(data)
-        .expect("flaml");
-    let bohb = run_baseline(
-        BaselineKind::Bohb,
-        data,
-        &BaselineSettings {
-            time_budget: 0.5,
-            max_trials: Some(10),
-            sample_size_min: 100,
-            time_source: virtual_source(),
-            ..BaselineSettings::default()
-        },
-    )
-    .expect("bohb");
+        .expect("bohb");
     for t in flaml.trials.iter().chain(bohb.trials.iter()) {
         assert!(t.cost > 0.0);
         assert!(t.total_time > 0.0);
@@ -104,7 +95,7 @@ fn selectivity_pipeline_end_to_end() {
 
 #[test]
 fn ablations_produce_distinct_traces() {
-    use flaml::{LearnerSelection, ResampleChoice};
+    use flaml::ResampleChoice;
     let data = &binary_suite(SuiteScale::Small)[0];
     let base = AutoMl::new()
         .time_budget(0.5)
