@@ -9,7 +9,7 @@ use flaml_learners::{
     BinMapper, Forest, ForestParams, Gbdt, GbdtParams, Growth, Linear, LinearParams,
 };
 use flaml_serve::Servable;
-use flaml_synth::{hyperplane, ClassSpec};
+use flaml_synth::{blobs, hyperplane, ClassSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -140,6 +140,51 @@ fn bench_cheapest_configs(c: &mut Criterion) {
     }
 }
 
+/// The `catboost` initial configuration (2 048-round cap, 64-leaf
+/// oblivious trees, early stop after 10 rounds, `max_bin` 255) fitted on
+/// one CV fold of each service workload's shape: `tenant_churn`'s 80 x 7
+/// (a fold of its 100-row first sample; here tenant 4's three-class blobs
+/// generator at 80 rows) and `mixed_tenants`' 400 x 12 (its search
+/// corpus' generator at 400 rows). Fastest and median of 7 fits.
+fn bench_catboost_folds(c: &mut Criterion) {
+    let churn = ClassSpec {
+        n: 80,
+        noise_features: 3,
+        seed: 1_004,
+        ..ClassSpec::default()
+    };
+    let mixed = ClassSpec {
+        n: 400,
+        noise_features: 4,
+        seed: 4,
+        ..ClassSpec::default()
+    };
+    let folds = [
+        ("80x7", blobs(3, 4, 1.0, churn)),
+        ("400x12", blobs(3, 8, 1.5, mixed)),
+    ];
+    let kind = LearnerKind::CatBoost;
+    for (shape, data) in folds {
+        let space = kind.space(data.n_rows());
+        let config = space.init_config();
+        let est = Estimator::from(kind);
+        let fit = || black_box(est.fit(&data, &config, &space, 0, None, None).unwrap());
+        let mut ms: Vec<f64> = (0..7)
+            .map(|_| {
+                let start = Instant::now();
+                fit();
+                start.elapsed().as_secs_f64() * 1e3
+            })
+            .collect();
+        ms.sort_by(f64::total_cmp);
+        eprintln!(
+            "catboost_fold_{shape}: fastest {:.1} ms, median {:.1} ms",
+            ms[0], ms[3]
+        );
+        c.bench_function(&format!("catboost_fold_{shape}"), |b| b.iter(fit));
+    }
+}
+
 /// Fastest of 7 batches of `iters` calls, in ns per call.
 fn ns_per_call(iters: usize, mut f: impl FnMut()) -> f64 {
     (0..7)
@@ -206,6 +251,11 @@ fn bench_serving(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_learners, bench_cheapest_configs);
+criterion_group!(
+    benches,
+    bench_catboost_folds,
+    bench_learners,
+    bench_cheapest_configs
+);
 criterion_group!(serving, bench_serving);
 criterion_main!(benches, serving);

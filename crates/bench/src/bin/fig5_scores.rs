@@ -23,13 +23,12 @@
 //! `--max-trials`).
 
 use flaml_bench::grid::{default_groups, save_results};
-use flaml_bench::{render_table, run_grid, Args, GridSpec, Method};
+use flaml_bench::{render_table, run_grid, Args, Method};
 
 fn main() {
     let args = Args::parse();
     let exec = args.exec();
     let full = exec.full;
-    let budgets = args.f64_list("budgets", &[0.5, 2.0, 8.0]);
     let per_group = args.usize("per-group", if full { usize::MAX } else { 2 });
     let group_filter = args.str("group", "all");
     let out_path = args.str(
@@ -46,20 +45,8 @@ fn main() {
         groups.retain(|(g, _)| *g == group_filter);
         assert!(!groups.is_empty(), "unknown group {group_filter}");
     }
-    let spec = GridSpec {
-        budgets: budgets.clone(),
-        methods: Method::COMPARATIVE.to_vec(),
-        seed: exec.seed,
-        sample_init: args.usize("sample-init", 500),
-        time_source: exec.time_source,
-        rf_budget: args.f64("rf-budget", 2.0),
-        max_trials: exec.max_trials,
-        jobs: exec.jobs,
-        chaos: exec.chaos,
-        journal_dir: exec.journal_dir.clone(),
-        resume: exec.resume,
-        ..GridSpec::default()
-    };
+    let spec = args.grid_spec();
+    let budgets = spec.budgets.clone();
     let results = run_grid(&groups, &spec);
     save_results(&out_path, &results).expect("write results json");
     let (timeouts, panics, retries, quarantines) = results.iter().fold((0, 0, 0, 0), |acc, r| {

@@ -9,39 +9,13 @@
 //! cargo run -p flaml-bench --release --bin fig6_boxplot
 //! ```
 
-use flaml_bench::grid::{default_groups, load_results, save_results};
-use flaml_bench::{box_stats, paired_scores, render_table, run_grid, Args, GridSpec, Method};
+use flaml_bench::grid::load_or_run;
+use flaml_bench::{box_stats, paired_scores, render_table, Args};
 
 fn main() {
     let args = Args::parse();
-    let exec = args.exec();
     let path = args.str("from", "bench_results/fig5.json");
-    let results = match load_results(&path) {
-        Some(r) => {
-            eprintln!("[fig6] loaded {} results from {path}", r.len());
-            r
-        }
-        None => {
-            eprintln!("[fig6] {path} missing; running a quick grid");
-            let spec = GridSpec {
-                budgets: args.f64_list("budgets", &[0.5, 2.0, 8.0]),
-                methods: Method::COMPARATIVE.to_vec(),
-                seed: exec.seed,
-                time_source: exec.time_source,
-                rf_budget: args.f64("rf-budget", 2.0),
-                max_trials: exec.max_trials,
-                jobs: exec.jobs,
-                chaos: exec.chaos,
-                journal_dir: exec.journal_dir.clone(),
-                resume: exec.resume,
-                ..GridSpec::default()
-            };
-            let groups = default_groups(exec.scale(), args.usize("per-group", 2));
-            let r = run_grid(&groups, &spec);
-            save_results(&path, &r).expect("write results json");
-            r
-        }
-    };
+    let results = load_or_run(&path, &args);
 
     let mut budgets: Vec<f64> = results.iter().map(|r| r.budget).collect();
     budgets.sort_by(|a, b| a.partial_cmp(b).unwrap());

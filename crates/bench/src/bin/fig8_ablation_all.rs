@@ -13,23 +13,13 @@ fn main() {
     let args = Args::parse();
     let exec = args.exec();
     let full = exec.full;
-    let budgets = args.f64_list("budgets", &[0.5, 2.0, 8.0]);
     let per_group = args.usize("per-group", if full { usize::MAX } else { 2 });
 
     let spec = GridSpec {
-        budgets: budgets.clone(),
         methods: Method::ABLATIONS.to_vec(),
-        seed: exec.seed,
-        sample_init: args.usize("sample-init", 500),
-        time_source: exec.time_source,
-        rf_budget: args.f64("rf-budget", 2.0),
-        max_trials: exec.max_trials,
-        jobs: exec.jobs,
-        chaos: exec.chaos,
-        journal_dir: exec.journal_dir.clone(),
-        resume: exec.resume,
-        ..GridSpec::default()
+        ..args.grid_spec()
     };
+    let budgets = spec.budgets.clone();
     let groups = default_groups(exec.scale(), per_group);
     let results = run_grid(&groups, &spec);
     let out_path = args.str("out", "bench_results/fig8.json");

@@ -9,38 +9,14 @@
 //! cargo run -p flaml-bench --release --bin table9_smaller_budget
 //! ```
 
-use flaml_bench::grid::{default_groups, load_results, save_results};
-use flaml_bench::run_grid;
-use flaml_bench::{paired_scores, percent_better_or_equal, render_table, Args, GridSpec, Method};
+use flaml_bench::grid::load_or_run;
+use flaml_bench::{paired_scores, percent_better_or_equal, render_table, Args};
 
 fn main() {
     let args = Args::parse();
-    let exec = args.exec();
     let path = args.str("from", "bench_results/fig5.json");
     let tolerance = args.f64("tolerance", 0.001);
-    let results = match load_results(&path) {
-        Some(r) => r,
-        None => {
-            eprintln!("[table9] {path} missing; running a quick grid");
-            let spec = GridSpec {
-                budgets: args.f64_list("budgets", &[0.5, 2.0, 8.0]),
-                methods: Method::COMPARATIVE.to_vec(),
-                seed: exec.seed,
-                time_source: exec.time_source,
-                rf_budget: args.f64("rf-budget", 2.0),
-                max_trials: exec.max_trials,
-                jobs: exec.jobs,
-                chaos: exec.chaos,
-                journal_dir: exec.journal_dir.clone(),
-                resume: exec.resume,
-                ..GridSpec::default()
-            };
-            let groups = default_groups(exec.scale(), args.usize("per-group", 2));
-            let r = run_grid(&groups, &spec);
-            save_results(&path, &r).expect("write results json");
-            r
-        }
-    };
+    let results = load_or_run(&path, &args);
 
     let mut budgets: Vec<f64> = results.iter().map(|r| r.budget).collect();
     budgets.sort_by(|a, b| a.partial_cmp(b).unwrap());

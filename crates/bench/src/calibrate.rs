@@ -3,7 +3,7 @@
 //! class-prior (or label-mean) predictor maps to score 0 and a tuned
 //! random forest maps to score 1.
 
-use flaml_core::{AutoMl, AutoMlError, LearnerKind, LearnerSelection, TimeSource};
+use flaml_core::{AutoMl, AutoMlError, LearnerKind, LearnerSelection};
 use flaml_data::{Dataset, Task};
 use flaml_metrics::{Metric, Pred, ScaleAnchors};
 
@@ -31,39 +31,31 @@ pub fn constant_predictor(train: &Dataset, n_test: usize) -> Pred {
 /// Computes the benchmark's scale anchors on a train/test pair: the raw
 /// score of the constant predictor (anchor 0) and of the reference model
 /// (anchor 1), both evaluated on `test`. The reference is a random
-/// forest tuned by random search under `rf_budget_secs` — one
-/// [`AutoMl::fit`] of [`LearnerSelection::Random`] over `[Rf]` — and
-/// refit on all of `train`.
+/// forest tuned by random search — one [`AutoMl::fit`] of
+/// [`LearnerSelection::Random`] over `[Rf]` under `metric` — and refit
+/// on all of `train`. `base` carries everything else of that search:
+/// its time budget, seed and clock, and any trial cap or journal.
 ///
 /// # Errors
 ///
 /// Returns [`AutoMlError`] if the reference forest could not be tuned,
-/// [`AutoMlError::BadTimeBudget`] among them for an unusable
-/// `rf_budget_secs`.
+/// [`AutoMlError::BadTimeBudget`] among them for an unusable budget.
 pub fn calibration_anchors(
     train: &Dataset,
     test: &Dataset,
     metric: Metric,
-    rf_budget_secs: f64,
-    seed: u64,
-    time_source: TimeSource,
-    max_trials: Option<usize>,
+    base: AutoMl,
 ) -> Result<ScaleAnchors, AutoMlError> {
     let baseline_pred = constant_predictor(train, test.n_rows());
     let baseline = metric
         .score(&baseline_pred, test.target())
         .unwrap_or(f64::NEG_INFINITY);
-    let mut automl = AutoMl::new()
+    let rf = base
         .learner_selection(LearnerSelection::Random)
         .estimators([LearnerKind::Rf])
         .metric(metric)
-        .time_budget(rf_budget_secs)
-        .seed(seed)
-        .time_source(time_source);
-    if let Some(cap) = max_trials {
-        automl = automl.max_trials(cap);
-    }
-    let rf = automl.fit(train)?.model;
+        .fit(train)?
+        .model;
     let reference = metric
         .score(&rf.predict(test), test.target())
         .unwrap_or(f64::NEG_INFINITY);
@@ -73,7 +65,7 @@ pub fn calibration_anchors(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flaml_core::default_virtual_cost;
+    use flaml_core::{default_virtual_cost, TimeSource};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -113,16 +105,11 @@ mod tests {
     #[test]
     fn anchors_order_sensibly() {
         let (train, test) = split_dataset(800, 1);
-        let anchors = calibration_anchors(
-            &train,
-            &test,
-            Metric::RocAuc,
-            1.0,
-            0,
-            TimeSource::Virtual(default_virtual_cost),
-            Some(4),
-        )
-        .unwrap();
+        let base = AutoMl::new()
+            .time_budget(1.0)
+            .time_source(TimeSource::Virtual(default_virtual_cost))
+            .max_trials(4);
+        let anchors = calibration_anchors(&train, &test, Metric::RocAuc, base).unwrap();
         // A tuned forest must beat the constant predictor on a learnable
         // task (auc 0.5 for the constant model).
         assert!(
@@ -140,7 +127,11 @@ mod tests {
         let (train, test) = split_dataset(300, 2);
         for source in [TimeSource::Wall, TimeSource::Virtual(default_virtual_cost)] {
             let anchors = |budget: f64, cap: usize| {
-                calibration_anchors(&train, &test, Metric::RocAuc, budget, 0, source, Some(cap))
+                let base = AutoMl::new()
+                    .time_budget(budget)
+                    .time_source(source)
+                    .max_trials(cap);
+                calibration_anchors(&train, &test, Metric::RocAuc, base)
             };
             for budget in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0] {
                 match anchors(budget, 3) {

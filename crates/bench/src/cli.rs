@@ -115,6 +115,26 @@ impl Args {
         }
     }
 
+    /// The grid the comparative-study binaries share: [`Args::exec`]'s
+    /// knobs plus `--budgets` (default `0.5,2,8`), `--sample-init` (500)
+    /// and `--rf-budget` (2), over the comparative methods.
+    pub fn grid_spec(&self) -> crate::GridSpec {
+        let exec = self.exec();
+        crate::GridSpec {
+            budgets: self.f64_list("budgets", &[0.5, 2.0, 8.0]),
+            sample_init: self.usize("sample-init", 500),
+            rf_budget: self.f64("rf-budget", 2.0),
+            seed: exec.seed,
+            time_source: exec.time_source,
+            max_trials: exec.max_trials,
+            jobs: exec.jobs,
+            chaos: exec.chaos,
+            journal_dir: exec.journal_dir,
+            resume: exec.resume,
+            ..crate::GridSpec::default()
+        }
+    }
+
     /// Parses the execution knobs shared by every experiment binary.
     /// Aborts with a message when `--resume` is given without
     /// `--journal` (there is nothing to resume from).
@@ -152,7 +172,8 @@ impl Args {
 /// - `--max-trials N` — per-run trial cap (also the "kill at trial N"
 ///   knob of the resume test in `tests/cli.rs`);
 /// - `--journal DIR` — journal every run (FLAML and baselines) to
-///   `DIR/<dataset>_<method>_<budget>s_seed<seed>.jsonl`;
+///   `DIR/<dataset>_<method>_<budget>s_seed<seed>.jsonl`, and a grid's
+///   calibration forests to `DIR/<dataset>_reference_<rf_budget>s_seed<seed>.jsonl`;
 /// - `--resume` — continue from the journals already in `DIR`;
 /// - `--full` — full-scale dataset suites.
 #[derive(Debug, Clone)]

@@ -9,8 +9,8 @@
 //! job count (stderr progress lines may interleave).
 
 use crate::calibrate::calibration_anchors;
-use crate::run::{evaluate_scaled, holdout_split, Method, RunConfig};
-use flaml_core::{ExecPool, TimeSource};
+use crate::run::{evaluate_scaled, holdout_split, journaled, Method, RunConfig};
+use flaml_core::{AutoMl, ExecPool, TimeSource};
 use flaml_data::Dataset;
 use flaml_exec::{event_channel, Job, Telemetry};
 use flaml_metrics::{Metric, ScaleAnchors};
@@ -75,10 +75,12 @@ pub struct GridSpec {
     pub chaos: Option<flaml_core::FaultPlan>,
     /// Optional directory receiving one crash-safe trial journal per
     /// cell, named `<dataset>_<method>_<budget>s_seed<seed>.jsonl`
-    /// (see [`crate::journal_stem`]).
+    /// (see [`crate::journal_stem`]), and one per dataset's calibration
+    /// forest, `<dataset>_reference_<rf_budget>s_seed<seed>.jsonl`.
     pub journal_dir: Option<std::path::PathBuf>,
-    /// With `journal_dir` set: cells whose journal already exists resume
-    /// from it (replaying committed trials) instead of starting over.
+    /// With `journal_dir` set: cells and calibration forests whose
+    /// journal already exists resume from it (replaying committed
+    /// trials) instead of starting over.
     pub resume: bool,
 }
 
@@ -126,21 +128,31 @@ pub fn run_grid(groups: &[(&str, Vec<Dataset>)], spec: &GridSpec) -> Vec<GridRes
         .iter()
         .flat_map(|(g, ds)| ds.iter().map(move |d| (*g, d)))
         .collect();
+    // Every search journals under `journal_dir`, the reference forests
+    // too, so a resumed grid keeps the interrupted run's anchors.
+    let journal = |data: &Dataset, method: &str, budget: f64| {
+        let stem = crate::journal_stem(data.name(), method, budget, spec.seed);
+        spec.journal_dir
+            .as_ref()
+            .map(|dir| dir.join(format!("{stem}.jsonl")))
+    };
     let prep_jobs: Vec<Job<'_, Option<Prepared>>> = flat
         .iter()
         .map(|&(_, data)| {
             Job::new(move |_ctx| {
                 let (train, test) = holdout_split(data, spec.test_ratio, spec.seed);
                 let metric = Metric::default_for(data.task());
-                match calibration_anchors(
-                    &train,
-                    &test,
-                    metric,
-                    spec.rf_budget,
-                    spec.seed,
-                    spec.time_source,
-                    spec.max_trials,
-                ) {
+                let search = AutoMl::new()
+                    .time_budget(spec.rf_budget)
+                    .seed(spec.seed)
+                    .time_source(spec.time_source);
+                let capped = match spec.max_trials {
+                    Some(n) => search.max_trials(n),
+                    None => search,
+                };
+                let path = journal(data, "reference", spec.rf_budget);
+                let base = journaled(capped, path.as_deref(), spec.resume);
+                match calibration_anchors(&train, &test, metric, base) {
                     Ok(anchors) => Some(Prepared {
                         train,
                         test,
@@ -185,12 +197,7 @@ pub fn run_grid(groups: &[(&str, Vec<Dataset>)], spec: &GridSpec) -> Vec<GridRes
                     .as_ref()
                     .expect("only prepared cells queued");
                 let (sink, events) = event_channel();
-                let journal = spec.journal_dir.as_ref().map(|dir| {
-                    dir.join(format!(
-                        "{}.jsonl",
-                        crate::journal_stem(data.name(), method.name(), budget, spec.seed)
-                    ))
-                });
+                let journal = journal(data, method.name(), budget);
                 let result = match method.run_with(
                     &prep.train,
                     &RunConfig {
@@ -213,22 +220,7 @@ pub fn run_grid(groups: &[(&str, Vec<Dataset>)], spec: &GridSpec) -> Vec<GridRes
                     }
                 };
                 let telemetry = Telemetry::new().drain(&events);
-                let (raw, scaled) = match evaluate_scaled(
-                    &result,
-                    &prep.train,
-                    &prep.test,
-                    prep.metric,
-                    Some(prep.anchors),
-                    spec.rf_budget,
-                    spec.seed,
-                    spec.time_source,
-                ) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        eprintln!("[grid] {} eval failed: {e}", data.name());
-                        return None;
-                    }
-                };
+                let (raw, scaled) = evaluate_scaled(&result, &prep.test, prep.metric, prep.anchors);
                 eprintln!(
                     "[grid] {group}/{} {method} @ {budget}s: scaled {scaled:.3} ({} trials)",
                     data.name(),
@@ -283,6 +275,21 @@ pub fn save_results(path: &str, results: &[GridResult]) -> std::io::Result<()> {
 pub fn load_results(path: &str) -> Option<Vec<GridResult>> {
     let text = std::fs::read_to_string(path).ok()?;
     serde_json::from_str(&text).ok()
+}
+
+/// The results `fig5_scores` saved at `path`, or — when there are none
+/// — a quick grid of [`crate::Args::grid_spec`] over `--per-group`
+/// (default 2) datasets a group, saved there.
+pub fn load_or_run(path: &str, args: &crate::Args) -> Vec<GridResult> {
+    if let Some(results) = load_results(path) {
+        eprintln!("[grid] loaded {} results from {path}", results.len());
+        return results;
+    }
+    eprintln!("[grid] {path} missing; running a quick grid");
+    let groups = default_groups(args.exec().scale(), args.usize("per-group", 2));
+    let results = run_grid(&groups, &args.grid_spec());
+    save_results(path, &results).expect("write results json");
+    results
 }
 
 /// The default grid used by Figures 5/6 and Table 9 when no results file

@@ -1,7 +1,6 @@
 //! The method registry: one entry point to run FLAML, its ablations, or
 //! any baseline with a common signature, plus train/test evaluation.
 
-use crate::calibrate::calibration_anchors;
 use flaml_core::{
     AutoMl, AutoMlError, AutoMlResult, EventSink, FaultPlan, LearnerSelection, ResampleChoice,
     TimeSource,
@@ -80,45 +79,14 @@ impl Method {
         Method::ALL.into_iter().find(|m| m.name() == s)
     }
 
-    /// Runs the method on `train` under `budget_secs`.
-    ///
-    /// `sample_init` is FLAML's initial sample size and the fidelity floor
-    /// of the bandit baselines, so every system sees the same knob.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`AutoMlError`] from the underlying system.
-    pub fn run(
-        &self,
-        train: &Dataset,
-        budget_secs: f64,
-        seed: u64,
-        sample_init: usize,
-        time_source: TimeSource,
-        max_trials: Option<usize>,
-    ) -> Result<AutoMlResult, AutoMlError> {
-        self.run_with(
-            train,
-            &RunConfig {
-                budget_secs,
-                seed,
-                sample_init,
-                time_source,
-                max_trials,
-                workers: 1,
-                event_sink: None,
-                fault_plan: None,
-                journal: None,
-                resume: false,
-            },
-        )
-    }
-
-    /// Like [`Method::run`], with the execution knobs of the `flaml-exec`
-    /// runtime: a worker count for the trial-execution pool, an optional
-    /// trial-event sink, fault plan and journal. Every method — FLAML,
-    /// its ablations and the baselines — is one [`AutoMl::fit`], so all
-    /// of them honor every knob.
+    /// Runs the method on `train` under `cfg`: its budget, seed and
+    /// clock, `sample_init` (FLAML's initial sample size and the fidelity
+    /// floor of the bandit baselines, so every system sees the same
+    /// knob), and the execution knobs of the `flaml-exec` runtime — a
+    /// worker count for the trial-execution pool, an optional trial-event
+    /// sink, fault plan and journal. Every method — FLAML, its ablations
+    /// and the baselines — is one [`AutoMl::fit`], so all of them honor
+    /// every knob.
     ///
     /// # Errors
     ///
@@ -139,16 +107,7 @@ impl Method {
         if let Some(plan) = cfg.fault_plan {
             automl = automl.fault_plan(plan);
         }
-        if let Some(path) = &cfg.journal {
-            // Resume only continues an existing log; a fresh path under
-            // --resume (new cell, wiped directory) starts a new journal
-            // instead of erroring.
-            automl = if cfg.resume && path.exists() {
-                automl.resume_from(path)
-            } else {
-                automl.journal(path)
-            };
-        }
+        automl = journaled(automl, cfg.journal.as_deref(), cfg.resume);
         automl = match self {
             Method::Flaml => automl,
             Method::FlamlRoundRobin => automl.learner_selection(LearnerSelection::RoundRobin),
@@ -195,6 +154,17 @@ impl std::fmt::Display for Method {
     }
 }
 
+/// Journals `automl`'s trials to `path`. Under `resume` an existing log
+/// is continued; a fresh path (new cell, wiped directory) starts a new
+/// journal instead of erroring.
+pub(crate) fn journaled(automl: AutoMl, path: Option<&std::path::Path>, resume: bool) -> AutoMl {
+    match path {
+        Some(path) if resume && path.exists() => automl.resume_from(path),
+        Some(path) => automl.journal(path),
+        None => automl,
+    }
+}
+
 /// Splits a dataset into a train/test pair by a shuffled `1 - ratio` /
 /// `ratio` cut (the harness's stand-in for the benchmark's OpenML folds).
 pub fn holdout_split(data: &Dataset, test_ratio: f64, seed: u64) -> (Dataset, Dataset) {
@@ -208,38 +178,26 @@ pub fn holdout_split(data: &Dataset, test_ratio: f64, seed: u64) -> (Dataset, Da
 }
 
 /// Evaluates a result's model on the test set and calibrates it to the
-/// benchmark's scaled score using fresh anchors (constant predictor = 0,
-/// tuned random forest = 1).
+/// benchmark's scaled score with `anchors` (constant predictor = 0,
+/// tuned random forest = 1; see [`crate::calibration_anchors`]).
 ///
 /// Returns `(raw_score, scaled_score)`.
-///
-/// # Errors
-///
-/// Propagates anchor-tuning failures.
-#[allow(clippy::too_many_arguments)]
 pub fn evaluate_scaled(
     result: &AutoMlResult,
-    train: &Dataset,
     test: &Dataset,
     metric: Metric,
-    anchors: Option<ScaleAnchors>,
-    rf_budget: f64,
-    seed: u64,
-    time_source: TimeSource,
-) -> Result<(f64, f64), AutoMlError> {
-    let anchors = match anchors {
-        Some(a) => a,
-        None => calibration_anchors(train, test, metric, rf_budget, seed, time_source, None)?,
-    };
+    anchors: ScaleAnchors,
+) -> (f64, f64) {
     let raw = metric
         .score(&result.model.predict(test), test.target())
         .unwrap_or(f64::NEG_INFINITY);
-    Ok((raw, scaled_score(raw, anchors)))
+    (raw, scaled_score(raw, anchors))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::calibration_anchors;
     use flaml_core::default_virtual_cost;
     use flaml_data::Task;
     use rand::rngs::StdRng;
@@ -276,19 +234,29 @@ mod tests {
         assert_eq!(test.n_rows(), 20);
     }
 
+    /// A sequential, unjournaled virtual-clock run of `budget_secs`
+    /// capped at `max_trials`.
+    fn cfg(budget_secs: f64, max_trials: usize) -> RunConfig {
+        RunConfig {
+            budget_secs,
+            seed: 0,
+            sample_init: 100,
+            time_source: TimeSource::Virtual(default_virtual_cost),
+            max_trials: Some(max_trials),
+            workers: 1,
+            event_sink: None,
+            fault_plan: None,
+            journal: None,
+            resume: false,
+        }
+    }
+
     #[test]
     fn every_method_runs() {
         let d = data(400);
         for m in [Method::Flaml, Method::FlamlCv, Method::Bohb, Method::Random] {
             let r = m
-                .run(
-                    &d,
-                    0.5,
-                    0,
-                    100,
-                    TimeSource::Virtual(default_virtual_cost),
-                    Some(8),
-                )
+                .run_with(&d, &cfg(0.5, 8))
                 .unwrap_or_else(|e| panic!("{m}: {e}"));
             assert!(!r.trials.is_empty(), "{m}");
         }
@@ -298,27 +266,11 @@ mod tests {
     fn scaled_evaluation_produces_finite_scores() {
         let d = data(500);
         let (train, test) = holdout_split(&d, 0.2, 2);
-        let r = Method::Flaml
-            .run(
-                &train,
-                0.5,
-                0,
-                100,
-                TimeSource::Virtual(default_virtual_cost),
-                Some(10),
-            )
-            .unwrap();
-        let (raw, scaled) = evaluate_scaled(
-            &r,
-            &train,
-            &test,
-            r.metric,
-            None,
-            0.3,
-            0,
-            TimeSource::Virtual(default_virtual_cost),
-        )
-        .unwrap();
+        let r = Method::Flaml.run_with(&train, &cfg(0.5, 10)).unwrap();
+        let clock = TimeSource::Virtual(default_virtual_cost);
+        let base = AutoMl::new().time_budget(0.3).time_source(clock);
+        let anchors = calibration_anchors(&train, &test, r.metric, base).unwrap();
+        let (raw, scaled) = evaluate_scaled(&r, &test, r.metric, anchors);
         assert!(raw.is_finite());
         assert!(scaled.is_finite());
     }

@@ -98,6 +98,42 @@ fn a_grid_killed_at_trial_three_resumes_to_the_uninterrupted_results() {
 }
 
 #[test]
+fn a_resumed_grid_replays_its_calibration_forests() {
+    let dir = scratch("reference");
+    let journals = dir.join("journals");
+    let flags = [
+        "--jobs",
+        "1",
+        "--journal",
+        journals.to_str().expect("a UTF-8 temp path"),
+    ];
+    let uninterrupted = fig5(&dir, "full", &flags);
+    let references = || {
+        let mut files: Vec<(PathBuf, Vec<u8>)> = std::fs::read_dir(&journals)
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .filter(|path| path.to_string_lossy().contains("_reference_"))
+            .map(|path| {
+                let bytes = std::fs::read(&path).unwrap();
+                (path, bytes)
+            })
+            .collect();
+        files.sort();
+        files
+    };
+    let before = references();
+    assert!(
+        !before.is_empty(),
+        "the grid journals each calibration forest"
+    );
+    let resumed = fig5(&dir, "resumed", &[&flags[..], &["--resume"]].concat());
+    assert_eq!(resumed, uninterrupted);
+    // Replayed, not re-run: no reference journal gained a trial line.
+    assert_eq!(references(), before);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn chaos_results_do_not_depend_on_the_job_count() {
     let dir = scratch("chaos");
     let chaos = ["--chaos", "7:0.25"];

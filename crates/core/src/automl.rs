@@ -283,6 +283,9 @@ pub enum AutoMlError {
     Artifact(flaml_serve::ArtifactError),
     /// The time budget is not a finite number of seconds above zero.
     BadTimeBudget(f64),
+    /// `(setting, selection)`: a builder setting only FLAML's own
+    /// policies act on, under the named baseline learner selection.
+    InertSetting(&'static str, &'static str),
 }
 
 impl fmt::Display for AutoMlError {
@@ -334,6 +337,9 @@ impl fmt::Display for AutoMlError {
                 f,
                 "time budget must be a finite number of seconds above 0, got {budget}"
             ),
+            AutoMlError::InertSetting(setting, selection) => {
+                write!(f, "{setting} has no effect under learner selection {selection}")
+            }
         }
     }
 }
@@ -788,6 +794,8 @@ impl AutoMl {
     /// estimator list are ignored; a point whose values do not fit its
     /// learner's space fails the search with
     /// [`AutoMlError::ConfigMismatch`] before any journal is created.
+    /// Under a baseline [`LearnerSelection`] (no FLOW² threads) a non-empty
+    /// list fails [`AutoMl::validate`] with [`AutoMlError::InertSetting`].
     pub fn starting_points(mut self, points: Vec<(String, Vec<f64>, f64)>) -> AutoMl {
         self.starting_points = points;
         self
@@ -798,6 +806,8 @@ impl AutoMl {
     /// meta-learner is trained on out-of-fold predictions, and the
     /// returned model is the stack. Off by default to keep overhead low;
     /// the extra training happens after the search budget, as in FLAML.
+    /// Its members are what FLAML's own policies tried, so under a baseline
+    /// [`LearnerSelection`] it fails [`AutoMl::validate`] with [`AutoMlError::InertSetting`].
     pub fn ensemble(mut self, on: bool) -> AutoMl {
         self.ensemble = on;
         self
@@ -812,10 +822,19 @@ impl AutoMl {
     /// [`AutoMlError::BadTimeBudget`] unless the time budget is finite
     /// and above zero; [`AutoMlError::DuplicateLearner`] when a custom
     /// learner's name is a builtin learner's (whether or not that
-    /// builtin is in the estimator list) or another custom learner's.
+    /// builtin is in the estimator list) or another custom learner's;
+    /// [`AutoMlError::InertSetting`] for `starting_points` or
+    /// `ensemble(true)` under a baseline [`LearnerSelection`].
     pub fn validate(&self) -> Result<(), AutoMlError> {
         if !(self.time_budget.is_finite() && self.time_budget > 0.0) {
             return Err(AutoMlError::BadTimeBudget(self.time_budget));
+        }
+        let selection = self.learner_selection;
+        let flaml = [LearnerSelection::Eci, LearnerSelection::RoundRobin].contains(&selection);
+        let points = !self.starting_points.is_empty();
+        let inert = [("ensemble", self.ensemble), ("starting_points", points)];
+        if let Some(&(setting, _)) = inert.iter().find(|&&(_, on)| on && !flaml) {
+            return Err(AutoMlError::InertSetting(setting, selection.name()));
         }
         for (i, custom) in self.custom_learners.iter().enumerate() {
             let name = custom.name();

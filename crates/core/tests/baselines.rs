@@ -141,6 +141,40 @@ fn unusable_budgets_are_typed_errors_before_any_trial() {
     }
 }
 
+#[test]
+fn settings_only_flaml_acts_on_are_refused_under_a_baseline() {
+    let data = dataset(300, 7);
+    let point = ("lightgbm".to_string(), vec![4.0; 9], 0.3);
+    for kind in BASELINES {
+        let runs = [
+            (
+                "starting_points",
+                settings(kind, 1.0).starting_points(vec![point.clone()]),
+            ),
+            ("ensemble", settings(kind, 1.0).ensemble(true)),
+        ];
+        for (want, automl) in runs {
+            match automl.max_trials(2).fit(&data) {
+                Err(AutoMlError::InertSetting(setting, selection)) => {
+                    assert_eq!((setting, selection), (want, kind.name()));
+                }
+                other => panic!("{kind:?} {want}: {:?}", other.map(|r| r.trials.len())),
+            }
+        }
+        // Off, the settings are accepted.
+        let quiet = settings(kind, 1.0)
+            .starting_points(Vec::new())
+            .ensemble(false);
+        assert!(quiet.validate().is_ok(), "{kind:?}");
+    }
+    for kind in [LearnerSelection::Eci, LearnerSelection::RoundRobin] {
+        let flaml = settings(kind, 1.0)
+            .starting_points(vec![point.clone()])
+            .ensemble(true);
+        assert!(flaml.validate().is_ok(), "{kind:?}");
+    }
+}
+
 /// The default virtual cost model at a thousandth of its scale, so a
 /// small budget still buys the trial cap.
 fn cheap_cost(info: &TrialInfo) -> f64 {

@@ -300,28 +300,14 @@ impl Gbdt {
         params: &GbdtParams,
         seed: u64,
     ) -> Result<GbdtModel, FitError> {
-        Self::fit_bounded(data, params, seed, None)
+        Self::fit_prepared(data, params, seed, None, None)
     }
 
     /// Like [`Gbdt::fit`] but stops adding trees once `budget` elapses,
-    /// returning the model built so far (at least one round). This mirrors
-    /// FLAML passing the remaining time budget into each trial.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Gbdt::fit`].
-    pub fn fit_bounded(
-        data: impl Into<DatasetView>,
-        params: &GbdtParams,
-        seed: u64,
-        budget: Option<Duration>,
-    ) -> Result<GbdtModel, FitError> {
-        Self::fit_prepared(data, params, seed, budget, None)
-    }
-
-    /// Like [`Gbdt::fit_bounded`] but reuses a [`PreparedBins`] artifact
-    /// (shared bin cuts plus the pre-binned feature matrix) when one is
-    /// supplied for the same `max_bin` and shape as `data`; a mismatched
+    /// returning the model built so far (at least one round), as FLAML
+    /// passes the remaining time budget into each trial; and reuses a
+    /// [`PreparedBins`] artifact (shared bin cuts plus the pre-binned
+    /// feature matrix) when one is supplied for the same `max_bin` and shape as `data`; a mismatched
     /// or absent artifact falls back to binning in place, through the same
     /// [`PreparedSort`] → [`PreparedBins`] path, so the fitted model is
     /// bit-identical either way.
@@ -1253,7 +1239,7 @@ mod tests {
             max_leaves: 64,
             ..GbdtParams::default()
         };
-        let m = Gbdt::fit_bounded(&d, &params, 0, Some(Duration::from_millis(50))).unwrap();
+        let m = Gbdt::fit_prepared(&d, &params, 0, Some(Duration::from_millis(50)), None).unwrap();
         assert!(m.n_rounds() < 100_000);
         assert!(m.n_rounds() >= 1);
     }

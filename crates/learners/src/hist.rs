@@ -26,9 +26,44 @@
 //! when its hessian sum is `> 0`. After a scan only the seen cells are
 //! cleared, so nothing is allocated or zeroed per node beyond what the
 //! node touched.
+//!
+//! **Seen bins follow the node.** A feature's seen bins, ascending, are
+//! found one of two ways with the same result. A node with more than half
+//! as many rows as the feature has bins compacts the region branch-free,
+//! keeping the cells with a positive hessian sum. Any other node sets one
+//! bit per row in a bitmap of the bins and reads the set bits back in
+//! order, so a deep node of a few rows costs its rows plus `bins / 64`
+//! words, not a walk of every bin. The factor of one half is not tuned:
+//! crossovers at a quarter, a half and all of the bins timed alike on
+//! the `catboost_fold_*` benches and `gbdt_deep` (DESIGN §17).
+//!
+//! **Oblivious levels.** An oblivious level picks the one `(feature,
+//! threshold)` whose gain *summed over the level's leaves* is highest;
+//! the oracle adds each leaf's gain into a per-threshold total, leaves in
+//! order, onto `+0.0`. A leaf's valid splits come in runs: every
+//! threshold from one seen bin up to the next shares one split. So each
+//! leaf of two or more rows contributes its runs (a leaf of fewer has no
+//! split), and the level total is constant between two consecutive run
+//! starts or ends of any leaf — *boundaries*. Each run adds `+gain` at its
+//! start and `-gain` at its end of a per-feature difference array, and
+//! one ascending sweep over the marked boundaries reads every total to
+//! within `slack`: adding `n` terms in any order errs by at most
+//! `γₙ·Σ|term|` (`γₙ ≈ n·u`), the sweep adds two terms per run and the
+//! exact fold one per leaf, so both together err by under
+//! `n·ε·Σ|gain|`, and `slack` is four times that to cover its own
+//! rounding. Only the boundaries whose upper bound (`swept + slack`)
+//! reaches the best lower bound (`swept − slack`, and `1e-12`) are added
+//! up exactly, leaf by leaf in the oracle's order, and the first maximum
+//! in `(feature slot, threshold)` order wins, so the chosen split is the
+//! oracle's bit for bit. Every run start and end is a boundary, even
+//! where the difference cell nets to zero: equal gains of two leaves can
+//! cancel there while the leaf-ordered fold, which adds other terms in
+//! between, still differs. The level costs its leaves' rows and runs, not
+//! leaves × features × bins.
 
 use crate::binning::{Bin, BinnedDataset};
 use crate::gbdt::GbdtParams;
+use std::cmp::Ordering::Less;
 use std::ops::Range;
 
 /// Features accumulated per pass over a node's rows: enough independent
@@ -143,6 +178,22 @@ impl FeatureHist<'_> {
     }
 }
 
+/// Sets bit `i` of a bitmap.
+fn set_bit(words: &mut [u64], i: usize) {
+    words[i / 64] |= 1 << (i % 64);
+}
+
+/// Calls `on` with every set bit of `words`, ascending, and clears them.
+fn drain_bits(words: &mut [u64], mut on: impl FnMut(usize)) {
+    for (w, word) in words.iter_mut().enumerate() {
+        let mut bits = std::mem::take(word);
+        while bits != 0 {
+            on(w * 64 + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    }
+}
+
 /// The accumulation scratch: node-ordered gradients and the slabs.
 #[derive(Debug, Clone, Default)]
 struct Slabs {
@@ -152,6 +203,8 @@ struct Slabs {
     cells: Vec<GradPair>,
     /// The seen bins of the feature being scanned (`stride` slots).
     seen_bins: Vec<Bin>,
+    /// One bit per bin; all clear between features.
+    seen_bits: Vec<u64>,
     stride: usize,
 }
 
@@ -204,15 +257,26 @@ impl Slabs {
             }
             dispatch!(1 2 3 4 5 6 7 8);
             for (k, &feature) in group.iter().enumerate() {
-                let region = k * stride..k * stride + binned.n_bins(feature as usize);
-                let cells = &mut self.cells[region];
-                // Branch-free compaction: every bin is written at the
-                // cursor, which only moves past the seen ones — those
-                // with a positive hessian sum.
+                let n_bins = binned.n_bins(feature as usize);
+                let cells = &mut self.cells[k * stride..k * stride + n_bins];
                 let mut n_seen = 0;
-                for (bin, cell) in cells.iter().enumerate() {
-                    self.seen_bins[n_seen] = bin as Bin;
-                    n_seen += usize::from(cell[1] > 0.0);
+                if 2 * rows.len() <= n_bins {
+                    let bits = &mut self.seen_bits[..n_bins.div_ceil(64)];
+                    for &r in rows {
+                        set_bit(bits, usize::from(col(k)[r as usize]));
+                    }
+                    drain_bits(bits, |bin| {
+                        self.seen_bins[n_seen] = bin as Bin;
+                        n_seen += 1;
+                    });
+                } else {
+                    // Branch-free compaction: every bin is written at the
+                    // cursor, which only moves past the seen ones — those
+                    // with a positive hessian sum.
+                    for (bin, cell) in cells.iter().enumerate() {
+                        self.seen_bins[n_seen] = bin as Bin;
+                        n_seen += usize::from(cell[1] > 0.0);
+                    }
                 }
                 let seen_bins = &self.seen_bins[..n_seen];
                 visit(
@@ -231,6 +295,103 @@ impl Slabs {
     }
 }
 
+/// One split of one leaf of an oblivious level: the thresholds
+/// `start..end` it covers and its gain.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    start: u32,
+    end: u32,
+    gain: f64,
+}
+
+/// An oblivious level's valid splits and the scratch that searches them
+/// (see the module docs). `runs` is leaf-major, then by feature slot, then
+/// by threshold: the `l`-th searched leaf's runs in slot `s` (a leaf of
+/// fewer than 2 rows is not searched) are
+/// `runs[bounds[i]..bounds[i + 1]]`, `i = l * n_slots + s`. `diff` holds
+/// each slot's difference array of level totals (`stride` cells a slot)
+/// and `marks` one bit per threshold where a run starts or ends; both are
+/// clear between levels. `abs_sum` is `Σ |gain|`; `near_best` collects
+/// the marked `(slot, t)` that may hold the maximum, with swept totals.
+#[derive(Debug, Clone, Default)]
+struct LevelRuns {
+    runs: Vec<Run>,
+    bounds: Vec<usize>,
+    n_slots: usize,
+    stride: usize,
+    diff: Vec<f64>,
+    marks: Vec<u64>,
+    abs_sum: f64,
+    near_best: Vec<(usize, usize, f64)>,
+}
+
+impl LevelRuns {
+    /// Starts a level of `n_slots` features of at most `stride` bins.
+    fn start(&mut self, n_slots: usize, stride: usize) {
+        (self.n_slots, self.stride, self.abs_sum) = (n_slots, stride, 0.0);
+        self.runs.clear();
+        self.bounds.clear();
+        self.bounds.push(0);
+        self.diff.resize(n_slots * stride, 0.0);
+        self.marks.resize(n_slots * stride.div_ceil(64), 0);
+    }
+
+    /// Adds a run of the current leaf in `slot`.
+    fn push(&mut self, slot: usize, start: u32, end: u32, gain: f64) {
+        let marks = &mut self.marks[slot * self.stride.div_ceil(64)..];
+        for (t, delta) in [(start, gain), (end, -gain)] {
+            self.diff[slot * self.stride + t as usize] += delta;
+            set_bit(marks, t as usize);
+        }
+        self.abs_sum += gain.abs();
+        self.runs.push(Run { start, end, gain });
+    }
+
+    /// The exact total of `(slot, t)`: the covering runs' gains added
+    /// leaf by leaf onto `+0.0`, the oracle's order.
+    fn total(&self, slot: usize, t: usize) -> f64 {
+        let mut total = 0.0;
+        for leaf in self.bounds.windows(2).skip(slot).step_by(self.n_slots) {
+            let runs = &self.runs[leaf[0]..leaf[1]];
+            let run = runs.partition_point(|r| r.end as usize <= t);
+            if runs.get(run).is_some_and(|r| r.start as usize <= t) {
+                total += runs[run].gain;
+            }
+        }
+        total
+    }
+
+    /// The first `(slot, t)` whose exact total is the highest above
+    /// `1e-12`; leaves the scratch clear.
+    fn best(&mut self) -> Option<(usize, u32)> {
+        let n_terms = 2 * self.runs.len() + self.bounds.len() / self.n_slots.max(1);
+        let slack = 4.0 * n_terms as f64 * f64::EPSILON * self.abs_sum;
+        let (words, mut floor) = (self.stride.div_ceil(64), 1e-12_f64);
+        self.near_best.clear();
+        for slot in 0..self.n_slots {
+            let (diff, mut acc) = (&mut self.diff[slot * self.stride..], 0.0);
+            drain_bits(&mut self.marks[slot * words..(slot + 1) * words], |t| {
+                acc += std::mem::take(&mut diff[t]);
+                floor = floor.max(acc - slack);
+                // Not `Less`: a NaN bound is kept, not skipped.
+                if (acc + slack).partial_cmp(&floor) != Some(Less) {
+                    self.near_best.push((slot, t, acc));
+                }
+            });
+        }
+        let mut best: Option<(usize, u32, f64)> = None;
+        for &(slot, t, acc) in &self.near_best {
+            if (acc + slack).partial_cmp(&floor) != Some(Less) {
+                let total = self.total(slot, t);
+                if total > 1e-12 && best.is_none_or(|(_, _, b)| total > b) {
+                    best = Some((slot, t as u32, total));
+                }
+            }
+        }
+        best.map(|(slot, t, _)| (slot, t))
+    }
+}
+
 /// Per-fit histogram scratch plus the row-index arena of the tree being
 /// grown. Buffers are sized by [`HistBuilder::start_tree`] and reused
 /// for every node of every tree of the fit.
@@ -241,10 +402,7 @@ pub(crate) struct HistBuilder {
     /// Right-child rows in flight during a partition.
     spill: Vec<u32>,
     slabs: Slabs,
-    /// Oblivious growth: a level's summed gain per `(feature slot, t)`.
-    level_gain: Vec<f64>,
-    /// Whether any leaf of the level had a valid split at that cell.
-    level_valid: Vec<bool>,
+    level: LevelRuns,
 }
 
 impl HistBuilder {
@@ -262,6 +420,7 @@ impl HistBuilder {
         self.slabs.stride = stride;
         self.slabs.cells.resize(GROUP * stride, [0.0; 2]);
         self.slabs.seen_bins.resize(stride, 0);
+        self.slabs.seen_bits.resize(stride.div_ceil(64), 0);
         0..rows.len()
     }
 
@@ -313,35 +472,21 @@ impl HistBuilder {
         leaves: &[NodeTask],
         params: &GbdtParams,
     ) -> Option<(u32, u32)> {
-        let stride = self.slabs.stride;
-        self.level_gain.clear();
-        self.level_gain.resize(features.len() * stride, 0.0);
-        self.level_valid.clear();
-        self.level_valid.resize(features.len() * stride, false);
-        for leaf in leaves {
+        let level = &mut self.level;
+        level.start(features.len(), self.slabs.stride);
+        // A leaf of fewer than 2 rows has no split, so adds no runs.
+        for leaf in leaves.iter().filter(|leaf| leaf.rows.len() >= 2) {
             let rows = &self.arena[leaf.rows.clone()];
             self.slabs
                 .for_each_hist(binned, rows, gh, features, |slot, hist| {
                     hist.for_each_split(leaf, params, |thresholds, gain, _, _| {
-                        for t in thresholds {
-                            let at = slot * stride + t as usize;
-                            self.level_gain[at] += gain;
-                            self.level_valid[at] = true;
-                        }
+                        level.push(slot, thresholds.start, thresholds.end, gain);
                     });
+                    level.bounds.push(level.runs.len());
                 });
         }
-        let mut best: Option<(u32, u32, f64)> = None;
-        for (slot, &feature) in features.iter().enumerate() {
-            let cells = slot * stride..(slot + 1) * stride;
-            let gains = self.level_gain[cells.clone()].iter();
-            for (t, (&gain, &valid)) in gains.zip(&self.level_valid[cells]).enumerate() {
-                if valid && gain > 1e-12 && best.is_none_or(|(_, _, b)| gain > b) {
-                    best = Some((feature, t as u32, gain));
-                }
-            }
-        }
-        best.map(|(feature, threshold, _)| (feature, threshold))
+        let (slot, threshold) = level.best()?;
+        Some((features[slot], threshold))
     }
 
     /// Stably partitions `node`'s rows by `bin <= threshold` on
@@ -513,10 +658,12 @@ mod tests {
 
     /// A random node: `n_features` binned columns over twice the node's
     /// rows (so the ascending row list has gaps), missing-value rows in
-    /// bin 0, bin counts from 2 to past one byte, columns that leave
-    /// most bins empty, gradients from a five-value palette (exact gain
-    /// ties) or the unit interval, and regularization from the corners
-    /// of the search space.
+    /// bin 0, bin counts from 2 to `max_bin` 1 023 (so small nodes see
+    /// few of their bins), columns that leave most bins empty, gradients
+    /// from a five-value palette (exact gain ties) or the unit interval,
+    /// at unit scale or `1e8` (gains near `1e16`, of both signs under a
+    /// large `reg_lambda`, whose level totals cancel), and regularization
+    /// from the corners of the search space.
     struct Case {
         binned: BinnedDataset,
         gh: Vec<GradPair>,
@@ -529,7 +676,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let n_total = 2 * n_rows + 1;
         let n_bins: Vec<usize> = (0..n_features)
-            .map(|_| [2, 3, 5, 17, 64, 256, 300][rng.gen_range(0..7)])
+            .map(|_| [2, 3, 5, 17, 64, 256, 300, 1_024][rng.gen_range(0..8)])
             .collect();
         let columns = n_bins
             .iter()
@@ -550,13 +697,15 @@ mod tests {
             .collect();
         let palette = rng.gen::<f64>() < 0.5;
         let unit_hess = rng.gen::<f64>() < 0.5;
+        let scale = [1.0, 1e8][rng.gen_range(0..2)];
         let gh = (0..n_total)
             .map(|_| {
-                let g = if palette {
-                    [-1.0, -0.5, 0.0, 0.5, 1.0][rng.gen_range(0..5)]
-                } else {
-                    rng.gen::<f64>() * 2.0 - 1.0
-                };
+                let g = scale
+                    * if palette {
+                        [-1.0, -0.5, 0.0, 0.5, 1.0][rng.gen_range(0..5)]
+                    } else {
+                        rng.gen::<f64>() * 2.0 - 1.0
+                    };
                 let h = if unit_hess {
                     1.0
                 } else {
@@ -606,7 +755,9 @@ mod tests {
         #[test]
         fn best_split_equals_the_oracle_bit_for_bit(
             seed in 0u64..1_000_000_000,
-            n_rows in prop_oneof![Just(2usize), Just(3), Just(255), Just(257), Just(5_000)],
+            n_rows in prop_oneof![
+                Just(2usize), Just(3), Just(40), Just(100), Just(255), Just(257), Just(5_000)
+            ],
             n_features in 1usize..=9,
         ) {
             let c = case(seed, n_rows, n_features);
@@ -631,16 +782,20 @@ mod tests {
         #[test]
         fn level_split_and_partition_equal_the_oracle(
             seed in 0u64..1_000_000_000,
-            n_rows in prop_oneof![Just(3usize), Just(255), Just(257), Just(2_000)],
+            n_rows in prop_oneof![
+                Just(3usize), Just(40), Just(100), Just(255), Just(257), Just(2_000)
+            ],
             n_features in 1usize..=9,
+            depth in 2usize..=5,
         ) {
             let c = case(seed, n_rows, n_features);
             let mut hist = HistBuilder::default();
             let root = hist.start_tree(&c.binned, &c.rows);
-            // Split the root twice on arbitrary conditions: the level is
-            // up to four leaves, some possibly empty.
+            // Split the root two to five times on arbitrary conditions:
+            // the level is up to 32 leaves, many with 0 or 1 rows at depth
+            // 4–5 and a few large ones (full-width compaction) at depth 2.
             let mut level = vec![(root, c.rows.clone())];
-            for (depth, &feature) in c.features.iter().cycle().take(2).enumerate() {
+            for (depth, &feature) in c.features.iter().cycle().take(depth).enumerate() {
                 let threshold = (c.binned.n_bins(feature as usize) / (2 + depth)) as u32;
                 let col = c.binned.column(feature as usize);
                 let mut next = Vec::new();
@@ -675,8 +830,81 @@ mod tests {
                 .collect();
             let want =
                 oracle_level_split(&c.binned, &oracle_leaves, &c.gh, &c.features, &c.params);
-            let got = hist.best_level_split(&c.binned, &c.gh, &c.features, &leaves, &c.params);
-            prop_assert_eq!(got, want);
+            // Twice: the second search runs on the scratch the first left.
+            for _ in 0..2 {
+                let got =
+                    hist.best_level_split(&c.binned, &c.gh, &c.features, &leaves, &c.params);
+                prop_assert_eq!(got, want);
+            }
         }
+
+        #[test]
+        fn level_search_equals_the_dense_fold(
+            seed in 0u64..1_000_000_000,
+            n_leaves in 1usize..=32,
+            n_slots in 1usize..=4,
+        ) {
+            // Runs over few thresholds with gains from a palette of
+            // repeats, opposite signs and magnitudes 1e16 apart: runs of
+            // different leaves meet with equal gains and the swept totals
+            // lose whole terms to cancellation.
+            let mut rng = StdRng::seed_from_u64(seed);
+            let stride = [3, 9, 70][rng.gen_range(0..3)];
+            let palette = [1.0, -1.0, 0.5, 3.0, 1e-13, 1e16, -1e16, 0.1, -0.3];
+            let mut level = LevelRuns::default();
+            level.start(n_slots, stride);
+            for i in 0..n_leaves * n_slots {
+                let mut t = rng.gen_range(0..stride);
+                while rng.gen::<f64>() < 0.7 && t + 1 < stride {
+                    let end = rng.gen_range(t + 1..stride);
+                    let gain = palette[rng.gen_range(0..palette.len())];
+                    level.push(i % n_slots, t as u32, end as u32, gain);
+                    t = end;
+                }
+                level.bounds.push(level.runs.len());
+            }
+            let want = dense_level_fold(&level);
+            prop_assert_eq!(level.best(), want);
+            // The search leaves the scratch clear for the next level.
+            prop_assert!(level.diff.iter().all(|d| d.to_bits() == 0));
+            prop_assert!(level.marks.iter().all(|&w| w == 0));
+        }
+    }
+
+    /// The reference for [`LevelRuns::best`]: every `(slot, t)`'s total,
+    /// added leaf by leaf onto `+0.0` as the pre-engine loop did.
+    fn dense_level_fold(level: &LevelRuns) -> Option<(usize, u32)> {
+        let (n_slots, stride) = (level.n_slots, level.stride);
+        let mut totals = vec![0.0f64; n_slots * stride];
+        for (i, leaf) in level.bounds.windows(2).enumerate() {
+            for run in &level.runs[leaf[0]..leaf[1]] {
+                for t in run.start..run.end {
+                    totals[i % n_slots * stride + t as usize] += run.gain;
+                }
+            }
+        }
+        let mut best: Option<(usize, u32, f64)> = None;
+        for (at, &total) in totals.iter().enumerate() {
+            if total > 1e-12 && best.is_none_or(|(_, _, b)| total > b) {
+                best = Some((at / stride, (at % stride) as u32, total));
+            }
+        }
+        best.map(|(slot, t, _)| (slot, t))
+    }
+
+    #[test]
+    fn runs_that_meet_with_equal_gains_are_each_searched() {
+        // Leaves in the order a, c, d, b. The runs of a (1..3) and b
+        // (3..5) have one gain, so the difference array is 0 at 3, yet
+        // the folds differ: ((1 + 1e16) - 1e16) = 0 over 1..3 but
+        // ((1e16 - 1e16) + 1) = 1 over 3..5. The oracle picks 3.
+        let mut level = LevelRuns::default();
+        level.start(1, 7);
+        for (start, end, gain) in [(1, 3, 1.0), (0, 6, 1e16), (0, 6, -1e16), (3, 5, 1.0)] {
+            level.push(0, start, end, gain);
+            level.bounds.push(level.runs.len());
+        }
+        assert_eq!(dense_level_fold(&level), Some((0, 3)));
+        assert_eq!(level.best(), Some((0, 3)));
     }
 }

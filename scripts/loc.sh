@@ -3,7 +3,7 @@
 # prints them and exits non-zero when any exceeds its ceiling. The
 # ceilings only ever go down — a PR that shrinks a number lowers its
 # ceiling to match.
-MAX_CODE_LINES=18854
+MAX_CODE_LINES=18849
 MAX_PUBLIC_ITEMS=732
 MAX_UNSAFE_LINES=0
 MAX_STUB_LINES=1560

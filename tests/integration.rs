@@ -37,8 +37,11 @@ fn flaml_beats_the_constant_baseline_on_suite_data() {
         .fit(&train)
         .expect("flaml runs");
     let metric = Metric::default_for(data.task());
-    let anchors = calibration_anchors(&train, &test, metric, 0.5, 0, virtual_source(), Some(6))
-        .expect("anchors");
+    let base = AutoMl::new()
+        .time_budget(0.5)
+        .time_source(virtual_source())
+        .max_trials(6);
+    let anchors = calibration_anchors(&train, &test, metric, base).expect("anchors");
     let raw = metric
         .score(&result.model.predict(&test), test.target())
         .expect("score");
